@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tape_io import Side, TapeRecord
+from .tape_io import Records, Side, Tape, as_tape
 
 # Guard against float round-off right at a bucket/sub-cell edge: prices
 # are cent-quantized, so a 1e-9 nudge on the division never misassigns
@@ -90,110 +90,113 @@ def imbalance_profile(buy: np.ndarray, sell: np.ndarray, geometric: bool = False
     return buy - sell
 
 
-def _group_days(records: list[TapeRecord]):
-    recs = sorted(records, key=lambda r: r.date)
-    days: list[dt.date] = []
-    groups: list[list[TapeRecord]] = []
-    for rec in recs:
-        if not days or rec.date != days[-1]:
-            days.append(rec.date)
-            groups.append([])
-        groups[-1].append(rec)
-    return days, groups
+def _by_day(records: Records) -> tuple[list[dt.date], np.ndarray, Tape]:
+    """The dates that have trades, each trade's index into them, and the
+    tape with its trades in date order (stable within a day)."""
+    tape = as_tape(records)
+    if np.any(tape.day[1:] < tape.day[:-1]):
+        tape = tape[np.argsort(tape.day, kind="stable")]
+    counts = np.bincount(tape.day, minlength=len(tape.dates))
+    days = [tape.dates[i] for i in np.flatnonzero(counts).tolist()]
+    return days, (np.cumsum(counts > 0) - 1)[tape.day], tape
 
 
-def reference_prices(records: list[TapeRecord]) -> dict[dt.date, float]:
+def _reference_array(day_ix: np.ndarray, tape: Tape, n_days: int) -> np.ndarray:
+    # bincount adds each day's trades in row order, as a running sum would
+    volume = np.bincount(day_ix, weights=tape.volume, minlength=n_days)
+    value = np.bincount(day_ix, weights=tape.price * tape.volume, minlength=n_days)
+    vwaps: list[float | None] = []
+    prev = None
+    for total, worth in zip(volume.tolist(), value.tolist()):
+        if total > 0:
+            prev = worth / total
+        vwaps.append(prev)  # zero-volume day keeps the last seen VWAP
+    first_known = next((v for v in vwaps if v is not None), 0.0)
+    refs = [vwaps[i - 1] if i > 0 else vwaps[0] for i in range(n_days)]
+    return np.array([first_known if ref is None else ref for ref in refs], dtype=float)
+
+
+def reference_prices(records: Records) -> dict[dt.date, float]:
     """Per-day reference price: the prior trading day's all-trade VWAP.
 
     The first day references its own VWAP; a zero-volume day carries the
     previous reference forward.
     """
-    days, groups = _group_days(records)
+    days, day_ix, tape = _by_day(records)
     if not days:
         raise ValueError("no records")
-    vwaps: list[float | None] = []
-    prev = None
-    for recs in groups:
-        total = sum(r.volume for r in recs)
-        if total > 0:
-            prev = sum(r.price * r.volume for r in recs) / total
-        vwaps.append(prev)  # zero-volume day keeps the last seen VWAP
-    first_known = next((v for v in vwaps if v is not None), 0.0)
-    refs: dict[dt.date, float] = {}
-    for i, day in enumerate(days):
-        ref = vwaps[i - 1] if i > 0 else vwaps[0]
-        refs[day] = float(ref) if ref is not None else float(first_known)
-    return refs
+    return dict(zip(days, _reference_array(day_ix, tape, len(days)).tolist()))
 
 
-def build_panels(records: list[TapeRecord], config: BucketConfig = BucketConfig()) -> PanelSeries:
+def build_panels(records: Records, config: BucketConfig = BucketConfig()) -> PanelSeries:
     """Bucket every day's trades and build the panel series.
 
     Per trade: c = |price - ref|, bucket floor(c/delta), sub-cell
     floor within the bucket clamped to the last cell.  Trades at or
     beyond n_buckets are discarded (counted); Unknown-side volume is
-    excluded from both sides but tracked.
+    excluded from both sides but tracked.  All days are bucketed at
+    once, and each day's panel holds views into the whole tape's arrays.
     """
-    days, groups = _group_days(records)
-    if len(days) < 2:
+    days, day_ix, tape = _by_day(records)
+    n_days = len(days)
+    if n_days < 2:
         raise ValueError("records must span at least 2 days")
-    refs = reference_prices(records)
+    ref = _reference_array(day_ix, tape, n_days)
 
     nb, ns = config.n_buckets, config.n_subcells
-    panels = []
-    total_discarded = 0
-    for day, recs in zip(days, groups):
-        ref = refs[day]
-        prices = np.array([r.price for r in recs], dtype=float)
-        volumes = np.array([r.volume for r in recs], dtype=float)
-        sides = np.array([1 if r.side is Side.BUY else -1 if r.side is Side.SELL else 0
-                          for r in recs], dtype=np.int8)
+    prices = tape.price
+    volumes = tape.volume.astype(float)
+    c = np.abs(prices - ref[day_ix])
+    bucket = np.floor(c / config.delta + _EDGE_EPS)
+    keep = bucket < nb
+    known = tape.side != 0
 
-        c = np.abs(prices - ref)
-        bucket = np.floor(c / config.delta + _EDGE_EPS).astype(np.int64)
-        keep = bucket < nb
-        known = sides != 0
-        unknown_volume = float(volumes[~known].sum())
-        discard_mask = ~keep & known
-        n_discarded = int(discard_mask.sum())
-        discarded_volume = float(volumes[discard_mask].sum())
+    def per_day(mask, weights=None):
+        return np.bincount(day_ix[mask], weights=None if weights is None else weights[mask],
+                           minlength=n_days)
 
-        fine = np.zeros((2, nb, ns))
-        price_sum = np.zeros((2, nb))
-        vol_sum = np.zeros((2, nb))
-        use = keep & known
-        if use.any():
-            kb = bucket[use]
-            within = c[use] - kb * config.delta
-            cell = np.floor(within / config.subcell_width + _EDGE_EPS).astype(np.int64)
-            cell = np.clip(cell, 0, ns - 1)
-            side_ix = (sides[use] < 0).astype(np.int64)  # 0 = buy, 1 = sell
-            np.add.at(fine, (side_ix, kb, cell), volumes[use])
-            np.add.at(price_sum, (side_ix, kb), prices[use] * volumes[use])
-            np.add.at(vol_sum, (side_ix, kb), volumes[use])
+    unknown_volume = per_day(~known, volumes)
+    discard_mask = ~keep & known
+    discarded_trades = per_day(discard_mask)
+    discarded_volume = per_day(discard_mask, volumes)
 
-        with np.errstate(invalid="ignore"):
-            vwap = np.where(vol_sum > 0, price_sum / np.where(vol_sum > 0, vol_sum, 1.0), 0.0)
+    use = keep & known
+    kb = bucket[use].astype(np.int64)
+    within = c[use] - kb * config.delta
+    cell = np.floor(within / config.subcell_width + _EDGE_EPS).astype(np.int64)
+    cell = np.clip(cell, 0, ns - 1)
+    side_ix = (tape.side[use] < 0).astype(np.int64)  # 0 = buy, 1 = sell
+    slot = (day_ix[use] * 2 + side_ix) * nb + kb  # flat (day, side, bucket)
+    vol = volumes[use]
+    fine = np.bincount(slot * ns + cell, weights=vol,
+                       minlength=n_days * 2 * nb * ns).reshape(n_days, 2, nb, ns)
+    price_sum = np.bincount(slot, weights=prices[use] * vol,
+                            minlength=n_days * 2 * nb).reshape(n_days, 2, nb)
+    vol_sum = np.bincount(slot, weights=vol, minlength=n_days * 2 * nb).reshape(n_days, 2, nb)
 
-        buy_vol = fine[0].sum(axis=1)
-        sell_vol = fine[1].sum(axis=1)
-        panels.append(DailyPanel(
+    with np.errstate(invalid="ignore"):
+        vwap = np.where(vol_sum > 0, price_sum / np.where(vol_sum > 0, vol_sum, 1.0), 0.0)
+
+    side_vol = fine.sum(axis=3)
+    imb_vol = side_vol[:, 0] - side_vol[:, 1]
+    panels = [
+        DailyPanel(
             date=day,
-            ref_price=float(ref),
-            buy_vol=buy_vol,
-            sell_vol=sell_vol,
-            imb_vol=buy_vol - sell_vol,
-            buy_vwap=vwap[0],
-            sell_vwap=vwap[1],
-            fine_buy=fine[0],
-            fine_sell=fine[1],
-            discarded_trades=n_discarded,
-            discarded_volume=discarded_volume,
-            unknown_volume=unknown_volume,
-        ))
-        total_discarded += n_discarded
-
-    return PanelSeries(panels, config, discarded_trades=total_discarded)
+            ref_price=float(ref[d]),
+            buy_vol=side_vol[d, 0],
+            sell_vol=side_vol[d, 1],
+            imb_vol=imb_vol[d],
+            buy_vwap=vwap[d, 0],
+            sell_vwap=vwap[d, 1],
+            fine_buy=fine[d, 0],
+            fine_sell=fine[d, 1],
+            discarded_trades=int(discarded_trades[d]),
+            discarded_volume=float(discarded_volume[d]),
+            unknown_volume=float(unknown_volume[d]),
+        )
+        for d, day in enumerate(days)
+    ]
+    return PanelSeries(panels, config, discarded_trades=int(discarded_trades.sum()))
 
 
 def write_panels_csv(series: PanelSeries, handle) -> None:

@@ -294,8 +294,11 @@ def _cmd_fit(args) -> int:
         raise DataError(f"bad state matrix: {exc}")
     if not np.isfinite(states.values).all():
         raise DataError("state matrix holds non-finite values")
-    output = dual_regression.fit_beta(states)
-    split = dual_regression.variance_split(output, states)
+    try:
+        output = dual_regression.fit_beta(states)
+        split = dual_regression.variance_split(output, states)
+    except ValueError as exc:
+        raise DataError(f"cannot fit {args.states}: {exc}")
     outdir = _outdir(args)
     prov = _provenance("fit", {"states_file": args.states})
     _write_csv(os.path.join(outdir, "beta.csv"), prov,
@@ -450,6 +453,8 @@ def _cmd_emit_plotdata(args) -> int:
     except OSError as exc:
         raise DataError(f"cannot read artifact {args.artifact}: {exc}")
     rows = [ln.split(",") for ln in lines]
+    if not rows and args.kind in ("heatmap", "series"):
+        raise DataError(f"artifact {args.artifact} holds no header row")
     out_lines: list[str] = []
     if args.kind == "heatmap":
         header, data = rows[0], rows[1:]

@@ -3,13 +3,15 @@
 Conventions used across the toolkit: a Pearson correlation against a
 zero-variance series is reported as the caller-supplied fallback
 (default 0.0) instead of NaN, and all correlations are clipped to
-[-1, 1] to absorb float round-off.
+[-1, 1] to absorb float round-off.  scipy is imported inside the
+functions that need it, since `scipy.stats` alone costs more than a
+second at start-up and most commands never call them; the normal and
+Student-t laws come from the lighter `scipy.special`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 
 def has_variance(x) -> bool:
@@ -52,6 +54,8 @@ def spearman(x, y, undefined: float = 0.0) -> float:
     y = np.asarray(y, dtype=float)
     if not (has_variance(x) and has_variance(y)):
         return undefined
+    from scipy import stats
+
     return pearson(stats.rankdata(x), stats.rankdata(y), undefined=undefined)
 
 
@@ -67,7 +71,9 @@ def fisher_z_pvalue(r1: float, n1: int, r2: float, n2: int) -> float:
     z2 = np.arctanh(np.clip(r2, -0.999999, 0.999999))
     se = np.sqrt(1.0 / (n1 - 3) + 1.0 / (n2 - 3))
     z = (z1 - z2) / se
-    return float(2.0 * stats.norm.sf(abs(z)))
+    from scipy import special
+
+    return float(2.0 * special.ndtr(-abs(z)))  # the normal survival function
 
 
 def student_halfwidth(values, level: float = 0.10) -> float:
@@ -76,7 +82,9 @@ def student_halfwidth(values, level: float = 0.10) -> float:
     n = values.size
     if n < 2:
         return 0.0
-    t_crit = stats.t.ppf(1.0 - level / 2.0, df=n - 1)
+    from scipy import special
+
+    t_crit = special.stdtrit(n - 1, 1.0 - level / 2.0)  # Student-t quantile
     return float(t_crit * values.std(ddof=1) / np.sqrt(n))
 
 
@@ -84,7 +92,9 @@ def corr_significance_threshold(n: int, level: float = 0.10) -> float:
     """Critical |r| for the two-sided test of zero correlation on n pairs."""
     if n <= 2:
         return 1.0
-    t_crit = stats.t.ppf(1.0 - level / 2.0, df=n - 2)
+    from scipy import special
+
+    t_crit = special.stdtrit(n - 2, 1.0 - level / 2.0)
     return float(t_crit / np.sqrt(n - 2 + t_crit**2))
 
 

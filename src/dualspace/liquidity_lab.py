@@ -28,7 +28,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import neural_kit
 from .bucket_panel import DailyPanel, PanelSeries
@@ -277,6 +276,8 @@ def _subset_draw_pvalue(preds: np.ndarray, targets: np.ndarray, k: int,
                         observed: float, reference: float,
                         n_draws: int, rng: np.random.Generator) -> float:
     """P(|rho_s(random month subset) - ref| >= |observed - ref|)."""
+    from scipy import stats  # imported here to keep start-up light
+
     n = preds.size
     draws = np.argsort(rng.random((n_draws, n)), axis=1)[:, :k]
     pr = stats.rankdata(preds[draws], axis=1)

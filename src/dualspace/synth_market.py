@@ -34,7 +34,6 @@ import numpy as np
 from . import tape_io
 from .calendars import month_key, trading_days
 from .residual_study import IndexSeries
-from .tape_io import Side, TapeRecord
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ class GroundTruth:
 @dataclass
 class SynthTape:
     trader_id: str
-    records: list[TapeRecord]
+    records: tape_io.Tape
     text: str
 
 
@@ -295,8 +294,8 @@ def gen_tapes(config: MarketConfig,
     for t in range(config.n_traders):
         rng = np.random.default_rng(children[2 + t])
         streams = shared if config.shared_market else _MarketStreams(rng, config)
-        records: list[TapeRecord] = []
-        for d, day in enumerate(dates):
+        columns: tuple[list[np.ndarray], ...] = ([], [], [], [])  # day, price, side, volume
+        for d in range(len(dates)):
             # Trades are emitted in +/- displacement pairs of equal volume,
             # so displacement contributions cancel out of the daily VWAP
             # and the next day's reference tracks the level walk closely.
@@ -325,21 +324,37 @@ def gen_tapes(config: MarketConfig,
             base = streams.level[d] + np.where(is_buy, half_spread, -half_spread)
             concentration = np.exp(-np.abs(disp) / config.volume_concentration)
             volumes = np.rint(rng.lognormal(mu, sigma, size=n) * concentration
-                              * volume_mult[d]).astype(int)
+                              * volume_mult[d]).astype(np.int64)
             hide_side = rng.random((n, 2)) < config.unknown_side_rate
-            for i in range(n):
-                if volumes[i] <= 0:
-                    continue  # zero-volume shocks silence the window
-                true_side = Side.BUY if is_buy[i] else Side.SELL
-                for leg, offset in enumerate((disp[i], -disp[i])):
-                    price = float(f"{max(base[i] + offset, 0.01):.2f}")
-                    side = Side.UNKNOWN if hide_side[i, leg] else true_side
-                    records.append(TapeRecord(day, price, side, int(volumes[i])))
-        tapes.append(SynthTape(f"t{t}", records, tape_io.serialize(records)))
+            live = volumes > 0  # zero-volume shocks silence the window
+            # two legs per trade, row after row: at +disp, then at -disp
+            legs = np.stack([base + disp, base - disp], axis=1)[live].ravel()
+            true_side = np.where(is_buy[live], 1, -1)[:, None]
+            columns[0].append(np.full(legs.size, d))
+            columns[1].append(legs)
+            columns[2].append(np.where(hide_side[live], 0, true_side).ravel())
+            columns[3].append(np.repeat(volumes[live], 2))
+        day, legs, side, volume = (np.concatenate(c) if c else np.zeros(0) for c in columns)
+        tape = tape_io.Tape(dates, day, _cents(np.maximum(legs, 0.01)), side, volume)
+        tapes.append(SynthTape(f"t{t}", tape, tape_io.serialize(tape)))
 
     _, truth = gen_indexes(config)
     truth.daily_tilt = [float(v) for v in daily_tilt]
     return tapes, truth
+
+
+def _cents(x: np.ndarray) -> np.ndarray:
+    """`float(f"{v:.2f}")` for every entry, vectorized.
+
+    rint(100 v) / 100 is that value wherever 100 v is below 1e9 and not
+    within 1e-6 of a half cent, since there the product's round-off is
+    far smaller; at the other points the decimal formatting decides.
+    """
+    scaled = x * 100.0
+    out = np.rint(scaled) / 100.0
+    undecided = (np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6) | (np.abs(scaled) >= 1e9)
+    out[undecided] = [float(f"{v:.2f}") for v in x[undecided].tolist()]
+    return out
 
 
 def gen_market(config: MarketConfig = MarketConfig()) -> SynthMarket:

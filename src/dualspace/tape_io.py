@@ -8,6 +8,11 @@ names, units); anything before the first row whose date field parses is
 treated as header material.  Rows with a missing or unrecognized side
 flag are kept with side=Unknown; malformed rows are reported per line,
 never silently dropped.
+
+In memory a tape is a `Tape`: parallel numpy columns, one entry per
+trade, that every stage from synthesis through parsing to the bucket
+panels works on directly.  It is also a read-only sequence of
+`TapeRecord`s, so code that wants one trade at a time can have it.
 """
 
 from __future__ import annotations
@@ -16,8 +21,12 @@ import datetime as dt
 import enum
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import islice, repeat
+from typing import Iterable, Optional, Union
+
+import numpy as np
 
 DELIMITERS = (",", "\t", ";")
 UNKNOWN_SIDE_FLAG_THRESHOLD = 0.10
@@ -29,12 +38,110 @@ class Side(enum.Enum):
     UNKNOWN = ""
 
 
+#: Side as stored in `Tape.side`.
+SIDE_CODE = {Side.BUY: 1, Side.SELL: -1, Side.UNKNOWN: 0}
+_SIDE_OF_CODE = {code: side for side, code in SIDE_CODE.items()}
+
+
 @dataclass(frozen=True)
 class TapeRecord:
     date: dt.date
     price: float
     side: Side
     volume: int
+
+
+class Tape(Sequence):
+    """A tape as parallel columns, one entry per trade.
+
+    `dates` is a strictly increasing table of dates and `day` indexes
+    into it (a table entry may have no trades); `side` is +1 buy, -1
+    sell, 0 unknown; `line_no` is the 1-based line a parsed trade came
+    from, 0 for trades that were not parsed from text.  Indexing yields
+    a `TapeRecord`; slicing, or indexing with an index or boolean array,
+    yields a `Tape`.  A tape equals any `Tape` or list holding the same
+    records in the same order; `line_no` takes no part in equality.
+    """
+
+    __slots__ = ("dates", "day", "price", "side", "volume", "line_no")
+    __hash__ = None  # mutable columns
+
+    def __init__(self, dates, day, price, side, volume, line_no=None):
+        self.dates = tuple(dates)
+        self.day = np.asarray(day, dtype=np.int64)
+        self.price = np.asarray(price, dtype=np.float64)
+        self.side = np.asarray(side, dtype=np.int8)
+        self.volume = np.asarray(volume, dtype=np.int64)
+        self.line_no = (np.zeros(self.day.size, dtype=np.int64) if line_no is None
+                        else np.asarray(line_no, dtype=np.int64))
+        n = self.day.size
+        if any(col.shape != (n,) for col in (self.price, self.side, self.volume, self.line_no)):
+            raise ValueError("tape columns must be one-dimensional and of equal length")
+        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+            raise ValueError("tape dates must be strictly increasing")
+        if n and (self.day.min() < 0 or self.day.max() >= len(self.dates)):
+            raise ValueError("day index outside the date table")
+
+    @classmethod
+    def from_records(cls, records: Iterable[TapeRecord]) -> "Tape":
+        records = list(records)
+        dates = sorted({rec.date for rec in records})
+        index = {day: i for i, day in enumerate(dates)}
+        n = len(records)
+        return cls(dates,
+                   np.fromiter((index[rec.date] for rec in records), np.int64, n),
+                   np.fromiter((rec.price for rec in records), np.float64, n),
+                   np.fromiter((SIDE_CODE[rec.side] for rec in records), np.int8, n),
+                   np.fromiter((rec.volume for rec in records), np.int64, n))
+
+    def __len__(self) -> int:
+        return self.day.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (slice, np.ndarray)):
+            return Tape(self.dates, self.day[key], self.price[key], self.side[key],
+                        self.volume[key], self.line_no[key])
+        return TapeRecord(self.dates[self.day[key]], float(self.price[key]),
+                          _SIDE_OF_CODE[int(self.side[key])], int(self.volume[key]))
+
+    def __iter__(self):
+        dates = self.dates
+        step = 1 << 14  # bounds the Python objects alive at once
+        for lo in range(0, len(self), step):
+            part = slice(lo, lo + step)
+            for day, price, side, volume in zip(
+                    self.day[part].tolist(), self.price[part].tolist(),
+                    self.side[part].tolist(), self.volume[part].tolist()):
+                yield TapeRecord(dates[day], price, _SIDE_OF_CODE[side], volume)
+
+    def _row_ordinals(self) -> np.ndarray:
+        """Each trade's date as a proleptic Gregorian ordinal."""
+        return np.array([day.toordinal() for day in self.dates], dtype=np.int64)[self.day]
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            if not all(isinstance(rec, TapeRecord) for rec in other):
+                return False
+            other = Tape.from_records(other)
+        if not isinstance(other, Tape):
+            return NotImplemented
+        same_days = (np.array_equal(self.day, other.day) if self.dates == other.dates
+                     else np.array_equal(self._row_ordinals(), other._row_ordinals()))
+        return (len(self) == len(other) and same_days
+                and np.array_equal(self.price, other.price)
+                and np.array_equal(self.side, other.side)
+                and np.array_equal(self.volume, other.volume))
+
+    def __repr__(self) -> str:
+        return f"Tape({len(self)} trades, {len(self.dates)} dates)"
+
+
+Records = Union[Tape, Iterable[TapeRecord]]
+
+
+def as_tape(records: Records) -> Tape:
+    """The tape itself, or a list of records converted once."""
+    return records if isinstance(records, Tape) else Tape.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -57,7 +164,7 @@ class RowError:
 
 @dataclass
 class ParseResult:
-    records: list[TapeRecord]
+    records: Tape
     errors: list[RowError]
     n_data_rows: int
     n_header_rows: int
@@ -98,11 +205,52 @@ class ValidationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+# Rejection reasons; a row gets the first that applies, in this order.
+_SHORT, _BAD_DATE, _BAD_PRICE, _NONFINITE_PRICE, _NONPOSITIVE_PRICE, \
+    _BAD_VOLUME, _NONPOSITIVE_VOLUME, _HUGE_VOLUME = range(1, 9)
+_REASONS = {_SHORT: "short row", _BAD_DATE: "malformed date",
+           _BAD_PRICE: "malformed price", _NONFINITE_PRICE: "non-finite price",
+           _NONPOSITIVE_PRICE: "nonpositive price", _BAD_VOLUME: "malformed volume",
+           _NONPOSITIVE_VOLUME: "nonpositive volume",
+           _HUGE_VOLUME: "volume out of range"}
+_MAX_VOLUME = int(np.iinfo(np.int64).max)
+
+# Body lines are split and coded this many at a time, which bounds the
+# token strings alive at once.
+_CHUNK_LINES = 1 << 15
+
+
 def _parse_date(text: str) -> Optional[dt.date]:
     try:
         return dt.date.fromisoformat(text.strip())
     except ValueError:
         return None
+
+
+def _parse_price(text: str) -> tuple[float, int]:
+    """(price, 0), or (nan, rejection reason)."""
+    try:
+        price = float(text)
+    except ValueError:
+        return math.nan, _BAD_PRICE
+    if not math.isfinite(price):
+        return math.nan, _NONFINITE_PRICE
+    if price <= 0:
+        return math.nan, _NONPOSITIVE_PRICE
+    return price, 0
+
+
+def _parse_volume(text: str) -> tuple[int, int]:
+    """(volume, 0), or (0, rejection reason)."""
+    try:
+        volume = int(text.strip())
+    except ValueError:
+        return 0, _BAD_VOLUME
+    if volume <= 0:
+        return 0, _NONPOSITIVE_VOLUME
+    if volume > _MAX_VOLUME:
+        return 0, _HUGE_VOLUME
+    return volume, 0
 
 
 def _detect_delimiter(lines: list[str]) -> str:
@@ -123,100 +271,171 @@ def _parse_side(text: str) -> Side:
     return Side.UNKNOWN
 
 
+class _TokenCodes(dict):
+    """Token -> code, numbering each token the first time it is looked up."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = code = len(self)
+        return code
+
+    def code(self, tokens: list[str]) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, tokens), np.int64, len(tokens))
+
+
 def parse_tape(stream: Iterable[str] | str, columns: TapeColumns = TapeColumns()) -> ParseResult:
     """Parse a tape into date-ordered records plus per-row error reports.
 
     `stream` may be an open file, any iterable of lines, or one string.
     Rows are sorted by date (stable within a day).  Every data row ends
     up either in `records` or in `errors`.
+
+    The body is read column-wise: lines with the first data row's field
+    count are split together, other lines one at a time, and every
+    column's tokens are coded to their distinct values.  Each distinct
+    token is parsed once, with the same rules a single row would get.
     """
     if isinstance(stream, str):
         lines = stream.splitlines()
     else:
         lines = [line.rstrip("\r\n") for line in stream]
+    delimiter = columns.delimiter or _detect_delimiter(
+        list(islice((ln for ln in lines if ln.strip()), 20)))
+    positions = (columns.date, columns.price, columns.side, columns.volume)
+    needed = max(positions) + 1
 
-    delimiter = columns.delimiter or _detect_delimiter([ln for ln in lines if ln.strip()])
-    needed = max(columns.date, columns.price, columns.side, columns.volume) + 1
-
-    records: list[tuple[int, TapeRecord]] = []
-    errors: list[RowError] = []
     n_header = 0
-    n_data = 0
-    in_header = True
-
-    for line_no, line in enumerate(lines, start=1):
+    start = len(lines)
+    for line_no, line in enumerate(lines):
         if not line.strip():
             continue
         fields = line.split(delimiter)
-        date = _parse_date(fields[columns.date]) if len(fields) > columns.date else None
-        if in_header:
-            if date is None:
-                n_header += 1
-                continue
-            in_header = False
+        if len(fields) > columns.date and _parse_date(fields[columns.date]) is not None:
+            start = line_no
+            break
+        n_header += 1
 
+    # token tables and per-row codes of the date, price, side and volume columns
+    tables = (_TokenCodes(), _TokenCodes(), _TokenCodes(), _TokenCodes())
+    codes: tuple[list[np.ndarray], ...] = ([], [], [], [])
+    row_lines: list[np.ndarray] = []  # 0-based line index of every coded row
+    errors: list[RowError] = []
+
+    body = lines[start:]
+    width = max(needed, len(body[0].split(delimiter))) if body else needed
+    regular = np.fromiter(map(str.count, body, repeat(delimiter)), np.int64,
+                          len(body)) == width - 1
+    if width == 1 or delimiter.isspace():  # such a line may also be blank
+        regular &= np.fromiter(map(bool, map(str.strip, body)), bool, len(body))
+    fast = np.flatnonzero(regular) + start
+    for lo in range(0, fast.size, _CHUNK_LINES):
+        part = fast[lo:lo + _CHUNK_LINES]
+        tokens = delimiter.join([lines[i] for i in part.tolist()]).split(delimiter)
+        for col, table, out in zip(positions, tables, codes):
+            out.append(table.code(tokens[col::width]))
+        del tokens
+        row_lines.append(part)
+
+    # lines with another field count (or blank), one at a time
+    n_data = fast.size
+    odd_lines = []
+    odd_tokens: tuple[list[str], ...] = ([], [], [], [])
+    for i in (np.flatnonzero(~regular) + start).tolist():
+        line = lines[i]
+        if not line.strip():
+            continue
         n_data += 1
+        fields = line.split(delimiter)
         if len(fields) < needed:
-            errors.append(RowError(line_no, "short row", line))
+            errors.append(RowError(i + 1, _REASONS[_SHORT], line))
             continue
-        if date is None:
-            errors.append(RowError(line_no, "malformed date", line))
-            continue
-        try:
-            price = float(fields[columns.price])
-        except ValueError:
-            errors.append(RowError(line_no, "malformed price", line))
-            continue
-        if not math.isfinite(price) or price <= 0:
-            errors.append(RowError(line_no, "nonpositive price", line))
-            continue
-        try:
-            volume = int(fields[columns.volume].strip())
-        except ValueError:
-            errors.append(RowError(line_no, "malformed volume", line))
-            continue
-        if volume <= 0:
-            errors.append(RowError(line_no, "nonpositive volume", line))
-            continue
-        records.append((line_no, TapeRecord(date, price, _parse_side(fields[columns.side]), volume)))
+        odd_lines.append(i)
+        for col, out in zip(positions, odd_tokens):
+            out.append(fields[col])
+    for table, out, tokens in zip(tables, codes, odd_tokens):
+        out.append(table.code(tokens))
+    row_lines.append(np.array(odd_lines, dtype=np.int64))
 
-    records.sort(key=lambda item: (item[1].date, item[0]))
-    return ParseResult([rec for _, rec in records], errors, n_data, n_header)
+    date_codes, price_codes, side_codes, volume_codes = (np.concatenate(c) for c in codes)
+    row_lines = np.concatenate(row_lines)
+
+    # each distinct token parsed once, then looked up per row
+    token_dates = [_parse_date(token) for token in tables[0]]
+    dates = sorted({day for day in token_dates if day is not None})
+    rank = {day: i for i, day in enumerate(dates)}
+    day_of = np.array([rank[day] if day is not None else -1 for day in token_dates],
+                      dtype=np.int64)
+    price_of, price_reason = _table(tables[1], _parse_price, np.float64)
+    volume_of, volume_reason = _table(tables[3], _parse_volume, np.int64)
+    side_of = np.array([SIDE_CODE[_parse_side(token)] for token in tables[2]], dtype=np.int8)
+
+    day = day_of[date_codes]
+    reason = np.where(day < 0, _BAD_DATE, price_reason[price_codes])
+    reason = np.where(reason == 0, volume_reason[volume_codes], reason)
+    bad = np.flatnonzero(reason)
+    errors.extend(RowError(i + 1, _REASONS[r], lines[i])
+                  for i, r in zip(row_lines[bad].tolist(), reason[bad].tolist()))
+    errors.sort(key=lambda err: err.line_no)
+
+    ok = reason == 0
+    day, row_lines = day[ok], row_lines[ok]
+    order = np.lexsort((row_lines, day))
+    tape = Tape(dates, day[order], price_of[price_codes[ok][order]],
+                side_of[side_codes[ok][order]], volume_of[volume_codes[ok][order]],
+                row_lines[order] + 1)
+    return ParseResult(tape, errors, n_data, n_header)
 
 
-def serialize(records: Iterable[TapeRecord]) -> str:
+def _table(tokens: _TokenCodes, parse, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Parsed value and rejection reason of every distinct token."""
+    parsed = [parse(token) for token in tokens]
+    return (np.array([value for value, _ in parsed], dtype=dtype),
+            np.array([reason for _, reason in parsed], dtype=np.int64))
+
+
+def _coded_text(values: np.ndarray, text) -> np.ndarray:
+    """`text(v)` for every entry, formatting each distinct value once."""
+    keys = values.view(np.int64) if values.dtype == np.float64 else values  # -0.0 stays apart
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array([text(v) for v in values[first].tolist()], dtype=object)[inverse.reshape(-1)]
+
+
+def serialize(records: Records) -> str:
     """Canonical comma-separated form; parse_tape(serialize(r)) == r."""
-    lines = ["Trddt,Stkprc,Parcha,Trdtims"]
-    for rec in records:
-        lines.append(f"{rec.date.isoformat()},{rec.price!r},{rec.side.value},{rec.volume}")
-    return "\n".join(lines) + "\n"
+    tape = as_tape(records)
+    # one cell per field, each with the separator that follows it
+    cells = np.empty((len(tape), 4), dtype=object)
+    cells[:, 0] = np.array([f"{day.isoformat()}," for day in tape.dates], dtype=object)[tape.day]
+    cells[:, 1] = _coded_text(tape.price, lambda price: f"{price!r},")
+    # indexed by side code: 0 unknown, 1 buy, and -1 wraps round to sell
+    cells[:, 2] = np.array([f"{side.value}," for side in (Side.UNKNOWN, Side.BUY, Side.SELL)],
+                           dtype=object)[tape.side]
+    cells[:, 3] = _coded_text(tape.volume, lambda volume: f"{volume}\n")
+    return "Trddt,Stkprc,Parcha,Trdtims\n" + "".join(cells.ravel().tolist())
 
 
 def read_tape(path, columns: TapeColumns = TapeColumns()) -> ParseResult:
+    # universal newlines: every line of the text ends in "\n" alone
     with open(path, encoding="utf-8") as handle:
-        return parse_tape(handle, columns)
+        lines = handle.read().split("\n")
+    return parse_tape(lines, columns)
 
 
-def write_canonical(records: Iterable[TapeRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize(records))
-
-
-def summarize(records: list[TapeRecord], side: Optional[Side] = None) -> TapeSummary:
+def summarize(records: Records, side: Optional[Side] = None) -> TapeSummary:
     """Descriptive statistics for a tape, optionally restricted to one side.
 
     avg_daily_volume is total volume over distinct trading days; the
     volume variance is the unbiased per-trade variance (0 for a single
     trade); price std likewise.
     """
+    tape = as_tape(records)
     if side is not None:
-        records = [rec for rec in records if rec.side is side]
-    if not records:
+        tape = tape[tape.side == SIDE_CODE[side]]
+    if not len(tape):
         raise ValueError("no records")
 
-    n = len(records)
-    prices = [rec.price for rec in records]
-    volumes = [rec.volume for rec in records]
+    n = len(tape)
+    prices = tape.price.tolist()
+    volumes = tape.volume.tolist()
     # fsum keeps the statistics exactly permutation-invariant
     avg_price = math.fsum(prices) / n
     avg_volume = math.fsum(volumes) / n
@@ -226,8 +445,8 @@ def summarize(records: list[TapeRecord], side: Optional[Side] = None) -> TapeSum
     else:
         std_price = 0.0
         var_volume = 0.0
-    n_days = len({rec.date for rec in records})
-    unknown = sum(1 for rec in records if rec.side is Side.UNKNOWN)
+    n_days = int(np.count_nonzero(np.bincount(tape.day)))
+    unknown = int(np.count_nonzero(tape.side == 0))
     return TapeSummary(
         trade_count=n,
         min_price=min(prices),
@@ -240,14 +459,15 @@ def summarize(records: list[TapeRecord], side: Optional[Side] = None) -> TapeSum
     )
 
 
-def validate(records: list[TapeRecord], errors: Iterable[RowError] = ()) -> ValidationReport:
+def validate(records: Records, errors: Iterable[RowError] = ()) -> ValidationReport:
     """Report-only checks: unknown-side share and rejected-row tallies.
 
     The unknown-side flag raises when more than 10% of records carry no
     B/S stamp, the documented quality bound for these tapes.
     """
-    n = len(records)
-    unknown = sum(1 for rec in records if rec.side is Side.UNKNOWN)
+    tape = as_tape(records)
+    n = len(tape)
+    unknown = int(np.count_nonzero(tape.side == 0))
     fraction = unknown / n if n else 0.0
     by_reason: dict[str, int] = {}
     n_rejected = 0

@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +75,18 @@ def test_fit_on_planted_states_reports_tiny_residual(capsys, tmp_path):
     assert diag["gram_rank"] >= 16
 
 
+def test_fit_on_one_row_state_file_is_a_data_error(capsys, tmp_path):
+    states = planted_trajectory(random_rotation(3), seed=5, n_rows=1)
+    path = tmp_path / "one.csv"
+    with open(path, "w") as handle:
+        state_space.write_state_csv(states, handle)
+    assert cli.run(["fit", "--states", str(path), "--out-dir", str(tmp_path / "fit")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:")
+    assert "at least 2 rows" in captured.err
+    assert captured.out == ""
+
+
 def test_backcast_cnn_via_cli(capsys, tape_dir, tmp_path):
     for trader in ("t0", "t1"):
         run_ok(capsys, ["statespace", "--tape", str(tape_dir / f"{trader}.csv"),
@@ -135,6 +149,18 @@ def test_emit_plotdata_empty_artifact(capsys, tmp_path):
     assert (tmp_path / "o.csv").read_text() == "date,value\n"
 
 
+def test_emit_plotdata_zero_line_artifact_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    for kind in ("series", "heatmap"):
+        assert cli.run(["emit-plotdata", "--artifact", str(path), "--kind", kind,
+                        "--out", str(tmp_path / "o.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error:")
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_emit_bars_from_diagnostics(capsys, tmp_path):
     path = tmp_path / "diag.json"
     path.write_text(json.dumps({"predictor_share": [0.5, 0.25]}))
@@ -148,6 +174,17 @@ def test_pdo_demo(capsys, tmp_path):
                               "--drift", "0.3"])
     assert summary["max_error_vs_closed_form"] < 1e-6
     assert (tmp_path / "grid_evolved.csv").exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs more than a second of start-up; commands that
+    # never test a correlation must not pay for it
+    code = "import dualspace.cli, sys; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_exit_codes(capsys, tmp_path):

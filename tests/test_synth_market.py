@@ -180,3 +180,12 @@ def test_snr_mapping():
     assert synth_market.snr_to_anchored_fraction(10.0) == pytest.approx(10 / 11)
     with pytest.raises(ValueError):
         synth_market.snr_to_anchored_fraction(-1.0)
+
+
+def test_cent_rounding_matches_decimal_formatting():
+    rng = np.random.default_rng(0)
+    half = (np.arange(1, 5001) + 0.5) / 100  # half cents and their neighbours
+    x = np.concatenate([rng.uniform(0.01, 50.0, 100_000), half,
+                        np.nextafter(half, 0.0), np.nextafter(half, 100.0)])
+    expect = [float(f"{v:.2f}") for v in x.tolist()]
+    assert synth_market._cents(x).tolist() == expect

@@ -172,3 +172,62 @@ def test_validate_counts_rejections():
     assert report.n_rejected == 3
     clean = tape_io.validate(_records_with_unknowns(10, 0))
     assert clean.rejected_by_reason == {} and clean.n_rejected == 0
+
+
+@pytest.mark.parametrize("delim", [",", "\t"])
+def test_non_finite_prices_have_their_own_reason(delim):
+    rows = [("2009-08-06", "10.05", "S", "425"),
+            ("2009-08-06", "nan", "B", "10"),
+            ("2009-08-06", "inf", "S", "10"),
+            ("2009-08-07", "-inf", "B", "10"),
+            ("2009-08-07", "-1.5", "B", "10"),
+            ("2009-08-07", "NaN", "S", "10", "extra")]  # odd field count: per-line path
+    text = "\n".join(delim.join(row) for row in rows)
+    result = tape_io.parse_tape(text)
+    reasons = {err.line_no: err.reason for err in result.errors}
+    assert reasons == {2: "non-finite price", 3: "non-finite price", 4: "non-finite price",
+                       5: "nonpositive price", 6: "non-finite price"}
+    assert [err.raw for err in result.errors] == [delim.join(row) for row in rows[1:]]
+    assert len(result.records) == 1
+
+
+def test_volume_beyond_int64_is_rejected():
+    result = tape_io.parse_tape("2009-08-06,10.05,S,425\n2009-08-06,10.05,S,99999999999999999999\n")
+    assert [(err.line_no, err.reason) for err in result.errors] == [(2, "volume out of range")]
+
+
+def test_fast_and_per_line_rows_merge_in_date_then_line_order():
+    text = ("2009-08-07,9.9,B,1\n"
+            "2009-08-06,10.0,S,2,extra\n"   # another field count
+            "2009-08-06,10.1,,3\n"
+            "2009-08-07,9.8,S,4,extra\n")
+    result = tape_io.parse_tape(text)
+    assert [rec.volume for rec in result.records] == [2, 3, 1, 4]
+    assert result.records.line_no.tolist() == [2, 3, 1, 4]
+
+
+def test_tape_is_a_sequence_of_records():
+    rng = random.Random(3)
+    records = _random_records(rng, 50)
+    tape = tape_io.Tape.from_records(records)
+    assert len(tape) == 50
+    assert tape[0] == records[0] and tape[-1] == records[-1]
+    assert list(tape) == records
+    assert tape == records and records == tape
+    assert isinstance(tape[10:20], tape_io.Tape) and tape[10:20] == records[10:20]
+    assert tape[tape.side == 1] == [rec for rec in records if rec.side is Side.BUY]
+    assert tape != records[:-1]
+    assert tape != records[::-1]
+    assert tape_io.Tape.from_records([]) == []
+    with pytest.raises(IndexError):
+        tape[50]
+
+
+def test_tape_rejects_inconsistent_columns():
+    day = dt.date(2009, 1, 5)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        tape_io.Tape([day, day], [0], [1.0], [1], [1])
+    with pytest.raises(ValueError, match="equal length"):
+        tape_io.Tape([day], [0, 0], [1.0], [1], [1])
+    with pytest.raises(ValueError, match="date table"):
+        tape_io.Tape([day], [1], [1.0], [1], [1])
