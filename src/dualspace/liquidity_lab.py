@@ -208,7 +208,8 @@ def event_study(cost: CostSeries, index: IndexSeries,
     drawing random month subsets of the window's size (months are
     exchangeable under H0).  Subsets are drawn from the months outside
     the tested window, so a local anomaly cannot contaminate its own
-    null distribution.  Constant predictions are reported NA.  The raw
+    null distribution.  A window holding fewer than two months, or with
+    constant predictions, is reported NA.  The raw
     bucket-averaged lambda series' index correlation is kept as a
     diagnostic.
     """
@@ -254,9 +255,9 @@ def event_study(cost: CostSeries, index: IndexSeries,
     results = []
     for day_range in config.resolved_windows():
         w_months = _months_by_majority(cost.dates, cost.day_positions, day_range)
-        ix = np.array([months.index(m) for m in w_months])
+        ix = np.array([months.index(m) for m in w_months], dtype=int)
         w_pred, w_idx = preds[ix], targets[ix]
-        if np.ptp(w_pred) == 0.0 or np.ptp(w_idx) == 0.0:
+        if ix.size < 2 or np.ptp(w_pred) == 0.0 or np.ptp(w_idx) == 0.0:
             results.append(WindowResult(day_range, w_months, float("nan"), None,
                                         float("nan"), None, degenerate=True))
             continue

@@ -6,6 +6,10 @@ sized for small scalar-output regression nets (a 10-layer dense stack,
 a 7-layer CNN over day-by-bucket images, and a one-hidden-layer
 "moments" net).  No minibatching, no momentum: plain gradient descent,
 which is all these shallow problems need and keeps runs reproducible.
+
+There is one training loop, `train_many`: it trains R nets of one
+architecture together along a leading model axis, and `train` is its
+one-net case.  Convolutions run as im2col + matmul.
 """
 
 from __future__ import annotations
@@ -100,6 +104,15 @@ def cnn7_spec(input_shape: tuple[int, int] = (21, 16), hidden: int = 32,
 
 
 # ── runtime layers ─────────────────────────────────────────────────────
+#
+# Every op works on a batch with any number of leading axes: (n, ...)
+# for one net, (R, n, ...) for R nets trained together.  A single net's
+# parameters carry no model axis; `train_many` stacks them along one.
+# `backward` releases what `forward` cached for it, so that the caches
+# of one round are gone before the next round's forward allocates.
+# Images run channels-last, (..., n, h, w, c), so that a convolution's
+# output matrix is already its activation map, with no transpose;
+# Flatten restores the (c, h, w) order of the layer specs.
 
 class _DenseOp:
     def __init__(self, spec: Dense, rng: np.random.Generator):
@@ -109,44 +122,77 @@ class _DenseOp:
 
     def forward(self, x):
         self._x = x
-        return x @ self.weights + self.bias
+        return x @ self.weights + self.bias[..., None, :]
 
     def backward(self, grad):
-        self.d_weights = self._x.T @ grad
-        self.d_bias = grad.sum(axis=0)
-        return grad @ self.weights.T
+        x, self._x = self._x, None
+        self.d_weights = x.swapaxes(-1, -2) @ grad
+        self.d_bias = grad.sum(axis=-2)
+        return grad @ self.weights.swapaxes(-1, -2)
 
     def params(self):
         return [("weights", self.weights, "d_weights"), ("bias", self.bias, "d_bias")]
 
 
+#: axes moving conv weights (..., o, c, kh, kw) to (..., kh, kw, c, o)
+_TO_COLUMN_ORDER = ((-4, -3, -2, -1), (-1, -2, -4, -3))
+
+
 class _ConvOp:
-    def __init__(self, spec: Conv2D, in_channels: int, rng: np.random.Generator):
+    """Valid 2-D convolution as im2col + matmul (Chellapilla, Puri &
+    Simard 2006): each output pixel's (kh, kw, c) input patch is one row
+    of a column matrix, so forward and the weight gradient are single
+    matrix products.  A last column of ones carries the bias, which
+    saves a broadcast add and a reduction over the pixels."""
+
+    def __init__(self, spec: Conv2D, in_channels: int, rng: np.random.Generator,
+                 input_grad: bool = True):
         kh, kw = spec.kernel
         fan_in = in_channels * kh * kw
         bound = 1.0 / np.sqrt(fan_in)
         self.weights = rng.uniform(-bound, bound, size=(spec.channels, in_channels, kh, kw))
         self.bias = np.zeros(spec.channels)
         self.kernel = spec.kernel
+        # a net's first layer skips its input gradient, which nothing uses
+        self.input_grad = input_grad
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x):  # (..., n, h, w, c) -> (..., n, oh, ow, o)
         kh, kw = self.kernel
-        windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-        self._windows = windows
-        out = np.einsum("nchwkl,ockl->nohw", windows, self.weights, optimize=True)
-        return out + self.bias[None, :, None, None]
+        self._in_shape = x.shape
+        windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(-3, -2))
+        n, oh, ow, c = windows.shape[-6:-2]
+        cols = np.empty(x.shape[:-4] + (n, oh, ow, kh * kw * c + 1))
+        cols[..., -1] = 1.0
+        # splitting the last axis keeps a view, so this fills `cols`
+        cols[..., :-1].reshape(cols.shape[:-1] + (kh, kw, c))[...] = np.moveaxis(windows, -3, -1)
+        self._cols = cols.reshape(x.shape[:-4] + (n * oh * ow, -1))
+        # weights (..., o, c, kh, kw) -> (..., kh*kw*c + 1, o) with the bias row
+        w = np.moveaxis(self.weights, *_TO_COLUMN_ORDER)
+        w = w.reshape(w.shape[:-4] + (-1, w.shape[-1]))
+        out = self._cols @ np.concatenate([w, self.bias[..., None, :]], axis=-2)
+        return out.reshape(out.shape[:-2] + (n, oh, ow, -1))
 
     def backward(self, grad):
         kh, kw = self.kernel
-        self.d_weights = np.einsum("nchwkl,nohw->ockl", self._windows, grad, optimize=True)
-        self.d_bias = grad.sum(axis=(0, 2, 3))
-        dx = np.zeros_like(self._x)
-        oh, ow = grad.shape[2], grad.shape[3]
+        n, oh, ow, o = grad.shape[-4:]
+        g = grad.reshape(grad.shape[:-4] + (-1, o))
+        d_matrix = self._cols.swapaxes(-1, -2) @ g  # (..., kh*kw*c + 1, o)
+        self._cols = None
+        self.d_bias = d_matrix[..., -1, :]
+        d_w = d_matrix[..., :-1, :].reshape(d_matrix.shape[:-2] + (kh, kw, -1, o))
+        self.d_weights = np.moveaxis(d_w, *_TO_COLUMN_ORDER[::-1])
+        if not self.input_grad:
+            return None
+        # column gradient tap by tap, (..., kh*kw, n*oh*ow, c); each tap
+        # adds back into the input pixels it read
+        w_taps = np.moveaxis(self.weights, (-2, -1), (-4, -3))  # (..., kh, kw, o, c)
+        w_taps = w_taps.reshape(w_taps.shape[:-4] + (kh * kw,) + w_taps.shape[-2:])
+        d_taps = g[..., None, :, :] @ w_taps
+        d_taps = d_taps.reshape(d_taps.shape[:-2] + (n, oh, ow, -1))
+        dx = np.zeros(d_taps.shape[:-5] + self._in_shape[-4:])
         for k in range(kh):
             for l in range(kw):
-                dx[:, :, k:k + oh, l:l + ow] += np.einsum(
-                    "nohw,oc->nchw", grad, self.weights[:, :, k, l], optimize=True)
+                dx[..., k:k + oh, l:l + ow, :] += d_taps[..., k * kw + l, :, :, :, :]
         return dx
 
     def params(self):
@@ -157,26 +203,32 @@ class _PoolOp:
     def __init__(self, spec: Pool):
         self.size = spec.size
 
-    def forward(self, x):
+    def _taps(self, x):
+        """Strided views, one per window position in row-major order."""
         ph, pw = self.size
-        n, c, h, w = x.shape
-        oh, ow = h // ph, w // pw
+        oh, ow = x.shape[-3] // ph, x.shape[-2] // pw
+        return [x[..., i:oh * ph:ph, j:ow * pw:pw, :] for i in range(ph) for j in range(pw)]
+
+    def forward(self, x):
         self._in_shape = x.shape
-        xr = x[:, :, :oh * ph, :ow * pw].reshape(n, c, oh, ph, ow, pw)
-        flat = xr.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, ph * pw)
-        self.switches = flat.argmax(axis=-1)
-        return flat.max(axis=-1)
+        taps = self._taps(x)
+        out = taps[0].copy()
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
+        # switch = index of the first tap that holds the max, in the
+        # smallest integer type that fits (less memory held per round)
+        before = taps[0] != out
+        self.switches = before.astype(np.min_scalar_type(len(taps) - 1))
+        for tap in taps[1:-1]:
+            before &= tap != out
+            self.switches += before
+        return out
 
     def backward(self, grad):
-        ph, pw = self.size
-        n, c, h, w = self._in_shape
-        oh, ow = grad.shape[2], grad.shape[3]
-        dflat = np.zeros((n, c, oh, ow, ph * pw))
-        np.put_along_axis(dflat, self.switches[..., None], grad[..., None], axis=-1)
-        dx = np.zeros(self._in_shape)
-        dx[:, :, :oh * ph, :ow * pw] = (
-            dflat.reshape(n, c, oh, ow, ph, pw).transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, oh * ph, ow * pw))
+        switches, self.switches = self.switches, None
+        dx = np.zeros(grad.shape[:-3] + self._in_shape[-3:])
+        for k, tap in enumerate(self._taps(dx)):
+            np.multiply(grad, switches == k, out=tap)
         return dx
 
     def params(self):
@@ -184,12 +236,20 @@ class _PoolOp:
 
 
 class _FlattenOp:
+    def __init__(self, sample_ndim: int):
+        self.sample_ndim = sample_ndim
+
     def forward(self, x):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        self._sample_shape = x.shape[-self.sample_ndim:]
+        if self.sample_ndim == 3:
+            x = np.moveaxis(x, -1, -3)  # channels-last image -> (c, h, w)
+        return x.reshape(x.shape[:-self.sample_ndim] + (-1,))
 
     def backward(self, grad):
-        return grad.reshape(self._shape)
+        if self.sample_ndim != 3:
+            return grad.reshape(grad.shape[:-1] + self._sample_shape)
+        h, w, c = self._sample_shape
+        return np.moveaxis(grad.reshape(grad.shape[:-1] + (c, h, w)), -3, -1)
 
     def params(self):
         return []
@@ -200,10 +260,9 @@ class _ActivationOp:
         self.kind = kind
 
     def forward(self, x):
-        self._x = x
         if self.kind == "relu":
             self.pattern = x > 0
-            return np.where(self.pattern, x, 0.0)
+            return np.maximum(x, 0.0)
         if self.kind == "tanh":
             self._y = np.tanh(x)
             return self._y
@@ -214,12 +273,14 @@ class _ActivationOp:
 
     def backward(self, grad):
         if self.kind == "relu":
-            return grad * self.pattern
+            pattern, self.pattern = self.pattern, None
+            return grad * pattern
+        if self.kind == "linear":
+            return grad
+        y, self._y = self._y, None
         if self.kind == "tanh":
-            return grad * (1.0 - self._y**2)
-        if self.kind == "logit":
-            return grad * self._y * (1.0 - self._y)
-        return grad
+            return grad * (1.0 - y**2)
+        return grad * y * (1.0 - y)  # logit
 
     def params(self):
         return []
@@ -276,7 +337,7 @@ def init_net(spec: NetSpec) -> TrainedNet:
             kh, kw = layer.kernel
             if h < kh or w < kw:
                 raise ValueError(f"{where}: kernel {layer.kernel} larger than input {(h, w)}")
-            ops.append(_ConvOp(layer, c, rng))
+            ops.append(_ConvOp(layer, c, rng, input_grad=i > 0))
             shape = (layer.channels, h - kh + 1, w - kw + 1)
         elif isinstance(layer, Pool):
             if len(shape) != 3:
@@ -288,7 +349,7 @@ def init_net(spec: NetSpec) -> TrainedNet:
             ops.append(_PoolOp(layer))
             shape = (c, h // ph, w // pw)
         elif isinstance(layer, Flatten):
-            ops.append(_FlattenOp())
+            ops.append(_FlattenOp(len(shape)))
             shape = (int(np.prod(shape)),)
         else:
             raise ValueError(f"{where}: unknown layer spec")
@@ -309,15 +370,20 @@ def _last_weighted_index(spec: NetSpec) -> int:
 
 # ── forward / training ─────────────────────────────────────────────────
 
-def _as_batch(net: TrainedNet, inputs: np.ndarray) -> np.ndarray:
+def _as_batch(net: TrainedNet, inputs: np.ndarray, per_net: bool = False) -> np.ndarray:
+    """Inputs as a float batch (n, ...), or (R, n, ...) when `per_net`,
+    with the channel axis added for image inputs."""
     x = np.asarray(inputs, dtype=float)
     expect = _infer_input_shape(net.spec)
     if x.shape == expect:
         x = x[None, ...]
-    if x.shape[1:] != expect:
-        raise ValueError(f"input shape {x.shape[1:]} does not match net input {expect}")
+    got = x.shape[1 + per_net:]
+    if got != expect:
+        raise ValueError(f"input shape {got} does not match net input {expect}")
     if len(expect) == 2:
-        x = x[:, None, :, :]  # add channel axis
+        x = x[..., None]  # one channel
+    elif len(expect) == 3:
+        x = np.moveaxis(x, -3, -1)  # (c, h, w) -> channels-last
     return x
 
 
@@ -344,32 +410,83 @@ def train(net: TrainedNet, inputs: np.ndarray, targets: np.ndarray, rounds: int,
     The input net is left untouched.  Aborts with the round number if
     the loss goes non-finite.
     """
+    return train_many([net], inputs, targets, rounds, learning_rate)[0]
+
+
+def _stacked_ops(nets: Sequence[TrainedNet]) -> list:
+    """One op chain whose parameters stack the nets' along a model axis."""
+    ops = []
+    for column in zip(*(net.ops for net in nets)):
+        op = copy.copy(column[0])
+        for name, _, _ in op.params():
+            setattr(op, name, np.stack([getattr(o, name) for o in column]))
+        ops.append(op)
+    return ops
+
+
+def train_many(nets: Sequence[TrainedNet], inputs: np.ndarray, targets: np.ndarray,
+               rounds: int, learning_rate: float) -> list[TrainedNet]:
+    """Train R nets of one architecture together; returns new trained nets.
+
+    Each net's parameters become one slice of a leading model axis, so
+    every round is one forward and one backward pass over all R nets,
+    with the same arithmetic per net as training it alone: full-batch
+    gradient descent on its own MSE from its own initial weights.
+    `inputs` is (n, ...) shared by all nets or (R, n, ...) one batch per
+    net; `targets` is (n,) shared or (R, n).  Every returned net keeps
+    its own loss curve; the input nets are left untouched.  Aborts with
+    the round number if any net's loss goes non-finite.
+    """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    targets = np.asarray(targets, dtype=float).reshape(-1)
-    net = copy.deepcopy(net)
-    x0 = _as_batch(net, np.asarray(inputs, dtype=float))
-    if x0.shape[0] != targets.size:
+    nets = list(nets)
+    if not nets:
+        return []
+    arch = [(n.spec.layers, n.spec.activation, _infer_input_shape(n.spec)) for n in nets]
+    if any(a != arch[0] for a in arch):
+        raise ValueError("nets trained together must share one architecture")
+    n_nets = len(nets)
+    x = np.asarray(inputs, dtype=float)
+    per_net = x.ndim == len(arch[0][2]) + 2
+    x0 = _as_batch(nets[0], x, per_net)
+    if per_net and x0.shape[0] != n_nets:
+        raise ValueError(f"per-net inputs hold {x0.shape[0]} batches for {n_nets} nets")
+    n = x0.shape[int(per_net)]
+    targets = np.asarray(targets, dtype=float)
+    if targets.size == n:
+        targets = targets.reshape(n)
+    elif targets.shape != (n_nets, n):
         raise ValueError("inputs and targets are not aligned")
 
+    ops = _stacked_ops(nets)
+    losses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for round_no in range(1, rounds + 1):
             x = x0
-            for op in net.ops:
+            for op in ops:
                 x = op.forward(x)
-            pred = x[:, 0]
-            err = pred - targets
-            loss = float(np.mean(err**2))
-            if not np.isfinite(loss):
+            err = x[..., 0] - targets  # (R, n)
+            loss = np.mean(err**2, axis=-1)
+            if not np.isfinite(loss).all():
                 raise TrainingDivergedError(f"non-finite loss at round {round_no}")
-            net.loss_curve.append(loss)
-            grad = (2.0 * err / err.size)[:, None]
-            for op in reversed(net.ops):
+            losses.append(loss)
+            grad = (2.0 * err / n)[..., None]
+            for op in reversed(ops):
                 grad = op.backward(grad)
-            for op in net.ops:
+            for op in ops:
                 for _, arr, grad_name in op.params():
                     arr -= learning_rate * getattr(op, grad_name)
-    return net
+
+    curves = np.array(losses).T.tolist()
+    stacked = [arr for op in ops for _, arr, _ in op.params()]
+    trained = []
+    for r, net in enumerate(nets):
+        net = copy.deepcopy(net)
+        for arr, all_arr in zip(net.weight_arrays(), stacked):
+            arr[...] = all_arr[r]
+        net.loss_curve.extend(curves[r])
+        trained.append(net)
+    return trained
 
 
 # ── gradient verification ──────────────────────────────────────────────

@@ -56,12 +56,6 @@ class IndexSeries:
         return float(self.values[self.months.index(key)])
 
 
-@dataclass(frozen=True)
-class TraderRole:
-    trader_id: str
-    informed: bool
-
-
 @dataclass
 class IndexBackcast:
     index_name: str
@@ -226,24 +220,28 @@ def _make_result(name: str, runs: list[float], flags: list[bool],
 def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries],
                      spec: neural_kit.NetSpec | None = None, seed: int = 0,
                      rounds: int = 400, learning_rate: float = 0.05) -> BackcastReport:
-    """Leave-one-month-out backcast from the four monthly moments."""
+    """Leave-one-month-out backcast from the four monthly moments.
+
+    Per index, the n leave-one-out nets train together as one stack,
+    each on its own n-1 months.
+    """
     months = moments.months
     feats = moments.values
     feats_std = np.column_stack([standardize(feats[:, j])[0] for j in range(feats.shape[1])])
     n = len(months)
+    # row `hold` lists the months its net trains on: all but `hold`
+    train_ix = np.array([[i for i in range(n) if i != hold] for hold in range(n)], dtype=int)
+    nets = [neural_kit.init_net(
+                spec or neural_kit.shallow_spec(n_inputs=feats.shape[1], seed=seed + hold))
+            for hold in range(n)]
     report = BackcastReport(protocol="shallow", seeds=[seed])
     for index in indexes:
         targets = _index_targets(index, months)
         t_std, t_mean, t_scale = standardize(targets)
-        preds = np.zeros(n)
-        for hold in range(n):
-            train_ix = [i for i in range(n) if i != hold]
-            net_spec = spec or neural_kit.shallow_spec(n_inputs=feats.shape[1],
-                                                       seed=seed + hold)
-            net = neural_kit.init_net(net_spec)
-            net = neural_kit.train(net, feats_std[train_ix], t_std[train_ix],
-                                   rounds=rounds, learning_rate=learning_rate)
-            preds[hold] = neural_kit.forward_batch(net, feats_std[hold:hold + 1])[0]
+        trained = neural_kit.train_many(nets, feats_std[train_ix], t_std[train_ix],
+                                        rounds=rounds, learning_rate=learning_rate)
+        preds = np.array([neural_kit.forward_batch(net, feats_std[hold:hold + 1])[0]
+                          for hold, net in enumerate(trained)])
         preds = preds * t_scale + t_mean
         r, flagged = _corr_or_flag(preds, targets)
         report.results.append(_make_result(index.name, [r], [flagged]))
@@ -310,6 +308,7 @@ def cnn_backcast(train_windows: MonthlyWindows, predict_windows: MonthlyWindows,
     predicts from the other trader's images, and reports per-run
     correlations with their mean and Student-t 10% half-width.
     """
+    assert_role_separation(train_windows, predict_windows)
     if train_windows.months != predict_windows.months:
         raise ValueError("training and prediction windows cover different months")
     if seeds is None:

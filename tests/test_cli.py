@@ -106,6 +106,24 @@ def test_backcast_cnn_via_cli(capsys, tape_dir, tmp_path):
     assert len(payload["results"][0]["runs"]) == 2
 
 
+def test_backcast_cnn_same_residual_file_is_a_data_error(capsys, tape_dir, tmp_path):
+    run_ok(capsys, ["statespace", "--tape", str(tape_dir / "t0.csv"),
+                    "--out-dir", str(tmp_path)])
+    run_ok(capsys, ["fit", "--states", str(tmp_path / "states_imbalance.csv"),
+                    "--out-dir", str(tmp_path)])
+    code = cli.run(["backcast", "--protocol", "cnn7",
+                    "--train-residuals", str(tmp_path / "residuals.csv"),
+                    "--predict-residuals", str(tmp_path / "residuals.csv"),
+                    "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
+                    "--runs", "1", "--rounds", "1", "--out-dir", str(tmp_path / "bc")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:")
+    assert "same trader" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "bc").exists()
+
+
 def test_backcast_shallow_via_cli(capsys, tape_dir, tmp_path):
     run_ok(capsys, ["statespace", "--tape", str(tape_dir / "t0.csv"),
                     "--out-dir", str(tmp_path)])

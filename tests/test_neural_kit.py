@@ -244,3 +244,93 @@ def test_loss_curve_csv_export():
     assert lines[0] == "round,mse"
     assert len(lines) == 6
     assert float(lines[1].split(",")[1]) == net.loss_curve[0]
+
+
+# ── stacked training ───────────────────────────────────────────────────
+
+def _small_cnn_spec(seed, activation="relu"):
+    return nk.NetSpec((nk.Conv2D((3, 3), 3), nk.Pool((2, 2)), nk.Conv2D((2, 2), 4),
+                       nk.Flatten(), nk.Dense(4 * 2 * 2, 5), nk.Dense(5, 1)),
+                      activation, seed, input_shape=(9, 9))
+
+
+def _assert_same_nets(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        np.testing.assert_allclose(a.loss_curve, b.loss_curve, rtol=0, atol=1e-12)
+        for wa, wb in zip(a.weight_arrays(), b.weight_arrays()):
+            assert wa.shape == wb.shape
+            np.testing.assert_allclose(wa, wb, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make_spec, sample_shape", [
+    (lambda seed: nk.shallow_spec(n_inputs=4, seed=seed), (4,)),
+    (lambda seed: nk.deep10_spec(n_inputs=6, seed=seed), (6,)),
+    (_small_cnn_spec, (9, 9)),
+])
+def test_train_many_matches_separate_training(make_spec, sample_shape):
+    rng = np.random.default_rng(30)
+    nets = [nk.init_net(make_spec(seed)) for seed in (1, 2, 3)]
+    x = rng.standard_normal((3, 12) + sample_shape)
+    y = rng.standard_normal((3, 12))
+    stacked = nk.train_many(nets, x, y, rounds=25, learning_rate=0.05)
+    _assert_same_nets(stacked, [nk.train(net, xi, yi, rounds=25, learning_rate=0.05)
+                                for net, xi, yi in zip(nets, x, y)])
+
+
+@pytest.mark.parametrize("spec", [nk.shallow_spec(n_inputs=4, seed=4), _small_cnn_spec(4)])
+def test_train_many_shared_inputs_equal_repeated_per_net_inputs(spec):
+    rng = np.random.default_rng(31)
+    shape = nk._infer_input_shape(spec)
+    x = rng.standard_normal((10,) + shape)
+    y = rng.standard_normal(10)
+    nets = [nk.init_net(spec)] * 2
+    shared = nk.train_many(nets, x, y, rounds=20, learning_rate=0.05)
+    repeated = nk.train_many(nets, np.stack([x, x]), np.stack([y, y]),
+                             rounds=20, learning_rate=0.05)
+    _assert_same_nets(shared, repeated)
+    assert shared[0].loss_curve == shared[1].loss_curve
+
+
+def test_train_many_diverging_member_raises_with_round():
+    rng = np.random.default_rng(32)
+    nets = [nk.init_net(nk.NetSpec((nk.Dense(4, 1),), "linear", seed)) for seed in (1, 2)]
+    x = rng.standard_normal((2, 8, 4))
+    x[1] *= 1e3  # only the second net's inputs make its steps blow up
+    y = rng.standard_normal((2, 8))
+    with pytest.raises(nk.TrainingDivergedError, match=r"non-finite loss at round \d+"):
+        nk.train_many(nets, x, y, rounds=200, learning_rate=0.5)
+    nk.train(nets[0], x[0], y[0], rounds=200, learning_rate=0.5)  # alone it converges
+
+
+def test_train_many_rejects_mixed_architectures_and_misaligned_batches():
+    a = nk.init_net(nk.shallow_spec(n_inputs=4, seed=1))
+    b = nk.init_net(nk.shallow_spec(n_inputs=4, hidden=6, seed=1))
+    x, y = np.zeros((5, 4)), np.zeros(5)
+    with pytest.raises(ValueError, match="architecture"):
+        nk.train_many([a, b], x, y, rounds=1, learning_rate=0.1)
+    with pytest.raises(ValueError, match="batches"):
+        nk.train_many([a, a], np.zeros((3, 5, 4)), y, rounds=1, learning_rate=0.1)
+    with pytest.raises(ValueError, match="aligned"):
+        nk.train_many([a, a], x, np.zeros((3, 5)), rounds=1, learning_rate=0.1)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_grad_check_two_conv_cnn(activation):
+    # the second convolution passes its gradient back through the first
+    net = nk.init_net(_small_cnn_spec(11, activation))
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, 9, 9))
+    y = rng.standard_normal(3)
+    assert nk.grad_check(net, x, y, epsilon=1e-5) < 1e-4
+
+
+def test_pool_gradient_goes_to_first_max_on_ties():
+    net = nk.init_net(nk.NetSpec((nk.Conv2D((1, 1), 1), nk.Pool((2, 2)), nk.Flatten(),
+                                  nk.Dense(1, 1)), "linear", 0, input_shape=(2, 2)))
+    conv, pool = net.ops[0], net.ops[2]
+    conv.weights[:] = 1.0
+    nk.forward_batch(net, np.array([[0.5, 2.0], [2.0, 2.0]]))
+    assert pool.switches.ravel().tolist() == [1]
+    grad = pool.backward(np.ones((1, 1, 1, 1)))
+    assert grad.reshape(2, 2).tolist() == [[0.0, 1.0], [0.0, 0.0]]

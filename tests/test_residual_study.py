@@ -241,6 +241,13 @@ def test_role_separation_guard():
     rs.assert_role_separation(wins_a, wins_b)
 
 
+def test_cnn_backcast_rejects_same_trader_windows():
+    wins_a, z = _planted_windows(21, 6, "a")
+    wins_b, _ = _planted_windows(22, 6, "a")
+    with pytest.raises(ValueError, match="same trader"):
+        rs.cnn_backcast(wins_a, wins_b, [_index_for(wins_a.months, z)], runs=1, rounds=1)
+
+
 def test_index_csv_round_trip():
     idx = _index_for(["2009-01", "2009-02", "2009-03"], [0.5, -1.25, 3.0])
     buf = io.StringIO()
