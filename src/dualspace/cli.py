@@ -323,8 +323,14 @@ def _cmd_backcast(args) -> int:
     indexes = [_load_index(spec) for spec in args.index]
     if not indexes:
         raise UsageError("need at least one --index name=file.csv")
-    train_dates, train_resid = _load_rows(args.train_residuals)
     protocol = opts["protocol"]
+    if protocol in ("deep10", "cnn7"):
+        if not args.predict_residuals:
+            raise UsageError(f"--protocol {protocol} needs --predict-residuals")
+        # the informed/uninformed rule, by the trader labels cnn7 windows carry
+        if _tape_label(args.train_residuals) == _tape_label(args.predict_residuals):
+            raise DataError("training and prediction residuals come from the same trader")
+    train_dates, train_resid = _load_rows(args.train_residuals)
     try:
         if protocol == "shallow":
             moments = residual_study.monthly_moments(train_resid, train_dates)
@@ -448,16 +454,16 @@ def _cmd_pdo_demo(args) -> int:
 def _cmd_emit_plotdata(args) -> int:
     try:
         with open(args.artifact, encoding="utf-8") as handle:
-            lines = [ln.strip() for ln in handle
-                     if ln.strip() and not ln.startswith("#")]
+            if args.kind == "bars":
+                payload = json.load(handle)
+            else:
+                header, data = tape_io.read_table_csv(handle)
     except OSError as exc:
         raise DataError(f"cannot read artifact {args.artifact}: {exc}")
-    rows = [ln.split(",") for ln in lines]
-    if not rows and args.kind in ("heatmap", "series"):
-        raise DataError(f"artifact {args.artifact} holds no header row")
+    except ValueError as exc:
+        raise DataError(f"bad artifact {args.artifact}: {exc}")
     out_lines: list[str] = []
     if args.kind == "heatmap":
-        header, data = rows[0], rows[1:]
         value_cols = [i for i, name in enumerate(header) if name.startswith("b")]
         if not value_cols:
             raise DataError("heatmap artifact needs b0..bN value columns")
@@ -466,23 +472,17 @@ def _cmd_emit_plotdata(args) -> int:
             for j, col in enumerate(value_cols):
                 out_lines.append(f"{row[0]},{j},{row[col]}")
     elif args.kind == "series":
-        header, data = rows[0], rows[1:]
         if len(header) < 2:
             raise DataError("series artifact needs (date, value) columns")
         out_lines.append("date,value")
         out_lines.extend(f"{row[0]},{row[1]}" for row in data)
-    elif args.kind == "bars":
-        try:
-            with open(args.artifact, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            shares = payload["predictor_share"]
-        except (json.JSONDecodeError, KeyError):
+    else:
+        shares = payload.get("predictor_share") if isinstance(payload, dict) else None
+        if not isinstance(shares, list):
             raise DataError("bars artifact must be a diagnostics JSON "
-                            "with predictor_share")
+                            "with a predictor_share list")
         out_lines.append("label,value")
         out_lines.extend(f"{k},{v!r}" for k, v in enumerate(shares))
-    else:
-        raise UsageError(f"unknown plot kind {args.kind!r}")
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("\n".join(out_lines) + "\n")
     _summary("emit-plotdata", kind=args.kind, rows=len(out_lines) - 1, out=args.out)
@@ -614,8 +614,7 @@ def run(argv: list[str]) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (dual_regression.NonRealReconstructionError,
-            neural_kit.TrainingDivergedError, FloatingPointError) as exc:
+    except (neural_kit.TrainingDivergedError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

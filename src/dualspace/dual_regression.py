@@ -4,13 +4,20 @@ The day-over-day change of each state row is regressed on the previous
 row after a discrete Fourier transform across buckets: with z_t the
 32-dim stacking of the transform's real and imaginary parts,
 
-    z_{t+1} - z_t = alpha + B z_t + e_t,
+    z_{t+1} - z_t = alpha + B z_t + e_t.
 
-fit by least squares through a pseudoinverse of the Gram matrix (the
-stacking makes several coordinates identically zero, so the normal
-equations are always rank-deficient).  Predictions and residuals are
-mapped back to bucket space by the inverse transform; the tiny
-imaginary part this leaves is tracked and must stay below tolerance.
+The stacking is a fixed linear map, z = x W with W = [Re F | Im F] the
+unnormalized DFT matrix split into parts, and W W^T = n I.  So the fit
+is ordinary least squares in bucket space,
+
+    x_{t+1} - x_t = s a + x_t C + e_t,   s = 1/sqrt(n),
+
+whose predictions and residuals are the dual fit's exactly, and the
+coefficients map to the dual space once: B = (W^T C W / n)^T and
+alpha = s a W.  Scaling the intercept column by s makes the
+minimum-norm bucket-space solution the minimum-norm dual one, and the
+1e-6 relative singular-value cutoff is the dual Gram matrix's 1e-12
+eigenvalue cutoff, so rank deficiency reports a rank instead of failing.
 The remaining ops are the diagnostics built on that fit: the
 predictor/residual variance split per bucket, cross-tape operator
 similarity, and the prediction-vs-residual determination matrix.
@@ -26,9 +33,10 @@ import numpy as np
 
 from .corrstats import pearson
 from .state_space import StateMatrix
+from .tape_io import read_table_csv
 
-#: Relative singular-value cutoff for the Gram pseudoinverse.
-PINV_RCOND = 1e-12
+#: Relative singular-value cutoff of the least-squares fit.
+LSTSQ_RCOND = 1e-6
 
 #: Largest tolerated |imaginary part| after inverse transforms.
 IMAG_TOL = 1e-9
@@ -71,7 +79,7 @@ class BetaMatrix:
 class RegressionOutput:
     predictions: np.ndarray  # (T-1, n_buckets) real
     residuals: np.ndarray    # (T-1, n_buckets); dependent minus predicted
-    max_imag: float
+    max_imag: float          # always 0.0: the fit never leaves bucket space
     beta: BetaMatrix
     intercept: np.ndarray    # (2n,) dual-space intercept
     gram_rank: int
@@ -103,26 +111,16 @@ def inverse_dual(v: DualVector, tol: float = IMAG_TOL) -> tuple[np.ndarray, floa
     return values.real, max_imag
 
 
-def stack_dual(spectra: np.ndarray) -> np.ndarray:
-    """(T, n) complex -> (T, 2n) real with [Re | Im] layout."""
-    return np.hstack([spectra.real, spectra.imag])
-
-
-def unstack_dual(stacked: np.ndarray) -> np.ndarray:
-    n = stacked.shape[-1] // 2
-    return stacked[..., :n] + 1j * stacked[..., n:]
-
-
-def fit_beta(states: StateMatrix, imag_tol: float = IMAG_TOL) -> RegressionOutput:
+def fit_beta(states: StateMatrix) -> RegressionOutput:
     """Least-squares fit of the dual-space evolution operator.
 
-    Solves the normal equations with a pseudoinverse (relative cutoff
-    1e-12) so rank deficiency from the stacking symmetry reports a rank
-    instead of failing.  An intercept column is included: dropping it
-    would leave residual means unconstrained and break the exact
-    orthogonality between fitted values and residuals that the
-    downstream variance diagnostics rely on.  Residual rows are
-    dependent-minus-predicted exactly, in bucket space.
+    One `lstsq` in bucket space on the design [s 1, x_t], s = 1/sqrt(n),
+    with relative singular-value cutoff 1e-6, whose coefficients are then
+    mapped to the dual space (see the module docstring).  An intercept
+    column is included: dropping it would leave residual means
+    unconstrained and break the exact orthogonality between fitted values
+    and residuals that the downstream variance diagnostics rely on.
+    Residual rows are dependent-minus-predicted exactly.
     """
     x = np.asarray(states.values, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -130,31 +128,22 @@ def fit_beta(states: StateMatrix, imag_tol: float = IMAG_TOL) -> RegressionOutpu
     if not np.isfinite(x).all():
         raise ValueError("state matrix must be finite")
 
-    z = stack_dual(np.fft.fft(x, axis=1))
-    deps = z[1:] - z[:-1]
-    design = np.hstack([np.ones((z.shape[0] - 1, 1)), z[:-1]])
+    n = x.shape[1]
+    s = 1.0 / np.sqrt(n)
+    deps = x[1:] - x[:-1]
+    design = np.hstack([np.full((x.shape[0] - 1, 1), s), x[:-1]])
+    coef, _, rank, _ = np.linalg.lstsq(design, deps, rcond=LSTSQ_RCOND)
+    predictions = design @ coef
 
-    gram = design.T @ design
-    coef = np.linalg.pinv(gram, rcond=PINV_RCOND) @ design.T @ deps
-    gram_rank = int(np.linalg.matrix_rank(gram, rtol=PINV_RCOND, hermitian=True))
-
-    pred_dual = design @ coef
-    pred_complex = np.fft.ifft(unstack_dual(pred_dual), axis=1)
-    dep_complex = np.fft.ifft(unstack_dual(deps), axis=1)
-    max_imag = float(max(np.abs(pred_complex.imag).max(), np.abs(dep_complex.imag).max()))
-    if max_imag > imag_tol:
-        raise NonRealReconstructionError(
-            f"non-real reconstruction: max imaginary part {max_imag:g} exceeds {imag_tol:g}")
-
-    predictions = pred_complex.real
-    residuals = (x[1:] - x[:-1]) - predictions
+    f = np.fft.fft(np.eye(n))
+    w = np.hstack([f.real, f.imag])  # x @ w is the stacked DFT of x; w @ w.T = n I
     return RegressionOutput(
         predictions=predictions,
-        residuals=residuals,
-        max_imag=max_imag,
-        beta=BetaMatrix(coef[1:].T.copy()),
-        intercept=coef[0].copy(),
-        gram_rank=gram_rank,
+        residuals=deps - predictions,
+        max_imag=0.0,
+        beta=BetaMatrix((w.T @ coef[1:] @ w / n).T),
+        intercept=s * (coef[0] @ w),
+        gram_rank=int(rank),
         dates=list(states.dates[1:]),
     )
 
@@ -244,12 +233,6 @@ def write_beta_csv(beta: BetaMatrix, handle) -> None:
         handle.write(",".join(repr(v) for v in row.tolist()) + "\n")
 
 
-def read_beta_csv(handle) -> BetaMatrix:
-    rows = [[float(v) for v in line.strip().split(",")]
-            for line in handle if line.strip() and not line.startswith("#")]
-    return BetaMatrix(np.array(rows, dtype=float))
-
-
 def write_rows_csv(dates: list[dt.date], matrix: np.ndarray, handle) -> None:
     nb = matrix.shape[1]
     handle.write("date," + ",".join(f"b{k}" for k in range(nb)) + "\n")
@@ -258,22 +241,11 @@ def write_rows_csv(dates: list[dt.date], matrix: np.ndarray, handle) -> None:
 
 
 def read_rows_csv(handle) -> tuple[list[dt.date], np.ndarray]:
-    dates: list[dt.date] = []
-    rows: list[list[float]] = []
-    header_seen = False
-    for line in handle:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            header_seen = True
-            continue
-        fields = line.split(",")
-        dates.append(dt.date.fromisoformat(fields[0]))
-        rows.append([float(v) for v in fields[1:]])
+    _, rows = read_table_csv(handle)
     if not rows:
         raise ValueError("empty rows file")
-    return dates, np.array(rows, dtype=float)
+    return ([dt.date.fromisoformat(row[0]) for row in rows],
+            np.array([[float(v) for v in row[1:]] for row in rows], dtype=float))
 
 
 def diagnostics(output: RegressionOutput, split: VarianceSplit) -> dict:

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neural_kit
-from .calendars import month_first, month_key, month_range
+from .calendars import group_by_month, month_first, month_range
 from .corrstats import pearson, standardize, student_halfwidth
 from .dual_regression import RegressionOutput
+from .tape_io import read_table_csv
 
 #: Fixed image height for monthly windows (months have 18-23 trading days).
 WINDOW_DAYS = 21
@@ -48,6 +49,8 @@ class IndexSeries:
         self.values = np.asarray(self.values, dtype=float)
         if len(self.months) != self.values.size:
             raise ValueError("one value per month required")
+        if not self.months:
+            raise ValueError("index holds no months")
         expect = month_range(month_first(self.months[0]), month_first(self.months[-1]))
         if self.months != expect:
             raise ValueError("months must be contiguous")
@@ -108,13 +111,6 @@ class MonthlyMoments:
     degenerate: list[str] = field(default_factory=list)
 
 
-def _month_groups(dates: list[dt.date]) -> dict[str, list[int]]:
-    groups: dict[str, list[int]] = {}
-    for i, day in enumerate(dates):
-        groups.setdefault(month_key(day), []).append(i)
-    return groups
-
-
 def monthly_moments(residuals: np.ndarray, dates: list[dt.date],
                     min_samples: int = 8) -> MonthlyMoments:
     """First four moments of the pooled residual entries per month.
@@ -130,7 +126,7 @@ def monthly_moments(residuals: np.ndarray, dates: list[dt.date],
     rows = []
     low_sample = []
     degenerate = []
-    for key, ix in _month_groups(dates).items():
+    for key, ix in group_by_month(dates).items():
         pooled = residuals[ix].ravel()
         n = pooled.size
         mean = pooled.mean()
@@ -171,7 +167,7 @@ def monthly_windows(residuals: np.ndarray, dates: list[dt.date],
         raise ValueError("residual rows must align with dates")
     nb = residuals.shape[1]
     months, images, padded, truncated = [], [], [], []
-    for key, ix in _month_groups(dates).items():
+    for key, ix in group_by_month(dates).items():
         block = residuals[ix]
         if block.shape[0] < window_days:
             padded.append(key)
@@ -260,8 +256,8 @@ def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
     month (kept as the in-sample check); the uninformed trader's daily
     predictions are averaged per month and correlated with each index.
     """
-    train_groups = _month_groups(train_dates)
-    predict_groups = _month_groups(predict_dates)
+    train_groups = group_by_month(train_dates)
+    predict_groups = group_by_month(predict_dates)
     months = list(train_groups)
     if list(predict_groups) != months:
         raise ValueError("training and prediction residuals cover different months")
@@ -363,19 +359,9 @@ def write_index_csv(index: IndexSeries, handle) -> None:
 
 
 def read_index_csv(handle, name: str = "") -> IndexSeries:
-    months, values = [], []
-    header_seen = False
-    for line in handle:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            header_seen = True
-            continue
-        m, v = line.split(",")
-        months.append(m)
-        values.append(float(v))
-    return IndexSeries(name or "index", months, np.array(values))
+    _, rows = read_table_csv(handle)
+    return IndexSeries(name or "index", [row[0] for row in rows],
+                       np.array([float(row[1]) for row in rows]))
 
 
 def write_report_csv(report: BackcastReport, handle) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .bucket_panel import DailyPanel, PanelSeries, imbalance_profile
 from .corrstats import rowwise_pearson
+from .tape_io import read_table_csv
 
 
 class VolumeMode(enum.Enum):
@@ -102,21 +103,9 @@ def write_state_csv(states: StateMatrix, handle) -> None:
 
 
 def read_state_csv(handle) -> StateMatrix:
-    dates: list[dt.date] = []
-    rows: list[list[float]] = []
-    mode = VolumeMode.IMBALANCE
-    header_seen = False
-    for line in handle:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            header_seen = True
-            continue
-        fields = line.split(",")
-        dates.append(dt.date.fromisoformat(fields[0]))
-        mode = VolumeMode(fields[1])
-        rows.append([float(v) for v in fields[2:]])
+    _, rows = read_table_csv(handle)
     if not rows:
         raise ValueError("empty state matrix file")
-    return StateMatrix(np.array(rows, dtype=float), mode, dates)
+    modes = [VolumeMode(row[1]) for row in rows]
+    return StateMatrix(np.array([[float(v) for v in row[2:]] for row in rows], dtype=float),
+                       modes[-1], [dt.date.fromisoformat(row[0]) for row in rows])

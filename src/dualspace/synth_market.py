@@ -26,7 +26,6 @@ of volume per day.
 from __future__ import annotations
 
 import datetime as dt
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -374,28 +373,3 @@ def inject_shock(config: MarketConfig, window: tuple[int, int],
             raise ValueError("overlapping shock windows")
     shock = ShockSpec(start, end, volume_mult, spread_mult)
     return replace(config, shocks=config.shocks + (shock,))
-
-
-def write_market(market: SynthMarket, outdir) -> dict[str, str]:
-    """Write tapes, index CSVs, and the ground-truth JSON; returns paths."""
-    import os
-
-    from .residual_study import write_index_csv
-
-    os.makedirs(outdir, exist_ok=True)
-    paths = {}
-    for tape in market.tapes:
-        path = os.path.join(outdir, f"{tape.trader_id}.csv")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(tape.text)
-        paths[tape.trader_id] = path
-    for name, index in market.indexes.items():
-        path = os.path.join(outdir, f"{name}.csv")
-        with open(path, "w", encoding="utf-8") as handle:
-            write_index_csv(index, handle)
-        paths[name] = path
-    truth_path = os.path.join(outdir, "ground_truth.json")
-    with open(truth_path, "w", encoding="utf-8") as handle:
-        json.dump(market.truth.to_dict(), handle, sort_keys=True, indent=1)
-    paths["ground_truth"] = truth_path
-    return paths

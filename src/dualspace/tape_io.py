@@ -420,6 +420,25 @@ def read_tape(path, columns: TapeColumns = TapeColumns()) -> ParseResult:
     return parse_tape(lines, columns)
 
 
+def read_table_csv(handle) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a comma-separated artifact.
+
+    Blank lines and `#` comment lines (the provenance stamp) are skipped;
+    the first remaining line is the header, and every data row must have
+    as many fields as the header.
+    """
+    lines = [line.split(",") for line in (raw.strip() for raw in handle)
+             if line and not line.startswith("#")]
+    if not lines:
+        raise ValueError("no header row")
+    header, rows = lines[0], lines[1:]
+    for number, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"data row {number} has {len(row)} fields, "
+                             f"the header has {len(header)}")
+    return header, rows
+
+
 def summarize(records: Records, side: Optional[Side] = None) -> TapeSummary:
     """Descriptive statistics for a tape, optionally restricted to one side.
 

@@ -96,6 +96,27 @@ def induced_dual_operator(q):
     return (s_q - np.eye(2 * n)) @ symmetry_projector(n)
 
 
+def pinv_dual_fit(x):
+    """Dual-space operator fit the long way: stack the spectra of the rows,
+    solve the normal equations of [1, z_t] through a pseudoinverse of the
+    rank-deficient Gram matrix (eigenvalue cutoff 1e-12) and transform
+    predictions back.  Returns (beta, intercept, predictions, residuals,
+    gram rank)."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[1]
+    spectra = np.fft.fft(x, axis=1)
+    z = np.hstack([spectra.real, spectra.imag])
+    deps = z[1:] - z[:-1]
+    design = np.hstack([np.ones((z.shape[0] - 1, 1)), z[:-1]])
+    gram = design.T @ design
+    coef = np.linalg.pinv(gram, rcond=1e-12) @ design.T @ deps
+    rank = int(np.linalg.matrix_rank(gram, rtol=1e-12, hermitian=True))
+    pred_dual = design @ coef
+    predictions = np.fft.ifft(pred_dual[:, :n] + 1j * pred_dual[:, n:], axis=1).real
+    residuals = (x[1:] - x[:-1]) - predictions
+    return coef[1:].T, coef[0], predictions, residuals, rank
+
+
 def _dates(n):
     return [dt.date(2009, 1, 1) + dt.timedelta(days=i) for i in range(n)]
 

@@ -195,14 +195,15 @@ def test_pdo_demo(capsys, tmp_path):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs more than a second of start-up; commands that
-    # never test a correlation must not pay for it
-    code = "import dualspace.cli, sys; print('scipy.stats' in sys.modules)"
+    # scipy.stats costs more than a second of start-up and scipy.linalg
+    # about a third; commands that never use them must not pay for them
+    code = ("import dualspace.cli, sys; "
+            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_exit_codes(capsys, tmp_path):
@@ -213,18 +214,87 @@ def test_exit_codes(capsys, tmp_path):
     assert "data error" in err
 
 
-def test_exit_code_numeric_failure(capsys, tape_dir, tmp_path):
-    run_ok(capsys, ["statespace", "--tape", str(tape_dir / "t0.csv"),
-                    "--out-dir", str(tmp_path)])
-    run_ok(capsys, ["fit", "--states", str(tmp_path / "states_imbalance.csv"),
-                    "--out-dir", str(tmp_path)])
+@pytest.fixture(scope="module")
+def residual_dir(tape_dir, tmp_path_factory):
+    """Residual files of both synthetic traders, at <dir>/t0 and <dir>/t1."""
+    outdir = tmp_path_factory.mktemp("residuals")
+    for trader in ("t0", "t1"):
+        for argv in (["statespace", "--tape", str(tape_dir / f"{trader}.csv")],
+                     ["fit", "--states", str(outdir / trader / "states_imbalance.csv")]):
+            assert cli.run(argv + ["--out-dir", str(outdir / trader)]) == 0
+    return outdir
+
+
+def test_exit_code_numeric_failure(capsys, tape_dir, residual_dir, tmp_path):
     code = cli.run(["backcast", "--protocol", "deep10",
-                    "--train-residuals", str(tmp_path / "residuals.csv"),
-                    "--predict-residuals", str(tmp_path / "residuals.csv"),
+                    "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
+                    "--predict-residuals", str(residual_dir / "t1" / "residuals.csv"),
                     "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
                     "--learning-rate", "1e9", "--out-dir", str(tmp_path)])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["deep10", "cnn7"])
+def test_backcast_two_file_protocol_without_predict_residuals(
+        capsys, tape_dir, residual_dir, tmp_path, protocol):
+    code = cli.run(["backcast", "--protocol", protocol,
+                    "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
+                    "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
+                    "--out-dir", str(tmp_path / "bc")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:")
+    assert "--predict-residuals" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "bc").exists()
+
+
+def test_backcast_deep10_same_residual_file_is_a_data_error(
+        capsys, tape_dir, residual_dir, tmp_path):
+    residuals = str(residual_dir / "t0" / "residuals.csv")
+    code = cli.run(["backcast", "--protocol", "deep10",
+                    "--train-residuals", residuals, "--predict-residuals", residuals,
+                    "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
+                    "--rounds", "1", "--out-dir", str(tmp_path / "bc")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:")
+    assert "same trader" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "bc").exists()
+
+
+MALFORMED_INPUTS = {
+    "heatmap-short-row": ("emit-plotdata", "states.csv",
+                          "date,mode,b0,b1\n2009-01-05,imbalance,0.5\n", "heatmap"),
+    "series-short-row": ("emit-plotdata", "lambda.csv",
+                         "date,value\n2009-01-05,0.5\n2009-01-06\n", "series"),
+    "bars-share-not-a-list": ("emit-plotdata", "diagnostics.json",
+                              json.dumps({"predictor_share": 0.5}), "bars"),
+    "bars-payload-not-an-object": ("emit-plotdata", "diagnostics.json", "[0.5]", "bars"),
+    "header-only-index": ("backcast", "sentiment.csv", "month,value\n", None),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_is_a_data_error(capsys, residual_dir, tmp_path, case):
+    command, name, text, kind = MALFORMED_INPUTS[case]
+    path = tmp_path / name
+    path.write_text(text)
+    if command == "emit-plotdata":
+        argv = ["emit-plotdata", "--artifact", str(path), "--kind", kind,
+                "--out", str(tmp_path / "out.csv")]
+    else:
+        argv = ["backcast", "--protocol", "shallow",
+                "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
+                "--index", f"sentiment={path}", "--out-dir", str(tmp_path / "bc")]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "bc").exists()
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):

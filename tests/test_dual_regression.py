@@ -5,10 +5,11 @@ import pytest
 
 from dualspace import dual_regression as dr
 from dualspace.corrstats import pearson
+from dualspace.tape_io import read_table_csv
 
 from oracles import (induced_dual_operator, naive_dft, naive_inverse_dft,
-                     planted_trajectory, random_rotation, random_states,
-                     symmetry_projector)
+                     pinv_dual_fit, planted_trajectory, random_rotation,
+                     random_states, symmetry_projector)
 
 
 # ── transforms ─────────────────────────────────────────────────────────
@@ -80,6 +81,44 @@ def test_fit_recovers_planted_operator_exactly():
     assert np.abs(out.beta.values - beta_true).max() < 1e-8
     assert np.abs(out.residuals).max() < 1e-10
     assert np.abs(out.intercept).max() < 1e-10
+
+
+def _constant_column_states():
+    states = random_states(10, n_rows=50)
+    states.values[:, 3] = 0.25
+    return states
+
+
+def _duplicated_column_states():
+    states = random_states(16, n_rows=80)
+    states.values[:, 5] = 0.5 * states.values[:, 2] - 0.1  # affine copy of bucket 2
+    return states
+
+
+ORACLE_CASES = {
+    "oracle-tape-t0": lambda request: request.getfixturevalue("coupled_outputs")[0][0],
+    "oracle-tape-t1": lambda request: request.getfixturevalue("coupled_outputs")[1][0],
+    "random-300-rows": lambda request: random_states(77, n_rows=300),
+    "planted": lambda request: planted_trajectory(random_rotation(42), seed=7, n_rows=200),
+    "two-rows": lambda request: random_states(5, n_rows=2),
+    "constant-column": lambda request: _constant_column_states(),
+    "duplicated-column": lambda request: _duplicated_column_states(),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_fit_matches_pinv_dual_oracle(request, case):
+    # the bucket-space fit is the same minimum-norm solution, with the
+    # same rank cutoff, as the pseudoinverse fit on the stacked spectra
+    states = ORACLE_CASES[case](request)
+    beta, intercept, predictions, residuals, rank = pinv_dual_fit(states.values)
+    out = dr.fit_beta(states)
+    assert np.abs(out.beta.values - beta).max() < 1e-10
+    assert np.abs(out.intercept - intercept).max() < 1e-10
+    assert np.abs(out.predictions - predictions).max() < 1e-10
+    assert np.abs(out.residuals - residuals).max() < 1e-10
+    assert out.gram_rank == rank
+    assert out.max_imag == 0.0
 
 
 def test_fit_two_rows_minimum_norm_exact():
@@ -225,8 +264,8 @@ def test_beta_csv_round_trip():
     buf = io.StringIO()
     dr.write_beta_csv(out.beta, buf)
     buf.seek(0)
-    back = dr.read_beta_csv(buf)
-    np.testing.assert_array_equal(back.values, out.beta.values)
+    first, rows = read_table_csv(buf)  # the beta file has no header row
+    np.testing.assert_array_equal(np.array([first, *rows], dtype=float), out.beta.values)
 
 
 def test_rows_csv_round_trip():

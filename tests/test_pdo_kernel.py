@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualspace import pdo_kernel as pk
+from dualspace.tape_io import read_table_csv
 
 from oracles import taylor_matrix_exp
 
@@ -218,17 +219,8 @@ def test_grid_csv_round_trip():
     buf = io.StringIO()
     pk.write_grid_csv(grid, buf)
     buf.seek(0)
-    back = pk.read_grid_csv(buf)
-    np.testing.assert_array_equal(back.points, grid.points)
-    np.testing.assert_array_equal(back.values, grid.values)
-
-
-def test_symbol_csv_export():
-    rng = np.random.default_rng(8)
-    beta = rng.standard_normal((4, 4)) * 0.3
-    symbol = pk.beta_symbol(beta, 0.0, 1.0)
-    buf = io.StringIO()
-    pk.write_symbol_csv(symbol, buf)
-    rows = [[float(v) for v in line.split(",")]
-            for line in buf.getvalue().strip().splitlines()]
-    np.testing.assert_array_equal(np.array(rows), symbol)
+    header, rows = read_table_csv(buf)
+    assert header == ["point", "re", "im"]
+    back = np.array(rows, dtype=float)
+    np.testing.assert_array_equal(back[:, 0], grid.points)
+    np.testing.assert_array_equal(back[:, 1] + 1j * back[:, 2], grid.values)

@@ -1,5 +1,6 @@
-"""Property tests over generated tapes: serialize/parse round trip and
-the bucket panels' volume conservation and input-form independence."""
+"""Property tests over generated inputs: the serialize/parse round trip,
+the bucket panels' volume conservation and input-form independence, and
+the dual regression's reconstruction, P+F=1 and symmetry invariants."""
 
 import datetime as dt
 
@@ -7,7 +8,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualspace import bucket_panel, tape_io
+from dualspace import bucket_panel, dual_regression, tape_io
+from dualspace.state_space import StateMatrix, VolumeMode
+
+from oracles import symmetry_projector
 
 DAY0 = dt.date(2009, 1, 5)
 
@@ -64,3 +68,36 @@ def test_build_panels_same_for_tape_and_record_list(tape):
         for name in ("buy_vol", "sell_vol", "imb_vol", "buy_vwap", "sell_vwap",
                      "fine_buy", "fine_sell"):
             assert np.array_equal(getattr(pa, name), getattr(pb, name))
+
+
+@st.composite
+def state_matrices(draw, n_buckets=16):
+    """2-60 rows of entries in [-1, 1], at times with a zero, constant or
+    duplicated column."""
+    n_rows = draw(st.integers(2, 60))
+    values = np.array(draw(st.lists(st.floats(-1, 1), min_size=n_rows * n_buckets,
+                                    max_size=n_rows * n_buckets))).reshape(n_rows, n_buckets)
+    special = draw(st.sampled_from([None, "zero", "constant", "duplicate"]))
+    k = draw(st.integers(0, n_buckets - 1))
+    if special == "zero":
+        values[:, k] = 0.0
+    elif special == "constant":
+        values[:, k] = draw(st.floats(-1, 1))
+    elif special == "duplicate":
+        values[:, k] = values[:, (k + 1) % n_buckets]
+    dates = [DAY0 + dt.timedelta(days=i) for i in range(n_rows)]
+    return StateMatrix(values, VolumeMode.IMBALANCE, dates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(state_matrices())
+def test_fit_beta_invariants(states):
+    out = dual_regression.fit_beta(states)
+    delta = states.values[1:] - states.values[:-1]
+    assert np.abs(out.predictions + out.residuals - delta).max() <= 1e-10
+    split = dual_regression.variance_split(out, states)
+    live = [k for k in range(16) if k not in split.degenerate_buckets]
+    np.testing.assert_allclose(split.predictor[live] + split.residual[live], 1.0, atol=1e-9)
+    p = symmetry_projector()
+    np.testing.assert_allclose(p @ out.beta.values, out.beta.values, atol=1e-9)
+    np.testing.assert_allclose(p @ out.intercept, out.intercept, atol=1e-9)

@@ -1,10 +1,13 @@
-import numpy as np
-import pytest
+import json
 from dataclasses import replace
 
-from dualspace import bucket_panel, liquidity_lab, synth_market, tape_io
+import numpy as np
+import pytest
+
+from dualspace import bucket_panel, cli, liquidity_lab, synth_market, tape_io
 from dualspace.calendars import month_key
 from dualspace.corrstats import corr_significance_threshold, pearson
+from dualspace.residual_study import read_index_csv
 from dualspace.synth_market import Couplings, IndexARParams, MarketConfig
 
 
@@ -163,16 +166,23 @@ def test_ground_truth_records_tilt_and_shocks():
     assert np.abs(tilt).max() > 0.0
 
 
-def test_write_market_artifacts(tmp_path, small_market):
-    paths = synth_market.write_market(small_market, tmp_path)
-    assert set(paths) == {"t0", "t1", "sentiment", "stock_return", "bond_yield",
-                          "ground_truth"}
-    reparsed = tape_io.read_tape(paths["t0"])
+def test_write_market_artifacts(tmp_path, capsys, small_market):
+    cfg = small_market.config
+    assert cli.run(["synth", "--seed", str(cfg.seed), "--traders", str(cfg.n_traders),
+                    "--days", str(cfg.n_days), "--trades-per-day",
+                    str(cfg.trades_per_day_mean), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "t0.csv", "t1.csv", "sentiment.csv", "stock_return.csv", "bond_yield.csv",
+        "ground_truth.json"}
+    reparsed = tape_io.read_tape(tmp_path / "t0.csv")
     assert reparsed.records == small_market.tapes[0].records
-    from dualspace.residual_study import read_index_csv
-    with open(paths["sentiment"]) as handle:
+    with open(tmp_path / "sentiment.csv") as handle:
         idx = read_index_csv(handle, "sentiment")
     np.testing.assert_allclose(idx.values, small_market.indexes["sentiment"].values)
+    truth = json.loads((tmp_path / "ground_truth.json").read_text())
+    truth.pop("provenance")
+    assert truth == json.loads(json.dumps(small_market.truth.to_dict()))
 
 
 def test_snr_mapping():
