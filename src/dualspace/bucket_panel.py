@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tape_io import Records, Side, Tape, as_tape
+from .tape_io import Tape, write_table_csv
 
 # Guard against float round-off right at a bucket/sub-cell edge: prices
 # are cent-quantized, so a 1e-9 nudge on the division never misassigns
@@ -62,10 +62,6 @@ class DailyPanel:
         return float(self.buy_vol.sum() + self.sell_vol.sum()
                      + self.discarded_volume + self.unknown_volume)
 
-    def empty_quote_buckets(self, side: Side) -> np.ndarray:
-        vol = self.buy_vol if side is Side.BUY else self.sell_vol
-        return np.flatnonzero(vol == 0)
-
 
 @dataclass
 class PanelSeries:
@@ -90,10 +86,9 @@ def imbalance_profile(buy: np.ndarray, sell: np.ndarray, geometric: bool = False
     return buy - sell
 
 
-def _by_day(records: Records) -> tuple[list[dt.date], np.ndarray, Tape]:
+def _by_day(tape: Tape) -> tuple[list[dt.date], np.ndarray, Tape]:
     """The dates that have trades, each trade's index into them, and the
     tape with its trades in date order (stable within a day)."""
-    tape = as_tape(records)
     if np.any(tape.day[1:] < tape.day[:-1]):
         tape = tape[np.argsort(tape.day, kind="stable")]
     counts = np.bincount(tape.day, minlength=len(tape.dates))
@@ -116,19 +111,19 @@ def _reference_array(day_ix: np.ndarray, tape: Tape, n_days: int) -> np.ndarray:
     return np.array([first_known if ref is None else ref for ref in refs], dtype=float)
 
 
-def reference_prices(records: Records) -> dict[dt.date, float]:
+def reference_prices(tape: Tape) -> dict[dt.date, float]:
     """Per-day reference price: the prior trading day's all-trade VWAP.
 
     The first day references its own VWAP; a zero-volume day carries the
     previous reference forward.
     """
-    days, day_ix, tape = _by_day(records)
+    days, day_ix, tape = _by_day(tape)
     if not days:
         raise ValueError("no records")
     return dict(zip(days, _reference_array(day_ix, tape, len(days)).tolist()))
 
 
-def build_panels(records: Records, config: BucketConfig = BucketConfig()) -> PanelSeries:
+def build_panels(tape: Tape, config: BucketConfig = BucketConfig()) -> PanelSeries:
     """Bucket every day's trades and build the panel series.
 
     Per trade: c = |price - ref|, bucket floor(c/delta), sub-cell
@@ -137,7 +132,7 @@ def build_panels(records: Records, config: BucketConfig = BucketConfig()) -> Pan
     excluded from both sides but tracked.  All days are bucketed at
     once, and each day's panel holds views into the whole tape's arrays.
     """
-    days, day_ix, tape = _by_day(records)
+    days, day_ix, tape = _by_day(tape)
     n_days = len(days)
     if n_days < 2:
         raise ValueError("records must span at least 2 days")
@@ -201,22 +196,18 @@ def build_panels(records: Records, config: BucketConfig = BucketConfig()) -> Pan
 
 def write_panels_csv(series: PanelSeries, handle) -> None:
     """Long-format export: one row per (date, bucket)."""
-    handle.write("date,bucket,buy_vol,sell_vol,imb_vol,buy_vwap,sell_vwap\n")
-    for panel in series.panels:
-        for k in range(series.config.n_buckets):
-            handle.write(
-                f"{panel.date.isoformat()},{k},{panel.buy_vol[k]!r},{panel.sell_vol[k]!r},"
-                f"{panel.imb_vol[k]!r},{panel.buy_vwap[k]!r},{panel.sell_vwap[k]!r}\n"
-            )
+    write_table_csv(handle, ["date", "bucket", "buy_vol", "sell_vol", "imb_vol",
+                             "buy_vwap", "sell_vwap"],
+                    ([panel.date.isoformat(), k, panel.buy_vol[k], panel.sell_vol[k],
+                      panel.imb_vol[k], panel.buy_vwap[k], panel.sell_vwap[k]]
+                     for panel in series.panels for k in range(series.config.n_buckets)))
 
 
 def write_fine_csv(series: PanelSeries, handle) -> None:
     """Wide export of the sub-cell volume profiles (buy and sell rows)."""
-    ns = series.config.n_subcells
-    cells = ",".join(f"c{j}" for j in range(ns))
-    handle.write(f"date,side,bucket,{cells}\n")
-    for panel in series.panels:
-        for label, fine in (("B", panel.fine_buy), ("S", panel.fine_sell)):
-            for k in range(series.config.n_buckets):
-                row = ",".join(repr(v) for v in fine[k].tolist())
-                handle.write(f"{panel.date.isoformat()},{label},{k},{row}\n")
+    header = ["date", "side", "bucket"] + [f"c{j}" for j in range(series.config.n_subcells)]
+    write_table_csv(handle, header,
+                    ([panel.date.isoformat(), label, k, *fine[k].tolist()]
+                     for panel in series.panels
+                     for label, fine in (("B", panel.fine_buy), ("S", panel.fine_sell))
+                     for k in range(series.config.n_buckets)))

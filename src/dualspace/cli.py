@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -227,10 +228,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_summarize(args) -> int:
     result = _records_or_fail(args.tape)
     side = {"B": tape_io.Side.BUY, "S": tape_io.Side.SELL}.get(args.side or "")
-    try:
-        summary = tape_io.summarize(result.records, side=side)
-    except ValueError as exc:
-        raise DataError(str(exc))
+    summary = tape_io.summarize(result.records, side=side)
     _summary("summarize", **{k: getattr(summary, k) for k in (
         "trade_count", "min_price", "avg_price", "max_price", "std_price",
         "avg_daily_volume", "sample_volume_variance", "unknown_side_fraction")})
@@ -251,10 +249,7 @@ PANEL_DEFAULTS = {"delta": 0.5, "buckets": 16, "subcells": 50,
 def _cmd_panels(args) -> int:
     opts = _resolve(args, dict(PANEL_DEFAULTS))
     result = _records_or_fail(args.tape)
-    try:
-        series = bucket_panel.build_panels(result.records, _panel_config(opts))
-    except ValueError as exc:
-        raise DataError(str(exc))
+    series = bucket_panel.build_panels(result.records, _panel_config(opts))
     outdir = _outdir(args)
     prov = _provenance("panels", {**opts, "tape_file": args.tape})
     path = os.path.join(outdir, "panels.csv")
@@ -270,11 +265,8 @@ def _cmd_panels(args) -> int:
 def _cmd_statespace(args) -> int:
     opts = _resolve(args, {**PANEL_DEFAULTS, "mode": "imbalance"})
     result = _records_or_fail(args.tape)
-    try:
-        series = bucket_panel.build_panels(result.records, _panel_config(opts))
-        states = state_space.state_matrix(series, state_space.VolumeMode(opts["mode"]))
-    except ValueError as exc:
-        raise DataError(str(exc))
+    series = bucket_panel.build_panels(result.records, _panel_config(opts))
+    states = state_space.state_matrix(series, state_space.VolumeMode(opts["mode"]))
     outdir = _outdir(args)
     path = os.path.join(outdir, f"states_{opts['mode']}.csv")
     _write_csv(path, _provenance("statespace", {**opts, "tape_file": args.tape}),
@@ -323,6 +315,8 @@ def _cmd_backcast(args) -> int:
     indexes = [_load_index(spec) for spec in args.index]
     if not indexes:
         raise UsageError("need at least one --index name=file.csv")
+    if int(opts["runs"]) < 1:
+        raise UsageError("--runs must be at least 1")
     protocol = opts["protocol"]
     if protocol in ("deep10", "cnn7"):
         if not args.predict_residuals:
@@ -331,32 +325,29 @@ def _cmd_backcast(args) -> int:
         if _tape_label(args.train_residuals) == _tape_label(args.predict_residuals):
             raise DataError("training and prediction residuals come from the same trader")
     train_dates, train_resid = _load_rows(args.train_residuals)
-    try:
-        if protocol == "shallow":
-            moments = residual_study.monthly_moments(train_resid, train_dates)
-            report = residual_study.shallow_backcast(moments, indexes, seed=int(opts["seed"]))
-        elif protocol == "deep10":
-            pred_dates, pred_resid = _load_rows(args.predict_residuals)
-            report = residual_study.deep_backcast(
-                train_resid, train_dates, pred_resid, pred_dates, indexes,
-                seed=int(opts["seed"]), rounds=int(opts["rounds"]),
-                learning_rate=float(opts["learning_rate"]))
-        elif protocol == "cnn7":
-            pred_dates, pred_resid = _load_rows(args.predict_residuals)
-            train_w = residual_study.monthly_windows(train_resid, train_dates,
-                                                     trader_id=_tape_label(args.train_residuals))
-            pred_w = residual_study.monthly_windows(pred_resid, pred_dates,
-                                                    trader_id=_tape_label(args.predict_residuals))
-            spec = neural_kit.cnn7_spec(input_shape=train_w.images.shape[1:],
-                                        activation=str(opts["activation"]))
-            seeds = [int(opts["seed"]) + i for i in range(int(opts["runs"]))]
-            report = residual_study.cnn_backcast(
-                train_w, pred_w, indexes, spec=spec, seeds=seeds,
-                rounds=int(opts["rounds"]), learning_rate=float(opts["learning_rate"]))
-        else:
-            raise UsageError(f"unknown protocol {protocol!r}")
-    except ValueError as exc:
-        raise DataError(str(exc))
+    if protocol == "shallow":
+        moments = residual_study.monthly_moments(train_resid, train_dates)
+        report = residual_study.shallow_backcast(moments, indexes, seed=int(opts["seed"]))
+    elif protocol == "deep10":
+        pred_dates, pred_resid = _load_rows(args.predict_residuals)
+        report = residual_study.deep_backcast(
+            train_resid, train_dates, pred_resid, pred_dates, indexes,
+            seed=int(opts["seed"]), rounds=int(opts["rounds"]),
+            learning_rate=float(opts["learning_rate"]))
+    elif protocol == "cnn7":
+        pred_dates, pred_resid = _load_rows(args.predict_residuals)
+        train_w = residual_study.monthly_windows(train_resid, train_dates,
+                                                 trader_id=_tape_label(args.train_residuals))
+        pred_w = residual_study.monthly_windows(pred_resid, pred_dates,
+                                                trader_id=_tape_label(args.predict_residuals))
+        spec = neural_kit.cnn7_spec(input_shape=train_w.images.shape[1:],
+                                    activation=str(opts["activation"]))
+        seeds = [int(opts["seed"]) + i for i in range(int(opts["runs"]))]
+        report = residual_study.cnn_backcast(
+            train_w, pred_w, indexes, spec=spec, seeds=seeds,
+            rounds=int(opts["rounds"]), learning_rate=float(opts["learning_rate"]))
+    else:
+        raise UsageError(f"unknown protocol {protocol!r}")
     outdir = _outdir(args)
     prov = _provenance("backcast", {**opts, "train_file": args.train_residuals})
     _write_json(os.path.join(outdir, f"backcast_{protocol}.json"), prov, report.to_dict())
@@ -371,11 +362,8 @@ def _cmd_backcast(args) -> int:
 def _cmd_liquidity(args) -> int:
     opts = _resolve(args, dict(PANEL_DEFAULTS))
     result = _records_or_fail(args.tape)
-    try:
-        series = bucket_panel.build_panels(result.records, _panel_config(opts))
-        cost = liquidity_lab.cost_series(series)
-    except ValueError as exc:
-        raise DataError(str(exc))
+    series = bucket_panel.build_panels(result.records, _panel_config(opts))
+    cost = liquidity_lab.cost_series(series)
     outdir = _outdir(args)
     prov = _provenance("liquidity", {**opts, "tape_file": args.tape})
     _write_csv(os.path.join(outdir, "lambda.csv"), prov,
@@ -409,12 +397,9 @@ def _cmd_eventstudy(args) -> int:
         training_periods=(lo, hi), n_permutations=int(opts["permutations"]),
         rounds=int(opts["rounds"]), learning_rate=float(opts["learning_rate"]),
         activation=str(opts["activation"]))
-    try:
-        series = bucket_panel.build_panels(result.records, _panel_config(opts))
-        cost = liquidity_lab.cost_series(series)
-        report = liquidity_lab.event_study(cost, index, config, seeds=seeds)
-    except ValueError as exc:
-        raise DataError(str(exc))
+    series = bucket_panel.build_panels(result.records, _panel_config(opts))
+    cost = liquidity_lab.cost_series(series)
+    report = liquidity_lab.event_study(cost, index, config, seeds=seeds)
     outdir = _outdir(args)
     prov = _provenance("eventstudy", {**opts, "tape_file": args.tape})
     _write_json(os.path.join(outdir, "eventstudy.json"), prov, report.to_dict())
@@ -432,6 +417,10 @@ def _cmd_pdo_demo(args) -> int:
     n = int(opts["points"])
     sigma0, diff = float(opts["sigma0"]), float(opts["diffusion"])
     drift, t = float(opts["drift"]), float(opts["time"])
+    if n < 2 or not (np.isfinite([sigma0, diff, drift, t]).all()
+                     and sigma0 > 0 and diff >= 0 and t >= 0):
+        raise UsageError("pdo-demo needs --points >= 2, --sigma0 > 0, --diffusion >= 0 "
+                         "and --time >= 0, all finite")
     sigma_t = np.sqrt(sigma0**2 + 2.0 * diff * t)
     half_width = 8.0 * sigma_t + abs(drift) * t
     points = np.linspace(-half_width, half_width, n, endpoint=False)
@@ -462,30 +451,28 @@ def _cmd_emit_plotdata(args) -> int:
         raise DataError(f"cannot read artifact {args.artifact}: {exc}")
     except ValueError as exc:
         raise DataError(f"bad artifact {args.artifact}: {exc}")
-    out_lines: list[str] = []
     if args.kind == "heatmap":
-        value_cols = [i for i, name in enumerate(header) if name.startswith("b")]
+        value_cols = [i for i, name in enumerate(header) if re.fullmatch("b[0-9]+", name)]
         if not value_cols:
             raise DataError("heatmap artifact needs b0..bN value columns")
-        out_lines.append("x,y,value")
-        for row in data:
-            for j, col in enumerate(value_cols):
-                out_lines.append(f"{row[0]},{j},{row[col]}")
+        columns = ["x", "y", "value"]
+        rows = [[row[0], j, row[col]] for row in data for j, col in enumerate(value_cols)]
     elif args.kind == "series":
         if len(header) < 2:
             raise DataError("series artifact needs (date, value) columns")
-        out_lines.append("date,value")
-        out_lines.extend(f"{row[0]},{row[1]}" for row in data)
+        columns = ["date", "value"]
+        rows = [row[:2] for row in data]
     else:
         shares = payload.get("predictor_share") if isinstance(payload, dict) else None
-        if not isinstance(shares, list):
+        if not isinstance(shares, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in shares):
             raise DataError("bars artifact must be a diagnostics JSON "
-                            "with a predictor_share list")
-        out_lines.append("label,value")
-        out_lines.extend(f"{k},{v!r}" for k, v in enumerate(shares))
+                            "with a predictor_share list of numbers")
+        columns = ["label", "value"]
+        rows = list(enumerate(shares))
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(out_lines) + "\n")
-    _summary("emit-plotdata", kind=args.kind, rows=len(out_lines) - 1, out=args.out)
+        tape_io.write_table_csv(handle, columns, rows)
+    _summary("emit-plotdata", kind=args.kind, rows=len(rows), out=args.out)
     return EXIT_OK
 
 
@@ -611,7 +598,7 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (neural_kit.TrainingDivergedError, FloatingPointError) as exc:

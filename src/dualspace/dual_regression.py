@@ -33,7 +33,7 @@ import numpy as np
 
 from .corrstats import pearson
 from .state_space import StateMatrix
-from .tape_io import read_table_csv
+from .tape_io import read_table_csv, write_table_csv
 
 #: Relative singular-value cutoff of the least-squares fit.
 LSTSQ_RCOND = 1e-6
@@ -218,26 +218,16 @@ def determination_matrix(outputs: list[RegressionOutput]) -> np.ndarray:
     return result
 
 
-def residual_autocorrelation(output: RegressionOutput, lag: int = 1) -> np.ndarray:
-    """Per-bucket autocorrelation of residuals at the given lag."""
-    r = output.residuals
-    if lag <= 0 or lag >= r.shape[0]:
-        raise ValueError("lag must be in [1, T-2]")
-    return np.array([pearson(r[:-lag, k], r[lag:, k]) for k in range(r.shape[1])])
-
-
 # ── artifact serialization ─────────────────────────────────────────────
 
 def write_beta_csv(beta: BetaMatrix, handle) -> None:
-    for row in beta.values:
-        handle.write(",".join(repr(v) for v in row.tolist()) + "\n")
+    write_table_csv(handle, None, beta.values.tolist())
 
 
 def write_rows_csv(dates: list[dt.date], matrix: np.ndarray, handle) -> None:
-    nb = matrix.shape[1]
-    handle.write("date," + ",".join(f"b{k}" for k in range(nb)) + "\n")
-    for day, row in zip(dates, matrix):
-        handle.write(day.isoformat() + "," + ",".join(repr(v) for v in row.tolist()) + "\n")
+    header = ["date"] + [f"b{k}" for k in range(matrix.shape[1])]
+    write_table_csv(handle, header, ([day.isoformat(), *row]
+                                     for day, row in zip(dates, matrix.tolist())))
 
 
 def read_rows_csv(handle) -> tuple[list[dt.date], np.ndarray]:

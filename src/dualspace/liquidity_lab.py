@@ -24,7 +24,6 @@ random month-subset draw for Spearman).
 from __future__ import annotations
 
 import datetime as dt
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,7 @@ from .bucket_panel import DailyPanel, PanelSeries
 from .calendars import month_key
 from .corrstats import fisher_z_pvalue, pearson, spearman, standardize
 from .residual_study import WINDOW_DAYS, IndexSeries, monthly_windows
+from .tape_io import write_table_csv
 
 
 @dataclass
@@ -169,16 +169,13 @@ class HypothesisReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def write_report_csv(report: HypothesisReport, handle) -> None:
-    handle.write("days,p_pearson,p_spearman\n")
-    for w in report.windows:
-        p1 = "NA" if w.p_pearson is None else repr(w.p_pearson)
-        p2 = "NA" if w.p_spearman is None else repr(w.p_spearman)
-        handle.write(f"{w.day_range[0]}-{w.day_range[1]},{p1},{p2}\n")
+    write_table_csv(handle, ["days", "p_pearson", "p_spearman"],
+                    ([f"{w.day_range[0]}-{w.day_range[1]}",
+                      "NA" if w.p_pearson is None else w.p_pearson,
+                      "NA" if w.p_spearman is None else w.p_spearman]
+                     for w in report.windows))
 
 
 def _months_by_majority(dates: list[dt.date], positions: np.ndarray,
@@ -296,20 +293,20 @@ def _subset_draw_pvalue(preds: np.ndarray, targets: np.ndarray, k: int,
 # ── exports ────────────────────────────────────────────────────────────
 
 def write_lambda_csv(cost: CostSeries, handle) -> None:
-    handle.write("date,bucket,lambda\n")
-    for i, day in enumerate(cost.dates):
-        for k in range(cost.lam.shape[1]):
-            handle.write(f"{day.isoformat()},{k},{float(cost.lam[i, k])!r}\n")
+    write_table_csv(handle, ["date", "bucket", "lambda"], _long_rows(cost.dates, cost.lam))
 
 
 def write_lambda_daily_csv(cost: CostSeries, handle) -> None:
-    handle.write("date,value\n")
-    for day, value in zip(cost.dates, cost.lambda_avg):
-        handle.write(f"{day.isoformat()},{float(value)!r}\n")
+    write_table_csv(handle, ["date", "value"],
+                    zip([day.isoformat() for day in cost.dates], cost.lambda_avg.tolist()))
 
 
 def write_pi_csv(cost: CostSeries, handle) -> None:
-    handle.write("date,bucket,pi\n")
-    for i, day in enumerate(cost.dates):
-        for k in range(cost.pi.shape[1]):
-            handle.write(f"{day.isoformat()},{k},{float(cost.pi[i, k])!r}\n")
+    write_table_csv(handle, ["date", "bucket", "pi"], _long_rows(cost.dates, cost.pi))
+
+
+def _long_rows(dates: list[dt.date], matrix: np.ndarray):
+    """(date, bucket, value) rows of a day-by-bucket matrix."""
+    for day, row in zip(dates, matrix.tolist()):
+        for k, value in enumerate(row):
+            yield day.isoformat(), k, value

@@ -15,11 +15,12 @@ one-net case.  Convolutions run as im2col + matmul.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+
+from .tape_io import write_table_csv
 
 ACTIVATIONS = ("relu", "tanh", "logit", "linear")
 
@@ -546,60 +547,5 @@ def grad_check(net: TrainedNet, inputs: np.ndarray, targets: np.ndarray,
 
 # ── serialization ──────────────────────────────────────────────────────
 
-def spec_to_dict(spec: NetSpec) -> dict:
-    layers = []
-    for layer in spec.layers:
-        if isinstance(layer, Dense):
-            layers.append({"type": "dense", "n_in": layer.n_in, "n_out": layer.n_out})
-        elif isinstance(layer, Conv2D):
-            layers.append({"type": "conv2d", "kernel": list(layer.kernel),
-                           "channels": layer.channels})
-        elif isinstance(layer, Pool):
-            layers.append({"type": "pool", "size": list(layer.size)})
-        else:
-            layers.append({"type": "flatten"})
-    return {"layers": layers, "activation": spec.activation, "seed": spec.seed,
-            "input_shape": list(spec.input_shape)}
-
-
-def spec_from_dict(data: dict) -> NetSpec:
-    layers: list[LayerSpec] = []
-    for item in data["layers"]:
-        kind = item["type"]
-        if kind == "dense":
-            layers.append(Dense(item["n_in"], item["n_out"]))
-        elif kind == "conv2d":
-            layers.append(Conv2D(tuple(item["kernel"]), item["channels"]))
-        elif kind == "pool":
-            layers.append(Pool(tuple(item["size"])))
-        elif kind == "flatten":
-            layers.append(Flatten())
-        else:
-            raise ValueError(f"unknown layer type {kind!r}")
-    return NetSpec(tuple(layers), data["activation"], data["seed"],
-                   tuple(data.get("input_shape", ())))
-
-
 def write_loss_csv(net: TrainedNet, handle) -> None:
-    handle.write("round,mse\n")
-    for i, loss in enumerate(net.loss_curve, start=1):
-        handle.write(f"{i},{loss!r}\n")
-
-
-def save_net(net: TrainedNet, path_prefix: str) -> None:
-    with open(path_prefix + ".spec.json", "w", encoding="utf-8") as handle:
-        json.dump({"spec": spec_to_dict(net.spec), "loss_curve": net.loss_curve},
-                  handle, sort_keys=True)
-    arrays = {f"w{i}": arr for i, arr in enumerate(net.weight_arrays())}
-    np.savez(path_prefix + ".weights.npz", **arrays)
-
-
-def load_net(path_prefix: str) -> TrainedNet:
-    with open(path_prefix + ".spec.json", encoding="utf-8") as handle:
-        data = json.load(handle)
-    net = init_net(spec_from_dict(data["spec"]))
-    net.loss_curve = list(data.get("loss_curve", []))
-    stored = np.load(path_prefix + ".weights.npz")
-    for i, arr in enumerate(net.weight_arrays()):
-        arr[...] = stored[f"w{i}"]
-    return net
+    write_table_csv(handle, ["round", "mse"], enumerate(net.loss_curve, start=1))

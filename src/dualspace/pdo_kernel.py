@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual_regression import BetaMatrix
+from .tape_io import write_table_csv
 
 
 @dataclass(frozen=True)
@@ -132,16 +133,9 @@ def propagate_state(x0: np.ndarray, beta, noise, n_steps: int, dt: float) -> np.
     return x
 
 
-def beta_symbol(beta, t: float, horizon: float) -> np.ndarray:
-    """Propagator matrix exp(B (T - t)); the summable operator symbol."""
-    if horizon < t:
-        raise ValueError("horizon must be >= t")
-    return matrix_exp(_as_matrix(beta) * (horizon - t))
-
-
 # ── I/O ────────────────────────────────────────────────────────────────
 
 def write_grid_csv(grid: SpectralGrid, handle) -> None:
-    handle.write("point,re,im\n")
-    for x, v in zip(grid.points, grid.values):
-        handle.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+    write_table_csv(handle, ["point", "re", "im"],
+                    zip(grid.points.tolist(), grid.values.real.tolist(),
+                        grid.values.imag.tolist()))

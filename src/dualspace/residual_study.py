@@ -29,7 +29,7 @@ from . import neural_kit
 from .calendars import group_by_month, month_first, month_range
 from .corrstats import pearson, standardize, student_halfwidth
 from .dual_regression import RegressionOutput
-from .tape_io import read_table_csv
+from .tape_io import read_table_csv, write_table_csv
 
 #: Fixed image height for monthly windows (months have 18-23 trading days).
 WINDOW_DAYS = 21
@@ -255,6 +255,11 @@ def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
     Trains on the informed trader's rows, omitting the last day of each
     month (kept as the in-sample check); the uninformed trader's daily
     predictions are averaged per month and correlated with each index.
+
+    The residuals come as bare arrays, which carry no trader id, so this
+    function cannot check that the two roles come from different tapes
+    as `cnn_backcast` does.  The CLI enforces that rule before the call,
+    by the residual files' `_tape_label`s.
     """
     train_groups = group_by_month(train_dates)
     predict_groups = group_by_month(predict_dates)
@@ -353,9 +358,7 @@ def assert_role_separation(train_windows: MonthlyWindows,
 # ── I/O ────────────────────────────────────────────────────────────────
 
 def write_index_csv(index: IndexSeries, handle) -> None:
-    handle.write("month,value\n")
-    for m, v in zip(index.months, index.values):
-        handle.write(f"{m},{float(v)!r}\n")
+    write_table_csv(handle, ["month", "value"], zip(index.months, index.values.tolist()))
 
 
 def read_index_csv(handle, name: str = "") -> IndexSeries:
@@ -366,12 +369,10 @@ def read_index_csv(handle, name: str = "") -> IndexSeries:
 
 def write_report_csv(report: BackcastReport, handle) -> None:
     """Table-style export: one column per index, runs then mean/half-width."""
-    names = [r.index_name for r in report.results]
-    handle.write("row," + ",".join(names) + "\n")
     n_runs = max(len(r.run_correlations) for r in report.results)
-    for i in range(n_runs):
-        cells = [repr(r.run_correlations[i]) if i < len(r.run_correlations) else ""
-                 for r in report.results]
-        handle.write(f"run{i + 1}," + ",".join(cells) + "\n")
-    handle.write("mean," + ",".join(repr(r.mean_correlation) for r in report.results) + "\n")
-    handle.write("student10," + ",".join(repr(r.dispersion) for r in report.results) + "\n")
+    rows = [[f"run{i + 1}"] + [r.run_correlations[i] if i < len(r.run_correlations) else ""
+                               for r in report.results]
+            for i in range(n_runs)]
+    rows.append(["mean"] + [r.mean_correlation for r in report.results])
+    rows.append(["student10"] + [r.dispersion for r in report.results])
+    write_table_csv(handle, ["row"] + [r.index_name for r in report.results], rows)

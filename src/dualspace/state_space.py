@@ -20,7 +20,7 @@ import numpy as np
 
 from .bucket_panel import DailyPanel, PanelSeries, imbalance_profile
 from .corrstats import rowwise_pearson
-from .tape_io import read_table_csv
+from .tape_io import read_table_csv, write_table_csv
 
 
 class VolumeMode(enum.Enum):
@@ -38,10 +38,6 @@ class StateMatrix:
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] != len(self.dates):
             raise ValueError("values rows must match dates")
-
-    @property
-    def n_pairs(self) -> int:
-        return self.values.shape[0]
 
 
 def _profiles(panel: DailyPanel, mode: VolumeMode, geometric: bool) -> np.ndarray:
@@ -94,12 +90,9 @@ def attenuation(rho: float, nsr1: float, nsr2: float) -> Attenuation:
 
 
 def write_state_csv(states: StateMatrix, handle) -> None:
-    nb = states.values.shape[1]
-    cols = ",".join(f"b{k}" for k in range(nb))
-    handle.write(f"date,mode,{cols}\n")
-    for day, row in zip(states.dates, states.values):
-        vals = ",".join(repr(v) for v in row.tolist())
-        handle.write(f"{day.isoformat()},{states.mode.value},{vals}\n")
+    header = ["date", "mode"] + [f"b{k}" for k in range(states.values.shape[1])]
+    write_table_csv(handle, header, ([day.isoformat(), states.mode.value, *row]
+                                     for day, row in zip(states.dates, states.values.tolist())))
 
 
 def read_state_csv(handle) -> StateMatrix:

@@ -115,8 +115,8 @@ class MarketConfig:
             raise ValueError("n_days must be >= 2")
         if not 0.0 <= self.anchored_fraction <= 1.0:
             raise ValueError("anchored_fraction must lie in [0, 1]")
-        if self.trades_per_day_mean < 0:
-            raise ValueError("trades_per_day_mean must be nonnegative")
+        if not 0.0 <= self.trades_per_day_mean < float("inf"):
+            raise ValueError("trades_per_day_mean must be finite and nonnegative")
 
 
 def snr_to_anchored_fraction(snr: float) -> float:

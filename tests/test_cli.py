@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dualspace import cli, state_space, synth_market
+from dualspace.tape_io import read_table_csv
 
 from oracles import planted_trajectory, random_rotation
 
@@ -52,8 +53,16 @@ def test_summarize_outputs_statistics(capsys, tape_dir):
 def test_panels_and_statespace_artifacts(capsys, tape_dir, tmp_path):
     run_ok(capsys, ["panels", "--tape", str(tape_dir / "t0.csv"), "--fine",
                     "--out-dir", str(tmp_path)])
-    assert (tmp_path / "panels.csv").exists()
     assert (tmp_path / "panels_fine.csv").exists()
+    with open(tmp_path / "panels.csv") as handle:
+        header, rows = read_table_csv(handle)
+    assert header[:3] == ["date", "bucket", "buy_vol"]
+    assert np.isfinite(np.array([row[1:] for row in rows], dtype=float)).all()
+    # no b<digits> value columns: not a heatmap artifact
+    assert cli.run(["emit-plotdata", "--artifact", str(tmp_path / "panels.csv"),
+                    "--kind", "heatmap", "--out", str(tmp_path / "h.csv")]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not (tmp_path / "h.csv").exists()
     summary = run_ok(capsys, ["statespace", "--tape", str(tape_dir / "t0.csv"),
                               "--mode", "imbalance", "--out-dir", str(tmp_path)])
     assert summary["rows"] == 484 and summary["buckets"] == 16
@@ -268,6 +277,9 @@ def test_backcast_deep10_same_residual_file_is_a_data_error(
 MALFORMED_INPUTS = {
     "heatmap-short-row": ("emit-plotdata", "states.csv",
                           "date,mode,b0,b1\n2009-01-05,imbalance,0.5\n", "heatmap"),
+    "heatmap-no-value-columns": ("emit-plotdata", "panels.csv",
+                                 "date,bucket,buy_vol,buy_vwap\n2009-01-05,0,1908.0,12.03\n",
+                                 "heatmap"),
     "series-short-row": ("emit-plotdata", "lambda.csv",
                          "date,value\n2009-01-05,0.5\n2009-01-06\n", "series"),
     "bars-share-not-a-list": ("emit-plotdata", "diagnostics.json",
@@ -295,6 +307,33 @@ def test_malformed_input_is_a_data_error(capsys, residual_dir, tmp_path, case):
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "bc").exists()
+
+
+BAD_OPTION_VALUES = {
+    "synth-zero-days": ["synth", "--days", "0"],
+    "synth-negative-trades-per-day": ["synth", "--trades-per-day", "-3", "--days", "5"],
+    "synth-config-seed-not-a-number": ["synth", "--config", "{config}"],
+    "pdo-demo-one-point": ["pdo-demo", "--points", "1"],
+    "pdo-demo-negative-time": ["pdo-demo", "--time", "-1"],
+    "backcast-zero-runs": ["backcast", "--protocol", "cnn7", "--runs", "0",
+                           "--train-residuals", "{residuals}/t0/residuals.csv",
+                           "--predict-residuals", "{residuals}/t1/residuals.csv",
+                           "--index", "sentiment={tapes}/sentiment.csv"],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_OPTION_VALUES))
+def test_bad_option_value_is_one_error_line(capsys, tape_dir, residual_dir, tmp_path, case):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": "x"}))
+    argv = [arg.format(config=config, residuals=residual_dir, tapes=tape_dir)
+            for arg in BAD_OPTION_VALUES[case]]
+    code = cli.run(argv + ["--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code in (1, 2)
+    assert captured.err.startswith(("usage error:", "data error:"))
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):

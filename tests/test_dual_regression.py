@@ -248,15 +248,6 @@ def test_determination_matrix_date_mismatch():
         dr.determination_matrix([a, b])
 
 
-def test_residual_autocorrelation_bounds(coupled_outputs):
-    _, out = coupled_outputs[0]
-    auto = dr.residual_autocorrelation(out, lag=1)
-    assert auto.shape == (16,)
-    assert np.all(np.abs(auto) <= 1.0)
-    with pytest.raises(ValueError):
-        dr.residual_autocorrelation(out, lag=0)
-
-
 # ── serialization ──────────────────────────────────────────────────────
 
 def test_beta_csv_round_trip():

@@ -212,19 +212,6 @@ def test_target_scaling_scales_linear_net_predictions():
         np.testing.assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-12)
 
 
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(15)
-    x = rng.standard_normal((10, 4))
-    y = rng.standard_normal(10)
-    net = nk.train(nk.init_net(nk.shallow_spec(n_inputs=4, seed=6)), x, y,
-                   rounds=30, learning_rate=0.05)
-    prefix = str(tmp_path / "net")
-    nk.save_net(net, prefix)
-    back = nk.load_net(prefix)
-    np.testing.assert_array_equal(nk.forward_batch(back, x), nk.forward_batch(net, x))
-    assert back.loss_curve == net.loss_curve
-
-
 def test_default_architectures_compose():
     assert len(nk.deep10_spec().layers) == 10
     assert len(nk.cnn7_spec().layers) == 7

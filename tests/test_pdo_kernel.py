@@ -197,20 +197,22 @@ def test_propagate_is_linear():
     np.testing.assert_allclose(combo, parts, atol=1e-10)
 
 
-def test_beta_symbol_identity_and_diagonal():
+def test_matrix_exp_of_scaled_beta_and_input_checks():
     beta = np.diag([0.2, -0.4])
-    np.testing.assert_allclose(pk.beta_symbol(beta, 1.0, 1.0), np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(pk.beta_symbol(beta, 0.0, 1.0),
+    np.testing.assert_allclose(pk.matrix_exp(beta * 0.0), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(pk.matrix_exp(beta * 1.0),
                                np.diag(np.exp([0.2, -0.4])), rtol=1e-12)
-    with pytest.raises(ValueError):
-        pk.beta_symbol(beta, 1.0, 0.5)
+    with pytest.raises(ValueError, match="square"):
+        pk.matrix_exp(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        pk.matrix_exp(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
-def test_beta_symbol_semigroup():
+def test_matrix_exp_semigroup():
     rng = np.random.default_rng(7)
     beta = rng.standard_normal((5, 5)) * 0.5
-    left = pk.beta_symbol(beta, 0.0, 0.7) @ pk.beta_symbol(beta, 0.0, 0.5)
-    right = pk.beta_symbol(beta, 0.0, 1.2)
+    left = pk.matrix_exp(beta * 0.7) @ pk.matrix_exp(beta * 0.5)
+    right = pk.matrix_exp(beta * 1.2)
     assert np.abs(left - right).max() < 1e-10
 
 

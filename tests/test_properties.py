@@ -1,15 +1,21 @@
-"""Property tests over generated inputs: the serialize/parse round trip,
-the bucket panels' volume conservation and input-form independence, and
-the dual regression's reconstruction, P+F=1 and symmetry invariants."""
+"""Property tests over generated inputs: the serialize/parse and record
+round trips, the bucket panels' volume conservation, state entries in
+[-1, 1], the dual regression's reconstruction, P+F=1 and symmetry
+invariants, and the CLI contract on arbitrary files and flag values."""
 
+import contextlib
 import datetime as dt
+import io
+import json
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualspace import bucket_panel, dual_regression, tape_io
-from dualspace.state_space import StateMatrix, VolumeMode
+from dualspace import bucket_panel, cli, dual_regression, tape_io
+from dualspace.state_space import StateMatrix, VolumeMode, state_matrix
 
 from oracles import symmetry_projector
 
@@ -57,17 +63,20 @@ def test_build_panels_conserves_daily_volume(tape):
 
 
 @settings(max_examples=60, deadline=None)
-@given(tapes(min_days=2))
-def test_build_panels_same_for_tape_and_record_list(tape):
-    a = bucket_panel.build_panels(tape)
-    b = bucket_panel.build_panels(list(tape))
-    assert a.dates == b.dates and a.discarded_trades == b.discarded_trades
-    for pa, pb in zip(a.panels, b.panels):
-        for name in ("ref_price", "discarded_trades", "discarded_volume", "unknown_volume"):
-            assert getattr(pa, name) == getattr(pb, name)
-        for name in ("buy_vol", "sell_vol", "imb_vol", "buy_vwap", "sell_vwap",
-                     "fine_buy", "fine_sell"):
-            assert np.array_equal(getattr(pa, name), getattr(pb, name))
+@given(tapes())
+def test_tape_record_round_trip(tape):
+    assert tape_io.Tape.from_records(list(tape)) == tape
+
+
+@settings(max_examples=30, deadline=None)
+@given(tapes(min_days=2), st.booleans())
+def test_state_entries_are_correlations(tape, geometric):
+    series = bucket_panel.build_panels(
+        tape, bucket_panel.BucketConfig(geometric_imbalance=geometric))
+    for mode in VolumeMode:
+        values = state_matrix(series, mode).values
+        assert values.shape == (len(series) - 1, series.config.n_buckets)
+        assert np.isfinite(values).all() and np.abs(values).max() <= 1.0
 
 
 @st.composite
@@ -101,3 +110,75 @@ def test_fit_beta_invariants(states):
     p = symmetry_projector()
     np.testing.assert_allclose(p @ out.beta.values, out.beta.values, atol=1e-9)
     np.testing.assert_allclose(p @ out.intercept, out.intercept, atol=1e-9)
+
+
+# ── CLI contract ───────────────────────────────────────────────────────
+
+_TOKENS = ["", "date", "mode", "b0", "b1", "bucket", "value", "2009-01-05", "2009-01-06",
+           "2009-02-02", "imbalance", "buy", "B", "S", "0", "0.5", "-1", "10.05", "425",
+           "1e308", "nan", "inf", "x", "#"]
+_csv_text = st.lists(st.lists(st.sampled_from(_TOKENS), max_size=5).map(",".join),
+                     max_size=8).map("\n".join)
+_json_text = st.dictionaries(
+    st.sampled_from(["predictor_share", "other"]),
+    st.one_of(st.lists(st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
+                                 st.text(max_size=2)), max_size=4),
+              st.floats(), st.none()),
+    max_size=2).map(json.dumps)
+_file_bytes = st.one_of(_csv_text.map(str.encode), _json_text.map(str.encode),
+                        st.binary(max_size=60))
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv with {file} and {out} placeholders, file contents or None)."""
+    command = draw(st.sampled_from(["fit", "emit-plotdata", "ingest", "summarize",
+                                    "synth", "pdo-demo"]))
+    if command == "synth":
+        days = draw(st.integers(-2, 30))
+        traders = draw(st.integers(0, 2))
+        per_day = draw(st.sampled_from(["-3", "0", "0.5", "20", "50", "nan"]))
+        return (["synth", "--days", str(days), "--traders", str(traders),
+                 "--trades-per-day", per_day, "--seed", str(draw(st.integers(-1, 3)))], None)
+    if command == "pdo-demo":
+        points = draw(st.integers(-1, 64))
+        time = draw(st.sampled_from(["-1", "0", "0.5", "nan", "inf"]))
+        sigma0 = draw(st.sampled_from(["-0.5", "0", "0.5"]))
+        return (["pdo-demo", "--points", str(points), "--time", time,
+                 "--sigma0", sigma0], None)
+    contents = draw(_file_bytes)
+    if command == "fit":
+        return ["fit", "--states", "{file}"], contents
+    if command == "emit-plotdata":
+        kind = draw(st.sampled_from(["heatmap", "series", "bars"]))
+        return ["emit-plotdata", "--artifact", "{file}", "--kind", kind,
+                "--out", "{out}/plot.csv"], contents
+    return [command, "--tape", "{file}"], contents
+
+
+def _strict_json(text):
+    def no_constant(name):
+        raise ValueError(f"non-finite {name} in the summary line")
+    return json.loads(text, parse_constant=no_constant)
+
+
+@settings(max_examples=120, deadline=None)
+@given(cli_calls())
+def test_cli_contract_on_arbitrary_input(call):
+    argv, contents = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.csv")
+        if contents is not None:
+            with open(path, "wb") as handle:
+                handle.write(contents)
+        argv = [arg.format(file=path, out=tmp) for arg in argv] + ["--out-dir", tmp]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 0:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        _strict_json(lines[0])
+    elif code in (1, 2):
+        assert err.getvalue().startswith(("usage error:", "data error:")), err.getvalue()

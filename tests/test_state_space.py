@@ -7,7 +7,7 @@ import pytest
 from dualspace import state_space
 from dualspace.bucket_panel import BucketConfig, DailyPanel, PanelSeries, build_panels
 from dualspace.state_space import VolumeMode, attenuation, corr_vector, state_matrix
-from dualspace.tape_io import Side, TapeRecord
+from dualspace.tape_io import Tape, TapeRecord
 
 from oracles import textbook_pearson
 
@@ -109,7 +109,8 @@ def test_affine_profiles_hit_correlation_bounds():
 
 def test_volume_rescale_invariance(small_market):
     records = small_market.tapes[0].records
-    scaled = [TapeRecord(r.date, r.price, r.side, r.volume * 7) for r in records]
+    scaled = Tape.from_records(TapeRecord(r.date, r.price, r.side, r.volume * 7)
+                               for r in records)
     s1 = state_matrix(build_panels(records), VolumeMode.IMBALANCE)
     s2 = state_matrix(build_panels(scaled), VolumeMode.IMBALANCE)
     np.testing.assert_allclose(s1.values, s2.values, atol=1e-12)

@@ -1,10 +1,12 @@
 import datetime as dt
+import io
 import random
 
+import numpy as np
 import pytest
 
 from dualspace import tape_io
-from dualspace.tape_io import Side, TapeRecord
+from dualspace.tape_io import Side, Tape, TapeRecord
 
 from oracles import streaming_summary
 
@@ -30,13 +32,14 @@ def test_parse_header_and_rows():
 
 
 def test_parse_empty_stream():
-    assert tape_io.parse_tape("").records == []
+    assert len(tape_io.parse_tape("").records) == 0
     assert tape_io.parse_tape("").n_data_rows == 0
 
 
 def test_missing_side_flag_becomes_unknown():
     result = tape_io.parse_tape("2009-08-07,9.90,,708")
-    assert result.records == [TapeRecord(dt.date(2009, 8, 7), 9.90, Side.UNKNOWN, 708)]
+    assert result.records == Tape.from_records(
+        [TapeRecord(dt.date(2009, 8, 7), 9.90, Side.UNKNOWN, 708)])
 
 
 @pytest.mark.parametrize("delim", ["\t", ";"])
@@ -84,9 +87,9 @@ def _random_records(rng, n):
 def test_serialize_parse_round_trip():
     rng = random.Random(7)
     for trial in range(5):
-        records = _random_records(rng, 200)
-        result = tape_io.parse_tape(tape_io.serialize(records))
-        assert result.records == records
+        tape = Tape.from_records(_random_records(rng, 200))
+        result = tape_io.parse_tape(tape_io.serialize(tape))
+        assert result.records == tape
         assert not result.errors
 
 
@@ -95,12 +98,13 @@ def test_summarize_permutation_invariant():
     records = _random_records(rng, 300)
     shuffled = records[:]
     rng.shuffle(shuffled)
-    assert tape_io.summarize(records) == tape_io.summarize(shuffled)
+    assert (tape_io.summarize(Tape.from_records(records))
+            == tape_io.summarize(Tape.from_records(shuffled)))
 
 
 def test_summarize_single_record_degenerate():
     rec = TapeRecord(dt.date(2009, 1, 5), 10.0, Side.BUY, 100)
-    s = tape_io.summarize([rec])
+    s = tape_io.summarize(Tape.from_records([rec]))
     assert (s.trade_count, s.min_price, s.avg_price, s.max_price) == (1, 10.0, 10.0, 10.0)
     assert s.std_price == 0.0
     assert s.avg_daily_volume == 100.0
@@ -109,13 +113,13 @@ def test_summarize_single_record_degenerate():
 
 def test_summarize_empty_raises():
     with pytest.raises(ValueError, match="no records"):
-        tape_io.summarize([])
+        tape_io.summarize(Tape.from_records([]))
 
 
 def test_summarize_side_subset():
     day = dt.date(2009, 1, 5)
-    records = [TapeRecord(day, 10.0, Side.BUY, 100),
-               TapeRecord(day, 20.0, Side.SELL, 300)]
+    records = Tape.from_records([TapeRecord(day, 10.0, Side.BUY, 100),
+                                 TapeRecord(day, 20.0, Side.SELL, 300)])
     buys = tape_io.summarize(records, side=Side.BUY)
     assert buys.trade_count == 1 and buys.avg_price == 10.0
     full = tape_io.summarize(records)
@@ -125,7 +129,7 @@ def test_summarize_side_subset():
 def test_summarize_matches_streaming_oracle():
     rng = random.Random(13)
     records = _random_records(rng, 1000)
-    s = tape_io.summarize(records)
+    s = tape_io.summarize(Tape.from_records(records))
     n, lo, mean_p, hi, std_p, var_v, total = streaming_summary(
         [r.price for r in records], [r.volume for r in records])
     assert s.trade_count == n
@@ -150,8 +154,8 @@ def test_table_shape_reference_summary_is_representable():
 
 def _records_with_unknowns(n, n_unknown):
     day = dt.date(2009, 1, 5)
-    return ([TapeRecord(day, 10.0, Side.UNKNOWN, 10)] * n_unknown
-            + [TapeRecord(day, 10.0, Side.BUY, 10)] * (n - n_unknown))
+    return Tape.from_records([TapeRecord(day, 10.0, Side.UNKNOWN, 10)] * n_unknown
+                             + [TapeRecord(day, 10.0, Side.BUY, 10)] * (n - n_unknown))
 
 
 def test_validate_unknown_fraction_flag():
@@ -209,16 +213,17 @@ def test_fast_and_per_line_rows_merge_in_date_then_line_order():
 def test_tape_is_a_sequence_of_records():
     rng = random.Random(3)
     records = _random_records(rng, 50)
-    tape = tape_io.Tape.from_records(records)
+    tape = Tape.from_records(records)
     assert len(tape) == 50
     assert tape[0] == records[0] and tape[-1] == records[-1]
     assert list(tape) == records
-    assert tape == records and records == tape
-    assert isinstance(tape[10:20], tape_io.Tape) and tape[10:20] == records[10:20]
-    assert tape[tape.side == 1] == [rec for rec in records if rec.side is Side.BUY]
-    assert tape != records[:-1]
-    assert tape != records[::-1]
-    assert tape_io.Tape.from_records([]) == []
+    assert Tape.from_records(list(tape)) == tape
+    assert tape != records  # a record list is not a tape
+    assert isinstance(tape[10:20], Tape) and list(tape[10:20]) == records[10:20]
+    assert list(tape[tape.side == 1]) == [rec for rec in records if rec.side is Side.BUY]
+    assert tape != Tape.from_records(records[:-1])
+    assert tape != Tape.from_records(records[::-1])
+    assert len(Tape.from_records([])) == 0
     with pytest.raises(IndexError):
         tape[50]
 
@@ -226,8 +231,24 @@ def test_tape_is_a_sequence_of_records():
 def test_tape_rejects_inconsistent_columns():
     day = dt.date(2009, 1, 5)
     with pytest.raises(ValueError, match="strictly increasing"):
-        tape_io.Tape([day, day], [0], [1.0], [1], [1])
+        Tape([day, day], [0], [1.0], [1], [1])
     with pytest.raises(ValueError, match="equal length"):
-        tape_io.Tape([day], [0, 0], [1.0], [1], [1])
+        Tape([day], [0, 0], [1.0], [1], [1])
     with pytest.raises(ValueError, match="date table"):
-        tape_io.Tape([day], [1], [1.0], [1], [1])
+        Tape([day], [1], [1.0], [1], [1])
+
+
+def test_write_table_csv_cell_rule():
+    buf = io.StringIO()
+    tape_io.write_table_csv(buf, ["a", "b", "c", "d", "e", "f"],
+                            [[np.float64(1908.0), np.int64(7), "2009-01-05", "", "NA", 0.1],
+                             [np.float32(0.5), 3, "x", "", "NA", -0.0]])
+    assert buf.getvalue() == ("a,b,c,d,e,f\n"
+                              "1908.0,7,2009-01-05,,NA,0.1\n"
+                              "0.5,3,x,,NA,-0.0\n")
+    buf.seek(0)
+    header, rows = tape_io.read_table_csv(buf)
+    assert header == ["a", "b", "c", "d", "e", "f"] and len(rows) == 2
+    headless = io.StringIO()
+    tape_io.write_table_csv(headless, None, [[1.5, np.float64(2.0)]])
+    assert headless.getvalue() == "1.5,2.0\n"
