@@ -7,6 +7,9 @@ to stderr.  Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric
 failure.  Options resolve as flag > config file > default; artifacts
 embed a provenance comment (command, seed, option hash, version) so a
 fixed seed reproduces byte-identical output trees.
+
+Each command imports the analysis layers it uses inside its handler, so
+a process pays the start-up of those layers only.
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import (__version__, bucket_panel, dual_regression, liquidity_lab,
-               neural_kit, pdo_kernel, residual_study, state_space,
-               synth_market, tape_io)
+from . import __version__, tape_io
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,6 +102,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if flag is not None:
             resolved[key] = flag
         elif key in from_file:
+            if not isinstance(from_file[key], (str, int, float)):  # bool is an int
+                raise DataError(f"config key {key!r} must be a string, number or boolean")
             resolved[key] = from_file[key]
         else:
             resolved[key] = default
@@ -122,6 +125,8 @@ def _records_or_fail(path: str):
 
 
 def _load_index(spec: str) -> residual_study.IndexSeries:
+    from . import residual_study
+
     name, _, path = spec.partition("=")
     if not path:
         raise UsageError("index arguments take the form name=file.csv")
@@ -142,6 +147,8 @@ def _tape_label(path: str) -> str:
 
 
 def _load_rows(path: str):
+    from . import dual_regression
+
     try:
         with open(path, encoding="utf-8") as handle:
             return dual_regression.read_rows_csv(handle)
@@ -151,9 +158,19 @@ def _load_rows(path: str):
         raise DataError(f"bad rows file {path}: {exc}")
 
 
+def _activation(opts: dict) -> str:
+    from . import neural_kit
+
+    if opts["activation"] not in neural_kit.ACTIVATIONS:
+        raise UsageError(f"--activation takes one of {', '.join(neural_kit.ACTIVATIONS)}")
+    return opts["activation"]
+
+
 # ── subcommands ────────────────────────────────────────────────────────
 
 def _cmd_synth(args) -> int:
+    from . import residual_study, synth_market
+
     opts = _resolve(args, {
         "seed": 0, "traders": 2, "days": 485, "trades_per_day": None,
         "g_sent": 0.0, "g_ret": 0.0, "g_yield": 0.0, "snr": None,
@@ -236,6 +253,8 @@ def _cmd_summarize(args) -> int:
 
 
 def _panel_config(opts) -> bucket_panel.BucketConfig:
+    from . import bucket_panel
+
     return bucket_panel.BucketConfig(
         delta=float(opts["delta"]), n_buckets=int(opts["buckets"]),
         n_subcells=int(opts["subcells"]),
@@ -247,6 +266,8 @@ PANEL_DEFAULTS = {"delta": 0.5, "buckets": 16, "subcells": 50,
 
 
 def _cmd_panels(args) -> int:
+    from . import bucket_panel
+
     opts = _resolve(args, dict(PANEL_DEFAULTS))
     result = _records_or_fail(args.tape)
     series = bucket_panel.build_panels(result.records, _panel_config(opts))
@@ -263,6 +284,8 @@ def _cmd_panels(args) -> int:
 
 
 def _cmd_statespace(args) -> int:
+    from . import bucket_panel, state_space
+
     opts = _resolve(args, {**PANEL_DEFAULTS, "mode": "imbalance"})
     result = _records_or_fail(args.tape)
     series = bucket_panel.build_panels(result.records, _panel_config(opts))
@@ -277,6 +300,8 @@ def _cmd_statespace(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import dual_regression, state_space
+
     try:
         with open(args.states, encoding="utf-8") as handle:
             states = state_space.read_state_csv(handle)
@@ -308,10 +333,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_backcast(args) -> int:
+    from . import neural_kit, residual_study
+
     opts = _resolve(args, {
         "protocol": "cnn7", "runs": 6, "rounds": 150, "learning_rate": 0.05,
         "activation": "tanh", "seed": 1,
     })
+    activation = _activation(opts)
     indexes = [_load_index(spec) for spec in args.index]
     if not indexes:
         raise UsageError("need at least one --index name=file.csv")
@@ -341,7 +369,7 @@ def _cmd_backcast(args) -> int:
         pred_w = residual_study.monthly_windows(pred_resid, pred_dates,
                                                 trader_id=_tape_label(args.predict_residuals))
         spec = neural_kit.cnn7_spec(input_shape=train_w.images.shape[1:],
-                                    activation=str(opts["activation"]))
+                                    activation=activation)
         seeds = [int(opts["seed"]) + i for i in range(int(opts["runs"]))]
         report = residual_study.cnn_backcast(
             train_w, pred_w, indexes, spec=spec, seeds=seeds,
@@ -360,6 +388,8 @@ def _cmd_backcast(args) -> int:
 
 
 def _cmd_liquidity(args) -> int:
+    from . import bucket_panel, liquidity_lab
+
     opts = _resolve(args, dict(PANEL_DEFAULTS))
     result = _records_or_fail(args.tape)
     series = bucket_panel.build_panels(result.records, _panel_config(opts))
@@ -379,12 +409,15 @@ def _cmd_liquidity(args) -> int:
 
 
 def _cmd_eventstudy(args) -> int:
+    from . import bucket_panel, liquidity_lab
+
     opts = _resolve(args, {
         "period_length": 60, "n_periods": 8, "training_periods": "0,1",
         "permutations": 10_000, "rounds": 150, "learning_rate": 0.05,
         "activation": "tanh", "seeds": "1,2,3",
         **PANEL_DEFAULTS,
     })
+    activation = _activation(opts)
     result = _records_or_fail(args.tape)
     index = _load_index(args.index)
     try:
@@ -396,7 +429,7 @@ def _cmd_eventstudy(args) -> int:
         period_length=int(opts["period_length"]), n_periods=int(opts["n_periods"]),
         training_periods=(lo, hi), n_permutations=int(opts["permutations"]),
         rounds=int(opts["rounds"]), learning_rate=float(opts["learning_rate"]),
-        activation=str(opts["activation"]))
+        activation=activation)
     series = bucket_panel.build_panels(result.records, _panel_config(opts))
     cost = liquidity_lab.cost_series(series)
     report = liquidity_lab.event_study(cost, index, config, seeds=seeds)
@@ -412,6 +445,8 @@ def _cmd_eventstudy(args) -> int:
 
 
 def _cmd_pdo_demo(args) -> int:
+    from . import pdo_kernel
+
     opts = _resolve(args, {"points": 256, "sigma0": 0.5, "diffusion": 0.25,
                            "drift": 0.0, "time": 1.0})
     n = int(opts["points"])
@@ -546,7 +581,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--runs", type=int)
     p.add_argument("--rounds", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--activation", choices=list(neural_kit.ACTIVATIONS))
+    p.add_argument("--activation")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_backcast)
 
@@ -566,7 +601,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--permutations", type=int)
     p.add_argument("--rounds", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--activation", choices=list(neural_kit.ACTIVATIONS))
+    p.add_argument("--activation")
     p.add_argument("--seeds")
     panel_flags(p)
     p.set_defaults(func=_cmd_eventstudy)
@@ -601,7 +636,7 @@ def run(argv: list[str]) -> int:
     except (DataError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (neural_kit.TrainingDivergedError, FloatingPointError) as exc:
+    except ArithmeticError as exc:  # FloatingPointError, TrainingDivergedError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

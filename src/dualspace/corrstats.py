@@ -3,10 +3,11 @@
 Conventions used across the toolkit: a Pearson correlation against a
 zero-variance series is reported as the caller-supplied fallback
 (default 0.0) instead of NaN, and all correlations are clipped to
-[-1, 1] to absorb float round-off.  scipy is imported inside the
-functions that need it, since `scipy.stats` alone costs more than a
-second at start-up and most commands never call them; the normal and
-Student-t laws come from the lighter `scipy.special`.
+[-1, 1] to absorb float round-off.  Ranks are computed here with numpy
+(`rankdata`): importing scipy's statistics package for them alone
+costs about a second per process, more than the event study that uses
+them.  The normal and Student-t laws come from the lighter
+`scipy.special`, imported inside the functions that need it.
 """
 
 from __future__ import annotations
@@ -48,15 +49,41 @@ def rowwise_pearson(a: np.ndarray, b: np.ndarray, undefined: float = 0.0) -> np.
     return out
 
 
+def rankdata(a, axis: int = -1) -> np.ndarray:
+    """Average ranks along `axis`: 1-based, tied values share their mean rank.
+
+    Defined on finite input only; NaN or inf raises ValueError.  Average
+    ranks are exact half-integers, so the result equals scipy's
+    `rankdata(a, axis=axis)` (method "average") bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("ranks need finite values")
+    x = np.moveaxis(a, axis, -1)
+    order = np.argsort(x, axis=-1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=-1)
+    n = x.shape[-1]
+    pos = np.arange(n)
+    # tie groups are runs of equal values in sorted order: carry each
+    # group's first position forward and its last position backward
+    starts = np.ones(x.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.ones(x.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, (first + last + 2) / 2.0, axis=-1)
+    return np.moveaxis(ranks, -1, axis)
+
+
 def spearman(x, y, undefined: float = 0.0) -> float:
     """Spearman rank correlation with the same zero-variance convention."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (has_variance(x) and has_variance(y)):
         return undefined
-    from scipy import stats
-
-    return pearson(stats.rankdata(x), stats.rankdata(y), undefined=undefined)
+    return pearson(rankdata(x), rankdata(y), undefined=undefined)
 
 
 def fisher_z_pvalue(r1: float, n1: int, r2: float, n2: int) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 from . import neural_kit
 from .bucket_panel import DailyPanel, PanelSeries
 from .calendars import month_key
-from .corrstats import fisher_z_pvalue, pearson, spearman, standardize
+from .corrstats import fisher_z_pvalue, pearson, rankdata, spearman, standardize
 from .residual_study import WINDOW_DAYS, IndexSeries, monthly_windows
 from .tape_io import write_table_csv
 
@@ -274,12 +274,10 @@ def _subset_draw_pvalue(preds: np.ndarray, targets: np.ndarray, k: int,
                         observed: float, reference: float,
                         n_draws: int, rng: np.random.Generator) -> float:
     """P(|rho_s(random month subset) - ref| >= |observed - ref|)."""
-    from scipy import stats  # imported here to keep start-up light
-
     n = preds.size
     draws = np.argsort(rng.random((n_draws, n)), axis=1)[:, :k]
-    pr = stats.rankdata(preds[draws], axis=1)
-    tr = stats.rankdata(targets[draws], axis=1)
+    pr = rankdata(preds[draws], axis=1)
+    tr = rankdata(targets[draws], axis=1)
     pr = pr - pr.mean(axis=1, keepdims=True)
     tr = tr - tr.mean(axis=1, keepdims=True)
     denom = np.sqrt((pr * pr).sum(axis=1) * (tr * tr).sum(axis=1))

@@ -25,8 +25,12 @@ from .tape_io import write_table_csv
 ACTIVATIONS = ("relu", "tanh", "logit", "linear")
 
 
-class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during training."""
+class TrainingDivergedError(ArithmeticError):
+    """Loss became non-finite during training.
+
+    An `ArithmeticError`, as `FloatingPointError` is, so a caller can
+    treat both as one numeric failure without importing this module.
+    """
 
 
 # ── layer specs ────────────────────────────────────────────────────────

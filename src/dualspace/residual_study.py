@@ -51,6 +51,8 @@ class IndexSeries:
             raise ValueError("one value per month required")
         if not self.months:
             raise ValueError("index holds no months")
+        if not np.isfinite(self.values).all():
+            raise ValueError("index values must be finite")
         expect = month_range(month_first(self.months[0]), month_first(self.months[-1]))
         if self.months != expect:
             raise ValueError("months must be contiguous")

@@ -96,7 +96,9 @@ def write_state_csv(states: StateMatrix, handle) -> None:
 
 
 def read_state_csv(handle) -> StateMatrix:
-    _, rows = read_table_csv(handle)
+    header, rows = read_table_csv(handle)
+    if len(header) < 3:
+        raise ValueError("state matrix file needs date, mode and bucket columns")
     if not rows:
         raise ValueError("empty state matrix file")
     modes = [VolumeMode(row[1]) for row in rows]

@@ -53,7 +53,7 @@ class Couplings:
 
     def __post_init__(self):
         for g in (self.g_sent, self.g_ret, self.g_yield):
-            if abs(g) > 1:
+            if not -1 <= g <= 1:
                 raise ValueError("couplings must lie in [-1, 1]")
 
 

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -203,16 +204,45 @@ def test_pdo_demo(capsys, tmp_path):
     assert (tmp_path / "grid_evolved.csv").exists()
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs more than a second of start-up and scipy.linalg
-    # about a third; commands that never use them must not pay for them
-    code = ("import dualspace.cli, sys; "
-            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
+def _modules_after(*argvs):
+    """Modules a fresh process holds after running each argv through cli.run."""
+    code = ("import json, sys; from dualspace import cli; "
+            f"codes = [cli.run(argv) for argv in {list(argvs)!r}]; "
+            "print(json.dumps([codes, sorted(sys.modules)]))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    codes, modules = json.loads(out.splitlines()[-1])
+    assert codes == [0] * len(argvs), codes
+    return set(modules)
+
+
+def test_import_leaves_scipy_stats_unloaded(tape_dir, residual_dir, tmp_path):
+    # scipy.stats costs more than a second of start-up and scipy.linalg
+    # about a third; commands that never use them must not pay for them,
+    # and each command imports only the layers it runs
+    loaded = _modules_after()
+    assert not loaded & {"scipy.stats", "scipy.linalg"}
+    assert {m for m in loaded if m.startswith("dualspace")} == {
+        "dualspace", "dualspace.cli", "dualspace.tape_io"}
+    index = f"sentiment={tape_dir / 'sentiment.csv'}"
+    loaded = _modules_after(
+        ["eventstudy", "--tape", str(tape_dir / "t0.csv"), "--index", index,
+         "--permutations", "20", "--rounds", "2", "--seeds", "1",
+         "--out-dir", str(tmp_path / "es")],
+        ["backcast", "--protocol", "cnn7",
+         "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
+         "--predict-residuals", str(residual_dir / "t1" / "residuals.csv"),
+         "--index", index, "--runs", "1", "--rounds", "2",
+         "--out-dir", str(tmp_path / "bc")])
+    assert "dualspace.liquidity_lab" in loaded and "scipy.stats" not in loaded
+    unused = {f"dualspace.{m}" for m in ("neural_kit", "residual_study", "liquidity_lab",
+                                         "synth_market", "pdo_kernel")}
+    assert not _modules_after(["statespace", "--tape", str(tape_dir / "t0.csv"),
+                               "--out-dir", str(tmp_path / "s")]) & unused
+    assert not _modules_after(["fit", "--states", str(tmp_path / "s" / "states_imbalance.csv"),
+                               "--out-dir", str(tmp_path / "f")]) & unused
 
 
 def test_exit_codes(capsys, tmp_path):
@@ -313,12 +343,18 @@ BAD_OPTION_VALUES = {
     "synth-zero-days": ["synth", "--days", "0"],
     "synth-negative-trades-per-day": ["synth", "--trades-per-day", "-3", "--days", "5"],
     "synth-config-seed-not-a-number": ["synth", "--config", "{config}"],
+    "synth-g-sent-nan": ["synth", "--g-sent", "nan", "--days", "5", "--traders", "1",
+                         "--trades-per-day", "5"],
     "pdo-demo-one-point": ["pdo-demo", "--points", "1"],
     "pdo-demo-negative-time": ["pdo-demo", "--time", "-1"],
     "backcast-zero-runs": ["backcast", "--protocol", "cnn7", "--runs", "0",
                            "--train-residuals", "{residuals}/t0/residuals.csv",
                            "--predict-residuals", "{residuals}/t1/residuals.csv",
                            "--index", "sentiment={tapes}/sentiment.csv"],
+    "backcast-unknown-activation": ["backcast", "--protocol", "cnn7", "--activation", "elu",
+                                    "--train-residuals", "{residuals}/t0/residuals.csv",
+                                    "--predict-residuals", "{residuals}/t1/residuals.csv",
+                                    "--index", "sentiment={tapes}/sentiment.csv"],
 }
 
 
@@ -334,6 +370,44 @@ def test_bad_option_value_is_one_error_line(capsys, tape_dir, residual_dir, tmp_
     assert captured.err.startswith(("usage error:", "data error:"))
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", [None, [5], {"n": 5}], ids=["null", "list", "object"])
+@pytest.mark.parametrize("command", ["synth", "eventstudy"])
+def test_config_value_of_wrong_type_is_a_data_error(capsys, tape_dir, tmp_path, command,
+                                                   value):
+    key = {"synth": "seed", "eventstudy": "permutations"}[command]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    argv = {"synth": ["synth", "--days", "5", "--traders", "1"],
+            "eventstudy": ["eventstudy", "--tape", str(tape_dir / "t0.csv"),
+                           "--index", f"sentiment={tape_dir / 'sentiment.csv'}"]}[command]
+    code = cli.run(argv + ["--config", str(config), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("data error:") and repr(key) in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["eventstudy", "backcast"])
+def test_non_finite_index_value_is_a_data_error(capsys, tape_dir, residual_dir, tmp_path,
+                                                command):
+    text = (tape_dir / "sentiment.csv").read_text()
+    path = tmp_path / "sentiment.csv"
+    path.write_text(re.sub(r"(?m)^2010-06,.*$", "2010-06,nan", text))
+    assert path.read_text() != text
+    argv = {"eventstudy": ["eventstudy", "--tape", str(tape_dir / "t0.csv"),
+                           "--permutations", "20", "--rounds", "2", "--seeds", "1"],
+            "backcast": ["backcast", "--protocol", "shallow", "--train-residuals",
+                         str(residual_dir / "t0" / "residuals.csv")]}[command]
+    code = cli.run(argv + ["--index", f"sentiment={path}", "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("data error:") and "finite" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):

@@ -1,7 +1,8 @@
 """Property tests over generated inputs: the serialize/parse and record
 round trips, the bucket panels' volume conservation, state entries in
 [-1, 1], the dual regression's reconstruction, P+F=1 and symmetry
-invariants, and the CLI contract on arbitrary files and flag values."""
+invariants, the CLI contract on arbitrary files and flag values, and
+average ranks against scipy's."""
 
 import contextlib
 import datetime as dt
@@ -11,10 +12,13 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import stats
 
-from dualspace import bucket_panel, cli, dual_regression, tape_io
+from dualspace import bucket_panel, cli, corrstats, dual_regression, tape_io
 from dualspace.state_space import StateMatrix, VolumeMode, state_matrix
 
 from oracles import symmetry_projector
@@ -182,3 +186,28 @@ def test_cli_contract_on_arbitrary_input(call):
         _strict_json(lines[0])
     elif code in (1, 2):
         assert err.getvalue().startswith(("usage error:", "data error:")), err.getvalue()
+
+
+@st.composite
+def rank_inputs(draw):
+    """(array, axis): 1-D or 2-D, small-integer draws for heavy ties or any finite floats."""
+    values = draw(st.sampled_from([st.integers(0, 3).map(float),
+                                   st.floats(allow_nan=False, allow_infinity=False)]))
+    a = draw(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=12),
+                    elements=values))
+    return a, draw(st.integers(-a.ndim, a.ndim - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_inputs())
+@example((np.array([2.5]), -1))
+@example((np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]), 0))
+def test_rankdata_matches_scipy(case):
+    a, axis = case
+    assert np.array_equal(corrstats.rankdata(a, axis=axis), stats.rankdata(a, axis=axis))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rankdata_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        corrstats.rankdata(np.array([[1.0, bad], [0.0, 2.0]]), axis=0)

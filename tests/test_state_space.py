@@ -168,3 +168,9 @@ def test_state_csv_round_trip(coupled_outputs):
     np.testing.assert_array_equal(back.values, states.values)
     assert back.dates == states.dates
     assert back.mode == states.mode
+
+
+@pytest.mark.parametrize("text", ["date\n2009-01-05\n", "date,mode\n2009-01-05,buy\n"])
+def test_state_csv_without_bucket_columns_is_refused(text):
+    with pytest.raises(ValueError, match="bucket columns"):
+        state_space.read_state_csv(io.StringIO(text))
