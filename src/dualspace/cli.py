@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -104,6 +105,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         elif key in from_file:
             if not isinstance(from_file[key], (str, int, float)):  # bool is an int
                 raise DataError(f"config key {key!r} must be a string, number or boolean")
+            if isinstance(from_file[key], float) and not math.isfinite(from_file[key]):
+                raise DataError(f"config key {key!r} must be finite")
             resolved[key] = from_file[key]
         else:
             resolved[key] = default

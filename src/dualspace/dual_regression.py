@@ -231,7 +231,9 @@ def write_rows_csv(dates: list[dt.date], matrix: np.ndarray, handle) -> None:
 
 
 def read_rows_csv(handle) -> tuple[list[dt.date], np.ndarray]:
-    _, rows = read_table_csv(handle)
+    header, rows = read_table_csv(handle)
+    if len(header) < 2:
+        raise ValueError("rows file has no value columns")
     if not rows:
         raise ValueError("empty rows file")
     return ([dt.date.fromisoformat(row[0]) for row in rows],

@@ -114,25 +114,33 @@ def cnn7_spec(input_shape: tuple[int, int] = (21, 16), hidden: int = 32,
 # for one net, (R, n, ...) for R nets trained together.  A single net's
 # parameters carry no model axis; `train_many` stacks them along one.
 # `backward` releases what `forward` cached for it, so that the caches
-# of one round are gone before the next round's forward allocates.
+# of one round are gone before the next round's forward allocates; only
+# a first convolution's columns, which `train_many` builds once and
+# passes in, outlive the round.
 # Images run channels-last, (..., n, h, w, c), so that a convolution's
 # output matrix is already its activation map, with no transpose;
 # Flatten restores the (c, h, w) order of the layer specs.
 
 class _DenseOp:
-    def __init__(self, spec: Dense, rng: np.random.Generator):
+    def __init__(self, spec: Dense, rng: np.random.Generator, input_grad: bool = True):
         bound = 1.0 / np.sqrt(spec.n_in)
         self.weights = rng.uniform(-bound, bound, size=(spec.n_in, spec.n_out))
         self.bias = np.zeros(spec.n_out)
+        # a net's first layer skips its input gradient, which nothing uses
+        self.input_grad = input_grad
 
     def forward(self, x):
         self._x = x
-        return x @ self.weights + self.bias[..., None, :]
+        out = x @ self.weights
+        out += self.bias[..., None, :]
+        return out
 
     def backward(self, grad):
         x, self._x = self._x, None
         self.d_weights = x.swapaxes(-1, -2) @ grad
         self.d_bias = grad.sum(axis=-2)
+        if not self.input_grad:
+            return None
         return grad @ self.weights.swapaxes(-1, -2)
 
     def params(self):
@@ -161,21 +169,29 @@ class _ConvOp:
         # a net's first layer skips its input gradient, which nothing uses
         self.input_grad = input_grad
 
-    def forward(self, x):  # (..., n, h, w, c) -> (..., n, oh, ow, o)
+    def columns(self, x):  # (..., n, h, w, c) -> (..., n*oh*ow, kh*kw*c + 1)
+        """The column matrix of `x`: one row per output pixel, its
+        (kh, kw, c) input patch followed by a 1 for the bias."""
         kh, kw = self.kernel
-        self._in_shape = x.shape
         windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(-3, -2))
         n, oh, ow, c = windows.shape[-6:-2]
         cols = np.empty(x.shape[:-4] + (n, oh, ow, kh * kw * c + 1))
         cols[..., -1] = 1.0
         # splitting the last axis keeps a view, so this fills `cols`
         cols[..., :-1].reshape(cols.shape[:-1] + (kh, kw, c))[...] = np.moveaxis(windows, -3, -1)
-        self._cols = cols.reshape(x.shape[:-4] + (n * oh * ow, -1))
+        return cols.reshape(x.shape[:-4] + (n * oh * ow, -1))
+
+    def forward(self, x, cols=None):  # (..., n, h, w, c) -> (..., n, oh, ow, o)
+        """`cols`, when given, is `self.columns(x)` built by the caller."""
+        kh, kw = self.kernel
+        n, h, w = x.shape[-4:-1]
+        self._in_shape = x.shape
+        self._cols = self.columns(x) if cols is None else cols
         # weights (..., o, c, kh, kw) -> (..., kh*kw*c + 1, o) with the bias row
-        w = np.moveaxis(self.weights, *_TO_COLUMN_ORDER)
-        w = w.reshape(w.shape[:-4] + (-1, w.shape[-1]))
-        out = self._cols @ np.concatenate([w, self.bias[..., None, :]], axis=-2)
-        return out.reshape(out.shape[:-2] + (n, oh, ow, -1))
+        w_cols = np.moveaxis(self.weights, *_TO_COLUMN_ORDER)
+        w_cols = w_cols.reshape(w_cols.shape[:-4] + (-1, w_cols.shape[-1]))
+        out = self._cols @ np.concatenate([w_cols, self.bias[..., None, :]], axis=-2)
+        return out.reshape(out.shape[:-2] + (n, h - kh + 1, w - kw + 1, -1))
 
     def backward(self, grad):
         kh, kw = self.kernel
@@ -261,31 +277,47 @@ class _FlattenOp:
 
 
 class _ActivationOp:
+    """Elementwise activation, computed in place both ways.
+
+    An activation always follows a weighted op, so its input is that
+    op's fresh output, which no op caches (`_DenseOp` caches its input,
+    `_ConvOp` its columns); its incoming gradient is a fresh array, or
+    a view of one, made by the op after it.  Overwriting either changes
+    nothing that is read later.
+    """
+
     def __init__(self, kind: str):
         self.kind = kind
 
     def forward(self, x):
         if self.kind == "relu":
             self.pattern = x > 0
-            return np.maximum(x, 0.0)
+            return np.maximum(x, 0.0, out=x)
         if self.kind == "tanh":
-            self._y = np.tanh(x)
+            self._y = np.tanh(x, out=x)
             return self._y
-        if self.kind == "logit":
-            self._y = 1.0 / (1.0 + np.exp(-x))
+        if self.kind == "logit":  # 1 / (1 + exp(-x))
+            np.negative(x, out=x)
+            np.exp(x, out=x)
+            x += 1.0
+            self._y = np.divide(1.0, x, out=x)
             return self._y
         return x
 
     def backward(self, grad):
         if self.kind == "relu":
             pattern, self.pattern = self.pattern, None
-            return grad * pattern
+            grad *= pattern
+            return grad
         if self.kind == "linear":
             return grad
         y, self._y = self._y, None
         if self.kind == "tanh":
-            return grad * (1.0 - y**2)
-        return grad * y * (1.0 - y)  # logit
+            grad *= 1.0 - y**2
+        else:  # logit: grad * y * (1 - y)
+            grad *= y
+            grad *= 1.0 - y
+        return grad
 
     def params(self):
         return []
@@ -333,7 +365,7 @@ def init_net(spec: NetSpec) -> TrainedNet:
                 raise ValueError(
                     f"shape mismatch between layer {i} (out {shape[0]}) and {where} "
                     f"(in {layer.n_in})")
-            ops.append(_DenseOp(layer, rng))
+            ops.append(_DenseOp(layer, rng, input_grad=i > 0))
             shape = (layer.n_out,)
         elif isinstance(layer, Conv2D):
             if len(shape) != 3:
@@ -464,11 +496,15 @@ def train_many(nets: Sequence[TrainedNet], inputs: np.ndarray, targets: np.ndarr
         raise ValueError("inputs and targets are not aligned")
 
     ops = _stacked_ops(nets)
+    first, rest = ops[0], ops[1:]
+    # every round feeds the first layer the same batch, so a first
+    # convolution's column matrix is built once per call
+    fixed = {"cols": first.columns(x0)} if isinstance(first, _ConvOp) else {}
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for round_no in range(1, rounds + 1):
-            x = x0
-            for op in ops:
+            x = first.forward(x0, **fixed)
+            for op in rest:
                 x = op.forward(x)
             err = x[..., 0] - targets  # (R, n)
             loss = np.mean(err**2, axis=-1)

@@ -172,3 +172,166 @@ T_CRIT_10PCT = {2: 2.919985580, 3: 2.353363435, 4: 2.131846786,
                 5: 2.015048373, 6: 1.943180281, 7: 1.894578605,
                 8: 1.859548038, 9: 1.833112933, 10: 1.812461123,
                 19: 1.729132812, 22: 1.717144374, 23: 1.713871528}
+
+
+def _reference_plan(spec):
+    """The op chain of a net spec: ("dense"|"conv", layer) for a weighted
+    layer, ("act", kind) after every weighted layer but the last,
+    ("pool", layer) and ("flatten", channels-last sample shape)."""
+    weighted = [i for i, layer in enumerate(spec.layers)
+                if type(layer).__name__ in ("Dense", "Conv2D")]
+    shape = spec.input_shape or (spec.layers[0].n_in,)
+    if len(shape) == 2:
+        shape = shape + (1,)  # one channel, channels-last
+    elif len(shape) == 3:
+        shape = shape[1:] + shape[:1]  # (c, h, w) -> (h, w, c)
+    plan = []
+    for i, layer in enumerate(spec.layers):
+        name = type(layer).__name__
+        if name == "Dense":
+            plan.append(("dense", layer))
+            shape = (layer.n_out,)
+        elif name == "Conv2D":
+            plan.append(("conv", layer))
+            h, w, _ = shape
+            shape = (h - layer.kernel[0] + 1, w - layer.kernel[1] + 1, layer.channels)
+        elif name == "Pool":
+            plan.append(("pool", layer))
+            h, w, c = shape
+            shape = (h // layer.size[0], w // layer.size[1], c)
+        else:
+            plan.append(("flatten", shape))
+            shape = (int(np.prod(shape)),)
+        if i in weighted[:-1]:
+            plan.append(("act", spec.activation))
+    return plan
+
+
+def reference_train_many(nets, inputs, targets, rounds, learning_rate):
+    """Full-batch gradient descent on R nets stacked along a model axis,
+    the plain way: every round rebuilds each convolution's im2col
+    columns, allocates a fresh array for every result and computes
+    every input gradient.  Same arithmetic, in the same order, as
+    `neural_kit.train_many`; returns one (weight arrays, loss curve)
+    pair per net."""
+    spec = nets[0].spec
+    plan = _reference_plan(spec)
+    params = [np.stack(arrs) for arrs in zip(*(net.weight_arrays() for net in nets))]
+    sample_ndim = len(spec.input_shape or (1,))
+    x0 = np.asarray(inputs, dtype=float)
+    n = x0.shape[-sample_ndim - 1]
+    if sample_ndim == 2:
+        x0 = x0[..., None]
+    elif sample_ndim == 3:
+        x0 = np.moveaxis(x0, -3, -1)
+    targets = np.asarray(targets, dtype=float)
+    if targets.size == n:
+        targets = targets.reshape(n)
+    to_cols = ((-4, -3, -2, -1), (-1, -2, -4, -3))  # (o, c, kh, kw) -> (kh, kw, c, o)
+
+    losses = []
+    for _ in range(rounds):
+        x, saved, p = x0, [], 0
+        for kind, what in plan:  # forward; `saved` holds what backward reads
+            if kind == "dense":
+                saved.append(x)
+                x = x @ params[p] + params[p + 1][..., None, :]
+                p += 2
+            elif kind == "conv":
+                kh, kw = what.kernel
+                windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(-3, -2))
+                n_img, oh, ow, c = windows.shape[-6:-2]
+                cols = np.empty(x.shape[:-4] + (n_img, oh, ow, kh * kw * c + 1))
+                cols[..., -1] = 1.0
+                cols[..., :-1].reshape(cols.shape[:-1] + (kh, kw, c))[...] = \
+                    np.moveaxis(windows, -3, -1)
+                cols = cols.reshape(x.shape[:-4] + (n_img * oh * ow, -1))
+                saved.append((cols, x.shape))
+                w = np.moveaxis(params[p], *to_cols)
+                w = w.reshape(w.shape[:-4] + (-1, w.shape[-1]))
+                out = cols @ np.concatenate([w, params[p + 1][..., None, :]], axis=-2)
+                x = out.reshape(out.shape[:-2] + (n_img, oh, ow, -1))
+                p += 2
+            elif kind == "pool":
+                ph, pw = what.size
+                oh, ow = x.shape[-3] // ph, x.shape[-2] // pw
+                taps = [x[..., a:oh * ph:ph, b:ow * pw:pw, :] for a in range(ph)
+                        for b in range(pw)]
+                out = taps[0]
+                for tap in taps[1:]:
+                    out = np.maximum(out, tap)
+                first_max = np.full(out.shape, len(taps) - 1)
+                for k in reversed(range(len(taps) - 1)):
+                    first_max[taps[k] == out] = k
+                saved.append((first_max, x.shape))
+                x = out
+            elif kind == "flatten":
+                saved.append(None)
+                if len(what) == 3:
+                    x = np.moveaxis(x, -1, -3)
+                x = x.reshape(x.shape[:-len(what)] + (-1,))
+            elif what == "relu":
+                saved.append(x > 0)
+                x = np.maximum(x, 0.0)
+            elif what == "tanh":
+                x = np.tanh(x)
+                saved.append(x)
+            elif what == "logit":
+                x = 1.0 / (1.0 + np.exp(-x))
+                saved.append(x)
+            else:
+                saved.append(None)
+        err = x[..., 0] - targets
+        losses.append(np.mean(err**2, axis=-1))
+
+        grad = (2.0 * err / n)[..., None]
+        grads = [None] * len(params)
+        for kind, what in reversed(plan):  # backward
+            keep = saved.pop()
+            if kind == "dense":
+                p -= 2
+                grads[p] = keep.swapaxes(-1, -2) @ grad
+                grads[p + 1] = grad.sum(axis=-2)
+                grad = grad @ params[p].swapaxes(-1, -2)
+            elif kind == "conv":
+                p -= 2
+                (cols, in_shape), (kh, kw) = keep, what.kernel
+                n_img, oh, ow, o = grad.shape[-4:]
+                g = grad.reshape(grad.shape[:-4] + (-1, o))
+                d_matrix = cols.swapaxes(-1, -2) @ g
+                grads[p + 1] = d_matrix[..., -1, :]
+                d_w = d_matrix[..., :-1, :].reshape(d_matrix.shape[:-2] + (kh, kw, -1, o))
+                grads[p] = np.moveaxis(d_w, *to_cols[::-1])
+                w_taps = np.moveaxis(params[p], (-2, -1), (-4, -3))
+                w_taps = w_taps.reshape(w_taps.shape[:-4] + (kh * kw,) + w_taps.shape[-2:])
+                d_taps = g[..., None, :, :] @ w_taps
+                d_taps = d_taps.reshape(d_taps.shape[:-2] + (n_img, oh, ow, -1))
+                grad = np.zeros(d_taps.shape[:-5] + in_shape[-4:])
+                for k in range(kh):
+                    for m in range(kw):
+                        grad[..., k:k + oh, m:m + ow, :] += d_taps[..., k * kw + m, :, :, :, :]
+            elif kind == "pool":
+                (first_max, in_shape), (ph, pw) = keep, what.size
+                oh, ow = grad.shape[-3], grad.shape[-2]
+                dx = np.zeros(grad.shape[:-3] + in_shape[-3:])
+                for k in range(ph * pw):
+                    a, b = divmod(k, pw)
+                    dx[..., a:oh * ph:ph, b:ow * pw:pw, :] = grad * (first_max == k)
+                grad = dx
+            elif kind == "flatten":
+                if len(what) == 3:
+                    h, w, c = what
+                    grad = np.moveaxis(grad.reshape(grad.shape[:-1] + (c, h, w)), -3, -1)
+                else:
+                    grad = grad.reshape(grad.shape[:-1] + what)
+            elif what == "relu":
+                grad = grad * keep
+            elif what == "tanh":
+                grad = grad * (1.0 - keep**2)
+            elif what == "logit":
+                grad = grad * keep * (1.0 - keep)
+        for arr, d in zip(params, grads):
+            arr -= learning_rate * d
+
+    curves = np.array(losses).T.tolist()
+    return [([arr[r] for arr in params], curves[r]) for r in range(len(nets))]

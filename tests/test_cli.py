@@ -390,6 +390,45 @@ def test_config_value_of_wrong_type_is_a_data_error(capsys, tape_dir, tmp_path, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["1e400", "-Infinity", "NaN"])
+@pytest.mark.parametrize("command", ["synth", "backcast", "eventstudy"])
+def test_config_number_that_is_not_finite_is_a_data_error(capsys, tape_dir, residual_dir,
+                                                          tmp_path, command, value):
+    key = {"synth": "days", "backcast": "rounds", "eventstudy": "rounds"}[command]
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"{key}": {value}}}')  # JSON reads 1e400 as inf
+    argv = {"synth": ["synth", "--traders", "1"],
+            "backcast": ["backcast", "--protocol", "shallow", "--train-residuals",
+                         str(residual_dir / "t0" / "residuals.csv"),
+                         "--index", f"sentiment={tape_dir / 'sentiment.csv'}"],
+            "eventstudy": ["eventstudy", "--tape", str(tape_dir / "t0.csv"),
+                           "--index", f"sentiment={tape_dir / 'sentiment.csv'}"]}[command]
+    code = cli.run(argv + ["--config", str(config), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("data error:") and repr(key) in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_residual_file_without_value_columns_is_a_data_error(tape_dir, tmp_path):
+    # run as a process, so that any numpy warning would reach its stderr
+    path = tmp_path / "r.csv"
+    path.write_text("date\n2009-01-05\n2009-01-06\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "dualspace.cli", "backcast", "--protocol",
+                           "shallow", "--train-residuals", str(path),
+                           "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
+                           "--out-dir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:")
+    assert "value columns" in lines[0] and "Warning" not in done.stderr
+    assert done.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["eventstudy", "backcast"])
 def test_non_finite_index_value_is_a_data_error(capsys, tape_dir, residual_dir, tmp_path,
                                                 command):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualspace import neural_kit as nk
+from oracles import reference_train_many
 
 
 def test_init_is_deterministic():
@@ -321,3 +322,104 @@ def test_pool_gradient_goes_to_first_max_on_ties():
     assert pool.switches.ravel().tolist() == [1]
     grad = pool.backward(np.ones((1, 1, 1, 1)))
     assert grad.reshape(2, 2).tolist() == [[0.0, 1.0], [0.0, 0.0]]
+
+
+# ── round-invariant work ───────────────────────────────────────────────
+
+_ORACLE_SPECS = {
+    "cnn7": (lambda seed, act: nk.cnn7_spec(activation=act, seed=seed), (21, 16)),
+    "deep10": (lambda seed, act: nk.deep10_spec(n_inputs=6, activation=act, seed=seed), (6,)),
+    "shallow": (lambda seed, act: nk.shallow_spec(n_inputs=4, activation=act, seed=seed), (4,)),
+    "small_cnn": (lambda seed, act: _small_cnn_spec(seed, act), (9, 9)),
+}
+
+
+@pytest.mark.parametrize("per_net", [False, True], ids=["shared", "per_net"])
+@pytest.mark.parametrize("activation", nk.ACTIVATIONS)
+@pytest.mark.parametrize("arch", sorted(_ORACLE_SPECS))
+def test_training_equals_plain_reference_loop_exactly(arch, activation, per_net):
+    make_spec, sample_shape = _ORACLE_SPECS[arch]
+    rng = np.random.default_rng(40)
+    nets = [nk.init_net(make_spec(seed, activation)) for seed in (1, 2)]
+    lead = (2, 5) if per_net else (5,)
+    x = rng.standard_normal(lead + sample_shape)
+    y = rng.standard_normal(lead)
+    runs = [(nk.train_many(nets, x, y, rounds=6, learning_rate=0.05),
+             reference_train_many(nets, x, y, rounds=6, learning_rate=0.05))]
+    x1, y1 = (x[0], y[0]) if per_net else (x, y)
+    runs.append(([nk.train(nets[0], x1, y1, rounds=6, learning_rate=0.05)],
+                 reference_train_many(nets[:1], x1, y1, rounds=6, learning_rate=0.05)))
+    for got, expected in runs:
+        assert len(got) == len(expected)
+        for net, (weights, curve) in zip(got, expected):
+            np.testing.assert_allclose(net.loss_curve, curve, rtol=0, atol=0)
+            for wa, wb in zip(net.weight_arrays(), weights, strict=True):
+                np.testing.assert_allclose(wa, wb, rtol=0, atol=0)
+
+
+def test_first_layer_columns_built_once_per_train_many_call(monkeypatch):
+    builds = {False: 0, True: 0}  # keyed by the op's input_grad: False = first layer
+    columns = nk._ConvOp.columns
+
+    def counting(op, x):
+        builds[op.input_grad] += 1
+        return columns(op, x)
+
+    monkeypatch.setattr(nk._ConvOp, "columns", counting)
+    rng = np.random.default_rng(41)
+    nets = [nk.init_net(_small_cnn_spec(seed)) for seed in (1, 2, 3)]
+    x = rng.standard_normal((6, 9, 9))
+    nk.train_many(nets, x, rng.standard_normal(6), rounds=7, learning_rate=0.05)
+    assert builds == {False: 1, True: 7}
+    nk.train(nets[0], x, rng.standard_normal(6), rounds=4, learning_rate=0.05)
+    assert builds == {False: 2, True: 11}
+
+
+def test_trained_nets_hold_only_their_parameters():
+    rng = np.random.default_rng(42)
+    nets = [nk.init_net(_small_cnn_spec(seed)) for seed in (1, 2)]
+    trained = nk.train_many(nets, rng.standard_normal((4, 9, 9)), rng.standard_normal(4),
+                            rounds=3, learning_rate=0.05)
+    for net in trained:
+        for op in net.ops:
+            arrays = {k for k, v in vars(op).items() if isinstance(v, np.ndarray)}
+            assert arrays <= {"weights", "bias"}, (type(op).__name__, arrays)
+
+
+def test_input_changed_in_place_gives_the_fresh_answer():
+    rng = np.random.default_rng(43)
+    spec = _small_cnn_spec(5)
+    net = nk.init_net(spec)
+    x = rng.standard_normal((4, 9, 9))
+    y = rng.standard_normal(4)
+    before = nk.forward_batch(net, x)
+    trained_before = nk.train(net, x, y, rounds=3, learning_rate=0.05)
+    x *= -2.0  # same array object, new values
+    after = nk.forward_batch(net, x)
+    assert not np.array_equal(before, after)
+    np.testing.assert_array_equal(after, nk.forward_batch(nk.init_net(spec), x.copy()))
+    trained_after = nk.train(net, x, y, rounds=3, learning_rate=0.05)
+    assert trained_after.loss_curve != trained_before.loss_curve
+    assert trained_after.loss_curve == nk.train(nk.init_net(spec), x.copy(), y, rounds=3,
+                                                learning_rate=0.05).loss_curve
+
+
+# deep10's deepest weight gradients fall to ~1e-9, under grad_check's
+# 1e-8 scale floor, where a central difference's rounding noise alone
+# (~1e-16 * loss / epsilon, about 1e-11) is ~1e-3 of the floor; its bound
+# is set from that noise.  A wrong gradient errs by order 1.
+@pytest.mark.parametrize("spec, bound", [(nk.deep10_spec(n_inputs=4, seed=6), 1e-2),
+                                         (nk.shallow_spec(n_inputs=4, seed=6), 1e-4)],
+                         ids=["deep10", "shallow"])
+def test_grad_check_with_first_dense_returning_no_input_gradient(spec, bound):
+    rng = np.random.default_rng(44)
+    net = nk.init_net(spec)
+    x = rng.standard_normal((5, 4))
+    y = rng.standard_normal(5)
+    assert nk.grad_check(net, x, y, epsilon=1e-5) < bound
+    out = nk.forward_batch(net, x)
+    grad = (2.0 * (out - y) / y.size)[:, None]
+    for op in reversed(net.ops):
+        grad = op.backward(grad)
+    assert grad is None
+    assert net.ops[0].d_weights.shape == net.ops[0].weights.shape
