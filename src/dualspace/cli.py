@@ -127,15 +127,15 @@ def _records_or_fail(path: str):
     return result
 
 
-def _load_index(spec: str) -> residual_study.IndexSeries:
-    from . import residual_study
+def _load_index(spec: str) -> calendars.IndexSeries:
+    from . import calendars
 
     name, _, path = spec.partition("=")
     if not path:
         raise UsageError("index arguments take the form name=file.csv")
     try:
         with open(path, encoding="utf-8") as handle:
-            return residual_study.read_index_csv(handle, name=name)
+            return calendars.read_index_csv(handle, name=name)
     except OSError as exc:
         raise DataError(f"cannot read index {path}: {exc}")
     except ValueError as exc:
@@ -172,7 +172,7 @@ def _activation(opts: dict) -> str:
 # ── subcommands ────────────────────────────────────────────────────────
 
 def _cmd_synth(args) -> int:
-    from . import residual_study, synth_market
+    from . import calendars, synth_market
 
     opts = _resolve(args, {
         "seed": 0, "traders": 2, "days": 485, "trades_per_day": None,
@@ -221,7 +221,7 @@ def _cmd_synth(args) -> int:
                    lambda h, t=tape: h.write(t.text))
     for name, index in market.indexes.items():
         _write_csv(os.path.join(outdir, f"{name}.csv"), prov,
-                   lambda h, ix=index: residual_study.write_index_csv(ix, h))
+                   lambda h, ix=index: calendars.write_index_csv(ix, h))
     _write_json(os.path.join(outdir, "ground_truth.json"), prov,
                 market.truth.to_dict())
     _summary("synth", out=outdir, tapes=len(market.tapes),

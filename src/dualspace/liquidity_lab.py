@@ -30,9 +30,9 @@ import numpy as np
 
 from . import neural_kit
 from .bucket_panel import DailyPanel, PanelSeries
-from .calendars import month_key
+from .calendars import IndexSeries, month_key
 from .corrstats import fisher_z_pvalue, pearson, rankdata, spearman, standardize
-from .residual_study import WINDOW_DAYS, IndexSeries, monthly_windows
+from .residual_study import WINDOW_DAYS, monthly_windows
 from .tape_io import write_table_csv
 
 

@@ -425,9 +425,11 @@ def _as_batch(net: TrainedNet, inputs: np.ndarray, per_net: bool = False) -> np.
 
 
 def forward_batch(net: TrainedNet, inputs: np.ndarray) -> np.ndarray:
+    """Outputs for a batch.  Each op runs on a shallow copy, so the
+    caches a forward pass keeps for `backward` stay off the net."""
     x = _as_batch(net, inputs)
     for op in net.ops:
-        x = op.forward(x)
+        x = copy.copy(op).forward(x)
     return x[:, 0]
 
 

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neural_kit
-from .calendars import group_by_month, month_first, month_range
+from .calendars import IndexSeries, group_by_month
 from .corrstats import pearson, standardize, student_halfwidth
 from .dual_regression import RegressionOutput
-from .tape_io import read_table_csv, write_table_csv
+from .tape_io import write_table_csv
 
 #: Fixed image height for monthly windows (months have 18-23 trading days).
 WINDOW_DAYS = 21
@@ -37,28 +37,6 @@ WINDOW_DAYS = 21
 DEFAULT_TRAIN_ROUNDS = 50
 DEFAULT_LEARNING_RATE = 0.05
 DEFAULT_RUNS = 6
-
-
-@dataclass
-class IndexSeries:
-    name: str
-    months: list[str]  # contiguous "YYYY-MM" keys
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if len(self.months) != self.values.size:
-            raise ValueError("one value per month required")
-        if not self.months:
-            raise ValueError("index holds no months")
-        if not np.isfinite(self.values).all():
-            raise ValueError("index values must be finite")
-        expect = month_range(month_first(self.months[0]), month_first(self.months[-1]))
-        if self.months != expect:
-            raise ValueError("months must be contiguous")
-
-    def value_for(self, key: str) -> float:
-        return float(self.values[self.months.index(key)])
 
 
 @dataclass
@@ -358,16 +336,6 @@ def assert_role_separation(train_windows: MonthlyWindows,
 
 
 # ── I/O ────────────────────────────────────────────────────────────────
-
-def write_index_csv(index: IndexSeries, handle) -> None:
-    write_table_csv(handle, ["month", "value"], zip(index.months, index.values.tolist()))
-
-
-def read_index_csv(handle, name: str = "") -> IndexSeries:
-    _, rows = read_table_csv(handle)
-    return IndexSeries(name or "index", [row[0] for row in rows],
-                       np.array([float(row[1]) for row in rows]))
-
 
 def write_report_csv(report: BackcastReport, handle) -> None:
     """Table-style export: one column per index, runs then mean/half-width."""

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tape_io
-from .calendars import month_key, trading_days
-from .residual_study import IndexSeries
+from .calendars import IndexSeries, month_index, trading_days
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,11 @@ class GroundTruth:
 class SynthTape:
     trader_id: str
     records: tape_io.Tape
-    text: str
+
+    @property
+    def text(self) -> str:
+        """The tape in canonical CSV form, serialized on each access."""
+        return tape_io.serialize(self.records)
 
 
 @dataclass
@@ -168,13 +171,15 @@ def _seed_children(config: MarketConfig):
     return np.random.SeedSequence(config.seed).spawn(2 + config.n_traders)
 
 
-def _ar1(rng: np.random.Generator, n: int, ar: float) -> np.ndarray:
-    innov = rng.standard_normal(n)
-    out = np.empty(n)
+def _ar1(rng: np.random.Generator, shape, ar: float) -> np.ndarray:
+    """AR(1) paths along the last axis, from a stationary start."""
+    innov = rng.standard_normal(shape)
+    out = np.empty_like(innov)
+    steps, path = innov.T, out.T  # time on the first axis
     scale = 1.0 / np.sqrt(1.0 - ar**2) if abs(ar) < 1 else 1.0
-    out[0] = innov[0] * scale
-    for i in range(1, n):
-        out[i] = ar * out[i - 1] + innov[i]
+    path[0] = steps[0] * scale
+    for i in range(1, len(path)):
+        path[i] = ar * path[i - 1] + steps[i]
     return out
 
 
@@ -192,7 +197,7 @@ def _orthogonalize(series: np.ndarray, *others: np.ndarray) -> np.ndarray:
 def gen_indexes(config: MarketConfig) -> tuple[dict[str, IndexSeries], GroundTruth]:
     """Monthly AR(1) indexes over the months spanned by the day calendar."""
     dates = trading_days(config.start_date, config.n_days)
-    months = sorted({month_key(d) for d in dates})
+    months, _ = month_index(dates)
     rng = np.random.default_rng(_seed_children(config)[0])
     n = len(months)
     p = config.index_ar
@@ -249,14 +254,32 @@ class _MarketStreams:
         a = config.anchors
         offsets = rng.uniform(0.0, a.max_offset, size=a.n_anchors)
         affinity = rng.standard_normal(a.n_anchors) * a.affinity_sigma
-        drift = np.vstack([_ar1(rng, config.n_days, a.weight_ar)
-                           for _ in range(a.n_anchors)]) * a.weight_sigma
+        drift = _ar1(rng, (a.n_anchors, config.n_days), a.weight_ar) * a.weight_sigma
         weights = np.exp(drift)  # (n_anchors, n_days)
         self.anchor_offsets = offsets
-        self.buy_weights = weights * np.exp(-offsets / a.buy_reach + affinity)[:, None]
-        self.sell_weights = weights * np.exp(-offsets / a.sell_reach - affinity)[:, None]
-        self.buy_weights /= self.buy_weights.sum(axis=0, keepdims=True)
-        self.sell_weights /= self.sell_weights.sum(axis=0, keepdims=True)
+        self.buy_cdf = _anchor_cdf(weights * np.exp(-offsets / a.buy_reach + affinity)[:, None])
+        self.sell_cdf = _anchor_cdf(weights * np.exp(-offsets / a.sell_reach - affinity)[:, None])
+
+
+def _anchor_cdf(weights: np.ndarray) -> np.ndarray:
+    """Each day's cumulative anchor probabilities, (n_days, n_anchors).
+
+    `cdf[d].searchsorted(rng.random(k), side="right")` draws k anchors
+    exactly as `rng.choice(n_anchors, size=k, p=p[:, d])` would: the same
+    table, the same uniforms.  `choice`'s checks on `p` run here once,
+    over every day.
+    """
+    p = weights / weights.sum(axis=0, keepdims=True)
+    total = p.sum(axis=0)
+    if np.isnan(total).any():
+        raise ValueError("anchor probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("anchor probabilities are not non-negative")
+    if (np.abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
+        raise ValueError("anchor probabilities do not sum to 1")
+    cdf = p.cumsum(axis=0)
+    cdf /= cdf[-1]
+    return np.ascontiguousarray(cdf.T)
 
 
 def _standardized(series: IndexSeries) -> np.ndarray:
@@ -265,12 +288,14 @@ def _standardized(series: IndexSeries) -> np.ndarray:
 
 
 def gen_tapes(config: MarketConfig,
-              indexes: dict[str, IndexSeries]) -> tuple[list[SynthTape], GroundTruth]:
-    """Generate one tape per trader, deterministic in (config, seed)."""
+              indexes: dict[str, IndexSeries]) -> tuple[list[SynthTape], np.ndarray]:
+    """Generate one tape per trader, deterministic in (config, seed);
+    also returns the planted daily buy-probability tilt."""
     children = _seed_children(config)
     dates = trading_days(config.start_date, config.n_days)
-    months = indexes["sentiment"].months
-    month_ix = np.array([months.index(month_key(d)) for d in dates])
+    months, month_ix = month_index(dates)
+    if months != indexes["sentiment"].months:
+        raise ValueError("indexes must cover exactly the market's months")
 
     g = config.couplings
     tilt_m = (g.g_sent * _standardized(indexes["sentiment"])
@@ -286,60 +311,81 @@ def gen_tapes(config: MarketConfig,
         spread_mult[shock.start_day:shock.end_day] = shock.spread_mult
 
     shared = _MarketStreams(np.random.default_rng(children[1]), config)
-    mu, sigma = config.volume_lognormal
-    scatter = config.anchors.scatter
-
     tapes = []
     for t in range(config.n_traders):
         rng = np.random.default_rng(children[2 + t])
         streams = shared if config.shared_market else _MarketStreams(rng, config)
-        columns: tuple[list[np.ndarray], ...] = ([], [], [], [])  # day, price, side, volume
-        for d in range(len(dates)):
-            # Trades are emitted in +/- displacement pairs of equal volume,
-            # so displacement contributions cancel out of the daily VWAP
-            # and the next day's reference tracks the level walk closely.
-            n = int(rng.poisson(config.trades_per_day_mean / 2.0))
-            if n == 0:
-                continue
-            is_buy = rng.random(n) < p_buy[d]
-            anchored = rng.random(n) < config.anchored_fraction
+        tapes.append(SynthTape(f"t{t}", _draw_tape(rng, streams, config, dates, p_buy,
+                                                   volume_mult, spread_mult)))
+    return tapes, daily_tilt
 
-            disp = np.empty(n)
-            for side_mask, weights, width in (
-                    (is_buy, streams.buy_weights[:, d], config.buy_width),
-                    (~is_buy, streams.sell_weights[:, d], config.sell_width)):
-                on_anchor = side_mask & anchored
-                k = int(on_anchor.sum())
-                if k:
-                    picks = rng.choice(streams.anchor_offsets.size, size=k, p=weights)
-                    disp[on_anchor] = (streams.anchor_offsets[picks]
-                                       + rng.standard_normal(k) * scatter)
-                diffuse = side_mask & ~anchored
-                k = int(diffuse.sum())
-                if k:
-                    disp[diffuse] = np.abs(rng.standard_normal(k)) * width * streams.width_mult[d]
 
-            half_spread = 0.5 * config.spread * spread_mult[d]
-            base = streams.level[d] + np.where(is_buy, half_spread, -half_spread)
-            concentration = np.exp(-np.abs(disp) / config.volume_concentration)
-            volumes = np.rint(rng.lognormal(mu, sigma, size=n) * concentration
-                              * volume_mult[d]).astype(np.int64)
-            hide_side = rng.random((n, 2)) < config.unknown_side_rate
-            live = volumes > 0  # zero-volume shocks silence the window
-            # two legs per trade, row after row: at +disp, then at -disp
-            legs = np.stack([base + disp, base - disp], axis=1)[live].ravel()
-            true_side = np.where(is_buy[live], 1, -1)[:, None]
-            columns[0].append(np.full(legs.size, d))
-            columns[1].append(legs)
-            columns[2].append(np.where(hide_side[live], 0, true_side).ravel())
-            columns[3].append(np.repeat(volumes[live], 2))
-        day, legs, side, volume = (np.concatenate(c) if c else np.zeros(0) for c in columns)
-        tape = tape_io.Tape(dates, day, _cents(np.maximum(legs, 0.01)), side, volume)
-        tapes.append(SynthTape(f"t{t}", tape, tape_io.serialize(tape)))
+def _draw_tape(rng: np.random.Generator, streams: _MarketStreams, config: MarketConfig,
+               dates: list[dt.date], p_buy: np.ndarray, volume_mult: np.ndarray,
+               spread_mult: np.ndarray) -> tape_io.Tape:
+    """One trader's tape.
 
-    _, truth = gen_indexes(config)
-    truth.daily_tilt = [float(v) for v in daily_tilt]
-    return tapes, truth
+    The day loop makes only the random draws, in the order that fixes
+    the stream; everything else runs once on the whole tape.  Draws of
+    one kind concatenate across days in trade order, so a mask over the
+    whole tape puts each back on its trade.
+    """
+    # each list of draws starts with an empty array, so that it
+    # concatenates even when no day drew that kind
+    days, counts = [], []
+    flags, sizes, hide = [np.empty((2, 0))], [np.empty(0)], [np.empty((0, 2))]
+    picks = ([np.empty(0, np.int64)], [np.empty(0, np.int64)])  # buy side, sell side
+    scatter = ([np.empty(0)], [np.empty(0)])
+    diffuse = ([np.empty(0)], [np.empty(0)])
+    for d in range(config.n_days):
+        n = int(rng.poisson(config.trades_per_day_mean / 2.0))
+        if n == 0:
+            continue
+        u = rng.random((2, n))  # buy draw, anchored draw
+        is_buy = u[0] < p_buy[d]
+        anchored = u[1] < config.anchored_fraction
+        for s, side_mask, cdf in ((0, is_buy, streams.buy_cdf), (1, ~is_buy, streams.sell_cdf)):
+            k = int(np.count_nonzero(side_mask & anchored))
+            if k:
+                picks[s].append(cdf[d].searchsorted(rng.random(k), side="right"))
+                scatter[s].append(rng.standard_normal(k))
+            k = int(np.count_nonzero(side_mask)) - k  # the side's diffuse trades
+            if k:
+                diffuse[s].append(rng.standard_normal(k))
+        sizes.append(rng.lognormal(*config.volume_lognormal, size=n))
+        hide.append(rng.random((n, 2)))
+        days.append(d)
+        counts.append(n)
+        flags.append(u)
+
+    day = np.repeat(np.array(days, dtype=np.int64), counts)
+    u = np.concatenate(flags, axis=1)
+    is_buy = u[0] < p_buy[day]
+    anchored = u[1] < config.anchored_fraction
+    disp = np.empty(day.size)
+    for s, side_mask, width in ((0, is_buy, config.buy_width), (1, ~is_buy, config.sell_width)):
+        on_anchor = side_mask & anchored
+        disp[on_anchor] = (streams.anchor_offsets[np.concatenate(picks[s])]
+                           + np.concatenate(scatter[s]) * config.anchors.scatter)
+        off_anchor = side_mask & ~anchored
+        disp[off_anchor] = (np.abs(np.concatenate(diffuse[s])) * width
+                            * streams.width_mult[day[off_anchor]])
+
+    half_spread = 0.5 * config.spread * spread_mult[day]
+    base = streams.level[day] + np.where(is_buy, half_spread, -half_spread)
+    concentration = np.exp(-np.abs(disp) / config.volume_concentration)
+    volumes = np.rint(np.concatenate(sizes) * concentration
+                      * volume_mult[day]).astype(np.int64)
+    live = volumes > 0  # zero-volume shocks silence the window
+    # Trades are emitted in +/- displacement pairs of equal volume, so
+    # displacement contributions cancel out of the daily VWAP and the
+    # next day's reference tracks the level walk closely: two legs per
+    # trade, row after row, at +disp and then at -disp.
+    legs = np.stack([base + disp, base - disp], axis=1)[live].ravel()
+    true_side = np.where(is_buy[live], 1, -1)[:, None]
+    hide_side = np.concatenate(hide)[live] < config.unknown_side_rate
+    return tape_io.Tape(dates, np.repeat(day[live], 2), _cents(np.maximum(legs, 0.01)),
+                        np.where(hide_side, 0, true_side).ravel(), np.repeat(volumes[live], 2))
 
 
 def _cents(x: np.ndarray) -> np.ndarray:
@@ -357,8 +403,9 @@ def _cents(x: np.ndarray) -> np.ndarray:
 
 
 def gen_market(config: MarketConfig = MarketConfig()) -> SynthMarket:
-    indexes, _ = gen_indexes(config)
-    tapes, truth = gen_tapes(config, indexes)
+    indexes, truth = gen_indexes(config)
+    tapes, daily_tilt = gen_tapes(config, indexes)
+    truth.daily_tilt = daily_tilt.tolist()
     return SynthMarket(config, indexes, tapes, truth)
 
 

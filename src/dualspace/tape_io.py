@@ -267,6 +267,14 @@ class _TokenCodes(dict):
         return np.fromiter(map(self.__getitem__, tokens), np.int64, len(tokens))
 
 
+class _BareLines:
+    """A list of lines that carry no line ends, which `parse_tape` takes
+    as they are."""
+
+    def __init__(self, lines: list[str]):
+        self.lines = lines
+
+
 def parse_tape(stream: Iterable[str] | str, columns: TapeColumns = TapeColumns()) -> ParseResult:
     """Parse a tape into date-ordered records plus per-row error reports.
 
@@ -281,6 +289,8 @@ def parse_tape(stream: Iterable[str] | str, columns: TapeColumns = TapeColumns()
     """
     if isinstance(stream, str):
         lines = stream.splitlines()
+    elif isinstance(stream, _BareLines):
+        lines = stream.lines
     else:
         lines = [line.rstrip("\r\n") for line in stream]
     delimiter = columns.delimiter or _detect_delimiter(
@@ -380,8 +390,9 @@ def _table(tokens: _TokenCodes, parse, dtype) -> tuple[np.ndarray, np.ndarray]:
 def _coded_text(values: np.ndarray, text) -> np.ndarray:
     """`text(v)` for every entry, formatting each distinct value once."""
     keys = values.view(np.int64) if values.dtype == np.float64 else values  # -0.0 stays apart
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return np.array([text(v) for v in values[first].tolist()], dtype=object)[inverse.reshape(-1)]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array([text(v) for v in distinct.view(values.dtype).tolist()],
+                    dtype=object)[inverse.reshape(-1)]
 
 
 def serialize(tape: Tape) -> str:
@@ -398,9 +409,10 @@ def serialize(tape: Tape) -> str:
 
 
 def read_tape(path, columns: TapeColumns = TapeColumns()) -> ParseResult:
-    # universal newlines: every line of the text ends in "\n" alone
+    # universal newlines: every line of the text ends in "\n" alone, so
+    # splitting there leaves no line end to strip
     with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+        lines = _BareLines(handle.read().split("\n"))
     return parse_tape(lines, columns)
 
 

@@ -243,6 +243,11 @@ def test_import_leaves_scipy_stats_unloaded(tape_dir, residual_dir, tmp_path):
                                "--out-dir", str(tmp_path / "s")]) & unused
     assert not _modules_after(["fit", "--states", str(tmp_path / "s" / "states_imbalance.csv"),
                                "--out-dir", str(tmp_path / "f")]) & unused
+    loaded = _modules_after(["synth", "--seed", "1", "--days", "30",
+                             "--out-dir", str(tmp_path / "synth")])
+    assert {m for m in loaded if m.startswith("dualspace")} == {
+        "dualspace", "dualspace.cli", "dualspace.tape_io", "dualspace.calendars",
+        "dualspace.synth_market"}
 
 
 def test_exit_codes(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from dualspace import liquidity_lab as ll
 from dualspace.bucket_panel import BucketConfig, DailyPanel, PanelSeries
-from dualspace.residual_study import IndexSeries
+from dualspace.calendars import IndexSeries
 from dualspace.calendars import month_key, trading_days
 
 D0 = dt.date(2009, 8, 6)

@@ -5,6 +5,15 @@ from dualspace import neural_kit as nk
 from oracles import reference_train_many
 
 
+def _forward_on_ops(net, inputs):
+    """The forward pass of `forward_batch`, run on the net's own ops so
+    that they keep the caches a following backward pass reads."""
+    x = nk._as_batch(net, inputs)
+    for op in net.ops:
+        x = op.forward(x)
+    return x[:, 0]
+
+
 def test_init_is_deterministic():
     spec = nk.deep10_spec(seed=5)
     a, b = nk.init_net(spec), nk.init_net(spec)
@@ -161,7 +170,7 @@ def test_zero_net_zero_input_has_zero_gradients():
     for arr in net.weight_arrays():
         arr[:] = 0.0
     x = np.zeros((2, 3))
-    out = nk.forward_batch(net, x)
+    out = _forward_on_ops(net, x)
     np.testing.assert_array_equal(out, 0.0)
     grad = (2.0 * (out - 0.0) / 2)[:, None]
     for op in reversed(net.ops):
@@ -318,7 +327,7 @@ def test_pool_gradient_goes_to_first_max_on_ties():
                                   nk.Dense(1, 1)), "linear", 0, input_shape=(2, 2)))
     conv, pool = net.ops[0], net.ops[2]
     conv.weights[:] = 1.0
-    nk.forward_batch(net, np.array([[0.5, 2.0], [2.0, 2.0]]))
+    _forward_on_ops(net, np.array([[0.5, 2.0], [2.0, 2.0]]))
     assert pool.switches.ravel().tolist() == [1]
     grad = pool.backward(np.ones((1, 1, 1, 1)))
     assert grad.reshape(2, 2).tolist() == [[0.0, 1.0], [0.0, 0.0]]
@@ -417,9 +426,20 @@ def test_grad_check_with_first_dense_returning_no_input_gradient(spec, bound):
     x = rng.standard_normal((5, 4))
     y = rng.standard_normal(5)
     assert nk.grad_check(net, x, y, epsilon=1e-5) < bound
-    out = nk.forward_batch(net, x)
+    out = _forward_on_ops(net, x)
     grad = (2.0 * (out - y) / y.size)[:, None]
     for op in reversed(net.ops):
         grad = op.backward(grad)
     assert grad is None
     assert net.ops[0].d_weights.shape == net.ops[0].weights.shape
+
+
+def test_forward_batch_leaves_no_batch_cache_on_the_ops():
+    net = nk.init_net(nk.cnn7_spec(seed=3))
+    images = np.random.default_rng(45).standard_normal((5, 21, 16))
+    nk.forward_batch(net, images)
+    nk.predict(net, images[0])
+    for op in net.ops:
+        held = {name for name in ("_cols", "_x", "pattern", "switches")
+                if getattr(op, name, None) is not None}
+        assert not held, (type(op).__name__, held)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dualspace import neural_kit, residual_study as rs
-from dualspace.calendars import trading_days
+from dualspace.calendars import read_index_csv, trading_days, write_index_csv
 from dualspace.corrstats import corr_significance_threshold
 
 from oracles import T_CRIT_10PCT
@@ -251,9 +251,9 @@ def test_cnn_backcast_rejects_same_trader_windows():
 def test_index_csv_round_trip():
     idx = _index_for(["2009-01", "2009-02", "2009-03"], [0.5, -1.25, 3.0])
     buf = io.StringIO()
-    rs.write_index_csv(idx, buf)
+    write_index_csv(idx, buf)
     buf.seek(0)
-    back = rs.read_index_csv(buf, "test")
+    back = read_index_csv(buf, "test")
     assert back.months == idx.months
     np.testing.assert_array_equal(back.values, idx.values)
 
