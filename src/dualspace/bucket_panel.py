@@ -13,7 +13,8 @@ kept out of both sides but tracked for volume conservation.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,20 +64,44 @@ class DailyPanel:
                      + self.discarded_volume + self.unknown_volume)
 
 
-@dataclass
 class PanelSeries:
-    panels: list[DailyPanel]
-    config: BucketConfig
-    discarded_trades: int = 0
-    dates: list[dt.date] = field(init=False)
+    """A tape's bucket panels as whole-tape arrays, one row per trading day:
+    `volume`, `vwap` (T, 2, n_buckets), buying side first; `fine`
+    (T, 2, n_buckets, n_subcells); `ref_price`, `discarded_count`,
+    `discarded_volume`, `unknown_volume` (T,).  `panels`, per-day
+    `DailyPanel` views, is built on first access; the constructor stacks
+    a list of panels, as `Tape.from_records` stacks records."""
 
-    def __post_init__(self):
-        self.dates = [p.date for p in self.panels]
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+    def __init__(self, panels: list[DailyPanel], config: BucketConfig):
+        self._assign(config, [p.date for p in panels],
+                     np.array([p.ref_price for p in panels], dtype=float),
+                     np.array([(p.buy_vol, p.sell_vol) for p in panels], dtype=float),
+                     np.array([(p.buy_vwap, p.sell_vwap) for p in panels], dtype=float),
+                     np.array([(p.fine_buy, p.fine_sell) for p in panels], dtype=float),
+                     np.array([p.discarded_trades for p in panels], dtype=np.int64),
+                     np.array([p.discarded_volume for p in panels], dtype=float),
+                     np.array([p.unknown_volume for p in panels], dtype=float))
+
+    def _assign(self, config, dates, *arrays) -> "PanelSeries":
+        if any(b <= a for a, b in zip(dates, dates[1:])):
             raise ValueError("panel dates must be strictly increasing")
+        self.config, self.dates = config, dates
+        (self.ref_price, self.volume, self.vwap, self.fine, self.discarded_count,
+         self.discarded_volume, self.unknown_volume) = arrays
+        self.discarded_trades = int(self.discarded_count.sum())
+        return self
+
+    @cached_property
+    def panels(self) -> list[DailyPanel]:
+        imb_vol = self.volume[:, 0] - self.volume[:, 1]  # one array, not a small one a day
+        return [DailyPanel(day, ref, vol[0], vol[1], imb, vwap[0], vwap[1], fine[0], fine[1], *n)
+                for day, ref, vol, imb, vwap, fine, *n in zip(
+                    self.dates, self.ref_price.tolist(), self.volume, imb_vol, self.vwap,
+                    self.fine, self.discarded_count.tolist(), self.discarded_volume.tolist(),
+                    self.unknown_volume.tolist())]
 
     def __len__(self) -> int:
-        return len(self.panels)
+        return len(self.dates)
 
 
 def imbalance_profile(buy: np.ndarray, sell: np.ndarray, geometric: bool = False) -> np.ndarray:
@@ -100,15 +125,10 @@ def _reference_array(day_ix: np.ndarray, tape: Tape, n_days: int) -> np.ndarray:
     # bincount adds each day's trades in row order, as a running sum would
     volume = np.bincount(day_ix, weights=tape.volume, minlength=n_days)
     value = np.bincount(day_ix, weights=tape.price * tape.volume, minlength=n_days)
-    vwaps: list[float | None] = []
-    prev = None
-    for total, worth in zip(volume.tolist(), value.tolist()):
-        if total > 0:
-            prev = worth / total
-        vwaps.append(prev)  # zero-volume day keeps the last seen VWAP
-    first_known = next((v for v in vwaps if v is not None), 0.0)
-    refs = [vwaps[i - 1] if i > 0 else vwaps[0] for i in range(n_days)]
-    return np.array([first_known if ref is None else ref for ref in refs], dtype=float)
+    known = np.flatnonzero(volume > 0)
+    # VWAP of the last earlier day with volume, else of the first one, else 0.0
+    vwaps = np.append(value[known] / volume[known], 0.0)
+    return vwaps[np.maximum(np.searchsorted(known, np.arange(n_days)) - 1, 0)]
 
 
 def reference_prices(tape: Tape) -> dict[dt.date, float]:
@@ -130,7 +150,7 @@ def build_panels(tape: Tape, config: BucketConfig = BucketConfig()) -> PanelSeri
     floor within the bucket clamped to the last cell.  Trades at or
     beyond n_buckets are discarded (counted); Unknown-side volume is
     excluded from both sides but tracked.  All days are bucketed at
-    once, and each day's panel holds views into the whole tape's arrays.
+    once, into the series' whole-tape arrays.
     """
     days, day_ix, tape = _by_day(tape)
     n_days = len(days)
@@ -169,29 +189,10 @@ def build_panels(tape: Tape, config: BucketConfig = BucketConfig()) -> PanelSeri
                             minlength=n_days * 2 * nb).reshape(n_days, 2, nb)
     vol_sum = np.bincount(slot, weights=vol, minlength=n_days * 2 * nb).reshape(n_days, 2, nb)
 
-    with np.errstate(invalid="ignore"):
-        vwap = np.where(vol_sum > 0, price_sum / np.where(vol_sum > 0, vol_sum, 1.0), 0.0)
-
-    side_vol = fine.sum(axis=3)
-    imb_vol = side_vol[:, 0] - side_vol[:, 1]
-    panels = [
-        DailyPanel(
-            date=day,
-            ref_price=float(ref[d]),
-            buy_vol=side_vol[d, 0],
-            sell_vol=side_vol[d, 1],
-            imb_vol=imb_vol[d],
-            buy_vwap=vwap[d, 0],
-            sell_vwap=vwap[d, 1],
-            fine_buy=fine[d, 0],
-            fine_sell=fine[d, 1],
-            discarded_trades=int(discarded_trades[d]),
-            discarded_volume=float(discarded_volume[d]),
-            unknown_volume=float(unknown_volume[d]),
-        )
-        for d, day in enumerate(days)
-    ]
-    return PanelSeries(panels, config, discarded_trades=int(discarded_trades.sum()))
+    vwap = np.where(vol_sum > 0, price_sum / np.where(vol_sum > 0, vol_sum, 1.0), 0.0)
+    return PanelSeries.__new__(PanelSeries)._assign(  # takes the arrays as built
+        config, days, ref, fine.sum(axis=3), vwap, fine,
+        discarded_trades, discarded_volume, unknown_volume)
 
 
 def write_panels_csv(series: PanelSeries, handle) -> None:
@@ -207,7 +208,6 @@ def write_fine_csv(series: PanelSeries, handle) -> None:
     """Wide export of the sub-cell volume profiles (buy and sell rows)."""
     header = ["date", "side", "bucket"] + [f"c{j}" for j in range(series.config.n_subcells)]
     write_table_csv(handle, header,
-                    ([panel.date.isoformat(), label, k, *fine[k].tolist()]
-                     for panel in series.panels
-                     for label, fine in (("B", panel.fine_buy), ("S", panel.fine_sell))
+                    ([day.isoformat(), "BS"[s], k, *series.fine[d, s, k].tolist()]
+                     for d, day in enumerate(series.dates) for s in (0, 1)
                      for k in range(series.config.n_buckets)))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import neural_kit
 from .bucket_panel import DailyPanel, PanelSeries
-from .calendars import IndexSeries, month_key
+from .calendars import IndexSeries, month_index
 from .corrstats import fisher_z_pvalue, pearson, rankdata, spearman, standardize
 from .residual_study import WINDOW_DAYS, monthly_windows
 from .tape_io import write_table_csv
@@ -57,42 +57,41 @@ def trading_cost(panel_prev: DailyPanel, panel_cur: DailyPanel) -> tuple[np.ndar
         raise ValueError("panels must be consecutive (prev before cur)")
     if panel_prev.buy_vol.shape != panel_cur.buy_vol.shape:
         raise ValueError("panels have mismatched bucket configs")
-    pi = (panel_prev.buy_vwap * panel_cur.buy_vol
-          - panel_prev.sell_vwap * panel_cur.sell_vol)
-    no_quote = (panel_prev.buy_vol == 0) | (panel_prev.sell_vol == 0)
-    return pi, no_quote
+    return _trading_cost(panel_prev.buy_vol, panel_prev.sell_vol, panel_prev.buy_vwap,
+                         panel_prev.sell_vwap, panel_cur.buy_vol, panel_cur.sell_vol)
+
+
+def _trading_cost(buy_prev, sell_prev, ask_prev, bid_prev, buy_cur, sell_cur):
+    return ask_prev * buy_cur - bid_prev * sell_cur, (buy_prev == 0) | (sell_prev == 0)
 
 
 def amihud_lambda(pi: np.ndarray, panel_prev: DailyPanel,
                   panel_cur: DailyPanel) -> tuple[np.ndarray, np.ndarray]:
     """Roundtrip cost per share; zero-denominator buckets flagged illiquid."""
-    denom = 0.5 * (panel_cur.buy_vol + panel_prev.sell_vol)
+    return _amihud_lambda(pi, panel_cur.buy_vol, panel_prev.sell_vol)
+
+
+def _amihud_lambda(pi, buy_cur, sell_prev):
+    denom = 0.5 * (buy_cur + sell_prev)
     illiquid = denom == 0
-    lam = np.zeros_like(pi)
-    lam[~illiquid] = np.abs(pi[~illiquid]) / denom[~illiquid]
-    return lam, illiquid
+    return np.divide(np.abs(pi), denom, out=np.zeros_like(pi), where=~illiquid), illiquid
 
 
 def cost_series(series: PanelSeries) -> CostSeries:
-    """Apply trading_cost and amihud_lambda over all consecutive day pairs."""
+    """trading_cost and amihud_lambda over all day pairs, on day-shifted arrays."""
     if len(series) < 2:
         raise ValueError("need at least 2 days of panels")
-    dates, pis, lams, no_quote, illiquid = [], [], [], [], []
-    for t in range(1, len(series)):
-        prev, cur = series.panels[t - 1], series.panels[t]
-        pi, nq = trading_cost(prev, cur)
-        lam, ill = amihud_lambda(pi, prev, cur)
-        dates.append(cur.date)
-        pis.append(pi)
-        lams.append(lam)
-        no_quote.extend((cur.date, int(k)) for k in np.flatnonzero(nq))
-        illiquid.extend((cur.date, int(k)) for k in np.flatnonzero(ill))
-    pi = np.vstack(pis)
-    lam = np.vstack(lams)
+    vol, vwap = series.volume, series.vwap
+    buy_prev, sell_prev, buy_cur, sell_cur = vol[:-1, 0], vol[:-1, 1], vol[1:, 0], vol[1:, 1]
+    pi, no_quote = _trading_cost(buy_prev, sell_prev, vwap[:-1, 0], vwap[:-1, 1],
+                                 buy_cur, sell_cur)
+    lam, illiquid = _amihud_lambda(pi, buy_cur, sell_prev)
+    dates = series.dates[1:]
     return CostSeries(
         dates=dates, pi=pi, lam=lam, lambda_avg=lam.mean(axis=1),
         day_positions=np.arange(1, len(series)),
-        no_quote=no_quote, illiquid=illiquid)
+        no_quote=[(dates[t], k) for t, k in np.argwhere(no_quote).tolist()],
+        illiquid=[(dates[t], k) for t, k in np.argwhere(illiquid).tolist()])
 
 
 # ── event study ────────────────────────────────────────────────────────
@@ -178,19 +177,6 @@ def write_report_csv(report: HypothesisReport, handle) -> None:
                      for w in report.windows))
 
 
-def _months_by_majority(dates: list[dt.date], positions: np.ndarray,
-                        day_range: tuple[int, int]) -> list[str]:
-    """Months whose trading days fall mostly inside the day range."""
-    inside: dict[str, int] = {}
-    total: dict[str, int] = {}
-    for day, pos in zip(dates, positions):
-        key = month_key(day)
-        total[key] = total.get(key, 0) + 1
-        if day_range[0] <= pos < day_range[1]:
-            inside[key] = inside.get(key, 0) + 1
-    return [m for m in total if inside.get(m, 0) * 2 > total[m]]
-
-
 def event_study(cost: CostSeries, index: IndexSeries,
                 config: EventStudyConfig = EventStudyConfig(),
                 net_spec: neural_kit.NetSpec | None = None,
@@ -216,13 +202,15 @@ def event_study(cost: CostSeries, index: IndexSeries,
                          f"event study needs {n_days_total}")
 
     all_windows = monthly_windows(cost.lam, cost.dates)
-    months = all_windows.months
+    months, month_pos = month_index(cost.dates)  # the windows' months, dates ascending
     targets = np.array([index.value_for(m) for m in months])
+    days_per_month = np.bincount(month_pos)
 
-    # training set: months mostly inside the training range
-    train_months = _months_by_majority(cost.dates, cost.day_positions,
-                                       config.training_range())
-    train_ix = [months.index(m) for m in train_months]
+    def majority(lo: int, hi: int) -> np.ndarray:  # months mostly inside [lo, hi)
+        inside = month_pos[(lo <= cost.day_positions) & (cost.day_positions < hi)]
+        return np.flatnonzero(np.bincount(inside, minlength=len(months)) * 2 > days_per_month)
+
+    train_ix = majority(*config.training_range())  # the training set
     if len(train_ix) < 3:
         raise ValueError("training range covers fewer than 3 months")
 
@@ -241,9 +229,7 @@ def event_study(cost: CostSeries, index: IndexSeries,
         preds += neural_kit.forward_batch(net, images)
     preds = preds / len(seeds) * t_scale + t_mean
 
-    monthly_lambda = np.array([
-        cost.lambda_avg[[i for i, d in enumerate(cost.dates) if month_key(d) == m]].mean()
-        for m in months])
+    monthly_lambda = np.array([cost.lambda_avg[month_pos == j].mean() for j in range(len(months))])
     avg_lambda_pearson = pearson(monthly_lambda, targets)
     ref_pearson = pearson(preds, targets)
     ref_spearman = spearman(preds, targets)
@@ -251,8 +237,8 @@ def event_study(cost: CostSeries, index: IndexSeries,
     rng = np.random.default_rng(np.random.SeedSequence([max(seeds), 7]))
     results = []
     for day_range in config.resolved_windows():
-        w_months = _months_by_majority(cost.dates, cost.day_positions, day_range)
-        ix = np.array([months.index(m) for m in w_months], dtype=int)
+        ix = majority(*day_range)
+        w_months = [months[j] for j in ix.tolist()]
         w_pred, w_idx = preds[ix], targets[ix]
         if ix.size < 2 or np.ptp(w_pred) == 0.0 or np.ptp(w_idx) == 0.0:
             results.append(WindowResult(day_range, w_months, float("nan"), None,

@@ -114,9 +114,9 @@ def cnn7_spec(input_shape: tuple[int, int] = (21, 16), hidden: int = 32,
 # for one net, (R, n, ...) for R nets trained together.  A single net's
 # parameters carry no model axis; `train_many` stacks them along one.
 # `backward` releases what `forward` cached for it, so that the caches
-# of one round are gone before the next round's forward allocates; only
-# a first convolution's columns, which `train_many` builds once and
-# passes in, outlive the round.
+# of one round are gone before the next round's forward allocates, but
+# for a convolution's column buffer: a cnn7 round's heap peak (~4.7 MB)
+# is near glibc's trim threshold, so fresh columns could re-fault rounds.
 # Images run channels-last, (..., n, h, w, c), so that a convolution's
 # output matrix is already its activation map, with no transpose;
 # Flatten restores the (c, h, w) order of the layer specs.
@@ -170,12 +170,15 @@ class _ConvOp:
         self.input_grad = input_grad
 
     def columns(self, x):  # (..., n, h, w, c) -> (..., n*oh*ow, kh*kw*c + 1)
-        """The column matrix of `x`: one row per output pixel, its
-        (kh, kw, c) input patch followed by a 1 for the bias."""
+        """The column matrix of `x`, in the op's buffer, which the next call overwrites:
+        one row per output pixel, its (kh, kw, c) input patch followed by a 1 for the bias."""
         kh, kw = self.kernel
         windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(-3, -2))
         n, oh, ow, c = windows.shape[-6:-2]
-        cols = np.empty(x.shape[:-4] + (n, oh, ow, kh * kw * c + 1))
+        shape = x.shape[:-4] + (n, oh, ow, kh * kw * c + 1)
+        if getattr(self, "_col_buf", np.empty(0)).shape != shape:
+            self._col_buf = np.empty(shape)
+        cols = self._col_buf
         cols[..., -1] = 1.0
         # splitting the last axis keeps a view, so this fills `cols`
         cols[..., :-1].reshape(cols.shape[:-1] + (kh, kw, c))[...] = np.moveaxis(windows, -3, -1)
@@ -552,7 +555,8 @@ def grad_check(net: TrainedNet, inputs: np.ndarray, targets: np.ndarray,
 
     Perturbations that flip a ReLU sign or a pool switch are excluded:
     the loss is not differentiable across those kinks, so the
-    comparison is only meaningful away from them.
+    comparison is only meaningful away from them.  A difference within a
+    central difference's rounding noise, ~eps * loss / epsilon, counts as 0.
     """
     net = copy.deepcopy(net)
     targets = np.asarray(targets, dtype=float).reshape(-1)
@@ -562,6 +566,7 @@ def grad_check(net: TrainedNet, inputs: np.ndarray, targets: np.ndarray,
     for op in net.ops:
         x = op.forward(x)
     err = x[:, 0] - targets
+    floor = 4.0 * np.finfo(float).eps * float(np.mean(err ** 2)) / epsilon
     grad = (2.0 * err / err.size)[:, None]
     for op in reversed(net.ops):
         grad = op.backward(grad)
@@ -582,8 +587,9 @@ def grad_check(net: TrainedNet, inputs: np.ndarray, targets: np.ndarray,
                 if any(not np.array_equal(a, b) for a, b in zip(pat_up, pat_down)):
                     continue  # kink crossed; comparison invalid here
                 numeric = (up - down) / (2.0 * epsilon)
-                scale = max(abs(aflat[idx]), abs(numeric), 1e-8)
-                worst = max(worst, abs(aflat[idx] - numeric) / scale)
+                miss = abs(aflat[idx] - numeric) - floor
+                if miss > 0:
+                    worst = max(worst, miss / max(abs(aflat[idx]), abs(numeric)))
     return worst
 
 

@@ -40,32 +40,36 @@ class StateMatrix:
             raise ValueError("values rows must match dates")
 
 
-def _profiles(panel: DailyPanel, mode: VolumeMode, geometric: bool) -> np.ndarray:
-    if mode is VolumeMode.BUY:
-        return panel.fine_buy
-    if mode is VolumeMode.SELL:
-        return panel.fine_sell
-    return imbalance_profile(panel.fine_buy, panel.fine_sell, geometric=geometric)
+#: Day pairs per whole-array pass of `state_matrix`: ~0.6 MB of transients, not 12 MB.
+_PAIRS_PER_PASS = 16
+
+
+def _profiles(buy: np.ndarray, sell: np.ndarray, mode: VolumeMode, geometric: bool):
+    if mode is VolumeMode.IMBALANCE:
+        return imbalance_profile(buy, sell, geometric=geometric)
+    return buy if mode is VolumeMode.BUY else sell
 
 
 def corr_vector(panel_t: DailyPanel, panel_t1: DailyPanel, mode: VolumeMode,
                 geometric: bool = False) -> np.ndarray:
     """Per-bucket profile correlation between two days (0 where flat)."""
-    a = _profiles(panel_t, mode, geometric)
-    b = _profiles(panel_t1, mode, geometric)
+    a = _profiles(panel_t.fine_buy, panel_t.fine_sell, mode, geometric)
+    b = _profiles(panel_t1.fine_buy, panel_t1.fine_sell, mode, geometric)
     if a.shape != b.shape:
         raise ValueError("panels have mismatched bucket configs")
     return rowwise_pearson(b, a, undefined=0.0)
 
 
 def state_matrix(series: PanelSeries, mode: VolumeMode) -> StateMatrix:
-    """Stack corr_vector over all consecutive day pairs (T = days - 1)."""
+    """corr_vector over all consecutive day pairs (T = days - 1), in whole-array passes."""
     if len(series) < 2:
         raise ValueError("need at least 2 days of panels")
-    geometric = series.config.geometric_imbalance
-    rows = [corr_vector(series.panels[t], series.panels[t + 1], mode, geometric)
-            for t in range(len(series) - 1)]
-    return StateMatrix(np.vstack(rows), mode, series.dates[1:])
+    ns, rows = series.fine.shape[-1], []
+    for lo in range(0, len(series) - 1, _PAIRS_PER_PASS):
+        fine = series.fine[lo:lo + _PAIRS_PER_PASS + 1]
+        prof = _profiles(fine[:, 0], fine[:, 1], mode, series.config.geometric_imbalance)
+        rows.append(rowwise_pearson(prof[1:].reshape(-1, ns), prof[:-1].reshape(-1, ns)))
+    return StateMatrix(np.concatenate(rows).reshape(len(series) - 1, -1), mode, series.dates[1:])
 
 
 class Attenuation(NamedTuple):

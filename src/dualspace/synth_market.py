@@ -110,6 +110,8 @@ class MarketConfig:
     shocks: tuple[ShockSpec, ...] = ()
 
     def __post_init__(self):
+        if self.n_traders < 0:
+            raise ValueError("n_traders must be >= 0")
         if self.n_days < 2:
             raise ValueError("n_days must be >= 2")
         if not 0.0 <= self.anchored_fraction <= 1.0:
@@ -415,6 +417,8 @@ def inject_shock(config: MarketConfig, window: tuple[int, int],
     start, end = window
     if not (0 <= start < end <= config.n_days):
         raise ValueError("shock window must lie within the sample")
+    if not (0.0 <= volume_mult < float("inf") and 0.0 <= spread_mult < float("inf")):
+        raise ValueError("shock multipliers must be finite and nonnegative")
     for s in config.shocks:
         if start < s.end_day and s.start_day < end:
             raise ValueError("overlapping shock windows")

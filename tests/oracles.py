@@ -10,7 +10,8 @@ import datetime as dt
 
 import numpy as np
 
-from dualspace.state_space import StateMatrix, VolumeMode
+from dualspace.liquidity_lab import amihud_lambda, trading_cost
+from dualspace.state_space import StateMatrix, VolumeMode, corr_vector
 
 
 def naive_dft(row):
@@ -66,6 +67,47 @@ def streaming_summary(prices, volumes):
     std_p = (m2_p / (n - 1)) ** 0.5 if n > 1 else 0.0
     var_v = m2_v / (n - 1) if n > 1 else 0.0
     return n, lo, mean_p, hi, std_p, var_v, total_volume
+
+
+def loop_reference_prices(tape):
+    """Per-day reference prices by a running sum over the trades: the
+    prior trading day's VWAP, carried over zero-volume days, and the
+    first day's own VWAP where no earlier day has volume."""
+    totals = {}
+    for rec in tape:
+        volume, worth = totals.get(rec.date, (0.0, 0.0))
+        totals[rec.date] = (volume + rec.volume, worth + rec.price * rec.volume)
+    days = sorted(totals)
+    vwaps, last = [], None
+    for day in days:
+        volume, worth = totals[day]
+        last = worth / volume if volume > 0 else last
+        vwaps.append(last)
+    first = next((v for v in vwaps if v is not None), 0.0)
+    refs = [first] + vwaps[:-1]
+    return [first if ref is None else ref for ref in refs]
+
+
+def loop_state_values(series, mode):
+    """state_matrix's values by the per-day loop: corr_vector over each
+    consecutive pair of panels."""
+    p = series.panels
+    return np.vstack([corr_vector(p[t], p[t + 1], mode, series.config.geometric_imbalance)
+                      for t in range(len(p) - 1)])
+
+
+def loop_cost_series(series):
+    """cost_series' (pi, lam, no_quote, illiquid) by the per-day loop over
+    trading_cost and amihud_lambda."""
+    pis, lams, no_quote, illiquid = [], [], [], []
+    for prev, cur in zip(series.panels, series.panels[1:]):
+        pi, nq = trading_cost(prev, cur)
+        lam, ill = amihud_lambda(pi, prev, cur)
+        pis.append(pi)
+        lams.append(lam)
+        no_quote.extend((cur.date, int(k)) for k in np.flatnonzero(nq))
+        illiquid.extend((cur.date, int(k)) for k in np.flatnonzero(ill))
+    return np.vstack(pis), np.vstack(lams), no_quote, illiquid
 
 
 def dual_stack_matrix(n=16):

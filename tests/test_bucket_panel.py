@@ -168,3 +168,23 @@ def test_panel_csv_export_shape(small_market, tmp_path):
         bucket_panel.write_fine_csv(series, handle)
     fine_lines = fine_path.read_text().strip().splitlines()
     assert len(fine_lines) == 1 + 2 * len(series) * series.config.n_buckets
+
+
+_SERIES_ARRAYS = ("ref_price", "volume", "vwap", "fine", "discarded_count",
+                  "discarded_volume", "unknown_volume")
+
+
+def test_series_from_its_panels_equals_the_built_series(small_market):
+    records = list(small_market.tapes[0].records)
+    far = [TapeRecord(r.date, r.price + 30.0, Side.SELL, 7) for r in records[::500]]
+    built = build_panels(Tape.from_records(sorted(records + far, key=lambda r: r.date)))
+    assert built.discarded_trades > 0 and built.unknown_volume.sum() > 0
+    stacked = bucket_panel.PanelSeries(built.panels, built.config)
+    assert stacked.dates == built.dates and stacked.config == built.config
+    assert stacked.discarded_trades == built.discarded_trades
+    for name in _SERIES_ARRAYS:
+        got, want = getattr(stacked, name), getattr(built, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    for a, b in zip(stacked.panels, built.panels):
+        assert a.date == b.date and a.total_volume() == b.total_volume()
+        assert np.array_equal(a.imb_vol, b.imb_vol)

@@ -350,6 +350,11 @@ BAD_OPTION_VALUES = {
     "synth-config-seed-not-a-number": ["synth", "--config", "{config}"],
     "synth-g-sent-nan": ["synth", "--g-sent", "nan", "--days", "5", "--traders", "1",
                          "--trades-per-day", "5"],
+    "synth-negative-traders": ["synth", "--traders", "-1", "--days", "5"],
+    "synth-negative-spread-shock": ["synth", "--days", "30", "--traders", "1",
+                                    "--shock", "0:10:1:-1"],
+    "synth-nan-volume-shock": ["synth", "--days", "30", "--traders", "1",
+                               "--shock", "0:10:nan:1"],
     "pdo-demo-one-point": ["pdo-demo", "--points", "1"],
     "pdo-demo-negative-time": ["pdo-demo", "--time", "-1"],
     "backcast-zero-runs": ["backcast", "--protocol", "cnn7", "--runs", "0",

@@ -1,6 +1,7 @@
 """Property tests over generated inputs: the serialize/parse and record
-round trips, the bucket panels' volume conservation, state entries in
-[-1, 1], the dual regression's reconstruction, P+F=1 and symmetry
+round trips, the bucket panels' volume conservation, the whole-array
+state space and trading cost against their per-day loops, state entries
+in [-1, 1], the dual regression's reconstruction, P+F=1 and symmetry
 invariants, the CLI contract on arbitrary files and flag values, and
 average ranks against scipy's."""
 
@@ -10,6 +11,7 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,22 +20,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import stats
 
-from dualspace import bucket_panel, cli, corrstats, dual_regression, tape_io
+from dualspace import (bucket_panel, cli, corrstats, dual_regression, liquidity_lab,
+                       state_space, tape_io)
 from dualspace.state_space import StateMatrix, VolumeMode, state_matrix
 
-from oracles import symmetry_projector
+from oracles import (loop_cost_series, loop_reference_prices, loop_state_values,
+                     symmetry_projector)
 
 DAY0 = dt.date(2009, 1, 5)
 
-trades = st.tuples(st.integers(0, 4),            # day
-                   st.integers(1, 5_000),        # price in cents: 0.01 to 50 CNY
-                   st.sampled_from([-1, 0, 1]),  # side code
-                   st.integers(1, 10**9))        # shares
+
+def trades(shares=st.integers(1, 10**9)):
+    return st.tuples(st.integers(0, 4),            # day
+                     st.integers(1, 5_000),        # price in cents: 0.01 to 50 CNY
+                     st.sampled_from([-1, 0, 1]),  # side code
+                     shares)
 
 
 @st.composite
-def tapes(draw, min_days=1):
-    rows = draw(st.lists(trades, min_size=1, max_size=300))
+def tapes(draw, min_days=1, shares=st.integers(1, 10**9)):
+    rows = draw(st.lists(trades(shares), min_size=1, max_size=300))
     days = sorted({row[0] for row in rows})
     if len(days) < min_days:
         rows.append((max(days) + 1, 1_000, 1, 100))
@@ -81,6 +87,27 @@ def test_state_entries_are_correlations(tape, geometric):
         values = state_matrix(series, mode).values
         assert values.shape == (len(series) - 1, series.config.n_buckets)
         assert np.isfinite(values).all() and np.abs(values).max() <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(tapes(min_days=2, shares=st.one_of(st.just(0), st.integers(1, 10**9))),
+       st.booleans(), st.integers(1, 4))
+def test_whole_array_passes_match_the_per_day_loop(tape, geometric, pairs_per_pass):
+    """Zero shares make zero-volume days; scattered prices leave buckets
+    empty; a small pass size splits even short tapes into several passes."""
+    series = bucket_panel.build_panels(
+        tape, bucket_panel.BucketConfig(geometric_imbalance=geometric))
+    np.testing.assert_allclose(series.ref_price, loop_reference_prices(tape), rtol=0, atol=0)
+    with mock.patch.object(state_space, "_PAIRS_PER_PASS", pairs_per_pass):
+        for mode in VolumeMode:
+            np.testing.assert_allclose(state_matrix(series, mode).values,
+                                       loop_state_values(series, mode), rtol=0, atol=0)
+    cost = liquidity_lab.cost_series(series)
+    pi, lam, no_quote, illiquid = loop_cost_series(series)
+    np.testing.assert_allclose(cost.pi, pi, rtol=0, atol=0)
+    np.testing.assert_allclose(cost.lam, lam, rtol=0, atol=0)
+    np.testing.assert_allclose(cost.lambda_avg, lam.mean(axis=1), rtol=0, atol=0)
+    assert cost.no_quote == no_quote and cost.illiquid == illiquid
 
 
 @st.composite
@@ -140,7 +167,7 @@ def cli_calls(draw):
                                     "synth", "pdo-demo"]))
     if command == "synth":
         days = draw(st.integers(-2, 30))
-        traders = draw(st.integers(0, 2))
+        traders = draw(st.integers(-1, 2))
         per_day = draw(st.sampled_from(["-3", "0", "0.5", "20", "50", "nan"]))
         return (["synth", "--days", str(days), "--traders", str(traders),
                  "--trades-per-day", per_day, "--seed", str(draw(st.integers(-1, 3)))], None)

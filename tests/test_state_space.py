@@ -1,5 +1,6 @@
 import datetime as dt
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dualspace.bucket_panel import BucketConfig, DailyPanel, PanelSeries, build_
 from dualspace.state_space import VolumeMode, attenuation, corr_vector, state_matrix
 from dualspace.tape_io import Tape, TapeRecord
 
-from oracles import textbook_pearson
+from oracles import loop_state_values, textbook_pearson
 
 D0 = dt.date(2009, 8, 6)
 
@@ -74,6 +75,31 @@ def test_full_scale_state_matrix(coupled_outputs):
     states, _ = coupled_outputs[0]
     assert states.values.shape == (484, 16)  # 485 trading days
     assert np.all(np.abs(states.values) <= 1.0)
+
+
+def test_full_scale_state_matrix_matches_the_per_day_loop(coupled_market):
+    for geometric in (False, True):
+        series = build_panels(coupled_market.tapes[0].records,
+                              BucketConfig(geometric_imbalance=geometric))
+        for mode in VolumeMode:
+            np.testing.assert_allclose(state_matrix(series, mode).values,
+                                       loop_state_values(series, mode), rtol=0, atol=0)
+
+
+def test_state_matrix_transient_memory_stays_small(coupled_market):
+    """state_matrix runs in passes over a few day pairs at a time: one
+    pass over all 484 pairs of an oracle tape peaks near 12 MB."""
+    for geometric in (False, True):
+        series = build_panels(coupled_market.tapes[0].records,
+                              BucketConfig(geometric_imbalance=geometric))
+        for mode in VolumeMode:
+            tracemalloc.start()
+            try:
+                state_matrix(series, mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000, (geometric, mode, peak)
 
 
 def test_duplicated_panels_give_unit_rows():

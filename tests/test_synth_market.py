@@ -126,6 +126,18 @@ def test_overlapping_shocks_rejected():
         synth_market.inject_shock(MarketConfig(n_days=100), (50, 120))
 
 
+@pytest.mark.parametrize("volume_mult, spread_mult",
+                         [(-1.0, 1.0), (1.0, -1.0), (float("nan"), 1.0), (1.0, float("inf"))])
+def test_shock_multipliers_must_be_finite_and_nonnegative(volume_mult, spread_mult):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        synth_market.inject_shock(MarketConfig(n_days=100), (10, 20), volume_mult, spread_mult)
+
+
+def test_negative_trader_count_is_refused():
+    with pytest.raises(ValueError, match="n_traders"):
+        MarketConfig(n_traders=-1)
+
+
 def _concentrated(seed, spread):
     base = MarketConfig(n_traders=1, seed=seed, spread=spread)
     return replace(base, anchors=replace(base.anchors, max_offset=1.8,
