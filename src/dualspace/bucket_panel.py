@@ -88,6 +88,11 @@ class PanelSeries:
         self.config, self.dates = config, dates
         (self.ref_price, self.volume, self.vwap, self.fine, self.discarded_count,
          self.discarded_volume, self.unknown_volume) = arrays
+        side = (len(dates), 2, config.n_buckets)
+        if dates and (self.volume.shape != side or self.vwap.shape != side
+                      or self.fine.shape != side + (config.n_subcells,)):
+            raise ValueError(f"panels must hold (2, {config.n_buckets}) side arrays and "
+                             f"(2, {config.n_buckets}, {config.n_subcells}) sub-cell arrays")
         self.discarded_trades = int(self.discarded_count.sum())
         return self
 

@@ -3,13 +3,15 @@
 Everything here recomputes expected values by a route different from
 the library code: direct summation DFTs, textbook statistics formulas,
 hand-rolled forward passes, planted linear systems with known
-operators.
+operators, a tape reader that splits strings.
 """
 
 import datetime as dt
+from itertools import islice, repeat
 
 import numpy as np
 
+from dualspace import tape_io
 from dualspace.liquidity_lab import amihud_lambda, trading_cost
 from dualspace.state_space import StateMatrix, VolumeMode, corr_vector
 
@@ -377,3 +379,109 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
 
     curves = np.array(losses).T.tolist()
     return [([arr[r] for arr in params], curves[r]) for r in range(len(nets))]
+
+
+def reference_parse_tape(stream, columns=tape_io.TapeColumns()):
+    """`tape_io.parse_tape` as a string splitter: lines as str, each
+    line's field count by `str.count`, its fields by `str.split`, each
+    token coded through a dict.  Takes one string or an iterable of lines; the
+    token rules (`_parse_date`, `_parse_price`, ...) are the library's."""
+    t = tape_io
+    if isinstance(stream, str):
+        lines = stream.splitlines()
+    else:
+        lines = [line.rstrip("\r\n") for line in stream]
+    delimiter = columns.delimiter or t._detect_delimiter(
+        list(islice((ln for ln in lines if ln.strip()), 20)))
+    positions = (columns.date, columns.price, columns.side, columns.volume)
+    needed = max(positions) + 1
+
+    n_header = 0
+    start = len(lines)
+    for line_no, line in enumerate(lines):
+        if not line.strip():
+            continue
+        fields = line.split(delimiter)
+        if len(fields) > columns.date and t._parse_date(fields[columns.date]) is not None:
+            start = line_no
+            break
+        n_header += 1
+
+    tables = (t._TokenCodes(), t._TokenCodes(), t._TokenCodes(), t._TokenCodes())
+    codes = ([], [], [], [])
+    row_lines = []
+    errors = []
+
+    body = lines[start:]
+    width = max(needed, len(body[0].split(delimiter))) if body else needed
+    regular = np.fromiter(map(str.count, body, repeat(delimiter)), np.int64,
+                          len(body)) == width - 1
+    if width == 1 or delimiter.isspace():
+        regular &= np.fromiter(map(bool, map(str.strip, body)), bool, len(body))
+    fast = np.flatnonzero(regular) + start
+    # split line by line: joined with a multi-character delimiter, a line
+    # that ends in part of it ("7|" before "||") would shift the fields
+    tokens = [token for i in fast.tolist() for token in lines[i].split(delimiter)]
+    for col, table, out in zip(positions, tables, codes):
+        out.append(table.code(tokens[col::width]))
+    row_lines.append(fast)
+
+    n_data = fast.size
+    odd_lines = []
+    odd_tokens = ([], [], [], [])
+    for i in (np.flatnonzero(~regular) + start).tolist():
+        line = lines[i]
+        if not line.strip():
+            continue
+        n_data += 1
+        fields = line.split(delimiter)
+        if len(fields) < needed:
+            errors.append(t.RowError(i + 1, t._REASONS[t._SHORT], line))
+            continue
+        odd_lines.append(i)
+        for col, out in zip(positions, odd_tokens):
+            out.append(fields[col])
+    for table, out, toks in zip(tables, codes, odd_tokens):
+        out.append(table.code(toks))
+    row_lines.append(np.array(odd_lines, dtype=np.int64))
+
+    date_codes, price_codes, side_codes, volume_codes = (np.concatenate(c) for c in codes)
+    row_lines = np.concatenate(row_lines)
+
+    token_dates = [t._parse_date(token) for token in tables[0]]
+    dates = sorted({day for day in token_dates if day is not None})
+    rank = {day: i for i, day in enumerate(dates)}
+    day_of = np.array([rank[day] if day is not None else -1 for day in token_dates],
+                      dtype=np.int64)
+    price_of, price_reason = t._table(tables[1], t._parse_price, np.float64)
+    volume_of, volume_reason = t._table(tables[3], t._parse_volume, np.int64)
+    side_of = np.array([t.SIDE_CODE[t._parse_side(token)] for token in tables[2]],
+                       dtype=np.int8)
+
+    day = day_of[date_codes]
+    reason = np.where(day < 0, t._BAD_DATE, price_reason[price_codes])
+    reason = np.where(reason == 0, volume_reason[volume_codes], reason)
+    bad = np.flatnonzero(reason)
+    errors.extend(t.RowError(i + 1, t._REASONS[r], lines[i])
+                  for i, r in zip(row_lines[bad].tolist(), reason[bad].tolist()))
+    errors.sort(key=lambda err: err.line_no)
+
+    ok = reason == 0
+    day, row_lines = day[ok], row_lines[ok]
+    order = np.lexsort((row_lines, day))
+    tape = t.Tape(dates, day[order], price_of[price_codes[ok][order]],
+                  side_of[side_codes[ok][order]], volume_of[volume_codes[ok][order]],
+                  row_lines[order] + 1)
+    return t.ParseResult(tape, errors, n_data, n_header)
+
+
+def assert_same_parse(got, want):
+    """Two `ParseResult`s equal field for field: every record column
+    exactly (line numbers too), every error with its raw line, and the
+    row counts."""
+    assert got.records.dates == want.records.dates
+    for column in ("day", "price", "side", "volume", "line_no"):
+        a, b = getattr(got.records, column), getattr(want.records, column)
+        assert a.dtype == b.dtype and np.array_equal(a, b), column
+    assert got.errors == want.errors
+    assert (got.n_data_rows, got.n_header_rows) == (want.n_data_rows, want.n_header_rows)

@@ -188,3 +188,10 @@ def test_series_from_its_panels_equals_the_built_series(small_market):
     for a, b in zip(stacked.panels, built.panels):
         assert a.date == b.date and a.total_volume() == b.total_volume()
         assert np.array_equal(a.imb_vol, b.imb_vol)
+
+
+@pytest.mark.parametrize("config", [BucketConfig(n_buckets=20), BucketConfig(n_subcells=40)])
+def test_series_refuses_panels_of_another_shape(small_market, config):
+    built = build_panels(small_market.tapes[0].records)  # 16 buckets of 50 sub-cells
+    with pytest.raises(ValueError, match="side arrays"):
+        bucket_panel.PanelSeries(built.panels, config)

@@ -511,3 +511,18 @@ def test_eventstudy_marks_shocked_window(capsys, tmp_path):
     payload = json.loads((tmp_path / "es" / "eventstudy.json").read_text())
     shocked = next(w for w in payload["windows"] if w["days"] == [240, 360])
     assert shocked["p_spearman"] < 0.05
+
+
+def test_tape_that_is_not_utf8_is_a_data_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"Trddt,Stkprc,Parcha,Trdtims\n2009-08-06,10.05,S,425\n"
+                     b"2009-08-06,10.2,\xe9,81\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "dualspace.cli", "ingest", "--tape", str(path),
+                           "--out-dir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:") and "utf-8" in lines[0]
+    assert "Traceback" not in done.stderr and done.stdout == ""

@@ -1,5 +1,6 @@
 """Property tests over generated inputs: the serialize/parse and record
-round trips, the bucket panels' volume conservation, the whole-array
+round trips, the byte-level tape reader against the string splitter,
+the bucket panels' volume conservation, the whole-array
 state space and trading cost against their per-day loops, state entries
 in [-1, 1], the dual regression's reconstruction, P+F=1 and symmetry
 invariants, the CLI contract on arbitrary files and flag values, and
@@ -24,8 +25,8 @@ from dualspace import (bucket_panel, cli, corrstats, dual_regression, liquidity_
                        state_space, tape_io)
 from dualspace.state_space import StateMatrix, VolumeMode, state_matrix
 
-from oracles import (loop_cost_series, loop_reference_prices, loop_state_values,
-                     symmetry_projector)
+from oracles import (assert_same_parse, loop_cost_series, loop_reference_prices,
+                     loop_state_values, reference_parse_tape, symmetry_projector)
 
 DAY0 = dt.date(2009, 1, 5)
 
@@ -56,6 +57,57 @@ def test_serialize_parse_round_trip(tape):
     assert not result.errors
     assert result.n_data_rows == len(tape) and result.n_header_rows == 1
     assert result.records == tape
+
+
+# tokens of every kind: well-formed, malformed, non-finite, signed, long
+# (over one and over two key words), padded and non-ASCII
+TAPE_TOKENS = ("2009-01-05", "2009-01-06", "2009-02-27", " 2009-01-07 ", "2009-13-01",
+               "20090108", "2009-01-5", "\u0662009-01-05", "10.05", "9.9", "nan", "inf",
+               "-inf", "-0", "+3.5", "-1.5", "0", "1e3", "12..34", "123456789.25",
+               "10.050000000000001", "\uff11\uff10.5", "425", " 7 ", "+12", "-40",
+               "12.5", "99999999999999999999", "\u0663", "B", "S", " b", "s ", "X",
+               "\u0411", "\ud800", "", "Trddt", "CNY")
+BLANKS = ("", " ", "\t", " \t ", "\u3000", "\xa0\u2003", "\x1c")
+
+
+@st.composite
+def tape_texts(draw):
+    """Tape text in any of the shapes a reader meets, and the columns to
+    read it with."""
+    delimiter = draw(st.sampled_from([",", "\t", ";", "||"]))
+    token = st.one_of(st.sampled_from(TAPE_TOKENS), st.text(max_size=9))
+    rows = st.one_of(
+        st.tuples(st.sampled_from(TAPE_TOKENS[:8]), *[st.sampled_from(TAPE_TOKENS)] * 3),
+        st.lists(token, max_size=6))  # short rows, extra fields
+    line = st.one_of(rows.map(delimiter.join), st.sampled_from(BLANKS))
+    header = st.lists(st.sampled_from(["Trddt", "Stkprc", "Parcha", "Trdtims", "date"]),
+                      min_size=1, max_size=4).map(delimiter.join)
+    lines = draw(st.lists(header, max_size=3)) + draw(st.lists(line, max_size=30))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    named = delimiter == "||" or draw(st.booleans())
+    return text, tape_io.TapeColumns(delimiter=delimiter if named else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tape_texts(), st.sampled_from([1, 3, 1 << 15]))
+def test_byte_reader_matches_the_string_splitter(case, chunk_lines):
+    text, columns = case
+    with mock.patch.object(tape_io, "_CHUNK_LINES", chunk_lines):
+        assert_same_parse(tape_io.parse_tape(text, columns),
+                          reference_parse_tape(text, columns))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "tape.csv")
+            with open(path, "wb") as handle:  # a lone surrogate makes the file not UTF-8
+                handle.write(text.encode("utf-8", "surrogatepass"))
+            try:
+                with open(path, encoding="utf-8") as handle:  # universal newlines
+                    want = reference_parse_tape(handle, columns)
+            except UnicodeDecodeError:
+                with pytest.raises(UnicodeDecodeError):
+                    tape_io.read_tape(path, columns)
+            else:
+                assert_same_parse(tape_io.read_tape(path, columns), want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 import datetime as dt
 import io
+import tracemalloc
+import math
 import random
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from dualspace import tape_io
 from dualspace.tape_io import Side, Tape, TapeRecord
 
-from oracles import streaming_summary
+from oracles import assert_same_parse, reference_parse_tape, streaming_summary
 
 FIG1_STYLE = """Trddt,Stkprc,Parcha,Trdtims
 Trading Da,Trading I,Nature O,Number Of
@@ -252,3 +254,57 @@ def test_write_table_csv_cell_rule():
     headless = io.StringIO()
     tape_io.write_table_csv(headless, None, [[1.5, np.float64(2.0)]])
     assert headless.getvalue() == "1.5,2.0\n"
+
+
+def test_write_table_csv_cell_types():
+    buf = io.StringIO()
+    tape_io.write_table_csv(buf, None, [
+        [1.5, np.float64(2.25), 3, np.int64(-4), True, False, "B"],
+        [-0.0, np.float64(-0.0), math.nan, np.float64(math.nan), math.inf, -math.inf, 1e-300],
+    ])
+    assert buf.getvalue() == ("1.5,2.25,3,-4,1,0,B\n"
+                              "-0.0,-0.0,nan,nan,inf,-inf,1e-300\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_read_tape_takes_any_line_end(tmp_path, newline):
+    lines = FIG1_STYLE.splitlines() + ["", "2009-08-07,abc,B,10", "  ", "2009-08-08,9.9,S"]
+    lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+    lf.write_bytes("\n".join(lines).encode())
+    other.write_bytes((newline.join(lines) + newline).encode())
+    want = tape_io.read_tape(lf)
+    assert [err.line_no for err in want.errors] == [11, 13] and len(want.records) == 6
+    assert_same_parse(tape_io.read_tape(other), want)
+
+
+def test_read_tape_refuses_invalid_utf8(tmp_path):
+    path = tmp_path / "bad.csv"
+    data = FIG1_STYLE.encode() + b"2009-08-07,9.8,\xff,10\n"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as caught:
+        tape_io.read_tape(path)
+    with pytest.raises(UnicodeDecodeError) as text_read:
+        data.decode("utf-8")
+    assert str(caught.value) == str(text_read.value)  # the same byte, at the same position
+
+
+def test_read_tape_matches_the_string_splitter(small_market, tmp_path):
+    path = tmp_path / "t0.csv"
+    path.write_text(small_market.tapes[0].text, encoding="utf-8")
+    with open(path, encoding="utf-8") as handle:
+        assert_same_parse(tape_io.read_tape(path), reference_parse_tape(handle))
+
+
+def test_read_tape_transient_memory_stays_small(coupled_market, tmp_path):
+    """read_tape works through the body in chunks of _CHUNK_LINES lines:
+    one pass over all lines of an oracle tape peaks above 40 MB."""
+    path = tmp_path / "t0.csv"
+    path.write_text(coupled_market.tapes[0].text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        result = tape_io.read_tape(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) > 100_000
+    assert peak < 32_000_000, peak
