@@ -335,6 +335,15 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+#: the `backcast` flags each protocol reads, besides --protocol, --seed,
+#: --train-residuals, --index, --config and --out-dir
+BACKCAST_FLAGS = {
+    "shallow": (),
+    "deep10": ("predict_residuals", "rounds", "learning_rate"),
+    "cnn7": ("predict_residuals", "runs", "rounds", "learning_rate", "activation"),
+}
+
+
 def _cmd_backcast(args) -> int:
     from . import neural_kit, residual_study
 
@@ -342,13 +351,20 @@ def _cmd_backcast(args) -> int:
         "protocol": "cnn7", "runs": 6, "rounds": 150, "learning_rate": 0.05,
         "activation": "tanh", "seed": 1,
     })
+    protocol = opts["protocol"]
+    if protocol not in BACKCAST_FLAGS:
+        raise UsageError(f"unknown protocol {protocol!r}")
+    unread = [key for key in BACKCAST_FLAGS["cnn7"]  # cnn7 reads them all
+              if key not in BACKCAST_FLAGS[protocol] and getattr(args, key) is not None]
+    if unread:
+        flags = ", ".join("--" + key.replace("_", "-") for key in unread)
+        raise UsageError(f"--protocol {protocol} does not read {flags}")
     activation = _activation(opts)
     indexes = [_load_index(spec) for spec in args.index]
     if not indexes:
         raise UsageError("need at least one --index name=file.csv")
     if int(opts["runs"]) < 1:
         raise UsageError("--runs must be at least 1")
-    protocol = opts["protocol"]
     if protocol in ("deep10", "cnn7"):
         if not args.predict_residuals:
             raise UsageError(f"--protocol {protocol} needs --predict-residuals")
@@ -365,7 +381,7 @@ def _cmd_backcast(args) -> int:
             train_resid, train_dates, pred_resid, pred_dates, indexes,
             seed=int(opts["seed"]), rounds=int(opts["rounds"]),
             learning_rate=float(opts["learning_rate"]))
-    elif protocol == "cnn7":
+    else:
         pred_dates, pred_resid = _load_rows(args.predict_residuals)
         train_w = residual_study.monthly_windows(train_resid, train_dates,
                                                  trader_id=_tape_label(args.train_residuals))
@@ -377,8 +393,6 @@ def _cmd_backcast(args) -> int:
         report = residual_study.cnn_backcast(
             train_w, pred_w, indexes, spec=spec, seeds=seeds,
             rounds=int(opts["rounds"]), learning_rate=float(opts["learning_rate"]))
-    else:
-        raise UsageError(f"unknown protocol {protocol!r}")
     outdir = _outdir(args)
     prov = _provenance("backcast", {**opts, "train_file": args.train_residuals})
     _write_json(os.path.join(outdir, f"backcast_{protocol}.json"), prov, report.to_dict())
@@ -407,7 +421,7 @@ def _cmd_liquidity(args) -> int:
                lambda h: liquidity_lab.write_pi_csv(cost, h))
     _summary("liquidity", days=len(cost.dates),
              mean_lambda=float(cost.lambda_avg.mean()),
-             no_quote_flags=len(cost.no_quote), out=outdir)
+             no_quote_flags=int(cost.no_quote.sum()), out=outdir)
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ random month-subset draw for Spearman).
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,8 @@ class CostSeries:
     lam: np.ndarray           # (T-1, n_buckets) CNY per share, >= 0
     lambda_avg: np.ndarray    # (T-1,) per-day mean of lam across buckets
     day_positions: np.ndarray  # (T-1,) position of day t in the panel series
-    no_quote: list[tuple[dt.date, int]] = field(default_factory=list)
-    illiquid: list[tuple[dt.date, int]] = field(default_factory=list)
+    no_quote: np.ndarray      # (T-1, n_buckets) bool, an empty prior-day side
+    illiquid: np.ndarray      # (T-1, n_buckets) bool, a zero lambda denominator
 
 
 def trading_cost(panel_prev: DailyPanel, panel_cur: DailyPanel) -> tuple[np.ndarray, np.ndarray]:
@@ -86,12 +86,9 @@ def cost_series(series: PanelSeries) -> CostSeries:
     pi, no_quote = _trading_cost(buy_prev, sell_prev, vwap[:-1, 0], vwap[:-1, 1],
                                  buy_cur, sell_cur)
     lam, illiquid = _amihud_lambda(pi, buy_cur, sell_prev)
-    dates = series.dates[1:]
     return CostSeries(
-        dates=dates, pi=pi, lam=lam, lambda_avg=lam.mean(axis=1),
-        day_positions=np.arange(1, len(series)),
-        no_quote=[(dates[t], k) for t, k in np.argwhere(no_quote).tolist()],
-        illiquid=[(dates[t], k) for t, k in np.argwhere(illiquid).tolist()])
+        dates=series.dates[1:], pi=pi, lam=lam, lambda_avg=lam.mean(axis=1),
+        day_positions=np.arange(1, len(series)), no_quote=no_quote, illiquid=illiquid)
 
 
 # ── event study ────────────────────────────────────────────────────────

@@ -14,7 +14,6 @@ one-net case.  Convolutions run as im2col + matmul.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -110,41 +109,35 @@ def cnn7_spec(input_shape: tuple[int, int] = (21, 16), hidden: int = 32,
 
 # ── runtime layers ─────────────────────────────────────────────────────
 #
+# An op holds only the constants its layer spec fixes; the net's
+# parameters and the arrays one pass caches for its backward pass are
+# passed in and out.  `forward(params, x)` returns `(out, cache)`, and
+# `backward(params, cache, grad)` returns the input gradient (None for
+# a net's first layer, whose input gradient nothing reads) and a tuple
+# of parameter gradients in the order of `params`.
+#
 # Every op works on a batch with any number of leading axes: (n, ...)
 # for one net, (R, n, ...) for R nets trained together.  A single net's
 # parameters carry no model axis; `train_many` stacks them along one.
-# `backward` releases what `forward` cached for it, so that the caches
-# of one round are gone before the next round's forward allocates, but
-# for a convolution's column buffer: a cnn7 round's heap peak (~4.7 MB)
-# is near glibc's trim threshold, so fresh columns could re-fault rounds.
 # Images run channels-last, (..., n, h, w, c), so that a convolution's
 # output matrix is already its activation map, with no transpose;
 # Flatten restores the (c, h, w) order of the layer specs.
 
 class _DenseOp:
-    def __init__(self, spec: Dense, rng: np.random.Generator, input_grad: bool = True):
-        bound = 1.0 / np.sqrt(spec.n_in)
-        self.weights = rng.uniform(-bound, bound, size=(spec.n_in, spec.n_out))
-        self.bias = np.zeros(spec.n_out)
-        # a net's first layer skips its input gradient, which nothing uses
+    def __init__(self, input_grad: bool = True):
         self.input_grad = input_grad
 
-    def forward(self, x):
-        self._x = x
-        out = x @ self.weights
-        out += self.bias[..., None, :]
-        return out
+    def forward(self, params, x):
+        weights, bias = params
+        out = x @ weights
+        out += bias[..., None, :]
+        return out, x
 
-    def backward(self, grad):
-        x, self._x = self._x, None
-        self.d_weights = x.swapaxes(-1, -2) @ grad
-        self.d_bias = grad.sum(axis=-2)
+    def backward(self, params, x, grad):
+        grads = (x.swapaxes(-1, -2) @ grad, grad.sum(axis=-2))
         if not self.input_grad:
-            return None
-        return grad @ self.weights.swapaxes(-1, -2)
-
-    def params(self):
-        return [("weights", self.weights, "d_weights"), ("bias", self.bias, "d_bias")]
+            return None, grads
+        return grad @ params[0].swapaxes(-1, -2), grads
 
 
 #: axes moving conv weights (..., o, c, kh, kw) to (..., kh, kw, c, o)
@@ -158,74 +151,63 @@ class _ConvOp:
     matrix products.  A last column of ones carries the bias, which
     saves a broadcast add and a reduction over the pixels."""
 
-    def __init__(self, spec: Conv2D, in_channels: int, rng: np.random.Generator,
-                 input_grad: bool = True):
-        kh, kw = spec.kernel
-        fan_in = in_channels * kh * kw
-        bound = 1.0 / np.sqrt(fan_in)
-        self.weights = rng.uniform(-bound, bound, size=(spec.channels, in_channels, kh, kw))
-        self.bias = np.zeros(spec.channels)
-        self.kernel = spec.kernel
-        # a net's first layer skips its input gradient, which nothing uses
+    def __init__(self, kernel: tuple[int, int], input_grad: bool = True):
+        self.kernel = kernel
         self.input_grad = input_grad
 
-    def columns(self, x):  # (..., n, h, w, c) -> (..., n*oh*ow, kh*kw*c + 1)
-        """The column matrix of `x`, in the op's buffer, which the next call overwrites:
-        one row per output pixel, its (kh, kw, c) input patch followed by a 1 for the bias."""
+    def columns(self, x, out=None):  # (..., n, h, w, c) -> (..., n*oh*ow, kh*kw*c + 1)
+        """The column matrix of `x`, written into `out` when given (a
+        column matrix of the same shape): one row per output pixel, its
+        (kh, kw, c) input patch followed by a 1 for the bias."""
         kh, kw = self.kernel
         windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(-3, -2))
         n, oh, ow, c = windows.shape[-6:-2]
-        shape = x.shape[:-4] + (n, oh, ow, kh * kw * c + 1)
-        if getattr(self, "_col_buf", np.empty(0)).shape != shape:
-            self._col_buf = np.empty(shape)
-        cols = self._col_buf
+        cols = np.empty(x.shape[:-4] + (n * oh * ow, kh * kw * c + 1)) if out is None else out
         cols[..., -1] = 1.0
-        # splitting the last axis keeps a view, so this fills `cols`
-        cols[..., :-1].reshape(cols.shape[:-1] + (kh, kw, c))[...] = np.moveaxis(windows, -3, -1)
-        return cols.reshape(x.shape[:-4] + (n * oh * ow, -1))
+        # splitting axes keeps a view, so this fills `cols`
+        cols[..., :-1].reshape(x.shape[:-4] + (n, oh, ow, kh, kw, c))[...] = \
+            np.moveaxis(windows, -3, -1)
+        return cols
 
-    def forward(self, x, cols=None):  # (..., n, h, w, c) -> (..., n, oh, ow, o)
+    def forward(self, params, x, cols=None):  # (..., n, h, w, c) -> (..., n, oh, ow, o)
         """`cols`, when given, is `self.columns(x)` built by the caller."""
+        weights, bias = params
         kh, kw = self.kernel
         n, h, w = x.shape[-4:-1]
-        self._in_shape = x.shape
-        self._cols = self.columns(x) if cols is None else cols
+        if cols is None:
+            cols = self.columns(x)
         # weights (..., o, c, kh, kw) -> (..., kh*kw*c + 1, o) with the bias row
-        w_cols = np.moveaxis(self.weights, *_TO_COLUMN_ORDER)
+        w_cols = np.moveaxis(weights, *_TO_COLUMN_ORDER)
         w_cols = w_cols.reshape(w_cols.shape[:-4] + (-1, w_cols.shape[-1]))
-        out = self._cols @ np.concatenate([w_cols, self.bias[..., None, :]], axis=-2)
-        return out.reshape(out.shape[:-2] + (n, h - kh + 1, w - kw + 1, -1))
+        out = cols @ np.concatenate([w_cols, bias[..., None, :]], axis=-2)
+        return out.reshape(out.shape[:-2] + (n, h - kh + 1, w - kw + 1, -1)), (cols, x.shape)
 
-    def backward(self, grad):
+    def backward(self, params, cache, grad):
+        cols, in_shape = cache
         kh, kw = self.kernel
         n, oh, ow, o = grad.shape[-4:]
         g = grad.reshape(grad.shape[:-4] + (-1, o))
-        d_matrix = self._cols.swapaxes(-1, -2) @ g  # (..., kh*kw*c + 1, o)
-        self._cols = None
-        self.d_bias = d_matrix[..., -1, :]
+        d_matrix = cols.swapaxes(-1, -2) @ g  # (..., kh*kw*c + 1, o)
         d_w = d_matrix[..., :-1, :].reshape(d_matrix.shape[:-2] + (kh, kw, -1, o))
-        self.d_weights = np.moveaxis(d_w, *_TO_COLUMN_ORDER[::-1])
+        grads = (np.moveaxis(d_w, *_TO_COLUMN_ORDER[::-1]), d_matrix[..., -1, :])
         if not self.input_grad:
-            return None
+            return None, grads
         # column gradient tap by tap, (..., kh*kw, n*oh*ow, c); each tap
         # adds back into the input pixels it read
-        w_taps = np.moveaxis(self.weights, (-2, -1), (-4, -3))  # (..., kh, kw, o, c)
+        w_taps = np.moveaxis(params[0], (-2, -1), (-4, -3))  # (..., kh, kw, o, c)
         w_taps = w_taps.reshape(w_taps.shape[:-4] + (kh * kw,) + w_taps.shape[-2:])
         d_taps = g[..., None, :, :] @ w_taps
         d_taps = d_taps.reshape(d_taps.shape[:-2] + (n, oh, ow, -1))
-        dx = np.zeros(d_taps.shape[:-5] + self._in_shape[-4:])
+        dx = np.zeros(d_taps.shape[:-5] + in_shape[-4:])
         for k in range(kh):
             for l in range(kw):
                 dx[..., k:k + oh, l:l + ow, :] += d_taps[..., k * kw + l, :, :, :, :]
-        return dx
-
-    def params(self):
-        return [("weights", self.weights, "d_weights"), ("bias", self.bias, "d_bias")]
+        return dx, grads
 
 
 class _PoolOp:
-    def __init__(self, spec: Pool):
-        self.size = spec.size
+    def __init__(self, size: tuple[int, int]):
+        self.size = size
 
     def _taps(self, x):
         """Strided views, one per window position in row-major order."""
@@ -233,107 +215,95 @@ class _PoolOp:
         oh, ow = x.shape[-3] // ph, x.shape[-2] // pw
         return [x[..., i:oh * ph:ph, j:ow * pw:pw, :] for i in range(ph) for j in range(pw)]
 
-    def forward(self, x):
-        self._in_shape = x.shape
+    def forward(self, params, x):
+        """The cache is the switches, the index of the first tap that
+        holds each max, in the smallest integer type that fits (less
+        memory held per round), and the input shape."""
         taps = self._taps(x)
         out = taps[0].copy()
         for tap in taps[1:]:
             np.maximum(out, tap, out=out)
-        # switch = index of the first tap that holds the max, in the
-        # smallest integer type that fits (less memory held per round)
         before = taps[0] != out
-        self.switches = before.astype(np.min_scalar_type(len(taps) - 1))
+        switches = before.astype(np.min_scalar_type(len(taps) - 1))
         for tap in taps[1:-1]:
             before &= tap != out
-            self.switches += before
-        return out
+            switches += before
+        return out, (switches, x.shape)
 
-    def backward(self, grad):
-        switches, self.switches = self.switches, None
-        dx = np.zeros(grad.shape[:-3] + self._in_shape[-3:])
+    def backward(self, params, cache, grad):
+        switches, in_shape = cache
+        dx = np.zeros(grad.shape[:-3] + in_shape[-3:])
         for k, tap in enumerate(self._taps(dx)):
             np.multiply(grad, switches == k, out=tap)
-        return dx
-
-    def params(self):
-        return []
+        return dx, ()
 
 
 class _FlattenOp:
     def __init__(self, sample_ndim: int):
         self.sample_ndim = sample_ndim
 
-    def forward(self, x):
-        self._sample_shape = x.shape[-self.sample_ndim:]
+    def forward(self, params, x):
+        sample_shape = x.shape[-self.sample_ndim:]
         if self.sample_ndim == 3:
             x = np.moveaxis(x, -1, -3)  # channels-last image -> (c, h, w)
-        return x.reshape(x.shape[:-self.sample_ndim] + (-1,))
+        return x.reshape(x.shape[:-self.sample_ndim] + (-1,)), sample_shape
 
-    def backward(self, grad):
+    def backward(self, params, sample_shape, grad):
         if self.sample_ndim != 3:
-            return grad.reshape(grad.shape[:-1] + self._sample_shape)
-        h, w, c = self._sample_shape
-        return np.moveaxis(grad.reshape(grad.shape[:-1] + (c, h, w)), -3, -1)
-
-    def params(self):
-        return []
+            return grad.reshape(grad.shape[:-1] + sample_shape), ()
+        h, w, c = sample_shape
+        return np.moveaxis(grad.reshape(grad.shape[:-1] + (c, h, w)), -3, -1), ()
 
 
 class _ActivationOp:
     """Elementwise activation, computed in place both ways.
 
     An activation always follows a weighted op, so its input is that
-    op's fresh output, which no op caches (`_DenseOp` caches its input,
-    `_ConvOp` its columns); its incoming gradient is a fresh array, or
-    a view of one, made by the op after it.  Overwriting either changes
-    nothing that is read later.
+    op's fresh output, which no cache holds (`_DenseOp` caches its
+    input, `_ConvOp` its columns); its incoming gradient is a fresh
+    array, or a view of one, made by the op after it.  Overwriting
+    either changes nothing that is read later.  The cache is the ReLU
+    sign pattern, or the tanh or logit output.
     """
 
     def __init__(self, kind: str):
         self.kind = kind
 
-    def forward(self, x):
+    def forward(self, params, x):
         if self.kind == "relu":
-            self.pattern = x > 0
-            return np.maximum(x, 0.0, out=x)
+            pattern = x > 0
+            return np.maximum(x, 0.0, out=x), pattern
         if self.kind == "tanh":
-            self._y = np.tanh(x, out=x)
-            return self._y
+            y = np.tanh(x, out=x)
+            return y, y
         if self.kind == "logit":  # 1 / (1 + exp(-x))
             np.negative(x, out=x)
             np.exp(x, out=x)
             x += 1.0
-            self._y = np.divide(1.0, x, out=x)
-            return self._y
-        return x
+            y = np.divide(1.0, x, out=x)
+            return y, y
+        return x, None
 
-    def backward(self, grad):
+    def backward(self, params, cache, grad):
         if self.kind == "relu":
-            pattern, self.pattern = self.pattern, None
-            grad *= pattern
-            return grad
-        if self.kind == "linear":
-            return grad
-        y, self._y = self._y, None
-        if self.kind == "tanh":
-            grad *= 1.0 - y**2
-        else:  # logit: grad * y * (1 - y)
-            grad *= y
-            grad *= 1.0 - y
-        return grad
-
-    def params(self):
-        return []
+            grad *= cache
+        elif self.kind == "tanh":
+            grad *= 1.0 - cache**2
+        elif self.kind == "logit":  # grad * y * (1 - y)
+            grad *= cache
+            grad *= 1.0 - cache
+        return grad, ()
 
 
 @dataclass
 class TrainedNet:
     spec: NetSpec
-    ops: list
+    ops: list                            # hold no arrays; see "runtime layers"
+    params: list[tuple[np.ndarray, ...]]  # one tuple per op, () for an op without
     loss_curve: list[float]
 
     def weight_arrays(self) -> list[np.ndarray]:
-        return [arr for op in self.ops for _, arr, _ in op.params()]
+        return [arr for p in self.params for arr in p]
 
 
 # ── construction ───────────────────────────────────────────────────────
@@ -358,6 +328,7 @@ def init_net(spec: NetSpec) -> TrainedNet:
     if len(shape) == 2:
         shape = (1,) + shape  # single input channel
     ops: list = []
+    params: list = []
     for i, layer in enumerate(spec.layers):
         where = f"layer {i + 1} ({type(layer).__name__})"
         if isinstance(layer, Dense):
@@ -368,7 +339,10 @@ def init_net(spec: NetSpec) -> TrainedNet:
                 raise ValueError(
                     f"shape mismatch between layer {i} (out {shape[0]}) and {where} "
                     f"(in {layer.n_in})")
-            ops.append(_DenseOp(layer, rng, input_grad=i > 0))
+            bound = 1.0 / np.sqrt(layer.n_in)
+            params.append((rng.uniform(-bound, bound, size=(layer.n_in, layer.n_out)),
+                           np.zeros(layer.n_out)))
+            ops.append(_DenseOp(input_grad=i > 0))
             shape = (layer.n_out,)
         elif isinstance(layer, Conv2D):
             if len(shape) != 3:
@@ -377,7 +351,10 @@ def init_net(spec: NetSpec) -> TrainedNet:
             kh, kw = layer.kernel
             if h < kh or w < kw:
                 raise ValueError(f"{where}: kernel {layer.kernel} larger than input {(h, w)}")
-            ops.append(_ConvOp(layer, c, rng, input_grad=i > 0))
+            bound = 1.0 / np.sqrt(c * kh * kw)
+            params.append((rng.uniform(-bound, bound, size=(layer.channels, c, kh, kw)),
+                           np.zeros(layer.channels)))
+            ops.append(_ConvOp(layer.kernel, input_grad=i > 0))
             shape = (layer.channels, h - kh + 1, w - kw + 1)
         elif isinstance(layer, Pool):
             if len(shape) != 3:
@@ -386,18 +363,21 @@ def init_net(spec: NetSpec) -> TrainedNet:
             ph, pw = layer.size
             if h < ph or w < pw:
                 raise ValueError(f"{where}: pool {layer.size} larger than input {(h, w)}")
-            ops.append(_PoolOp(layer))
+            params.append(())
+            ops.append(_PoolOp(layer.size))
             shape = (c, h // ph, w // pw)
         elif isinstance(layer, Flatten):
+            params.append(())
             ops.append(_FlattenOp(len(shape)))
             shape = (int(np.prod(shape)),)
         else:
             raise ValueError(f"{where}: unknown layer spec")
         if _is_weighted(layer) and i < _last_weighted_index(spec):
+            params.append(())
             ops.append(_ActivationOp(spec.activation))
     if shape != (1,):
         raise ValueError(f"net output shape is {shape}, expected scalar (1,)")
-    return TrainedNet(spec=spec, ops=ops, loss_curve=[])
+    return TrainedNet(spec=spec, ops=ops, params=params, loss_curve=[])
 
 
 def _is_weighted(layer: LayerSpec) -> bool:
@@ -428,11 +408,10 @@ def _as_batch(net: TrainedNet, inputs: np.ndarray, per_net: bool = False) -> np.
 
 
 def forward_batch(net: TrainedNet, inputs: np.ndarray) -> np.ndarray:
-    """Outputs for a batch.  Each op runs on a shallow copy, so the
-    caches a forward pass keeps for `backward` stay off the net."""
+    """Outputs for a batch."""
     x = _as_batch(net, inputs)
-    for op in net.ops:
-        x = copy.copy(op).forward(x)
+    for op, params in zip(net.ops, net.params):
+        x = op.forward(params, x)[0]  # the cache goes at once
     return x[:, 0]
 
 
@@ -453,17 +432,6 @@ def train(net: TrainedNet, inputs: np.ndarray, targets: np.ndarray, rounds: int,
     the loss goes non-finite.
     """
     return train_many([net], inputs, targets, rounds, learning_rate)[0]
-
-
-def _stacked_ops(nets: Sequence[TrainedNet]) -> list:
-    """One op chain whose parameters stack the nets' along a model axis."""
-    ops = []
-    for column in zip(*(net.ops for net in nets)):
-        op = copy.copy(column[0])
-        for name, _, _ in op.params():
-            setattr(op, name, np.stack([getattr(o, name) for o in column]))
-        ops.append(op)
-    return ops
 
 
 def train_many(nets: Sequence[TrainedNet], inputs: np.ndarray, targets: np.ndarray,
@@ -500,53 +468,62 @@ def train_many(nets: Sequence[TrainedNet], inputs: np.ndarray, targets: np.ndarr
     elif targets.shape != (n_nets, n):
         raise ValueError("inputs and targets are not aligned")
 
-    ops = _stacked_ops(nets)
-    first, rest = ops[0], ops[1:]
-    # every round feeds the first layer the same batch, so a first
-    # convolution's column matrix is built once per call
-    fixed = {"cols": first.columns(x0)} if isinstance(first, _ConvOp) else {}
-    losses = []
+    ops = nets[0].ops
+    params = [tuple(map(np.stack, zip(*column))) for column in zip(*(n.params for n in nets))]
+    # Column matrices of this call, by op.  Every round feeds the first
+    # layer the same batch, so a first convolution's are built once; a
+    # later convolution refills its buffer every round (see README,
+    # "Neural training": fresh ones could re-fault every round).
+    cols = [None] * len(ops)
+    if isinstance(ops[0], _ConvOp):
+        cols[0] = ops[0].columns(x0)
+    losses, caches = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for round_no in range(1, rounds + 1):
-            x = first.forward(x0, **fixed)
-            for op in rest:
-                x = op.forward(x)
+            x = x0
+            for i, (op, p) in enumerate(zip(ops, params)):
+                if isinstance(op, _ConvOp):
+                    if i > 0:
+                        cols[i] = op.columns(x, cols[i])
+                    x, cache = op.forward(p, x, cols[i])
+                else:
+                    x, cache = op.forward(p, x)
+                caches.append(cache)
             err = x[..., 0] - targets  # (R, n)
             loss = np.mean(err**2, axis=-1)
             if not np.isfinite(loss).all():
                 raise TrainingDivergedError(f"non-finite loss at round {round_no}")
             losses.append(loss)
+            # popping frees each cache once read, before the next round allocates
             grad = (2.0 * err / n)[..., None]
-            for op in reversed(ops):
-                grad = op.backward(grad)
-            for op in ops:
-                for _, arr, grad_name in op.params():
-                    arr -= learning_rate * getattr(op, grad_name)
+            for op, p in zip(reversed(ops), reversed(params)):
+                grad, d_params = op.backward(p, caches.pop(), grad)
+                for arr, d_arr in zip(p, d_params):
+                    arr -= learning_rate * d_arr
 
     curves = np.array(losses).T.tolist()
-    stacked = [arr for op in ops for _, arr, _ in op.params()]
-    trained = []
-    for r, net in enumerate(nets):
-        net = copy.deepcopy(net)
-        for arr, all_arr in zip(net.weight_arrays(), stacked):
-            arr[...] = all_arr[r]
-        net.loss_curve.extend(curves[r])
-        trained.append(net)
-    return trained
+    return [TrainedNet(net.spec, net.ops, [tuple(a[r].copy() for a in p) for p in params],
+                       net.loss_curve + curves[r])
+            for r, net in enumerate(nets)]
 
 
 # ── gradient verification ──────────────────────────────────────────────
 
-def _loss_and_patterns(net: TrainedNet, x0: np.ndarray, targets: np.ndarray):
-    x = x0
-    patterns = []
-    for op in net.ops:
-        x = op.forward(x)
-        if isinstance(op, _ActivationOp) and op.kind == "relu":
-            patterns.append(op.pattern.copy())
-        elif isinstance(op, _PoolOp):
-            patterns.append(op.switches.copy())
-    return float(np.mean((x[:, 0] - targets) ** 2)), patterns
+def _forward_cached(ops, params, x):
+    caches = []
+    for op, p in zip(ops, params):
+        x, cache = op.forward(p, x)
+        caches.append(cache)
+    return x, caches
+
+
+def _loss_and_kinks(ops, params, x0, targets):
+    """The loss, and the ReLU sign patterns and pool switches it passed."""
+    x, caches = _forward_cached(ops, params, x0)
+    kinks = [cache for op, cache in zip(ops, caches)
+             if isinstance(op, _ActivationOp) and op.kind == "relu"]
+    kinks += [cache[0] for op, cache in zip(ops, caches) if isinstance(op, _PoolOp)]
+    return float(np.mean((x[:, 0] - targets) ** 2)), kinks
 
 
 def grad_check(net: TrainedNet, inputs: np.ndarray, targets: np.ndarray,
@@ -558,33 +535,32 @@ def grad_check(net: TrainedNet, inputs: np.ndarray, targets: np.ndarray,
     comparison is only meaningful away from them.  A difference within a
     central difference's rounding noise, ~eps * loss / epsilon, counts as 0.
     """
-    net = copy.deepcopy(net)
+    params = [tuple(arr.copy() for arr in p) for p in net.params]
     targets = np.asarray(targets, dtype=float).reshape(-1)
     x0 = _as_batch(net, np.asarray(inputs, dtype=float))
 
-    x = x0
-    for op in net.ops:
-        x = op.forward(x)
+    x, caches = _forward_cached(net.ops, params, x0)
     err = x[:, 0] - targets
     floor = 4.0 * np.finfo(float).eps * float(np.mean(err ** 2)) / epsilon
     grad = (2.0 * err / err.size)[:, None]
-    for op in reversed(net.ops):
-        grad = op.backward(grad)
+    analytic = []
+    for op, p in zip(reversed(net.ops), reversed(params)):
+        grad, d_params = op.backward(p, caches.pop(), grad)
+        analytic.insert(0, d_params)
 
     worst = 0.0
-    for op in net.ops:
-        for _, arr, grad_name in op.params():
-            analytic = getattr(op, grad_name)
+    for p, d_params in zip(params, analytic):
+        for arr, d_arr in zip(p, d_params):
             flat = arr.reshape(-1)
-            aflat = analytic.reshape(-1)
+            aflat = d_arr.reshape(-1)
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + epsilon
-                up, pat_up = _loss_and_patterns(net, x0, targets)
+                up, kinks_up = _loss_and_kinks(net.ops, params, x0, targets)
                 flat[idx] = orig - epsilon
-                down, pat_down = _loss_and_patterns(net, x0, targets)
+                down, kinks_down = _loss_and_kinks(net.ops, params, x0, targets)
                 flat[idx] = orig
-                if any(not np.array_equal(a, b) for a, b in zip(pat_up, pat_down)):
+                if any(not np.array_equal(a, b) for a, b in zip(kinks_up, kinks_down)):
                     continue  # kink crossed; comparison invalid here
                 numeric = (up - down) / (2.0 * epsilon)
                 miss = abs(aflat[idx] - numeric) - floor

@@ -296,7 +296,7 @@ def cnn_backcast(train_windows: MonthlyWindows, predict_windows: MonthlyWindows,
         seeds = list(range(1, runs + 1))
     shape = train_windows.images.shape[1:]
     base_spec = spec or neural_kit.cnn7_spec(input_shape=shape)
-    if neural_kit._infer_input_shape(base_spec) != shape:
+    if base_spec.input_shape != shape:
         raise ValueError(f"net input {base_spec.input_shape} does not match windows {shape}")
 
     x_std, x_mean, x_scale = standardize(train_windows.images.ravel())

@@ -309,6 +309,43 @@ def test_backcast_deep10_same_residual_file_is_a_data_error(
     assert not (tmp_path / "bc").exists()
 
 
+@pytest.mark.parametrize("protocol, flag", [
+    ("shallow", ["--predict-residuals", "{residuals}/t1/residuals.csv"]),
+    ("shallow", ["--runs", "9"]),
+    ("shallow", ["--rounds", "1"]),
+    ("shallow", ["--learning-rate", "5"]),
+    ("shallow", ["--activation", "relu"]),
+    ("deep10", ["--runs", "9"]),
+    ("deep10", ["--activation", "relu"]),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_backcast_flag_the_protocol_does_not_read_is_a_usage_error(
+        capsys, tape_dir, residual_dir, tmp_path, protocol, flag):
+    argv = ["backcast", "--protocol", protocol,
+            "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
+            "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
+            "--out-dir", str(tmp_path / "bc")]
+    if protocol == "deep10":
+        argv += ["--predict-residuals", str(residual_dir / "t1" / "residuals.csv")]
+    code = cli.run(argv + [arg.format(residuals=residual_dir) for arg in flag])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("usage error:") and flag[0] in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert not (tmp_path / "bc").exists()
+
+
+def test_backcast_config_keys_the_protocol_does_not_read_stay_accepted(
+        capsys, tape_dir, residual_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"runs": 9, "rounds": 1, "learning_rate": 5,
+                                  "activation": "relu"}))
+    run_ok(capsys, ["backcast", "--protocol", "shallow", "--config", str(config),
+                    "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
+                    "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
+                    "--out-dir", str(tmp_path / "bc")])
+
+
 MALFORMED_INPUTS = {
     "heatmap-short-row": ("emit-plotdata", "states.csv",
                           "date,mode,b0,b1\n2009-01-05,imbalance,0.5\n", "heatmap"),

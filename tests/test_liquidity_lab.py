@@ -135,9 +135,11 @@ def _flat_cost(n_days=480, value=1.0, jitter=None):
     lam = np.full((n_days, NB), value)
     if jitter is not None:
         lam = lam + jitter
+    no_flags = np.zeros(lam.shape, dtype=bool)
     return ll.CostSeries(dates=dates, pi=lam.copy(), lam=lam,
                          lambda_avg=lam.mean(axis=1),
-                         day_positions=np.arange(1, n_days + 1))
+                         day_positions=np.arange(1, n_days + 1),
+                         no_quote=no_flags, illiquid=no_flags)
 
 
 def _index_over(dates):

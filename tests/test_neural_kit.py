@@ -5,13 +5,20 @@ from dualspace import neural_kit as nk
 from oracles import reference_train_many
 
 
-def _forward_on_ops(net, inputs):
-    """The forward pass of `forward_batch`, run on the net's own ops so
-    that they keep the caches a following backward pass reads."""
-    x = nk._as_batch(net, inputs)
-    for op in net.ops:
-        x = op.forward(x)
-    return x[:, 0]
+def _forward_with_caches(net, inputs):
+    """The forward pass of `forward_batch`, also returning the caches a
+    following backward pass reads."""
+    x, caches = nk._forward_cached(net.ops, net.params, nk._as_batch(net, inputs))
+    return x[:, 0], caches
+
+
+def _backward(net, caches, grad):
+    """The input gradient and each op's parameter gradients."""
+    d_params = []
+    for op, params in zip(reversed(net.ops), reversed(net.params)):
+        grad, d = op.backward(params, caches.pop(), grad)
+        d_params.insert(0, d)
+    return grad, d_params
 
 
 def test_init_is_deterministic():
@@ -93,10 +100,10 @@ def test_predict_shape_check():
 def test_dense_forward_matches_manual_oracle():
     spec = nk.NetSpec((nk.Dense(6, 4), nk.Dense(4, 1)), "tanh", 9)
     net = nk.init_net(spec)
-    (w1, b1), (w2, b2) = [net.ops[i].params() for i in (0, 2)]
+    w1, b1, w2, b2 = net.weight_arrays()
     rng = np.random.default_rng(3)
     x = rng.standard_normal(6)
-    manual = float((np.tanh(x @ w1[1] + b1[1]) @ w2[1] + b2[1])[0])
+    manual = float((np.tanh(x @ w1 + b1) @ w2 + b2)[0])
     assert nk.predict(net, x) == pytest.approx(manual, abs=1e-12)
 
 
@@ -170,14 +177,11 @@ def test_zero_net_zero_input_has_zero_gradients():
     for arr in net.weight_arrays():
         arr[:] = 0.0
     x = np.zeros((2, 3))
-    out = _forward_on_ops(net, x)
+    out, caches = _forward_with_caches(net, x)
     np.testing.assert_array_equal(out, 0.0)
-    grad = (2.0 * (out - 0.0) / 2)[:, None]
-    for op in reversed(net.ops):
-        grad = op.backward(grad)
-    dense = net.ops[0]
-    np.testing.assert_array_equal(dense.d_weights, 0.0)
-    np.testing.assert_array_equal(dense.d_bias, 0.0)
+    _, [(d_weights, d_bias)] = _backward(net, caches, (2.0 * (out - 0.0) / 2)[:, None])
+    np.testing.assert_array_equal(d_weights, 0.0)
+    np.testing.assert_array_equal(d_bias, 0.0)
 
 
 def test_divergence_aborts_with_round_number():
@@ -325,12 +329,14 @@ def test_grad_check_two_conv_cnn(activation):
 def test_pool_gradient_goes_to_first_max_on_ties():
     net = nk.init_net(nk.NetSpec((nk.Conv2D((1, 1), 1), nk.Pool((2, 2)), nk.Flatten(),
                                   nk.Dense(1, 1)), "linear", 0, input_shape=(2, 2)))
-    conv, pool = net.ops[0], net.ops[2]
-    conv.weights[:] = 1.0
-    _forward_on_ops(net, np.array([[0.5, 2.0], [2.0, 2.0]]))
-    assert pool.switches.ravel().tolist() == [1]
-    grad = pool.backward(np.ones((1, 1, 1, 1)))
+    conv_weights, _ = net.params[0]
+    conv_weights[:] = 1.0
+    _, caches = _forward_with_caches(net, np.array([[0.5, 2.0], [2.0, 2.0]]))
+    switches, _ = caches[2]
+    assert switches.ravel().tolist() == [1]
+    grad, d_params = net.ops[2].backward((), caches[2], np.ones((1, 1, 1, 1)))
     assert grad.reshape(2, 2).tolist() == [[0.0, 1.0], [0.0, 0.0]]
+    assert d_params == ()
 
 
 # ── round-invariant work ───────────────────────────────────────────────
@@ -370,9 +376,9 @@ def test_first_layer_columns_built_once_per_train_many_call(monkeypatch):
     builds = {False: 0, True: 0}  # keyed by the op's input_grad: False = first layer
     columns = nk._ConvOp.columns
 
-    def counting(op, x):
+    def counting(op, x, out=None):
         builds[op.input_grad] += 1
-        return columns(op, x)
+        return columns(op, x, out)
 
     monkeypatch.setattr(nk._ConvOp, "columns", counting)
     rng = np.random.default_rng(41)
@@ -382,17 +388,6 @@ def test_first_layer_columns_built_once_per_train_many_call(monkeypatch):
     assert builds == {False: 1, True: 7}
     nk.train(nets[0], x, rng.standard_normal(6), rounds=4, learning_rate=0.05)
     assert builds == {False: 2, True: 11}
-
-
-def test_trained_nets_hold_only_their_parameters():
-    rng = np.random.default_rng(42)
-    nets = [nk.init_net(_small_cnn_spec(seed)) for seed in (1, 2)]
-    trained = nk.train_many(nets, rng.standard_normal((4, 9, 9)), rng.standard_normal(4),
-                            rounds=3, learning_rate=0.05)
-    for net in trained:
-        for op in net.ops:
-            arrays = {k for k, v in vars(op).items() if isinstance(v, np.ndarray)}
-            assert arrays <= {"weights", "bias"}, (type(op).__name__, arrays)
 
 
 def test_input_changed_in_place_gives_the_fresh_answer():
@@ -426,21 +421,18 @@ def test_grad_check_with_first_dense_returning_no_input_gradient(spec):
     x = rng.standard_normal((5, 4))
     y = rng.standard_normal(5)
     assert nk.grad_check(net, x, y, epsilon=1e-5) < 1e-4
-    out = _forward_on_ops(net, x)
-    grad = (2.0 * (out - y) / y.size)[:, None]
-    for op in reversed(net.ops):
-        grad = op.backward(grad)
+    out, caches = _forward_with_caches(net, x)
+    grad, d_params = _backward(net, caches, (2.0 * (out - y) / y.size)[:, None])
     assert grad is None
-    assert net.ops[0].d_weights.shape == net.ops[0].weights.shape
+    assert [d.shape for d in d_params[0]] == [p.shape for p in net.params[0]]
 
 
 def test_grad_check_reports_a_wrong_gradient(monkeypatch):
     backward = nk._DenseOp.backward
 
-    def halved(op, grad):
-        out = backward(op, grad)
-        op.d_weights = op.d_weights * 0.5
-        return out
+    def halved(op, params, x, grad):
+        dx, (d_weights, d_bias) = backward(op, params, x, grad)
+        return dx, (0.5 * d_weights, d_bias)
 
     monkeypatch.setattr(nk._DenseOp, "backward", halved)
     rng = np.random.default_rng(44)
@@ -449,22 +441,43 @@ def test_grad_check_reports_a_wrong_gradient(monkeypatch):
                          epsilon=1e-5) > 0.4
 
 
-def test_conv_columns_refill_the_op_buffer():
+def test_conv_columns_refill_a_given_buffer():
     op = nk.init_net(nk.cnn7_spec(seed=3)).ops[0]
     x = np.random.default_rng(46).standard_normal((2, 21, 16, 1))
     first = op.columns(x)
-    again = op.columns(2.0 * x)
-    assert np.shares_memory(first, again)
-    fresh = nk.init_net(nk.cnn7_spec(seed=3)).ops[0].columns(2.0 * x)
-    np.testing.assert_array_equal(again, fresh)
+    again = op.columns(2.0 * x, first)
+    assert again is first
+    np.testing.assert_array_equal(again, op.columns(2.0 * x))
 
 
-def test_forward_batch_leaves_no_batch_cache_on_the_ops():
-    net = nk.init_net(nk.cnn7_spec(seed=3))
-    images = np.random.default_rng(45).standard_normal((5, 21, 16))
-    nk.forward_batch(net, images)
-    nk.predict(net, images[0])
-    for op in net.ops:
-        held = {name for name in ("_cols", "_x", "pattern", "switches")
-                if getattr(op, name, None) is not None}
-        assert not held, (type(op).__name__, held)
+def _held_arrays(net):
+    return {(type(op).__name__, name) for op in net.ops
+            for name, value in vars(op).items() if isinstance(value, np.ndarray)}
+
+
+def test_ops_hold_no_arrays_and_a_call_refills_one_column_buffer(monkeypatch):
+    later_columns = []  # a later convolution's column matrix, round by round
+    columns = nk._ConvOp.columns
+
+    def recording(op, x, out=None):
+        cols = columns(op, x, out)
+        if op.input_grad:
+            later_columns.append(cols)
+        return cols
+
+    monkeypatch.setattr(nk._ConvOp, "columns", recording)
+    rng = np.random.default_rng(45)
+    nets = [nk.init_net(_small_cnn_spec(seed, "relu")) for seed in (1, 2)]
+    images = rng.standard_normal((4, 9, 9))
+    assert not any(_held_arrays(net) for net in nets)
+    nk.forward_batch(nets[0], images)
+    nk.predict(nets[0], images[0])
+    assert not _held_arrays(nets[0])
+    trained = nk.train_many(nets, images, rng.standard_normal(4), rounds=3,
+                            learning_rate=0.05)
+    assert not any(_held_arrays(net) for net in nets + trained)
+    nk.grad_check(trained[0], images[:2], rng.standard_normal(2))
+    assert not _held_arrays(trained[0])
+    rounds = later_columns[2:5]  # after forward_batch's and predict's
+    assert len(rounds) == 3
+    assert all(np.shares_memory(rounds[0], cols) for cols in rounds[1:])

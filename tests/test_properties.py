@@ -159,7 +159,9 @@ def test_whole_array_passes_match_the_per_day_loop(tape, geometric, pairs_per_pa
     np.testing.assert_allclose(cost.pi, pi, rtol=0, atol=0)
     np.testing.assert_allclose(cost.lam, lam, rtol=0, atol=0)
     np.testing.assert_allclose(cost.lambda_avg, lam.mean(axis=1), rtol=0, atol=0)
-    assert cost.no_quote == no_quote and cost.illiquid == illiquid
+    for mask, flags in ((cost.no_quote, no_quote), (cost.illiquid, illiquid)):
+        assert mask.shape == cost.lam.shape
+        assert [(cost.dates[t], k) for t, k in np.argwhere(mask).tolist()] == flags
 
 
 @st.composite
