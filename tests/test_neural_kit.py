@@ -455,7 +455,30 @@ def _held_arrays(net):
             for name, value in vars(op).items() if isinstance(value, np.ndarray)}
 
 
-def test_ops_hold_no_arrays_and_a_call_refills_one_column_buffer(monkeypatch):
+def test_forward_batch_leaves_no_batch_cache_on_the_ops():
+    net = nk.init_net(nk.cnn7_spec(seed=3))
+    images = np.random.default_rng(45).standard_normal((5, 21, 16))
+    assert not _held_arrays(net)
+    nk.forward_batch(net, images)
+    nk.predict(net, images[0])
+    assert not _held_arrays(net)
+
+
+def test_trained_nets_hold_only_their_parameters():
+    rng = np.random.default_rng(42)
+    nets = [nk.init_net(_small_cnn_spec(seed)) for seed in (1, 2)]
+    images = rng.standard_normal((4, 9, 9))
+    trained = nk.train_many(nets, images, rng.standard_normal(4), rounds=3,
+                            learning_rate=0.05)
+    assert not any(_held_arrays(net) for net in nets + trained)
+    for net, start in zip(trained, nets, strict=True):
+        assert [[p.shape for p in params] for params in net.params] == \
+               [[p.shape for p in params] for params in start.params]
+    nk.grad_check(trained[0], images[:2], rng.standard_normal(2))
+    assert not _held_arrays(trained[0])
+
+
+def test_a_train_many_call_refills_one_column_buffer(monkeypatch):
     later_columns = []  # a later convolution's column matrix, round by round
     columns = nk._ConvOp.columns
 
@@ -468,16 +491,7 @@ def test_ops_hold_no_arrays_and_a_call_refills_one_column_buffer(monkeypatch):
     monkeypatch.setattr(nk._ConvOp, "columns", recording)
     rng = np.random.default_rng(45)
     nets = [nk.init_net(_small_cnn_spec(seed, "relu")) for seed in (1, 2)]
-    images = rng.standard_normal((4, 9, 9))
-    assert not any(_held_arrays(net) for net in nets)
-    nk.forward_batch(nets[0], images)
-    nk.predict(nets[0], images[0])
-    assert not _held_arrays(nets[0])
-    trained = nk.train_many(nets, images, rng.standard_normal(4), rounds=3,
-                            learning_rate=0.05)
-    assert not any(_held_arrays(net) for net in nets + trained)
-    nk.grad_check(trained[0], images[:2], rng.standard_normal(2))
-    assert not _held_arrays(trained[0])
-    rounds = later_columns[2:5]  # after forward_batch's and predict's
-    assert len(rounds) == 3
-    assert all(np.shares_memory(rounds[0], cols) for cols in rounds[1:])
+    nk.train_many(nets, rng.standard_normal((4, 9, 9)), rng.standard_normal(4),
+                  rounds=3, learning_rate=0.05)
+    assert len(later_columns) == 3
+    assert all(np.shares_memory(later_columns[0], cols) for cols in later_columns[1:])
