@@ -4,9 +4,10 @@ Subcommands: synth, ingest, summarize, panels, statespace, fit,
 backcast, liquidity, eventstudy, pdo-demo, emit-plotdata.  Every run
 prints one machine-readable JSON summary line to stdout; diagnostics go
 to stderr.  Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric
-failure.  Options resolve as flag > config file > default; artifacts
-embed a provenance comment (command, seed, option hash, version) so a
-fixed seed reproduces byte-identical output trees.
+failure; a file that cannot be read or written is a data error.
+Options resolve as flag > config file > default; artifacts embed a
+provenance comment (command, seed, option hash, version) so a fixed seed
+reproduces byte-identical output trees.
 
 Each command imports the analysis layers it uses inside its handler, so
 a process pays the start-up of those layers only.
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import re
 import sys
@@ -51,10 +51,7 @@ class _Parser(argparse.ArgumentParser):
 # ── provenance ─────────────────────────────────────────────────────────
 
 def _provenance(command: str, options: dict) -> dict:
-    hashed = {k: v for k, v in sorted(options.items())
-              if not k.endswith(("path", "file", "dir", "out"))}
-    digest = hashlib.sha256(
-        json.dumps(hashed, sort_keys=True, default=str).encode()).hexdigest()[:16]
+    digest = hashlib.sha256(json.dumps(options, sort_keys=True).encode()).hexdigest()[:16]
     return {"tool": "dualspace", "version": __version__, "command": command,
             "seed": options.get("seed"), "options_hash": digest}
 
@@ -83,45 +80,87 @@ def _outdir(args) -> str:
     return out
 
 
-# ── option resolution: flag > config file > default ────────────────────
+# ── options: one declaration each ──────────────────────────────────────
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge parsed flags (None = unset) with config-file values and defaults."""
+#: the `backcast` flags each protocol reads, besides --protocol, --seed,
+#: --train-residuals, --index, --config and --out-dir
+BACKCAST_FLAGS = {
+    "shallow": (),
+    "deep10": ("predict_residuals", "rounds", "learning_rate"),
+    "cnn7": ("predict_residuals", "runs", "rounds", "learning_rate", "activation"),
+}
+
+#: synth's generator-shape keys: set through a config file only, no flag
+SYNTH_SHAPE_KEYS = ("spread", "sentiment_ar", "anchor_max_offset", "anchor_buy_reach",
+                    "anchor_sell_reach", "buy_width", "sell_width")
+
+_PANEL = {"delta": (float, 0.5), "buckets": (int, 16), "subcells": (int, 50),
+          "geometric_imbalance": (bool, False)}
+_TRAINING = {"rounds": (int, 150), "learning_rate": (float, 0.05),
+             "activation": (str, "tanh")}
+
+#: each command's options, key -> (kind, default).  A kind is int, float,
+#: str, bool (a switch, a flag without a value) or a tuple of the strings
+#: the option takes.  Key `trades_per_day` is the flag --trades-per-day;
+#: the SYNTH_SHAPE_KEYS have no flag.
+OPTIONS = {
+    "synth": {"seed": (int, 0), "traders": (int, 2), "days": (int, 485),
+              "trades_per_day": (float, None), "g_sent": (float, 0.0),
+              "g_ret": (float, 0.0), "g_yield": (float, 0.0), "snr": (float, None),
+              "shock": (str, None), **{key: (float, None) for key in SYNTH_SHAPE_KEYS}},
+    "panels": _PANEL,
+    "statespace": {"mode": (("buy", "sell", "imbalance"), "imbalance"), **_PANEL},
+    "backcast": {"protocol": (tuple(BACKCAST_FLAGS), "cnn7"), "runs": (int, 6),
+                 **_TRAINING, "seed": (int, 1)},
+    "liquidity": _PANEL,
+    "eventstudy": {"period_length": (int, 60), "n_periods": (int, 8),
+                   "training_periods": (str, "0,1"), "permutations": (int, 10_000),
+                   **_TRAINING, "seeds": (str, "1,2,3"), **_PANEL},
+    "pdo-demo": {"points": (int, 256), "sigma0": (float, 0.5), "diffusion": (float, 0.25),
+                 "drift": (float, 0.0), "time": (float, 1.0)},
+}
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "true or false"}
+
+
+def _config_value(key: str, kind, value):
+    """A config-file value, which must already be of its option's kind;
+    an integer will do for a real option."""
+    if kind is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is kind or (isinstance(kind, tuple) and value in kind):
+        return value
+    wanted = _KIND_NAMES.get(kind) or "one of " + ", ".join(kind)
+    raise DataError(f"config key {key!r} must be {wanted}, not {json.dumps(value)}")
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """The command's options, typed: flag (None = unset) > config file > default."""
     from_file = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as handle:
+    if args.config:
+        with open(args.config, encoding="utf-8") as handle:
+            try:
                 from_file = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read config file {config_path}: {exc}")
+            except ValueError as exc:
+                raise DataError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(from_file, dict):
             raise DataError("config file must hold a JSON object")
     resolved = {}
-    for key, default in defaults.items():
+    for key, (kind, default) in OPTIONS[args.command].items():
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
         elif key in from_file:
-            if not isinstance(from_file[key], (str, int, float)):  # bool is an int
-                raise DataError(f"config key {key!r} must be a string, number or boolean")
-            if isinstance(from_file[key], float) and not math.isfinite(from_file[key]):
-                raise DataError(f"config key {key!r} must be finite")
-            resolved[key] = from_file[key]
+            resolved[key] = _config_value(key, kind, from_file[key])
         else:
             resolved[key] = default
     return resolved
 
 
-def _read_tape(path: str) -> tape_io.ParseResult:
-    try:
-        return tape_io.read_tape(path)
-    except OSError as exc:
-        raise DataError(f"cannot read tape {path}: {exc}")
-
-
 def _records_or_fail(path: str):
-    result = _read_tape(path)
+    result = tape_io.read_tape(path)
     if not result.records:
         raise DataError(f"tape {path} holds no parseable records")
     return result
@@ -136,8 +175,6 @@ def _load_index(spec: str) -> calendars.IndexSeries:
     try:
         with open(path, encoding="utf-8") as handle:
             return calendars.read_index_csv(handle, name=name)
-    except OSError as exc:
-        raise DataError(f"cannot read index {path}: {exc}")
     except ValueError as exc:
         raise DataError(f"bad index file {path}: {exc}")
 
@@ -155,8 +192,6 @@ def _load_rows(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             return dual_regression.read_rows_csv(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
     except ValueError as exc:
         raise DataError(f"bad rows file {path}: {exc}")
 
@@ -174,34 +209,22 @@ def _activation(opts: dict) -> str:
 def _cmd_synth(args) -> int:
     from . import calendars, synth_market
 
-    opts = _resolve(args, {
-        "seed": 0, "traders": 2, "days": 485, "trades_per_day": None,
-        "g_sent": 0.0, "g_ret": 0.0, "g_yield": 0.0, "snr": None,
-        "shock": None,
-        # generator-shape keys, settable through a config file
-        "spread": None, "sentiment_ar": None, "anchor_max_offset": None,
-        "anchor_buy_reach": None, "anchor_sell_reach": None,
-        "buy_width": None, "sell_width": None,
-    })
+    opts = _resolve(args)
     kwargs = {
-        "n_traders": int(opts["traders"]),
-        "n_days": int(opts["days"]),
-        "seed": int(opts["seed"]),
-        "couplings": synth_market.Couplings(
-            float(opts["g_sent"]), float(opts["g_ret"]), float(opts["g_yield"])),
+        "n_traders": opts["traders"], "n_days": opts["days"], "seed": opts["seed"],
+        "couplings": synth_market.Couplings(opts["g_sent"], opts["g_ret"], opts["g_yield"]),
     }
     if opts["trades_per_day"] is not None:
-        kwargs["trades_per_day_mean"] = float(opts["trades_per_day"])
+        kwargs["trades_per_day_mean"] = opts["trades_per_day"]
     if opts["snr"] is not None:
-        kwargs["anchored_fraction"] = synth_market.snr_to_anchored_fraction(float(opts["snr"]))
+        kwargs["anchored_fraction"] = synth_market.snr_to_anchored_fraction(opts["snr"])
     for key in ("spread", "buy_width", "sell_width"):
         if opts[key] is not None:
-            kwargs[key] = float(opts[key])
+            kwargs[key] = opts[key]
     if opts["sentiment_ar"] is not None:
-        kwargs["index_ar"] = synth_market.IndexARParams(
-            sentiment_ar=float(opts["sentiment_ar"]))
+        kwargs["index_ar"] = synth_market.IndexARParams(sentiment_ar=opts["sentiment_ar"])
     config = synth_market.MarketConfig(**kwargs)
-    anchor_overrides = {name[len("anchor_"):]: float(opts[name])
+    anchor_overrides = {name[len("anchor_"):]: opts[name]
                         for name in ("anchor_max_offset", "anchor_buy_reach",
                                      "anchor_sell_reach")
                         if opts[name] is not None}
@@ -225,15 +248,15 @@ def _cmd_synth(args) -> int:
     _write_json(os.path.join(outdir, "ground_truth.json"), prov,
                 market.truth.to_dict())
     _summary("synth", out=outdir, tapes=len(market.tapes),
-             records=sum(len(t.records) for t in market.tapes), seed=int(opts["seed"]))
+             records=sum(len(t.records) for t in market.tapes), seed=opts["seed"])
     return EXIT_OK
 
 
 def _cmd_ingest(args) -> int:
-    result = _read_tape(args.tape)
+    result = tape_io.read_tape(args.tape)
     report = tape_io.validate(result.records, result.errors)
     outdir = _outdir(args)
-    prov = _provenance("ingest", {"tape_file": args.tape})
+    prov = _provenance("ingest", {})
     stem = os.path.splitext(os.path.basename(args.tape))[0]
     canonical = os.path.join(outdir, f"{stem}.canonical.csv")
     _write_csv(canonical, prov,
@@ -259,23 +282,18 @@ def _panel_config(opts) -> bucket_panel.BucketConfig:
     from . import bucket_panel
 
     return bucket_panel.BucketConfig(
-        delta=float(opts["delta"]), n_buckets=int(opts["buckets"]),
-        n_subcells=int(opts["subcells"]),
-        geometric_imbalance=bool(opts["geometric_imbalance"]))
-
-
-PANEL_DEFAULTS = {"delta": 0.5, "buckets": 16, "subcells": 50,
-                  "geometric_imbalance": False}
+        delta=opts["delta"], n_buckets=opts["buckets"], n_subcells=opts["subcells"],
+        geometric_imbalance=opts["geometric_imbalance"])
 
 
 def _cmd_panels(args) -> int:
     from . import bucket_panel
 
-    opts = _resolve(args, dict(PANEL_DEFAULTS))
+    opts = _resolve(args)
     result = _records_or_fail(args.tape)
     series = bucket_panel.build_panels(result.records, _panel_config(opts))
     outdir = _outdir(args)
-    prov = _provenance("panels", {**opts, "tape_file": args.tape})
+    prov = _provenance("panels", opts)
     path = os.path.join(outdir, "panels.csv")
     _write_csv(path, prov, lambda h: bucket_panel.write_panels_csv(series, h))
     if args.fine:
@@ -289,13 +307,13 @@ def _cmd_panels(args) -> int:
 def _cmd_statespace(args) -> int:
     from . import bucket_panel, state_space
 
-    opts = _resolve(args, {**PANEL_DEFAULTS, "mode": "imbalance"})
+    opts = _resolve(args)
     result = _records_or_fail(args.tape)
     series = bucket_panel.build_panels(result.records, _panel_config(opts))
     states = state_space.state_matrix(series, state_space.VolumeMode(opts["mode"]))
     outdir = _outdir(args)
     path = os.path.join(outdir, f"states_{opts['mode']}.csv")
-    _write_csv(path, _provenance("statespace", {**opts, "tape_file": args.tape}),
+    _write_csv(path, _provenance("statespace", opts),
                lambda h: state_space.write_state_csv(states, h))
     _summary("statespace", rows=states.values.shape[0],
              buckets=states.values.shape[1], mode=opts["mode"], out=path)
@@ -308,8 +326,6 @@ def _cmd_fit(args) -> int:
     try:
         with open(args.states, encoding="utf-8") as handle:
             states = state_space.read_state_csv(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read states {args.states}: {exc}")
     except ValueError as exc:
         raise DataError(f"bad state matrix: {exc}")
     if not np.isfinite(states.values).all():
@@ -320,7 +336,7 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         raise DataError(f"cannot fit {args.states}: {exc}")
     outdir = _outdir(args)
-    prov = _provenance("fit", {"states_file": args.states})
+    prov = _provenance("fit", {})
     _write_csv(os.path.join(outdir, "beta.csv"), prov,
                lambda h: dual_regression.write_beta_csv(output.beta, h))
     _write_csv(os.path.join(outdir, "predictions.csv"), prov,
@@ -335,25 +351,11 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-#: the `backcast` flags each protocol reads, besides --protocol, --seed,
-#: --train-residuals, --index, --config and --out-dir
-BACKCAST_FLAGS = {
-    "shallow": (),
-    "deep10": ("predict_residuals", "rounds", "learning_rate"),
-    "cnn7": ("predict_residuals", "runs", "rounds", "learning_rate", "activation"),
-}
-
-
 def _cmd_backcast(args) -> int:
     from . import neural_kit, residual_study
 
-    opts = _resolve(args, {
-        "protocol": "cnn7", "runs": 6, "rounds": 150, "learning_rate": 0.05,
-        "activation": "tanh", "seed": 1,
-    })
+    opts = _resolve(args)
     protocol = opts["protocol"]
-    if protocol not in BACKCAST_FLAGS:
-        raise UsageError(f"unknown protocol {protocol!r}")
     unread = [key for key in BACKCAST_FLAGS["cnn7"]  # cnn7 reads them all
               if key not in BACKCAST_FLAGS[protocol] and getattr(args, key) is not None]
     if unread:
@@ -363,7 +365,7 @@ def _cmd_backcast(args) -> int:
     indexes = [_load_index(spec) for spec in args.index]
     if not indexes:
         raise UsageError("need at least one --index name=file.csv")
-    if int(opts["runs"]) < 1:
+    if opts["runs"] < 1:
         raise UsageError("--runs must be at least 1")
     if protocol in ("deep10", "cnn7"):
         if not args.predict_residuals:
@@ -374,13 +376,12 @@ def _cmd_backcast(args) -> int:
     train_dates, train_resid = _load_rows(args.train_residuals)
     if protocol == "shallow":
         moments = residual_study.monthly_moments(train_resid, train_dates)
-        report = residual_study.shallow_backcast(moments, indexes, seed=int(opts["seed"]))
+        report = residual_study.shallow_backcast(moments, indexes, seed=opts["seed"])
     elif protocol == "deep10":
         pred_dates, pred_resid = _load_rows(args.predict_residuals)
         report = residual_study.deep_backcast(
             train_resid, train_dates, pred_resid, pred_dates, indexes,
-            seed=int(opts["seed"]), rounds=int(opts["rounds"]),
-            learning_rate=float(opts["learning_rate"]))
+            seed=opts["seed"], rounds=opts["rounds"], learning_rate=opts["learning_rate"])
     else:
         pred_dates, pred_resid = _load_rows(args.predict_residuals)
         train_w = residual_study.monthly_windows(train_resid, train_dates,
@@ -389,12 +390,13 @@ def _cmd_backcast(args) -> int:
                                                 trader_id=_tape_label(args.predict_residuals))
         spec = neural_kit.cnn7_spec(input_shape=train_w.images.shape[1:],
                                     activation=activation)
-        seeds = [int(opts["seed"]) + i for i in range(int(opts["runs"]))]
+        seeds = [opts["seed"] + i for i in range(opts["runs"])]
         report = residual_study.cnn_backcast(
             train_w, pred_w, indexes, spec=spec, seeds=seeds,
-            rounds=int(opts["rounds"]), learning_rate=float(opts["learning_rate"]))
+            rounds=opts["rounds"], learning_rate=opts["learning_rate"])
     outdir = _outdir(args)
-    prov = _provenance("backcast", {**opts, "train_file": args.train_residuals})
+    read = ("protocol", "seed", *BACKCAST_FLAGS[protocol])
+    prov = _provenance("backcast", {k: v for k, v in opts.items() if k in read})
     _write_json(os.path.join(outdir, f"backcast_{protocol}.json"), prov, report.to_dict())
     _write_csv(os.path.join(outdir, f"backcast_{protocol}.csv"), prov,
                lambda h: residual_study.write_report_csv(report, h))
@@ -407,12 +409,12 @@ def _cmd_backcast(args) -> int:
 def _cmd_liquidity(args) -> int:
     from . import bucket_panel, liquidity_lab
 
-    opts = _resolve(args, dict(PANEL_DEFAULTS))
+    opts = _resolve(args)
     result = _records_or_fail(args.tape)
     series = bucket_panel.build_panels(result.records, _panel_config(opts))
     cost = liquidity_lab.cost_series(series)
     outdir = _outdir(args)
-    prov = _provenance("liquidity", {**opts, "tape_file": args.tape})
+    prov = _provenance("liquidity", opts)
     _write_csv(os.path.join(outdir, "lambda.csv"), prov,
                lambda h: liquidity_lab.write_lambda_csv(cost, h))
     _write_csv(os.path.join(outdir, "lambda_daily.csv"), prov,
@@ -428,30 +430,24 @@ def _cmd_liquidity(args) -> int:
 def _cmd_eventstudy(args) -> int:
     from . import bucket_panel, liquidity_lab
 
-    opts = _resolve(args, {
-        "period_length": 60, "n_periods": 8, "training_periods": "0,1",
-        "permutations": 10_000, "rounds": 150, "learning_rate": 0.05,
-        "activation": "tanh", "seeds": "1,2,3",
-        **PANEL_DEFAULTS,
-    })
+    opts = _resolve(args)
     activation = _activation(opts)
     result = _records_or_fail(args.tape)
     index = _load_index(args.index)
     try:
-        lo, hi = (int(v) for v in str(opts["training_periods"]).split(","))
-        seeds = tuple(int(v) for v in str(opts["seeds"]).split(","))
+        lo, hi = (int(v) for v in opts["training_periods"].split(","))
+        seeds = tuple(int(v) for v in opts["seeds"].split(","))
     except ValueError:
         raise UsageError("--training-periods takes 'a,b'; --seeds takes 'n,n,...'")
     config = liquidity_lab.EventStudyConfig(
-        period_length=int(opts["period_length"]), n_periods=int(opts["n_periods"]),
-        training_periods=(lo, hi), n_permutations=int(opts["permutations"]),
-        rounds=int(opts["rounds"]), learning_rate=float(opts["learning_rate"]),
-        activation=activation)
+        period_length=opts["period_length"], n_periods=opts["n_periods"],
+        training_periods=(lo, hi), n_permutations=opts["permutations"],
+        rounds=opts["rounds"], learning_rate=opts["learning_rate"], activation=activation)
     series = bucket_panel.build_panels(result.records, _panel_config(opts))
     cost = liquidity_lab.cost_series(series)
     report = liquidity_lab.event_study(cost, index, config, seeds=seeds)
     outdir = _outdir(args)
-    prov = _provenance("eventstudy", {**opts, "tape_file": args.tape})
+    prov = _provenance("eventstudy", opts)
     _write_json(os.path.join(outdir, "eventstudy.json"), prov, report.to_dict())
     _write_csv(os.path.join(outdir, "eventstudy.csv"), prov,
                lambda h: liquidity_lab.write_report_csv(report, h))
@@ -464,11 +460,9 @@ def _cmd_eventstudy(args) -> int:
 def _cmd_pdo_demo(args) -> int:
     from . import pdo_kernel
 
-    opts = _resolve(args, {"points": 256, "sigma0": 0.5, "diffusion": 0.25,
-                           "drift": 0.0, "time": 1.0})
-    n = int(opts["points"])
-    sigma0, diff = float(opts["sigma0"]), float(opts["diffusion"])
-    drift, t = float(opts["drift"]), float(opts["time"])
+    opts = _resolve(args)
+    n, sigma0, diff = opts["points"], opts["sigma0"], opts["diffusion"]
+    drift, t = opts["drift"], opts["time"]
     if n < 2 or not (np.isfinite([sigma0, diff, drift, t]).all()
                      and sigma0 > 0 and diff >= 0 and t >= 0):
         raise UsageError("pdo-demo needs --points >= 2, --sigma0 > 0, --diffusion >= 0 "
@@ -499,8 +493,6 @@ def _cmd_emit_plotdata(args) -> int:
                 payload = json.load(handle)
             else:
                 header, data = tape_io.read_table_csv(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read artifact {args.artifact}: {exc}")
     except ValueError as exc:
         raise DataError(f"bad artifact {args.artifact}: {exc}")
     if args.kind == "heatmap":
@@ -534,111 +526,50 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dualspace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, about):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", help="JSON file of option defaults")
         p.add_argument("--out-dir", dest="out_dir")
+        for key, (kind, _) in OPTIONS.get(name, {}).items():
+            if key in SYNTH_SHAPE_KEYS:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind)
+            else:
+                p.add_argument(flag, type=kind)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate synthetic tapes and indexes")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--traders", type=int)
-    p.add_argument("--days", type=int)
-    p.add_argument("--trades-per-day", dest="trades_per_day", type=float)
-    p.add_argument("--g-sent", dest="g_sent", type=float)
-    p.add_argument("--g-ret", dest="g_ret", type=float)
-    p.add_argument("--g-yield", dest="g_yield", type=float)
-    p.add_argument("--snr", type=float)
-    p.add_argument("--shock", help="start:end:volume_mult:spread_mult")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("ingest", help="parse and validate a tape")
-    common(p)
+    command("synth", _cmd_synth, "generate synthetic tapes and indexes")
+    p = command("ingest", _cmd_ingest, "parse and validate a tape")
     p.add_argument("--tape", required=True)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("summarize", help="descriptive statistics of a tape")
-    common(p)
+    p = command("summarize", _cmd_summarize, "descriptive statistics of a tape")
     p.add_argument("--tape", required=True)
     p.add_argument("--side", choices=["B", "S"])
-    p.set_defaults(func=_cmd_summarize)
-
-    def panel_flags(p):
-        p.add_argument("--delta", type=float)
-        p.add_argument("--buckets", type=int)
-        p.add_argument("--subcells", type=int)
-        p.add_argument("--geometric-imbalance", dest="geometric_imbalance",
-                       action="store_const", const=True)
-
-    p = sub.add_parser("panels", help="daily price-bucket panels")
-    common(p)
+    p = command("panels", _cmd_panels, "daily price-bucket panels")
     p.add_argument("--tape", required=True)
     p.add_argument("--fine", action="store_true", help="also export sub-cell profiles")
-    panel_flags(p)
-    p.set_defaults(func=_cmd_panels)
-
-    p = sub.add_parser("statespace", help="interday correlation state matrix")
-    common(p)
+    p = command("statespace", _cmd_statespace, "interday correlation state matrix")
     p.add_argument("--tape", required=True)
-    p.add_argument("--mode", choices=["buy", "sell", "imbalance"])
-    panel_flags(p)
-    p.set_defaults(func=_cmd_statespace)
-
-    p = sub.add_parser("fit", help="dual-space operator regression")
-    common(p)
+    p = command("fit", _cmd_fit, "dual-space operator regression")
     p.add_argument("--states", required=True)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("backcast", help="index backcasts from residuals")
-    common(p)
-    p.add_argument("--protocol", choices=["shallow", "deep10", "cnn7"])
-    p.add_argument("--train-residuals", dest="train_residuals", required=True)
-    p.add_argument("--predict-residuals", dest="predict_residuals")
-    p.add_argument("--index", action="append", default=[],
-                   help="name=file.csv (repeatable)")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--activation")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_backcast)
-
-    p = sub.add_parser("liquidity", help="trading cost and Amihud lambda")
-    common(p)
+    p = command("backcast", _cmd_backcast, "index backcasts from residuals")
+    p.add_argument("--train-residuals", required=True)
+    p.add_argument("--predict-residuals")
+    p.add_argument("--index", action="append", default=[], help="name=file.csv (repeatable)")
+    p = command("liquidity", _cmd_liquidity, "trading cost and Amihud lambda")
     p.add_argument("--tape", required=True)
-    panel_flags(p)
-    p.set_defaults(func=_cmd_liquidity)
-
-    p = sub.add_parser("eventstudy", help="liquidity event-study hypothesis test")
-    common(p)
+    p = command("eventstudy", _cmd_eventstudy, "liquidity event-study hypothesis test")
     p.add_argument("--tape", required=True)
     p.add_argument("--index", required=True, help="name=file.csv")
-    p.add_argument("--period-length", dest="period_length", type=int)
-    p.add_argument("--n-periods", dest="n_periods", type=int)
-    p.add_argument("--training-periods", dest="training_periods")
-    p.add_argument("--permutations", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--activation")
-    p.add_argument("--seeds")
-    panel_flags(p)
-    p.set_defaults(func=_cmd_eventstudy)
-
-    p = sub.add_parser("pdo-demo", help="spectral diffusion demo vs closed form")
-    common(p)
-    p.add_argument("--points", type=int)
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--diffusion", type=float)
-    p.add_argument("--drift", type=float)
-    p.add_argument("--time", type=float)
-    p.set_defaults(func=_cmd_pdo_demo)
-
-    p = sub.add_parser("emit-plotdata", help="plot-ready long-format CSV")
-    common(p)
+    command("pdo-demo", _cmd_pdo_demo, "spectral diffusion demo vs closed form")
+    p = command("emit-plotdata", _cmd_emit_plotdata, "plot-ready long-format CSV")
     p.add_argument("--artifact", required=True)
     p.add_argument("--kind", required=True, choices=["heatmap", "series", "bars"])
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_emit_plotdata)
-
     return parser
 
 
@@ -650,7 +581,7 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValueError) as exc:
+    except (DataError, ValueError, OSError) as exc:  # OSError: a file read or write
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:  # FloatingPointError, TrainingDivergedError

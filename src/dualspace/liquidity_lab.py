@@ -104,6 +104,10 @@ class EventStudyConfig:
     learning_rate: float = 0.05
     activation: str = "tanh"
 
+    def __post_init__(self):
+        if self.n_permutations < 1:  # (1 + 0) / (1 + 0) would read as a p-value of 1
+            raise ValueError("an event study needs at least one permutation")
+
     def resolved_windows(self) -> list[tuple[int, int]]:
         if self.prediction_windows:
             return [tuple(w) for w in self.prediction_windows]

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import json
 import os
@@ -340,10 +341,128 @@ def test_backcast_config_keys_the_protocol_does_not_read_stay_accepted(
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"runs": 9, "rounds": 1, "learning_rate": 5,
                                   "activation": "relu"}))
-    run_ok(capsys, ["backcast", "--protocol", "shallow", "--config", str(config),
-                    "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
+    argv = ["backcast", "--protocol", "shallow",
+            "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
+            "--index", f"sentiment={tape_dir / 'sentiment.csv'}"]
+    run_ok(capsys, argv + ["--config", str(config), "--out-dir", str(tmp_path / "bc")])
+    # nor do they enter the provenance hash
+    run_ok(capsys, argv + ["--out-dir", str(tmp_path / "plain")])
+    assert filecmp.cmp(tmp_path / "plain" / "backcast_shallow.json",
+                       tmp_path / "bc" / "backcast_shallow.json", shallow=False)
+
+
+def test_a_flag_and_the_same_config_value_hash_alike(capsys, tape_dir, residual_dir,
+                                                     tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"learning_rate": 5}))
+    argv = ["backcast", "--protocol", "deep10", "--rounds", "1",
+            "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
+            "--predict-residuals", str(residual_dir / "t1" / "residuals.csv"),
+            "--index", f"sentiment={tape_dir / 'sentiment.csv'}"]
+    hashes = []
+    for name, extra in (("flag", ["--learning-rate", "5"]), ("config", ["--config", str(config)])):
+        run_ok(capsys, argv + extra + ["--out-dir", str(tmp_path / name)])
+        payload = json.loads((tmp_path / name / "backcast_deep10.json").read_text())
+        hashes.append(payload["provenance"]["options_hash"])
+    assert hashes[0] == hashes[1]
+
+
+#: each subcommand's flags besides -h, --config and --out-dir
+SUBCOMMAND_FLAGS = {
+    "synth": "--days --g-ret --g-sent --g-yield --seed --shock --snr --traders "
+             "--trades-per-day",
+    "ingest": "--tape",
+    "summarize": "--side --tape",
+    "panels": "--buckets --delta --fine --geometric-imbalance --subcells --tape",
+    "statespace": "--buckets --delta --geometric-imbalance --mode --subcells --tape",
+    "fit": "--states",
+    "backcast": "--activation --index --learning-rate --predict-residuals --protocol "
+                "--rounds --runs --seed --train-residuals",
+    "liquidity": "--buckets --delta --geometric-imbalance --subcells --tape",
+    "eventstudy": "--activation --buckets --delta --geometric-imbalance --index "
+                  "--learning-rate --n-periods --period-length --permutations --rounds "
+                  "--seeds --subcells --tape --training-periods",
+    "pdo-demo": "--diffusion --drift --points --sigma0 --time",
+    "emit-plotdata": "--artifact --kind --out",
+}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    parser = cli._build_parser()
+    subparsers = next(action.choices for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {flag for action in sub._actions for flag in action.option_strings}
+             for name, sub in subparsers.items()}
+    assert flags == {name: set(names.split()) | {"-h", "--help", "--config", "--out-dir"}
+                     for name, names in SUBCOMMAND_FLAGS.items()}
+
+
+CONFIG_KINDS = [
+    # (command, key, config value, exit code)
+    ("statespace", "geometric_imbalance", "false", 2),
+    ("statespace", "geometric_imbalance", 0, 2),
+    ("statespace", "mode", "both", 2),
+    ("backcast", "runs", 2.5, 2),
+    ("backcast", "protocol", "cnn8", 2),
+    ("synth", "seed", 5.0, 2),
+    ("synth", "seed", True, 2),
+    ("synth", "g_sent", "0.5", 2),
+    ("synth", "snr", 1e400, 2),
+    ("eventstudy", "seeds", 1, 2),
+    ("synth", "trades_per_day", 250, 0),
+    ("statespace", "geometric_imbalance", True, 0),
+]
+
+
+@pytest.mark.parametrize("command, key, value, code", CONFIG_KINDS,
+                         ids=[f"{c[1]}={json.dumps(c[2])}" for c in CONFIG_KINDS])
+def test_config_value_must_be_of_its_option_kind(capsys, tape_dir, residual_dir, tmp_path,
+                                                 command, key, value, code):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    index = f"sentiment={tape_dir / 'sentiment.csv'}"
+    argv = {"synth": ["synth", "--days", "5", "--traders", "1"],
+            "statespace": ["statespace", "--tape", str(tape_dir / "t0.csv")],
+            "backcast": ["backcast", "--index", index,
+                         "--train-residuals", str(residual_dir / "t0" / "residuals.csv")],
+            "eventstudy": ["eventstudy", "--tape", str(tape_dir / "t0.csv"),
+                           "--index", index]}[command]
+    assert cli.run(argv + ["--config", str(config), "--out-dir", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith("data error:") and repr(key) in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["pdo-demo-out-dir-under-a-file", "emit-plotdata-missing-dir"])
+def test_output_that_cannot_be_written_is_a_data_error(capsys, tmp_path, case):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    diagnostics = tmp_path / "diagnostics.json"
+    diagnostics.write_text(json.dumps({"predictor_share": [0.5, 0.25]}))
+    target = {"pdo-demo-out-dir-under-a-file": afile / "sub",
+              "emit-plotdata-missing-dir": tmp_path / "missing" / "x.csv"}[case]
+    argv = {"pdo-demo-out-dir-under-a-file": ["pdo-demo", "--out-dir", str(target)],
+            "emit-plotdata-missing-dir": ["emit-plotdata", "--artifact", str(diagnostics),
+                                          "--kind", "bars", "--out", str(target)]}[case]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:") and str(target) in lines[0]
+    assert captured.out == ""
+
+
+def test_eventstudy_without_permutations_is_a_data_error(capsys, tape_dir, tmp_path):
+    code = cli.run(["eventstudy", "--tape", str(tape_dir / "t0.csv"),
                     "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
-                    "--out-dir", str(tmp_path / "bc")])
+                    "--permutations", "0", "--rounds", "2", "--seeds", "1",
+                    "--out-dir", str(tmp_path / "es")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:") and "permutation" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "es").exists()
 
 
 MALFORMED_INPUTS = {

@@ -130,6 +130,13 @@ def test_event_config_default_windows():
         ll.EventStudyConfig(training_periods=(0, 2)).resolved_windows()
 
 
+def test_event_config_needs_a_permutation():
+    # with none, every window's Spearman p would read (1 + 0) / (1 + 0) = 1
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="permutation"):
+            ll.EventStudyConfig(n_permutations=n)
+
+
 def _flat_cost(n_days=480, value=1.0, jitter=None):
     dates = trading_days(dt.date(2009, 1, 5), n_days + 1)[1:]
     lam = np.full((n_days, NB), value)
