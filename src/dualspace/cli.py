@@ -147,8 +147,13 @@ def _resolve(args: argparse.Namespace) -> dict:
                 raise DataError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(from_file, dict):
             raise DataError("config file must hold a JSON object")
+    options = OPTIONS[args.command]
+    undeclared = sorted(set(from_file) - set(options))
+    if undeclared:
+        raise DataError(f"{args.command} takes no config key "
+                        + ", ".join(repr(key) for key in undeclared))
     resolved = {}
-    for key, (kind, default) in OPTIONS[args.command].items():
+    for key, (kind, default) in options.items():
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
@@ -361,12 +366,13 @@ def _cmd_backcast(args) -> int:
     if unread:
         flags = ", ".join("--" + key.replace("_", "-") for key in unread)
         raise UsageError(f"--protocol {protocol} does not read {flags}")
-    activation = _activation(opts)
+    if protocol == "cnn7":  # the one protocol that reads them
+        activation = _activation(opts)
+        if opts["runs"] < 1:
+            raise UsageError("--runs must be at least 1")
     indexes = [_load_index(spec) for spec in args.index]
     if not indexes:
         raise UsageError("need at least one --index name=file.csv")
-    if opts["runs"] < 1:
-        raise UsageError("--runs must be at least 1")
     if protocol in ("deep10", "cnn7"):
         if not args.predict_residuals:
             raise UsageError(f"--protocol {protocol} needs --predict-residuals")

@@ -6,11 +6,16 @@ zero-variance series is reported as the caller-supplied fallback
 [-1, 1] to absorb float round-off.  Ranks are computed here with numpy
 (`rankdata`): importing scipy's statistics package for them alone
 costs about a second per process, more than the event study that uses
-them.  The normal and Student-t laws come from the lighter
-`scipy.special`, imported inside the functions that need it.
+them.  The normal tail and the Student-t quantile are closed forms on
+the standard library (`math.erfc`, `_t_quantile`) for the same reason:
+importing `scipy.special` for one scalar call added about 0.3 s and
+15 MB of peak memory to each `backcast` and `eventstudy` process.  The
+tests hold both to scipy's.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -98,9 +103,39 @@ def fisher_z_pvalue(r1: float, n1: int, r2: float, n2: int) -> float:
     z2 = np.arctanh(np.clip(r2, -0.999999, 0.999999))
     se = np.sqrt(1.0 / (n1 - 3) + 1.0 / (n2 - 3))
     z = (z1 - z2) / se
-    from scipy import special
+    return math.erfc(abs(z) / math.sqrt(2.0))  # twice the normal tail beyond |z|
 
-    return float(2.0 * special.ndtr(-abs(z)))  # the normal survival function
+
+def _t_two_sided_mass(theta: float, df: int) -> float:
+    """P(|T| <= sqrt(df) tan(theta)) for Student's t on integer `df`
+    (Abramowitz & Stegun 26.7.3 for odd df, 26.7.4 for even df)."""
+    odd = df % 2
+    c2 = math.cos(theta) ** 2
+    term, series = 1.0, 0.0
+    for k in range(1, df // 2 + 1):
+        series += term
+        term *= c2 * (2 * k - 1 + odd) / (2 * k + odd)
+    if odd:
+        return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * series)
+    return math.sin(theta) * series
+
+
+def _t_quantile(df: int, q: float) -> float:
+    """The q-quantile (0.5 <= q < 1) of Student's t on integer df >= 1.
+
+    Bisects theta = atan(t / sqrt(df)) in [0, pi/2], on which the
+    two-sided mass rises, until the interval holds no float between its
+    ends."""
+    target = 2.0 * q - 1.0
+    lo, hi = 0.0, 0.5 * math.pi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if _t_two_sided_mass(mid, df) < target:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return math.sqrt(df) * math.tan(mid)
 
 
 def student_halfwidth(values, level: float = 0.10) -> float:
@@ -109,9 +144,7 @@ def student_halfwidth(values, level: float = 0.10) -> float:
     n = values.size
     if n < 2:
         return 0.0
-    from scipy import special
-
-    t_crit = special.stdtrit(n - 1, 1.0 - level / 2.0)  # Student-t quantile
+    t_crit = _t_quantile(n - 1, 1.0 - level / 2.0)
     return float(t_crit * values.std(ddof=1) / np.sqrt(n))
 
 
@@ -119,9 +152,7 @@ def corr_significance_threshold(n: int, level: float = 0.10) -> float:
     """Critical |r| for the two-sided test of zero correlation on n pairs."""
     if n <= 2:
         return 1.0
-    from scipy import special
-
-    t_crit = special.stdtrit(n - 2, 1.0 - level / 2.0)
+    t_crit = _t_quantile(n - 2, 1.0 - level / 2.0)
     return float(t_crit / np.sqrt(n - 2 + t_crit**2))
 
 

@@ -220,11 +220,12 @@ def _modules_after(*argvs):
 
 
 def test_import_leaves_scipy_stats_unloaded(tape_dir, residual_dir, tmp_path):
-    # scipy.stats costs more than a second of start-up and scipy.linalg
-    # about a third; commands that never use them must not pay for them,
-    # and each command imports only the layers it runs
+    # scipy.stats costs more than a second of start-up, scipy.linalg about
+    # a third and scipy.special about 0.3 s; commands that never use them
+    # must not pay for them, and each command imports only the layers it runs
+    heavy = {"scipy.stats", "scipy.linalg", "scipy.special"}
     loaded = _modules_after()
-    assert not loaded & {"scipy.stats", "scipy.linalg"}
+    assert not loaded & heavy
     assert {m for m in loaded if m.startswith("dualspace")} == {
         "dualspace", "dualspace.cli", "dualspace.tape_io"}
     index = f"sentiment={tape_dir / 'sentiment.csv'}"
@@ -237,15 +238,16 @@ def test_import_leaves_scipy_stats_unloaded(tape_dir, residual_dir, tmp_path):
          "--predict-residuals", str(residual_dir / "t1" / "residuals.csv"),
          "--index", index, "--runs", "1", "--rounds", "2",
          "--out-dir", str(tmp_path / "bc")])
-    assert "dualspace.liquidity_lab" in loaded and "scipy.stats" not in loaded
+    assert "dualspace.liquidity_lab" in loaded and not loaded & heavy
     unused = {f"dualspace.{m}" for m in ("neural_kit", "residual_study", "liquidity_lab",
                                          "synth_market", "pdo_kernel")}
     assert not _modules_after(["statespace", "--tape", str(tape_dir / "t0.csv"),
-                               "--out-dir", str(tmp_path / "s")]) & unused
+                               "--out-dir", str(tmp_path / "s")]) & (unused | heavy)
     assert not _modules_after(["fit", "--states", str(tmp_path / "s" / "states_imbalance.csv"),
-                               "--out-dir", str(tmp_path / "f")]) & unused
+                               "--out-dir", str(tmp_path / "f")]) & (unused | heavy)
     loaded = _modules_after(["synth", "--seed", "1", "--days", "30",
                              "--out-dir", str(tmp_path / "synth")])
+    assert not loaded & heavy
     assert {m for m in loaded if m.startswith("dualspace")} == {
         "dualspace", "dualspace.cli", "dualspace.tape_io", "dualspace.calendars",
         "dualspace.synth_market"}
@@ -349,6 +351,30 @@ def test_backcast_config_keys_the_protocol_does_not_read_stay_accepted(
     run_ok(capsys, argv + ["--out-dir", str(tmp_path / "plain")])
     assert filecmp.cmp(tmp_path / "plain" / "backcast_shallow.json",
                        tmp_path / "bc" / "backcast_shallow.json", shallow=False)
+
+
+@pytest.mark.parametrize("config", [{"activation": "elu"}, {"runs": 0}],
+                         ids=["activation", "runs"])
+def test_backcast_checks_only_the_config_keys_its_protocol_reads(
+        capsys, tape_dir, residual_dir, tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    run_ok(capsys, ["backcast", "--protocol", "shallow",
+                    "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
+                    "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
+                    "--config", str(path), "--out-dir", str(tmp_path / "bc")])
+
+
+def test_undeclared_config_key_is_a_data_error(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trades-per-day": 5, "sede": 3}))
+    code = cli.run(["synth", "--days", "5", "--traders", "1", "--config", str(config),
+                    "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("data error:") and "'sede'" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_a_flag_and_the_same_config_value_hash_alike(capsys, tape_dir, residual_dir,

@@ -4,12 +4,14 @@ the bucket panels' volume conservation, the whole-array
 state space and trading cost against their per-day loops, state entries
 in [-1, 1], the dual regression's reconstruction, P+F=1 and symmetry
 invariants, the CLI contract on arbitrary files and flag values, and
-average ranks against scipy's."""
+average ranks, the normal tail and the Student-t quantile against
+scipy's."""
 
 import contextlib
 import datetime as dt
 import io
 import json
+import math
 import os
 import tempfile
 from unittest import mock
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from scipy import stats
+from scipy import special, stats
 
 from dualspace import (bucket_panel, cli, corrstats, dual_regression, liquidity_lab,
                        state_space, tape_io)
@@ -292,3 +294,26 @@ def test_rankdata_matches_scipy(case):
 def test_rankdata_refuses_non_finite_values(bad):
     with pytest.raises(ValueError, match="finite"):
         corrstats.rankdata(np.array([[1.0, bad], [0.0, 2.0]]), axis=0)
+
+
+#: relative tolerance of corrstats' closed-form normal tail and Student-t
+#: quantile against scipy's; on the grids below they agree to about 2e-14
+SCIPY_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("q", [0.9, 0.95, 0.975])
+def test_t_quantile_matches_scipy(q):
+    dfs = np.arange(1, 400)
+    got = [corrstats._t_quantile(int(df), q) for df in dfs]
+    np.testing.assert_allclose(got, special.stdtrit(dfs, q), rtol=SCIPY_RTOL, atol=0)
+
+
+def test_fisher_z_pvalue_matches_scipy():
+    n = 103
+    se = math.sqrt(2.0 / (n - 3))
+    r = np.tanh(np.linspace(0.0, 8.0, 801) * se)  # z from 0 to 8
+    z = np.arctanh(r) / se
+    got = [corrstats.fisher_z_pvalue(r1, n, 0.0, n) for r1 in r]
+    np.testing.assert_allclose(got, 2.0 * special.ndtr(-z), rtol=SCIPY_RTOL, atol=0)
+    p = corrstats.fisher_z_pvalue
+    assert p(-0.5, n, 0.5, n) == p(0.5, n, -0.5, n)  # two-sided
