@@ -68,33 +68,28 @@ class PanelSeries:
     """A tape's bucket panels as whole-tape arrays, one row per trading day:
     `volume`, `vwap` (T, 2, n_buckets), buying side first; `fine`
     (T, 2, n_buckets, n_subcells); `ref_price`, `discarded_count`,
-    `discarded_volume`, `unknown_volume` (T,).  `panels`, per-day
-    `DailyPanel` views, is built on first access; the constructor stacks
-    a list of panels, as `Tape.from_records` stacks records."""
+    `discarded_volume`, `unknown_volume` (T,).  The constructor takes
+    the arrays as they are and checks that the dates strictly increase,
+    the side and sub-cell arrays match the config and each (T,) array
+    has one entry per date.  `panels`, per-day `DailyPanel` views, is
+    built on first access."""
 
-    def __init__(self, panels: list[DailyPanel], config: BucketConfig):
-        self._assign(config, [p.date for p in panels],
-                     np.array([p.ref_price for p in panels], dtype=float),
-                     np.array([(p.buy_vol, p.sell_vol) for p in panels], dtype=float),
-                     np.array([(p.buy_vwap, p.sell_vwap) for p in panels], dtype=float),
-                     np.array([(p.fine_buy, p.fine_sell) for p in panels], dtype=float),
-                     np.array([p.discarded_trades for p in panels], dtype=np.int64),
-                     np.array([p.discarded_volume for p in panels], dtype=float),
-                     np.array([p.unknown_volume for p in panels], dtype=float))
-
-    def _assign(self, config, dates, *arrays) -> "PanelSeries":
+    def __init__(self, config: BucketConfig, dates: list[dt.date], ref_price, volume, vwap,
+                 fine, discarded_count, discarded_volume, unknown_volume):
         if any(b <= a for a, b in zip(dates, dates[1:])):
             raise ValueError("panel dates must be strictly increasing")
-        self.config, self.dates = config, dates
-        (self.ref_price, self.volume, self.vwap, self.fine, self.discarded_count,
-         self.discarded_volume, self.unknown_volume) = arrays
         side = (len(dates), 2, config.n_buckets)
-        if dates and (self.volume.shape != side or self.vwap.shape != side
-                      or self.fine.shape != side + (config.n_subcells,)):
+        if volume.shape != side or vwap.shape != side or fine.shape != side + (config.n_subcells,):
             raise ValueError(f"panels must hold (2, {config.n_buckets}) side arrays and "
                              f"(2, {config.n_buckets}, {config.n_subcells}) sub-cell arrays")
-        self.discarded_trades = int(self.discarded_count.sum())
-        return self
+        if any(a.shape != side[:1] for a in (ref_price, discarded_count, discarded_volume,
+                                                 unknown_volume)):
+            raise ValueError("per-day arrays must hold one entry per date")
+        self.config, self.dates, self.ref_price = config, dates, ref_price
+        self.volume, self.vwap, self.fine = volume, vwap, fine
+        self.discarded_count, self.discarded_volume = discarded_count, discarded_volume
+        self.unknown_volume = unknown_volume
+        self.discarded_trades = int(discarded_count.sum())
 
     @cached_property
     def panels(self) -> list[DailyPanel]:
@@ -195,18 +190,19 @@ def build_panels(tape: Tape, config: BucketConfig = BucketConfig()) -> PanelSeri
     vol_sum = np.bincount(slot, weights=vol, minlength=n_days * 2 * nb).reshape(n_days, 2, nb)
 
     vwap = np.where(vol_sum > 0, price_sum / np.where(vol_sum > 0, vol_sum, 1.0), 0.0)
-    return PanelSeries.__new__(PanelSeries)._assign(  # takes the arrays as built
-        config, days, ref, fine.sum(axis=3), vwap, fine,
-        discarded_trades, discarded_volume, unknown_volume)
+    return PanelSeries(config, days, ref, fine.sum(axis=3), vwap, fine,
+                       discarded_trades, discarded_volume, unknown_volume)
 
 
 def write_panels_csv(series: PanelSeries, handle) -> None:
     """Long-format export: one row per (date, bucket)."""
+    vol, vwap = series.volume, series.vwap
+    cells = np.stack([vol[:, 0], vol[:, 1], vol[:, 0] - vol[:, 1], vwap[:, 0], vwap[:, 1]],
+                     axis=-1)  # (T, n_buckets, 5)
     write_table_csv(handle, ["date", "bucket", "buy_vol", "sell_vol", "imb_vol",
                              "buy_vwap", "sell_vwap"],
-                    ([panel.date.isoformat(), k, panel.buy_vol[k], panel.sell_vol[k],
-                      panel.imb_vol[k], panel.buy_vwap[k], panel.sell_vwap[k]]
-                     for panel in series.panels for k in range(series.config.n_buckets)))
+                    ([day.isoformat(), k, *row] for day, rows in zip(series.dates, cells.tolist())
+                     for k, row in enumerate(rows)))
 
 
 def write_fine_csv(series: PanelSeries, handle) -> None:

@@ -532,10 +532,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dualspace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, about):
+    def command(name, func, about, out_dir=True):
+        """A subcommand: --config if it has OPTIONS, --out-dir if it writes there."""
         p = sub.add_parser(name, help=about)
-        p.add_argument("--config", help="JSON file of option defaults")
-        p.add_argument("--out-dir", dest="out_dir")
+        if name in OPTIONS:
+            p.add_argument("--config", help="JSON file of option defaults")
+        if out_dir:
+            p.add_argument("--out-dir", dest="out_dir")
         for key, (kind, _) in OPTIONS.get(name, {}).items():
             if key in SYNTH_SHAPE_KEYS:
                 continue
@@ -552,7 +555,7 @@ def _build_parser() -> _Parser:
     command("synth", _cmd_synth, "generate synthetic tapes and indexes")
     p = command("ingest", _cmd_ingest, "parse and validate a tape")
     p.add_argument("--tape", required=True)
-    p = command("summarize", _cmd_summarize, "descriptive statistics of a tape")
+    p = command("summarize", _cmd_summarize, "descriptive statistics of a tape", out_dir=False)
     p.add_argument("--tape", required=True)
     p.add_argument("--side", choices=["B", "S"])
     p = command("panels", _cmd_panels, "daily price-bucket panels")
@@ -572,7 +575,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--tape", required=True)
     p.add_argument("--index", required=True, help="name=file.csv")
     command("pdo-demo", _cmd_pdo_demo, "spectral diffusion demo vs closed form")
-    p = command("emit-plotdata", _cmd_emit_plotdata, "plot-ready long-format CSV")
+    p = command("emit-plotdata", _cmd_emit_plotdata, "plot-ready long-format CSV",
+                out_dir=False)
     p.add_argument("--artifact", required=True)
     p.add_argument("--kind", required=True, choices=["heatmap", "series", "bars"])
     p.add_argument("--out", required=True)

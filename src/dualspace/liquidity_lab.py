@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural_kit
-from .bucket_panel import DailyPanel, PanelSeries
+from .bucket_panel import PanelSeries
 from .calendars import IndexSeries, month_index
 from .corrstats import fisher_z_pvalue, pearson, rankdata, spearman, standardize
 from .residual_study import WINDOW_DAYS, monthly_windows
@@ -47,48 +47,26 @@ class CostSeries:
     illiquid: np.ndarray      # (T-1, n_buckets) bool, a zero lambda denominator
 
 
-def trading_cost(panel_prev: DailyPanel, panel_cur: DailyPanel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bucket cost vector; also returns the no-quote bucket mask.
+def cost_series(series: PanelSeries) -> CostSeries:
+    """pi and lambda of every day pair, on day-shifted arrays.
 
     A bucket with an empty prior-day side has no usable quote proxy:
-    that term contributes 0 and the bucket is flagged.
+    that term contributes 0 and the bucket is flagged no-quote.  A
+    bucket whose lambda denominator is zero gets lambda 0 and is
+    flagged illiquid.
     """
-    if panel_prev.date >= panel_cur.date:
-        raise ValueError("panels must be consecutive (prev before cur)")
-    if panel_prev.buy_vol.shape != panel_cur.buy_vol.shape:
-        raise ValueError("panels have mismatched bucket configs")
-    return _trading_cost(panel_prev.buy_vol, panel_prev.sell_vol, panel_prev.buy_vwap,
-                         panel_prev.sell_vwap, panel_cur.buy_vol, panel_cur.sell_vol)
-
-
-def _trading_cost(buy_prev, sell_prev, ask_prev, bid_prev, buy_cur, sell_cur):
-    return ask_prev * buy_cur - bid_prev * sell_cur, (buy_prev == 0) | (sell_prev == 0)
-
-
-def amihud_lambda(pi: np.ndarray, panel_prev: DailyPanel,
-                  panel_cur: DailyPanel) -> tuple[np.ndarray, np.ndarray]:
-    """Roundtrip cost per share; zero-denominator buckets flagged illiquid."""
-    return _amihud_lambda(pi, panel_cur.buy_vol, panel_prev.sell_vol)
-
-
-def _amihud_lambda(pi, buy_cur, sell_prev):
-    denom = 0.5 * (buy_cur + sell_prev)
-    illiquid = denom == 0
-    return np.divide(np.abs(pi), denom, out=np.zeros_like(pi), where=~illiquid), illiquid
-
-
-def cost_series(series: PanelSeries) -> CostSeries:
-    """trading_cost and amihud_lambda over all day pairs, on day-shifted arrays."""
     if len(series) < 2:
         raise ValueError("need at least 2 days of panels")
     vol, vwap = series.volume, series.vwap
     buy_prev, sell_prev, buy_cur, sell_cur = vol[:-1, 0], vol[:-1, 1], vol[1:, 0], vol[1:, 1]
-    pi, no_quote = _trading_cost(buy_prev, sell_prev, vwap[:-1, 0], vwap[:-1, 1],
-                                 buy_cur, sell_cur)
-    lam, illiquid = _amihud_lambda(pi, buy_cur, sell_prev)
+    pi = vwap[:-1, 0] * buy_cur - vwap[:-1, 1] * sell_cur
+    denom = 0.5 * (buy_cur + sell_prev)
+    illiquid = denom == 0
+    lam = np.divide(np.abs(pi), denom, out=np.zeros_like(pi), where=~illiquid)
     return CostSeries(
         dates=series.dates[1:], pi=pi, lam=lam, lambda_avg=lam.mean(axis=1),
-        day_positions=np.arange(1, len(series)), no_quote=no_quote, illiquid=illiquid)
+        day_positions=np.arange(1, len(series)),
+        no_quote=(buy_prev == 0) | (sell_prev == 0), illiquid=illiquid)
 
 
 # ── event study ────────────────────────────────────────────────────────

@@ -415,15 +415,6 @@ def forward_batch(net: TrainedNet, inputs: np.ndarray) -> np.ndarray:
     return x[:, 0]
 
 
-def predict(net: TrainedNet, inputs: np.ndarray) -> float:
-    """Forward pass for a single input; returns the scalar output."""
-    x = np.asarray(inputs, dtype=float)
-    if x.shape != _infer_input_shape(net.spec):
-        raise ValueError(f"input shape {x.shape} does not match net input "
-                         f"{_infer_input_shape(net.spec)}")
-    return float(forward_batch(net, x)[0])
-
-
 def train(net: TrainedNet, inputs: np.ndarray, targets: np.ndarray, rounds: int,
           learning_rate: float) -> TrainedNet:
     """Full-batch gradient descent on MSE; returns a new trained net.

@@ -28,7 +28,6 @@ import numpy as np
 from . import neural_kit
 from .calendars import IndexSeries, group_by_month
 from .corrstats import pearson, standardize, student_halfwidth
-from .dual_regression import RegressionOutput
 from .tape_io import write_table_csv
 
 #: Fixed image height for monthly windows (months have 18-23 trading days).
@@ -159,10 +158,6 @@ def monthly_windows(residuals: np.ndarray, dates: list[dt.date],
         months.append(key)
         images.append(block)
     return MonthlyWindows(trader_id, months, np.stack(images), padded, truncated)
-
-
-def windows_from_output(output: RegressionOutput, trader_id: str = "") -> MonthlyWindows:
-    return monthly_windows(output.residuals, output.dates, trader_id)
 
 
 # ── protocol helpers ───────────────────────────────────────────────────

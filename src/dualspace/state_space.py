@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bucket_panel import DailyPanel, PanelSeries, imbalance_profile
+from .bucket_panel import PanelSeries, imbalance_profile
 from .corrstats import rowwise_pearson
 from .tape_io import read_table_csv, write_table_csv
 
@@ -50,18 +50,9 @@ def _profiles(buy: np.ndarray, sell: np.ndarray, mode: VolumeMode, geometric: bo
     return buy if mode is VolumeMode.BUY else sell
 
 
-def corr_vector(panel_t: DailyPanel, panel_t1: DailyPanel, mode: VolumeMode,
-                geometric: bool = False) -> np.ndarray:
-    """Per-bucket profile correlation between two days (0 where flat)."""
-    a = _profiles(panel_t.fine_buy, panel_t.fine_sell, mode, geometric)
-    b = _profiles(panel_t1.fine_buy, panel_t1.fine_sell, mode, geometric)
-    if a.shape != b.shape:
-        raise ValueError("panels have mismatched bucket configs")
-    return rowwise_pearson(b, a, undefined=0.0)
-
-
 def state_matrix(series: PanelSeries, mode: VolumeMode) -> StateMatrix:
-    """corr_vector over all consecutive day pairs (T = days - 1), in whole-array passes."""
+    """Per-bucket profile correlation of every consecutive day pair, later
+    day first (T = days - 1; 0 where flat), in whole-array passes."""
     if len(series) < 2:
         raise ValueError("need at least 2 days of panels")
     ns, rows = series.fine.shape[-1], []
@@ -105,6 +96,8 @@ def read_state_csv(handle) -> StateMatrix:
         raise ValueError("state matrix file needs date, mode and bucket columns")
     if not rows:
         raise ValueError("empty state matrix file")
-    modes = [VolumeMode(row[1]) for row in rows]
+    modes = sorted({row[1] for row in rows})
+    if len(modes) > 1:
+        raise ValueError(f"state matrix rows mix modes {', '.join(modes)}")
     return StateMatrix(np.array([[float(v) for v in row[2:]] for row in rows], dtype=float),
-                       modes[-1], [dt.date.fromisoformat(row[0]) for row in rows])
+                       VolumeMode(modes[0]), [dt.date.fromisoformat(row[0]) for row in rows])

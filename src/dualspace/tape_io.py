@@ -9,11 +9,11 @@ treated as header material.  Rows with a missing or unrecognized side
 flag are kept with side=Unknown; malformed rows are reported per line,
 never silently dropped.
 
-In memory a tape is a `Tape`: parallel numpy columns, one entry per
-trade, that every stage from synthesis through parsing to the bucket
-panels takes and works on directly.  It is also a read-only sequence of
-`TapeRecord`s, so code that wants one trade at a time can have it;
-`Tape.from_records` converts the other way.
+In memory a tape is a `Tape`, built from parallel numpy columns, one
+entry per trade, that every stage from synthesis through parsing to the
+bucket panels takes and works on directly.  It is also a read-only
+sequence of `TapeRecord`s, so code that wants one trade at a time can
+have it.
 
 The reader works on the tape's UTF-8 bytes, `_CHUNK_LINES` lines at a
 time, which bounds the arrays and strings alive at once (about 24 MB
@@ -96,18 +96,6 @@ class Tape(Sequence):
             raise ValueError("tape dates must be strictly increasing")
         if n and (self.day.min() < 0 or self.day.max() >= len(self.dates)):
             raise ValueError("day index outside the date table")
-
-    @classmethod
-    def from_records(cls, records: Iterable[TapeRecord]) -> "Tape":
-        records = list(records)
-        dates = sorted({rec.date for rec in records})
-        index = {day: i for i, day in enumerate(dates)}
-        n = len(records)
-        return cls(dates,
-                   np.fromiter((index[rec.date] for rec in records), np.int64, n),
-                   np.fromiter((rec.price for rec in records), np.float64, n),
-                   np.fromiter((SIDE_CODE[rec.side] for rec in records), np.int8, n),
-                   np.fromiter((rec.volume for rec in records), np.int64, n))
 
     def __len__(self) -> int:
         return self.day.size

@@ -12,8 +12,9 @@ from itertools import islice, repeat
 import numpy as np
 
 from dualspace import tape_io
-from dualspace.liquidity_lab import amihud_lambda, trading_cost
-from dualspace.state_space import StateMatrix, VolumeMode, corr_vector
+from dualspace.bucket_panel import imbalance_profile
+from dualspace.corrstats import rowwise_pearson
+from dualspace.state_space import StateMatrix, VolumeMode
 
 
 def naive_dft(row):
@@ -90,23 +91,47 @@ def loop_reference_prices(tape):
     return [first if ref is None else ref for ref in refs]
 
 
+def tape_of(records):
+    """A `Tape` holding the given `TapeRecord`s, in their order."""
+    records = list(records)
+    dates = sorted({rec.date for rec in records})
+    index = {day: i for i, day in enumerate(dates)}
+    return tape_io.Tape(dates, [index[rec.date] for rec in records],
+                        [rec.price for rec in records],
+                        [tape_io.SIDE_CODE[rec.side] for rec in records],
+                        [rec.volume for rec in records])
+
+
 def loop_state_values(series, mode):
-    """state_matrix's values by the per-day loop: corr_vector over each
-    consecutive pair of panels."""
+    """state_matrix's values by the per-day loop: for each consecutive
+    pair of panels, the per-bucket correlation of the later day's
+    profile with the earlier day's (0 where flat)."""
+    def profile(panel):
+        if mode is VolumeMode.BUY:
+            return panel.fine_buy
+        if mode is VolumeMode.SELL:
+            return panel.fine_sell
+        return imbalance_profile(panel.fine_buy, panel.fine_sell,
+                                 series.config.geometric_imbalance)
+
     p = series.panels
-    return np.vstack([corr_vector(p[t], p[t + 1], mode, series.config.geometric_imbalance)
+    return np.vstack([rowwise_pearson(profile(p[t + 1]), profile(p[t]), undefined=0.0)
                       for t in range(len(p) - 1)])
 
 
 def loop_cost_series(series):
     """cost_series' (pi, lam, no_quote, illiquid) by the per-day loop over
-    trading_cost and amihud_lambda."""
+    the formulas: pi = ask(t-1) * buy(t) - bid(t-1) * sell(t), with the
+    prior day's VWAPs as the quotes, and lambda = |pi| / ((buy(t) +
+    sell(t-1)) / 2), 0 where that denominator is."""
     pis, lams, no_quote, illiquid = [], [], [], []
     for prev, cur in zip(series.panels, series.panels[1:]):
-        pi, nq = trading_cost(prev, cur)
-        lam, ill = amihud_lambda(pi, prev, cur)
+        pi = prev.buy_vwap * cur.buy_vol - prev.sell_vwap * cur.sell_vol
+        half = (cur.buy_vol + prev.sell_vol) / 2
+        ill = half == 0
         pis.append(pi)
-        lams.append(lam)
+        lams.append(np.where(ill, 0.0, np.abs(pi) / np.where(ill, 1.0, half)))
+        nq = (prev.buy_vol == 0) | (prev.sell_vol == 0)
         no_quote.extend((cur.date, int(k)) for k in np.flatnonzero(nq))
         illiquid.extend((cur.date, int(k)) for k in np.flatnonzero(ill))
     return np.vstack(pis), np.vstack(lams), no_quote, illiquid

@@ -161,7 +161,7 @@ def test_criterion_06_attenuation_monte_carlo():
 
 def test_criterion_07_backcast_oracle(coupled_market, coupled_outputs):
     start = time.perf_counter()
-    windows = [residual_study.windows_from_output(out, tape.trader_id)
+    windows = [residual_study.monthly_windows(out.residuals, out.dates, tape.trader_id)
                for (_, out), tape in zip(coupled_outputs, coupled_market.tapes)]
     residual_study.assert_role_separation(windows[0], windows[1])
     spec = neural_kit.cnn7_spec(input_shape=windows[0].images.shape[1:],
@@ -208,17 +208,12 @@ def test_criterion_09_liquidity_equilibrium():
     nb = 16
     spread, volume = 0.02, 1000.0
     prices = 8.0 + 0.5 * np.arange(nb)
-
-    def panel(day):
-        vol = np.full(nb, volume)
-        return bucket_panel.DailyPanel(
-            date=dt.date(2009, 8, 6) + dt.timedelta(days=day), ref_price=10.0,
-            buy_vol=vol.copy(), sell_vol=vol.copy(), imb_vol=np.zeros(nb),
-            buy_vwap=prices + spread, sell_vwap=prices.copy(),
-            fine_buy=np.zeros((nb, 50)), fine_sell=np.zeros((nb, 50)))
-
-    series = bucket_panel.PanelSeries([panel(0), panel(1)],
-                                      bucket_panel.BucketConfig())
+    vol = np.full((2, 2, nb), volume)  # two days, both sides
+    vwap = np.stack([np.stack([prices + spread, prices])] * 2)
+    series = bucket_panel.PanelSeries(
+        bucket_panel.BucketConfig(), [dt.date(2009, 8, 6), dt.date(2009, 8, 7)],
+        np.full(2, 10.0), vol, vwap, np.zeros((2, 2, nb, 50)),
+        np.zeros(2, dtype=np.int64), np.zeros(2), np.zeros(2))
     cost = liquidity_lab.cost_series(series)
     turnover = volume * nb
     sum_err = abs(float(cost.pi[0].sum()) - spread * turnover)

@@ -6,7 +6,9 @@ import pytest
 
 from dualspace import bucket_panel
 from dualspace.bucket_panel import BucketConfig, build_panels, imbalance_profile, reference_prices
-from dualspace.tape_io import Side, Tape, TapeRecord
+from dualspace.tape_io import Side, TapeRecord
+
+from oracles import tape_of
 
 D0 = dt.date(2009, 8, 6)
 
@@ -16,7 +18,7 @@ def rec(day_offset, price, side, volume):
 
 
 def tape(*records):
-    return Tape.from_records(records)
+    return tape_of(records)
 
 
 def test_reference_price_is_prior_day_vwap():
@@ -97,8 +99,7 @@ def test_volume_conservation_per_day(small_market):
 
 def test_shift_invariance(small_market):
     records = small_market.tapes[0].records[:4000]
-    shifted = Tape.from_records(TapeRecord(r.date, r.price + 5.0, r.side, r.volume)
-                                for r in records)
+    shifted = tape_of(TapeRecord(r.date, r.price + 5.0, r.side, r.volume) for r in records)
     a = build_panels(records)
     b = build_panels(shifted)
     for pa, pb in zip(a.panels, b.panels):
@@ -174,24 +175,37 @@ _SERIES_ARRAYS = ("ref_price", "volume", "vwap", "fine", "discarded_count",
                   "discarded_volume", "unknown_volume")
 
 
-def test_series_from_its_panels_equals_the_built_series(small_market):
+def test_series_from_its_arrays_equals_the_built_series(small_market):
     records = list(small_market.tapes[0].records)
     far = [TapeRecord(r.date, r.price + 30.0, Side.SELL, 7) for r in records[::500]]
-    built = build_panels(Tape.from_records(sorted(records + far, key=lambda r: r.date)))
+    built = build_panels(tape_of(sorted(records + far, key=lambda r: r.date)))
     assert built.discarded_trades > 0 and built.unknown_volume.sum() > 0
-    stacked = bucket_panel.PanelSeries(built.panels, built.config)
-    assert stacked.dates == built.dates and stacked.config == built.config
-    assert stacked.discarded_trades == built.discarded_trades
+    again = bucket_panel.PanelSeries(built.config, built.dates,
+                                     *(getattr(built, name) for name in _SERIES_ARRAYS))
+    assert again.dates == built.dates and again.config == built.config
+    assert again.discarded_trades == built.discarded_trades
     for name in _SERIES_ARRAYS:
-        got, want = getattr(stacked, name), getattr(built, name)
+        got, want = getattr(again, name), getattr(built, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    for a, b in zip(stacked.panels, built.panels):
+    for a, b in zip(again.panels, built.panels):
         assert a.date == b.date and a.total_volume() == b.total_volume()
         assert np.array_equal(a.imb_vol, b.imb_vol)
+    assert [p.discarded_trades for p in built.panels] == built.discarded_count.tolist()
 
 
 @pytest.mark.parametrize("config", [BucketConfig(n_buckets=20), BucketConfig(n_subcells=40)])
 def test_series_refuses_panels_of_another_shape(small_market, config):
     built = build_panels(small_market.tapes[0].records)  # 16 buckets of 50 sub-cells
     with pytest.raises(ValueError, match="side arrays"):
-        bucket_panel.PanelSeries(built.panels, config)
+        bucket_panel.PanelSeries(config, built.dates,
+                                 *(getattr(built, name) for name in _SERIES_ARRAYS))
+
+
+
+@pytest.mark.parametrize("name", ["ref_price", "discarded_count", "discarded_volume",
+                                  "unknown_volume"])
+def test_series_refuses_per_day_arrays_of_another_length(small_market, name):
+    built = build_panels(small_market.tapes[0].records)
+    arrays = [getattr(built, n)[:-1] if n == name else getattr(built, n) for n in _SERIES_ARRAYS]
+    with pytest.raises(ValueError, match="one entry per date"):
+        bucket_panel.PanelSeries(built.config, built.dates, *arrays)

@@ -98,6 +98,16 @@ def test_fit_on_one_row_state_file_is_a_data_error(capsys, tmp_path):
     assert captured.out == ""
 
 
+def test_fit_on_a_state_file_of_several_modes_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text("date,mode,b0,b1\n2009-01-05,buy,0.1,0.2\n2009-01-06,sell,0.3,0.4\n"
+                    "2009-01-07,imbalance,0.5,0.6\n")
+    assert cli.run(["fit", "--states", str(path), "--out-dir", str(tmp_path / "fit")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:") and "buy, imbalance, sell" in captured.err
+    assert captured.out == "" and not (tmp_path / "fit").exists()
+
+
 def test_backcast_cnn_via_cli(capsys, tape_dir, tmp_path):
     for trader in ("t0", "t1"):
         run_ok(capsys, ["statespace", "--tape", str(tape_dir / f"{trader}.csv"),
@@ -393,22 +403,25 @@ def test_a_flag_and_the_same_config_value_hash_alike(capsys, tape_dir, residual_
     assert hashes[0] == hashes[1]
 
 
-#: each subcommand's flags besides -h, --config and --out-dir
+#: each subcommand's flags besides -h; --config on the commands that have
+#: OPTIONS, --out-dir on the commands that write artifacts there
 SUBCOMMAND_FLAGS = {
-    "synth": "--days --g-ret --g-sent --g-yield --seed --shock --snr --traders "
-             "--trades-per-day",
-    "ingest": "--tape",
+    "synth": "--config --days --g-ret --g-sent --g-yield --out-dir --seed --shock --snr "
+             "--traders --trades-per-day",
+    "ingest": "--out-dir --tape",
     "summarize": "--side --tape",
-    "panels": "--buckets --delta --fine --geometric-imbalance --subcells --tape",
-    "statespace": "--buckets --delta --geometric-imbalance --mode --subcells --tape",
-    "fit": "--states",
-    "backcast": "--activation --index --learning-rate --predict-residuals --protocol "
-                "--rounds --runs --seed --train-residuals",
-    "liquidity": "--buckets --delta --geometric-imbalance --subcells --tape",
-    "eventstudy": "--activation --buckets --delta --geometric-imbalance --index "
-                  "--learning-rate --n-periods --period-length --permutations --rounds "
-                  "--seeds --subcells --tape --training-periods",
-    "pdo-demo": "--diffusion --drift --points --sigma0 --time",
+    "panels": "--buckets --config --delta --fine --geometric-imbalance --out-dir --subcells "
+              "--tape",
+    "statespace": "--buckets --config --delta --geometric-imbalance --mode --out-dir "
+                  "--subcells --tape",
+    "fit": "--out-dir --states",
+    "backcast": "--activation --config --index --learning-rate --out-dir --predict-residuals "
+                "--protocol --rounds --runs --seed --train-residuals",
+    "liquidity": "--buckets --config --delta --geometric-imbalance --out-dir --subcells --tape",
+    "eventstudy": "--activation --buckets --config --delta --geometric-imbalance --index "
+                  "--learning-rate --n-periods --out-dir --period-length --permutations "
+                  "--rounds --seeds --subcells --tape --training-periods",
+    "pdo-demo": "--config --diffusion --drift --out-dir --points --sigma0 --time",
     "emit-plotdata": "--artifact --kind --out",
 }
 
@@ -419,8 +432,31 @@ def test_each_subcommand_takes_exactly_its_flags():
                       if isinstance(action, argparse._SubParsersAction))
     flags = {name: {flag for action in sub._actions for flag in action.option_strings}
              for name, sub in subparsers.items()}
-    assert flags == {name: set(names.split()) | {"-h", "--help", "--config", "--out-dir"}
+    assert flags == {name: set(names.split()) | {"-h", "--help"}
                      for name, names in SUBCOMMAND_FLAGS.items()}
+
+
+#: a command line each command would take; the files need not exist
+COMMAND_LINES = {
+    "ingest": ["ingest", "--tape", "t.csv"],
+    "summarize": ["summarize", "--tape", "t.csv"],
+    "fit": ["fit", "--states", "s.csv"],
+    "emit-plotdata": ["emit-plotdata", "--artifact", "a.csv", "--kind", "series",
+                      "--out", "o.csv"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *((command, "--config", "cfg.json") for command in ("ingest", "summarize", "fit",
+                                                         "emit-plotdata")),
+    *((command, "--out-dir", "d") for command in ("summarize", "emit-plotdata")),
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, command, flag, value):
+    assert cli.run(COMMAND_LINES[command] + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and flag in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 CONFIG_KINDS = [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dualspace import liquidity_lab as ll
-from dualspace.bucket_panel import BucketConfig, DailyPanel, PanelSeries
+from dualspace.bucket_panel import BucketConfig, PanelSeries
 from dualspace.calendars import IndexSeries
 from dualspace.calendars import month_key, trading_days
 
@@ -13,94 +13,81 @@ D0 = dt.date(2009, 8, 6)
 NB = 16
 
 
-def make_panel(day_offset, buy_vol, sell_vol, buy_vwap, sell_vwap):
-    buy_vol = np.asarray(buy_vol, dtype=float)
-    sell_vol = np.asarray(sell_vol, dtype=float)
-    return DailyPanel(
-        date=D0 + dt.timedelta(days=day_offset), ref_price=10.0,
-        buy_vol=buy_vol, sell_vol=sell_vol, imb_vol=buy_vol - sell_vol,
-        buy_vwap=np.asarray(buy_vwap, dtype=float),
-        sell_vwap=np.asarray(sell_vwap, dtype=float),
-        fine_buy=np.zeros((NB, 50)), fine_sell=np.zeros((NB, 50)))
+def day(buy=1000.0, sell=1000.0, ask=10.02, bid=10.00):
+    """One day's (buy_vol, sell_vol, buy_vwap, sell_vwap), each a scalar
+    for every bucket or NB values."""
+    return buy, sell, ask, bid
 
 
-def uniform_panel(day_offset, buy=1000.0, sell=1000.0, ask=10.02, bid=10.00):
-    return make_panel(day_offset, [buy] * NB, [sell] * NB, [ask] * NB, [bid] * NB)
+def series_of(*days):
+    """A PanelSeries of consecutive days, from their `day` tuples."""
+    cells = np.array([[np.broadcast_to(np.asarray(v, dtype=float), NB) for v in d]
+                      for d in days])  # (T, 4, NB)
+    n = len(days)
+    return PanelSeries(BucketConfig(), [D0 + dt.timedelta(days=i) for i in range(n)],
+                       np.full(n, 10.0), cells[:, :2], cells[:, 2:], np.zeros((n, 2, NB, 50)),
+                       np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n))
 
 
 def test_trading_cost_spread_instance():
-    prev = uniform_panel(0)
-    cur = uniform_panel(1)
-    pi, no_quote = ll.trading_cost(prev, cur)
-    np.testing.assert_allclose(pi, 20.0)  # 10.02*1000 - 10.00*1000 per bucket
-    assert not no_quote.any()
+    cost = ll.cost_series(series_of(day(), day()))
+    np.testing.assert_allclose(cost.pi, 20.0)  # 10.02*1000 - 10.00*1000 per bucket
+    assert not cost.no_quote.any()
 
 
 def test_trading_cost_zero_volumes():
-    prev = uniform_panel(0)
-    cur = make_panel(1, [0.0] * NB, [0.0] * NB, [0.0] * NB, [0.0] * NB)
-    pi, _ = ll.trading_cost(prev, cur)
-    np.testing.assert_array_equal(pi, 0.0)
+    cost = ll.cost_series(series_of(day(), day(0.0, 0.0, 0.0, 0.0)))
+    np.testing.assert_array_equal(cost.pi, 0.0)
 
 
 def test_trading_cost_can_be_negative():
-    prev = uniform_panel(0, ask=10.02, bid=10.50)
-    cur = uniform_panel(1, buy=100.0, sell=100.0)
-    pi, _ = ll.trading_cost(prev, cur)
-    np.testing.assert_allclose(pi, 10.02 * 100 - 10.50 * 100)  # -48 per bucket
-    assert np.all(pi < 0)
+    cost = ll.cost_series(series_of(day(ask=10.02, bid=10.50), day(buy=100.0, sell=100.0)))
+    np.testing.assert_allclose(cost.pi, 10.02 * 100 - 10.50 * 100)  # -48 per bucket
+    assert np.all(cost.pi < 0)
 
 
 def test_trading_cost_flags_missing_quotes():
-    prev = make_panel(0, [0.0] + [10.0] * (NB - 1), [5.0] * NB,
-                      [0.0] + [10.02] * (NB - 1), [10.0] * NB)
-    cur = uniform_panel(1)
-    pi, no_quote = ll.trading_cost(prev, cur)
-    assert no_quote[0] and not no_quote[1]
-    assert pi[0] == pytest.approx(0.0 * 1000 - 10.0 * 1000)
+    prev = day([0.0] + [10.0] * (NB - 1), 5.0, [0.0] + [10.02] * (NB - 1), 10.0)
+    cost = ll.cost_series(series_of(prev, day()))
+    assert cost.no_quote[0, 0] and not cost.no_quote[0, 1]
+    assert cost.pi[0, 0] == pytest.approx(0.0 * 1000 - 10.0 * 1000)
 
 
 def test_trading_cost_requires_ordered_panels():
-    with pytest.raises(ValueError, match="consecutive"):
-        ll.trading_cost(uniform_panel(1), uniform_panel(0))
+    # the day pairs of a series are consecutive because its dates strictly increase
+    s = series_of(day(), day())
+    for dates in (s.dates[::-1], s.dates[:1] * 2):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PanelSeries(s.config, dates, s.ref_price, s.volume, s.vwap, s.fine,
+                        s.discarded_count, s.discarded_volume, s.unknown_volume)
 
 
 def test_amihud_lambda_values():
-    prev, cur = uniform_panel(0), uniform_panel(1)
-    pi, _ = ll.trading_cost(prev, cur)
-    lam, illiquid = ll.amihud_lambda(pi, prev, cur)
-    np.testing.assert_allclose(lam, 0.02)  # = spread per share
-    assert not illiquid.any()
+    cost = ll.cost_series(series_of(day(), day()))
+    np.testing.assert_allclose(cost.lam, 0.02)  # = spread per share
+    assert not cost.illiquid.any()
 
 
 def test_amihud_lambda_zero_cases():
-    prev = uniform_panel(0, ask=10.0, bid=10.0)
-    cur = uniform_panel(1)
-    pi, _ = ll.trading_cost(prev, cur)
-    lam, _ = ll.amihud_lambda(pi, prev, cur)
-    np.testing.assert_array_equal(lam, 0.0)  # pi = 0 -> lambda = 0
+    cost = ll.cost_series(series_of(day(ask=10.0, bid=10.0), day()))
+    np.testing.assert_array_equal(cost.lam, 0.0)  # pi = 0 -> lambda = 0
 
-    empty_prev = make_panel(0, [0.0] * NB, [0.0] * NB, [0.0] * NB, [0.0] * NB)
-    empty_cur = make_panel(1, [0.0] * NB, [0.0] * NB, [0.0] * NB, [0.0] * NB)
-    pi2, _ = ll.trading_cost(empty_prev, empty_cur)
-    lam2, illiquid = ll.amihud_lambda(pi2, empty_prev, empty_cur)
-    np.testing.assert_array_equal(lam2, 0.0)
-    assert illiquid.all()
+    empty = day(0.0, 0.0, 0.0, 0.0)
+    cost = ll.cost_series(series_of(empty, empty))
+    np.testing.assert_array_equal(cost.lam, 0.0)
+    assert cost.illiquid.all()
 
 
 def test_equilibrium_identity():
     # balanced book, constant prices, spread s: bucket costs sum to
     # s * turnover exactly and lambda is the spread per share
     s = 0.02
-    panels = [uniform_panel(i, buy=1000.0, sell=1000.0, ask=10.0 + s, bid=10.0)
-              for i in range(3)]
-    series = PanelSeries(panels, BucketConfig())
-    cost = ll.cost_series(series)
+    cost = ll.cost_series(series_of(*[day(ask=10.0 + s, bid=10.0)] * 3))
     turnover = 1000.0 * NB
-    for day in range(cost.pi.shape[0]):
-        assert cost.pi[day].sum() == pytest.approx(s * turnover, abs=1e-9)
-        assert np.all(cost.pi[day] >= 0.0)
-        np.testing.assert_allclose(cost.lam[day], s, atol=1e-12)
+    for t in range(cost.pi.shape[0]):
+        assert cost.pi[t].sum() == pytest.approx(s * turnover, abs=1e-9)
+        assert np.all(cost.pi[t] >= 0.0)
+        np.testing.assert_allclose(cost.lam[t], s, atol=1e-12)
 
 
 def test_cost_series_shapes(small_market):

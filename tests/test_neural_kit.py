@@ -80,7 +80,7 @@ def test_zero_weights_output_bias():
     weights, bias = net.weight_arrays()
     weights[:] = 0.0
     bias[:] = 1.25
-    assert nk.predict(net, np.array([5.0, -2.0, 3.0])) == pytest.approx(1.25)
+    assert nk.forward_batch(net, np.array([5.0, -2.0, 3.0]))[0] == pytest.approx(1.25)
 
 
 def test_identity_dense_passthrough():
@@ -88,13 +88,14 @@ def test_identity_dense_passthrough():
     weights, bias = net.weight_arrays()
     weights[:] = 1.0
     bias[:] = 0.0
-    assert nk.predict(net, np.array([0.73])) == pytest.approx(0.73)
+    assert nk.forward_batch(net, np.array([0.73]))[0] == pytest.approx(0.73)
 
 
-def test_predict_shape_check():
-    net = nk.init_net(nk.shallow_spec())
-    with pytest.raises(ValueError, match="shape"):
-        nk.predict(net, np.zeros(5))
+def test_forward_batch_shape_check():
+    net = nk.init_net(nk.shallow_spec())  # 4 inputs
+    for inputs in (np.zeros(5), np.zeros((3, 5))):
+        with pytest.raises(ValueError, match="shape"):
+            nk.forward_batch(net, inputs)
 
 
 def test_dense_forward_matches_manual_oracle():
@@ -104,7 +105,7 @@ def test_dense_forward_matches_manual_oracle():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(6)
     manual = float((np.tanh(x @ w1 + b1) @ w2 + b2)[0])
-    assert nk.predict(net, x) == pytest.approx(manual, abs=1e-12)
+    assert nk.forward_batch(net, x)[0] == pytest.approx(manual, abs=1e-12)
 
 
 def test_cnn_forward_matches_loop_oracle():
@@ -139,7 +140,7 @@ def test_cnn_forward_matches_loop_oracle():
     a = pool(a)
     a = np.maximum(a.reshape(-1) @ arrs[4] + arrs[5], 0.0)
     manual = float((a @ arrs[6] + arrs[7])[0])
-    assert nk.predict(net, x) == pytest.approx(manual, abs=1e-10)
+    assert nk.forward_batch(net, x)[0] == pytest.approx(manual, abs=1e-10)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "logit"])
@@ -460,7 +461,7 @@ def test_forward_batch_leaves_no_batch_cache_on_the_ops():
     images = np.random.default_rng(45).standard_normal((5, 21, 16))
     assert not _held_arrays(net)
     nk.forward_batch(net, images)
-    nk.predict(net, images[0])
+    nk.forward_batch(net, images[0])
     assert not _held_arrays(net)
 
 

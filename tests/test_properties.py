@@ -28,7 +28,7 @@ from dualspace import (bucket_panel, cli, corrstats, dual_regression, liquidity_
 from dualspace.state_space import StateMatrix, VolumeMode, state_matrix
 
 from oracles import (assert_same_parse, loop_cost_series, loop_reference_prices,
-                     loop_state_values, reference_parse_tape, symmetry_projector)
+                     loop_state_values, reference_parse_tape, symmetry_projector, tape_of)
 
 DAY0 = dt.date(2009, 1, 5)
 
@@ -129,7 +129,7 @@ def test_build_panels_conserves_daily_volume(tape):
 @settings(max_examples=60, deadline=None)
 @given(tapes())
 def test_tape_record_round_trip(tape):
-    assert tape_io.Tape.from_records(list(tape)) == tape
+    assert tape_of(list(tape)) == tape
 
 
 @settings(max_examples=30, deadline=None)

@@ -270,8 +270,8 @@ def test_report_csv_layout():
     assert lines[4].startswith("student10,")
 
 
-def test_windows_from_output(coupled_outputs):
+def test_monthly_windows_of_a_fit_output(coupled_outputs):
     _, out = coupled_outputs[0]
-    wins = rs.windows_from_output(out, "t0")
+    wins = rs.monthly_windows(out.residuals, out.dates, "t0")
     assert wins.images.shape[1:] == (21, 16)
     assert len(wins.months) == len(set(wins.months))

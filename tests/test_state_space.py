@@ -6,69 +6,69 @@ import numpy as np
 import pytest
 
 from dualspace import state_space
-from dualspace.bucket_panel import BucketConfig, DailyPanel, PanelSeries, build_panels
-from dualspace.state_space import VolumeMode, attenuation, corr_vector, state_matrix
-from dualspace.tape_io import Tape, TapeRecord
+from dualspace.bucket_panel import BucketConfig, PanelSeries, build_panels
+from dualspace.state_space import VolumeMode, attenuation, state_matrix
+from dualspace.tape_io import TapeRecord
 
-from oracles import loop_state_values, textbook_pearson
+from oracles import loop_state_values, tape_of, textbook_pearson
 
 D0 = dt.date(2009, 8, 6)
 
 
-def make_panel(day_offset, fine_buy, fine_sell):
-    fine_buy = np.asarray(fine_buy, dtype=float)
-    fine_sell = np.asarray(fine_sell, dtype=float)
-    return DailyPanel(
-        date=D0 + dt.timedelta(days=day_offset), ref_price=10.0,
-        buy_vol=fine_buy.sum(axis=1), sell_vol=fine_sell.sum(axis=1),
-        imb_vol=fine_buy.sum(axis=1) - fine_sell.sum(axis=1),
-        buy_vwap=np.zeros(fine_buy.shape[0]), sell_vwap=np.zeros(fine_buy.shape[0]),
-        fine_buy=fine_buy, fine_sell=fine_sell)
+def series_of(*days, config=BucketConfig()):
+    """A PanelSeries of consecutive days from their (fine_buy, fine_sell)
+    sub-cell profiles, each (16, 50)."""
+    fine = np.array(days, dtype=float)  # (T, 2, 16, 50)
+    n = len(days)
+    return PanelSeries(config, [D0 + dt.timedelta(days=i) for i in range(n)], np.full(n, 10.0),
+                       fine.sum(axis=3), np.zeros(fine.shape[:3]), fine,
+                       np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n))
+
+
+def pair_values(a, b, mode, geometric=False):
+    """The state row of the two days a, b (each a (fine_buy, fine_sell) pair)."""
+    series = series_of(a, b, config=BucketConfig(geometric_imbalance=geometric))
+    return state_matrix(series, mode).values[0]
+
+
+ZERO = np.zeros((16, 50))
 
 
 def test_identical_profiles_correlate_to_one():
     rng = np.random.default_rng(0)
     fine = rng.uniform(0, 50, size=(16, 50))
-    a = make_panel(0, fine, np.zeros((16, 50)))
-    b = make_panel(1, fine.copy(), np.zeros((16, 50)))
-    np.testing.assert_allclose(corr_vector(a, b, VolumeMode.BUY), np.ones(16))
+    got = pair_values((fine, ZERO), (fine.copy(), ZERO), VolumeMode.BUY)
+    np.testing.assert_allclose(got, np.ones(16))
 
 
 def test_zero_variance_profile_gives_zero():
     rng = np.random.default_rng(1)
-    a = make_panel(0, np.zeros((16, 50)), np.zeros((16, 50)))
-    b = make_panel(1, rng.uniform(0, 5, (16, 50)), np.zeros((16, 50)))
-    np.testing.assert_array_equal(corr_vector(a, b, VolumeMode.BUY), np.zeros(16))
+    got = pair_values((ZERO, ZERO), (rng.uniform(0, 5, (16, 50)), ZERO), VolumeMode.BUY)
+    np.testing.assert_array_equal(got, np.zeros(16))
 
 
 def test_corr_matches_textbook_formula():
     rng = np.random.default_rng(2)
     fa, fb = rng.uniform(0, 30, (2, 16, 50))
-    a = make_panel(0, fa, np.zeros((16, 50)))
-    b = make_panel(1, fb, np.zeros((16, 50)))
-    got = corr_vector(a, b, VolumeMode.BUY)
+    got = pair_values((fa, ZERO), (fb, ZERO), VolumeMode.BUY)
     for k in range(16):
         assert got[k] == pytest.approx(textbook_pearson(fb[k], fa[k]), abs=1e-12)
 
 
 def test_config_mismatch_raises():
-    a = make_panel(0, np.zeros((16, 50)), np.zeros((16, 50)))
-    b = make_panel(1, np.zeros((16, 40)), np.zeros((16, 40)))
-    with pytest.raises(ValueError, match="mismatch"):
-        corr_vector(a, b, VolumeMode.BUY)
-
-
-def _series(panels):
-    return PanelSeries(panels, BucketConfig())
+    fine = np.zeros((2, 2, 16, 40))  # 40 sub-cells; the config has 50
+    with pytest.raises(ValueError, match="sub-cell arrays"):
+        PanelSeries(BucketConfig(), [D0, D0 + dt.timedelta(days=1)], np.full(2, 10.0),
+                    fine.sum(axis=3), np.zeros((2, 2, 16)), fine,
+                    np.zeros(2, dtype=np.int64), np.zeros(2), np.zeros(2))
 
 
 def test_state_matrix_shapes():
     rng = np.random.default_rng(3)
-    panels = [make_panel(i, rng.uniform(0, 9, (16, 50)), rng.uniform(0, 9, (16, 50)))
-              for i in range(2)]
-    states = state_matrix(_series(panels), VolumeMode.IMBALANCE)
+    series = series_of(*rng.uniform(0, 9, (2, 2, 16, 50)))
+    states = state_matrix(series, VolumeMode.IMBALANCE)
     assert states.values.shape == (1, 16)
-    assert states.dates == [panels[1].date]
+    assert states.dates == [series.dates[1]]
 
 
 def test_full_scale_state_matrix(coupled_outputs):
@@ -105,19 +105,18 @@ def test_state_matrix_transient_memory_stays_small(coupled_market):
 def test_duplicated_panels_give_unit_rows():
     rng = np.random.default_rng(4)
     fine = rng.uniform(0, 9, (16, 50))
-    panels = [make_panel(i, fine.copy(), fine.copy() * 0.5) for i in range(4)]
-    states = state_matrix(_series(panels), VolumeMode.BUY)
+    states = state_matrix(series_of(*[(fine.copy(), fine.copy() * 0.5)] * 4), VolumeMode.BUY)
     np.testing.assert_allclose(states.values, 1.0)
 
 
 def test_modes_select_profiles():
     rng = np.random.default_rng(5)
     fb1, fs1, fb2, fs2 = rng.uniform(0, 9, (4, 16, 50))
-    a, b = make_panel(0, fb1, fs1), make_panel(1, fb2, fs2)
-    buy = corr_vector(a, b, VolumeMode.BUY)
-    sell = corr_vector(a, b, VolumeMode.SELL)
-    imb = corr_vector(a, b, VolumeMode.IMBALANCE)
-    geo = corr_vector(a, b, VolumeMode.IMBALANCE, geometric=True)
+    a, b = (fb1, fs1), (fb2, fs2)
+    buy = pair_values(a, b, VolumeMode.BUY)
+    sell = pair_values(a, b, VolumeMode.SELL)
+    imb = pair_values(a, b, VolumeMode.IMBALANCE)
+    geo = pair_values(a, b, VolumeMode.IMBALANCE, geometric=True)
     assert not np.allclose(buy, sell)
     assert not np.allclose(imb, buy)
     assert not np.allclose(geo, imb)
@@ -126,17 +125,15 @@ def test_modes_select_profiles():
 def test_affine_profiles_hit_correlation_bounds():
     rng = np.random.default_rng(6)
     base = rng.uniform(0, 9, (16, 50))
-    pos = make_panel(1, base * 3.0 + 2.0, np.zeros((16, 50)))
-    neg = make_panel(1, -base + 100.0, np.zeros((16, 50)))
-    a = make_panel(0, base, np.zeros((16, 50)))
-    np.testing.assert_allclose(corr_vector(a, pos, VolumeMode.BUY), 1.0, atol=1e-12)
-    np.testing.assert_allclose(corr_vector(a, neg, VolumeMode.BUY), -1.0, atol=1e-12)
+    pos = (base * 3.0 + 2.0, ZERO)
+    neg = (-base + 100.0, ZERO)
+    np.testing.assert_allclose(pair_values((base, ZERO), pos, VolumeMode.BUY), 1.0, atol=1e-12)
+    np.testing.assert_allclose(pair_values((base, ZERO), neg, VolumeMode.BUY), -1.0, atol=1e-12)
 
 
 def test_volume_rescale_invariance(small_market):
     records = small_market.tapes[0].records
-    scaled = Tape.from_records(TapeRecord(r.date, r.price, r.side, r.volume * 7)
-                               for r in records)
+    scaled = tape_of(TapeRecord(r.date, r.price, r.side, r.volume * 7) for r in records)
     s1 = state_matrix(build_panels(records), VolumeMode.IMBALANCE)
     s2 = state_matrix(build_panels(scaled), VolumeMode.IMBALANCE)
     np.testing.assert_allclose(s1.values, s2.values, atol=1e-12)
@@ -199,4 +196,11 @@ def test_state_csv_round_trip(coupled_outputs):
 @pytest.mark.parametrize("text", ["date\n2009-01-05\n", "date,mode\n2009-01-05,buy\n"])
 def test_state_csv_without_bucket_columns_is_refused(text):
     with pytest.raises(ValueError, match="bucket columns"):
+        state_space.read_state_csv(io.StringIO(text))
+
+
+def test_state_csv_with_rows_of_several_modes_is_refused():
+    text = ("date,mode,b0,b1\n2009-01-05,buy,0.1,0.2\n2009-01-06,sell,0.3,0.4\n"
+            "2009-01-07,imbalance,0.5,0.6\n")
+    with pytest.raises(ValueError, match="buy, imbalance, sell"):
         state_space.read_state_csv(io.StringIO(text))

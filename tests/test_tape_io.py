@@ -10,7 +10,7 @@ import pytest
 from dualspace import tape_io
 from dualspace.tape_io import Side, Tape, TapeRecord
 
-from oracles import assert_same_parse, reference_parse_tape, streaming_summary
+from oracles import assert_same_parse, reference_parse_tape, streaming_summary, tape_of
 
 FIG1_STYLE = """Trddt,Stkprc,Parcha,Trdtims
 Trading Da,Trading I,Nature O,Number Of
@@ -40,8 +40,7 @@ def test_parse_empty_stream():
 
 def test_missing_side_flag_becomes_unknown():
     result = tape_io.parse_tape("2009-08-07,9.90,,708")
-    assert result.records == Tape.from_records(
-        [TapeRecord(dt.date(2009, 8, 7), 9.90, Side.UNKNOWN, 708)])
+    assert result.records == tape_of([TapeRecord(dt.date(2009, 8, 7), 9.90, Side.UNKNOWN, 708)])
 
 
 @pytest.mark.parametrize("delim", ["\t", ";"])
@@ -89,7 +88,7 @@ def _random_records(rng, n):
 def test_serialize_parse_round_trip():
     rng = random.Random(7)
     for trial in range(5):
-        tape = Tape.from_records(_random_records(rng, 200))
+        tape = tape_of(_random_records(rng, 200))
         result = tape_io.parse_tape(tape_io.serialize(tape))
         assert result.records == tape
         assert not result.errors
@@ -100,13 +99,12 @@ def test_summarize_permutation_invariant():
     records = _random_records(rng, 300)
     shuffled = records[:]
     rng.shuffle(shuffled)
-    assert (tape_io.summarize(Tape.from_records(records))
-            == tape_io.summarize(Tape.from_records(shuffled)))
+    assert tape_io.summarize(tape_of(records)) == tape_io.summarize(tape_of(shuffled))
 
 
 def test_summarize_single_record_degenerate():
     rec = TapeRecord(dt.date(2009, 1, 5), 10.0, Side.BUY, 100)
-    s = tape_io.summarize(Tape.from_records([rec]))
+    s = tape_io.summarize(tape_of([rec]))
     assert (s.trade_count, s.min_price, s.avg_price, s.max_price) == (1, 10.0, 10.0, 10.0)
     assert s.std_price == 0.0
     assert s.avg_daily_volume == 100.0
@@ -115,13 +113,13 @@ def test_summarize_single_record_degenerate():
 
 def test_summarize_empty_raises():
     with pytest.raises(ValueError, match="no records"):
-        tape_io.summarize(Tape.from_records([]))
+        tape_io.summarize(tape_of([]))
 
 
 def test_summarize_side_subset():
     day = dt.date(2009, 1, 5)
-    records = Tape.from_records([TapeRecord(day, 10.0, Side.BUY, 100),
-                                 TapeRecord(day, 20.0, Side.SELL, 300)])
+    records = tape_of([TapeRecord(day, 10.0, Side.BUY, 100),
+                       TapeRecord(day, 20.0, Side.SELL, 300)])
     buys = tape_io.summarize(records, side=Side.BUY)
     assert buys.trade_count == 1 and buys.avg_price == 10.0
     full = tape_io.summarize(records)
@@ -131,7 +129,7 @@ def test_summarize_side_subset():
 def test_summarize_matches_streaming_oracle():
     rng = random.Random(13)
     records = _random_records(rng, 1000)
-    s = tape_io.summarize(Tape.from_records(records))
+    s = tape_io.summarize(tape_of(records))
     n, lo, mean_p, hi, std_p, var_v, total = streaming_summary(
         [r.price for r in records], [r.volume for r in records])
     assert s.trade_count == n
@@ -156,8 +154,8 @@ def test_table_shape_reference_summary_is_representable():
 
 def _records_with_unknowns(n, n_unknown):
     day = dt.date(2009, 1, 5)
-    return Tape.from_records([TapeRecord(day, 10.0, Side.UNKNOWN, 10)] * n_unknown
-                             + [TapeRecord(day, 10.0, Side.BUY, 10)] * (n - n_unknown))
+    return tape_of([TapeRecord(day, 10.0, Side.UNKNOWN, 10)] * n_unknown
+                   + [TapeRecord(day, 10.0, Side.BUY, 10)] * (n - n_unknown))
 
 
 def test_validate_unknown_fraction_flag():
@@ -215,17 +213,17 @@ def test_fast_and_per_line_rows_merge_in_date_then_line_order():
 def test_tape_is_a_sequence_of_records():
     rng = random.Random(3)
     records = _random_records(rng, 50)
-    tape = Tape.from_records(records)
+    tape = tape_of(records)
     assert len(tape) == 50
     assert tape[0] == records[0] and tape[-1] == records[-1]
     assert list(tape) == records
-    assert Tape.from_records(list(tape)) == tape
+    assert tape_of(list(tape)) == tape
     assert tape != records  # a record list is not a tape
     assert isinstance(tape[10:20], Tape) and list(tape[10:20]) == records[10:20]
     assert list(tape[tape.side == 1]) == [rec for rec in records if rec.side is Side.BUY]
-    assert tape != Tape.from_records(records[:-1])
-    assert tape != Tape.from_records(records[::-1])
-    assert len(Tape.from_records([])) == 0
+    assert tape != tape_of(records[:-1])
+    assert tape != tape_of(records[::-1])
+    assert len(tape_of([])) == 0
     with pytest.raises(IndexError):
         tape[50]
 
