@@ -86,6 +86,8 @@ def write_index_csv(index: IndexSeries, handle) -> None:
 
 
 def read_index_csv(handle, name: str = "") -> IndexSeries:
-    _, rows = read_table_csv(handle)
+    header, rows = read_table_csv(handle)
+    if len(header) < 2:
+        raise ValueError("index file needs month and value columns")
     return IndexSeries(name or "index", [row[0] for row in rows],
                        np.array([float(row[1]) for row in rows]))

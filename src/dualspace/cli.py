@@ -171,10 +171,10 @@ def _records_or_fail(path: str):
     return result
 
 
-def _load_index(spec: str) -> calendars.IndexSeries:
+def _load_index(arg: str) -> calendars.IndexSeries:
     from . import calendars
 
-    name, _, path = spec.partition("=")
+    name, _, path = arg.partition("=")
     if not path:
         raise UsageError("index arguments take the form name=file.csv")
     try:
@@ -357,7 +357,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_backcast(args) -> int:
-    from . import neural_kit, residual_study
+    from . import residual_study
 
     opts = _resolve(args)
     protocol = opts["protocol"]
@@ -394,11 +394,9 @@ def _cmd_backcast(args) -> int:
                                                  trader_id=_tape_label(args.train_residuals))
         pred_w = residual_study.monthly_windows(pred_resid, pred_dates,
                                                 trader_id=_tape_label(args.predict_residuals))
-        spec = neural_kit.cnn7_spec(input_shape=train_w.images.shape[1:],
-                                    activation=activation)
         seeds = [opts["seed"] + i for i in range(opts["runs"])]
         report = residual_study.cnn_backcast(
-            train_w, pred_w, indexes, spec=spec, seeds=seeds,
+            train_w, pred_w, indexes, activation=activation, seeds=seeds,
             rounds=opts["rounds"], learning_rate=opts["learning_rate"])
     outdir = _outdir(args)
     read = ("protocol", "seed", *BACKCAST_FLAGS[protocol])

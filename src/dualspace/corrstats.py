@@ -1,16 +1,17 @@
 """Correlation and small-sample test-statistic helpers.
 
-Conventions used across the toolkit: a Pearson correlation against a
-zero-variance series is reported as the caller-supplied fallback
-(default 0.0) instead of NaN, and all correlations are clipped to
-[-1, 1] to absorb float round-off.  Ranks are computed here with numpy
-(`rankdata`): importing scipy's statistics package for them alone
-costs about a second per process, more than the event study that uses
-them.  The normal tail and the Student-t quantile are closed forms on
-the standard library (`math.erfc`, `_t_quantile`) for the same reason:
-importing `scipy.special` for one scalar call added about 0.3 s and
-15 MB of peak memory to each `backcast` and `eventstudy` process.  The
-tests hold both to scipy's.
+Conventions used across the toolkit: a Pearson or Spearman correlation
+against a zero-variance series is reported as 0.0 instead of NaN, all
+correlations are clipped to [-1, 1] to absorb float round-off, and the
+Student-t half-width and critical |r| are two-sided at the 10% level
+(`LEVEL`).  Ranks are computed here with numpy (`rankdata`): importing
+scipy's statistics package for them alone costs about a second per
+process, more than the event study that uses them.  The normal tail and
+the Student-t quantile are closed forms on the standard library
+(`math.erfc`, `_t_quantile`) for the same reason: importing
+`scipy.special` for one scalar call added about 0.3 s and 15 MB of peak
+memory to each `backcast` and `eventstudy` process.  The tests hold
+both to scipy's.
 """
 
 from __future__ import annotations
@@ -19,14 +20,16 @@ import math
 
 import numpy as np
 
+LEVEL = 0.10  # significance level of the two-sided tests
+
 
 def has_variance(x) -> bool:
     x = np.asarray(x, dtype=float)
     return bool(np.ptp(x) > 0.0)
 
 
-def pearson(x, y, undefined: float = 0.0) -> float:
-    """Pearson correlation; `undefined` when either side is constant."""
+def pearson(x, y) -> float:
+    """Pearson correlation; 0.0 when either side is constant."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xc = x - x.mean()
@@ -34,11 +37,11 @@ def pearson(x, y, undefined: float = 0.0) -> float:
     sx = np.sqrt(xc @ xc)
     sy = np.sqrt(yc @ yc)
     if sx == 0.0 or sy == 0.0:
-        return undefined
+        return 0.0
     return float(np.clip((xc @ yc) / (sx * sy), -1.0, 1.0))
 
 
-def rowwise_pearson(a: np.ndarray, b: np.ndarray, undefined: float = 0.0) -> np.ndarray:
+def rowwise_pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pearson correlation of a[i] with b[i] for every row i."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -48,7 +51,7 @@ def rowwise_pearson(a: np.ndarray, b: np.ndarray, undefined: float = 0.0) -> np.
     sb = np.sqrt((bc * bc).sum(axis=1))
     num = (ac * bc).sum(axis=1)
     denom = sa * sb
-    out = np.full(a.shape[0], undefined, dtype=float)
+    out = np.zeros(a.shape[0])
     ok = denom > 0.0
     out[ok] = np.clip(num[ok] / denom[ok], -1.0, 1.0)
     return out
@@ -82,13 +85,13 @@ def rankdata(a, axis: int = -1) -> np.ndarray:
     return np.moveaxis(ranks, -1, axis)
 
 
-def spearman(x, y, undefined: float = 0.0) -> float:
+def spearman(x, y) -> float:
     """Spearman rank correlation with the same zero-variance convention."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (has_variance(x) and has_variance(y)):
-        return undefined
-    return pearson(rankdata(x), rankdata(y), undefined=undefined)
+        return 0.0
+    return pearson(rankdata(x), rankdata(y))
 
 
 def fisher_z_pvalue(r1: float, n1: int, r2: float, n2: int) -> float:
@@ -138,21 +141,21 @@ def _t_quantile(df: int, q: float) -> float:
     return math.sqrt(df) * math.tan(mid)
 
 
-def student_halfwidth(values, level: float = 0.10) -> float:
-    """Two-sided Student-t confidence half-width for the mean at `level`."""
+def student_halfwidth(values) -> float:
+    """Two-sided Student-t confidence half-width for the mean at `LEVEL`."""
     values = np.asarray(values, dtype=float)
     n = values.size
     if n < 2:
         return 0.0
-    t_crit = _t_quantile(n - 1, 1.0 - level / 2.0)
+    t_crit = _t_quantile(n - 1, 1.0 - LEVEL / 2.0)
     return float(t_crit * values.std(ddof=1) / np.sqrt(n))
 
 
-def corr_significance_threshold(n: int, level: float = 0.10) -> float:
-    """Critical |r| for the two-sided test of zero correlation on n pairs."""
+def corr_significance_threshold(n: int) -> float:
+    """Critical |r| for the two-sided `LEVEL` test of zero correlation on n pairs."""
     if n <= 2:
         return 1.0
-    t_crit = _t_quantile(n - 2, 1.0 - level / 2.0)
+    t_crit = _t_quantile(n - 2, 1.0 - LEVEL / 2.0)
     return float(t_crit / np.sqrt(n - 2 + t_crit**2))
 
 

@@ -236,8 +236,10 @@ def read_rows_csv(handle) -> tuple[list[dt.date], np.ndarray]:
         raise ValueError("rows file has no value columns")
     if not rows:
         raise ValueError("empty rows file")
-    return ([dt.date.fromisoformat(row[0]) for row in rows],
-            np.array([[float(v) for v in row[1:]] for row in rows], dtype=float))
+    dates = [dt.date.fromisoformat(row[0]) for row in rows]
+    if any(b <= a for a, b in zip(dates, dates[1:])):
+        raise ValueError("row dates must be strictly increasing")
+    return dates, np.array([[float(v) for v in row[1:]] for row in rows], dtype=float)
 
 
 def diagnostics(output: RegressionOutput, split: VarianceSplit) -> dict:

@@ -32,7 +32,7 @@ from . import neural_kit
 from .bucket_panel import PanelSeries
 from .calendars import IndexSeries, month_index
 from .corrstats import fisher_z_pvalue, pearson, rankdata, spearman, standardize
-from .residual_study import WINDOW_DAYS, monthly_windows
+from .residual_study import monthly_windows
 from .tape_io import write_table_csv
 
 
@@ -158,7 +158,6 @@ def write_report_csv(report: HypothesisReport, handle) -> None:
 
 def event_study(cost: CostSeries, index: IndexSeries,
                 config: EventStudyConfig = EventStudyConfig(),
-                net_spec: neural_kit.NetSpec | None = None,
                 seeds: tuple[int, ...] = (1, 2, 3)) -> HypothesisReport:
     """Train on the training periods' lambda images, test each window.
 
@@ -197,12 +196,10 @@ def event_study(cost: CostSeries, index: IndexSeries,
     images = (all_windows.images - x_mean) / x_scale
     t_std, t_mean, t_scale = standardize(targets[train_ix])
 
-    shape = images.shape[1:]
-    base = net_spec or neural_kit.cnn7_spec(input_shape=shape, activation=config.activation)
     preds = np.zeros(len(months))
     for seed in seeds:
-        net = neural_kit.init_net(neural_kit.NetSpec(base.layers, base.activation,
-                                                     seed, base.input_shape))
+        net = neural_kit.init_net(neural_kit.cnn7_spec(
+            input_shape=images.shape[1:], activation=config.activation, seed=seed))
         net = neural_kit.train(net, images[train_ix], t_std,
                                rounds=config.rounds, learning_rate=config.learning_rate)
         preds += neural_kit.forward_batch(net, images)

@@ -35,7 +35,6 @@ WINDOW_DAYS = 21
 
 DEFAULT_TRAIN_ROUNDS = 50
 DEFAULT_LEARNING_RATE = 0.05
-DEFAULT_RUNS = 6
 
 
 @dataclass
@@ -90,13 +89,12 @@ class MonthlyMoments:
     degenerate: list[str] = field(default_factory=list)
 
 
-def monthly_moments(residuals: np.ndarray, dates: list[dt.date],
-                    min_samples: int = 8) -> MonthlyMoments:
+def monthly_moments(residuals: np.ndarray, dates: list[dt.date]) -> MonthlyMoments:
     """First four moments of the pooled residual entries per month.
 
     Skewness and excess kurtosis use the plain moment-ratio estimators;
     a month with zero variance reports 0 for both and is flagged, as is
-    a month pooling fewer than `min_samples` values.
+    a month pooling fewer than 8 values.
     """
     residuals = np.asarray(residuals, dtype=float)
     if residuals.shape[0] != len(dates):
@@ -118,7 +116,7 @@ def monthly_moments(residuals: np.ndarray, dates: list[dt.date],
         else:
             skew, kurt = 0.0, 0.0
             degenerate.append(key)
-        if n < min_samples:
+        if n < 8:
             low_sample.append(key)
         months.append(key)
         rows.append([float(mean), float(var), skew, kurt])
@@ -135,10 +133,10 @@ class MonthlyWindows:
 
 
 def monthly_windows(residuals: np.ndarray, dates: list[dt.date],
-                    trader_id: str = "", window_days: int = WINDOW_DAYS) -> MonthlyWindows:
-    """Pack each month's residual rows into a fixed-height image.
+                    trader_id: str = "") -> MonthlyWindows:
+    """Pack each month's residual rows into a `WINDOW_DAYS`-high image.
 
-    Months shorter than the window are zero-padded at the bottom,
+    Months shorter than that are zero-padded at the bottom,
     longer ones truncated; both cases are flagged in the metadata.
     """
     residuals = np.asarray(residuals, dtype=float)
@@ -148,13 +146,13 @@ def monthly_windows(residuals: np.ndarray, dates: list[dt.date],
     months, images, padded, truncated = [], [], [], []
     for key, ix in group_by_month(dates).items():
         block = residuals[ix]
-        if block.shape[0] < window_days:
+        if block.shape[0] < WINDOW_DAYS:
             padded.append(key)
-            pad = np.zeros((window_days - block.shape[0], nb))
+            pad = np.zeros((WINDOW_DAYS - block.shape[0], nb))
             block = np.vstack([block, pad])
-        elif block.shape[0] > window_days:
+        elif block.shape[0] > WINDOW_DAYS:
             truncated.append(key)
-            block = block[:window_days]
+            block = block[:WINDOW_DAYS]
         months.append(key)
         images.append(block)
     return MonthlyWindows(trader_id, months, np.stack(images), padded, truncated)
@@ -175,21 +173,20 @@ def _corr_or_flag(pred: np.ndarray, actual: np.ndarray) -> tuple[float, bool]:
     return pearson(pred, actual), False
 
 
-def _make_result(name: str, runs: list[float], flags: list[bool],
+def _make_result(name: str, correlations: list[float], flags: list[bool],
                  insample: float | None = None) -> IndexBackcast:
-    mean = float(np.mean(runs))
+    mean = float(np.mean(correlations))
     return IndexBackcast(
         index_name=name,
-        run_correlations=[float(r) for r in runs],
+        run_correlations=[float(r) for r in correlations],
         mean_correlation=mean,
-        dispersion=student_halfwidth(runs),
+        dispersion=student_halfwidth(correlations),
         undefined=all(flags),
         insample_correlation=insample,
     )
 
 
-def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries],
-                     spec: neural_kit.NetSpec | None = None, seed: int = 0,
+def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries], seed: int = 0,
                      rounds: int = 400, learning_rate: float = 0.05) -> BackcastReport:
     """Leave-one-month-out backcast from the four monthly moments.
 
@@ -202,8 +199,7 @@ def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries],
     n = len(months)
     # row `hold` lists the months its net trains on: all but `hold`
     train_ix = np.array([[i for i in range(n) if i != hold] for hold in range(n)], dtype=int)
-    nets = [neural_kit.init_net(
-                spec or neural_kit.shallow_spec(n_inputs=feats.shape[1], seed=seed + hold))
+    nets = [neural_kit.init_net(neural_kit.shallow_spec(n_inputs=feats.shape[1], seed=seed + hold))
             for hold in range(n)]
     report = BackcastReport(protocol="shallow", seeds=[seed])
     for index in indexes:
@@ -221,8 +217,7 @@ def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries],
 
 def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
                   predict_residuals: np.ndarray, predict_dates: list[dt.date],
-                  indexes: list[IndexSeries],
-                  spec: neural_kit.NetSpec | None = None, seed: int = 0,
+                  indexes: list[IndexSeries], seed: int = 0,
                   rounds: int = DEFAULT_TRAIN_ROUNDS,
                   learning_rate: float = DEFAULT_LEARNING_RATE) -> BackcastReport:
     """10-layer scalar net on daily residual rows.
@@ -257,8 +252,7 @@ def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
         day_targets = np.concatenate([
             np.full(len(ix[:-1]), t_std[m]) for m, ix in enumerate(train_groups.values())])
 
-        net_spec = spec or neural_kit.deep10_spec(n_inputs=train_x.shape[1], seed=seed)
-        net = neural_kit.init_net(net_spec)
+        net = neural_kit.init_net(neural_kit.deep10_spec(n_inputs=train_x.shape[1], seed=seed))
         net = neural_kit.train(net, scale_input(train_x[fit_ix]), day_targets,
                                rounds=rounds, learning_rate=learning_rate)
 
@@ -273,12 +267,11 @@ def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
 
 
 def cnn_backcast(train_windows: MonthlyWindows, predict_windows: MonthlyWindows,
-                 indexes: list[IndexSeries],
-                 spec: neural_kit.NetSpec | None = None,
-                 runs: int = DEFAULT_RUNS, seeds: list[int] | None = None,
+                 indexes: list[IndexSeries], activation: str = "relu",
+                 seeds: tuple[int, ...] = (1, 2, 3, 4, 5, 6),
                  rounds: int = DEFAULT_TRAIN_ROUNDS,
                  learning_rate: float = DEFAULT_LEARNING_RATE) -> BackcastReport:
-    """7-layer CNN on monthly residual images, several seeded runs.
+    """7-layer CNN on monthly residual images, one run per seed.
 
     Trains on one trader's images labeled with the month's index value,
     predicts from the other trader's images, and reports per-run
@@ -287,12 +280,7 @@ def cnn_backcast(train_windows: MonthlyWindows, predict_windows: MonthlyWindows,
     assert_role_separation(train_windows, predict_windows)
     if train_windows.months != predict_windows.months:
         raise ValueError("training and prediction windows cover different months")
-    if seeds is None:
-        seeds = list(range(1, runs + 1))
     shape = train_windows.images.shape[1:]
-    base_spec = spec or neural_kit.cnn7_spec(input_shape=shape)
-    if base_spec.input_shape != shape:
-        raise ValueError(f"net input {base_spec.input_shape} does not match windows {shape}")
 
     x_std, x_mean, x_scale = standardize(train_windows.images.ravel())
     train_x = (train_windows.images - x_mean) / x_scale
@@ -310,8 +298,7 @@ def cnn_backcast(train_windows: MonthlyWindows, predict_windows: MonthlyWindows,
         run_corrs, flags = [], []
         for run_seed in seeds:
             net = neural_kit.init_net(
-                neural_kit.NetSpec(base_spec.layers, base_spec.activation, run_seed,
-                                   base_spec.input_shape))
+                neural_kit.cnn7_spec(input_shape=shape, activation=activation, seed=run_seed))
             net = neural_kit.train(net, train_x, t_std, rounds=rounds,
                                    learning_rate=learning_rate)
             preds = neural_kit.forward_batch(net, pred_x) * t_scale + t_mean

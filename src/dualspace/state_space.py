@@ -33,11 +33,13 @@ class VolumeMode(enum.Enum):
 class StateMatrix:
     values: np.ndarray  # (T, n_buckets), entries in [-1, 1]
     mode: VolumeMode
-    dates: list[dt.date]  # later day of each pair; length T
+    dates: list[dt.date]  # later day of each pair, strictly increasing; length T
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] != len(self.dates):
             raise ValueError("values rows must match dates")
+        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+            raise ValueError("state dates must be strictly increasing")
 
 
 #: Day pairs per whole-array pass of `state_matrix`: ~0.6 MB of transients, not 12 MB.

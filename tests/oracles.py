@@ -115,7 +115,7 @@ def loop_state_values(series, mode):
                                  series.config.geometric_imbalance)
 
     p = series.panels
-    return np.vstack([rowwise_pearson(profile(p[t + 1]), profile(p[t]), undefined=0.0)
+    return np.vstack([rowwise_pearson(profile(p[t + 1]), profile(p[t]))
                       for t in range(len(p) - 1)])
 
 
@@ -406,7 +406,7 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
     return [([arr[r] for arr in params], curves[r]) for r in range(len(nets))]
 
 
-def reference_parse_tape(stream, columns=tape_io.TapeColumns()):
+def reference_parse_tape(stream):
     """`tape_io.parse_tape` as a string splitter: lines as str, each
     line's field count by `str.count`, its fields by `str.split`, each
     token coded through a dict.  Takes one string or an iterable of lines; the
@@ -416,18 +416,14 @@ def reference_parse_tape(stream, columns=tape_io.TapeColumns()):
         lines = stream.splitlines()
     else:
         lines = [line.rstrip("\r\n") for line in stream]
-    delimiter = columns.delimiter or t._detect_delimiter(
-        list(islice((ln for ln in lines if ln.strip()), 20)))
-    positions = (columns.date, columns.price, columns.side, columns.volume)
-    needed = max(positions) + 1
+    delimiter = t._detect_delimiter(list(islice((ln for ln in lines if ln.strip()), 20)))
 
     n_header = 0
     start = len(lines)
     for line_no, line in enumerate(lines):
         if not line.strip():
             continue
-        fields = line.split(delimiter)
-        if len(fields) > columns.date and t._parse_date(fields[columns.date]) is not None:
+        if t._parse_date(line.split(delimiter)[0]) is not None:
             start = line_no
             break
         n_header += 1
@@ -438,16 +434,14 @@ def reference_parse_tape(stream, columns=tape_io.TapeColumns()):
     errors = []
 
     body = lines[start:]
-    width = max(needed, len(body[0].split(delimiter))) if body else needed
+    width = max(4, len(body[0].split(delimiter))) if body else 4
     regular = np.fromiter(map(str.count, body, repeat(delimiter)), np.int64,
                           len(body)) == width - 1
     if width == 1 or delimiter.isspace():
         regular &= np.fromiter(map(bool, map(str.strip, body)), bool, len(body))
     fast = np.flatnonzero(regular) + start
-    # split line by line: joined with a multi-character delimiter, a line
-    # that ends in part of it ("7|" before "||") would shift the fields
     tokens = [token for i in fast.tolist() for token in lines[i].split(delimiter)]
-    for col, table, out in zip(positions, tables, codes):
+    for col, table, out in zip(range(4), tables, codes):
         out.append(table.code(tokens[col::width]))
     row_lines.append(fast)
 
@@ -460,12 +454,12 @@ def reference_parse_tape(stream, columns=tape_io.TapeColumns()):
             continue
         n_data += 1
         fields = line.split(delimiter)
-        if len(fields) < needed:
+        if len(fields) < 4:
             errors.append(t.RowError(i + 1, t._REASONS[t._SHORT], line))
             continue
         odd_lines.append(i)
-        for col, out in zip(positions, odd_tokens):
-            out.append(fields[col])
+        for token, out in zip(fields, odd_tokens):
+            out.append(token)
     for table, out, toks in zip(tables, codes, odd_tokens):
         out.append(table.code(toks))
     row_lines.append(np.array(odd_lines, dtype=np.int64))

@@ -164,12 +164,10 @@ def test_criterion_07_backcast_oracle(coupled_market, coupled_outputs):
     windows = [residual_study.monthly_windows(out.residuals, out.dates, tape.trader_id)
                for (_, out), tape in zip(coupled_outputs, coupled_market.tapes)]
     residual_study.assert_role_separation(windows[0], windows[1])
-    spec = neural_kit.cnn7_spec(input_shape=windows[0].images.shape[1:],
-                                activation="tanh")
     report = residual_study.cnn_backcast(
         windows[0], windows[1],
         [coupled_market.indexes["sentiment"], coupled_market.indexes["bond_yield"]],
-        spec=spec, runs=6, rounds=150, learning_rate=0.05)
+        activation="tanh", seeds=(1, 2, 3, 4, 5, 6), rounds=150, learning_rate=0.05)
     sent = report.for_index("sentiment")
     bond = report.for_index("bond_yield")
     elapsed = time.perf_counter() - start

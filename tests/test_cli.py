@@ -639,21 +639,69 @@ def test_config_number_that_is_not_finite_is_a_data_error(capsys, tape_dir, resi
     assert captured.out == ""
 
 
+def _cli_process(argv):
+    """`dualspace argv` run as its own process, with its output captured."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "dualspace.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
 def test_residual_file_without_value_columns_is_a_data_error(tape_dir, tmp_path):
     # run as a process, so that any numpy warning would reach its stderr
     path = tmp_path / "r.csv"
     path.write_text("date\n2009-01-05\n2009-01-06\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "dualspace.cli", "backcast", "--protocol",
-                           "shallow", "--train-residuals", str(path),
-                           "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
-                           "--out-dir", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True)
+    done = _cli_process(["backcast", "--protocol", "shallow", "--train-residuals", str(path),
+                         "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
+                         "--out-dir", str(tmp_path / "out")])
     assert done.returncode == 2
     lines = done.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error:")
     assert "value columns" in lines[0] and "Warning" not in done.stderr
+    assert done.stdout == ""
+
+
+def _first_row_last(path, out):
+    """Copy a CSV artifact with its first data row moved to the end."""
+    lines = path.read_text().splitlines(keepends=True)
+    head = 1 + next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    out.write_text("".join(lines[:head] + lines[head + 1:] + lines[head:head + 1]))
+    return out
+
+
+MALFORMED_ARTIFACTS = {
+    "backcast-one-column-index": "backcast",
+    "eventstudy-one-column-index": "eventstudy",
+    "backcast-residual-rows-out-of-order": "backcast",
+    "fit-state-rows-out-of-order": "fit",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ARTIFACTS))
+def test_malformed_artifact_is_one_data_error_line(tape_dir, residual_dir, tmp_path, case):
+    # run as a process, so that a traceback would reach its stderr
+    index = tape_dir / "sentiment.csv"
+    residuals = residual_dir / "t0" / "residuals.csv"
+    states = residual_dir / "t0" / "states_imbalance.csv"
+    if case.endswith("one-column-index"):
+        index = tmp_path / "sentiment.csv"
+        index.write_text("month\n2009-01\n2009-02\n")
+    elif case == "backcast-residual-rows-out-of-order":
+        residuals = _first_row_last(residuals, tmp_path / "residuals.csv")
+    else:
+        states = _first_row_last(states, tmp_path / "states.csv")
+    argv = {"backcast": ["backcast", "--protocol", "deep10", "--train-residuals",
+                         str(residuals), "--predict-residuals",
+                         str(residual_dir / "t1" / "residuals.csv"),
+                         "--index", f"sentiment={index}"],
+            "eventstudy": ["eventstudy", "--tape", str(tape_dir / "t0.csv"),
+                           "--index", f"sentiment={index}"],
+            "fit": ["fit", "--states", str(states)]}[MALFORMED_ARTIFACTS[case]]
+    done = _cli_process(argv + ["--out-dir", str(tmp_path / "out")])
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:")
+    assert "Traceback" not in done.stderr
     assert done.stdout == ""
 
 
@@ -735,11 +783,7 @@ def test_tape_that_is_not_utf8_is_a_data_error(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"Trddt,Stkprc,Parcha,Trdtims\n2009-08-06,10.05,S,425\n"
                      b"2009-08-06,10.2,\xe9,81\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "dualspace.cli", "ingest", "--tape", str(path),
-                           "--out-dir", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True)
+    done = _cli_process(["ingest", "--tape", str(path), "--out-dir", str(tmp_path / "out")])
     assert done.returncode == 2
     lines = done.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error:") and "utf-8" in lines[0]

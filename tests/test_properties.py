@@ -74,9 +74,8 @@ BLANKS = ("", " ", "\t", " \t ", "\u3000", "\xa0\u2003", "\x1c")
 
 @st.composite
 def tape_texts(draw):
-    """Tape text in any of the shapes a reader meets, and the columns to
-    read it with."""
-    delimiter = draw(st.sampled_from([",", "\t", ";", "||"]))
+    """Tape text in any of the shapes a reader meets."""
+    delimiter = draw(st.sampled_from(tape_io.DELIMITERS))
     token = st.one_of(st.sampled_from(TAPE_TOKENS), st.text(max_size=9))
     rows = st.one_of(
         st.tuples(st.sampled_from(TAPE_TOKENS[:8]), *[st.sampled_from(TAPE_TOKENS)] * 3),
@@ -86,30 +85,26 @@ def tape_texts(draw):
                       min_size=1, max_size=4).map(delimiter.join)
     lines = draw(st.lists(header, max_size=3)) + draw(st.lists(line, max_size=30))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
-    named = delimiter == "||" or draw(st.booleans())
-    return text, tape_io.TapeColumns(delimiter=delimiter if named else None)
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(tape_texts(), st.sampled_from([1, 3, 1 << 15]))
-def test_byte_reader_matches_the_string_splitter(case, chunk_lines):
-    text, columns = case
+def test_byte_reader_matches_the_string_splitter(text, chunk_lines):
     with mock.patch.object(tape_io, "_CHUNK_LINES", chunk_lines):
-        assert_same_parse(tape_io.parse_tape(text, columns),
-                          reference_parse_tape(text, columns))
+        assert_same_parse(tape_io.parse_tape(text), reference_parse_tape(text))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "tape.csv")
             with open(path, "wb") as handle:  # a lone surrogate makes the file not UTF-8
                 handle.write(text.encode("utf-8", "surrogatepass"))
             try:
                 with open(path, encoding="utf-8") as handle:  # universal newlines
-                    want = reference_parse_tape(handle, columns)
+                    want = reference_parse_tape(handle)
             except UnicodeDecodeError:
                 with pytest.raises(UnicodeDecodeError):
-                    tape_io.read_tape(path, columns)
+                    tape_io.read_tape(path)
             else:
-                assert_same_parse(tape_io.read_tape(path, columns), want)
+                assert_same_parse(tape_io.read_tape(path), want)
 
 
 @settings(max_examples=60, deadline=None)

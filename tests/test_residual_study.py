@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from dualspace import neural_kit, residual_study as rs
+from dualspace import residual_study as rs
 from dualspace.calendars import read_index_csv, trading_days, write_index_csv
 from dualspace.corrstats import corr_significance_threshold
 
@@ -116,7 +116,7 @@ def test_shallow_backcast_near_normal_residuals_uninformative():
     index = _index_for(moments.months, rng.standard_normal(n_months))
     report = rs.shallow_backcast(moments, [index], seed=1)
     r = report.for_index("test").mean_correlation
-    assert abs(r) < corr_significance_threshold(n_months, level=0.10)
+    assert abs(r) < corr_significance_threshold(n_months)
 
 
 def test_shallow_backcast_constant_index_flagged():
@@ -157,7 +157,7 @@ def test_deep_backcast_self_consistency_on_planted_data():
 def test_deep_backcast_uncoupled_index_mostly_insignificant():
     dates, rows, _ = _planted_daily(7, 24)
     months = sorted({f"{d.year:04d}-{d.month:02d}" for d in dates})
-    threshold = corr_significance_threshold(24, level=0.10)
+    threshold = corr_significance_threshold(24)
     rng = np.random.default_rng(8)
     wins = 0
     for seed in range(5):
@@ -197,7 +197,7 @@ def test_cnn_backcast_recovers_planted_coupling():
     rng = np.random.default_rng(13)
     wins_b.images = wins_b.images + 0.3 * rng.standard_normal(wins_b.images.shape)
     index = _index_for(wins_a.months, z)
-    report = rs.cnn_backcast(wins_a, wins_b, [index], runs=3, rounds=80,
+    report = rs.cnn_backcast(wins_a, wins_b, [index], seeds=(1, 2, 3), rounds=80,
                              learning_rate=0.05)
     res = report.for_index("test")
     assert res.mean_correlation > 0.8
@@ -209,7 +209,7 @@ def test_cnn_backcast_zero_coupling_insignificant():
     wins_b, _ = _planted_windows(15, 20, "b")
     rng = np.random.default_rng(16)
     index = _index_for(wins_a.months, rng.standard_normal(20))
-    report = rs.cnn_backcast(wins_a, wins_b, [index], runs=6, rounds=80,
+    report = rs.cnn_backcast(wins_a, wins_b, [index], seeds=(1, 2, 3, 4, 5, 6), rounds=80,
                              learning_rate=0.05)
     res = report.for_index("test")
     assert abs(res.mean_correlation) < 0.3
@@ -219,8 +219,8 @@ def test_cnn_backcast_deterministic_per_seed():
     wins_a, z = _planted_windows(17, 12, "a")
     wins_b, _ = _planted_windows(18, 12, "b")
     index = _index_for(wins_a.months, z)
-    r1 = rs.cnn_backcast(wins_a, wins_b, [index], runs=2, rounds=30)
-    r2 = rs.cnn_backcast(wins_a, wins_b, [index], runs=2, rounds=30)
+    r1 = rs.cnn_backcast(wins_a, wins_b, [index], seeds=(1, 2), rounds=30)
+    r2 = rs.cnn_backcast(wins_a, wins_b, [index], seeds=(1, 2), rounds=30)
     assert r1.to_dict() == r2.to_dict()
 
 
@@ -245,7 +245,7 @@ def test_cnn_backcast_rejects_same_trader_windows():
     wins_a, z = _planted_windows(21, 6, "a")
     wins_b, _ = _planted_windows(22, 6, "a")
     with pytest.raises(ValueError, match="same trader"):
-        rs.cnn_backcast(wins_a, wins_b, [_index_for(wins_a.months, z)], runs=1, rounds=1)
+        rs.cnn_backcast(wins_a, wins_b, [_index_for(wins_a.months, z)], seeds=(1,), rounds=1)
 
 
 def test_index_csv_round_trip():

@@ -83,7 +83,7 @@ def test_zero_coupling_imbalance_within_null_band():
     market = synth_market.gen_market(MarketConfig(n_traders=1, seed=31))
     r = _monthly_imbalance_corr(market)
     n = len(market.indexes["sentiment"].months)
-    assert abs(r) < corr_significance_threshold(n, level=0.10)
+    assert abs(r) < corr_significance_threshold(n)
 
 
 def test_strong_coupling_imbalance_correlates():
