@@ -239,7 +239,11 @@ def read_rows_csv(handle) -> tuple[list[dt.date], np.ndarray]:
     dates = [dt.date.fromisoformat(row[0]) for row in rows]
     if any(b <= a for a, b in zip(dates, dates[1:])):
         raise ValueError("row dates must be strictly increasing")
-    return dates, np.array([[float(v) for v in row[1:]] for row in rows], dtype=float)
+    values = np.array([[float(v) for v in row[1:]] for row in rows], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {dates[bad[0]]} holds a non-finite value")
+    return dates, values
 
 
 def diagnostics(output: RegressionOutput, split: VarianceSplit) -> dict:

@@ -174,6 +174,8 @@ def event_study(cost: CostSeries, index: IndexSeries,
     bucket-averaged lambda series' index correlation is kept as a
     diagnostic.
     """
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     n_days_total = config.n_periods * config.period_length
     if cost.day_positions[-1] + 1 < n_days_total:
         raise ValueError(f"lambda series covers {cost.day_positions[-1] + 1} days, "

@@ -8,8 +8,9 @@ a 7-layer CNN over day-by-bucket images, and a one-hidden-layer
 which is all these shallow problems need and keeps runs reproducible.
 
 There is one training loop, `train_many`: it trains R nets of one
-architecture together along a leading model axis, and `train` is its
-one-net case.  Convolutions run as im2col + matmul.
+architecture in stacks along a leading model axis, as many per stack
+as a fixed memory budget allows, and `train` is its one-net case.
+Convolutions run as im2col + matmul.
 """
 
 from __future__ import annotations
@@ -317,18 +318,16 @@ def _infer_input_shape(spec: NetSpec) -> tuple[int, ...]:
     raise ValueError("input_shape is required when the first layer is not Dense")
 
 
-def init_net(spec: NetSpec) -> TrainedNet:
-    """Build a net with seeded fan-in-scaled uniform weights, zero biases.
+def _layer_shapes(spec: NetSpec):
+    """Each layer's index, spec, input and output sample shape, (c, h, w)
+    for an image and (k,) for a flat vector.
 
-    Walks the layer chain validating that shapes compose; a mismatch
-    reports the offending layer pair.
+    Checks that the shapes compose; a mismatch reports the offending
+    layer pair.
     """
-    rng = np.random.default_rng(spec.seed)
     shape = _infer_input_shape(spec)
     if len(shape) == 2:
         shape = (1,) + shape  # single input channel
-    ops: list = []
-    params: list = []
     for i, layer in enumerate(spec.layers):
         where = f"layer {i + 1} ({type(layer).__name__})"
         if isinstance(layer, Dense):
@@ -339,11 +338,7 @@ def init_net(spec: NetSpec) -> TrainedNet:
                 raise ValueError(
                     f"shape mismatch between layer {i} (out {shape[0]}) and {where} "
                     f"(in {layer.n_in})")
-            bound = 1.0 / np.sqrt(layer.n_in)
-            params.append((rng.uniform(-bound, bound, size=(layer.n_in, layer.n_out)),
-                           np.zeros(layer.n_out)))
-            ops.append(_DenseOp(input_grad=i > 0))
-            shape = (layer.n_out,)
+            out = (layer.n_out,)
         elif isinstance(layer, Conv2D):
             if len(shape) != 3:
                 raise ValueError(f"{where}: expected image input, got shape {shape}")
@@ -351,11 +346,7 @@ def init_net(spec: NetSpec) -> TrainedNet:
             kh, kw = layer.kernel
             if h < kh or w < kw:
                 raise ValueError(f"{where}: kernel {layer.kernel} larger than input {(h, w)}")
-            bound = 1.0 / np.sqrt(c * kh * kw)
-            params.append((rng.uniform(-bound, bound, size=(layer.channels, c, kh, kw)),
-                           np.zeros(layer.channels)))
-            ops.append(_ConvOp(layer.kernel, input_grad=i > 0))
-            shape = (layer.channels, h - kh + 1, w - kw + 1)
+            out = (layer.channels, h - kh + 1, w - kw + 1)
         elif isinstance(layer, Pool):
             if len(shape) != 3:
                 raise ValueError(f"{where}: expected image input, got shape {shape}")
@@ -363,20 +354,47 @@ def init_net(spec: NetSpec) -> TrainedNet:
             ph, pw = layer.size
             if h < ph or w < pw:
                 raise ValueError(f"{where}: pool {layer.size} larger than input {(h, w)}")
-            params.append(())
-            ops.append(_PoolOp(layer.size))
-            shape = (c, h // ph, w // pw)
+            out = (c, h // ph, w // pw)
         elif isinstance(layer, Flatten):
-            params.append(())
-            ops.append(_FlattenOp(len(shape)))
-            shape = (int(np.prod(shape)),)
+            out = (int(np.prod(shape)),)
         else:
             raise ValueError(f"{where}: unknown layer spec")
+        yield i, layer, shape, out
+        shape = out
+    if shape != (1,):
+        raise ValueError(f"net output shape is {shape}, expected scalar (1,)")
+
+
+def init_net(spec: NetSpec) -> TrainedNet:
+    """Build a net with seeded fan-in-scaled uniform weights, zero biases.
+
+    Walks the layer chain validating that shapes compose; a mismatch
+    reports the offending layer pair.
+    """
+    rng = np.random.default_rng(spec.seed)
+    ops: list = []
+    params: list = []
+    for i, layer, shape, _ in _layer_shapes(spec):
+        if isinstance(layer, Dense):
+            bound = 1.0 / np.sqrt(layer.n_in)
+            params.append((rng.uniform(-bound, bound, size=(layer.n_in, layer.n_out)),
+                           np.zeros(layer.n_out)))
+            ops.append(_DenseOp(input_grad=i > 0))
+        elif isinstance(layer, Conv2D):
+            kh, kw = layer.kernel
+            bound = 1.0 / np.sqrt(shape[0] * kh * kw)
+            params.append((rng.uniform(-bound, bound, size=(layer.channels, shape[0], kh, kw)),
+                           np.zeros(layer.channels)))
+            ops.append(_ConvOp(layer.kernel, input_grad=i > 0))
+        elif isinstance(layer, Pool):
+            params.append(())
+            ops.append(_PoolOp(layer.size))
+        else:
+            params.append(())
+            ops.append(_FlattenOp(len(shape)))
         if _is_weighted(layer) and i < _last_weighted_index(spec):
             params.append(())
             ops.append(_ActivationOp(spec.activation))
-    if shape != (1,):
-        raise ValueError(f"net output shape is {shape}, expected scalar (1,)")
     return TrainedNet(spec=spec, ops=ops, params=params, loss_curve=[])
 
 
@@ -425,18 +443,43 @@ def train(net: TrainedNet, inputs: np.ndarray, targets: np.ndarray, rounds: int,
     return train_many([net], inputs, targets, rounds, learning_rate)[0]
 
 
+#: Bytes one net may add to the largest array of a training round.
+#: `train_many` trains as many nets together as fit in this budget,
+#: and at least one, so its peak memory follows the budget and not the
+#: number of nets.  cnn7 on 23 monthly images gets stacks of 2.
+STACK_BYTES = 1 << 20
+
+
+def _round_bytes(spec: NetSpec, n: int, per_net: bool) -> int:
+    """Bytes of the largest array one net of `spec` adds to a training
+    round on `n` samples: a layer's output (as large as its input
+    gradient) or a convolution's column matrix.  A first convolution's
+    columns of inputs shared by all nets are built once for the call,
+    so they do not count."""
+    largest = 0
+    for i, layer, shape, out in _layer_shapes(spec):
+        largest = max(largest, int(np.prod(out)))
+        if isinstance(layer, Conv2D) and (i > 0 or per_net):
+            kh, kw = layer.kernel
+            largest = max(largest, out[1] * out[2] * (kh * kw * shape[0] + 1))
+    return 8 * n * largest
+
+
 def train_many(nets: Sequence[TrainedNet], inputs: np.ndarray, targets: np.ndarray,
                rounds: int, learning_rate: float) -> list[TrainedNet]:
-    """Train R nets of one architecture together; returns new trained nets.
+    """Train R nets of one architecture; returns new trained nets.
 
-    Each net's parameters become one slice of a leading model axis, so
-    every round is one forward and one backward pass over all R nets,
-    with the same arithmetic per net as training it alone: full-batch
-    gradient descent on its own MSE from its own initial weights.
-    `inputs` is (n, ...) shared by all nets or (R, n, ...) one batch per
-    net; `targets` is (n,) shared or (R, n).  Every returned net keeps
-    its own loss curve; the input nets are left untouched.  Aborts with
-    the round number if any net's loss goes non-finite.
+    The nets train in consecutive stacks of as many as `STACK_BYTES`
+    allows.  Within a stack each net's parameters become one slice of a
+    leading model axis, so every round is one forward and one backward
+    pass over the stack, with the same arithmetic per net as training it
+    alone: full-batch gradient descent on its own MSE from its own
+    initial weights.  So neither the stack size nor a net's neighbours
+    change any result.  `inputs` is (n, ...) shared by all nets or
+    (R, n, ...) one batch per net; `targets` is (n,) shared or (R, n).
+    Every returned net keeps its own loss curve, in the order of `nets`;
+    the input nets are left untouched.  Aborts with the round number if
+    any net's loss goes non-finite.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -459,15 +502,37 @@ def train_many(nets: Sequence[TrainedNet], inputs: np.ndarray, targets: np.ndarr
     elif targets.shape != (n_nets, n):
         raise ValueError("inputs and targets are not aligned")
 
+    # Every round feeds the first layer the same batch, so a first
+    # convolution's column matrix is built once: for the call when the
+    # nets share their inputs, else once per stack.
+    first = nets[0].ops[0]
+    shared_cols = first.columns(x0) if isinstance(first, _ConvOp) and not per_net else None
+    size = max(1, STACK_BYTES // _round_bytes(nets[0].spec, n, per_net))
+    trained = []
+    for lo in range(0, n_nets, size):
+        stack = slice(lo, lo + size)
+        trained += _train_stack(nets[stack], x0[stack] if per_net else x0,
+                                targets[stack] if targets.ndim == 2 else targets,
+                                shared_cols, rounds, learning_rate)
+    return trained
+
+
+def _train_stack(nets: list[TrainedNet], x0: np.ndarray, targets: np.ndarray,
+                 first_cols: np.ndarray | None, rounds: int,
+                 learning_rate: float) -> list[TrainedNet]:
+    """`train_many` on one stack: `x0` is the batch as `_as_batch` gives
+    it, `targets` (n,) or (R, n), and `first_cols` the first
+    convolution's column matrix of a shared batch, or None."""
     ops = nets[0].ops
-    params = [tuple(map(np.stack, zip(*column))) for column in zip(*(n.params for n in nets))]
-    # Column matrices of this call, by op.  Every round feeds the first
-    # layer the same batch, so a first convolution's are built once; a
-    # later convolution refills its buffer every round (see README,
-    # "Neural training": fresh ones could re-fault every round).
+    n = targets.shape[-1]
+    params = [tuple(map(np.stack, zip(*column)))
+              for column in zip(*(net.params for net in nets))]
+    # Column matrices of this stack, by op.  A later convolution refills
+    # its buffer every round (see README, "Neural training": fresh ones
+    # could re-fault every round); returning frees them all.
     cols = [None] * len(ops)
     if isinstance(ops[0], _ConvOp):
-        cols[0] = ops[0].columns(x0)
+        cols[0] = ops[0].columns(x0) if first_cols is None else first_cols
     losses, caches = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for round_no in range(1, rounds + 1):

@@ -16,6 +16,10 @@ from the unpredictable part of the interday volume correlations.
 
 The informed/uninformed split is a data-provenance rule: prediction
 windows never enter training.
+
+Each protocol passes all of its nets, over every index and seed, to one
+`neural_kit.train_many` call, which trains them in memory-bounded
+stacks; a report does not depend on how the nets are stacked.
 """
 
 from __future__ import annotations
@@ -167,6 +171,13 @@ def _index_targets(index: IndexSeries, months: list[str]) -> np.ndarray:
     return np.array([index.value_for(m) for m in months])
 
 
+def _scaled_targets(indexes: list[IndexSeries], months: list[str]):
+    """Each index's values over `months`, and their `standardize`
+    triples (t_std, t_mean, t_scale)."""
+    targets = [_index_targets(index, months) for index in indexes]
+    return targets, [standardize(t) for t in targets]
+
+
 def _corr_or_flag(pred: np.ndarray, actual: np.ndarray) -> tuple[float, bool]:
     if np.ptp(pred) == 0.0 or np.ptp(actual) == 0.0:
         return 0.0, True
@@ -190,8 +201,9 @@ def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries], seed: 
                      rounds: int = 400, learning_rate: float = 0.05) -> BackcastReport:
     """Leave-one-month-out backcast from the four monthly moments.
 
-    Per index, the n leave-one-out nets train together as one stack,
-    each on its own n-1 months.
+    Each index has n leave-one-out nets, each trained on its own n-1
+    months; all indexes' nets go to one `train_many` call, with per-net
+    inputs and targets.
     """
     months = moments.months
     feats = moments.values
@@ -201,16 +213,17 @@ def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries], seed: 
     train_ix = np.array([[i for i in range(n) if i != hold] for hold in range(n)], dtype=int)
     nets = [neural_kit.init_net(neural_kit.shallow_spec(n_inputs=feats.shape[1], seed=seed + hold))
             for hold in range(n)]
+    targets, scaled = _scaled_targets(indexes, months)
+    trained = neural_kit.train_many(
+        nets * len(indexes), np.tile(feats_std[train_ix], (len(indexes), 1, 1)),
+        np.array([t_std[train_ix] for t_std, _, _ in scaled]).reshape(-1, n - 1),
+        rounds=rounds, learning_rate=learning_rate)
     report = BackcastReport(protocol="shallow", seeds=[seed])
-    for index in indexes:
-        targets = _index_targets(index, months)
-        t_std, t_mean, t_scale = standardize(targets)
-        trained = neural_kit.train_many(nets, feats_std[train_ix], t_std[train_ix],
-                                        rounds=rounds, learning_rate=learning_rate)
+    for k, (index, (_, t_mean, t_scale)) in enumerate(zip(indexes, scaled)):
         preds = np.array([neural_kit.forward_batch(net, feats_std[hold:hold + 1])[0]
-                          for hold, net in enumerate(trained)])
+                          for hold, net in enumerate(trained[k * n:(k + 1) * n])])
         preds = preds * t_scale + t_mean
-        r, flagged = _corr_or_flag(preds, targets)
+        r, flagged = _corr_or_flag(preds, targets[k])
         report.results.append(_make_result(index.name, [r], [flagged]))
     return report
 
@@ -225,6 +238,8 @@ def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
     Trains on the informed trader's rows, omitting the last day of each
     month (kept as the in-sample check); the uninformed trader's daily
     predictions are averaged per month and correlated with each index.
+    The index nets, one per index from the same seed, go to one
+    `train_many` call with the rows shared and per-net targets.
 
     The residuals come as bare arrays, which carry no trader id, so this
     function cannot check that the two roles come from different tapes
@@ -238,6 +253,7 @@ def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
         raise ValueError("training and prediction residuals cover different months")
 
     fit_ix = [i for ix in train_groups.values() for i in ix[:-1]]
+    fit_month = [m for m, ix in enumerate(train_groups.values()) for _ in ix[:-1]]
     holdout_ix = [ix[-1] for ix in train_groups.values()]
 
     train_x = np.asarray(train_residuals, dtype=float)
@@ -245,23 +261,20 @@ def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
     x_std, x_mean, x_scale = standardize(train_x[fit_ix].ravel())
     scale_input = lambda a: (a - x_mean) / x_scale  # noqa: E731
 
+    targets, scaled = _scaled_targets(indexes, months)
+    day_targets = np.array([t_std[fit_month] for t_std, _, _ in scaled])
+    net = neural_kit.init_net(neural_kit.deep10_spec(n_inputs=train_x.shape[1], seed=seed))
+    trained = neural_kit.train_many([net] * len(indexes), scale_input(train_x[fit_ix]),
+                                    day_targets, rounds=rounds, learning_rate=learning_rate)
+
     report = BackcastReport(protocol="deep10", seeds=[seed])
-    for index in indexes:
-        targets = _index_targets(index, months)
-        t_std, t_mean, t_scale = standardize(targets)
-        day_targets = np.concatenate([
-            np.full(len(ix[:-1]), t_std[m]) for m, ix in enumerate(train_groups.values())])
-
-        net = neural_kit.init_net(neural_kit.deep10_spec(n_inputs=train_x.shape[1], seed=seed))
-        net = neural_kit.train(net, scale_input(train_x[fit_ix]), day_targets,
-                               rounds=rounds, learning_rate=learning_rate)
-
+    for index, target, (_, t_mean, t_scale), net in zip(indexes, targets, scaled, trained):
         insample = neural_kit.forward_batch(net, scale_input(train_x[holdout_ix]))
-        r_in, _ = _corr_or_flag(insample * t_scale + t_mean, targets)
+        r_in, _ = _corr_or_flag(insample * t_scale + t_mean, target)
 
         daily = neural_kit.forward_batch(net, scale_input(pred_x))
         monthly = np.array([daily[ix].mean() for ix in predict_groups.values()])
-        r, flagged = _corr_or_flag(monthly * t_scale + t_mean, targets)
+        r, flagged = _corr_or_flag(monthly * t_scale + t_mean, target)
         report.results.append(_make_result(index.name, [r], [flagged], insample=r_in))
     return report
 
@@ -275,8 +288,11 @@ def cnn_backcast(train_windows: MonthlyWindows, predict_windows: MonthlyWindows,
 
     Trains on one trader's images labeled with the month's index value,
     predicts from the other trader's images, and reports per-run
-    correlations with their mean and Student-t 10% half-width.
+    correlations with their mean and Student-t 10% half-width.  The nets
+    of every (index, seed) pair go to one `train_many` call.
     """
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     assert_role_separation(train_windows, predict_windows)
     if train_windows.months != predict_windows.months:
         raise ValueError("training and prediction windows cover different months")
@@ -286,23 +302,26 @@ def cnn_backcast(train_windows: MonthlyWindows, predict_windows: MonthlyWindows,
     train_x = (train_windows.images - x_mean) / x_scale
     pred_x = (predict_windows.images - x_mean) / x_scale
 
+    targets, scaled = _scaled_targets(indexes, train_windows.months)
+    nets = [neural_kit.init_net(neural_kit.cnn7_spec(input_shape=shape, activation=activation,
+                                                     seed=run_seed))
+            for run_seed in seeds]
+    trained = neural_kit.train_many(
+        nets * len(indexes), train_x,
+        np.array([t_std for t_std, _, _ in scaled for _ in seeds]),
+        rounds=rounds, learning_rate=learning_rate)
+
     report = BackcastReport(
         protocol="cnn7", seeds=list(seeds),
         notes={"train_trader": train_windows.trader_id,
                "predict_trader": predict_windows.trader_id,
                "padded_months": train_windows.padded_months,
                "truncated_months": train_windows.truncated_months})
-    for index in indexes:
-        targets = _index_targets(index, train_windows.months)
-        t_std, t_mean, t_scale = standardize(targets)
+    for k, (index, target, (_, t_mean, t_scale)) in enumerate(zip(indexes, targets, scaled)):
         run_corrs, flags = [], []
-        for run_seed in seeds:
-            net = neural_kit.init_net(
-                neural_kit.cnn7_spec(input_shape=shape, activation=activation, seed=run_seed))
-            net = neural_kit.train(net, train_x, t_std, rounds=rounds,
-                                   learning_rate=learning_rate)
+        for net in trained[k * len(nets):(k + 1) * len(nets)]:
             preds = neural_kit.forward_batch(net, pred_x) * t_scale + t_mean
-            r, flagged = _corr_or_flag(preds, targets)
+            r, flagged = _corr_or_flag(preds, target)
             run_corrs.append(r)
             flags.append(flagged)
         report.results.append(_make_result(index.name, run_corrs, flags))

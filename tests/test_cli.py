@@ -669,11 +669,30 @@ def _first_row_last(path, out):
     return out
 
 
+def _first_cell(path, out, value):
+    """Copy a CSV artifact with the first value of its first data row
+    replaced by `value`."""
+    lines = path.read_text().splitlines(keepends=True)
+    head = 1 + next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    date, _, rest = lines[head].split(",", 2)
+    lines[head] = f"{date},{value},{rest}"
+    out.parent.mkdir(exist_ok=True)
+    out.write_text("".join(lines))
+    return out
+
+
 MALFORMED_ARTIFACTS = {
     "backcast-one-column-index": "backcast",
     "eventstudy-one-column-index": "eventstudy",
     "backcast-residual-rows-out-of-order": "backcast",
     "fit-state-rows-out-of-order": "fit",
+    # a non-finite residual, in either role, for every protocol that reads it
+    "backcast-nan-predict-residual": "backcast",
+    "backcast-inf-predict-residual": "backcast",
+    "backcast-nan-train-residual": "backcast",
+    "backcast-cnn7-nan-predict-residual": "backcast",
+    "backcast-cnn7-nan-train-residual": "backcast",
+    "backcast-shallow-nan-train-residual": "backcast",
 }
 
 
@@ -682,18 +701,28 @@ def test_malformed_artifact_is_one_data_error_line(tape_dir, residual_dir, tmp_p
     # run as a process, so that a traceback would reach its stderr
     index = tape_dir / "sentiment.csv"
     residuals = residual_dir / "t0" / "residuals.csv"
+    predict = residual_dir / "t1" / "residuals.csv"
     states = residual_dir / "t0" / "states_imbalance.csv"
     if case.endswith("one-column-index"):
         index = tmp_path / "sentiment.csv"
         index.write_text("month\n2009-01\n2009-02\n")
     elif case == "backcast-residual-rows-out-of-order":
         residuals = _first_row_last(residuals, tmp_path / "residuals.csv")
+    elif case.endswith("predict-residual"):
+        value = "inf" if "-inf-" in case else "nan"
+        predict = _first_cell(predict, tmp_path / "t1" / "residuals.csv", value)
+    elif case.endswith("train-residual"):
+        residuals = _first_cell(residuals, tmp_path / "t0" / "residuals.csv", "nan")
     else:
         states = _first_row_last(states, tmp_path / "states.csv")
-    argv = {"backcast": ["backcast", "--protocol", "deep10", "--train-residuals",
-                         str(residuals), "--predict-residuals",
-                         str(residual_dir / "t1" / "residuals.csv"),
-                         "--index", f"sentiment={index}"],
+    protocol = next((p for p in ("cnn7", "shallow") if f"-{p}-" in case), "deep10")
+    backcast = ["backcast", "--protocol", protocol, "--train-residuals", str(residuals),
+                "--index", f"sentiment={index}"]
+    if protocol != "shallow":
+        backcast += ["--predict-residuals", str(predict)]
+    if protocol == "cnn7":
+        backcast += ["--runs", "1", "--rounds", "3"]
+    argv = {"backcast": backcast,
             "eventstudy": ["eventstudy", "--tape", str(tape_dir / "t0.csv"),
                            "--index", f"sentiment={index}"],
             "fit": ["fit", "--states", str(states)]}[MALFORMED_ARTIFACTS[case]]

@@ -176,6 +176,17 @@ def test_event_study_requires_full_coverage():
         ll.event_study(cost, index, seeds=(1,))
 
 
+def test_event_study_refuses_empty_seeds_before_training(monkeypatch):
+    cost = _flat_cost(jitter=0.3 * np.random.default_rng(3).standard_normal((480, NB)))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a net")
+
+    monkeypatch.setattr(ll.neural_kit, "train", no_training)
+    with pytest.raises(ValueError, match="seeds must not be empty"):
+        ll.event_study(cost, _index_over(cost.dates), seeds=())
+
+
 def test_event_study_pvalues_in_range(small_market):
     rng = np.random.default_rng(1)
     cost = _flat_cost(jitter=0.3 * rng.standard_normal((480, NB)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -496,3 +498,64 @@ def test_a_train_many_call_refills_one_column_buffer(monkeypatch):
                   rounds=3, learning_rate=0.05)
     assert len(later_columns) == 3
     assert all(np.shares_memory(later_columns[0], cols) for cols in later_columns[1:])
+
+
+# ── stacks under the memory budget ─────────────────────────────────────
+
+def _assert_identical_nets(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.loss_curve == b.loss_curve
+        for wa, wb in zip(a.weight_arrays(), b.weight_arrays(), strict=True):
+            np.testing.assert_array_equal(wa, wb)
+
+
+@pytest.mark.parametrize("arch", ["small_cnn", "shallow"])
+def test_per_net_inputs_give_the_same_nets_in_any_stacks(monkeypatch, arch):
+    make_spec, sample_shape = _ORACLE_SPECS[arch]
+    rng = np.random.default_rng(47)
+    nets = [nk.init_net(make_spec(seed, "tanh")) for seed in range(5)]
+    x = rng.standard_normal((5, 6) + sample_shape)
+    y = rng.standard_normal((5, 6))
+    default = nk.train_many(nets, x, y, rounds=4, learning_rate=0.05)
+    _assert_identical_nets(default, nk.train_many(nets[:2], x[:2], y[:2], rounds=4,
+                                                  learning_rate=0.05)
+                           + nk.train_many(nets[2:], x[2:], y[2:], rounds=4,
+                                           learning_rate=0.05))
+    for budget in (1, 1 << 62):  # one net per stack, and one stack
+        monkeypatch.setattr(nk, "STACK_BYTES", budget)
+        _assert_identical_nets(nk.train_many(nets, x, y, rounds=4, learning_rate=0.05),
+                               default)
+
+
+def test_stack_size_follows_the_budget():
+    spec = nk.cnn7_spec(seed=1)
+    # the second convolution's column matrix: 23 images x 7 x 5 pixels x 73 columns
+    assert nk._round_bytes(spec, 23, per_net=False) == 8 * 23 * 35 * 73
+    assert nk.STACK_BYTES // nk._round_bytes(spec, 23, per_net=False) == 2
+    assert nk.STACK_BYTES // nk._round_bytes(nk.deep10_spec(seed=1), 460, False) >= 3
+
+
+def _traced_peak(func):
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_memory_follows_the_budget_not_the_net_count():
+    spec = nk.cnn7_spec(seed=1)
+    rng = np.random.default_rng(48)
+    images = rng.standard_normal((23, 21, 16))
+    targets = rng.standard_normal(23)
+    nets = [nk.init_net(nk.cnn7_spec(seed=seed)) for seed in range(1, 7)]
+    stack = nk.STACK_BYTES // nk._round_bytes(spec, 23, per_net=False)
+    assert 1 <= stack < len(nets)
+
+    def train(some):
+        return lambda: nk.train_many(some, images, targets, rounds=2, learning_rate=0.05)
+
+    one_stack = _traced_peak(train(nets[:stack]))
+    assert _traced_peak(train(nets)) <= 1.1 * one_stack

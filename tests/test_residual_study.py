@@ -224,6 +224,50 @@ def test_cnn_backcast_deterministic_per_seed():
     assert r1.to_dict() == r2.to_dict()
 
 
+def test_cnn_backcast_refuses_empty_seeds_before_training(monkeypatch):
+    wins_a, z = _planted_windows(17, 6, "a")
+    wins_b, _ = _planted_windows(18, 6, "b")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a net")
+
+    monkeypatch.setattr(rs.neural_kit, "train_many", no_training)
+    with pytest.raises(ValueError, match="seeds must not be empty"):
+        rs.cnn_backcast(wins_a, wins_b, [_index_for(wins_a.months, z)], seeds=())
+
+
+def _three_indexes(months, seed):
+    rng = np.random.default_rng(seed)
+    return [rs.IndexSeries(name, list(months), rng.standard_normal(len(months)))
+            for name in ("a", "b", "c")]
+
+
+def _every_protocol():
+    """Each protocol's report, on three indexes of planted data."""
+    dates, rows, _ = _planted_daily(23, 12)
+    other_dates, other_rows, _ = _planted_daily(24, 12)
+    moments = rs.monthly_moments(rows, dates)
+    indexes = _three_indexes(moments.months, 25)
+    wins_a, _ = _planted_windows(26, 12, "a")
+    wins_b, _ = _planted_windows(27, 12, "b")
+    cnn_indexes = _three_indexes(wins_a.months, 28)
+    return {
+        "shallow": rs.shallow_backcast(moments, indexes, seed=2, rounds=40),
+        "deep10": rs.deep_backcast(rows, dates, other_rows, other_dates, indexes,
+                                   seed=3, rounds=20),
+        **{f"cnn7-{act}": rs.cnn_backcast(wins_a, wins_b, cnn_indexes, activation=act,
+                                          seeds=(4, 5, 6), rounds=8)
+           for act in ("relu", "tanh")},
+    }
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 62], ids=["one_net_per_stack", "unlimited"])
+def test_stack_size_never_changes_a_report(monkeypatch, budget):
+    default = {name: report.to_dict() for name, report in _every_protocol().items()}
+    monkeypatch.setattr(rs.neural_kit, "STACK_BYTES", budget)
+    assert {name: report.to_dict() for name, report in _every_protocol().items()} == default
+
+
 def test_dispersion_matches_t_table():
     values = [0.9756, 0.9527, 0.9545, 0.9684, 0.9727, 0.9697]
     got = rs._make_result("x", values, [False] * 6).dispersion
