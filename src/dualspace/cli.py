@@ -164,11 +164,12 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _records_or_fail(path: str):
-    result = tape_io.read_tape(path)
-    if not result.records:
+def _records_or_fail(path: str) -> tape_io.Tape:
+    """The tape's records; its `ParseResult` is dropped here."""
+    records = tape_io.read_tape(path).records
+    if not records:
         raise DataError(f"tape {path} holds no parseable records")
-    return result
+    return records
 
 
 def _load_index(arg: str) -> calendars.IndexSeries:
@@ -267,16 +268,15 @@ def _cmd_ingest(args) -> int:
     _write_csv(canonical, prov,
                lambda h: h.write(tape_io.serialize(result.records)))
     _write_json(os.path.join(outdir, f"{stem}.validation.json"), prov, report.to_dict())
-    _summary("ingest", records=len(result.records), rejected=report.n_rejected,
+    _summary("ingest", records=report.n_records, rejected=report.n_rejected,
              unknown_side_fraction=report.unknown_side_fraction,
              flag=report.unknown_side_flag, out=canonical)
     return EXIT_OK
 
 
 def _cmd_summarize(args) -> int:
-    result = _records_or_fail(args.tape)
     side = {"B": tape_io.Side.BUY, "S": tape_io.Side.SELL}.get(args.side or "")
-    summary = tape_io.summarize(result.records, side=side)
+    summary = tape_io.summarize(_records_or_fail(args.tape), side=side)
     _summary("summarize", **{k: getattr(summary, k) for k in (
         "trade_count", "min_price", "avg_price", "max_price", "std_price",
         "avg_daily_volume", "sample_volume_variance", "unknown_side_fraction")})
@@ -291,12 +291,18 @@ def _panel_config(opts) -> bucket_panel.BucketConfig:
         geometric_imbalance=opts["geometric_imbalance"])
 
 
+def _panels(path: str, opts) -> bucket_panel.PanelSeries:
+    """The tape's panel series; the tape is dropped once it is bucketed."""
+    from . import bucket_panel
+
+    return bucket_panel.build_panels(_records_or_fail(path), _panel_config(opts))
+
+
 def _cmd_panels(args) -> int:
     from . import bucket_panel
 
     opts = _resolve(args)
-    result = _records_or_fail(args.tape)
-    series = bucket_panel.build_panels(result.records, _panel_config(opts))
+    series = _panels(args.tape, opts)
     outdir = _outdir(args)
     prov = _provenance("panels", opts)
     path = os.path.join(outdir, "panels.csv")
@@ -310,12 +316,11 @@ def _cmd_panels(args) -> int:
 
 
 def _cmd_statespace(args) -> int:
-    from . import bucket_panel, state_space
+    from . import state_space
 
     opts = _resolve(args)
-    result = _records_or_fail(args.tape)
-    series = bucket_panel.build_panels(result.records, _panel_config(opts))
-    states = state_space.state_matrix(series, state_space.VolumeMode(opts["mode"]))
+    states = state_space.state_matrix(_panels(args.tape, opts),
+                                      state_space.VolumeMode(opts["mode"]))
     outdir = _outdir(args)
     path = os.path.join(outdir, f"states_{opts['mode']}.csv")
     _write_csv(path, _provenance("statespace", opts),
@@ -411,12 +416,10 @@ def _cmd_backcast(args) -> int:
 
 
 def _cmd_liquidity(args) -> int:
-    from . import bucket_panel, liquidity_lab
+    from . import liquidity_lab
 
     opts = _resolve(args)
-    result = _records_or_fail(args.tape)
-    series = bucket_panel.build_panels(result.records, _panel_config(opts))
-    cost = liquidity_lab.cost_series(series)
+    cost = liquidity_lab.cost_series(_panels(args.tape, opts))
     outdir = _outdir(args)
     prov = _provenance("liquidity", opts)
     _write_csv(os.path.join(outdir, "lambda.csv"), prov,
@@ -436,7 +439,7 @@ def _cmd_eventstudy(args) -> int:
 
     opts = _resolve(args)
     activation = _activation(opts)
-    result = _records_or_fail(args.tape)
+    records = _records_or_fail(args.tape)
     index = _load_index(args.index)
     try:
         lo, hi = (int(v) for v in opts["training_periods"].split(","))
@@ -447,8 +450,8 @@ def _cmd_eventstudy(args) -> int:
         period_length=opts["period_length"], n_periods=opts["n_periods"],
         training_periods=(lo, hi), n_permutations=opts["permutations"],
         rounds=opts["rounds"], learning_rate=opts["learning_rate"], activation=activation)
-    series = bucket_panel.build_panels(result.records, _panel_config(opts))
-    cost = liquidity_lab.cost_series(series)
+    cost = liquidity_lab.cost_series(bucket_panel.build_panels(records, _panel_config(opts)))
+    del records  # only the cost series lives on through training
     report = liquidity_lab.event_study(cost, index, config, seeds=seeds)
     outdir = _outdir(args)
     prov = _provenance("eventstudy", opts)

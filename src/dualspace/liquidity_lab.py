@@ -225,7 +225,8 @@ def event_study(cost: CostSeries, index: IndexSeries,
         r_p = pearson(w_pred, w_idx)
         p_p = fisher_z_pvalue(r_p, len(ix), ref_pearson, len(months))
         r_s = spearman(w_pred, w_idx)
-        outside = np.array([j for j in range(len(months)) if j not in set(ix)])
+        outside = np.ones(len(months), dtype=bool)
+        outside[ix] = False
         p_s = _subset_draw_pvalue(preds[outside], targets[outside], len(ix), r_s,
                                   ref_spearman, config.n_permutations, rng)
         results.append(WindowResult(day_range, w_months, r_p,

@@ -193,16 +193,17 @@ class _ConvOp:
         grads = (np.moveaxis(d_w, *_TO_COLUMN_ORDER[::-1]), d_matrix[..., -1, :])
         if not self.input_grad:
             return None, grads
-        # column gradient tap by tap, (..., kh*kw, n*oh*ow, c); each tap
-        # adds back into the input pixels it read
+        # the column gradient one tap at a time, into one (..., n*oh*ow, c)
+        # buffer; each tap adds back into the input pixels it read
         w_taps = np.moveaxis(params[0], (-2, -1), (-4, -3))  # (..., kh, kw, o, c)
         w_taps = w_taps.reshape(w_taps.shape[:-4] + (kh * kw,) + w_taps.shape[-2:])
-        d_taps = g[..., None, :, :] @ w_taps
-        d_taps = d_taps.reshape(d_taps.shape[:-2] + (n, oh, ow, -1))
-        dx = np.zeros(d_taps.shape[:-5] + in_shape[-4:])
+        d_tap = np.empty(g.shape[:-1] + w_taps.shape[-1:])
+        d_pixels = d_tap.reshape(d_tap.shape[:-2] + (n, oh, ow, -1))
+        dx = np.zeros(g.shape[:-2] + in_shape[-4:])
         for k in range(kh):
             for l in range(kw):
-                dx[..., k:k + oh, l:l + ow, :] += d_taps[..., k * kw + l, :, :, :, :]
+                np.matmul(g, w_taps[..., k * kw + l, :, :], out=d_tap)
+                dx[..., k:k + oh, l:l + ow, :] += d_pixels
         return dx, grads
 
 

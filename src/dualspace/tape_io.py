@@ -18,18 +18,19 @@ sequence of `TapeRecord`s, so code that wants one trade at a time can
 have it.
 
 The reader works on the tape's UTF-8 bytes, `_CHUNK_LINES` lines at a
-time, which bounds the arrays and strings alive at once (about 24 MB
-traced on an oracle tape of 1.44e5 rows; one pass over all lines takes
-about 42 MB).  Line ends and field ends are byte comparisons, and each
-line's field count is one `searchsorted` over them.  A field of a
-regular line is keyed by at most two little-endian 7-byte words, the
-first with the field's length in its top byte; runs of equal keys are
-merged (a day's dates come in runs) and `np.unique` codes the rest, so
-each chunk decodes its distinct tokens once.  A line goes through the
-per-line string path instead when its field count differs from the
-first data row's, when it may be blank (the delimiter is white space
-and the line starts with white space or a non-ASCII byte), when a
-column's token is longer than 14 bytes.
+time, which bounds the arrays and strings alive at once, and frees the
+text and each column's codes after their last use: about 13 MB traced
+on an oracle tape of 1.44e5 rows, whose `Tape` columns are 4.7 MB (one
+pass over all lines takes about 42 MB).  Line ends and field ends are
+byte comparisons, and each line's field count is one `searchsorted`
+over them.  A field of a regular line is keyed by at most two
+little-endian 7-byte words, the first with the field's length in its top
+byte; runs of equal keys are merged (a day's dates come in runs) and
+`np.unique` codes the rest, so each chunk decodes its distinct tokens
+once.  A line goes through the per-line string path instead when its
+field count differs from the first data row's, when it may be blank (the
+delimiter is white space and the line starts with white space or a
+non-ASCII byte), when a column's token is longer than 14 bytes.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ _MAX_VOLUME = int(np.iinfo(np.int64).max)
 
 # Body lines are read this many at a time, which bounds the arrays and
 # the token strings alive at once.
-_CHUNK_LINES = 1 << 15
+_CHUNK_LINES = 1 << 14
 
 # A line that starts with one of these bytes (ASCII white space, or the
 # lead byte of a multi-byte character) may be blank.
@@ -304,23 +305,21 @@ def parse_tape(stream: bytes | str | Iterable[str]) -> ParseResult:
 
     `stream` may be UTF-8 bytes, one string, an open text file or any
     iterable of lines.  Bytes are split into lines at b"\n" alone; a
-    string's or an iterable's lines are joined with it, so a line must
-    not hold a "\n" of its own.  Rows are sorted by date (stable within
-    a day).  Every data row ends up either in `records` or in `errors`.
+    string where `read_tape` splits a file, at "\n", "\r\n" and a lone
+    "\r"; an iterable's lines are joined with "\n", so a line must not
+    hold a "\n" of its own.  Rows are sorted by date (stable within a
+    day).  Every data row ends up either in `records` or in `errors`.
 
     The body is read from its bytes, `_CHUNK_LINES` lines at a time:
     lines with the first data row's field count are split and coded
     together (`_code_lines`), other lines one at a time, and every
     column's tokens are coded to their distinct values.  Each distinct
     token is parsed once, with the same rules a single row would get.
+    The text and its line ends are released once the rejected rows'
+    text is taken, and the record columns are gathered one at a time.
     """
-    if isinstance(stream, str):
-        stream = stream.splitlines()
-    if isinstance(stream, (bytes, bytearray, memoryview)):
-        lines = _ByteLines(memoryview(stream).cast("B"))
-    else:
-        lines = _ByteLines(memoryview("\n".join(line.rstrip("\r\n") for line in stream)
-                                      .encode("utf-8", "surrogatepass")), "surrogatepass")
+    lines = _byte_lines(stream)
+    del stream  # `lines` holds the text from here, so releasing it frees it
     delimiter = _detect_delimiter(list(islice((ln for ln in lines if ln.strip()), 20)))
 
     n_header = 0
@@ -343,13 +342,8 @@ def parse_tape(stream: bytes | str | Iterable[str]) -> ParseResult:
     maybe_blank = width == 1 or delimiter.isspace()  # such a line may also be blank
     odd_lines = [np.zeros(0, dtype=np.int64)]
     for lo in range(start, len(lines), _CHUNK_LINES):
-        hi = min(lo + _CHUNK_LINES, len(lines))
-        first, last = lines.start(lo), int(lines.ends[hi - 1])
-        lines.text(first, last)  # a line end is a character boundary: check the UTF-8 here
-        raw = bytearray(last - first + _PAD)
-        raw[:last - first] = lines.data[first:last]
-        rows, odd = _code_lines(raw, lines.ends[lo:hi] - first, ord(delimiter), width,
-                                tables, codes, maybe_blank)
+        rows, odd = _code_lines(lines, lo, min(lo + _CHUNK_LINES, len(lines)),
+                                ord(delimiter), width, tables, codes, maybe_blank)
         row_lines.append(rows + lo)
         odd_lines.append(odd + lo)
 
@@ -373,8 +367,8 @@ def parse_tape(stream: bytes | str | Iterable[str]) -> ParseResult:
         out.append(table.code(tokens))
     row_lines.append(np.array(per_line, dtype=np.int64))
 
-    date_codes, price_codes, side_codes, volume_codes = (np.concatenate(c) for c in codes)
-    row_lines = np.concatenate(row_lines)
+    date_codes, price_codes, side_codes, volume_codes = map(_joined, codes)
+    row_lines = _joined(row_lines)
 
     # each distinct token parsed once, then looked up per row
     token_dates = [_parse_date(token) for token in tables[0]]
@@ -387,32 +381,64 @@ def parse_tape(stream: bytes | str | Iterable[str]) -> ParseResult:
     side_of = np.array([SIDE_CODE[_parse_side(token)] for token in tables[2]], dtype=np.int8)
 
     day = day_of[date_codes]
+    del date_codes
     reason = np.where(day < 0, _BAD_DATE, price_reason[price_codes])
     reason = np.where(reason == 0, volume_reason[volume_codes], reason)
     bad = np.flatnonzero(reason)
     errors.extend(RowError(i + 1, _REASONS[r], lines[i])
                   for i, r in zip(row_lines[bad].tolist(), reason[bad].tolist()))
+    del lines  # the text and its line ends
     errors.sort(key=lambda err: err.line_no)
 
-    ok = reason == 0
-    day, row_lines = day[ok], row_lines[ok]
-    order = np.lexsort((row_lines, day))
-    tape = Tape(dates, day[order], price_of[price_codes[ok][order]],
-                side_of[side_codes[ok][order]], volume_of[volume_codes[ok][order]],
-                row_lines[order] + 1)
-    return ParseResult(tape, errors, n_data, n_header)
+    # the accepted rows in tape order; each column is gathered, then its codes freed
+    keep = np.flatnonzero(reason == 0)
+    keep = keep[np.lexsort((row_lines[keep], day[keep]))]
+    day = day[keep]
+    line_no = row_lines[keep]
+    line_no += 1
+    del row_lines
+    price = price_of[price_codes[keep]]
+    del price_codes
+    side = side_of[side_codes[keep]]
+    del side_codes
+    volume = volume_of[volume_codes[keep]]
+    del volume_codes
+    return ParseResult(Tape(dates, day, price, side, volume, line_no), errors, n_data, n_header)
 
 
-def _code_lines(raw: bytearray, ends: np.ndarray, delimiter: int, width: int,
+def _byte_lines(stream: bytes | str | Iterable[str]) -> _ByteLines:
+    """The lines of any input `parse_tape` takes, held as UTF-8 bytes."""
+    if isinstance(stream, (bytes, bytearray, memoryview)):
+        return _ByteLines(memoryview(stream).cast("B"))
+    if isinstance(stream, str):
+        text = stream.replace("\r\n", "\n").replace("\r", "\n")
+    else:
+        text = "\n".join(line.rstrip("\r\n") for line in stream)
+    return _ByteLines(memoryview(text.encode("utf-8", "surrogatepass")), "surrogatepass")
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts concatenated; the list is emptied, so they can be freed."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
+def _code_lines(lines: _ByteLines, lo: int, hi: int, delimiter: int, width: int,
                 tables, codes, maybe_blank: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Code the regular lines of one chunk from its bytes.
+    """Code the regular lines among lines[lo:hi] from their bytes.
 
-    `raw` holds the chunk's lines and `_PAD` zero bytes, `ends` each
-    line's end in it.  A line is regular when it has `width` fields,
-    cannot be blank and has no column token longer than `_WORD_CAP`
-    bytes.  The codes of each of the first four columns for the regular
-    lines go to its list in `codes`.  Returns the indices of the regular lines and of the others.
+    A line is regular when it has `width` fields, cannot be blank and
+    has no column token longer than `_WORD_CAP` bytes.  The codes of
+    each of the first four columns for the regular lines go to its list
+    in `codes`.  Returns the indices, from `lo`, of the regular lines
+    and of the others.
     """
+    begin, end = lines.start(lo), int(lines.ends[hi - 1])
+    lines.text(begin, end)  # a line end is a character boundary: check the UTF-8 here
+    raw = bytearray(end - begin + _PAD)
+    raw[:end - begin] = lines.data[begin:end]
+    ends = lines.ends[lo:hi] - begin
     byte = np.frombuffer(raw, np.uint8)
     size = int(ends[-1])
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -423,14 +449,18 @@ def _code_lines(raw: bytearray, ends: np.ndarray, delimiter: int, width: int,
     if maybe_blank:
         regular &= (ends > starts) & ~_MAYBE_BLANK[byte[starts]]
     rows = np.flatnonzero(regular)
-    # a regular line's field j runs from edges[j] + 1 to edges[j + 1]; built in
-    # C order so that each row is contiguous (np.vstack with the transposed
-    # fields gives Fortran order, and strided rows slowed the parse by ~15%)
+    # a regular line's field j runs from edges[j] to edges[j + 1] - 1: the
+    # line's start, then one past each field's end.  Built in C order so that
+    # each row is contiguous (np.vstack with the transposed fields gives
+    # Fortran order, and strided rows slowed the parse by ~15%)
     edges = np.empty((width + 1, rows.size), dtype=np.int64)
-    edges[0] = starts[rows] - 1
+    edges[0] = starts[rows]
     edges[1:] = seps[np.repeat(regular, count)].reshape(-1, width).T
-    first = edges[:4] + 1
+    del seps  # the chunk's largest array, not needed for the tokens
+    edges[1:] += 1
+    first = edges[:4]
     length = edges[1:5] - first
+    length -= 1
     long = (length > _WORD_CAP).any(axis=0)
     if long.any():
         regular[rows[long]] = False
@@ -475,7 +505,7 @@ def _table(tokens: _TokenCodes, parse, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Parsed value and rejection reason of every distinct token."""
     parsed = [parse(token) for token in tokens]
     return (np.array([value for value, _ in parsed], dtype=dtype),
-            np.array([reason for _, reason in parsed], dtype=np.int64))
+            np.array([reason for _, reason in parsed], dtype=np.int8))
 
 
 def _coded_text(values: np.ndarray, text) -> np.ndarray:
@@ -502,11 +532,15 @@ def serialize(tape: Tape) -> str:
 def read_tape(path) -> ParseResult:
     r"""Parse a UTF-8 tape file; "\r\n" and a lone "\r" end a line as
     "\n" does (universal newlines)."""
+    return parse_tape(_read_bytes(path))  # unnamed here, so parse_tape can free them
+
+
+def _read_bytes(path) -> bytes:
     with open(path, "rb") as handle:
         data = handle.read()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return parse_tape(data)
+    return data
 
 
 def read_table_csv(handle) -> tuple[list[str], list[list[str]]]:

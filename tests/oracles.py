@@ -407,13 +407,16 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
 
 
 def reference_parse_tape(stream):
-    """`tape_io.parse_tape` as a string splitter: lines as str, each
+    r"""`tape_io.parse_tape` as a string splitter: lines as str, each
     line's field count by `str.count`, its fields by `str.split`, each
     token coded through a dict.  Takes one string or an iterable of lines; the
-    token rules (`_parse_date`, `_parse_price`, ...) are the library's."""
+    token rules (`_parse_date`, `_parse_price`, ...) are the library's.
+    One string is split where `read_tape` splits a file: at "\n", "\r\n"
+    and a lone "\r", and nowhere else (`str.splitlines` would also split
+    at "\x1c", "\x85", "\u2028" and the like)."""
     t = tape_io
     if isinstance(stream, str):
-        lines = stream.splitlines()
+        lines = stream.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     else:
         lines = [line.rstrip("\r\n") for line in stream]
     delimiter = t._detect_delimiter(list(islice((ln for ln in lines if ln.strip()), 20)))

@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dualspace import cli, state_space, synth_market
+from dualspace import cli, liquidity_lab, state_space, synth_market
 from dualspace.tape_io import read_table_csv
 
 from oracles import planted_trajectory, random_rotation
@@ -513,6 +514,32 @@ def test_output_that_cannot_be_written_is_a_data_error(capsys, tmp_path, case):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error:") and str(target) in lines[0]
     assert captured.out == ""
+
+
+def test_eventstudy_trains_holding_only_the_cost_series(capsys, tmp_path, monkeypatch):
+    """The tape and its panel series (6.2 MB on 485 days) are dropped
+    before the event study trains: its traced peak is near 1.4 MB, and
+    8.1 MB when both were kept."""
+    run_ok(capsys, ["synth", "--seed", "1", "--days", "485", "--trades-per-day", "15",
+                    "--out-dir", str(tmp_path)])
+    event_study, peaks = liquidity_lab.event_study, []
+
+    def traced(*args, **kwargs):
+        tracemalloc.reset_peak()
+        report = event_study(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return report
+
+    monkeypatch.setattr(liquidity_lab, "event_study", traced)
+    tracemalloc.start()
+    try:
+        run_ok(capsys, ["eventstudy", "--tape", str(tmp_path / "t0.csv"),
+                        "--index", f"sentiment={tmp_path / 'sentiment.csv'}",
+                        "--permutations", "50", "--rounds", "3", "--seeds", "1",
+                        "--out-dir", str(tmp_path / "es")])
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 3_000_000, peaks
 
 
 def test_eventstudy_without_permutations_is_a_data_error(capsys, tape_dir, tmp_path):

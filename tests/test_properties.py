@@ -62,19 +62,22 @@ def test_serialize_parse_round_trip(tape):
 
 
 # tokens of every kind: well-formed, malformed, non-finite, signed, long
-# (over one and over two key words), padded and non-ASCII
+# (over one and over two key words), padded, non-ASCII, holding a character
+# at which `str.splitlines` (but no reader) ends a line, and a lone surrogate
 TAPE_TOKENS = ("2009-01-05", "2009-01-06", "2009-02-27", " 2009-01-07 ", "2009-13-01",
                "20090108", "2009-01-5", "\u0662009-01-05", "10.05", "9.9", "nan", "inf",
                "-inf", "-0", "+3.5", "-1.5", "0", "1e3", "12..34", "123456789.25",
                "10.050000000000001", "\uff11\uff10.5", "425", " 7 ", "+12", "-40",
                "12.5", "99999999999999999999", "\u0663", "B", "S", " b", "s ", "X",
-               "\u0411", "\ud800", "", "Trddt", "CNY")
+               "\u0411", "", "Trddt", "CNY", "B\x1c", "\x85S", "12.5\u2028", "7\x0b",
+               "\x0c", "2009-01-05\x1e", "\u2029", "\x1d", "\ud800")
 BLANKS = ("", " ", "\t", " \t ", "\u3000", "\xa0\u2003", "\x1c")
 
 
 @st.composite
-def tape_texts(draw):
-    """Tape text in any of the shapes a reader meets."""
+def tape_texts(draw, newlines=("\n", "\r\n", "\r")):
+    """Tape text in any of the shapes a reader meets, its lines ended
+    by one of `newlines`."""
     delimiter = draw(st.sampled_from(tape_io.DELIMITERS))
     token = st.one_of(st.sampled_from(TAPE_TOKENS), st.text(max_size=9))
     rows = st.one_of(
@@ -84,7 +87,7 @@ def tape_texts(draw):
     header = st.lists(st.sampled_from(["Trddt", "Stkprc", "Parcha", "Trdtims", "date"]),
                       min_size=1, max_size=4).map(delimiter.join)
     lines = draw(st.lists(header, max_size=3)) + draw(st.lists(line, max_size=30))
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    newline = draw(st.sampled_from(newlines))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
@@ -105,6 +108,14 @@ def test_byte_reader_matches_the_string_splitter(text, chunk_lines):
                     tape_io.read_tape(path)
             else:
                 assert_same_parse(tape_io.read_tape(path), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tape_texts(newlines=("\n",)))
+def test_a_string_parses_as_its_utf8_bytes(text):
+    # bytes end a line at "\n" alone, and must be UTF-8
+    text = text.replace("\r", "").replace("\ud800", "")
+    assert_same_parse(tape_io.parse_tape(text), tape_io.parse_tape(text.encode("utf-8")))
 
 
 @settings(max_examples=60, deadline=None)

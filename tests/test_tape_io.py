@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from dualspace import tape_io
+from dualspace import synth_market, tape_io
 from dualspace.tape_io import Side, Tape, TapeRecord
 
 from oracles import assert_same_parse, reference_parse_tape, streaming_summary, tape_of
@@ -293,16 +293,58 @@ def test_read_tape_matches_the_string_splitter(small_market, tmp_path):
         assert_same_parse(tape_io.read_tape(path), reference_parse_tape(handle))
 
 
-def test_read_tape_transient_memory_stays_small(coupled_market, tmp_path):
-    """read_tape works through the body in chunks of _CHUNK_LINES lines:
-    one pass over all lines of an oracle tape peaks above 40 MB."""
-    path = tmp_path / "t0.csv"
-    path.write_text(coupled_market.tapes[0].text, encoding="utf-8")
+def _traced_read(path):
+    """read_tape(path) and its traced peak in bytes."""
     tracemalloc.start()
     try:
         result = tape_io.read_tape(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_read_tape_transient_memory_stays_small(coupled_market, tmp_path):
+    """read_tape works through the body in chunks of _CHUNK_LINES lines
+    and frees what it no longer needs: on an oracle tape (3.1 MB of text,
+    4.7 MB of columns) it peaks near 12.6 MB, 15.3 MB if it kept the text
+    to the end, about 24 MB if it kept every array, and above 40 MB in
+    one pass over all lines."""
+    path = tmp_path / "t0.csv"
+    path.write_text(coupled_market.tapes[0].text, encoding="utf-8")
+    result, peak = _traced_read(path)
     assert len(result.records) > 100_000
-    assert peak < 32_000_000, peak
+    assert peak < 14_500_000, peak
+
+
+@pytest.fixture(scope="module")
+def cli_size_tape(tmp_path_factory):
+    """A tape of the criterion-12 pipeline's size (60 trades a day, 485
+    days: about 2.9e4 rows, 0.6 MB)."""
+    config = synth_market.MarketConfig(n_traders=2, n_days=485, trades_per_day_mean=60.0,
+                                       seed=1)
+    path = tmp_path_factory.mktemp("cli_size") / "t0.csv"
+    path.write_text(synth_market.gen_market(config).tapes[0].text, encoding="utf-8")
+    return path
+
+
+def test_read_tape_memory_on_a_cli_size_tape(cli_size_tape, monkeypatch):
+    """Two chunks peak near 4.3 MB and the body as one chunk near 6.7 MB,
+    with the same result (8.6 MB both, when every array was kept)."""
+    result, peak = _traced_read(cli_size_tape)
+    assert tape_io._CHUNK_LINES < len(result.records) < 2 * tape_io._CHUNK_LINES
+    assert peak < 6_000_000, peak
+    monkeypatch.setattr(tape_io, "_CHUNK_LINES", 2 * tape_io._CHUNK_LINES)
+    one_chunk, peak = _traced_read(cli_size_tape)
+    assert peak < 7_500_000, peak
+    assert_same_parse(one_chunk, result)
+
+
+def test_a_string_splits_only_where_a_file_does():
+    r"""`str.splitlines` also ends a line at "\x1c" and the like; a reader
+    ends one at "\n", "\r\n" and a lone "\r" only."""
+    text = "Trddt,Stkprc,Parcha,Trdtims\n2009-01-05,12.34,B\x1c,100\r\n2009-01-06,12.5,S,7\r"
+    result = tape_io.parse_tape(text)
+    assert len(result.records) == 2 and not result.errors
+    assert result.records[0] == TapeRecord(dt.date(2009, 1, 5), 12.34, Side.BUY, 100)
+    assert_same_parse(result, tape_io.parse_tape(text.replace("\r\n", "\n")
+                                                 .replace("\r", "\n").encode()))
