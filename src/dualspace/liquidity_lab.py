@@ -172,7 +172,8 @@ def event_study(cost: CostSeries, index: IndexSeries,
     null distribution.  A window holding fewer than two months, or with
     constant predictions, is reported NA.  The raw
     bucket-averaged lambda series' index correlation is kept as a
-    diagnostic.
+    diagnostic.  The lambda images are `monthly_windows` of 21 days by
+    16 buckets, of which cnn7 reads days 1-18 and buckets 1-14.
     """
     if not seeds:
         raise ValueError("seeds must not be empty")

@@ -12,7 +12,8 @@ from the unpredictable part of the interday volume correlations.
              pushed through and averaged per month.
   cnn7     - each month's residual rows packed into a fixed 21x16 image
              for a 7-layer CNN, several seeded runs, reported with a
-             Student-t dispersion.
+             Student-t dispersion.  The CNN reads days 1-18 and buckets
+             1-14 of each image.
 
 The informed/uninformed split is a data-provenance rule: prediction
 windows never enter training.
@@ -35,6 +36,8 @@ from .corrstats import pearson, standardize, student_halfwidth
 from .tape_io import write_table_csv
 
 #: Fixed image height for monthly windows (months have 18-23 trading days).
+#: cnn7 on a 21 x 16 window reads only days 1-18 and buckets 1-14: its
+#: two pools floor away the rest (`neural_kit._read_shape`).
 WINDOW_DAYS = 21
 
 DEFAULT_TRAIN_ROUNDS = 50

@@ -2,8 +2,8 @@
 
 Everything here recomputes expected values by a route different from
 the library code: direct summation DFTs, textbook statistics formulas,
-hand-rolled forward passes, planted linear systems with known
-operators, a tape reader that splits strings.
+hand-rolled forward passes, central-difference gradients, planted
+linear systems with known operators, a tape reader that splits strings.
 """
 
 import datetime as dt
@@ -11,7 +11,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from dualspace import tape_io
+from dualspace import neural_kit, tape_io
 from dualspace.bucket_panel import imbalance_profile
 from dualspace.corrstats import rowwise_pearson
 from dualspace.state_space import StateMatrix, VolumeMode
@@ -404,6 +404,69 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
 
     curves = np.array(losses).T.tolist()
     return [([arr[r] for arr in params], curves[r]) for r in range(len(nets))]
+
+
+def forward_cached(ops, params, x):
+    """A net's forward pass over a batch as `neural_kit._as_batch` gives
+    it: the output and every op's cache, in op order."""
+    caches = []
+    for op, p in zip(ops, params):
+        x, cache = op.forward(p, x)
+        caches.append(cache)
+    return x, caches
+
+
+def _loss_and_kinks(ops, params, x0, targets):
+    """The loss, and the ReLU sign patterns and pool switches it passed."""
+    x, caches = forward_cached(ops, params, x0)
+    kinks = [cache for op, cache in zip(ops, caches)
+             if isinstance(op, neural_kit._ActivationOp) and op.kind == "relu"]
+    kinks += [cache[0] for op, cache in zip(ops, caches)
+              if isinstance(op, neural_kit._PoolOp)]
+    return float(np.mean((x[:, 0] - targets) ** 2)), kinks
+
+
+def grad_check(net, inputs, targets, epsilon=1e-5):
+    """Max relative error between a net's analytic and central-difference
+    gradients.
+
+    Perturbations that flip a ReLU sign or a pool switch are excluded:
+    the loss is not differentiable across those kinks, so the
+    comparison is only meaningful away from them.  A difference within a
+    central difference's rounding noise, ~eps * loss / epsilon, counts as 0.
+    """
+    params = [tuple(arr.copy() for arr in p) for p in net.params]
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    x0 = neural_kit._as_batch(net, np.asarray(inputs, dtype=float))
+
+    x, caches = forward_cached(net.ops, params, x0)
+    err = x[:, 0] - targets
+    floor = 4.0 * np.finfo(float).eps * float(np.mean(err ** 2)) / epsilon
+    grad = (2.0 * err / err.size)[:, None]
+    analytic = []
+    for op, p in zip(reversed(net.ops), reversed(params)):
+        grad, d_params = op.backward(p, caches.pop(), grad)
+        analytic.insert(0, d_params)
+
+    worst = 0.0
+    for p, d_params in zip(params, analytic):
+        for arr, d_arr in zip(p, d_params):
+            flat = arr.reshape(-1)
+            aflat = d_arr.reshape(-1)
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + epsilon
+                up, kinks_up = _loss_and_kinks(net.ops, params, x0, targets)
+                flat[idx] = orig - epsilon
+                down, kinks_down = _loss_and_kinks(net.ops, params, x0, targets)
+                flat[idx] = orig
+                if any(not np.array_equal(a, b) for a, b in zip(kinks_up, kinks_down)):
+                    continue  # kink crossed; comparison invalid here
+                numeric = (up - down) / (2.0 * epsilon)
+                miss = abs(aflat[idx] - numeric) - floor
+                if miss > 0:
+                    worst = max(worst, miss / max(abs(aflat[idx]), abs(numeric)))
+    return worst
 
 
 def reference_parse_tape(stream):

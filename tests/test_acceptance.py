@@ -19,8 +19,8 @@ from dualspace import (bucket_panel, cli, dual_regression as dr, liquidity_lab,
 from dualspace.corrstats import pearson
 from dualspace.state_space import VolumeMode
 
-from oracles import (induced_dual_operator, planted_trajectory, random_rotation,
-                     random_states, symmetry_projector)
+from oracles import (grad_check, induced_dual_operator, planted_trajectory,
+                     random_rotation, random_states, symmetry_projector)
 
 
 def _report(num, name, ok, detail=""):
@@ -196,7 +196,7 @@ def test_criterion_08_gradient_checks():
         net = neural_kit.init_net(spec)
         x = rng.standard_normal((3, 5))
         y = rng.standard_normal(3)
-        worst = max(worst, neural_kit.grad_check(net, x, y, epsilon=1e-5))
+        worst = max(worst, grad_check(net, x, y, epsilon=1e-5))
     _report(8, "gradient-checks", worst < 1e-4, f"(max rel err {worst:.2e})")
 
 

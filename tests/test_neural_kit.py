@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from dualspace import neural_kit as nk
-from oracles import reference_train_many
+from oracles import forward_cached, grad_check, reference_train_many
 
 
 def _forward_with_caches(net, inputs):
     """The forward pass of `forward_batch`, also returning the caches a
     following backward pass reads."""
-    x, caches = nk._forward_cached(net.ops, net.params, nk._as_batch(net, inputs))
+    x, caches = forward_cached(net.ops, net.params, nk._as_batch(net, inputs))
     return x[:, 0], caches
 
 
@@ -152,7 +152,7 @@ def test_grad_check_smooth_activations(activation):
     net = nk.init_net(spec)
     x = rng.standard_normal((4, 5))
     y = rng.standard_normal(4)
-    assert nk.grad_check(net, x, y, epsilon=1e-5) < 1e-4
+    assert grad_check(net, x, y, epsilon=1e-5) < 1e-4
 
 
 def test_grad_check_relu_excluding_kinks():
@@ -161,7 +161,7 @@ def test_grad_check_relu_excluding_kinks():
     net = nk.init_net(spec)
     x = rng.standard_normal((4, 5))
     y = rng.standard_normal(4)
-    assert nk.grad_check(net, x, y, epsilon=1e-5) < 1e-4
+    assert grad_check(net, x, y, epsilon=1e-5) < 1e-4
 
 
 def test_grad_check_small_cnn():
@@ -172,7 +172,7 @@ def test_grad_check_small_cnn():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((2, 8, 8))
     y = rng.standard_normal(2)
-    assert nk.grad_check(net, x, y, epsilon=1e-5) < 1e-4
+    assert grad_check(net, x, y, epsilon=1e-5) < 1e-4
 
 
 def test_zero_net_zero_input_has_zero_gradients():
@@ -326,7 +326,7 @@ def test_grad_check_two_conv_cnn(activation):
     rng = np.random.default_rng(12)
     x = rng.standard_normal((3, 9, 9))
     y = rng.standard_normal(3)
-    assert nk.grad_check(net, x, y, epsilon=1e-5) < 1e-4
+    assert grad_check(net, x, y, epsilon=1e-5) < 1e-4
 
 
 def test_pool_gradient_goes_to_first_max_on_ties():
@@ -423,7 +423,7 @@ def test_grad_check_with_first_dense_returning_no_input_gradient(spec):
     net = nk.init_net(spec)
     x = rng.standard_normal((5, 4))
     y = rng.standard_normal(5)
-    assert nk.grad_check(net, x, y, epsilon=1e-5) < 1e-4
+    assert grad_check(net, x, y, epsilon=1e-5) < 1e-4
     out, caches = _forward_with_caches(net, x)
     grad, d_params = _backward(net, caches, (2.0 * (out - y) / y.size)[:, None])
     assert grad is None
@@ -440,8 +440,8 @@ def test_grad_check_reports_a_wrong_gradient(monkeypatch):
     monkeypatch.setattr(nk._DenseOp, "backward", halved)
     rng = np.random.default_rng(44)
     net = nk.init_net(nk.deep10_spec(n_inputs=4, seed=6))
-    assert nk.grad_check(net, rng.standard_normal((5, 4)), rng.standard_normal(5),
-                         epsilon=1e-5) > 0.4
+    assert grad_check(net, rng.standard_normal((5, 4)), rng.standard_normal(5),
+                      epsilon=1e-5) > 0.4
 
 
 def test_conv_columns_refill_a_given_buffer():
@@ -477,7 +477,7 @@ def test_trained_nets_hold_only_their_parameters():
     for net, start in zip(trained, nets, strict=True):
         assert [[p.shape for p in params] for params in net.params] == \
                [[p.shape for p in params] for params in start.params]
-    nk.grad_check(trained[0], images[:2], rng.standard_normal(2))
+    grad_check(trained[0], images[:2], rng.standard_normal(2))
     assert not _held_arrays(trained[0])
 
 
@@ -530,10 +530,86 @@ def test_per_net_inputs_give_the_same_nets_in_any_stacks(monkeypatch, arch):
 
 def test_stack_size_follows_the_budget():
     spec = nk.cnn7_spec(seed=1)
-    # the second convolution's column matrix: 23 images x 7 x 5 pixels x 73 columns
-    assert nk._round_bytes(spec, 23, per_net=False) == 8 * 23 * 35 * 73
-    assert nk.STACK_BYTES // nk._round_bytes(spec, 23, per_net=False) == 2
+    # the second convolution's column matrix on the cropped images:
+    # 23 images x 6 x 4 pixels x 73 columns
+    assert nk._round_bytes(spec, 23, per_net=False) == 8 * 23 * 24 * 73
+    assert nk.STACK_BYTES // nk._round_bytes(spec, 23, per_net=False) == 3
     assert nk.STACK_BYTES // nk._round_bytes(nk.deep10_spec(seed=1), 460, False) >= 3
+
+
+# ── the read extent ────────────────────────────────────────────────────
+
+def test_read_shape_walks_back_from_the_flatten():
+    assert nk._read_shape(nk.cnn7_spec()) == (18, 14)
+    assert nk._read_shape(_small_cnn_spec(0)) == (8, 8)
+    even = nk.NetSpec((nk.Conv2D((3, 3), 2), nk.Pool((2, 2)), nk.Flatten(),
+                       nk.Dense(2 * 4 * 4, 1)), "relu", 0, input_shape=(10, 10))
+    assert nk._read_shape(even) == (10, 10)
+    channels = nk.NetSpec((nk.Conv2D((3, 3), 2), nk.Pool((2, 2)), nk.Flatten(),
+                           nk.Dense(2 * 3 * 3, 1)), "relu", 0, input_shape=(2, 9, 9))
+    assert nk._read_shape(channels) == (2, 8, 8)
+    dense = nk.deep10_spec(n_inputs=6)
+    assert nk._read_shape(dense) == (6,)
+    x = np.random.default_rng(51).standard_normal((3, 6))
+    np.testing.assert_array_equal(nk._as_batch(nk.init_net(dense), x), x)
+
+
+def test_convolutions_run_only_on_the_pixels_the_output_reads(monkeypatch):
+    shapes = []  # (input_grad, column matrix shape): input_grad False = first layer
+    columns = nk._ConvOp.columns
+
+    def recording(op, x, out=None):
+        cols = columns(op, x, out)
+        shapes.append((op.input_grad, cols.shape))
+        return cols
+
+    monkeypatch.setattr(nk._ConvOp, "columns", recording)
+    rng = np.random.default_rng(52)
+    n = 5
+    images = rng.standard_normal((n, 21, 16))
+    nets = [nk.init_net(nk.cnn7_spec(seed=seed)) for seed in (1, 2)]
+    nk.train_many(nets, images, rng.standard_normal(n), rounds=2, learning_rate=0.05)
+    # 18 x 14 read pixels: conv 16 x 12, pool 8 x 6, conv 6 x 4, pool 3 x 2
+    assert shapes == [(False, (n * 16 * 12, 3 * 3 + 1))] + \
+        [(True, (2, n * 6 * 4, 3 * 3 * 8 + 1))] * 2
+    shapes.clear()
+    nk.forward_batch(nets[0], images)
+    assert shapes == [(False, (n * 16 * 12, 3 * 3 + 1)), (True, (n * 6 * 4, 3 * 3 * 8 + 1))]
+
+
+@pytest.mark.parametrize("per_net", [False, True], ids=["shared", "per_net"])
+def test_pixels_outside_the_read_extent_change_nothing(per_net):
+    rng = np.random.default_rng(53)
+    lead = (2, 6) if per_net else (6,)
+    images = rng.standard_normal(lead + (21, 16))
+    other = images.copy()
+    other[..., 18:, :] = 10.0 * rng.standard_normal(lead + (3, 16))
+    other[..., :18, 14:] = -10.0 * rng.standard_normal(lead + (18, 2))
+    y = rng.standard_normal(lead)
+    nets = [nk.init_net(nk.cnn7_spec(seed=seed)) for seed in (1, 2)]
+    trained = nk.train_many(nets, images, y, rounds=5, learning_rate=0.05)
+    _assert_identical_nets(nk.train_many(nets, other, y, rounds=5, learning_rate=0.05),
+                           trained)
+    probe = images.reshape(-1, 21, 16)
+    probe_other = other.reshape(-1, 21, 16)
+    for net in trained:
+        np.testing.assert_array_equal(nk.forward_batch(net, probe_other),
+                                      nk.forward_batch(net, probe))
+    inside = probe.copy()
+    inside[:, 17, 13] += 10.0  # the last pixel the output reads
+    assert not np.array_equal(nk.forward_batch(trained[0], inside),
+                              nk.forward_batch(trained[0], probe))
+
+
+def test_a_wrong_shaped_image_is_refused_before_the_crop():
+    net = nk.init_net(nk.cnn7_spec(seed=1))
+    for shape in ((18, 14), (22, 16), (21, 15)):
+        message = rf"input shape \({shape[0]}, {shape[1]}\) does not match net input \(21, 16\)"
+        with pytest.raises(ValueError, match=message):
+            nk.forward_batch(net, np.zeros((4,) + shape))
+        with pytest.raises(ValueError, match=message):
+            nk.train_many([net], np.zeros((4,) + shape), np.zeros(4), rounds=1,
+                          learning_rate=0.05)
 
 
 def _traced_peak(func):

@@ -8,7 +8,7 @@ from dualspace import residual_study as rs
 from dualspace.calendars import read_index_csv, trading_days, write_index_csv
 from dualspace.corrstats import corr_significance_threshold
 
-from oracles import T_CRIT_10PCT
+from oracles import T_CRIT_10PCT, reference_train_many
 
 
 def month_days(n_months):
@@ -222,6 +222,33 @@ def test_cnn_backcast_deterministic_per_seed():
     r1 = rs.cnn_backcast(wins_a, wins_b, [index], seeds=(1, 2), rounds=30)
     r2 = rs.cnn_backcast(wins_a, wins_b, [index], seeds=(1, 2), rounds=30)
     assert r1.to_dict() == r2.to_dict()
+
+
+def _reference_nets(nets, inputs, targets, rounds, learning_rate):
+    """`train_many` by the plain loop of `oracles`, on the whole images."""
+    trained = []
+    for net, (weights, curve) in zip(nets, reference_train_many(nets, inputs, targets,
+                                                                rounds, learning_rate)):
+        arrays = iter(weights)
+        params = [tuple(next(arrays) for _ in p) for p in net.params]
+        trained.append(rs.neural_kit.TrainedNet(net.spec, net.ops, params,
+                                                net.loss_curve + curve))
+    return trained
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_cnn_backcast_equals_the_plain_loop_on_whole_images(monkeypatch, activation):
+    wins_a, z = _planted_windows(19, 12, "a")
+    wins_b, _ = _planted_windows(20, 12, "b")
+    indexes = [_index_for(wins_a.months, z)] + _three_indexes(wins_a.months, 21)[:1]
+
+    def run():
+        return rs.cnn_backcast(wins_a, wins_b, indexes, activation=activation,
+                               seeds=(1, 2), rounds=10).to_dict()
+
+    got = run()
+    monkeypatch.setattr(rs.neural_kit, "train_many", _reference_nets)
+    assert got == run()
 
 
 def test_cnn_backcast_refuses_empty_seeds_before_training(monkeypatch):
