@@ -338,8 +338,6 @@ def _cmd_fit(args) -> int:
             states = state_space.read_state_csv(handle)
     except ValueError as exc:
         raise DataError(f"bad state matrix: {exc}")
-    if not np.isfinite(states.values).all():
-        raise DataError("state matrix holds non-finite values")
     try:
         output = dual_regression.fit_beta(states)
         split = dual_regression.variance_split(output, states)
@@ -353,11 +351,10 @@ def _cmd_fit(args) -> int:
                lambda h: dual_regression.write_rows_csv(output.dates, output.predictions, h))
     _write_csv(os.path.join(outdir, "residuals.csv"), prov,
                lambda h: dual_regression.write_rows_csv(output.dates, output.residuals, h))
-    _write_json(os.path.join(outdir, "diagnostics.json"), prov,
-                dual_regression.diagnostics(output, split))
-    _summary("fit", rows=output.predictions.shape[0], gram_rank=output.gram_rank,
-             max_imag=output.max_imag,
-             max_abs_residual=float(np.abs(output.residuals).max()), out=outdir)
+    diagnostics = dual_regression.diagnostics(output, split)
+    _write_json(os.path.join(outdir, "diagnostics.json"), prov, diagnostics)
+    _summary("fit", rows=output.predictions.shape[0], gram_rank=diagnostics["gram_rank"],
+             max_abs_residual=diagnostics["max_abs_residual"], out=outdir)
     return EXIT_OK
 
 

@@ -18,6 +18,8 @@ alpha = s a W.  Scaling the intercept column by s makes the
 minimum-norm bucket-space solution the minimum-norm dual one, and the
 1e-6 relative singular-value cutoff is the dual Gram matrix's 1e-12
 eigenvalue cutoff, so rank deficiency reports a rank instead of failing.
+W is the module's only transform: no row is transformed on its own and
+nothing is transformed back, so the fit has no imaginary part to report.
 The remaining ops are the diagnostics built on that fit: the
 predictor/residual variance split per bucket, cross-tape operator
 similarity, and the prediction-vs-residual determination matrix.
@@ -37,26 +39,6 @@ from .tape_io import read_table_csv, write_table_csv
 
 #: Relative singular-value cutoff of the least-squares fit.
 LSTSQ_RCOND = 1e-6
-
-#: Largest tolerated |imaginary part| after inverse transforms.
-IMAG_TOL = 1e-9
-
-
-class NonRealReconstructionError(RuntimeError):
-    """Inverse transform produced an imaginary part above tolerance."""
-
-
-@dataclass(frozen=True)
-class DualVector:
-    re: np.ndarray
-    im: np.ndarray
-
-    def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    @classmethod
-    def from_complex(cls, values: np.ndarray) -> "DualVector":
-        return cls(np.ascontiguousarray(values.real), np.ascontiguousarray(values.imag))
 
 
 @dataclass(frozen=True)
@@ -79,7 +61,6 @@ class BetaMatrix:
 class RegressionOutput:
     predictions: np.ndarray  # (T-1, n_buckets) real
     residuals: np.ndarray    # (T-1, n_buckets); dependent minus predicted
-    max_imag: float          # always 0.0: the fit never leaves bucket space
     beta: BetaMatrix
     intercept: np.ndarray    # (2n,) dual-space intercept
     gram_rank: int
@@ -91,24 +72,6 @@ class VarianceSplit:
     predictor: np.ndarray  # share of dependent variance carried by the fit
     residual: np.ndarray
     degenerate_buckets: list[int] = field(default_factory=list)
-
-
-def forward_dual(row: np.ndarray) -> DualVector:
-    """Unnormalized DFT of one state row: sum_k x_k exp(-2 pi i wk/n)."""
-    row = np.asarray(row, dtype=float)
-    if not np.isfinite(row).all():
-        raise ValueError("state row must be finite")
-    return DualVector.from_complex(np.fft.fft(row))
-
-
-def inverse_dual(v: DualVector, tol: float = IMAG_TOL) -> tuple[np.ndarray, float]:
-    """Inverse DFT (1/n normalized); returns (real part, max |imag|)."""
-    values = np.fft.ifft(v.to_complex())
-    max_imag = float(np.abs(values.imag).max()) if values.size else 0.0
-    if max_imag > tol:
-        raise NonRealReconstructionError(
-            f"non-real reconstruction: max imaginary part {max_imag:g} exceeds {tol:g}")
-    return values.real, max_imag
 
 
 def fit_beta(states: StateMatrix) -> RegressionOutput:
@@ -140,7 +103,6 @@ def fit_beta(states: StateMatrix) -> RegressionOutput:
     return RegressionOutput(
         predictions=predictions,
         residuals=deps - predictions,
-        max_imag=0.0,
         beta=BetaMatrix((w.T @ coef[1:] @ w / n).T),
         intercept=s * (coef[0] @ w),
         gram_rank=int(rank),
@@ -248,7 +210,6 @@ def read_rows_csv(handle) -> tuple[list[dt.date], np.ndarray]:
 
 def diagnostics(output: RegressionOutput, split: VarianceSplit) -> dict:
     return {
-        "max_imag": output.max_imag,
         "gram_rank": output.gram_rank,
         "max_abs_residual": float(np.abs(output.residuals).max()),
         "predictor_share": [float(v) for v in split.predictor],

@@ -76,7 +76,6 @@ class EventStudyConfig:
     period_length: int = 60
     n_periods: int = 8
     training_periods: tuple[int, int] = (0, 1)  # adjacent period indices
-    prediction_windows: tuple[tuple[int, int], ...] = ()  # () = default five
     n_permutations: int = 10_000
     rounds: int = 150
     learning_rate: float = 0.05
@@ -87,8 +86,6 @@ class EventStudyConfig:
             raise ValueError("an event study needs at least one permutation")
 
     def resolved_windows(self) -> list[tuple[int, int]]:
-        if self.prediction_windows:
-            return [tuple(w) for w in self.prediction_windows]
         lo, hi = self.training_periods
         if hi != lo + 1:
             raise ValueError("training periods must be adjacent")
@@ -199,13 +196,12 @@ def event_study(cost: CostSeries, index: IndexSeries,
     images = (all_windows.images - x_mean) / x_scale
     t_std, t_mean, t_scale = standardize(targets[train_ix])
 
-    preds = np.zeros(len(months))
-    for seed in seeds:
-        net = neural_kit.init_net(neural_kit.cnn7_spec(
+    nets = neural_kit.train_many(
+        [neural_kit.init_net(neural_kit.cnn7_spec(
             input_shape=images.shape[1:], activation=config.activation, seed=seed))
-        net = neural_kit.train(net, images[train_ix], t_std,
-                               rounds=config.rounds, learning_rate=config.learning_rate)
-        preds += neural_kit.forward_batch(net, images)
+         for seed in seeds],
+        images[train_ix], t_std, rounds=config.rounds, learning_rate=config.learning_rate)
+    preds = sum(neural_kit.forward_batch(net, images) for net in nets)
     preds = preds / len(seeds) * t_scale + t_mean
 
     monthly_lambda = np.array([cost.lambda_avg[month_pos == j].mean() for j in range(len(months))])

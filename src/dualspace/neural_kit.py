@@ -9,7 +9,7 @@ which is all these shallow problems need and keeps runs reproducible.
 
 There is one training loop, `train_many`: it trains R nets of one
 architecture in stacks along a leading model axis, as many per stack
-as a fixed memory budget allows, and `train` is its one-net case.
+as a fixed memory budget allows.
 Convolutions run as im2col + matmul.
 
 An image batch is cropped on entry to the rows and columns that the
@@ -469,16 +469,6 @@ def forward_batch(net: TrainedNet, inputs: np.ndarray) -> np.ndarray:
     for op, params in zip(net.ops, net.params):
         x = op.forward(params, x)[0]  # the cache goes at once
     return x[:, 0]
-
-
-def train(net: TrainedNet, inputs: np.ndarray, targets: np.ndarray, rounds: int,
-          learning_rate: float) -> TrainedNet:
-    """Full-batch gradient descent on MSE; returns a new trained net.
-
-    The input net is left untouched.  Aborts with the round number if
-    the loss goes non-finite.
-    """
-    return train_many([net], inputs, targets, rounds, learning_rate)[0]
 
 
 #: Bytes one net may add to the largest array of a training round.

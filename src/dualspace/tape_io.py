@@ -300,14 +300,12 @@ class _ByteLines(Sequence):
                                      lo + exc.end, exc.reason) from None
 
 
-def parse_tape(stream: bytes | str | Iterable[str]) -> ParseResult:
+def parse_tape(stream: bytes | str) -> ParseResult:
     r"""Parse a tape into date-ordered records plus per-row error reports.
 
-    `stream` may be UTF-8 bytes, one string, an open text file or any
-    iterable of lines.  Bytes are split into lines at b"\n" alone; a
-    string where `read_tape` splits a file, at "\n", "\r\n" and a lone
-    "\r"; an iterable's lines are joined with "\n", so a line must not
-    hold a "\n" of its own.  Rows are sorted by date (stable within a
+    `stream` is UTF-8 bytes or one string.  Bytes are split into lines
+    at b"\n" alone; a string where `read_tape` splits a file, at "\n",
+    "\r\n" and a lone "\r".  Rows are sorted by date (stable within a
     day).  Every data row ends up either in `records` or in `errors`.
 
     The body is read from its bytes, `_CHUNK_LINES` lines at a time:
@@ -406,14 +404,11 @@ def parse_tape(stream: bytes | str | Iterable[str]) -> ParseResult:
     return ParseResult(Tape(dates, day, price, side, volume, line_no), errors, n_data, n_header)
 
 
-def _byte_lines(stream: bytes | str | Iterable[str]) -> _ByteLines:
-    """The lines of any input `parse_tape` takes, held as UTF-8 bytes."""
+def _byte_lines(stream: bytes | str) -> _ByteLines:
+    """The lines of either input `parse_tape` takes, held as UTF-8 bytes."""
     if isinstance(stream, (bytes, bytearray, memoryview)):
         return _ByteLines(memoryview(stream).cast("B"))
-    if isinstance(stream, str):
-        text = stream.replace("\r\n", "\n").replace("\r", "\n")
-    else:
-        text = "\n".join(line.rstrip("\r\n") for line in stream)
+    text = stream.replace("\r\n", "\n").replace("\r", "\n")
     return _ByteLines(memoryview(text.encode("utf-8", "surrogatepass")), "surrogatepass")
 
 

@@ -1,7 +1,7 @@
 """Independent oracles shared across test modules.
 
 Everything here recomputes expected values by a route different from
-the library code: direct summation DFTs, textbook statistics formulas,
+the library code: textbook statistics formulas, spectra from `np.fft`,
 hand-rolled forward passes, central-difference gradients, planted
 linear systems with known operators, a tape reader that splits strings.
 """
@@ -15,27 +15,6 @@ from dualspace import neural_kit, tape_io
 from dualspace.bucket_panel import imbalance_profile
 from dualspace.corrstats import rowwise_pearson
 from dualspace.state_space import StateMatrix, VolumeMode
-
-
-def naive_dft(row):
-    """O(n^2) direct-summation DFT, the transform oracle."""
-    row = np.asarray(row, dtype=complex)
-    n = row.size
-    out = np.zeros(n, dtype=complex)
-    for w in range(n):
-        for k in range(n):
-            out[w] += row[k] * np.exp(-2j * np.pi * w * k / n)
-    return out
-
-
-def naive_inverse_dft(spectrum):
-    spectrum = np.asarray(spectrum, dtype=complex)
-    n = spectrum.size
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
-        for w in range(n):
-            out[k] += spectrum[w] * np.exp(2j * np.pi * w * k / n)
-    return out / n
 
 
 def textbook_pearson(x, y):
@@ -194,6 +173,17 @@ def random_rotation(seed, n=16):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return q
+
+
+def dual_predictions(states, out):
+    """A fit's predictions made in the dual space, as complex spectra:
+    its intercept plus its operator applied to the stacked DFT of each
+    previous state row.  Their inverse DFT is the bucket predictions."""
+    x = np.asarray(states.values, dtype=float)[:-1]
+    n = x.shape[1]
+    spectra = np.fft.fft(x, axis=1)
+    z = out.intercept + np.hstack([spectra.real, spectra.imag]) @ out.beta.values.T
+    return z[:, :n] + 1j * z[:, n:]
 
 
 def planted_trajectory(q, seed, n_rows=200, snr=None, contraction=1.0):

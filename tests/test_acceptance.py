@@ -19,8 +19,9 @@ from dualspace import (bucket_panel, cli, dual_regression as dr, liquidity_lab,
 from dualspace.corrstats import pearson
 from dualspace.state_space import VolumeMode
 
-from oracles import (grad_check, induced_dual_operator, planted_trajectory,
-                     random_rotation, random_states, symmetry_projector)
+from oracles import (dual_predictions, grad_check, induced_dual_operator,
+                     planted_trajectory, random_rotation, random_states,
+                     symmetry_projector)
 
 
 def _report(num, name, ok, detail=""):
@@ -71,18 +72,20 @@ def test_criterion_02_variance_identity(coupled_outputs):
 # 3 ── spectral correctness ─────────────────────────────────────────────
 
 def test_criterion_03_spectral_correctness(coupled_outputs):
-    rng = np.random.default_rng(31)
-    worst_round = 0.0
-    worst_sym = 0.0
-    for _ in range(50):
-        row = rng.uniform(-1, 1, 16)
-        spectrum = dr.forward_dual(row)
-        back, _ = dr.inverse_dual(spectrum)
-        worst_round = max(worst_round, float(np.abs(back - row).max()))
-        z = spectrum.to_complex()
-        worst_sym = max(worst_sym, float(max(
-            abs(z[w] - np.conj(z[(16 - w) % 16])) for w in range(16))))
-    max_imag = max(out.max_imag for _, out in coupled_outputs)
+    # the fit's dual predictions, intercept + [Re fft(x_t) | Im fft(x_t)] @ beta.T,
+    # must transform back to its bucket predictions as a real signal
+    fits = [random_states(77, n_rows=300),
+            planted_trajectory(random_rotation(42), seed=7, n_rows=200),
+            random_states(123, n_rows=485)]
+    cases = [(states, dr.fit_beta(states)) for states in fits] + list(coupled_outputs)
+    worst_round = worst_sym = max_imag = 0.0
+    for states, out in cases:
+        spectra = dual_predictions(states, out)
+        back = np.fft.ifft(spectra, axis=1)
+        mirror = np.conj(spectra[:, -np.arange(spectra.shape[1])])  # conj z[(n - w) % n]
+        worst_round = max(worst_round, float(np.abs(back.real - out.predictions).max()))
+        worst_sym = max(worst_sym, float(np.abs(spectra - mirror).max()))
+        max_imag = max(max_imag, float(np.abs(back.imag).max()))
     ok = worst_round < 1e-12 and worst_sym < 1e-12 and max_imag < 1e-9
     _report(3, "spectral-correctness", ok,
             f"(round {worst_round:.1e}, sym {worst_sym:.1e}, imag {max_imag:.1e})")

@@ -81,8 +81,8 @@ def test_fit_on_planted_states_reports_tiny_residual(capsys, tmp_path):
         state_space.write_state_csv(states, handle)
     summary = run_ok(capsys, ["fit", "--states", str(path),
                               "--out-dir", str(tmp_path / "fit")])
+    assert set(summary) == {"command", "rows", "gram_rank", "max_abs_residual", "out"}
     assert summary["max_abs_residual"] < 1e-8
-    assert summary["max_imag"] < 1e-9
     diag = json.loads((tmp_path / "fit" / "diagnostics.json").read_text())
     assert diag["gram_rank"] >= 16
 
@@ -696,13 +696,14 @@ def _first_row_last(path, out):
     return out
 
 
-def _first_cell(path, out, value):
-    """Copy a CSV artifact with the first value of its first data row
+def _first_cell(path, out, value, column=1):
+    """Copy a CSV artifact with the given column of its first data row
     replaced by `value`."""
     lines = path.read_text().splitlines(keepends=True)
     head = 1 + next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    date, _, rest = lines[head].split(",", 2)
-    lines[head] = f"{date},{value},{rest}"
+    fields = lines[head].split(",")
+    fields[column] = value
+    lines[head] = ",".join(fields)
     out.parent.mkdir(exist_ok=True)
     out.write_text("".join(lines))
     return out
@@ -713,6 +714,7 @@ MALFORMED_ARTIFACTS = {
     "eventstudy-one-column-index": "eventstudy",
     "backcast-residual-rows-out-of-order": "backcast",
     "fit-state-rows-out-of-order": "fit",
+    "fit-nan-state": "fit",
     # a non-finite residual, in either role, for every protocol that reads it
     "backcast-nan-predict-residual": "backcast",
     "backcast-inf-predict-residual": "backcast",
@@ -740,6 +742,8 @@ def test_malformed_artifact_is_one_data_error_line(tape_dir, residual_dir, tmp_p
         predict = _first_cell(predict, tmp_path / "t1" / "residuals.csv", value)
     elif case.endswith("train-residual"):
         residuals = _first_cell(residuals, tmp_path / "t0" / "residuals.csv", "nan")
+    elif case == "fit-nan-state":  # the first bucket value, after date and mode
+        states = _first_cell(states, tmp_path / "states.csv", "nan", column=2)
     else:
         states = _first_row_last(states, tmp_path / "states.csv")
     protocol = next((p for p in ("cnn7", "shallow") if f"-{p}-" in case), "deep10")

@@ -154,21 +154,6 @@ def test_event_study_constant_lambda_reports_na():
         assert w.p_pearson is None and w.p_spearman is None
 
 
-def test_event_study_window_without_months_reports_na():
-    # days 130-140 hold no month's majority of trading days
-    rng = np.random.default_rng(2)
-    cost = _flat_cost(jitter=0.3 * rng.standard_normal((480, NB)))
-    index = _index_over(cost.dates)
-    report = ll.event_study(cost, index,
-                            ll.EventStudyConfig(prediction_windows=((130, 140),),
-                                                n_permutations=50, rounds=3),
-                            seeds=(1,))
-    (window,) = report.windows
-    assert window.months == []
-    assert window.degenerate
-    assert window.p_pearson is None and window.p_spearman is None
-
-
 def test_event_study_requires_full_coverage():
     cost = _flat_cost(n_days=200)
     index = _index_over(cost.dates)
@@ -182,7 +167,7 @@ def test_event_study_refuses_empty_seeds_before_training(monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("trained a net")
 
-    monkeypatch.setattr(ll.neural_kit, "train", no_training)
+    monkeypatch.setattr(ll.neural_kit, "train_many", no_training)
     with pytest.raises(ValueError, match="seeds must not be empty"):
         ll.event_study(cost, _index_over(cost.dates), seeds=())
 

@@ -53,7 +53,7 @@ def test_training_reduces_loss_on_linear_problem():
     x = rng.standard_normal((60, 4))
     y = x @ np.array([1.0, -2.0, 0.5, 3.0])
     net = nk.init_net(nk.NetSpec((nk.Dense(4, 1),), "linear", 1))
-    trained = nk.train(net, x, y, rounds=100, learning_rate=0.1)
+    trained = nk.train_many([net], x, y, rounds=100, learning_rate=0.1)[0]
     assert trained.loss_curve[-1] < trained.loss_curve[0]
     assert len(trained.loss_curve) == 100
 
@@ -61,7 +61,7 @@ def test_training_reduces_loss_on_linear_problem():
 def test_zero_rounds_rejected():
     net = nk.init_net(nk.NetSpec((nk.Dense(2, 1),), "linear", 0))
     with pytest.raises(ValueError, match="rounds"):
-        nk.train(net, np.zeros((3, 2)), np.zeros(3), rounds=0, learning_rate=0.1)
+        nk.train_many([net], np.zeros((3, 2)), np.zeros(3), rounds=0, learning_rate=0.1)
 
 
 def test_planted_linear_map_recovered():
@@ -70,7 +70,7 @@ def test_planted_linear_map_recovered():
     w_true = rng.standard_normal(16)
     y = x @ w_true
     net = nk.init_net(nk.NetSpec((nk.Dense(16, 1),), "linear", 2))
-    trained = nk.train(net, x, y, rounds=500, learning_rate=0.4)
+    trained = nk.train_many([net], x, y, rounds=500, learning_rate=0.4)[0]
     w_closed, *_ = np.linalg.lstsq(np.column_stack([x, np.ones(100)]), y, rcond=None)
     got = trained.weight_arrays()[0][:, 0]
     np.testing.assert_allclose(got, w_closed[:16], atol=1e-3)
@@ -193,7 +193,7 @@ def test_divergence_aborts_with_round_number():
     x = rng.standard_normal((8, 4)) * 10
     y = rng.standard_normal(8)
     with pytest.raises(nk.TrainingDivergedError, match="round"):
-        nk.train(net, x, y, rounds=200, learning_rate=1e6)
+        nk.train_many([net], x, y, rounds=200, learning_rate=1e6)
 
 
 def test_training_is_pure_and_deterministic():
@@ -202,8 +202,8 @@ def test_training_is_pure_and_deterministic():
     y = rng.standard_normal(20)
     net = nk.init_net(nk.shallow_spec(n_inputs=4, seed=3))
     before = [arr.copy() for arr in net.weight_arrays()]
-    t1 = nk.train(net, x, y, rounds=50, learning_rate=0.05)
-    t2 = nk.train(net, x, y, rounds=50, learning_rate=0.05)
+    t1 = nk.train_many([net], x, y, rounds=50, learning_rate=0.05)[0]
+    t2 = nk.train_many([net], x, y, rounds=50, learning_rate=0.05)[0]
     for arr, orig in zip(net.weight_arrays(), before):
         np.testing.assert_array_equal(arr, orig)  # input net untouched
     for a, b in zip(t1.weight_arrays(), t2.weight_arrays()):
@@ -223,7 +223,7 @@ def test_target_scaling_scales_linear_net_predictions():
             net = nk.init_net(nk.NetSpec((nk.Dense(5, 1),), "linear", 1))
             for arr in net.weight_arrays():
                 arr[:] = 0.0
-            nets.append(nk.train(net, x, targets, rounds=120, learning_rate=0.05))
+            nets.append(nk.train_many([net], x, targets, rounds=120, learning_rate=0.05)[0])
         base = nk.forward_batch(nets[0], x)
         scaled = nk.forward_batch(nets[1], x)
         np.testing.assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-12)
@@ -239,9 +239,9 @@ def test_default_architectures_compose():
 def test_loss_curve_csv_export():
     import io
     rng = np.random.default_rng(20)
-    net = nk.train(nk.init_net(nk.NetSpec((nk.Dense(3, 1),), "linear", 0)),
-                   rng.standard_normal((8, 3)), rng.standard_normal(8),
-                   rounds=5, learning_rate=0.05)
+    (net,) = nk.train_many([nk.init_net(nk.NetSpec((nk.Dense(3, 1),), "linear", 0))],
+                           rng.standard_normal((8, 3)), rng.standard_normal(8),
+                           rounds=5, learning_rate=0.05)
     buf = io.StringIO()
     nk.write_loss_csv(net, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -278,7 +278,8 @@ def test_train_many_matches_separate_training(make_spec, sample_shape):
     x = rng.standard_normal((3, 12) + sample_shape)
     y = rng.standard_normal((3, 12))
     stacked = nk.train_many(nets, x, y, rounds=25, learning_rate=0.05)
-    _assert_same_nets(stacked, [nk.train(net, xi, yi, rounds=25, learning_rate=0.05)
+    _assert_same_nets(stacked, [nk.train_many([net], xi, yi, rounds=25,
+                                              learning_rate=0.05)[0]
                                 for net, xi, yi in zip(nets, x, y)])
 
 
@@ -304,7 +305,7 @@ def test_train_many_diverging_member_raises_with_round():
     y = rng.standard_normal((2, 8))
     with pytest.raises(nk.TrainingDivergedError, match=r"non-finite loss at round \d+"):
         nk.train_many(nets, x, y, rounds=200, learning_rate=0.5)
-    nk.train(nets[0], x[0], y[0], rounds=200, learning_rate=0.5)  # alone it converges
+    nk.train_many(nets[:1], x[0], y[0], rounds=200, learning_rate=0.5)  # alone it converges
 
 
 def test_train_many_rejects_mixed_architectures_and_misaligned_batches():
@@ -365,7 +366,7 @@ def test_training_equals_plain_reference_loop_exactly(arch, activation, per_net)
     runs = [(nk.train_many(nets, x, y, rounds=6, learning_rate=0.05),
              reference_train_many(nets, x, y, rounds=6, learning_rate=0.05))]
     x1, y1 = (x[0], y[0]) if per_net else (x, y)
-    runs.append(([nk.train(nets[0], x1, y1, rounds=6, learning_rate=0.05)],
+    runs.append((nk.train_many(nets[:1], x1, y1, rounds=6, learning_rate=0.05),
                  reference_train_many(nets[:1], x1, y1, rounds=6, learning_rate=0.05)))
     for got, expected in runs:
         assert len(got) == len(expected)
@@ -389,7 +390,7 @@ def test_first_layer_columns_built_once_per_train_many_call(monkeypatch):
     x = rng.standard_normal((6, 9, 9))
     nk.train_many(nets, x, rng.standard_normal(6), rounds=7, learning_rate=0.05)
     assert builds == {False: 1, True: 7}
-    nk.train(nets[0], x, rng.standard_normal(6), rounds=4, learning_rate=0.05)
+    nk.train_many(nets[:1], x, rng.standard_normal(6), rounds=4, learning_rate=0.05)
     assert builds == {False: 2, True: 11}
 
 
@@ -400,15 +401,15 @@ def test_input_changed_in_place_gives_the_fresh_answer():
     x = rng.standard_normal((4, 9, 9))
     y = rng.standard_normal(4)
     before = nk.forward_batch(net, x)
-    trained_before = nk.train(net, x, y, rounds=3, learning_rate=0.05)
+    trained_before = nk.train_many([net], x, y, rounds=3, learning_rate=0.05)[0]
     x *= -2.0  # same array object, new values
     after = nk.forward_batch(net, x)
     assert not np.array_equal(before, after)
     np.testing.assert_array_equal(after, nk.forward_batch(nk.init_net(spec), x.copy()))
-    trained_after = nk.train(net, x, y, rounds=3, learning_rate=0.05)
+    trained_after = nk.train_many([net], x, y, rounds=3, learning_rate=0.05)[0]
     assert trained_after.loss_curve != trained_before.loss_curve
-    assert trained_after.loss_curve == nk.train(nk.init_net(spec), x.copy(), y, rounds=3,
-                                                learning_rate=0.05).loss_curve
+    (fresh,) = nk.train_many([nk.init_net(spec)], x.copy(), y, rounds=3, learning_rate=0.05)
+    assert trained_after.loss_curve == fresh.loss_curve
 
 
 # deep10's deepest weight gradients fall to ~1e-9, where a central
