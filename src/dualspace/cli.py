@@ -21,7 +21,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -90,7 +89,8 @@ BACKCAST_FLAGS = {
     "cnn7": ("predict_residuals", "runs", "rounds", "learning_rate", "activation"),
 }
 
-#: synth's generator-shape keys: set through a config file only, no flag
+#: synth's generator-shape keys, each the MarketConfig field of the same name:
+#: set through a config file only, no flag
 SYNTH_SHAPE_KEYS = ("spread", "sentiment_ar", "anchor_max_offset", "anchor_buy_reach",
                     "anchor_sell_reach", "buy_width", "sell_width")
 
@@ -224,18 +224,8 @@ def _cmd_synth(args) -> int:
         kwargs["trades_per_day_mean"] = opts["trades_per_day"]
     if opts["snr"] is not None:
         kwargs["anchored_fraction"] = synth_market.snr_to_anchored_fraction(opts["snr"])
-    for key in ("spread", "buy_width", "sell_width"):
-        if opts[key] is not None:
-            kwargs[key] = opts[key]
-    if opts["sentiment_ar"] is not None:
-        kwargs["index_ar"] = synth_market.IndexARParams(sentiment_ar=opts["sentiment_ar"])
+    kwargs.update({k: opts[k] for k in SYNTH_SHAPE_KEYS if opts[k] is not None})
     config = synth_market.MarketConfig(**kwargs)
-    anchor_overrides = {name[len("anchor_"):]: opts[name]
-                        for name in ("anchor_max_offset", "anchor_buy_reach",
-                                     "anchor_sell_reach")
-                        if opts[name] is not None}
-    if anchor_overrides:
-        config = replace(config, anchors=replace(config.anchors, **anchor_overrides))
     if opts["shock"]:
         try:
             start, end, vol, spread = (float(v) for v in opts["shock"].split(":"))

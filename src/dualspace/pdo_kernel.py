@@ -1,12 +1,9 @@
-"""Spectral evolution numerics: constant-coefficient diffusion symbols,
-periodic-grid propagation, and the matrix-exponential state propagator.
+"""Spectral evolution numerics: constant-coefficient diffusion symbols
+and periodic-grid propagation.
 
 A drift-diffusion generator with drift a and diffusion matrix S acts in
 Fourier space as multiplication by exp((i k.a - k'Sk) t); evolving an
-initial condition is transform, multiply, inverse transform.  The same
-propagator idea applies to the fitted dual-space operator: the discrete
-regression corresponds in continuous time to dX = B X dt + de, whose
-solution is a matrix-exponential moving average over the noise path.
+initial condition is transform, multiply, inverse transform.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_regression import BetaMatrix
 from .tape_io import write_table_csv
 
 
@@ -90,47 +86,6 @@ def pdo_evolve(grid: SpectralGrid, params: DiffusionParams, t: float) -> Spectra
     multiplier = diffusion_symbol(params, grid.wavenumbers.reshape(-1, 1), t)
     evolved = np.fft.ifft(np.fft.fft(grid.values) * multiplier)
     return SpectralGrid(grid.points.copy(), evolved)
-
-
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scipy's scaling and squaring with Pade
-    approximants, Al-Mohy & Higham 2009)."""
-    # imported here: scipy.linalg adds about a third of a second to the
-    # start-up of every command that imports this module
-    from scipy.linalg import expm
-
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("need a square matrix")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    return expm(m)
-
-
-def _as_matrix(beta) -> np.ndarray:
-    return beta.values if isinstance(beta, BetaMatrix) else np.asarray(beta, dtype=float)
-
-
-def propagate_state(x0: np.ndarray, beta, noise, n_steps: int, dt: float) -> np.ndarray:
-    """Discrete moving-average propagation of dX = B X dt + de.
-
-    Returns exp(B n dt) x0 + sum_t exp(B (n-t) dt) noise_t dt, with the
-    noise indexed t = 1..n.  Computed by stepping with the single-step
-    exponential, which is algebraically the same sum.
-    """
-    b = _as_matrix(beta)
-    x = np.asarray(x0, dtype=float).copy()
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    noise = [] if noise is None else list(noise)
-    if noise and len(noise) != n_steps:
-        raise ValueError("need one noise vector per step")
-    step = matrix_exp(b * dt)
-    for t in range(n_steps):
-        x = step @ x
-        if noise:
-            x = x + np.asarray(noise[t], dtype=float) * dt
-    return x
 
 
 # ── I/O ────────────────────────────────────────────────────────────────

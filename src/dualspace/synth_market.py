@@ -21,6 +21,18 @@ the spread for event-study power tests.
 Calibration targets (loose, order-of-magnitude): a few times 1e4
 trades per tape over ~485 days, prices around 9 CNY, order 1e4 shares
 of volume per day.
+
+`MarketConfig` holds only what a caller sets: size, seed, shocks,
+couplings, the anchored fraction, the seven shape fields (each the
+`synth` config key of the same name) and `shared_market`.  Everything
+else is a module constant: the start date (`START_DATE`), the price
+level walk (`LEVEL_START`, `LEVEL_STEP_SIGMA`, `LEVEL_FLOOR`,
+`LEVEL_CEILING`), the return and yield indexes (`RETURN_AR`,
+`YIELD_AR`, `RETURN_ON_SENTIMENT`), the anchors (`N_ANCHORS`,
+`ANCHOR_SCATTER`, `ANCHOR_WEIGHT_AR`, `ANCHOR_WEIGHT_SIGMA`,
+`ANCHOR_AFFINITY_SIGMA`) and the trades (`VOLUME_LOGNORMAL`,
+`WIDTH_AR`, `WIDTH_SIGMA`, `VOLUME_CONCENTRATION`,
+`UNKNOWN_SIDE_RATE`).
 """
 
 from __future__ import annotations
@@ -34,14 +46,35 @@ from . import tape_io
 from .calendars import IndexSeries, month_index, trading_days
 
 
-@dataclass(frozen=True)
-class PriceLevelParams:
-    # the band sits above the widest anchor offset so mirrored trade
-    # legs never hit the price floor
-    start: float = 12.0
-    step_sigma: float = 0.02
-    floor: float = 9.0
-    ceiling: float = 16.0
+# ── fixed generator settings ───────────────────────────────────────────
+
+START_DATE = dt.date(2009, 1, 5)
+
+# Shared price level: a reflected random walk.  The band sits above the
+# widest anchor offset so mirrored trade legs never hit the price floor.
+LEVEL_START = 12.0
+LEVEL_STEP_SIGMA = 0.02
+LEVEL_FLOOR = 9.0
+LEVEL_CEILING = 16.0
+
+# Monthly indexes: AR(1) coefficients of the return and yield series, and
+# the cross-loading of returns on sentiment.
+RETURN_AR = 0.3
+YIELD_AR = 0.8
+RETURN_ON_SENTIMENT = 0.5
+
+# Anchors: persistent crowd price points in price-change space.
+N_ANCHORS = 64
+ANCHOR_SCATTER = 0.04        # CNY; local spread of trades around an anchor
+ANCHOR_WEIGHT_AR = 0.85      # day-to-day persistence of anchor popularity
+ANCHOR_WEIGHT_SIGMA = 0.25
+ANCHOR_AFFINITY_SIGMA = 0.8  # fixed per-anchor buy-vs-sell preference (log scale)
+
+VOLUME_LOGNORMAL = (4.7, 0.6)  # (mu, sigma) of per-trade shares
+WIDTH_AR = 0.6                 # persistence of the shared diffuse-width state
+WIDTH_SIGMA = 0.25
+VOLUME_CONCENTRATION = 1.2     # CNY; volume decays away from the reference
+UNKNOWN_SIDE_RATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -57,28 +90,6 @@ class Couplings:
 
 
 @dataclass(frozen=True)
-class IndexARParams:
-    sentiment_ar: float = 0.7
-    return_ar: float = 0.3
-    yield_ar: float = 0.8
-    return_on_sentiment: float = 0.5  # cross-loading of returns on sentiment
-
-
-@dataclass(frozen=True)
-class AnchorParams:
-    """Persistent crowd price points in price-change space."""
-
-    n_anchors: int = 64
-    max_offset: float = 7.8   # CNY; keeps anchors inside the 16-bucket range
-    scatter: float = 0.04     # CNY; local spread of trades around an anchor
-    weight_ar: float = 0.85   # day-to-day persistence of anchor popularity
-    weight_sigma: float = 0.25
-    buy_reach: float = 0.7    # CNY; buys prefer anchors near the reference
-    sell_reach: float = 1.6   # sells reach further out
-    affinity_sigma: float = 0.8  # fixed per-anchor buy-vs-sell preference (log scale)
-
-
-@dataclass(frozen=True)
 class ShockSpec:
     start_day: int
     end_day: int  # half-open [start_day, end_day)
@@ -91,23 +102,19 @@ class MarketConfig:
     n_traders: int = 5
     n_days: int = 485
     trades_per_day_mean: float = 180.0
-    price_level: PriceLevelParams = PriceLevelParams()
-    volume_lognormal: tuple[float, float] = (4.7, 0.6)  # (mu, sigma) of per-trade shares
-    spread: float = 0.04
+    seed: int = 0
+    shocks: tuple[ShockSpec, ...] = ()
     couplings: Couplings = Couplings()
-    index_ar: IndexARParams = IndexARParams()
-    anchors: AnchorParams = AnchorParams()
     anchored_fraction: float = 0.9  # share of trades on common anchors (the SNR knob)
+    # the shape fields, each a `synth` config key of the same name
+    spread: float = 0.04
+    sentiment_ar: float = 0.7
+    anchor_max_offset: float = 7.8  # CNY; keeps anchors inside the 16-bucket range
+    anchor_buy_reach: float = 0.7   # CNY; buys prefer anchors near the reference
+    anchor_sell_reach: float = 1.6  # sells reach further out
     buy_width: float = 0.5    # diffuse-component displacement scale, buy side
     sell_width: float = 1.2   # diffuse sells scatter wider
-    width_ar: float = 0.6     # persistence of the shared diffuse-width state
-    width_sigma: float = 0.25
-    volume_concentration: float = 1.2  # CNY; volume decays away from the reference
-    unknown_side_rate: float = 0.05
     shared_market: bool = True  # False = independent level/anchor streams per trader
-    seed: int = 0
-    start_date: dt.date = dt.date(2009, 1, 5)
-    shocks: tuple[ShockSpec, ...] = ()
 
     def __post_init__(self):
         if self.n_traders < 0:
@@ -118,6 +125,13 @@ class MarketConfig:
             raise ValueError("anchored_fraction must lie in [0, 1]")
         if not 0.0 <= self.trades_per_day_mean < float("inf"):
             raise ValueError("trades_per_day_mean must be finite and nonnegative")
+        if not abs(self.sentiment_ar) < 1.0:
+            raise ValueError("sentiment_ar must lie strictly between -1 and 1")
+        if not self.anchor_max_offset >= 0.0:
+            raise ValueError("anchor_max_offset must be >= 0")
+        for key in ("anchor_buy_reach", "anchor_sell_reach"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be > 0")
 
 
 def snr_to_anchored_fraction(snr: float) -> float:
@@ -178,8 +192,7 @@ def _ar1(rng: np.random.Generator, shape, ar: float) -> np.ndarray:
     innov = rng.standard_normal(shape)
     out = np.empty_like(innov)
     steps, path = innov.T, out.T  # time on the first axis
-    scale = 1.0 / np.sqrt(1.0 - ar**2) if abs(ar) < 1 else 1.0
-    path[0] = steps[0] * scale
+    path[0] = steps[0] * (1.0 / np.sqrt(1.0 - ar**2))
     for i in range(1, len(path)):
         path[i] = ar * path[i - 1] + steps[i]
     return out
@@ -198,20 +211,19 @@ def _orthogonalize(series: np.ndarray, *others: np.ndarray) -> np.ndarray:
 
 def gen_indexes(config: MarketConfig) -> tuple[dict[str, IndexSeries], GroundTruth]:
     """Monthly AR(1) indexes over the months spanned by the day calendar."""
-    dates = trading_days(config.start_date, config.n_days)
+    dates = trading_days(START_DATE, config.n_days)
     months, _ = month_index(dates)
     rng = np.random.default_rng(_seed_children(config)[0])
     n = len(months)
-    p = config.index_ar
-    sentiment = _ar1(rng, n, p.sentiment_ar)
-    own_return = _ar1(rng, n, p.return_ar)
+    sentiment = _ar1(rng, n, config.sentiment_ar)
+    own_return = _ar1(rng, n, RETURN_AR)
     sent_std = (sentiment - sentiment.mean()) / (sentiment.std() or 1.0)
-    stock_return = p.return_on_sentiment * sent_std + own_return
+    stock_return = RETURN_ON_SENTIMENT * sent_std + own_return
     # The yield series is decorrelated from the other two in-sample:
     # "uncoupled" must hold for the emitted months, not just in
     # expectation, or short-sample spurious correlation would leak
     # through any planted flow coupling.
-    bond_yield = _orthogonalize(_ar1(rng, n, p.yield_ar), sentiment, stock_return)
+    bond_yield = _orthogonalize(_ar1(rng, n, YIELD_AR), sentiment, stock_return)
 
     indexes = {
         "sentiment": IndexSeries("sentiment", months, sentiment),
@@ -236,49 +248,50 @@ class _MarketStreams:
     """Shared (or per-trader) market structure drawn from one generator."""
 
     def __init__(self, rng: np.random.Generator, config: MarketConfig):
-        lp = config.price_level
-        steps = rng.standard_normal(config.n_days) * lp.step_sigma
+        steps = rng.standard_normal(config.n_days) * LEVEL_STEP_SIGMA
         level = np.empty(config.n_days)
-        x = lp.start
+        x = LEVEL_START
         for i, step in enumerate(steps):
             x += step
-            while x < lp.floor or x > lp.ceiling:  # reflect back into band
-                if x < lp.floor:
-                    x = 2 * lp.floor - x
-                if x > lp.ceiling:
-                    x = 2 * lp.ceiling - x
+            while x < LEVEL_FLOOR or x > LEVEL_CEILING:  # reflect back into band
+                if x < LEVEL_FLOOR:
+                    x = 2 * LEVEL_FLOOR - x
+                if x > LEVEL_CEILING:
+                    x = 2 * LEVEL_CEILING - x
             level[i] = x
         self.level = level
 
-        u = _ar1(rng, config.n_days, config.width_ar) * config.width_sigma
+        u = _ar1(rng, config.n_days, WIDTH_AR) * WIDTH_SIGMA
         self.width_mult = np.exp(u - u.var() / 2.0)
 
-        a = config.anchors
-        offsets = rng.uniform(0.0, a.max_offset, size=a.n_anchors)
-        affinity = rng.standard_normal(a.n_anchors) * a.affinity_sigma
-        drift = _ar1(rng, (a.n_anchors, config.n_days), a.weight_ar) * a.weight_sigma
+        offsets = rng.uniform(0.0, config.anchor_max_offset, size=N_ANCHORS)
+        affinity = rng.standard_normal(N_ANCHORS) * ANCHOR_AFFINITY_SIGMA
+        drift = _ar1(rng, (N_ANCHORS, config.n_days), ANCHOR_WEIGHT_AR) * ANCHOR_WEIGHT_SIGMA
         weights = np.exp(drift)  # (n_anchors, n_days)
         self.anchor_offsets = offsets
-        self.buy_cdf = _anchor_cdf(weights * np.exp(-offsets / a.buy_reach + affinity)[:, None])
-        self.sell_cdf = _anchor_cdf(weights * np.exp(-offsets / a.sell_reach - affinity)[:, None])
+        # a reach so short that offset / reach overflows gives the anchor
+        # zero weight; _anchor_cdf refuses a day left with none
+        with np.errstate(over="ignore"):
+            buy = np.exp(-offsets / config.anchor_buy_reach + affinity)
+            sell = np.exp(-offsets / config.anchor_sell_reach - affinity)
+        self.buy_cdf = _anchor_cdf(weights * buy[:, None], "anchor_buy_reach")
+        self.sell_cdf = _anchor_cdf(weights * sell[:, None], "anchor_sell_reach")
 
 
-def _anchor_cdf(weights: np.ndarray) -> np.ndarray:
+def _anchor_cdf(weights: np.ndarray, reach_key: str) -> np.ndarray:
     """Each day's cumulative anchor probabilities, (n_days, n_anchors).
 
     `cdf[d].searchsorted(rng.random(k), side="right")` draws k anchors
     exactly as `rng.choice(n_anchors, size=k, p=p[:, d])` would: the same
-    table, the same uniforms.  `choice`'s checks on `p` run here once,
-    over every day.
+    table, the same uniforms.  The weights are exponentials, so never
+    negative; a day's probabilities are well defined exactly when its
+    weight sum is finite and positive, which is checked before dividing.
     """
-    p = weights / weights.sum(axis=0, keepdims=True)
-    total = p.sum(axis=0)
-    if np.isnan(total).any():
-        raise ValueError("anchor probabilities contain NaN")
-    if (p < 0).any():
-        raise ValueError("anchor probabilities are not non-negative")
-    if (np.abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
-        raise ValueError("anchor probabilities do not sum to 1")
+    total = weights.sum(axis=0, keepdims=True)
+    if not (np.isfinite(total) & (total > 0)).all():
+        raise ValueError(f"{reach_key} leaves some day without a finite, positive "
+                         "anchor weight sum")
+    p = weights / total
     cdf = p.cumsum(axis=0)
     cdf /= cdf[-1]
     return np.ascontiguousarray(cdf.T)
@@ -294,7 +307,7 @@ def gen_tapes(config: MarketConfig,
     """Generate one tape per trader, deterministic in (config, seed);
     also returns the planted daily buy-probability tilt."""
     children = _seed_children(config)
-    dates = trading_days(config.start_date, config.n_days)
+    dates = trading_days(START_DATE, config.n_days)
     months, month_ix = month_index(dates)
     if months != indexes["sentiment"].months:
         raise ValueError("indexes must cover exactly the market's months")
@@ -354,7 +367,7 @@ def _draw_tape(rng: np.random.Generator, streams: _MarketStreams, config: Market
             k = int(np.count_nonzero(side_mask)) - k  # the side's diffuse trades
             if k:
                 diffuse[s].append(rng.standard_normal(k))
-        sizes.append(rng.lognormal(*config.volume_lognormal, size=n))
+        sizes.append(rng.lognormal(*VOLUME_LOGNORMAL, size=n))
         hide.append(rng.random((n, 2)))
         days.append(d)
         counts.append(n)
@@ -368,14 +381,14 @@ def _draw_tape(rng: np.random.Generator, streams: _MarketStreams, config: Market
     for s, side_mask, width in ((0, is_buy, config.buy_width), (1, ~is_buy, config.sell_width)):
         on_anchor = side_mask & anchored
         disp[on_anchor] = (streams.anchor_offsets[np.concatenate(picks[s])]
-                           + np.concatenate(scatter[s]) * config.anchors.scatter)
+                           + np.concatenate(scatter[s]) * ANCHOR_SCATTER)
         off_anchor = side_mask & ~anchored
         disp[off_anchor] = (np.abs(np.concatenate(diffuse[s])) * width
                             * streams.width_mult[day[off_anchor]])
 
     half_spread = 0.5 * config.spread * spread_mult[day]
     base = streams.level[day] + np.where(is_buy, half_spread, -half_spread)
-    concentration = np.exp(-np.abs(disp) / config.volume_concentration)
+    concentration = np.exp(-np.abs(disp) / VOLUME_CONCENTRATION)
     volumes = np.rint(np.concatenate(sizes) * concentration
                       * volume_mult[day]).astype(np.int64)
     live = volumes > 0  # zero-volume shocks silence the window
@@ -385,7 +398,7 @@ def _draw_tape(rng: np.random.Generator, streams: _MarketStreams, config: Market
     # trade, row after row, at +disp and then at -disp.
     legs = np.stack([base + disp, base - disp], axis=1)[live].ravel()
     true_side = np.where(is_buy[live], 1, -1)[:, None]
-    hide_side = np.concatenate(hide)[live] < config.unknown_side_rate
+    hide_side = np.concatenate(hide)[live] < UNKNOWN_SIDE_RATE
     return tape_io.Tape(dates, np.repeat(day[live], 2), _cents(np.maximum(legs, 0.01)),
                         np.where(hide_side, 0, true_side).ravel(), np.repeat(volumes[live], 2))
 

@@ -3,16 +3,19 @@
 Everything here recomputes expected values by a route different from
 the library code: textbook statistics formulas, spectra from `np.fft`,
 hand-rolled forward passes, central-difference gradients, planted
-linear systems with known operators, a tape reader that splits strings.
+linear systems with known operators, a tape reader that splits strings,
+scipy's matrix exponential for propagating a fitted operator.
 """
 
 import datetime as dt
 from itertools import islice, repeat
 
 import numpy as np
+from scipy.linalg import expm
 
 from dualspace import neural_kit, tape_io
 from dualspace.bucket_panel import imbalance_profile
+from dualspace.dual_regression import BetaMatrix
 from dualspace.corrstats import rowwise_pearson
 from dualspace.state_space import StateMatrix, VolumeMode
 
@@ -224,6 +227,44 @@ def taylor_matrix_exp(m, terms=30):
         term = term @ m / k
         result = result + term
     return result
+
+
+def matrix_exp(m):
+    """Matrix exponential (scipy's scaling and squaring with Pade
+    approximants, Al-Mohy & Higham 2009)."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("need a square matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return expm(m)
+
+
+def _as_matrix(beta):
+    return beta.values if isinstance(beta, BetaMatrix) else np.asarray(beta, dtype=float)
+
+
+def propagate_state(x0, beta, noise, n_steps, dt):
+    """Discrete moving-average propagation of dX = B X dt + de, the
+    continuous-time reading of the fitted dual-space operator B.
+
+    Returns exp(B n dt) x0 + sum_t exp(B (n-t) dt) noise_t dt, with the
+    noise indexed t = 1..n.  Computed by stepping with the single-step
+    exponential, which is algebraically the same sum.
+    """
+    b = _as_matrix(beta)
+    x = np.asarray(x0, dtype=float).copy()
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    noise = [] if noise is None else list(noise)
+    if noise and len(noise) != n_steps:
+        raise ValueError("need one noise vector per step")
+    step = matrix_exp(b * dt)
+    for t in range(n_steps):
+        x = step @ x
+        if noise:
+            x = x + np.asarray(noise[t], dtype=float) * dt
+    return x
 
 
 # two-sided 10% Student-t critical values, from standard tables

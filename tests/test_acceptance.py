@@ -8,7 +8,6 @@ import datetime as dt
 import filecmp
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +19,8 @@ from dualspace.corrstats import pearson
 from dualspace.state_space import VolumeMode
 
 from oracles import (dual_predictions, grad_check, induced_dual_operator,
-                     planted_trajectory, random_rotation, random_states,
-                     symmetry_projector)
+                     planted_trajectory, propagate_state, random_rotation,
+                     random_states, symmetry_projector)
 
 
 def _report(num, name, ok, detail=""):
@@ -227,14 +226,11 @@ def test_criterion_09_liquidity_equilibrium():
 # 10 ── event-study calibration and power ───────────────────────────────
 
 def _concentrated_config(seed, spread, g_sent=0.0):
-    base = synth_market.MarketConfig(
+    return synth_market.MarketConfig(
         n_traders=1, seed=seed, spread=spread, trades_per_day_mean=250.0,
-        couplings=synth_market.Couplings(g_sent=g_sent),
-        index_ar=synth_market.IndexARParams(sentiment_ar=0.2))
-    return replace(base,
-                   anchors=replace(base.anchors, max_offset=1.8,
-                                   buy_reach=0.7, sell_reach=1.2),
-                   buy_width=0.4, sell_width=0.7)
+        couplings=synth_market.Couplings(g_sent=g_sent), sentiment_ar=0.2,
+        anchor_max_offset=1.8, anchor_buy_reach=0.7, anchor_sell_reach=1.2,
+        buy_width=0.4, sell_width=0.7)
 
 
 def _study(config, seeds, permutations, rounds):
@@ -296,7 +292,7 @@ def test_criterion_11_pdo_oracle():
     def gap(n_steps):
         step = 1.0 / n_steps
         noise = [np.sin((i + 1) * step + np.arange(4)) for i in range(n_steps)]
-        exact = pdo_kernel.propagate_state(x0, beta, noise, n_steps, step)
+        exact = propagate_state(x0, beta, noise, n_steps, step)
         euler = x0.copy()
         for i in range(n_steps):
             euler = euler + step * (beta @ euler) + noise[i] * step

@@ -839,6 +839,22 @@ def test_eventstudy_marks_shocked_window(capsys, tmp_path):
     assert shocked["p_spearman"] < 0.05
 
 
+@pytest.mark.parametrize("key, value", [
+    ("anchor_buy_reach", 0), ("anchor_buy_reach", 1e-300), ("anchor_buy_reach", 1e-310),
+    ("anchor_sell_reach", -1), ("anchor_max_offset", -3), ("sentiment_ar", 1e10),
+    ("sentiment_ar", -1)])
+def test_out_of_range_shape_key_is_a_data_error(tmp_path, key, value):
+    # run as a process, so that any numpy warning would reach its stderr
+    config = tmp_path / "market.json"
+    config.write_text(json.dumps({key: value}))
+    done = _cli_process(["synth", "--days", "30", "--traders", "1", "--config", str(config),
+                         "--out-dir", str(tmp_path / "out")])
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:") and key in lines[0]
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+
+
 def test_tape_that_is_not_utf8_is_a_data_error(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"Trddt,Stkprc,Parcha,Trdtims\n2009-08-06,10.05,S,425\n"

@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from dualspace import bucket_panel, cli, liquidity_lab, synth_market, tape_io
 from dualspace.calendars import month_key
 from dualspace.corrstats import corr_significance_threshold, pearson
 from dualspace.calendars import read_index_csv
-from dualspace.synth_market import Couplings, IndexARParams, MarketConfig
+from dualspace.synth_market import Couplings, MarketConfig
 
 from conftest import COUPLED_CONFIG
 
@@ -40,8 +39,7 @@ def test_same_seed_same_indexes():
 
 def test_index_autocorrelation_matches_ar_parameter():
     # ~1e4 months of sentiment: sample lag-1 autocorrelation near 0.7
-    cfg = MarketConfig(n_days=217_000, seed=2,
-                       index_ar=IndexARParams(sentiment_ar=0.7))
+    cfg = MarketConfig(n_days=217_000, seed=2, sentiment_ar=0.7)
     indexes, _ = synth_market.gen_indexes(cfg)
     v = indexes["sentiment"].values
     assert v.size >= 9_000
@@ -50,8 +48,7 @@ def test_index_autocorrelation_matches_ar_parameter():
 
 
 def test_zero_ar_gives_white_noise():
-    cfg = MarketConfig(n_days=217_000, seed=3,
-                       index_ar=IndexARParams(sentiment_ar=0.0))
+    cfg = MarketConfig(n_days=217_000, seed=3, sentiment_ar=0.0)
     indexes, _ = synth_market.gen_indexes(cfg)
     v = indexes["sentiment"].values
     assert abs(pearson(v[:-1], v[1:])) < 0.05
@@ -139,10 +136,9 @@ def test_negative_trader_count_is_refused():
 
 
 def _concentrated(seed, spread):
-    base = MarketConfig(n_traders=1, seed=seed, spread=spread)
-    return replace(base, anchors=replace(base.anchors, max_offset=1.8,
-                                         buy_reach=0.7, sell_reach=1.2),
-                   buy_width=0.4, sell_width=0.7)
+    return MarketConfig(n_traders=1, seed=seed, spread=spread, anchor_max_offset=1.8,
+                        anchor_buy_reach=0.7, anchor_sell_reach=1.2,
+                        buy_width=0.4, sell_width=0.7)
 
 
 def test_spread_shock_doubles_lambda_inside_window():
@@ -201,9 +197,9 @@ def test_write_market_artifacts(tmp_path, capsys, small_market):
 
 
 def test_anchor_weights_that_are_not_probabilities_are_refused():
-    cfg = MarketConfig(n_traders=1, n_days=30, seed=1)
-    cfg = replace(cfg, anchors=replace(cfg.anchors, weight_sigma=1e300))
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="contain NaN"):
+    # exp(-offset / 1e-300) underflows to 0 for every anchor
+    cfg = MarketConfig(n_traders=1, n_days=30, seed=1, anchor_buy_reach=1e-300)
+    with pytest.raises(ValueError, match="anchor_buy_reach leaves some day"):
         synth_market.gen_market(cfg)
 
 
@@ -229,6 +225,16 @@ def _shocked_config():
     return synth_market.inject_shock(cfg, (60, 80), spread_mult=3.0)
 
 
+def _concentrated_shock_config():
+    """Criterion 10's shocked market at its first power seed: every shape
+    field away from its default."""
+    cfg = MarketConfig(n_traders=1, seed=200, trades_per_day_mean=250.0, spread=2.5,
+                       couplings=Couplings(g_sent=0.9), sentiment_ar=0.2,
+                       anchor_max_offset=1.8, anchor_buy_reach=0.7, anchor_sell_reach=1.2,
+                       buy_width=0.4, sell_width=0.7)
+    return synth_market.inject_shock(cfg, (240, 360), spread_mult=3.0)
+
+
 #: sha256 over every tape's text, then the sorted-key JSON of the ground
 #: truth.  The random stream is part of the generator's contract: the
 #: acceptance criteria are calibrated on these seeds, so a faster
@@ -247,6 +253,9 @@ GOLDEN_STREAMS = {
     "sparse_with_empty_days": (
         MarketConfig(n_traders=2, n_days=150, seed=8, trades_per_day_mean=1.5),
         "b4e339f2e99e72711cfd9272efb9286673d60f766f022c872bdabcd9ad67024c"),
+    "concentrated_spread_shock": (
+        _concentrated_shock_config(),
+        "50d4510e1d2ab44a44527d9bd885e06d55774183ae266e186e061170cb73edfd"),
 }
 
 
