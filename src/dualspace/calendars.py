@@ -1,5 +1,6 @@
-"""Trading-day calendars, calendar-month grouping helpers, and monthly
-index series."""
+"""Trading-day calendars, calendar months, and monthly index series.
+
+A month is its serial 12·year + month − 1 and its key "YYYY-MM"."""
 
 from __future__ import annotations
 
@@ -22,25 +23,13 @@ def trading_days(start: dt.date, n_days: int) -> list[dt.date]:
     return days
 
 
-def month_key(day: dt.date) -> str:
-    return f"{day.year:04d}-{day.month:02d}"
+def _month_keys(serials) -> list[str]:
+    """The "YYYY-MM" key of each month serial 12·year + month − 1."""
+    return [f"{s // 12:04d}-{s % 12 + 1:02d}" for s in serials]
 
 
-def month_first(key: str) -> dt.date:
-    year, month = key.split("-")
-    return dt.date(int(year), int(month), 1)
-
-
-def month_range(first: dt.date, last: dt.date) -> list[str]:
-    """Contiguous list of month keys from first's month through last's."""
-    keys = []
-    year, month = first.year, first.month
-    while (year, month) <= (last.year, last.month):
-        keys.append(f"{year:04d}-{month:02d}")
-        month += 1
-        if month == 13:
-            month, year = 1, year + 1
-    return keys
+#: Month serials of the years 1 to 9999, those `datetime.date` takes.
+_SERIALS = range(12, 12 * 10000)
 
 
 def month_index(days: list[dt.date]) -> tuple[list[str], np.ndarray]:
@@ -48,15 +37,7 @@ def month_index(days: list[dt.date]) -> tuple[list[str], np.ndarray]:
     among them."""
     serial = np.fromiter((12 * day.year + day.month - 1 for day in days), np.int64, len(days))
     distinct, position = np.unique(serial, return_inverse=True)
-    return [f"{s // 12:04d}-{s % 12 + 1:02d}" for s in distinct.tolist()], position
-
-
-def group_by_month(days: list[dt.date]) -> dict[str, list[int]]:
-    """Map month key -> positions of that month's days (order preserved)."""
-    groups: dict[str, list[int]] = {}
-    for i, day in enumerate(days):
-        groups.setdefault(month_key(day), []).append(i)
-    return groups
+    return _month_keys(distinct.tolist()), position
 
 
 @dataclass
@@ -73,9 +54,14 @@ class IndexSeries:
             raise ValueError("index holds no months")
         if not np.isfinite(self.values).all():
             raise ValueError("index values must be finite")
-        expect = month_range(month_first(self.months[0]), month_first(self.months[-1]))
-        if self.months != expect:
-            raise ValueError("months must be contiguous")
+        year, _, month = self.months[0].partition("-")
+        try:
+            first = 12 * int(year) + int(month) - 1
+        except ValueError:
+            raise ValueError(f"month {self.months[0]!r} is not a YYYY-MM key") from None
+        run = range(first, first + len(self.months))
+        if run[0] not in _SERIALS or run[-1] not in _SERIALS or self.months != _month_keys(run):
+            raise ValueError("months must be contiguous YYYY-MM keys")
 
     def value_for(self, key: str) -> float:
         return float(self.values[self.months.index(key)])

@@ -84,24 +84,22 @@ class NetSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-def shallow_spec(n_inputs: int = 4, hidden: int = 8, activation: str = "tanh",
-                 seed: int = 0) -> NetSpec:
-    """One-hidden-layer net for the four-moment inputs."""
-    return NetSpec((Dense(n_inputs, hidden), Dense(hidden, 1)), activation, seed,
-                   input_shape=(n_inputs,))
+def shallow_spec(n_inputs: int = 4, seed: int = 0) -> NetSpec:
+    """One-hidden-layer tanh net, 8 wide, for the four-moment inputs."""
+    return NetSpec((Dense(n_inputs, 8), Dense(8, 1)), "tanh", seed, input_shape=(n_inputs,))
 
 
-def deep10_spec(n_inputs: int = 16, activation: str = "relu", seed: int = 0) -> NetSpec:
-    """10 dense layers, 16-dim input to scalar output."""
+def deep10_spec(n_inputs: int = 16, seed: int = 0) -> NetSpec:
+    """10 dense ReLU layers, 16-dim input to scalar output."""
     widths = [n_inputs, 32, 32, 24, 24, 16, 16, 8, 8, 4, 1]
     layers = tuple(Dense(a, b) for a, b in zip(widths, widths[1:]))
-    return NetSpec(layers, activation, seed, input_shape=(n_inputs,))
+    return NetSpec(layers, "relu", seed, input_shape=(n_inputs,))
 
 
-def cnn7_spec(input_shape: tuple[int, int] = (21, 16), hidden: int = 32,
-              activation: str = "relu", seed: int = 0) -> NetSpec:
+def cnn7_spec(input_shape: tuple[int, int] = (21, 16), activation: str = "relu",
+              seed: int = 0) -> NetSpec:
     """7-layer CNN over a days-by-buckets image: conv, pool, conv, pool,
-    flatten, dense, dense-to-scalar."""
+    flatten, dense 32 wide, dense-to-scalar."""
     h, w = input_shape
     oh, ow = (h - 2) // 2, (w - 2) // 2          # conv 3x3 then pool 2x2
     oh, ow = (oh - 2) // 2, (ow - 2) // 2        # conv 3x3 then pool 2x2
@@ -112,8 +110,8 @@ def cnn7_spec(input_shape: tuple[int, int] = (21, 16), hidden: int = 32,
         Conv2D((3, 3), 16),
         Pool((2, 2)),
         Flatten(),
-        Dense(flat, hidden),
-        Dense(hidden, 1),
+        Dense(flat, 32),
+        Dense(32, 1),
     )
     return NetSpec(layers, activation, seed, input_shape=input_shape)
 

@@ -18,6 +18,9 @@ from the unpredictable part of the interday volume correlations.
 The informed/uninformed split is a data-provenance rule: prediction
 windows never enter training.
 
+Residual rows are grouped into calendar months by `calendars.month_index`;
+their dates must be strictly increasing, so each month is one run of rows.
+
 Each protocol passes all of its nets, over every index and seed, to one
 `neural_kit.train_many` call, which trains them in memory-bounded
 stacks; a report does not depend on how the nets are stacked.
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neural_kit
-from .calendars import IndexSeries, group_by_month
+from .calendars import IndexSeries, month_index
 from .corrstats import pearson, standardize, student_halfwidth
 from .tape_io import write_table_csv
 
@@ -42,6 +45,8 @@ WINDOW_DAYS = 21
 
 DEFAULT_TRAIN_ROUNDS = 50
 DEFAULT_LEARNING_RATE = 0.05
+#: Rounds of every shallow net, trained at DEFAULT_LEARNING_RATE.
+SHALLOW_ROUNDS = 400
 
 
 @dataclass
@@ -88,6 +93,16 @@ class BackcastReport:
 
 # ── monthly aggregation ────────────────────────────────────────────────
 
+def _month_runs(dates: list[dt.date]) -> tuple[list[str], list[slice]]:
+    """The months of strictly increasing `dates`, in order, and the run
+    of rows each month spans."""
+    if any(b <= a for a, b in zip(dates, dates[1:])):
+        raise ValueError("residual dates must be strictly increasing")
+    months, position = month_index(dates)
+    bounds = np.searchsorted(position, np.arange(len(months) + 1)).tolist()
+    return months, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 @dataclass
 class MonthlyMoments:
     months: list[str]
@@ -106,12 +121,12 @@ def monthly_moments(residuals: np.ndarray, dates: list[dt.date]) -> MonthlyMomen
     residuals = np.asarray(residuals, dtype=float)
     if residuals.shape[0] != len(dates):
         raise ValueError("residual rows must align with dates")
-    months = []
+    months, runs = _month_runs(dates)
     rows = []
     low_sample = []
     degenerate = []
-    for key, ix in group_by_month(dates).items():
-        pooled = residuals[ix].ravel()
+    for key, run in zip(months, runs):
+        pooled = residuals[run].ravel()
         n = pooled.size
         mean = pooled.mean()
         var = pooled.var(ddof=1) if n > 1 else 0.0
@@ -125,7 +140,6 @@ def monthly_moments(residuals: np.ndarray, dates: list[dt.date]) -> MonthlyMomen
             degenerate.append(key)
         if n < 8:
             low_sample.append(key)
-        months.append(key)
         rows.append([float(mean), float(var), skew, kurt])
     return MonthlyMoments(months, np.array(rows), low_sample, degenerate)
 
@@ -150,9 +164,10 @@ def monthly_windows(residuals: np.ndarray, dates: list[dt.date],
     if residuals.shape[0] != len(dates):
         raise ValueError("residual rows must align with dates")
     nb = residuals.shape[1]
-    months, images, padded, truncated = [], [], [], []
-    for key, ix in group_by_month(dates).items():
-        block = residuals[ix]
+    months, runs = _month_runs(dates)
+    images, padded, truncated = [], [], []
+    for key, run in zip(months, runs):
+        block = residuals[run]
         if block.shape[0] < WINDOW_DAYS:
             padded.append(key)
             pad = np.zeros((WINDOW_DAYS - block.shape[0], nb))
@@ -160,7 +175,6 @@ def monthly_windows(residuals: np.ndarray, dates: list[dt.date],
         elif block.shape[0] > WINDOW_DAYS:
             truncated.append(key)
             block = block[:WINDOW_DAYS]
-        months.append(key)
         images.append(block)
     return MonthlyWindows(trader_id, months, np.stack(images), padded, truncated)
 
@@ -200,8 +214,8 @@ def _make_result(name: str, correlations: list[float], flags: list[bool],
     )
 
 
-def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries], seed: int = 0,
-                     rounds: int = 400, learning_rate: float = 0.05) -> BackcastReport:
+def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries],
+                     seed: int = 0) -> BackcastReport:
     """Leave-one-month-out backcast from the four monthly moments.
 
     Each index has n leave-one-out nets, each trained on its own n-1
@@ -220,7 +234,7 @@ def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries], seed: 
     trained = neural_kit.train_many(
         nets * len(indexes), np.tile(feats_std[train_ix], (len(indexes), 1, 1)),
         np.array([t_std[train_ix] for t_std, _, _ in scaled]).reshape(-1, n - 1),
-        rounds=rounds, learning_rate=learning_rate)
+        rounds=SHALLOW_ROUNDS, learning_rate=DEFAULT_LEARNING_RATE)
     report = BackcastReport(protocol="shallow", seeds=[seed])
     for k, (index, (_, t_mean, t_scale)) in enumerate(zip(indexes, scaled)):
         preds = np.array([neural_kit.forward_batch(net, feats_std[hold:hold + 1])[0]
@@ -249,15 +263,14 @@ def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
     as `cnn_backcast` does.  The CLI enforces that rule before the call,
     by the residual files' `_tape_label`s.
     """
-    train_groups = group_by_month(train_dates)
-    predict_groups = group_by_month(predict_dates)
-    months = list(train_groups)
-    if list(predict_groups) != months:
+    months, train_runs = _month_runs(train_dates)
+    predict_months, predict_runs = _month_runs(predict_dates)
+    if predict_months != months:
         raise ValueError("training and prediction residuals cover different months")
 
-    fit_ix = [i for ix in train_groups.values() for i in ix[:-1]]
-    fit_month = [m for m, ix in enumerate(train_groups.values()) for _ in ix[:-1]]
-    holdout_ix = [ix[-1] for ix in train_groups.values()]
+    fit_ix = [i for run in train_runs for i in range(run.start, run.stop - 1)]
+    fit_month = [m for m, run in enumerate(train_runs) for _ in range(run.start, run.stop - 1)]
+    holdout_ix = [run.stop - 1 for run in train_runs]
 
     train_x = np.asarray(train_residuals, dtype=float)
     pred_x = np.asarray(predict_residuals, dtype=float)
@@ -276,7 +289,7 @@ def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
         r_in, _ = _corr_or_flag(insample * t_scale + t_mean, target)
 
         daily = neural_kit.forward_batch(net, scale_input(pred_x))
-        monthly = np.array([daily[ix].mean() for ix in predict_groups.values()])
+        monthly = np.array([daily[run].mean() for run in predict_runs])
         r, flagged = _corr_or_flag(monthly * t_scale + t_mean, target)
         report.results.append(_make_result(index.name, [r], [flagged], insample=r_in))
     return report

@@ -4,9 +4,7 @@ A state row for the day pair (t, t+1) holds, per bucket, the Pearson
 correlation between the two days' fine sub-cell volume profiles inside
 that bucket.  Correlations live in [-1, 1] whatever the trading
 intensity, which keeps the state comparable across calm and busy days;
-a bucket whose profile is flat on either day contributes 0.  The
-attenuation helper quantifies how much measurement noise on both series
-biases such a correlation toward zero.
+a bucket whose profile is flat on either day contributes 0.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import datetime as dt
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,27 +60,6 @@ def state_matrix(series: PanelSeries, mode: VolumeMode) -> StateMatrix:
         prof = _profiles(fine[:, 0], fine[:, 1], mode, series.config.geometric_imbalance)
         rows.append(rowwise_pearson(prof[1:].reshape(-1, ns), prof[:-1].reshape(-1, ns)))
     return StateMatrix(np.concatenate(rows).reshape(len(series) - 1, -1), mode, series.dates[1:])
-
-
-class Attenuation(NamedTuple):
-    approx: float  # second-order expansion in the noise-to-signal ratios
-    exact: float
-
-
-def attenuation(rho: float, nsr1: float, nsr2: float) -> Attenuation:
-    """Predicted noisy correlation given noise-to-signal variance ratios.
-
-    Additive noise, uncorrelated with both signals, shrinks an estimated
-    correlation by 1/sqrt((1+nsr1)(1+nsr2)); the approx field carries
-    the small-noise expansion rho * (1 - (nsr1 + nsr2)/2).
-    """
-    if nsr1 < 0 or nsr2 < 0:
-        raise ValueError("noise-to-signal ratios must be >= 0")
-    if abs(rho) > 1:
-        raise ValueError("|rho| must be <= 1")
-    approx = rho * (1.0 - 0.5 * (nsr1 + nsr2))
-    exact = rho / np.sqrt((1.0 + nsr1) * (1.0 + nsr2))
-    return Attenuation(float(approx), float(exact))
 
 
 def write_state_csv(states: StateMatrix, handle) -> None:

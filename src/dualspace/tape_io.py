@@ -20,7 +20,7 @@ have it.
 The reader works on the tape's UTF-8 bytes, `_CHUNK_LINES` lines at a
 time, which bounds the arrays and strings alive at once, and frees the
 text and each column's codes after their last use: about 13 MB traced
-on an oracle tape of 1.44e5 rows, whose `Tape` columns are 4.7 MB (one
+on an oracle tape of 1.44e5 rows, whose `Tape` columns are 3.6 MB (one
 pass over all lines takes about 42 MB).  Line ends and field ends are
 byte comparisons, and each line's field count is one `searchsorted`
 over them.  A field of a regular line is keyed by at most two
@@ -73,26 +73,22 @@ class Tape(Sequence):
 
     `dates` is a strictly increasing table of dates and `day` indexes
     into it (a table entry may have no trades); `side` is +1 buy, -1
-    sell, 0 unknown; `line_no` is the 1-based line a parsed trade came
-    from, 0 for trades that were not parsed from text.  Indexing yields
-    a `TapeRecord`; slicing, or indexing with an index or boolean array,
-    yields a `Tape`.  Two tapes are equal when they hold the same records
-    in the same order; `line_no` takes no part in equality.
+    sell, 0 unknown.  Indexing yields a `TapeRecord`; slicing, or
+    indexing with an index or boolean array, yields a `Tape`.  Two tapes
+    are equal when they hold the same records in the same order.
     """
 
-    __slots__ = ("dates", "day", "price", "side", "volume", "line_no")
+    __slots__ = ("dates", "day", "price", "side", "volume")
     __hash__ = None  # mutable columns
 
-    def __init__(self, dates, day, price, side, volume, line_no=None):
+    def __init__(self, dates, day, price, side, volume):
         self.dates = tuple(dates)
         self.day = np.asarray(day, dtype=np.int64)
         self.price = np.asarray(price, dtype=np.float64)
         self.side = np.asarray(side, dtype=np.int8)
         self.volume = np.asarray(volume, dtype=np.int64)
-        self.line_no = (np.zeros(self.day.size, dtype=np.int64) if line_no is None
-                        else np.asarray(line_no, dtype=np.int64))
         n = self.day.size
-        if any(col.shape != (n,) for col in (self.price, self.side, self.volume, self.line_no)):
+        if any(col.shape != (n,) for col in (self.price, self.side, self.volume)):
             raise ValueError("tape columns must be one-dimensional and of equal length")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise ValueError("tape dates must be strictly increasing")
@@ -105,7 +101,7 @@ class Tape(Sequence):
     def __getitem__(self, key):
         if isinstance(key, (slice, np.ndarray)):
             return Tape(self.dates, self.day[key], self.price[key], self.side[key],
-                        self.volume[key], self.line_no[key])
+                        self.volume[key])
         return TapeRecord(self.dates[self.day[key]], float(self.price[key]),
                           _SIDE_OF_CODE[int(self.side[key])], int(self.volume[key]))
 
@@ -392,8 +388,6 @@ def parse_tape(stream: bytes | str) -> ParseResult:
     keep = np.flatnonzero(reason == 0)
     keep = keep[np.lexsort((row_lines[keep], day[keep]))]
     day = day[keep]
-    line_no = row_lines[keep]
-    line_no += 1
     del row_lines
     price = price_of[price_codes[keep]]
     del price_codes
@@ -401,7 +395,7 @@ def parse_tape(stream: bytes | str) -> ParseResult:
     del side_codes
     volume = volume_of[volume_codes[keep]]
     del volume_codes
-    return ParseResult(Tape(dates, day, price, side, volume, line_no), errors, n_data, n_header)
+    return ParseResult(Tape(dates, day, price, side, volume), errors, n_data, n_header)
 
 
 def _byte_lines(stream: bytes | str) -> _ByteLines:

@@ -9,6 +9,7 @@ scipy's matrix exponential for propagating a fitted operator.
 
 import datetime as dt
 from itertools import islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -265,6 +266,28 @@ def propagate_state(x0, beta, noise, n_steps, dt):
         if noise:
             x = x + np.asarray(noise[t], dtype=float) * dt
     return x
+
+
+class Attenuation(NamedTuple):
+    approx: float  # second-order expansion in the noise-to-signal ratios
+    exact: float
+
+
+def attenuation(rho, nsr1, nsr2):
+    """Predicted noisy correlation given noise-to-signal variance ratios
+    (criterion 06).
+
+    Additive noise, uncorrelated with both signals, shrinks an estimated
+    correlation by 1/sqrt((1+nsr1)(1+nsr2)); the approx field carries
+    the small-noise expansion rho * (1 - (nsr1 + nsr2)/2).
+    """
+    if nsr1 < 0 or nsr2 < 0:
+        raise ValueError("noise-to-signal ratios must be >= 0")
+    if abs(rho) > 1:
+        raise ValueError("|rho| must be <= 1")
+    approx = rho * (1.0 - 0.5 * (nsr1 + nsr2))
+    exact = rho / np.sqrt((1.0 + nsr1) * (1.0 + nsr2))
+    return Attenuation(float(approx), float(exact))
 
 
 # two-sided 10% Student-t critical values, from standard tables
@@ -586,17 +609,16 @@ def reference_parse_tape(stream):
     day, row_lines = day[ok], row_lines[ok]
     order = np.lexsort((row_lines, day))
     tape = t.Tape(dates, day[order], price_of[price_codes[ok][order]],
-                  side_of[side_codes[ok][order]], volume_of[volume_codes[ok][order]],
-                  row_lines[order] + 1)
+                  side_of[side_codes[ok][order]], volume_of[volume_codes[ok][order]])
     return t.ParseResult(tape, errors, n_data, n_header)
 
 
 def assert_same_parse(got, want):
     """Two `ParseResult`s equal field for field: every record column
-    exactly (line numbers too), every error with its raw line, and the
-    row counts."""
+    exactly, every error with its line number and raw line, and the row
+    counts."""
     assert got.records.dates == want.records.dates
-    for column in ("day", "price", "side", "volume", "line_no"):
+    for column in ("day", "price", "side", "volume"):
         a, b = getattr(got.records, column), getattr(want.records, column)
         assert a.dtype == b.dtype and np.array_equal(a, b), column
     assert got.errors == want.errors

@@ -18,7 +18,7 @@ from dualspace import (bucket_panel, cli, dual_regression as dr, liquidity_lab,
 from dualspace.corrstats import pearson
 from dualspace.state_space import VolumeMode
 
-from oracles import (dual_predictions, grad_check, induced_dual_operator,
+from oracles import (attenuation, dual_predictions, grad_check, induced_dual_operator,
                      planted_trajectory, propagate_state, random_rotation,
                      random_states, symmetry_projector)
 
@@ -152,7 +152,7 @@ def test_criterion_06_attenuation_monte_carlo():
     noisy_u = u + np.sqrt(nsr) * rng.standard_normal(n)
     noisy_v = v + np.sqrt(nsr) * rng.standard_normal(n)
     empirical = float(np.corrcoef(noisy_u, noisy_v)[0, 1])
-    exact = state_space.attenuation(rho, nsr, nsr).exact
+    exact = attenuation(rho, nsr, nsr).exact
     elapsed = time.perf_counter() - start
     ok = abs(empirical - exact) < 0.01 and empirical < rho and elapsed < 10.0
     _report(6, "attenuation-monte-carlo", ok,

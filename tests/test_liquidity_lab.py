@@ -6,8 +6,7 @@ import pytest
 
 from dualspace import liquidity_lab as ll
 from dualspace.bucket_panel import BucketConfig, PanelSeries
-from dualspace.calendars import IndexSeries
-from dualspace.calendars import month_key, trading_days
+from dualspace.calendars import IndexSeries, month_index, trading_days
 
 D0 = dt.date(2009, 8, 6)
 NB = 16
@@ -137,7 +136,7 @@ def _flat_cost(n_days=480, value=1.0, jitter=None):
 
 
 def _index_over(dates):
-    months = sorted({month_key(d) for d in dates})
+    months, _ = month_index(dates)
     rng = np.random.default_rng(0)
     return IndexSeries("sentiment", months, rng.standard_normal(len(months)))
 

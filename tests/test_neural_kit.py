@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_dense_forward_matches_manual_oracle():
 
 
 def test_cnn_forward_matches_loop_oracle():
-    spec = nk.cnn7_spec(input_shape=(12, 12), hidden=5, seed=4)
+    spec = nk.cnn7_spec(input_shape=(12, 12), seed=4)
     net = nk.init_net(spec)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((12, 12))
@@ -310,7 +311,7 @@ def test_train_many_diverging_member_raises_with_round():
 
 def test_train_many_rejects_mixed_architectures_and_misaligned_batches():
     a = nk.init_net(nk.shallow_spec(n_inputs=4, seed=1))
-    b = nk.init_net(nk.shallow_spec(n_inputs=4, hidden=6, seed=1))
+    b = nk.init_net(replace(a.spec, activation="relu"))
     x, y = np.zeros((5, 4)), np.zeros(5)
     with pytest.raises(ValueError, match="architecture"):
         nk.train_many([a, b], x, y, rounds=1, learning_rate=0.1)
@@ -347,8 +348,10 @@ def test_pool_gradient_goes_to_first_max_on_ties():
 
 _ORACLE_SPECS = {
     "cnn7": (lambda seed, act: nk.cnn7_spec(activation=act, seed=seed), (21, 16)),
-    "deep10": (lambda seed, act: nk.deep10_spec(n_inputs=6, activation=act, seed=seed), (6,)),
-    "shallow": (lambda seed, act: nk.shallow_spec(n_inputs=4, activation=act, seed=seed), (4,)),
+    "deep10": (lambda seed, act: replace(nk.deep10_spec(n_inputs=6, seed=seed), activation=act),
+               (6,)),
+    "shallow": (lambda seed, act: replace(nk.shallow_spec(n_inputs=4, seed=seed), activation=act),
+                (4,)),
     "small_cnn": (lambda seed, act: _small_cnn_spec(seed, act), (9, 9)),
 }
 

@@ -32,12 +32,41 @@ def month_blocks(n_months):
 
 
 def test_index_series_validation():
-    with pytest.raises(ValueError, match="contiguous"):
-        rs.IndexSeries("x", ["2009-01", "2009-03"], np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="one value"):
         rs.IndexSeries("x", ["2009-01"], np.array([1.0, 2.0]))
     idx = rs.IndexSeries("x", ["2009-12", "2010-01"], np.array([1.0, 2.0]))
     assert idx.value_for("2010-01") == 2.0
+    for months in (["0001-01", "0001-02"], ["9999-11", "9999-12"]):  # datetime's years
+        rs.IndexSeries("x", months, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("months", [
+    ["2009-1", "2009-02"], ["2009-01", "2009-2"], [" 2009-01", "2009-02"],
+    ["2009-00", "2009-01"], ["2009-12", "2009-13"], ["2009-01", "2009-03"],
+    ["2009-01", "2009-01"], ["2009-02", "2009-01"], ["0000-12", "0001-01"],
+    ["9999-12", "10000-01"], ["2009/01", "2009/02"], ["2009-01-01", "2009-02-01"],
+    ["", "2009-01"], ["x", "y"],
+], ids=["short-month", "short-later-month", "space", "month-00", "month-13", "gap", "repeated",
+        "backward", "year-0", "year-10000", "slash", "day", "empty", "words"])
+def test_index_series_refuses_keys_off_the_run_of_months(months):
+    with pytest.raises(ValueError, match="YYYY-MM"):
+        rs.IndexSeries("x", months, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("fault", ["repeated", "backward"])
+def test_month_grouping_refuses_dates_out_of_order(fault):
+    dates = month_days(2)
+    rows = np.zeros((len(dates), 16))
+    bad = list(dates)
+    bad[3] = bad[2] if fault == "repeated" else bad[4]
+    index = rs.IndexSeries("x", ["2009-01", "2009-02"], np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        rs.monthly_moments(rows, bad)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        rs.monthly_windows(rows, bad, trader_id="a")
+    for train, predict in ((bad, dates), (dates, bad)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rs.deep_backcast(rows, train, rows, predict, [index], rounds=1)
 
 
 def test_monthly_moments_of_standard_normal():
@@ -279,7 +308,7 @@ def _every_protocol():
     wins_b, _ = _planted_windows(27, 12, "b")
     cnn_indexes = _three_indexes(wins_a.months, 28)
     return {
-        "shallow": rs.shallow_backcast(moments, indexes, seed=2, rounds=40),
+        "shallow": rs.shallow_backcast(moments, indexes, seed=2),
         "deep10": rs.deep_backcast(rows, dates, other_rows, other_dates, indexes,
                                    seed=3, rounds=20),
         **{f"cnn7-{act}": rs.cnn_backcast(wins_a, wins_b, cnn_indexes, activation=act,

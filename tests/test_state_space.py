@@ -7,10 +7,10 @@ import pytest
 
 from dualspace import state_space
 from dualspace.bucket_panel import BucketConfig, PanelSeries, build_panels
-from dualspace.state_space import VolumeMode, attenuation, state_matrix
+from dualspace.state_space import VolumeMode, state_matrix
 from dualspace.tape_io import TapeRecord
 
-from oracles import loop_state_values, tape_of, textbook_pearson
+from oracles import attenuation, loop_state_values, tape_of, textbook_pearson
 
 D0 = dt.date(2009, 8, 6)
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dualspace import bucket_panel, cli, liquidity_lab, synth_market, tape_io
-from dualspace.calendars import month_key
 from dualspace.corrstats import corr_significance_threshold, pearson
 from dualspace.calendars import read_index_csv
 from dualspace.synth_market import Couplings, MarketConfig
@@ -69,7 +68,7 @@ def _monthly_imbalance_corr(market):
     for r in tape.records:
         if r.side is tape_io.Side.UNKNOWN:
             continue
-        box = imb[month_key(r.date)]
+        box = imb[f"{r.date.year:04d}-{r.date.month:02d}"]
         box[0] += r.volume if r.side is tape_io.Side.BUY else -r.volume
         box[1] += r.volume
     ratio = np.array([box[0] / box[1] for box in imb.values()])
