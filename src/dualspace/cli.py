@@ -4,7 +4,8 @@ Subcommands: synth, ingest, summarize, panels, statespace, fit,
 backcast, liquidity, eventstudy, pdo-demo, emit-plotdata.  Every run
 prints one machine-readable JSON summary line to stdout; diagnostics go
 to stderr.  Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric
-failure; a file that cannot be read or written is a data error.
+failure; a file that cannot be read or written, or a size too large to
+allocate, is a data error.
 Options resolve as flag > config file > default; artifacts embed a
 provenance comment (command, seed, option hash, version) so a fixed seed
 reproduces byte-identical output trees.
@@ -464,18 +465,17 @@ def _cmd_pdo_demo(args) -> int:
     sigma_t = np.sqrt(sigma0**2 + 2.0 * diff * t)
     half_width = 8.0 * sigma_t + abs(drift) * t
     points = np.linspace(-half_width, half_width, n, endpoint=False)
-    initial = pdo_kernel.SpectralGrid(points, np.exp(-points**2 / (2 * sigma0**2)))
-    params = pdo_kernel.DiffusionParams(np.array([drift]), np.array([[diff]]))
-    evolved = pdo_kernel.pdo_evolve(initial, params, t)
+    initial = np.exp(-points**2 / (2 * sigma0**2))
+    evolved = pdo_kernel.pdo_evolve(initial, points[1] - points[0], drift, diff, t)
     # the symbol advects along psi_t = a psi_x: center moves to -a*t
     closed_form = (sigma0 / sigma_t) * np.exp(-(points + drift * t) ** 2 / (2 * sigma_t**2))
-    max_err = float(np.abs(evolved.values.real - closed_form).max())
+    max_err = float(np.abs(evolved.real - closed_form).max())
     outdir = _outdir(args)
     prov = _provenance("pdo-demo", opts)
     _write_csv(os.path.join(outdir, "grid_initial.csv"), prov,
-               lambda h: pdo_kernel.write_grid_csv(initial, h))
+               lambda h: pdo_kernel.write_grid_csv(points, initial, h))
     _write_csv(os.path.join(outdir, "grid_evolved.csv"), prov,
-               lambda h: pdo_kernel.write_grid_csv(evolved, h))
+               lambda h: pdo_kernel.write_grid_csv(points, evolved, h))
     _summary("pdo-demo", max_error_vs_closed_form=max_err, points=n, out=outdir)
     return EXIT_OK if max_err < 1e-6 else EXIT_NUMERIC
 
@@ -579,7 +579,8 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValueError, OSError) as exc:  # OSError: a file read or write
+    except (DataError, ValueError, OSError, MemoryError) as exc:
+        # OSError: a file read or write; MemoryError: a size past memory
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:  # FloatingPointError, TrainingDivergedError

@@ -312,9 +312,6 @@ class TrainedNet:
     params: list[tuple[np.ndarray, ...]]  # one tuple per op, () for an op without
     loss_curve: list[float]
 
-    def weight_arrays(self) -> list[np.ndarray]:
-        return [arr for p in self.params for arr in p]
-
 
 # ── construction ───────────────────────────────────────────────────────
 

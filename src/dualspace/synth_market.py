@@ -200,10 +200,22 @@ def _ar1(rng: np.random.Generator, shape, ar: float) -> np.ndarray:
 
 def _orthogonalize(series: np.ndarray, *others: np.ndarray) -> np.ndarray:
     """Project out the sample components of `others` (and the mean),
-    then restore the original mean and standard deviation."""
+    then restore the original mean and standard deviation.
+
+    Classical Gram-Schmidt on the centred columns, in elementwise
+    products and `np.sum` only, so the bits do not depend on the BLAS
+    kernel.  A column that the earlier ones span to rounding is skipped."""
     mean, std = series.mean(), series.std()
-    basis = np.column_stack([np.ones(series.size), *others])
-    resid = series - basis @ np.linalg.lstsq(basis, series, rcond=None)[0]
+    tol = series.size * np.finfo(float).eps
+    basis = []
+    for col in others:
+        centred = col - col.mean()
+        q = centred - sum(np.sum(centred * b) * b for b in basis)
+        norm = np.sqrt(np.sum(q * q))
+        if norm > tol * np.sqrt(np.sum(col * col)):
+            basis.append(q / norm)
+    resid = series - mean
+    resid = resid - sum(np.sum(resid * b) * b for b in basis)
     if resid.std() > 0:
         resid = resid / resid.std() * std
     return resid + mean

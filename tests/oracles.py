@@ -297,6 +297,11 @@ T_CRIT_10PCT = {2: 2.919985580, 3: 2.353363435, 4: 2.131846786,
                 19: 1.729132812, 22: 1.717144374, 23: 1.713871528}
 
 
+def weight_arrays(net):
+    """A trained net's weight and bias arrays, in layer order."""
+    return [arr for p in net.params for arr in p]
+
+
 def _reference_plan(spec):
     """The op chain of a net spec: ("dense"|"conv", layer) for a weighted
     layer, ("act", kind) after every weighted layer but the last,
@@ -339,7 +344,7 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
     pair per net."""
     spec = nets[0].spec
     plan = _reference_plan(spec)
-    params = [np.stack(arrs) for arrs in zip(*(net.weight_arrays() for net in nets))]
+    params = [np.stack(arrs) for arrs in zip(*(weight_arrays(net) for net in nets))]
     sample_ndim = len(spec.input_shape or (1,))
     x0 = np.asarray(inputs, dtype=float)
     n = x0.shape[-sample_ndim - 1]

@@ -274,16 +274,19 @@ def test_criterion_11_pdo_oracle():
     sigma0, diff, t = 0.5, 0.25, 1.0
     sigma_t = np.sqrt(sigma0**2 + 2 * diff * t)
     points = np.linspace(-8 * sigma_t, 8 * sigma_t, 256, endpoint=False)
-    grid = pdo_kernel.SpectralGrid(points, np.exp(-points**2 / (2 * sigma0**2)))
-    params = pdo_kernel.DiffusionParams(np.array([0.0]), np.array([[diff]]))
-    evolved = pdo_kernel.pdo_evolve(grid, params, t)
-    closed = (sigma0 / sigma_t) * np.exp(-points**2 / (2 * sigma_t**2))
-    gauss_err = float(np.abs(evolved.values.real - closed).max())
+    initial = np.exp(-points**2 / (2 * sigma0**2))
 
-    two = pdo_kernel.pdo_evolve(pdo_kernel.pdo_evolve(grid, params, 0.4), params, 0.6)
-    one = pdo_kernel.pdo_evolve(grid, params, 1.0)
-    semigroup_err = float(np.abs(two.values - one.values).max())
-    mass_err = abs(complex(evolved.values.sum() - grid.values.sum()))
+    def evolve(values, time):
+        return pdo_kernel.pdo_evolve(values, points[1] - points[0], 0.0, diff, time)
+
+    evolved = evolve(initial, t)
+    closed = (sigma0 / sigma_t) * np.exp(-points**2 / (2 * sigma_t**2))
+    gauss_err = float(np.abs(evolved.real - closed).max())
+
+    two = evolve(evolve(initial, 0.4), 0.6)
+    one = evolve(initial, 1.0)
+    semigroup_err = float(np.abs(two - one).max())
+    mass_err = abs(evolved.sum() - initial.sum())
 
     rng = np.random.default_rng(11)
     beta = rng.standard_normal((4, 4)) * 0.4

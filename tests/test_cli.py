@@ -602,6 +602,8 @@ BAD_OPTION_VALUES = {
                                "--shock", "0:10:nan:1"],
     "pdo-demo-one-point": ["pdo-demo", "--points", "1"],
     "pdo-demo-negative-time": ["pdo-demo", "--time", "-1"],
+    # 7.1 PiB of float64, past a 47-bit address space: refused at once
+    "pdo-demo-points-past-memory": ["pdo-demo", "--points", "1000000000000000"],
     "backcast-zero-runs": ["backcast", "--protocol", "cnn7", "--runs", "0",
                            "--train-residuals", "{residuals}/t0/residuals.csv",
                            "--predict-residuals", "{residuals}/t1/residuals.csv",

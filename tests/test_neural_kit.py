@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dualspace import neural_kit as nk
-from oracles import forward_cached, grad_check, reference_train_many
+from oracles import forward_cached, grad_check, reference_train_many, weight_arrays
 
 
 def _forward_with_caches(net, inputs):
@@ -27,13 +27,13 @@ def _backward(net, caches, grad):
 def test_init_is_deterministic():
     spec = nk.deep10_spec(seed=5)
     a, b = nk.init_net(spec), nk.init_net(spec)
-    for wa, wb in zip(a.weight_arrays(), b.weight_arrays()):
+    for wa, wb in zip(weight_arrays(a), weight_arrays(b)):
         np.testing.assert_array_equal(wa, wb)
 
 
 def test_dense_shapes():
     net = nk.init_net(nk.NetSpec((nk.Dense(16, 1),), "tanh", 0))
-    weights, bias = net.weight_arrays()
+    weights, bias = weight_arrays(net)
     assert weights.shape == (16, 1)
     assert bias.shape == (1,)
 
@@ -73,14 +73,14 @@ def test_planted_linear_map_recovered():
     net = nk.init_net(nk.NetSpec((nk.Dense(16, 1),), "linear", 2))
     trained = nk.train_many([net], x, y, rounds=500, learning_rate=0.4)[0]
     w_closed, *_ = np.linalg.lstsq(np.column_stack([x, np.ones(100)]), y, rcond=None)
-    got = trained.weight_arrays()[0][:, 0]
+    got = weight_arrays(trained)[0][:, 0]
     np.testing.assert_allclose(got, w_closed[:16], atol=1e-3)
     np.testing.assert_allclose(got, w_true, atol=1e-3)
 
 
 def test_zero_weights_output_bias():
     net = nk.init_net(nk.NetSpec((nk.Dense(3, 1),), "linear", 0))
-    weights, bias = net.weight_arrays()
+    weights, bias = weight_arrays(net)
     weights[:] = 0.0
     bias[:] = 1.25
     assert nk.forward_batch(net, np.array([5.0, -2.0, 3.0]))[0] == pytest.approx(1.25)
@@ -88,7 +88,7 @@ def test_zero_weights_output_bias():
 
 def test_identity_dense_passthrough():
     net = nk.init_net(nk.NetSpec((nk.Dense(1, 1),), "linear", 0))
-    weights, bias = net.weight_arrays()
+    weights, bias = weight_arrays(net)
     weights[:] = 1.0
     bias[:] = 0.0
     assert nk.forward_batch(net, np.array([0.73]))[0] == pytest.approx(0.73)
@@ -104,7 +104,7 @@ def test_forward_batch_shape_check():
 def test_dense_forward_matches_manual_oracle():
     spec = nk.NetSpec((nk.Dense(6, 4), nk.Dense(4, 1)), "tanh", 9)
     net = nk.init_net(spec)
-    w1, b1, w2, b2 = net.weight_arrays()
+    w1, b1, w2, b2 = weight_arrays(net)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(6)
     manual = float((np.tanh(x @ w1 + b1) @ w2 + b2)[0])
@@ -136,7 +136,7 @@ def test_cnn_forward_matches_loop_oracle():
                     out[f, i, j] = img[f, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max()
         return out
 
-    arrs = net.weight_arrays()
+    arrs = weight_arrays(net)
     a = np.maximum(conv(x[None], arrs[0], arrs[1]), 0.0)
     a = pool(a)
     a = np.maximum(conv(a, arrs[2], arrs[3]), 0.0)
@@ -178,7 +178,7 @@ def test_grad_check_small_cnn():
 
 def test_zero_net_zero_input_has_zero_gradients():
     net = nk.init_net(nk.NetSpec((nk.Dense(3, 1),), "linear", 0))
-    for arr in net.weight_arrays():
+    for arr in weight_arrays(net):
         arr[:] = 0.0
     x = np.zeros((2, 3))
     out, caches = _forward_with_caches(net, x)
@@ -202,12 +202,12 @@ def test_training_is_pure_and_deterministic():
     x = rng.standard_normal((20, 4))
     y = rng.standard_normal(20)
     net = nk.init_net(nk.shallow_spec(n_inputs=4, seed=3))
-    before = [arr.copy() for arr in net.weight_arrays()]
+    before = [arr.copy() for arr in weight_arrays(net)]
     t1 = nk.train_many([net], x, y, rounds=50, learning_rate=0.05)[0]
     t2 = nk.train_many([net], x, y, rounds=50, learning_rate=0.05)[0]
-    for arr, orig in zip(net.weight_arrays(), before):
+    for arr, orig in zip(weight_arrays(net), before):
         np.testing.assert_array_equal(arr, orig)  # input net untouched
-    for a, b in zip(t1.weight_arrays(), t2.weight_arrays()):
+    for a, b in zip(weight_arrays(t1), weight_arrays(t2)):
         np.testing.assert_array_equal(a, b)
     assert t1.loss_curve == t2.loss_curve
 
@@ -222,7 +222,7 @@ def test_target_scaling_scales_linear_net_predictions():
         nets = []
         for targets in (y, c * y):
             net = nk.init_net(nk.NetSpec((nk.Dense(5, 1),), "linear", 1))
-            for arr in net.weight_arrays():
+            for arr in weight_arrays(net):
                 arr[:] = 0.0
             nets.append(nk.train_many([net], x, targets, rounds=120, learning_rate=0.05)[0])
         base = nk.forward_batch(nets[0], x)
@@ -263,7 +263,7 @@ def _assert_same_nets(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         np.testing.assert_allclose(a.loss_curve, b.loss_curve, rtol=0, atol=1e-12)
-        for wa, wb in zip(a.weight_arrays(), b.weight_arrays()):
+        for wa, wb in zip(weight_arrays(a), weight_arrays(b)):
             assert wa.shape == wb.shape
             np.testing.assert_allclose(wa, wb, rtol=0, atol=1e-12)
 
@@ -375,7 +375,7 @@ def test_training_equals_plain_reference_loop_exactly(arch, activation, per_net)
         assert len(got) == len(expected)
         for net, (weights, curve) in zip(got, expected):
             np.testing.assert_allclose(net.loss_curve, curve, rtol=0, atol=0)
-            for wa, wb in zip(net.weight_arrays(), weights, strict=True):
+            for wa, wb in zip(weight_arrays(net), weights, strict=True):
                 np.testing.assert_allclose(wa, wb, rtol=0, atol=0)
 
 
@@ -510,7 +510,7 @@ def _assert_identical_nets(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert a.loss_curve == b.loss_curve
-        for wa, wb in zip(a.weight_arrays(), b.weight_arrays(), strict=True):
+        for wa, wb in zip(weight_arrays(a), weight_arrays(b), strict=True):
             np.testing.assert_array_equal(wa, wb)
 
 

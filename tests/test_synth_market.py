@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,25 +240,26 @@ def _concentrated_shock_config():
 
 #: sha256 over every tape's text, then the sorted-key JSON of the ground
 #: truth.  The random stream is part of the generator's contract: the
-#: acceptance criteria are calibrated on these seeds, so a faster
-#: generator must reproduce these bytes exactly.
+#: acceptance criteria are calibrated on these seeds, so any change to
+#: the generator must reproduce these bytes exactly, and so must every
+#: BLAS kernel (`test_golden_streams_do_not_follow_the_blas_kernel`).
 GOLDEN_STREAMS = {
     "ingest": (MarketConfig(n_traders=3, n_days=485, seed=1, trades_per_day_mean=300.0,
                             couplings=Couplings(g_sent=0.9)),
-               "5bd422c72266527583088a6592b9471b1630195e32fa62e4f11e63a72b49c64d"),
+               "7f781b9fbd87b4d1f8b8cde377c5f2ebbb957c2d11b50807094dfbc5738ef021"),
     "coupled": (COUPLED_CONFIG,
-                "3e61e2086a23ca8e15275eb592c1f685ea5d5a2024cbef33cfa7af3ccfae694c"),
+                "0f2f502dac6ef751eda8d06d8bedc966ee8c9115a1e44a2a1dcd43cb8c53f7d1"),
     "independent": (MarketConfig(n_traders=2, n_days=120, seed=5, shared_market=False),
-                    "92b0306d6a15a213724a729991901fb6e468d419693f8567d4ac3fd4cd95fe10"),
+                    "7e395b7176d376a7da2b86c60055e53fcb97feae8e093574c8be1b06695eee9f"),
     "zero_volume_and_spread_shock": (
         _shocked_config(),
-        "472e838440f3d923fb2fc7888fd70478ab0bbc4e87538e3beb8e997b18a0131e"),
+        "e446757b2795ea77c23bbd7e71d10de7c4ebe0c0175fdd645cbae2d86d5a3b43"),
     "sparse_with_empty_days": (
         MarketConfig(n_traders=2, n_days=150, seed=8, trades_per_day_mean=1.5),
-        "b4e339f2e99e72711cfd9272efb9286673d60f766f022c872bdabcd9ad67024c"),
+        "999af1db95bfe0ecb0ededb20c14baa25bfd9cf293048ffd231568fda5fb8a4c"),
     "concentrated_spread_shock": (
         _concentrated_shock_config(),
-        "50d4510e1d2ab44a44527d9bd885e06d55774183ae266e186e061170cb73edfd"),
+        "7f82cc4bd235ef3644bd6bb7468f66e0e148ce06a4565e04fdd1728a5fa50b85"),
 }
 
 
@@ -267,3 +272,21 @@ def test_golden_random_stream(name):
         digest.update(tape.text.encode())
     digest.update(json.dumps(market.truth.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == expected
+
+
+def test_golden_streams_do_not_follow_the_blas_kernel():
+    """Reruns the golden streams in a child process with OpenBLAS held to
+    its Prescott (SSE3) kernel, whose sums round differently from the
+    kernel this machine picks; the bytes must not change."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not an OpenBLAS that picks its kernel at run time")
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_golden_random_stream"],
+        env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        capture_output=True, text=True)
+    assert child.returncode == 0, child.stdout[-3000:]
