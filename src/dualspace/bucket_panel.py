@@ -13,12 +13,17 @@ kept out of both sides but tracked for volume conservation.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tape_io import Tape, write_table_csv
+from .table_csv import write_table_csv
+
+if TYPE_CHECKING:
+    from .tape_io import Tape
 
 # Guard against float round-off right at a bucket/sub-cell edge: prices
 # are cent-quantized, so a 1e-9 nudge on the division never misassigns
@@ -34,8 +39,8 @@ class BucketConfig:
     geometric_imbalance: bool = False
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):  # NaN fails both
+            raise ValueError(f"delta must be finite and positive, not {self.delta}")
         if self.n_buckets < 1 or self.n_subcells < 1:
             raise ValueError("n_buckets and n_subcells must be >= 1")
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape_io import read_table_csv, write_table_csv
+from .table_csv import read_table_csv, write_table_csv
 
 
 def trading_days(start: dt.date, n_days: int) -> list[dt.date]:

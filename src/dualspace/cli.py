@@ -10,11 +10,25 @@ Options resolve as flag > config file > default; artifacts embed a
 provenance comment (command, seed, option hash, version) so a fixed seed
 reproduces byte-identical output trees.
 
-Each command imports the analysis layers it uses inside its handler, so
-a process pays the start-up of those layers only.
+A command run as its own process (`python -m dualspace.cli` or the
+`dualspace` script) pays only for its own work:
+- The cyclic garbage collector is off: from the first import on under
+  `python -m`, from `main()` on under the script.  A
+  command is one short batch step whose arrays are freed by reference
+  counting; a collection would only walk numpy's heap.
+- The heap is frozen before the interpreter exits (`gc.freeze()`), so
+  finalization does not walk it once more either.
+- Each command imports the analysis layers it uses inside its handler;
+  only the handlers that parse or summarize a tape load the tape parser.
+Importing this module and calling `run` leaves the collector alone.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":  # a command process: no collector from its first import on
+    gc.disable()
 
 import argparse
 import hashlib
@@ -25,7 +39,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, tape_io
+from . import __version__
+from .table_csv import read_table_csv, write_table_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,6 +182,8 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _records_or_fail(path: str) -> tape_io.Tape:
     """The tape's records; its `ParseResult` is dropped here."""
+    from . import tape_io
+
     records = tape_io.read_tape(path).records
     if not records:
         raise DataError(f"tape {path} holds no parseable records")
@@ -250,6 +267,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    from . import tape_io
+
     result = tape_io.read_tape(args.tape)
     report = tape_io.validate(result.records, result.errors)
     outdir = _outdir(args)
@@ -266,6 +285,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    from . import tape_io
+
     side = {"B": tape_io.Side.BUY, "S": tape_io.Side.SELL}.get(args.side or "")
     summary = tape_io.summarize(_records_or_fail(args.tape), side=side)
     _summary("summarize", **{k: getattr(summary, k) for k in (
@@ -286,7 +307,8 @@ def _panels(path: str, opts) -> bucket_panel.PanelSeries:
     """The tape's panel series; the tape is dropped once it is bucketed."""
     from . import bucket_panel
 
-    return bucket_panel.build_panels(_records_or_fail(path), _panel_config(opts))
+    config = _panel_config(opts)  # a bad option is refused before the tape is read
+    return bucket_panel.build_panels(_records_or_fail(path), config)
 
 
 def _cmd_panels(args) -> int:
@@ -427,6 +449,7 @@ def _cmd_eventstudy(args) -> int:
 
     opts = _resolve(args)
     activation = _activation(opts)
+    panel_config = _panel_config(opts)
     records = _records_or_fail(args.tape)
     index = _load_index(args.index)
     try:
@@ -438,7 +461,7 @@ def _cmd_eventstudy(args) -> int:
         period_length=opts["period_length"], n_periods=opts["n_periods"],
         training_periods=(lo, hi), n_permutations=opts["permutations"],
         rounds=opts["rounds"], learning_rate=opts["learning_rate"], activation=activation)
-    cost = liquidity_lab.cost_series(bucket_panel.build_panels(records, _panel_config(opts)))
+    cost = liquidity_lab.cost_series(bucket_panel.build_panels(records, panel_config))
     del records  # only the cost series lives on through training
     report = liquidity_lab.event_study(cost, index, config, seeds=seeds)
     outdir = _outdir(args)
@@ -486,7 +509,7 @@ def _cmd_emit_plotdata(args) -> int:
             if args.kind == "bars":
                 payload = json.load(handle)
             else:
-                header, data = tape_io.read_table_csv(handle)
+                header, data = read_table_csv(handle)
     except ValueError as exc:
         raise DataError(f"bad artifact {args.artifact}: {exc}")
     if args.kind == "heatmap":
@@ -509,7 +532,7 @@ def _cmd_emit_plotdata(args) -> int:
         columns = ["label", "value"]
         rows = list(enumerate(shares))
     with open(args.out, "w", encoding="utf-8") as handle:
-        tape_io.write_table_csv(handle, columns, rows)
+        write_table_csv(handle, columns, rows)
     _summary("emit-plotdata", kind=args.kind, rows=len(rows), out=args.out)
     return EXIT_OK
 
@@ -589,7 +612,12 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The process entry point: `run` with the collector off, then the
+    heap frozen so that interpreter exit does not walk it."""
+    gc.disable()
+    code = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

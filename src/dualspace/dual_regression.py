@@ -35,7 +35,7 @@ import numpy as np
 
 from .corrstats import pearson
 from .state_space import StateMatrix
-from .tape_io import read_table_csv, write_table_csv
+from .table_csv import read_table_csv, write_table_csv
 
 #: Relative singular-value cutoff of the least-squares fit.
 LSTSQ_RCOND = 1e-6

@@ -33,7 +33,7 @@ from .bucket_panel import PanelSeries
 from .calendars import IndexSeries, month_index
 from .corrstats import fisher_z_pvalue, pearson, rankdata, spearman, standardize
 from .residual_study import monthly_windows
-from .tape_io import write_table_csv
+from .table_csv import write_table_csv
 
 
 @dataclass

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .tape_io import write_table_csv
+from .table_csv import write_table_csv
 
 ACTIVATIONS = ("relu", "tanh", "logit", "linear")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tape_io import write_table_csv
+from .table_csv import write_table_csv
 
 
 def diffusion_symbol(k, drift: float, diffusion: float, t: float) -> np.ndarray:

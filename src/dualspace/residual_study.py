@@ -36,7 +36,7 @@ import numpy as np
 from . import neural_kit
 from .calendars import IndexSeries, month_index
 from .corrstats import pearson, standardize, student_halfwidth
-from .tape_io import write_table_csv
+from .table_csv import write_table_csv
 
 #: Fixed image height for monthly windows (months have 18-23 trading days).
 #: cnn7 on a 21 x 16 window reads only days 1-18 and buckets 1-14: its

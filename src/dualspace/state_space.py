@@ -17,7 +17,7 @@ import numpy as np
 
 from .bucket_panel import PanelSeries, imbalance_profile
 from .corrstats import rowwise_pearson
-from .tape_io import read_table_csv, write_table_csv
+from .table_csv import read_table_csv, write_table_csv
 
 
 class VolumeMode(enum.Enum):

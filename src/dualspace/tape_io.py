@@ -532,49 +532,6 @@ def _read_bytes(path) -> bytes:
     return data
 
 
-def read_table_csv(handle) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows of a comma-separated artifact.
-
-    Blank lines and `#` comment lines (the provenance stamp) are skipped;
-    the first remaining line is the header, and every data row must have
-    as many fields as the header.
-    """
-    lines = [line.split(",") for line in (raw.strip() for raw in handle)
-             if line and not line.startswith("#")]
-    if not lines:
-        raise ValueError("no header row")
-    header, rows = lines[0], lines[1:]
-    for number, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ValueError(f"data row {number} has {len(row)} fields, "
-                             f"the header has {len(header)}")
-    return header, rows
-
-
-def _cell(value) -> str:
-    if type(value) is float:  # the common cell
-        return repr(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def write_table_csv(handle, header: Optional[Sequence[str]], rows: Iterable) -> None:
-    """Write a comma-separated artifact, the counterpart of `read_table_csv`.
-
-    `header=None` writes no header line.  Each row is an iterable of
-    cells: a `str` is written as is, a Python or numpy integer as
-    `str(int(x))`, and anything else as `repr(float(x))`, so a float cell
-    reads back bit for bit.
-    """
-    if header is not None:
-        handle.write(",".join(header) + "\n")
-    for row in rows:
-        handle.write(",".join(map(_cell, row)) + "\n")
-
-
 def summarize(tape: Tape, side: Optional[Side] = None) -> TapeSummary:
     """Descriptive statistics for a tape, optionally restricted to one side.
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dualspace import cli, liquidity_lab, state_space, synth_market
-from dualspace.tape_io import read_table_csv
+from dualspace.table_csv import read_table_csv
 
 from oracles import planted_trajectory, random_rotation
 
@@ -216,14 +216,19 @@ def test_pdo_demo(capsys, tmp_path):
     assert (tmp_path / "grid_evolved.csv").exists()
 
 
+def _child_env():
+    """The environment of a child Python that imports this checkout's dualspace."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+
+
 def _modules_after(*argvs):
     """Modules a fresh process holds after running each argv through cli.run."""
     code = ("import json, sys; from dualspace import cli; "
             f"codes = [cli.run(argv) for argv in {list(argvs)!r}]; "
             "print(json.dumps([codes, sorted(sys.modules)]))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
                          capture_output=True, text=True).stdout
     codes, modules = json.loads(out.splitlines()[-1])
     assert codes == [0] * len(argvs), codes
@@ -238,7 +243,7 @@ def test_import_leaves_scipy_stats_unloaded(tape_dir, residual_dir, tmp_path):
     loaded = _modules_after()
     assert not loaded & heavy
     assert {m for m in loaded if m.startswith("dualspace")} == {
-        "dualspace", "dualspace.cli", "dualspace.tape_io"}
+        "dualspace", "dualspace.cli", "dualspace.table_csv"}
     index = f"sentiment={tape_dir / 'sentiment.csv'}"
     loaded = _modules_after(
         ["eventstudy", "--tape", str(tape_dir / "t0.csv"), "--index", index,
@@ -254,22 +259,45 @@ def test_import_leaves_scipy_stats_unloaded(tape_dir, residual_dir, tmp_path):
                                          "synth_market", "pdo_kernel")}
     assert not _modules_after(["statespace", "--tape", str(tape_dir / "t0.csv"),
                                "--out-dir", str(tmp_path / "s")]) & (unused | heavy)
+    # fit and backcast read artifacts only, so they never load the tape parser
     assert not _modules_after(["fit", "--states", str(tmp_path / "s" / "states_imbalance.csv"),
-                               "--out-dir", str(tmp_path / "f")]) & (unused | heavy)
+                               "--out-dir", str(tmp_path / "f")]) & (
+        unused | heavy | {"dualspace.tape_io"})
+    loaded = _modules_after(
+        ["backcast", "--protocol", "cnn7",
+         "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
+         "--predict-residuals", str(residual_dir / "t1" / "residuals.csv"),
+         "--index", index, "--runs", "1", "--rounds", "2",
+         "--out-dir", str(tmp_path / "bc-alone")])
+    assert "dualspace.residual_study" in loaded
+    assert not loaded & (heavy | {"dualspace.tape_io", "dualspace.liquidity_lab"})
     loaded = _modules_after(["synth", "--seed", "1", "--days", "30",
                              "--out-dir", str(tmp_path / "synth")])
     assert not loaded & heavy
     assert {m for m in loaded if m.startswith("dualspace")} == {
-        "dualspace", "dualspace.cli", "dualspace.tape_io", "dualspace.calendars",
-        "dualspace.synth_market"}
+        "dualspace", "dualspace.cli", "dualspace.table_csv", "dualspace.tape_io",
+        "dualspace.calendars", "dualspace.synth_market"}
 
 
-def test_exit_codes(capsys, tmp_path):
+def test_exit_codes(capsys, tape_dir, tmp_path):
     assert cli.run(["no-such-command"]) == 1
     capsys.readouterr()
     assert cli.run(["fit", "--states", str(tmp_path / "missing.csv")]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
+    # a bucket width that is not finite would discard every trade
+    tape = ["--tape", str(tape_dir / "t0.csv")]
+    for command in ("panels", "statespace", "liquidity", "eventstudy"):
+        extra = (["--index", f"sentiment={tape_dir / 'sentiment.csv'}"]
+                 if command == "eventstudy" else [])
+        for delta in ("nan", "inf"):
+            out = tmp_path / f"{command}-{delta}"
+            assert cli.run([command, *tape, *extra, "--delta", delta,
+                            "--out-dir", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("data error:") and "delta" in captured.err
+            assert len(captured.err.strip().splitlines()) == 1
+            assert captured.out == "" and not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -668,12 +696,81 @@ def test_config_number_that_is_not_finite_is_a_data_error(capsys, tape_dir, resi
     assert captured.out == ""
 
 
-def _cli_process(argv):
+def _cli_process(argv, cwd=None):
     """`dualspace argv` run as its own process, with its output captured."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "dualspace.cli", *argv],
-                          env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "dualspace.cli", *argv], cwd=cwd,
+                          env=_child_env(), capture_output=True, text=True)
+
+
+def _python(code):
+    """`python -c code` in a fresh process; its output lines and exit code."""
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True)
+    return done.stdout.splitlines(), done.returncode
+
+
+def test_importing_the_cli_leaves_the_collector_alone():
+    lines, code = _python("import gc, dualspace.cli; "
+                          "print(gc.isenabled(), gc.get_freeze_count())")
+    assert (lines, code) == (["True 0"], 0)
+
+
+def test_a_command_process_writes_what_run_writes(capsys, residual_dir, tmp_path,
+                                                  monkeypatch):
+    argv = ["fit", "--states", str(residual_dir / "t0" / "states_imbalance.csv"),
+            "--out-dir", "out"]  # the same relative path in both runs
+    (tmp_path / "process").mkdir()
+    done = _cli_process(argv, cwd=tmp_path / "process")
+    assert (done.returncode, done.stderr) == (0, "")
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    assert cli.run(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+    names = sorted(os.listdir(tmp_path / "run" / "out"))
+    assert names == sorted(os.listdir(tmp_path / "process" / "out")) and names
+    same, differ, failed = filecmp.cmpfiles(tmp_path / "run" / "out",
+                                            tmp_path / "process" / "out", names, shallow=False)
+    assert (differ, failed) == ([], [])
+
+
+# Run as the `dualspace` script or `python -m dualspace.cli` would, each
+# child reports the collector's state when numpy is first imported (None
+# if it was already loaded) and after the command, when it exits.
+_ENTRY_PROBE = """
+import gc, runpy, sys
+
+class Probe:
+    seen = None
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and Probe.seen is None:
+            Probe.seen = gc.isenabled()
+
+sys.meta_path.insert(0, Probe())
+sys.argv = ["dualspace", *{argv!r}]
+try:
+    {entry}
+except SystemExit as stop:
+    print(stop.code, Probe.seen, gc.isenabled(), gc.get_freeze_count() > 0)
+    raise
+"""
+
+
+@pytest.mark.parametrize("entry, numpy_seen", [
+    ("from dualspace import cli; cli.main()", "True"),
+    ("runpy.run_module('dualspace.cli', run_name='__main__', alter_sys=True)", "False"),
+], ids=["main", "module"])
+@pytest.mark.parametrize("case", ["ok", "usage", "data"])
+def test_a_command_process_exits_with_run_s_code_collector_off(residual_dir, tmp_path,
+                                                               entry, numpy_seen, case):
+    argv, want = {
+        "ok": (["fit", "--states", str(residual_dir / "t0" / "states_imbalance.csv"),
+                "--out-dir", str(tmp_path)], 0),
+        "usage": (["no-such-command"], 1),
+        "data": (["fit", "--states", str(tmp_path / "missing.csv")], 2),
+    }[case]
+    lines, code = _python(_ENTRY_PROBE.format(argv=argv, entry=entry))
+    assert code == want
+    assert lines[-1] == f"{want} {numpy_seen} False True"
 
 
 def test_residual_file_without_value_columns_is_a_data_error(tape_dir, tmp_path):

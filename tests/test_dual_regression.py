@@ -5,7 +5,7 @@ import pytest
 
 from dualspace import dual_regression as dr
 from dualspace.corrstats import pearson
-from dualspace.tape_io import read_table_csv
+from dualspace.table_csv import read_table_csv
 
 from oracles import (dual_predictions, induced_dual_operator, pinv_dual_fit,
                      planted_trajectory, random_rotation, random_states,

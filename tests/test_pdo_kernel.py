@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualspace import pdo_kernel as pk
-from dualspace.tape_io import read_table_csv
+from dualspace.table_csv import read_table_csv
 
 
 def gaussian_grid(n=256, sigma0=0.5, half_width=8.0, center=0.0):

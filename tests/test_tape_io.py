@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from dualspace import synth_market, tape_io
+from dualspace import synth_market, table_csv, tape_io
 from dualspace.tape_io import Side, Tape, TapeRecord
 
 from oracles import assert_same_parse, reference_parse_tape, streaming_summary, tape_of
@@ -240,23 +240,23 @@ def test_tape_rejects_inconsistent_columns():
 
 def test_write_table_csv_cell_rule():
     buf = io.StringIO()
-    tape_io.write_table_csv(buf, ["a", "b", "c", "d", "e", "f"],
-                            [[np.float64(1908.0), np.int64(7), "2009-01-05", "", "NA", 0.1],
-                             [np.float32(0.5), 3, "x", "", "NA", -0.0]])
+    table_csv.write_table_csv(buf, ["a", "b", "c", "d", "e", "f"],
+                              [[np.float64(1908.0), np.int64(7), "2009-01-05", "", "NA", 0.1],
+                               [np.float32(0.5), 3, "x", "", "NA", -0.0]])
     assert buf.getvalue() == ("a,b,c,d,e,f\n"
                               "1908.0,7,2009-01-05,,NA,0.1\n"
                               "0.5,3,x,,NA,-0.0\n")
     buf.seek(0)
-    header, rows = tape_io.read_table_csv(buf)
+    header, rows = table_csv.read_table_csv(buf)
     assert header == ["a", "b", "c", "d", "e", "f"] and len(rows) == 2
     headless = io.StringIO()
-    tape_io.write_table_csv(headless, None, [[1.5, np.float64(2.0)]])
+    table_csv.write_table_csv(headless, None, [[1.5, np.float64(2.0)]])
     assert headless.getvalue() == "1.5,2.0\n"
 
 
 def test_write_table_csv_cell_types():
     buf = io.StringIO()
-    tape_io.write_table_csv(buf, None, [
+    table_csv.write_table_csv(buf, None, [
         [1.5, np.float64(2.25), 3, np.int64(-4), True, False, "B"],
         [-0.0, np.float64(-0.0), math.nan, np.float64(math.nan), math.inf, -math.inf, 1e-300],
     ])
