@@ -63,8 +63,13 @@ class IndexSeries:
         if run[0] not in _SERIALS or run[-1] not in _SERIALS or self.months != _month_keys(run):
             raise ValueError("months must be contiguous YYYY-MM keys")
 
-    def value_for(self, key: str) -> float:
-        return float(self.values[self.months.index(key)])
+    def values_for(self, months: list[str]) -> np.ndarray:
+        """The values of the given month keys, in their order."""
+        position = {month: i for i, month in enumerate(self.months)}
+        missing = [month for month in months if month not in position]
+        if missing:
+            raise ValueError(f"index {self.name!r} is missing months {missing}")
+        return self.values[[position[month] for month in months]]
 
 
 def write_index_csv(index: IndexSeries, handle) -> None:

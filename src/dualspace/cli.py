@@ -259,8 +259,7 @@ def _cmd_synth(args) -> int:
     for name, index in market.indexes.items():
         _write_csv(os.path.join(outdir, f"{name}.csv"), prov,
                    lambda h, ix=index: calendars.write_index_csv(ix, h))
-    _write_json(os.path.join(outdir, "ground_truth.json"), prov,
-                market.truth.to_dict())
+    _write_json(os.path.join(outdir, "ground_truth.json"), prov, market.truth)
     _summary("synth", out=outdir, tapes=len(market.tapes),
              records=sum(len(t.records) for t in market.tapes), seed=opts["seed"])
     return EXIT_OK
@@ -277,10 +276,10 @@ def _cmd_ingest(args) -> int:
     canonical = os.path.join(outdir, f"{stem}.canonical.csv")
     _write_csv(canonical, prov,
                lambda h: h.write(tape_io.serialize(result.records)))
-    _write_json(os.path.join(outdir, f"{stem}.validation.json"), prov, report.to_dict())
-    _summary("ingest", records=report.n_records, rejected=report.n_rejected,
-             unknown_side_fraction=report.unknown_side_fraction,
-             flag=report.unknown_side_flag, out=canonical)
+    _write_json(os.path.join(outdir, f"{stem}.validation.json"), prov, report)
+    _summary("ingest", records=report["n_records"], rejected=report["n_rejected"],
+             unknown_side_fraction=report["unknown_side_fraction"],
+             flag=report["unknown_side_flag"], out=canonical)
     return EXIT_OK
 
 
@@ -288,10 +287,7 @@ def _cmd_summarize(args) -> int:
     from . import tape_io
 
     side = {"B": tape_io.Side.BUY, "S": tape_io.Side.SELL}.get(args.side or "")
-    summary = tape_io.summarize(_records_or_fail(args.tape), side=side)
-    _summary("summarize", **{k: getattr(summary, k) for k in (
-        "trade_count", "min_price", "avg_price", "max_price", "std_price",
-        "avg_daily_volume", "sample_volume_variance", "unknown_side_fraction")})
+    _summary("summarize", **tape_io.summarize(_records_or_fail(args.tape), side=side))
     return EXIT_OK
 
 
@@ -466,12 +462,13 @@ def _cmd_eventstudy(args) -> int:
     report = liquidity_lab.event_study(cost, index, config, seeds=seeds)
     outdir = _outdir(args)
     prov = _provenance("eventstudy", opts)
-    _write_json(os.path.join(outdir, "eventstudy.json"), prov, report.to_dict())
+    _write_json(os.path.join(outdir, "eventstudy.json"), prov, report)
     _write_csv(os.path.join(outdir, "eventstudy.csv"), prov,
                lambda h: liquidity_lab.write_report_csv(report, h))
-    _summary("eventstudy", windows=len(report.windows), index=index.name,
-             p_pearson=[w.p_pearson for w in report.windows],
-             p_spearman=[w.p_spearman for w in report.windows], out=outdir)
+    windows = report["windows"]
+    _summary("eventstudy", windows=len(windows), index=index.name,
+             p_pearson=[w["p_pearson"] for w in windows],
+             p_spearman=[w["p_spearman"] for w in windows], out=outdir)
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import neural_kit
 from .bucket_panel import PanelSeries
-from .calendars import IndexSeries, month_index
+from .calendars import IndexSeries
 from .corrstats import fisher_z_pvalue, pearson, rankdata, spearman, standardize
 from .residual_study import monthly_windows
 from .table_csv import write_table_csv
@@ -38,11 +38,10 @@ from .table_csv import write_table_csv
 
 @dataclass
 class CostSeries:
-    dates: list[dt.date]      # day t of each (t-1, t) pair
+    dates: list[dt.date]      # day t of each (t-1, t) pair: row k is panel day k + 1
     pi: np.ndarray            # (T-1, n_buckets) CNY*shares
     lam: np.ndarray           # (T-1, n_buckets) CNY per share, >= 0
     lambda_avg: np.ndarray    # (T-1,) per-day mean of lam across buckets
-    day_positions: np.ndarray  # (T-1,) position of day t in the panel series
     no_quote: np.ndarray      # (T-1, n_buckets) bool, an empty prior-day side
     illiquid: np.ndarray      # (T-1, n_buckets) bool, a zero lambda denominator
 
@@ -65,7 +64,6 @@ def cost_series(series: PanelSeries) -> CostSeries:
     lam = np.divide(np.abs(pi), denom, out=np.zeros_like(pi), where=~illiquid)
     return CostSeries(
         dates=series.dates[1:], pi=pi, lam=lam, lambda_avg=lam.mean(axis=1),
-        day_positions=np.arange(1, len(series)),
         no_quote=(buy_prev == 0) | (sell_prev == 0), illiquid=illiquid)
 
 
@@ -102,60 +100,17 @@ class EventStudyConfig:
         return lo * self.period_length, (hi + 1) * self.period_length
 
 
-@dataclass
-class WindowResult:
-    day_range: tuple[int, int]
-    months: list[str]
-    r_pearson: float
-    p_pearson: float | None
-    r_spearman: float
-    p_spearman: float | None
-    degenerate: bool = False
-
-
-@dataclass
-class HypothesisReport:
-    windows: list[WindowResult]
-    reference_pearson: float   # full-sample prediction-vs-index correlation
-    reference_spearman: float
-    index_name: str
-    seeds: list[int]
-    avg_lambda_pearson: float = float("nan")  # diagnostic: raw average-lambda series
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index_name,
-            "seeds": list(self.seeds),
-            "reference_pearson": self.reference_pearson,
-            "reference_spearman": self.reference_spearman,
-            "avg_lambda_pearson": None if np.isnan(self.avg_lambda_pearson)
-                                  else self.avg_lambda_pearson,
-            "windows": [
-                {
-                    "days": list(w.day_range),
-                    "months": w.months,
-                    "r_pearson": None if np.isnan(w.r_pearson) else w.r_pearson,
-                    "p_pearson": w.p_pearson,
-                    "r_spearman": None if np.isnan(w.r_spearman) else w.r_spearman,
-                    "p_spearman": w.p_spearman,
-                    "degenerate": w.degenerate,
-                }
-                for w in self.windows
-            ],
-        }
-
-
-def write_report_csv(report: HypothesisReport, handle) -> None:
+def write_report_csv(report: dict, handle) -> None:
     write_table_csv(handle, ["days", "p_pearson", "p_spearman"],
-                    ([f"{w.day_range[0]}-{w.day_range[1]}",
-                      "NA" if w.p_pearson is None else w.p_pearson,
-                      "NA" if w.p_spearman is None else w.p_spearman]
-                     for w in report.windows))
+                    ([f"{w['days'][0]}-{w['days'][1]}",
+                      "NA" if w["p_pearson"] is None else w["p_pearson"],
+                      "NA" if w["p_spearman"] is None else w["p_spearman"]]
+                     for w in report["windows"]))
 
 
 def event_study(cost: CostSeries, index: IndexSeries,
                 config: EventStudyConfig = EventStudyConfig(),
-                seeds: tuple[int, ...] = (1, 2, 3)) -> HypothesisReport:
+                seeds: tuple[int, ...] = (1, 2, 3)) -> dict:
     """Train on the training periods' lambda images, test each window.
 
     H0 per window: the window's prediction-index correlation equals the
@@ -171,22 +126,29 @@ def event_study(cost: CostSeries, index: IndexSeries,
     bucket-averaged lambda series' index correlation is kept as a
     diagnostic.  The lambda images are `monthly_windows` of 21 days by
     16 buckets, of which cnn7 reads days 1-18 and buckets 1-14.
+
+    Returns the dict `eventstudy.json` holds: index, seeds,
+    reference_pearson, reference_spearman, avg_lambda_pearson and one
+    entry per window in windows, with its days [start, end), months,
+    r_pearson, p_pearson, r_spearman, p_spearman (each None where NA)
+    and degenerate.
     """
     if not seeds:
         raise ValueError("seeds must not be empty")
     n_days_total = config.n_periods * config.period_length
-    if cost.day_positions[-1] + 1 < n_days_total:
-        raise ValueError(f"lambda series covers {cost.day_positions[-1] + 1} days, "
+    if len(cost.dates) + 1 < n_days_total:
+        raise ValueError(f"lambda series covers {len(cost.dates) + 1} days, "
                          f"event study needs {n_days_total}")
 
     all_windows = monthly_windows(cost.lam, cost.dates)
-    months, month_pos = month_index(cost.dates)  # the windows' months, dates ascending
-    targets = np.array([index.value_for(m) for m in months])
-    days_per_month = np.bincount(month_pos)
+    months, counts = all_windows.months, all_windows.day_counts
+    targets = index.values_for(months)
+    ends = np.cumsum(counts) + 1  # one past each month's last panel day
+    starts = ends - counts
 
     def majority(lo: int, hi: int) -> np.ndarray:  # months mostly inside [lo, hi)
-        inside = month_pos[(lo <= cost.day_positions) & (cost.day_positions < hi)]
-        return np.flatnonzero(np.bincount(inside, minlength=len(months)) * 2 > days_per_month)
+        inside = np.minimum(ends, hi) - np.maximum(starts, lo)
+        return np.flatnonzero(inside * 2 > counts)
 
     train_ix = majority(*config.training_range())  # the training set
     if len(train_ix) < 3:
@@ -204,20 +166,21 @@ def event_study(cost: CostSeries, index: IndexSeries,
     preds = sum(neural_kit.forward_batch(net, images) for net in nets)
     preds = preds / len(seeds) * t_scale + t_mean
 
-    monthly_lambda = np.array([cost.lambda_avg[month_pos == j].mean() for j in range(len(months))])
-    avg_lambda_pearson = pearson(monthly_lambda, targets)
+    monthly_lambda = np.array([cost.lambda_avg[lo - 1:hi - 1].mean()
+                               for lo, hi in zip(starts.tolist(), ends.tolist())])
     ref_pearson = pearson(preds, targets)
     ref_spearman = spearman(preds, targets)
 
     rng = np.random.default_rng(np.random.SeedSequence([max(seeds), 7]))
-    results = []
-    for day_range in config.resolved_windows():
-        ix = majority(*day_range)
-        w_months = [months[j] for j in ix.tolist()]
+    windows = []
+    for lo, hi in config.resolved_windows():
+        ix = majority(lo, hi)
+        window = {"days": [lo, hi], "months": [months[j] for j in ix.tolist()],
+                  "r_pearson": None, "p_pearson": None, "r_spearman": None,
+                  "p_spearman": None, "degenerate": True}
+        windows.append(window)
         w_pred, w_idx = preds[ix], targets[ix]
         if ix.size < 2 or np.ptp(w_pred) == 0.0 or np.ptp(w_idx) == 0.0:
-            results.append(WindowResult(day_range, w_months, float("nan"), None,
-                                        float("nan"), None, degenerate=True))
             continue
         r_p = pearson(w_pred, w_idx)
         p_p = fisher_z_pvalue(r_p, len(ix), ref_pearson, len(months))
@@ -226,10 +189,11 @@ def event_study(cost: CostSeries, index: IndexSeries,
         outside[ix] = False
         p_s = _subset_draw_pvalue(preds[outside], targets[outside], len(ix), r_s,
                                   ref_spearman, config.n_permutations, rng)
-        results.append(WindowResult(day_range, w_months, r_p,
-                                    None if np.isnan(p_p) else p_p, r_s, p_s))
-    return HypothesisReport(results, ref_pearson, ref_spearman, index.name,
-                            list(seeds), avg_lambda_pearson=avg_lambda_pearson)
+        window.update(r_pearson=r_p, p_pearson=None if np.isnan(p_p) else p_p,
+                      r_spearman=r_s, p_spearman=p_s, degenerate=False)
+    return {"index": index.name, "seeds": list(seeds),
+            "reference_pearson": ref_pearson, "reference_spearman": ref_spearman,
+            "avg_lambda_pearson": pearson(monthly_lambda, targets), "windows": windows}
 
 
 def _subset_draw_pvalue(preds: np.ndarray, targets: np.ndarray, k: int,

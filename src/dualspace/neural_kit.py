@@ -18,9 +18,7 @@ convolutions carry that loss back to the input.  cnn7 on 21x16 images
 reads 18x14, so its two convolutions compute 192 and 24 pixels per
 image instead of 266 and 35, and on 23 monthly images it trains in
 stacks of 3 instead of 2.  The dropped pixels get exactly zero
-gradient, so no result changes.  Over ten alternating pairs of the
-`backcast` benchmark, this cut the median `wall_s` by 23%, from 1.53 s
-to 1.18 s.
+gradient, so no result changes.
 """
 
 from __future__ import annotations

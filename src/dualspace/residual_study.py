@@ -149,6 +149,7 @@ class MonthlyWindows:
     trader_id: str
     months: list[str]
     images: np.ndarray  # (n_months, WINDOW_DAYS, n_buckets)
+    day_counts: np.ndarray  # each month's rows, before padding or truncation
     padded_months: list[str] = field(default_factory=list)
     truncated_months: list[str] = field(default_factory=list)
 
@@ -176,22 +177,16 @@ def monthly_windows(residuals: np.ndarray, dates: list[dt.date],
             truncated.append(key)
             block = block[:WINDOW_DAYS]
         images.append(block)
-    return MonthlyWindows(trader_id, months, np.stack(images), padded, truncated)
+    return MonthlyWindows(trader_id, months, np.stack(images),
+                          np.array([run.stop - run.start for run in runs]), padded, truncated)
 
 
 # ── protocol helpers ───────────────────────────────────────────────────
 
-def _index_targets(index: IndexSeries, months: list[str]) -> np.ndarray:
-    missing = [m for m in months if m not in index.months]
-    if missing:
-        raise ValueError(f"index {index.name!r} is missing months {missing}")
-    return np.array([index.value_for(m) for m in months])
-
-
 def _scaled_targets(indexes: list[IndexSeries], months: list[str]):
     """Each index's values over `months`, and their `standardize`
     triples (t_std, t_mean, t_scale)."""
-    targets = [_index_targets(index, months) for index in indexes]
+    targets = [index.values_for(months) for index in indexes]
     return targets, [standardize(t) for t in targets]
 
 

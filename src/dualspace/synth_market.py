@@ -38,7 +38,7 @@ level walk (`LEVEL_START`, `LEVEL_STEP_SIGMA`, `LEVEL_FLOOR`,
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,28 +142,6 @@ def snr_to_anchored_fraction(snr: float) -> float:
 
 
 @dataclass
-class GroundTruth:
-    trading_dates: list[dt.date]
-    months: list[str]
-    sentiment: list[float]
-    stock_return: list[float]
-    bond_yield: list[float]
-    daily_tilt: list[float]  # planted buy-probability tilt per day, in [-1, 1]
-    shock_windows: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "trading_dates": [d.isoformat() for d in self.trading_dates],
-            "months": self.months,
-            "sentiment": self.sentiment,
-            "stock_return": self.stock_return,
-            "bond_yield": self.bond_yield,
-            "daily_tilt": self.daily_tilt,
-            "shock_windows": self.shock_windows,
-        }
-
-
-@dataclass
 class SynthTape:
     trader_id: str
     records: tape_io.Tape
@@ -179,12 +157,7 @@ class SynthMarket:
     config: MarketConfig
     indexes: dict[str, IndexSeries]
     tapes: list[SynthTape]
-    truth: GroundTruth
-
-
-def _seed_children(config: MarketConfig):
-    # child 0: indexes, child 1: shared market streams, 2+i: trader i
-    return np.random.SeedSequence(config.seed).spawn(2 + config.n_traders)
+    truth: dict  # the ground_truth.json payload
 
 
 def _ar1(rng: np.random.Generator, shape, ar: float) -> np.ndarray:
@@ -221,11 +194,10 @@ def _orthogonalize(series: np.ndarray, *others: np.ndarray) -> np.ndarray:
     return resid + mean
 
 
-def gen_indexes(config: MarketConfig) -> tuple[dict[str, IndexSeries], GroundTruth]:
-    """Monthly AR(1) indexes over the months spanned by the day calendar."""
-    dates = trading_days(START_DATE, config.n_days)
-    months, _ = month_index(dates)
-    rng = np.random.default_rng(_seed_children(config)[0])
+def gen_indexes(config: MarketConfig, months: list[str],
+                seed: np.random.SeedSequence) -> dict[str, IndexSeries]:
+    """Monthly AR(1) indexes over `months`, drawn from `seed`."""
+    rng = np.random.default_rng(seed)
     n = len(months)
     sentiment = _ar1(rng, n, config.sentiment_ar)
     own_return = _ar1(rng, n, RETURN_AR)
@@ -236,24 +208,11 @@ def gen_indexes(config: MarketConfig) -> tuple[dict[str, IndexSeries], GroundTru
     # expectation, or short-sample spurious correlation would leak
     # through any planted flow coupling.
     bond_yield = _orthogonalize(_ar1(rng, n, YIELD_AR), sentiment, stock_return)
-
-    indexes = {
+    return {
         "sentiment": IndexSeries("sentiment", months, sentiment),
         "stock_return": IndexSeries("stock_return", months, stock_return),
         "bond_yield": IndexSeries("bond_yield", months, bond_yield),
     }
-    truth = GroundTruth(
-        trading_dates=dates,
-        months=months,
-        sentiment=[float(v) for v in sentiment],
-        stock_return=[float(v) for v in stock_return],
-        bond_yield=[float(v) for v in bond_yield],
-        daily_tilt=[0.0] * config.n_days,
-        shock_windows=[{"start_day": s.start_day, "end_day": s.end_day,
-                        "volume_mult": s.volume_mult, "spread_mult": s.spread_mult}
-                       for s in config.shocks],
-    )
-    return indexes, truth
 
 
 class _MarketStreams:
@@ -312,39 +271,6 @@ def _anchor_cdf(weights: np.ndarray, reach_key: str) -> np.ndarray:
 def _standardized(series: IndexSeries) -> np.ndarray:
     v = series.values
     return (v - v.mean()) / (v.std() or 1.0)
-
-
-def gen_tapes(config: MarketConfig,
-              indexes: dict[str, IndexSeries]) -> tuple[list[SynthTape], np.ndarray]:
-    """Generate one tape per trader, deterministic in (config, seed);
-    also returns the planted daily buy-probability tilt."""
-    children = _seed_children(config)
-    dates = trading_days(START_DATE, config.n_days)
-    months, month_ix = month_index(dates)
-    if months != indexes["sentiment"].months:
-        raise ValueError("indexes must cover exactly the market's months")
-
-    g = config.couplings
-    tilt_m = (g.g_sent * _standardized(indexes["sentiment"])
-              + g.g_ret * _standardized(indexes["stock_return"])
-              + g.g_yield * _standardized(indexes["bond_yield"]))
-    daily_tilt = np.clip(tilt_m[month_ix], -0.9, 0.9)
-    p_buy = np.clip(0.5 + 0.5 * daily_tilt, 0.05, 0.95)
-
-    volume_mult = np.ones(config.n_days)
-    spread_mult = np.ones(config.n_days)
-    for shock in config.shocks:
-        volume_mult[shock.start_day:shock.end_day] = shock.volume_mult
-        spread_mult[shock.start_day:shock.end_day] = shock.spread_mult
-
-    shared = _MarketStreams(np.random.default_rng(children[1]), config)
-    tapes = []
-    for t in range(config.n_traders):
-        rng = np.random.default_rng(children[2 + t])
-        streams = shared if config.shared_market else _MarketStreams(rng, config)
-        tapes.append(SynthTape(f"t{t}", _draw_tape(rng, streams, config, dates, p_buy,
-                                                   volume_mult, spread_mult)))
-    return tapes, daily_tilt
 
 
 def _draw_tape(rng: np.random.Generator, streams: _MarketStreams, config: MarketConfig,
@@ -430,9 +356,44 @@ def _cents(x: np.ndarray) -> np.ndarray:
 
 
 def gen_market(config: MarketConfig = MarketConfig()) -> SynthMarket:
-    indexes, truth = gen_indexes(config)
-    tapes, daily_tilt = gen_tapes(config, indexes)
-    truth.daily_tilt = daily_tilt.tolist()
+    """The indexes, one tape per trader and the ground truth, deterministic
+    in (config, seed).  The seed's children: 0 draws the indexes, 1 the
+    shared market streams, 2+i trader i."""
+    dates = trading_days(START_DATE, config.n_days)
+    months, month_ix = month_index(dates)
+    index_seed, market_seed, *trader_seeds = np.random.SeedSequence(config.seed).spawn(
+        2 + config.n_traders)
+    indexes = gen_indexes(config, months, index_seed)
+
+    g = config.couplings
+    tilt_m = (g.g_sent * _standardized(indexes["sentiment"])
+              + g.g_ret * _standardized(indexes["stock_return"])
+              + g.g_yield * _standardized(indexes["bond_yield"]))
+    daily_tilt = np.clip(tilt_m[month_ix], -0.9, 0.9)
+    p_buy = np.clip(0.5 + 0.5 * daily_tilt, 0.05, 0.95)
+
+    volume_mult = np.ones(config.n_days)
+    spread_mult = np.ones(config.n_days)
+    for shock in config.shocks:
+        volume_mult[shock.start_day:shock.end_day] = shock.volume_mult
+        spread_mult[shock.start_day:shock.end_day] = shock.spread_mult
+
+    shared = _MarketStreams(np.random.default_rng(market_seed), config)
+    tapes = []
+    for t, seed in enumerate(trader_seeds):
+        rng = np.random.default_rng(seed)
+        streams = shared if config.shared_market else _MarketStreams(rng, config)
+        tapes.append(SynthTape(f"t{t}", _draw_tape(rng, streams, config, dates, p_buy,
+                                                   volume_mult, spread_mult)))
+    truth = {
+        "trading_dates": [day.isoformat() for day in dates],
+        "months": months,
+        **{name: index.values.tolist() for name, index in indexes.items()},
+        "daily_tilt": daily_tilt.tolist(),  # planted buy-probability tilt per day, in [-1, 1]
+        "shock_windows": [{"start_day": s.start_day, "end_day": s.end_day,
+                           "volume_mult": s.volume_mult, "spread_mult": s.spread_mult}
+                          for s in config.shocks],
+    }
     return SynthMarket(config, indexes, tapes, truth)
 
 

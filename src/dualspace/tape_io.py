@@ -38,8 +38,9 @@ from __future__ import annotations
 import datetime as dt
 import enum
 import math
+from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional
 
@@ -146,38 +147,6 @@ class ParseResult:
     errors: list[RowError]
     n_data_rows: int
     n_header_rows: int
-
-
-@dataclass(frozen=True)
-class TapeSummary:
-    trade_count: int
-    min_price: float
-    avg_price: float
-    max_price: float
-    std_price: float
-    avg_daily_volume: float
-    sample_volume_variance: float
-    unknown_side_fraction: float
-
-
-@dataclass
-class ValidationReport:
-    n_records: int
-    unknown_side_count: int
-    unknown_side_fraction: float
-    unknown_side_flag: bool
-    rejected_by_reason: dict[str, int] = field(default_factory=dict)
-    n_rejected: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "unknown_side_count": self.unknown_side_count,
-            "unknown_side_fraction": self.unknown_side_fraction,
-            "unknown_side_flag": self.unknown_side_flag,
-            "rejected_by_reason": dict(sorted(self.rejected_by_reason.items())),
-            "n_rejected": self.n_rejected,
-        }
 
 
 # Rejection reasons; a row gets the first that applies, in this order.
@@ -532,8 +501,10 @@ def _read_bytes(path) -> bytes:
     return data
 
 
-def summarize(tape: Tape, side: Optional[Side] = None) -> TapeSummary:
-    """Descriptive statistics for a tape, optionally restricted to one side.
+def summarize(tape: Tape, side: Optional[Side] = None) -> dict:
+    """Descriptive statistics for a tape, optionally restricted to one side:
+    a dict of trade_count, min_price, avg_price, max_price, std_price,
+    avg_daily_volume, sample_volume_variance and unknown_side_fraction.
 
     avg_daily_volume is total volume over distinct trading days; the
     volume variance is the unbiased per-trade variance (0 for a single
@@ -558,20 +529,23 @@ def summarize(tape: Tape, side: Optional[Side] = None) -> TapeSummary:
         var_volume = 0.0
     n_days = int(np.count_nonzero(np.bincount(tape.day)))
     unknown = int(np.count_nonzero(tape.side == 0))
-    return TapeSummary(
-        trade_count=n,
-        min_price=min(prices),
-        avg_price=avg_price,
-        max_price=max(prices),
-        std_price=std_price,
-        avg_daily_volume=math.fsum(volumes) / n_days,
-        sample_volume_variance=var_volume,
-        unknown_side_fraction=unknown / n,
-    )
+    return {
+        "trade_count": n,
+        "min_price": min(prices),
+        "avg_price": avg_price,
+        "max_price": max(prices),
+        "std_price": std_price,
+        "avg_daily_volume": math.fsum(volumes) / n_days,
+        "sample_volume_variance": var_volume,
+        "unknown_side_fraction": unknown / n,
+    }
 
 
-def validate(tape: Tape, errors: Iterable[RowError] = ()) -> ValidationReport:
-    """Report-only checks: unknown-side share and rejected-row tallies.
+def validate(tape: Tape, errors: Iterable[RowError] = ()) -> dict:
+    """Report-only checks: unknown-side share and rejected-row tallies,
+    as the dict an ingest writes to its validation JSON: n_records,
+    unknown_side_count, unknown_side_fraction, unknown_side_flag,
+    rejected_by_reason (reason -> rows, sorted by reason) and n_rejected.
 
     The unknown-side flag raises when more than 10% of records carry no
     B/S stamp, the documented quality bound for these tapes.
@@ -579,16 +553,12 @@ def validate(tape: Tape, errors: Iterable[RowError] = ()) -> ValidationReport:
     n = len(tape)
     unknown = int(np.count_nonzero(tape.side == 0))
     fraction = unknown / n if n else 0.0
-    by_reason: dict[str, int] = {}
-    n_rejected = 0
-    for err in errors:
-        by_reason[err.reason] = by_reason.get(err.reason, 0) + 1
-        n_rejected += 1
-    return ValidationReport(
-        n_records=n,
-        unknown_side_count=unknown,
-        unknown_side_fraction=fraction,
-        unknown_side_flag=fraction > UNKNOWN_SIDE_FLAG_THRESHOLD,
-        rejected_by_reason=by_reason,
-        n_rejected=n_rejected,
-    )
+    by_reason = Counter(err.reason for err in errors)
+    return {
+        "n_records": n,
+        "unknown_side_count": unknown,
+        "unknown_side_fraction": fraction,
+        "unknown_side_flag": fraction > UNKNOWN_SIDE_FLAG_THRESHOLD,
+        "rejected_by_reason": dict(sorted(by_reason.items())),
+        "n_rejected": by_reason.total(),
+    }

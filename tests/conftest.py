@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from dualspace import bucket_panel, dual_regression, state_space, synth_market
@@ -7,6 +13,24 @@ from dualspace import bucket_panel, dual_regression, state_space, synth_market
 COUPLED_CONFIG = synth_market.MarketConfig(
     n_traders=2, seed=11, trades_per_day_mean=300.0,
     couplings=synth_market.Couplings(g_sent=0.9))
+
+
+def rerun_under_prescott_blas(*tests):
+    """Reruns the given tests (pytest node ids) in a child process with
+    OpenBLAS held to its Prescott (SSE3) kernel, whose sums round
+    differently from the kernels newer x86-64 machines pick; they must
+    still pass.  Skips where that kernel cannot be chosen at run time."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not an OpenBLAS that picks its kernel at run time")
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        capture_output=True, text=True)
+    assert child.returncode == 0, child.stdout[-3000:]
 
 
 @pytest.fixture(scope="session")

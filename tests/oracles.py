@@ -335,13 +335,33 @@ def _reference_plan(spec):
     return plan
 
 
+def _read_extent(plan):
+    """The rows and columns of a channels-last image that the plan's
+    output reads, from the top-left corner; None for a dense plan.
+    Walked back from the flatten, which reads its whole input: a pool
+    reads its size times its output, a valid convolution its output plus
+    the kernel less one."""
+    read = None
+    for kind, what in reversed(plan):
+        if kind == "flatten" and len(what) == 3:
+            read = what[:2]
+        elif kind == "pool":
+            read = (read[0] * what.size[0], read[1] * what.size[1])
+        elif kind == "conv":
+            read = (read[0] + what.kernel[0] - 1, read[1] + what.kernel[1] - 1)
+    return read
+
+
 def reference_train_many(nets, inputs, targets, rounds, learning_rate):
     """Full-batch gradient descent on R nets stacked along a model axis,
     the plain way: every round rebuilds each convolution's im2col
     columns, allocates a fresh array for every result and computes
-    every input gradient.  Same arithmetic, in the same order, as
-    `neural_kit.train_many`; returns one (weight arrays, loss curve)
-    pair per net."""
+    every input gradient.  Images are cropped to the rows and columns
+    the output reads (`_read_extent`); the pixels outside get zero
+    gradient, and the crop makes each weight-gradient product the same
+    length as `neural_kit.train_many`'s.  Same arithmetic, in the same
+    order, as `neural_kit.train_many`; returns one (weight arrays, loss
+    curve) pair per net."""
     spec = nets[0].spec
     plan = _reference_plan(spec)
     params = [np.stack(arrs) for arrs in zip(*(weight_arrays(net) for net in nets))]
@@ -352,6 +372,9 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
         x0 = x0[..., None]
     elif sample_ndim == 3:
         x0 = np.moveaxis(x0, -3, -1)
+    read = _read_extent(plan)
+    if read is not None:
+        x0 = x0[..., :read[0], :read[1], :]
     targets = np.asarray(targets, dtype=float)
     if targets.size == n:
         targets = targets.reshape(n)

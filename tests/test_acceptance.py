@@ -248,8 +248,8 @@ def test_criterion_10_event_study_calibration_and_power():
     for seed in range(20):
         report = _study(_concentrated_config(100 + seed, spread=2.5),
                         seeds=(1, 2), permutations=1000, rounds=60)
-        for window in report.windows:
-            for p in (window.p_pearson, window.p_spearman):
+        for window in report["windows"]:
+            for p in (window["p_pearson"], window["p_spearman"]):
                 total += 1
                 rejections += (p is not None and p < 0.10)
     calibration = rejections / total
@@ -260,8 +260,8 @@ def test_criterion_10_event_study_calibration_and_power():
             _concentrated_config(200 + seed, spread=2.5, g_sent=0.9),
             (240, 360), spread_mult=3.0)
         report = _study(config, seeds=(1, 2, 3), permutations=2000, rounds=150)
-        shocked = next(w for w in report.windows if w.day_range == (240, 360))
-        if shocked.p_spearman is not None and shocked.p_spearman < 0.05:
+        shocked = next(w for w in report["windows"] if w["days"] == [240, 360])
+        if shocked["p_spearman"] is not None and shocked["p_spearman"] < 0.05:
             hits += 1
     ok = calibration <= 0.20 and hits > 5
     _report(10, "event-study-calibration-power", ok,

@@ -884,6 +884,26 @@ def test_non_finite_index_value_is_a_data_error(capsys, tape_dir, residual_dir, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["eventstudy", "backcast"])
+def test_index_missing_months_is_a_data_error_naming_them(capsys, tape_dir, residual_dir,
+                                                          tmp_path, command):
+    text = (tape_dir / "sentiment.csv").read_text()
+    path = tmp_path / "sentiment.csv"
+    path.write_text(text[:text.index("\n2009-09,") + 1])  # 2009-01 to 2009-08
+    argv = {"eventstudy": ["eventstudy", "--tape", str(tape_dir / "t0.csv"),
+                           "--permutations", "20", "--rounds", "2", "--seeds", "1"],
+            "backcast": ["backcast", "--protocol", "shallow", "--train-residuals",
+                         str(residual_dir / "t0" / "residuals.csv")]}[command]
+    code = cli.run(argv + ["--index", f"sentiment={path}", "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("data error: index 'sentiment' is missing months "
+                                   "['2009-09', '2009-10', ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 5, "days": 60, "traders": 1,

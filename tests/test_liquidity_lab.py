@@ -99,7 +99,7 @@ def test_cost_series_shapes(small_market):
     assert cost.lambda_avg.shape == (t,)
     assert np.all(cost.lam >= 0.0)
     np.testing.assert_allclose(cost.lambda_avg, cost.lam.mean(axis=1))
-    assert list(cost.day_positions) == list(range(1, len(series)))
+    assert cost.dates == series.dates[1:]
 
 
 def test_event_config_default_windows():
@@ -131,7 +131,6 @@ def _flat_cost(n_days=480, value=1.0, jitter=None):
     no_flags = np.zeros(lam.shape, dtype=bool)
     return ll.CostSeries(dates=dates, pi=lam.copy(), lam=lam,
                          lambda_avg=lam.mean(axis=1),
-                         day_positions=np.arange(1, n_days + 1),
                          no_quote=no_flags, illiquid=no_flags)
 
 
@@ -147,10 +146,10 @@ def test_event_study_constant_lambda_reports_na():
     report = ll.event_study(cost, index,
                             ll.EventStudyConfig(n_permutations=200, rounds=5),
                             seeds=(1,))
-    assert len(report.windows) == 5
-    for w in report.windows:
-        assert w.degenerate
-        assert w.p_pearson is None and w.p_spearman is None
+    assert len(report["windows"]) == 5
+    for w in report["windows"]:
+        assert w["degenerate"]
+        assert w["p_pearson"] is None and w["p_spearman"] is None
 
 
 def test_event_study_requires_full_coverage():
@@ -178,12 +177,11 @@ def test_event_study_pvalues_in_range(small_market):
     report = ll.event_study(cost, index,
                             ll.EventStudyConfig(n_permutations=400, rounds=20),
                             seeds=(1, 2))
-    for w in report.windows:
-        assert 0.0 < w.p_spearman <= 1.0
-        assert 0.0 <= w.p_pearson <= 1.0
-        assert abs(w.r_pearson) <= 1.0
-    payload = report.to_dict()
-    assert {"index", "seeds", "windows", "reference_pearson"} <= set(payload)
+    for w in report["windows"]:
+        assert 0.0 < w["p_spearman"] <= 1.0
+        assert 0.0 <= w["p_pearson"] <= 1.0
+        assert abs(w["r_pearson"]) <= 1.0
+    assert {"index", "seeds", "windows", "reference_pearson"} <= set(report)
 
 
 def test_report_csv_has_na_cells():

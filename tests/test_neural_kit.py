@@ -1,9 +1,11 @@
+import os
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import rerun_under_prescott_blas
 from dualspace import neural_kit as nk
 from oracles import forward_cached, grad_check, reference_train_many, weight_arrays
 
@@ -377,6 +379,16 @@ def test_training_equals_plain_reference_loop_exactly(arch, activation, per_net)
             np.testing.assert_allclose(net.loss_curve, curve, rtol=0, atol=0)
             for wa, wb in zip(weight_arrays(net), weights, strict=True):
                 np.testing.assert_allclose(wa, wb, rtol=0, atol=0)
+
+
+def test_exact_training_does_not_follow_the_blas_kernel():
+    """Training still equals the plain loop bit for bit under another
+    BLAS kernel: both reduce over the same cropped images."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    rerun_under_prescott_blas(
+        f"{__file__}::test_training_equals_plain_reference_loop_exactly",
+        os.path.join(here, "test_residual_study.py")
+        + "::test_cnn_backcast_equals_the_plain_loop_on_the_read_crop")
 
 
 def test_first_layer_columns_built_once_per_train_many_call(monkeypatch):

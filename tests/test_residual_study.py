@@ -35,7 +35,9 @@ def test_index_series_validation():
     with pytest.raises(ValueError, match="one value"):
         rs.IndexSeries("x", ["2009-01"], np.array([1.0, 2.0]))
     idx = rs.IndexSeries("x", ["2009-12", "2010-01"], np.array([1.0, 2.0]))
-    assert idx.value_for("2010-01") == 2.0
+    assert idx.values_for(["2010-01", "2009-12"]).tolist() == [2.0, 1.0]
+    with pytest.raises(ValueError, match=r"index 'x' is missing months \['2010-02'\]"):
+        idx.values_for(["2010-01", "2010-02"])
     for months in (["0001-01", "0001-02"], ["9999-11", "9999-12"]):  # datetime's years
         rs.IndexSeries("x", months, np.array([1.0, 2.0]))
 
@@ -254,7 +256,8 @@ def test_cnn_backcast_deterministic_per_seed():
 
 
 def _reference_nets(nets, inputs, targets, rounds, learning_rate):
-    """`train_many` by the plain loop of `oracles`, on the whole images."""
+    """`train_many` by the plain loop of `oracles`, on the crop of each
+    image that the output reads."""
     trained = []
     for net, (weights, curve) in zip(nets, reference_train_many(nets, inputs, targets,
                                                                 rounds, learning_rate)):
@@ -266,7 +269,7 @@ def _reference_nets(nets, inputs, targets, rounds, learning_rate):
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_cnn_backcast_equals_the_plain_loop_on_whole_images(monkeypatch, activation):
+def test_cnn_backcast_equals_the_plain_loop_on_the_read_crop(monkeypatch, activation):
     wins_a, z = _planted_windows(19, 12, "a")
     wins_b, _ = _planted_windows(20, 12, "b")
     indexes = [_index_for(wins_a.months, z)] + _three_indexes(wins_a.months, 21)[:1]

@@ -1,19 +1,16 @@
+import datetime as dt
 import hashlib
 import json
-import os
-import platform
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from dualspace import bucket_panel, cli, liquidity_lab, synth_market, tape_io
 from dualspace.corrstats import corr_significance_threshold, pearson
-from dualspace.calendars import read_index_csv
+from dualspace.calendars import month_index, read_index_csv, trading_days
 from dualspace.synth_market import Couplings, MarketConfig
 
-from conftest import COUPLED_CONFIG
+from conftest import COUPLED_CONFIG, rerun_under_prescott_blas
 
 
 def test_generation_is_deterministic(small_market):
@@ -32,18 +29,27 @@ def test_tapes_parse_clean_and_round_trip(small_market):
         assert result.records == tape.records
 
 
+def _indexes(cfg):
+    """The indexes `gen_market(cfg)` draws, without its tapes: from the
+    seed's child 0, the first of any number spawned."""
+    months, _ = month_index(trading_days(synth_market.START_DATE, cfg.n_days))
+    return synth_market.gen_indexes(cfg, months, np.random.SeedSequence(cfg.seed).spawn(1)[0])
+
+
 def test_same_seed_same_indexes():
     cfg = MarketConfig(n_days=100, seed=21)
-    a, _ = synth_market.gen_indexes(cfg)
-    b, _ = synth_market.gen_indexes(cfg)
+    a = _indexes(cfg)
+    b = _indexes(cfg)
+    market = synth_market.gen_market(MarketConfig(n_traders=1, n_days=100, seed=21))
     for name in a:
         np.testing.assert_array_equal(a[name].values, b[name].values)
+        np.testing.assert_array_equal(a[name].values, market.indexes[name].values)
 
 
 def test_index_autocorrelation_matches_ar_parameter():
     # ~1e4 months of sentiment: sample lag-1 autocorrelation near 0.7
     cfg = MarketConfig(n_days=217_000, seed=2, sentiment_ar=0.7)
-    indexes, _ = synth_market.gen_indexes(cfg)
+    indexes = _indexes(cfg)
     v = indexes["sentiment"].values
     assert v.size >= 9_000
     r = pearson(v[:-1], v[1:])
@@ -52,13 +58,13 @@ def test_index_autocorrelation_matches_ar_parameter():
 
 def test_zero_ar_gives_white_noise():
     cfg = MarketConfig(n_days=217_000, seed=3, sentiment_ar=0.0)
-    indexes, _ = synth_market.gen_indexes(cfg)
+    indexes = _indexes(cfg)
     v = indexes["sentiment"].values
     assert abs(pearson(v[:-1], v[1:])) < 0.05
 
 
 def test_yield_series_is_sample_orthogonal():
-    indexes, _ = synth_market.gen_indexes(MarketConfig(seed=5))
+    indexes = _indexes(MarketConfig(seed=5))
     bond = indexes["bond_yield"].values
     assert abs(pearson(bond, indexes["sentiment"].values)) < 1e-9
     assert abs(pearson(bond, indexes["stock_return"].values)) < 1e-9
@@ -100,14 +106,14 @@ def test_default_config_calibration_anchors():
     summary = tape_io.summarize(market.tapes[0].records)
     anchors = {"trade_count": 32041, "avg_price": 8.77, "avg_daily_volume": 11046}
     for field, anchor in anchors.items():
-        value = getattr(summary, field)
+        value = summary[field]
         assert 0.3 * anchor <= value <= 3.0 * anchor, (field, value)
 
 
 def test_unknown_side_rate_below_quality_bound(small_market):
     report = tape_io.validate(small_market.tapes[0].records)
-    assert 0.0 < report.unknown_side_fraction < 0.10
-    assert not report.unknown_side_flag
+    assert 0.0 < report["unknown_side_fraction"] < 0.10
+    assert not report["unknown_side_flag"]
 
 
 def test_shock_identity_at_unit_multipliers():
@@ -150,7 +156,8 @@ def test_spread_shock_doubles_lambda_inside_window():
     market = synth_market.gen_market(cfg)
     panels = bucket_panel.build_panels(market.tapes[0].records)
     cost = liquidity_lab.cost_series(panels)
-    inside = (cost.day_positions >= 300) & (cost.day_positions < 360)
+    position = np.arange(1, len(panels))  # row k of the cost series is panel day k + 1
+    inside = (position >= 300) & (position < 360)
     assert cost.lambda_avg[inside].mean() >= 2.0 * cost.lambda_avg[~inside].mean()
 
 
@@ -158,8 +165,8 @@ def test_zero_volume_shock_empties_window():
     cfg = synth_market.inject_shock(MarketConfig(n_traders=1, n_days=60, seed=6),
                                     (20, 30), volume_mult=0.0)
     market = synth_market.gen_market(cfg)
-    dates = market.truth.trading_dates
-    silenced = set(dates[20:30])
+    dates = market.truth["trading_dates"]
+    silenced = {dt.date.fromisoformat(day) for day in dates[20:30]}
     assert all(r.date not in silenced for r in market.tapes[0].records)
     # downstream panels skip the empty days; later days keep working
     panels = bucket_panel.build_panels(market.tapes[0].records)
@@ -172,9 +179,9 @@ def test_ground_truth_records_tilt_and_shocks():
         MarketConfig(n_traders=1, n_days=80, seed=7, couplings=Couplings(g_sent=0.5)),
         (10, 20), spread_mult=2.0)
     market = synth_market.gen_market(cfg)
-    assert market.truth.shock_windows == [
+    assert market.truth["shock_windows"] == [
         {"start_day": 10, "end_day": 20, "volume_mult": 1.0, "spread_mult": 2.0}]
-    tilt = np.array(market.truth.daily_tilt)
+    tilt = np.array(market.truth["daily_tilt"])
     assert tilt.shape == (80,)
     assert np.abs(tilt).max() <= 0.9
     assert np.abs(tilt).max() > 0.0
@@ -196,7 +203,7 @@ def test_write_market_artifacts(tmp_path, capsys, small_market):
     np.testing.assert_allclose(idx.values, small_market.indexes["sentiment"].values)
     truth = json.loads((tmp_path / "ground_truth.json").read_text())
     truth.pop("provenance")
-    assert truth == json.loads(json.dumps(small_market.truth.to_dict()))
+    assert truth == json.loads(json.dumps(small_market.truth))
 
 
 def test_anchor_weights_that_are_not_probabilities_are_refused():
@@ -270,23 +277,10 @@ def test_golden_random_stream(name):
     digest = hashlib.sha256()
     for tape in market.tapes:
         digest.update(tape.text.encode())
-    digest.update(json.dumps(market.truth.to_dict(), sort_keys=True).encode())
+    digest.update(json.dumps(market.truth, sort_keys=True).encode())
     assert digest.hexdigest() == expected
 
 
 def test_golden_streams_do_not_follow_the_blas_kernel():
-    """Reruns the golden streams in a child process with OpenBLAS held to
-    its Prescott (SSE3) kernel, whose sums round differently from the
-    kernel this machine picks; the bytes must not change."""
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        pytest.skip("OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
-        pytest.skip("numpy's BLAS is not an OpenBLAS that picks its kernel at run time")
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_golden_random_stream"],
-        env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        capture_output=True, text=True)
-    assert child.returncode == 0, child.stdout[-3000:]
+    """The golden streams' bytes do not change under another BLAS kernel."""
+    rerun_under_prescott_blas(f"{__file__}::test_golden_random_stream")
