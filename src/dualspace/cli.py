@@ -446,8 +446,6 @@ def _cmd_eventstudy(args) -> int:
     opts = _resolve(args)
     activation = _activation(opts)
     panel_config = _panel_config(opts)
-    records = _records_or_fail(args.tape)
-    index = _load_index(args.index)
     try:
         lo, hi = (int(v) for v in opts["training_periods"].split(","))
         seeds = tuple(int(v) for v in opts["seeds"].split(","))
@@ -457,6 +455,8 @@ def _cmd_eventstudy(args) -> int:
         period_length=opts["period_length"], n_periods=opts["n_periods"],
         training_periods=(lo, hi), n_permutations=opts["permutations"],
         rounds=opts["rounds"], learning_rate=opts["learning_rate"], activation=activation)
+    records = _records_or_fail(args.tape)
+    index = _load_index(args.index)
     cost = liquidity_lab.cost_series(bucket_panel.build_panels(records, panel_config))
     del records  # only the cost series lives on through training
     report = liquidity_lab.event_study(cost, index, config, seeds=seeds)

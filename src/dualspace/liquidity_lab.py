@@ -80,13 +80,22 @@ class EventStudyConfig:
     activation: str = "tanh"
 
     def __post_init__(self):
+        """Refuses a study that would train outside itself or test nothing,
+        before any training."""
         if self.n_permutations < 1:  # (1 + 0) / (1 + 0) would read as a p-value of 1
             raise ValueError("an event study needs at least one permutation")
-
-    def resolved_windows(self) -> list[tuple[int, int]]:
         lo, hi = self.training_periods
         if hi != lo + 1:
             raise ValueError("training periods must be adjacent")
+        if lo < 0 or hi >= self.n_periods:
+            raise ValueError(f"training periods {lo},{hi} lie outside the study's "
+                             f"periods 0..{self.n_periods - 1}")
+        if not self.resolved_windows():
+            raise ValueError(f"training periods {lo},{hi} of {self.n_periods} periods "
+                             "leave no prediction window")
+
+    def resolved_windows(self) -> list[tuple[int, int]]:
+        lo, hi = self.training_periods
         span = self.period_length
         windows = []
         for start_period in range(self.n_periods - 1):

@@ -10,7 +10,15 @@ which is all these shallow problems need and keeps runs reproducible.
 There is one training loop, `train_many`: it trains R nets of one
 architecture in stacks along a leading model axis, as many per stack
 as a fixed memory budget allows.
-Convolutions run as im2col + matmul.
+Convolutions run as im2col + matmul.  Both weighted ops, dense and
+conv, carry their bias as a last column of ones in their column matrix,
+so that a layer's forward pass and its weight and bias gradients are
+each one matrix product: a training round spends its time in BLAS, not
+in numpy loops over runs of 8-32 elements (a broadcast bias add and a
+column sum per dense layer).  For the same reason a net's first
+convolution, when a pool reads it, writes its output rows in that
+pool's tap order, so the pool reads and writes contiguous blocks
+instead of strided taps of a few channels.
 
 An image batch is cropped on entry to the rows and columns that the
 output reads (`_read_shape`): pools floor away odd edges, and valid
@@ -131,17 +139,32 @@ def cnn7_spec(input_shape: tuple[int, int] = (21, 16), activation: str = "relu",
 # Flatten restores the (c, h, w) order of the layer specs.
 
 class _DenseOp:
+    """`x @ weights + bias` as one matrix product, as `_ConvOp` does it:
+    the column matrix is `x` with a last column of ones, and the bias is
+    the last row of the weights.  So the bias gradient is the last row of
+    the weight-gradient product, with no broadcast add and no column sum
+    over the samples."""
+
     def __init__(self, input_grad: bool = True):
         self.input_grad = input_grad
 
-    def forward(self, params, x):
-        weights, bias = params
-        out = x @ weights
-        out += bias[..., None, :]
-        return out, x
+    def columns(self, x, out=None):  # (..., n, k) -> (..., n, k + 1)
+        """`x` with a last column of ones, written into `out` when given."""
+        cols = np.empty(x.shape[:-1] + (x.shape[-1] + 1,)) if out is None else out
+        cols[..., :-1] = x
+        cols[..., -1] = 1.0
+        return cols
 
-    def backward(self, params, x, grad):
-        grads = (x.swapaxes(-1, -2) @ grad, grad.sum(axis=-2))
+    def forward(self, params, x, cols=None):
+        """`cols`, when given, is `self.columns(x)` built by the caller."""
+        weights, bias = params
+        if cols is None:
+            cols = self.columns(x)
+        return cols @ np.concatenate([weights, bias[..., None, :]], axis=-2), cols
+
+    def backward(self, params, cols, grad):
+        d_matrix = cols.swapaxes(-1, -2) @ grad  # (..., k + 1, o)
+        grads = (d_matrix[..., :-1, :], d_matrix[..., -1, :])
         if not self.input_grad:
             return None, grads
         return grad @ params[0].swapaxes(-1, -2), grads
@@ -156,11 +179,23 @@ class _ConvOp:
     Simard 2006): each output pixel's (kh, kw, c) input patch is one row
     of a column matrix, so forward and the weight gradient are single
     matrix products.  A last column of ones carries the bias, which
-    saves a broadcast add and a reduction over the pixels."""
+    saves a broadcast add and a reduction over the pixels.
 
-    def __init__(self, kernel: tuple[int, int], input_grad: bool = True):
+    With `pool`, the size of the pool that reads this layer's output,
+    the rows come in that pool's tap order: tap (i, j), then image, then
+    pooled row, then pooled column.  The output is then ph*pw contiguous
+    blocks, one per tap, and the pool reads and writes whole blocks
+    instead of strided taps of a few channels.  `init_net` asks this of
+    a net's first layer only: later convolutions fold their column
+    gradient back into the input in image order, which a first layer
+    never computes.  The crop of `_as_batch` makes the output a whole
+    number of pool windows."""
+
+    def __init__(self, kernel: tuple[int, int], input_grad: bool = True,
+                 pool: tuple[int, int] | None = None):
         self.kernel = kernel
         self.input_grad = input_grad
+        self.pool = pool
 
     def columns(self, x, out=None):  # (..., n, h, w, c) -> (..., n*oh*ow, kh*kw*c + 1)
         """The column matrix of `x`, written into `out` when given (a
@@ -171,12 +206,17 @@ class _ConvOp:
         n, oh, ow, c = windows.shape[-6:-2]
         cols = np.empty(x.shape[:-4] + (n * oh * ow, kh * kw * c + 1)) if out is None else out
         cols[..., -1] = 1.0
+        patches = np.moveaxis(windows, -3, -1)  # (..., n, oh, ow, kh, kw, c)
+        if self.pool is not None:
+            ph, pw = self.pool
+            patches = patches.reshape(x.shape[:-4] + (n, oh // ph, ph, ow // pw, pw, kh, kw, c))
+            # taps first: (..., ph, pw, n, oh/ph, ow/pw, kh, kw, c)
+            patches = np.moveaxis(patches, (-6, -4), (-8, -7))
         # splitting axes keeps a view, so this fills `cols`
-        cols[..., :-1].reshape(x.shape[:-4] + (n, oh, ow, kh, kw, c))[...] = \
-            np.moveaxis(windows, -3, -1)
+        cols[..., :-1].reshape(patches.shape)[...] = patches
         return cols
 
-    def forward(self, params, x, cols=None):  # (..., n, h, w, c) -> (..., n, oh, ow, o)
+    def forward(self, params, x, cols=None):  # (..., n, h, w, c) -> (..., *pixels, o)
         """`cols`, when given, is `self.columns(x)` built by the caller."""
         weights, bias = params
         kh, kw = self.kernel
@@ -187,13 +227,18 @@ class _ConvOp:
         w_cols = np.moveaxis(weights, *_TO_COLUMN_ORDER)
         w_cols = w_cols.reshape(w_cols.shape[:-4] + (-1, w_cols.shape[-1]))
         out = cols @ np.concatenate([w_cols, bias[..., None, :]], axis=-2)
-        return out.reshape(out.shape[:-2] + (n, h - kh + 1, w - kw + 1, -1)), (cols, x.shape)
+        pixels = (n, h - kh + 1, w - kw + 1)  # the axes of the rows, in order
+        if self.pool is not None:
+            ph, pw = self.pool
+            pixels = (ph * pw, n, pixels[1] // ph, pixels[2] // pw)
+        return out.reshape(out.shape[:-2] + pixels + (-1,)), (cols, x.shape)
 
     def backward(self, params, cache, grad):
         cols, in_shape = cache
         kh, kw = self.kernel
-        n, oh, ow, o = grad.shape[-4:]
-        g = grad.reshape(grad.shape[:-4] + (-1, o))
+        o = grad.shape[-1]
+        lead = grad.ndim - (4 if self.pool is None else 5)  # model axes, if any
+        g = grad.reshape(grad.shape[:lead] + (-1, o))
         d_matrix = cols.swapaxes(-1, -2) @ g  # (..., kh*kw*c + 1, o)
         d_w = d_matrix[..., :-1, :].reshape(d_matrix.shape[:-2] + (kh, kw, -1, o))
         grads = (np.moveaxis(d_w, *_TO_COLUMN_ORDER[::-1]), d_matrix[..., -1, :])
@@ -201,6 +246,7 @@ class _ConvOp:
             return None, grads
         # the column gradient one tap at a time, into one (..., n*oh*ow, c)
         # buffer; each tap adds back into the input pixels it read
+        n, oh, ow = grad.shape[-4:-1]
         w_taps = np.moveaxis(params[0], (-2, -1), (-4, -3))  # (..., kh, kw, o, c)
         w_taps = w_taps.reshape(w_taps.shape[:-4] + (kh * kw,) + w_taps.shape[-2:])
         d_tap = np.empty(g.shape[:-1] + w_taps.shape[-1:])
@@ -213,13 +259,27 @@ class _ConvOp:
         return dx, grads
 
 
+def _has_columns(op) -> bool:
+    """Whether `op` is a weighted layer, one matrix product of its column
+    matrix, which `train_many` builds or refills for it."""
+    return isinstance(op, (_DenseOp, _ConvOp))
+
+
 class _PoolOp:
-    def __init__(self, size: tuple[int, int]):
+    """Max-pool.  With `tap_major`, the input is a first convolution's
+    output in pool-tap order, (..., ph*pw, n, oh, ow, c) (see `_ConvOp`),
+    so each tap is one contiguous block; else it is (..., n, h, w, c) and
+    each tap a strided view."""
+
+    def __init__(self, size: tuple[int, int], tap_major: bool = False):
         self.size = size
+        self.tap_major = tap_major
 
     def _taps(self, x):
-        """Strided views, one per window position in row-major order."""
+        """Views, one per window position in row-major order."""
         ph, pw = self.size
+        if self.tap_major:
+            return [x[..., k, :, :, :, :] for k in range(ph * pw)]
         oh, ow = x.shape[-3] // ph, x.shape[-2] // pw
         return [x[..., i:oh * ph:ph, j:ow * pw:pw, :] for i in range(ph) for j in range(pw)]
 
@@ -240,7 +300,10 @@ class _PoolOp:
 
     def backward(self, params, cache, grad):
         switches, in_shape = cache
-        dx = np.zeros(grad.shape[:-3] + in_shape[-3:])
+        if self.tap_major:  # the taps cover the input: no zero fill
+            dx = np.empty(grad.shape[:-4] + in_shape[-5:])
+        else:
+            dx = np.zeros(grad.shape[:-3] + in_shape[-3:])
         for k, tap in enumerate(self._taps(dx)):
             np.multiply(grad, switches == k, out=tap)
         return dx, ()
@@ -267,8 +330,8 @@ class _ActivationOp:
     """Elementwise activation, computed in place both ways.
 
     An activation always follows a weighted op, so its input is that
-    op's fresh output, which no cache holds (`_DenseOp` caches its
-    input, `_ConvOp` its columns); its incoming gradient is a fresh
+    op's fresh output, which no cache holds (both weighted ops cache
+    their columns); its incoming gradient is a fresh
     array, or a view of one, made by the op after it.  Overwriting
     either changes nothing that is read later.  The cache is the ReLU
     sign pattern, or the tanh or logit output.
@@ -374,11 +437,14 @@ def init_net(spec: NetSpec) -> TrainedNet:
     """Build a net with seeded fan-in-scaled uniform weights, zero biases.
 
     Walks the layer chain validating that shapes compose; a mismatch
-    reports the offending layer pair.
+    reports the offending layer pair.  A first convolution read by a
+    pool writes its output in that pool's tap order (see `_ConvOp`).
     """
     rng = np.random.default_rng(spec.seed)
     ops: list = []
     params: list = []
+    layers = spec.layers
+    tap_major = len(layers) > 1 and isinstance(layers[0], Conv2D) and isinstance(layers[1], Pool)
     for i, layer, shape, _ in _layer_shapes(spec):
         if isinstance(layer, Dense):
             bound = 1.0 / np.sqrt(layer.n_in)
@@ -390,10 +456,11 @@ def init_net(spec: NetSpec) -> TrainedNet:
             bound = 1.0 / np.sqrt(shape[0] * kh * kw)
             params.append((rng.uniform(-bound, bound, size=(layer.channels, shape[0], kh, kw)),
                            np.zeros(layer.channels)))
-            ops.append(_ConvOp(layer.kernel, input_grad=i > 0))
+            ops.append(_ConvOp(layer.kernel, input_grad=i > 0,
+                               pool=layers[1].size if tap_major and i == 0 else None))
         elif isinstance(layer, Pool):
             params.append(())
-            ops.append(_PoolOp(layer.size))
+            ops.append(_PoolOp(layer.size, tap_major=tap_major and i == 1))
         else:
             params.append(())
             ops.append(_FlattenOp(len(shape)))
@@ -474,15 +541,17 @@ STACK_BYTES = 1 << 20
 def _round_bytes(spec: NetSpec, n: int, per_net: bool) -> int:
     """Bytes of the largest array one net of `spec` adds to a training
     round on `n` samples cropped as `_as_batch` crops them: a layer's
-    output (as large as its input gradient) or a convolution's column
-    matrix.  A first convolution's columns of inputs shared by all nets
-    are built once for the call, so they do not count."""
+    output (as large as its input gradient) or a weighted layer's column
+    matrix, one row per output pixel (one per sample for a dense layer)
+    of its input patch and a 1.  A first layer's columns of inputs
+    shared by all nets are built once for the call, so they do not
+    count."""
     largest = 0
     for i, layer, shape, out in _layer_shapes(spec, _read_shape(spec)):
         largest = max(largest, int(np.prod(out)))
-        if isinstance(layer, Conv2D) and (i > 0 or per_net):
-            kh, kw = layer.kernel
-            largest = max(largest, out[1] * out[2] * (kh * kw * shape[0] + 1))
+        if _is_weighted(layer) and (i > 0 or per_net):
+            kh, kw = layer.kernel if isinstance(layer, Conv2D) else (1, 1)
+            largest = max(largest, int(np.prod(out[1:])) * (kh * kw * shape[0] + 1))
     return 8 * n * largest
 
 
@@ -504,6 +573,8 @@ def train_many(nets: Sequence[TrainedNet], inputs: np.ndarray, targets: np.ndarr
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
     nets = list(nets)
     if not nets:
         return []
@@ -523,11 +594,11 @@ def train_many(nets: Sequence[TrainedNet], inputs: np.ndarray, targets: np.ndarr
     elif targets.shape != (n_nets, n):
         raise ValueError("inputs and targets are not aligned")
 
-    # Every round feeds the first layer the same batch, so a first
-    # convolution's column matrix is built once: for the call when the
+    # Every round feeds the first layer the same batch, so a weighted
+    # first layer's column matrix is built once: for the call when the
     # nets share their inputs, else once per stack.
     first = nets[0].ops[0]
-    shared_cols = first.columns(x0) if isinstance(first, _ConvOp) and not per_net else None
+    shared_cols = first.columns(x0) if _has_columns(first) and not per_net else None
     size = max(1, STACK_BYTES // _round_bytes(nets[0].spec, n, per_net))
     trained = []
     for lo in range(0, n_nets, size):
@@ -542,24 +613,24 @@ def _train_stack(nets: list[TrainedNet], x0: np.ndarray, targets: np.ndarray,
                  first_cols: np.ndarray | None, rounds: int,
                  learning_rate: float) -> list[TrainedNet]:
     """`train_many` on one stack: `x0` is the batch as `_as_batch` gives
-    it, `targets` (n,) or (R, n), and `first_cols` the first
-    convolution's column matrix of a shared batch, or None."""
+    it, `targets` (n,) or (R, n), and `first_cols` the first layer's
+    column matrix of a shared batch, or None."""
     ops = nets[0].ops
     n = targets.shape[-1]
     params = [tuple(map(np.stack, zip(*column)))
               for column in zip(*(net.params for net in nets))]
-    # Column matrices of this stack, by op.  A later convolution refills
-    # its buffer every round (see README, "Neural training": fresh ones
-    # could re-fault every round); returning frees them all.
+    # Column matrices of this stack, by op.  A later weighted layer
+    # refills its buffer every round (see README, "Neural training":
+    # fresh ones could re-fault every round); returning frees them all.
     cols = [None] * len(ops)
-    if isinstance(ops[0], _ConvOp):
+    if _has_columns(ops[0]):
         cols[0] = ops[0].columns(x0) if first_cols is None else first_cols
     losses, caches = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for round_no in range(1, rounds + 1):
             x = x0
             for i, (op, p) in enumerate(zip(ops, params)):
-                if isinstance(op, _ConvOp):
+                if _has_columns(op):
                     if i > 0:
                         cols[i] = op.columns(x, cols[i])
                     x, cache = op.forward(p, x, cols[i])

@@ -358,7 +358,8 @@ def _cents(x: np.ndarray) -> np.ndarray:
 def gen_market(config: MarketConfig = MarketConfig()) -> SynthMarket:
     """The indexes, one tape per trader and the ground truth, deterministic
     in (config, seed).  The seed's children: 0 draws the indexes, 1 the
-    shared market streams, 2+i trader i."""
+    shared market streams, 2+i trader i.  The shared streams are drawn
+    only when a trader reads them: in a shared market with traders."""
     dates = trading_days(START_DATE, config.n_days)
     months, month_ix = month_index(dates)
     index_seed, market_seed, *trader_seeds = np.random.SeedSequence(config.seed).spawn(
@@ -378,7 +379,8 @@ def gen_market(config: MarketConfig = MarketConfig()) -> SynthMarket:
         volume_mult[shock.start_day:shock.end_day] = shock.volume_mult
         spread_mult[shock.start_day:shock.end_day] = shock.spread_mult
 
-    shared = _MarketStreams(np.random.default_rng(market_seed), config)
+    shared = (_MarketStreams(np.random.default_rng(market_seed), config)
+              if config.shared_market and trader_seeds else None)
     tapes = []
     for t, seed in enumerate(trader_seeds):
         rng = np.random.default_rng(seed)

@@ -352,18 +352,39 @@ def _read_extent(plan):
     return read
 
 
+def _to_taps(rows, pixels, pool):
+    """Rows (..., n*oh*ow, k) in image order, (n, oh, ow), reordered to
+    the taps of a (ph, pw) pool: (ph, pw, n, oh/ph, ow/pw)."""
+    (n, oh, ow), (ph, pw) = pixels, pool
+    split = rows.reshape(rows.shape[:-2] + (n, oh // ph, ph, ow // pw, pw, rows.shape[-1]))
+    return np.moveaxis(split, (-4, -2), (-6, -5)).reshape(rows.shape)
+
+
+def _from_taps(rows, pixels, pool):
+    """`_to_taps` undone."""
+    (n, oh, ow), (ph, pw) = pixels, pool
+    split = rows.reshape(rows.shape[:-2] + (ph, pw, n, oh // ph, ow // pw, rows.shape[-1]))
+    return np.moveaxis(split, (-6, -5), (-4, -2)).reshape(rows.shape)
+
+
 def reference_train_many(nets, inputs, targets, rounds, learning_rate):
     """Full-batch gradient descent on R nets stacked along a model axis,
-    the plain way: every round rebuilds each convolution's im2col
-    columns, allocates a fresh array for every result and computes
-    every input gradient.  Images are cropped to the rows and columns
-    the output reads (`_read_extent`); the pixels outside get zero
-    gradient, and the crop makes each weight-gradient product the same
-    length as `neural_kit.train_many`'s.  Same arithmetic, in the same
-    order, as `neural_kit.train_many`; returns one (weight arrays, loss
+    the plain way: every round rebuilds each weighted layer's columns,
+    allocates a fresh array for every result and computes every input
+    gradient.  Images are cropped to the rows and columns the output
+    reads (`_read_extent`); the pixels outside get zero gradient, and
+    the crop makes each weight-gradient product the same length as
+    `neural_kit.train_many`'s.  Same arithmetic, in the same order, as
+    `neural_kit.train_many`, whose products are these: a dense layer
+    multiplies `[x | 1]` by `[W; b]`, and a first convolution read by a
+    pool takes its column rows in that pool's tap order, in its forward
+    product and in its weight gradient (`_to_taps`); everything else
+    runs in the plain image order.  Returns one (weight arrays, loss
     curve) pair per net."""
     spec = nets[0].spec
     plan = _reference_plan(spec)
+    kinds = [kind for kind, _ in plan if kind != "act"]
+    first_pool = spec.layers[1].size if kinds[:2] == ["conv", "pool"] else None
     params = [np.stack(arrs) for arrs in zip(*(weight_arrays(net) for net in nets))]
     sample_ndim = len(spec.input_shape or (1,))
     x0 = np.asarray(inputs, dtype=float)
@@ -385,8 +406,9 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
         x, saved, p = x0, [], 0
         for kind, what in plan:  # forward; `saved` holds what backward reads
             if kind == "dense":
-                saved.append(x)
-                x = x @ params[p] + params[p + 1][..., None, :]
+                cols = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+                saved.append(cols)
+                x = cols @ np.concatenate([params[p], params[p + 1][..., None, :]], axis=-2)
                 p += 2
             elif kind == "conv":
                 kh, kw = what.kernel
@@ -397,10 +419,14 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
                 cols[..., :-1].reshape(cols.shape[:-1] + (kh, kw, c))[...] = \
                     np.moveaxis(windows, -3, -1)
                 cols = cols.reshape(x.shape[:-4] + (n_img * oh * ow, -1))
+                if p == 0 and first_pool:
+                    cols = _to_taps(cols, (n_img, oh, ow), first_pool)
                 saved.append((cols, x.shape))
                 w = np.moveaxis(params[p], *to_cols)
                 w = w.reshape(w.shape[:-4] + (-1, w.shape[-1]))
                 out = cols @ np.concatenate([w, params[p + 1][..., None, :]], axis=-2)
+                if p == 0 and first_pool:
+                    out = _from_taps(out, (n_img, oh, ow), first_pool)
                 x = out.reshape(out.shape[:-2] + (n_img, oh, ow, -1))
                 p += 2
             elif kind == "pool":
@@ -441,15 +467,16 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
             keep = saved.pop()
             if kind == "dense":
                 p -= 2
-                grads[p] = keep.swapaxes(-1, -2) @ grad
-                grads[p + 1] = grad.sum(axis=-2)
+                d_matrix = keep.swapaxes(-1, -2) @ grad
+                grads[p], grads[p + 1] = d_matrix[..., :-1, :], d_matrix[..., -1, :]
                 grad = grad @ params[p].swapaxes(-1, -2)
             elif kind == "conv":
                 p -= 2
                 (cols, in_shape), (kh, kw) = keep, what.kernel
                 n_img, oh, ow, o = grad.shape[-4:]
                 g = grad.reshape(grad.shape[:-4] + (-1, o))
-                d_matrix = cols.swapaxes(-1, -2) @ g
+                g_rows = _to_taps(g, (n_img, oh, ow), first_pool) if p == 0 and first_pool else g
+                d_matrix = cols.swapaxes(-1, -2) @ g_rows
                 grads[p + 1] = d_matrix[..., -1, :]
                 d_w = d_matrix[..., :-1, :].reshape(d_matrix.shape[:-2] + (kh, kw, -1, o))
                 grads[p] = np.moveaxis(d_w, *to_cols[::-1])

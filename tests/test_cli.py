@@ -636,6 +636,27 @@ BAD_OPTION_VALUES = {
                            "--train-residuals", "{residuals}/t0/residuals.csv",
                            "--predict-residuals", "{residuals}/t1/residuals.csv",
                            "--index", "sentiment={tapes}/sentiment.csv"],
+    "backcast-nan-learning-rate": ["backcast", "--protocol", "deep10", "--learning-rate", "nan",
+                                   "--train-residuals", "{residuals}/t0/residuals.csv",
+                                   "--predict-residuals", "{residuals}/t1/residuals.csv",
+                                   "--index", "sentiment={tapes}/sentiment.csv"],
+    "backcast-negative-learning-rate": ["backcast", "--protocol", "deep10",
+                                        "--learning-rate", "-1",
+                                        "--train-residuals", "{residuals}/t0/residuals.csv",
+                                        "--predict-residuals", "{residuals}/t1/residuals.csv",
+                                        "--index", "sentiment={tapes}/sentiment.csv"],
+    "backcast-zero-learning-rate": ["backcast", "--protocol", "cnn7", "--learning-rate", "0",
+                                    "--train-residuals", "{residuals}/t0/residuals.csv",
+                                    "--predict-residuals", "{residuals}/t1/residuals.csv",
+                                    "--index", "sentiment={tapes}/sentiment.csv"],
+    # training days 300-420 lie past the four 60-day periods of the study
+    "eventstudy-training-outside-the-study": ["eventstudy", "--tape", "{tapes}/t0.csv",
+                                              "--index", "sentiment={tapes}/sentiment.csv",
+                                              "--training-periods", "5,6",
+                                              "--n-periods", "4"],
+    "eventstudy-no-prediction-window": ["eventstudy", "--tape", "{tapes}/t0.csv",
+                                        "--index", "sentiment={tapes}/sentiment.csv",
+                                        "--n-periods", "2"],
     "backcast-unknown-activation": ["backcast", "--protocol", "cnn7", "--activation", "elu",
                                     "--train-residuals", "{residuals}/t0/residuals.csv",
                                     "--predict-residuals", "{residuals}/t1/residuals.csv",

@@ -116,6 +116,17 @@ def test_event_config_default_windows():
         ll.EventStudyConfig(training_periods=(0, 2)).resolved_windows()
 
 
+@pytest.mark.parametrize("periods, n_periods, message", [
+    ((5, 6), 4, "outside"), ((-1, 0), 8, "outside"), ((0, 1), 1, "outside"),
+    ((0, 1), 2, "no prediction window"), ((1, 2), 4, "no prediction window")])
+def test_event_config_refuses_training_outside_the_study_or_no_window(periods, n_periods,
+                                                                      message):
+    with pytest.raises(ValueError, match=message):
+        ll.EventStudyConfig(n_periods=n_periods, training_periods=periods)
+    assert ll.EventStudyConfig(n_periods=4, training_periods=(2, 3)).resolved_windows() == \
+        [(0, 120)]
+
+
 def test_event_config_needs_a_permutation():
     # with none, every window's Spearman p would read (1 + 0) / (1 + 0) = 1
     for n in (0, -5):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import rerun_under_prescott_blas
+from conftest import rerun_under_other_blas_kernels
 from dualspace import neural_kit as nk
 from oracles import forward_cached, grad_check, reference_train_many, weight_arrays
 
@@ -65,6 +65,14 @@ def test_zero_rounds_rejected():
     net = nk.init_net(nk.NetSpec((nk.Dense(2, 1),), "linear", 0))
     with pytest.raises(ValueError, match="rounds"):
         nk.train_many([net], np.zeros((3, 2)), np.zeros(3), rounds=0, learning_rate=0.1)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0, 0.0])
+def test_learning_rate_that_is_not_finite_and_positive_is_refused(monkeypatch, rate):
+    monkeypatch.setattr(nk, "_train_stack", None)  # refused before any stack trains
+    net = nk.init_net(nk.NetSpec((nk.Dense(2, 1),), "linear", 0))
+    with pytest.raises(ValueError, match="learning_rate"):
+        nk.train_many([net], np.zeros((3, 2)), np.zeros(3), rounds=5, learning_rate=rate)
 
 
 def test_planted_linear_map_recovered():
@@ -362,10 +370,25 @@ _ORACLE_SPECS = {
 @pytest.mark.parametrize("activation", nk.ACTIVATIONS)
 @pytest.mark.parametrize("arch", sorted(_ORACLE_SPECS))
 def test_training_equals_plain_reference_loop_exactly(arch, activation, per_net):
+    _assert_training_equals_the_plain_loop(arch, activation, per_net, n=5)
+
+
+# On 5 samples a sequential column sum and a product with a ones column
+# round alike; from 16 on they differ (deep10 and shallow), so only a
+# longer batch tells whether the bias gradient is summed as the oracle sums it.
+@pytest.mark.parametrize("per_net", [False, True], ids=["shared", "per_net"])
+@pytest.mark.parametrize("activation", nk.ACTIVATIONS)
+@pytest.mark.parametrize("arch", ["deep10", "shallow"])
+def test_dense_training_on_a_long_batch_equals_the_plain_loop_exactly(arch, activation,
+                                                                      per_net):
+    _assert_training_equals_the_plain_loop(arch, activation, per_net, n=24)
+
+
+def _assert_training_equals_the_plain_loop(arch, activation, per_net, n):
     make_spec, sample_shape = _ORACLE_SPECS[arch]
     rng = np.random.default_rng(40)
     nets = [nk.init_net(make_spec(seed, activation)) for seed in (1, 2)]
-    lead = (2, 5) if per_net else (5,)
+    lead = (2, n) if per_net else (n,)
     x = rng.standard_normal(lead + sample_shape)
     y = rng.standard_normal(lead)
     runs = [(nk.train_many(nets, x, y, rounds=6, learning_rate=0.05),
@@ -382,13 +405,40 @@ def test_training_equals_plain_reference_loop_exactly(arch, activation, per_net)
 
 
 def test_exact_training_does_not_follow_the_blas_kernel():
-    """Training still equals the plain loop bit for bit under another
-    BLAS kernel: both reduce over the same cropped images."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    rerun_under_prescott_blas(
+    """Training still equals the plain loop bit for bit under other BLAS
+    kernels: both reduce over the same cropped images with the same
+    products, and no stack size changes a net."""
+    study = os.path.join(os.path.dirname(os.path.abspath(__file__)), "test_residual_study.py")
+    rerun_under_other_blas_kernels(
         f"{__file__}::test_training_equals_plain_reference_loop_exactly",
-        os.path.join(here, "test_residual_study.py")
-        + "::test_cnn_backcast_equals_the_plain_loop_on_the_read_crop")
+        f"{__file__}::test_dense_training_on_a_long_batch_equals_the_plain_loop_exactly",
+        f"{__file__}::test_per_net_inputs_give_the_same_nets_in_any_stacks",
+        f"{study}::test_cnn_backcast_equals_the_plain_loop_on_the_read_crop",
+        f"{study}::test_stack_size_never_changes_a_report")
+
+
+def test_a_first_convolution_read_by_a_pool_writes_its_rows_in_tap_order():
+    net = nk.init_net(nk.cnn7_spec(seed=3))
+    conv, pool = net.ops[0], net.ops[2]
+    assert (conv.pool, pool.tap_major) == ((2, 2), True)
+    assert (net.ops[3].pool, net.ops[5].tap_major) == (None, False)  # the second pair
+    x = nk._as_batch(net, np.random.default_rng(49).standard_normal((3, 21, 16)))
+    plain_conv, plain_pool = nk._ConvOp(conv.kernel, input_grad=False), nk._PoolOp(pool.size)
+
+    def image_order(a):  # (2, 2, 3, 8, 6, ...) in tap order -> (3, 16, 12, ...)
+        a = a.reshape((2, 2, 3, 8, 6) + a.shape[-1:])
+        return np.moveaxis(a, (0, 1), (2, 4)).reshape((3, 16, 12) + a.shape[-1:])
+
+    cols, plain_cols = conv.columns(x), plain_conv.columns(x)
+    np.testing.assert_array_equal(image_order(cols), plain_cols.reshape(3, 16, 12, -1))
+    out, cache = pool.forward((), conv.forward(net.params[0], x, cols)[0])
+    plain_out, plain_cache = plain_pool.forward(
+        (), plain_conv.forward(net.params[0], x, plain_cols)[0])
+    np.testing.assert_array_equal(cache[0], plain_cache[0])  # the switches
+    np.testing.assert_allclose(out, plain_out, rtol=1e-14, atol=0)
+    grad = np.random.default_rng(50).standard_normal(out.shape)
+    np.testing.assert_array_equal(image_order(pool.backward((), cache, grad)[0]),
+                                  plain_pool.backward((), plain_cache, grad)[0])
 
 
 def test_first_layer_columns_built_once_per_train_many_call(monkeypatch):
@@ -461,8 +511,9 @@ def test_grad_check_reports_a_wrong_gradient(monkeypatch):
 
 
 def test_conv_columns_refill_a_given_buffer():
-    op = nk.init_net(nk.cnn7_spec(seed=3)).ops[0]
-    x = np.random.default_rng(46).standard_normal((2, 21, 16, 1))
+    net = nk.init_net(nk.cnn7_spec(seed=3))
+    op = net.ops[0]
+    x = nk._as_batch(net, np.random.default_rng(46).standard_normal((2, 21, 16)))
     first = op.columns(x)
     again = op.columns(2.0 * x, first)
     assert again is first

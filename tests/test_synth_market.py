@@ -10,7 +10,7 @@ from dualspace.corrstats import corr_significance_threshold, pearson
 from dualspace.calendars import month_index, read_index_csv, trading_days
 from dualspace.synth_market import Couplings, MarketConfig
 
-from conftest import COUPLED_CONFIG, rerun_under_prescott_blas
+from conftest import COUPLED_CONFIG, rerun_under_other_blas_kernels
 
 
 def test_generation_is_deterministic(small_market):
@@ -283,4 +283,23 @@ def test_golden_random_stream(name):
 
 def test_golden_streams_do_not_follow_the_blas_kernel():
     """The golden streams' bytes do not change under another BLAS kernel."""
-    rerun_under_prescott_blas(f"{__file__}::test_golden_random_stream")
+    rerun_under_other_blas_kernels(f"{__file__}::test_golden_random_stream")
+
+
+@pytest.mark.parametrize("shared_market, n_traders, draws",
+                         [(True, 2, 1), (True, 0, 0), (False, 2, 2), (False, 0, 0)])
+def test_market_streams_are_drawn_only_for_traders_that_read_them(monkeypatch, shared_market,
+                                                                  n_traders, draws):
+    made = []
+    streams = synth_market._MarketStreams
+
+    def counting(rng, config):
+        made.append(config)
+        return streams(rng, config)
+
+    monkeypatch.setattr(synth_market, "_MarketStreams", counting)
+    market = synth_market.gen_market(MarketConfig(n_traders=n_traders, n_days=30, seed=2,
+                                                  trades_per_day_mean=5.0,
+                                                  shared_market=shared_market))
+    assert len(made) == draws
+    assert len(market.tapes) == n_traders
