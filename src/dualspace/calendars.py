@@ -12,15 +12,25 @@ import numpy as np
 from .table_csv import read_table_csv, write_table_csv
 
 
+def _weekdays_before(ordinal: int) -> int:
+    """Weekdays before the day of a proleptic ordinal; day 1, 0001-01-01,
+    is a Monday."""
+    weeks, days = divmod(ordinal - 1, 7)
+    return 5 * weeks + min(days, 5)
+
+
+def weekdays_from(start: dt.date) -> int:
+    """Weekdays on or after `start` that `datetime.date` holds."""
+    return _weekdays_before(dt.date.max.toordinal() + 1) - _weekdays_before(start.toordinal())
+
+
 def trading_days(start: dt.date, n_days: int) -> list[dt.date]:
-    """First `n_days` weekdays on or after `start` (no holiday calendar)."""
-    days = []
-    day = start
-    while len(days) < n_days:
-        if day.weekday() < 5:
-            days.append(day)
-        day += dt.timedelta(days=1)
-    return days
+    """First `n_days` weekdays on or after `start` (no holiday calendar).
+    Weekday w, counted from 0001-01-01, is day 1 + 7·(w // 5) + w % 5."""
+    if n_days > weekdays_from(start):
+        raise ValueError(f"{n_days} weekdays from {start} run past {dt.date.max}")
+    first = _weekdays_before(start.toordinal())
+    return [dt.date.fromordinal(1 + 7 * (w // 5) + w % 5) for w in range(first, first + n_days)]
 
 
 def _month_keys(serials) -> list[str]:

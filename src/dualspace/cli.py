@@ -482,8 +482,15 @@ def _cmd_pdo_demo(args) -> int:
                      and sigma0 > 0 and diff >= 0 and t >= 0):
         raise UsageError("pdo-demo needs --points >= 2, --sigma0 > 0, --diffusion >= 0 "
                          "and --time >= 0, all finite")
-    sigma_t = np.sqrt(sigma0**2 + 2.0 * diff * t)
-    half_width = 8.0 * sigma_t + abs(drift) * t
+    with np.errstate(all="ignore"):  # a grid that overflows is refused below
+        sigma_t = np.sqrt(np.square(sigma0) + 2.0 * diff * t)
+        half_width = 8.0 * sigma_t + abs(drift) * t
+        # the widest squared offset the grid and the closed form read, over
+        # the smaller of the two variances they divide it by
+        widest = np.square(half_width + abs(drift) * t) / (2.0 * np.square(sigma0))
+    if not np.isfinite(widest):
+        raise UsageError("pdo-demo's grid overflows: its squared points over 2 sigma0^2 "
+                         "are not finite for these --sigma0, --diffusion, --drift and --time")
     points = np.linspace(-half_width, half_width, n, endpoint=False)
     initial = np.exp(-points**2 / (2 * sigma0**2))
     evolved = pdo_kernel.pdo_evolve(initial, points[1] - points[0], drift, diff, t)

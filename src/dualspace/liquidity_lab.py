@@ -82,6 +82,8 @@ class EventStudyConfig:
     def __post_init__(self):
         """Refuses a study that would train outside itself or test nothing,
         before any training."""
+        if self.period_length < 1:
+            raise ValueError(f"period_length must be >= 1, got {self.period_length}")
         if self.n_permutations < 1:  # (1 + 0) / (1 + 0) would read as a p-value of 1
             raise ValueError("an event study needs at least one permutation")
         lo, hi = self.training_periods

@@ -7,10 +7,13 @@ a 7-layer CNN over day-by-bucket images, and a one-hidden-layer
 "moments" net).  No minibatching, no momentum: plain gradient descent,
 which is all these shallow problems need and keeps runs reproducible.
 
-There is one training loop, `train_many`: it trains R nets of one
-architecture in stacks along a leading model axis, as many per stack
-as a fixed memory budget allows.
-Convolutions run as im2col + matmul.  Both weighted ops, dense and
+Each layer kind is one frozen dataclass (`Dense`, `Conv2D`, `Pool`,
+`Flatten`): its spec fields, its rules for the shape walks, and its
+forward and backward pass.  A net is its `NetSpec`, which always states
+the input shape.  There is one training loop, `train_many`: it trains R
+nets of one architecture in stacks along a leading model axis, as many
+per stack as a fixed memory budget allows.
+Convolutions run as im2col + matmul.  Both weighted layers, dense and
 conv, carry their bias as a last column of ones in their column matrix,
 so that a layer's forward pass and its weight and bias gradients are
 each one matrix product: a training round spends its time in BLAS, not
@@ -31,8 +34,8 @@ gradient, so no result changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -49,84 +52,21 @@ class TrainingDivergedError(ArithmeticError):
     """
 
 
-# ── layer specs ────────────────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class Dense:
-    n_in: int
-    n_out: int
-
-
-@dataclass(frozen=True)
-class Conv2D:
-    kernel: tuple[int, int]
-    channels: int
-
-
-@dataclass(frozen=True)
-class Pool:
-    size: tuple[int, int] = (2, 2)
-
-
-@dataclass(frozen=True)
-class Flatten:
-    pass
-
-
-LayerSpec = Union[Dense, Conv2D, Pool, Flatten]
-
-
-@dataclass(frozen=True)
-class NetSpec:
-    layers: tuple[LayerSpec, ...]
-    activation: str = "relu"
-    seed: int = 0
-    input_shape: tuple[int, ...] = ()  # () = infer from a leading Dense
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ValueError("net needs at least one layer")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-
-def shallow_spec(n_inputs: int = 4, seed: int = 0) -> NetSpec:
-    """One-hidden-layer tanh net, 8 wide, for the four-moment inputs."""
-    return NetSpec((Dense(n_inputs, 8), Dense(8, 1)), "tanh", seed, input_shape=(n_inputs,))
-
-
-def deep10_spec(n_inputs: int = 16, seed: int = 0) -> NetSpec:
-    """10 dense ReLU layers, 16-dim input to scalar output."""
-    widths = [n_inputs, 32, 32, 24, 24, 16, 16, 8, 8, 4, 1]
-    layers = tuple(Dense(a, b) for a, b in zip(widths, widths[1:]))
-    return NetSpec(layers, "relu", seed, input_shape=(n_inputs,))
-
-
-def cnn7_spec(input_shape: tuple[int, int] = (21, 16), activation: str = "relu",
-              seed: int = 0) -> NetSpec:
-    """7-layer CNN over a days-by-buckets image: conv, pool, conv, pool,
-    flatten, dense 32 wide, dense-to-scalar."""
-    h, w = input_shape
-    oh, ow = (h - 2) // 2, (w - 2) // 2          # conv 3x3 then pool 2x2
-    oh, ow = (oh - 2) // 2, (ow - 2) // 2        # conv 3x3 then pool 2x2
-    flat = 16 * oh * ow
-    layers = (
-        Conv2D((3, 3), 8),
-        Pool((2, 2)),
-        Conv2D((3, 3), 16),
-        Pool((2, 2)),
-        Flatten(),
-        Dense(flat, 32),
-        Dense(32, 1),
-    )
-    return NetSpec(layers, activation, seed, input_shape=input_shape)
-
-
-# ── runtime layers ─────────────────────────────────────────────────────
+# ── layers ─────────────────────────────────────────────────────────────
 #
-# An op holds only the constants its layer spec fixes; the net's
-# parameters and the arrays one pass caches for its backward pass are
-# passed in and out.  `forward(params, x)` returns `(out, cache)`, and
+# A layer's first fields are its spec.  The fields after them are set by
+# `init_net` from the layer's place in its net, and take no part in
+# comparing two layers, so they never tell architectures apart.
+#
+# The shape rules walk a sample shape, (c, h, w) for an image and (k,)
+# for a flat vector: `out_shape(shape, i)` checks the input of layer i
+# and returns its output shape, and `reads(read, shape)` returns the
+# extent (h, w) of its input that an output extent `read` reads.  A
+# weighted layer also draws its parameters, `init(rng, shape)`.
+#
+# As an op a layer holds no arrays: the net's parameters and the arrays
+# one pass caches for its backward pass are passed in and out.
+# `forward(params, x)` returns `(out, cache)`, and
 # `backward(params, cache, grad)` returns the input gradient (None for
 # a net's first layer, whose input gradient nothing reads) and a tuple
 # of parameter gradients in the order of `params`.
@@ -136,17 +76,51 @@ def cnn7_spec(input_shape: tuple[int, int] = (21, 16), activation: str = "relu",
 # parameters carry no model axis; `train_many` stacks them along one.
 # Images run channels-last, (..., n, h, w, c), so that a convolution's
 # output matrix is already its activation map, with no transpose;
-# Flatten restores the (c, h, w) order of the layer specs.
+# Flatten restores the (c, h, w) order of the shape walks.
 
-class _DenseOp:
-    """`x @ weights + bias` as one matrix product, as `_ConvOp` does it:
+def _where(layer, i: int) -> str:
+    return f"layer {i + 1} ({type(layer).__name__})"
+
+
+def _image(layer, i: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """`shape`, refused unless it is an image (c, h, w)."""
+    if len(shape) != 3:
+        raise ValueError(f"{_where(layer, i)}: expected image input, got shape {shape}")
+    return shape
+
+
+@dataclass(frozen=True)
+class Dense:
+    """`x @ weights + bias` as one matrix product, as `Conv2D` does it:
     the column matrix is `x` with a last column of ones, and the bias is
     the last row of the weights.  So the bias gradient is the last row of
     the weight-gradient product, with no broadcast add and no column sum
     over the samples."""
 
-    def __init__(self, input_grad: bool = True):
-        self.input_grad = input_grad
+    n_in: int
+    n_out: int
+    input_grad: bool = field(default=True, compare=False)
+
+    def out_shape(self, shape, i):
+        if len(shape) != 1:
+            raise ValueError(f"{_where(self, i)}: expected flat input, got shape {shape}; "
+                             "add a Flatten layer")
+        if shape[0] != self.n_in:
+            raise ValueError(f"shape mismatch between layer {i} (out {shape[0]}) and "
+                             f"{_where(self, i)} (in {self.n_in})")
+        return (self.n_out,)
+
+    def reads(self, read, shape):
+        return read  # None: a dense layer reads a flat vector
+
+    def init(self, rng, shape):
+        bound = 1.0 / np.sqrt(self.n_in)
+        return (rng.uniform(-bound, bound, size=(self.n_in, self.n_out)),
+                np.zeros(self.n_out))
+
+    def n_columns(self, shape):
+        """The width of the column matrix: one input and a 1."""
+        return self.n_in + 1
 
     def columns(self, x, out=None):  # (..., n, k) -> (..., n, k + 1)
         """`x` with a last column of ones, written into `out` when given."""
@@ -174,7 +148,8 @@ class _DenseOp:
 _TO_COLUMN_ORDER = ((-4, -3, -2, -1), (-1, -2, -4, -3))
 
 
-class _ConvOp:
+@dataclass(frozen=True)
+class Conv2D:
     """Valid 2-D convolution as im2col + matmul (Chellapilla, Puri &
     Simard 2006): each output pixel's (kh, kw, c) input patch is one row
     of a column matrix, so forward and the weight gradient are single
@@ -191,11 +166,30 @@ class _ConvOp:
     never computes.  The crop of `_as_batch` makes the output a whole
     number of pool windows."""
 
-    def __init__(self, kernel: tuple[int, int], input_grad: bool = True,
-                 pool: tuple[int, int] | None = None):
-        self.kernel = kernel
-        self.input_grad = input_grad
-        self.pool = pool
+    kernel: tuple[int, int]
+    channels: int
+    input_grad: bool = field(default=True, compare=False)
+    pool: tuple[int, int] | None = field(default=None, compare=False)
+
+    def out_shape(self, shape, i):
+        _, h, w = _image(self, i, shape)
+        kh, kw = self.kernel
+        if h < kh or w < kw:
+            raise ValueError(f"{_where(self, i)}: kernel {self.kernel} larger than input {(h, w)}")
+        return (self.channels, h - kh + 1, w - kw + 1)
+
+    def reads(self, read, shape):
+        return (read[0] + self.kernel[0] - 1, read[1] + self.kernel[1] - 1)
+
+    def init(self, rng, shape):
+        kh, kw = self.kernel
+        bound = 1.0 / np.sqrt(shape[0] * kh * kw)
+        return (rng.uniform(-bound, bound, size=(self.channels, shape[0], kh, kw)),
+                np.zeros(self.channels))
+
+    def n_columns(self, shape):
+        """The width of the column matrix: one input patch and a 1."""
+        return self.kernel[0] * self.kernel[1] * shape[0] + 1
 
     def columns(self, x, out=None):  # (..., n, h, w, c) -> (..., n*oh*ow, kh*kw*c + 1)
         """The column matrix of `x`, written into `out` when given (a
@@ -259,21 +253,33 @@ class _ConvOp:
         return dx, grads
 
 
-def _has_columns(op) -> bool:
-    """Whether `op` is a weighted layer, one matrix product of its column
-    matrix, which `train_many` builds or refills for it."""
-    return isinstance(op, (_DenseOp, _ConvOp))
+def _weighted(layer) -> bool:
+    """Whether `layer` is dense or conv: one matrix product of its column
+    matrix (which `train_many` builds or refills for it), with
+    parameters, and followed by an activation unless it is its net's
+    last weighted layer."""
+    return isinstance(layer, (Dense, Conv2D))
 
 
-class _PoolOp:
+@dataclass(frozen=True)
+class Pool:
     """Max-pool.  With `tap_major`, the input is a first convolution's
-    output in pool-tap order, (..., ph*pw, n, oh, ow, c) (see `_ConvOp`),
+    output in pool-tap order, (..., ph*pw, n, oh, ow, c) (see `Conv2D`),
     so each tap is one contiguous block; else it is (..., n, h, w, c) and
     each tap a strided view."""
 
-    def __init__(self, size: tuple[int, int], tap_major: bool = False):
-        self.size = size
-        self.tap_major = tap_major
+    size: tuple[int, int] = (2, 2)
+    tap_major: bool = field(default=False, compare=False)
+
+    def out_shape(self, shape, i):
+        c, h, w = _image(self, i, shape)
+        ph, pw = self.size
+        if h < ph or w < pw:
+            raise ValueError(f"{_where(self, i)}: pool {self.size} larger than input {(h, w)}")
+        return (c, h // ph, w // pw)
+
+    def reads(self, read, shape):
+        return (read[0] * self.size[0], read[1] * self.size[1])
 
     def _taps(self, x):
         """Views, one per window position in row-major order."""
@@ -309,19 +315,22 @@ class _PoolOp:
         return dx, ()
 
 
-class _FlattenOp:
-    def __init__(self, sample_ndim: int):
-        self.sample_ndim = sample_ndim
+@dataclass(frozen=True)
+class Flatten:
+    """An image as one flat vector in (c, h, w) order."""
+
+    def out_shape(self, shape, i):
+        return (int(np.prod(_image(self, i, shape))),)
+
+    def reads(self, read, shape):
+        return shape[1:]  # all of its input
 
     def forward(self, params, x):
-        sample_shape = x.shape[-self.sample_ndim:]
-        if self.sample_ndim == 3:
-            x = np.moveaxis(x, -1, -3)  # channels-last image -> (c, h, w)
-        return x.reshape(x.shape[:-self.sample_ndim] + (-1,)), sample_shape
+        sample_shape = x.shape[-3:]
+        x = np.moveaxis(x, -1, -3)  # channels-last image -> (c, h, w)
+        return x.reshape(x.shape[:-3] + (-1,)), sample_shape
 
     def backward(self, params, sample_shape, grad):
-        if self.sample_ndim != 3:
-            return grad.reshape(grad.shape[:-1] + sample_shape), ()
         h, w, c = sample_shape
         return np.moveaxis(grad.reshape(grad.shape[:-1] + (c, h, w)), -3, -1), ()
 
@@ -329,9 +338,9 @@ class _FlattenOp:
 class _ActivationOp:
     """Elementwise activation, computed in place both ways.
 
-    An activation always follows a weighted op, so its input is that
-    op's fresh output, which no cache holds (both weighted ops cache
-    their columns); its incoming gradient is a fresh
+    An activation always follows a weighted layer, so its input is that
+    layer's fresh output, which no cache holds (both weighted layers
+    cache their columns); its incoming gradient is a fresh
     array, or a view of one, made by the op after it.  Overwriting
     either changes nothing that is read later.  The cache is the ReLU
     sign pattern, or the tanh or logit output.
@@ -366,67 +375,76 @@ class _ActivationOp:
         return grad, ()
 
 
+# ── nets ───────────────────────────────────────────────────────────────
+
+@dataclass(frozen=True)
+class NetSpec:
+    layers: tuple[Dense | Conv2D | Pool | Flatten, ...]
+    activation: str = "relu"
+    seed: int = 0
+    input_shape: tuple[int, ...] = field(kw_only=True)  # (k,), (h, w) or (c, h, w)
+
+    def __post_init__(self):
+        if not self.layers:
+            raise ValueError("net needs at least one layer")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+
+
+def shallow_spec(n_inputs: int = 4, seed: int = 0) -> NetSpec:
+    """One-hidden-layer tanh net, 8 wide, for the four-moment inputs."""
+    return NetSpec((Dense(n_inputs, 8), Dense(8, 1)), "tanh", seed, input_shape=(n_inputs,))
+
+
+def deep10_spec(n_inputs: int = 16, seed: int = 0) -> NetSpec:
+    """10 dense ReLU layers, 16-dim input to scalar output."""
+    widths = [n_inputs, 32, 32, 24, 24, 16, 16, 8, 8, 4, 1]
+    layers = tuple(Dense(a, b) for a, b in zip(widths, widths[1:]))
+    return NetSpec(layers, "relu", seed, input_shape=(n_inputs,))
+
+
+def cnn7_spec(input_shape: tuple[int, int] = (21, 16), activation: str = "relu",
+              seed: int = 0) -> NetSpec:
+    """7-layer CNN over a days-by-buckets image: conv, pool, conv, pool,
+    flatten, dense 32 wide, dense-to-scalar."""
+    h, w = input_shape
+    oh, ow = (h - 2) // 2, (w - 2) // 2          # conv 3x3 then pool 2x2
+    oh, ow = (oh - 2) // 2, (ow - 2) // 2        # conv 3x3 then pool 2x2
+    flat = 16 * oh * ow
+    layers = (
+        Conv2D((3, 3), 8),
+        Pool((2, 2)),
+        Conv2D((3, 3), 16),
+        Pool((2, 2)),
+        Flatten(),
+        Dense(flat, 32),
+        Dense(32, 1),
+    )
+    return NetSpec(layers, activation, seed, input_shape=input_shape)
+
+
 @dataclass
 class TrainedNet:
     spec: NetSpec
-    ops: list                            # hold no arrays; see "runtime layers"
+    ops: list                            # placed layers and activations; they hold no arrays
     params: list[tuple[np.ndarray, ...]]  # one tuple per op, () for an op without
     loss_curve: list[float]
 
 
 # ── construction ───────────────────────────────────────────────────────
 
-def _infer_input_shape(spec: NetSpec) -> tuple[int, ...]:
-    if spec.input_shape:
-        return spec.input_shape
-    first = spec.layers[0]
-    if isinstance(first, Dense):
-        return (first.n_in,)
-    raise ValueError("input_shape is required when the first layer is not Dense")
-
-
 def _layer_shapes(spec: NetSpec, input_shape: tuple[int, ...] = ()):
-    """Each layer's index, spec, input and output sample shape, (c, h, w)
-    for an image and (k,) for a flat vector, from `input_shape` or else
-    the spec's own.
+    """Each layer's index, spec, input and output sample shape, from
+    `input_shape` or else the spec's own.
 
     Checks that the shapes compose; a mismatch reports the offending
     layer pair.
     """
-    shape = input_shape or _infer_input_shape(spec)
+    shape = input_shape or spec.input_shape
     if len(shape) == 2:
         shape = (1,) + shape  # single input channel
     for i, layer in enumerate(spec.layers):
-        where = f"layer {i + 1} ({type(layer).__name__})"
-        if isinstance(layer, Dense):
-            if len(shape) != 1:
-                raise ValueError(f"{where}: expected flat input, got shape {shape}; "
-                                 "add a Flatten layer")
-            if shape[0] != layer.n_in:
-                raise ValueError(
-                    f"shape mismatch between layer {i} (out {shape[0]}) and {where} "
-                    f"(in {layer.n_in})")
-            out = (layer.n_out,)
-        elif isinstance(layer, Conv2D):
-            if len(shape) != 3:
-                raise ValueError(f"{where}: expected image input, got shape {shape}")
-            c, h, w = shape
-            kh, kw = layer.kernel
-            if h < kh or w < kw:
-                raise ValueError(f"{where}: kernel {layer.kernel} larger than input {(h, w)}")
-            out = (layer.channels, h - kh + 1, w - kw + 1)
-        elif isinstance(layer, Pool):
-            if len(shape) != 3:
-                raise ValueError(f"{where}: expected image input, got shape {shape}")
-            c, h, w = shape
-            ph, pw = layer.size
-            if h < ph or w < pw:
-                raise ValueError(f"{where}: pool {layer.size} larger than input {(h, w)}")
-            out = (c, h // ph, w // pw)
-        elif isinstance(layer, Flatten):
-            out = (int(np.prod(shape)),)
-        else:
-            raise ValueError(f"{where}: unknown layer spec")
+        out = layer.out_shape(shape, i)
         yield i, layer, shape, out
         shape = out
     if shape != (1,):
@@ -437,45 +455,26 @@ def init_net(spec: NetSpec) -> TrainedNet:
     """Build a net with seeded fan-in-scaled uniform weights, zero biases.
 
     Walks the layer chain validating that shapes compose; a mismatch
-    reports the offending layer pair.  A first convolution read by a
-    pool writes its output in that pool's tap order (see `_ConvOp`).
+    reports the offending layer pair.  Places each layer in the net: a
+    first layer computes no input gradient, and a first convolution read
+    by a pool writes its output in that pool's tap order (see `Conv2D`).
     """
     rng = np.random.default_rng(spec.seed)
+    layers = list(spec.layers)
+    if len(layers) > 1 and isinstance(layers[0], Conv2D) and isinstance(layers[1], Pool):
+        layers[0] = replace(layers[0], pool=layers[1].size)
+        layers[1] = replace(layers[1], tap_major=True)
+    last = max((i for i, layer in enumerate(layers) if _weighted(layer)), default=0)
     ops: list = []
     params: list = []
-    layers = spec.layers
-    tap_major = len(layers) > 1 and isinstance(layers[0], Conv2D) and isinstance(layers[1], Pool)
-    for i, layer, shape, _ in _layer_shapes(spec):
-        if isinstance(layer, Dense):
-            bound = 1.0 / np.sqrt(layer.n_in)
-            params.append((rng.uniform(-bound, bound, size=(layer.n_in, layer.n_out)),
-                           np.zeros(layer.n_out)))
-            ops.append(_DenseOp(input_grad=i > 0))
-        elif isinstance(layer, Conv2D):
-            kh, kw = layer.kernel
-            bound = 1.0 / np.sqrt(shape[0] * kh * kw)
-            params.append((rng.uniform(-bound, bound, size=(layer.channels, shape[0], kh, kw)),
-                           np.zeros(layer.channels)))
-            ops.append(_ConvOp(layer.kernel, input_grad=i > 0,
-                               pool=layers[1].size if tap_major and i == 0 else None))
-        elif isinstance(layer, Pool):
-            params.append(())
-            ops.append(_PoolOp(layer.size, tap_major=tap_major and i == 1))
-        else:
-            params.append(())
-            ops.append(_FlattenOp(len(shape)))
-        if _is_weighted(layer) and i < _last_weighted_index(spec):
+    for i, _, shape, _ in _layer_shapes(spec):
+        weighted = _weighted(layers[i])
+        params.append(layers[i].init(rng, shape) if weighted else ())
+        ops.append(replace(layers[i], input_grad=i > 0) if weighted else layers[i])
+        if weighted and i < last:
             params.append(())
             ops.append(_ActivationOp(spec.activation))
     return TrainedNet(spec=spec, ops=ops, params=params, loss_curve=[])
-
-
-def _is_weighted(layer: LayerSpec) -> bool:
-    return isinstance(layer, (Dense, Conv2D))
-
-
-def _last_weighted_index(spec: NetSpec) -> int:
-    return max(i for i, layer in enumerate(spec.layers) if _is_weighted(layer))
 
 
 def _read_shape(spec: NetSpec) -> tuple[int, ...]:
@@ -488,28 +487,21 @@ def _read_shape(spec: NetSpec) -> tuple[int, ...]:
     output's rows + k - 1; the same holds for columns.  The pixels
     outside this extent get exactly zero gradient and reach no output.
     """
-    shape = _infer_input_shape(spec)
     read = None
-    for _, layer, in_shape, _ in reversed(list(_layer_shapes(spec))):
-        if isinstance(layer, Flatten) and len(in_shape) == 3:
-            read = in_shape[1:]
-        elif isinstance(layer, Pool):
-            read = (read[0] * layer.size[0], read[1] * layer.size[1])
-        elif isinstance(layer, Conv2D):
-            read = (read[0] + layer.kernel[0] - 1, read[1] + layer.kernel[1] - 1)
-    return shape if read is None else shape[:-2] + read
+    for _, layer, shape, _ in reversed(list(_layer_shapes(spec))):
+        read = layer.reads(read, shape)
+    return spec.input_shape if read is None else spec.input_shape[:-2] + read
+
 
 
 # ── forward / training ─────────────────────────────────────────────────
 
 def _as_batch(net: TrainedNet, inputs: np.ndarray, per_net: bool = False) -> np.ndarray:
-    """Inputs as a float batch (n, ...), or (R, n, ...) when `per_net`,
-    with the channel axis added for image inputs and images cropped to
-    the rows and columns the output reads (`_read_shape`)."""
+    """A batch (n, ...), or (R, n, ...) when `per_net`, as floats, with
+    the channel axis added for image inputs and images cropped to the
+    rows and columns the output reads (`_read_shape`)."""
     x = np.asarray(inputs, dtype=float)
-    expect = _infer_input_shape(net.spec)
-    if x.shape == expect:
-        x = x[None, ...]
+    expect = net.spec.input_shape
     got = x.shape[1 + per_net:]
     if got != expect:
         raise ValueError(f"input shape {got} does not match net input {expect}")
@@ -549,9 +541,8 @@ def _round_bytes(spec: NetSpec, n: int, per_net: bool) -> int:
     largest = 0
     for i, layer, shape, out in _layer_shapes(spec, _read_shape(spec)):
         largest = max(largest, int(np.prod(out)))
-        if _is_weighted(layer) and (i > 0 or per_net):
-            kh, kw = layer.kernel if isinstance(layer, Conv2D) else (1, 1)
-            largest = max(largest, int(np.prod(out[1:])) * (kh * kw * shape[0] + 1))
+        if _weighted(layer) and (i > 0 or per_net):
+            largest = max(largest, int(np.prod(out[1:])) * layer.n_columns(shape))
     return 8 * n * largest
 
 
@@ -578,7 +569,7 @@ def train_many(nets: Sequence[TrainedNet], inputs: np.ndarray, targets: np.ndarr
     nets = list(nets)
     if not nets:
         return []
-    arch = [(n.spec.layers, n.spec.activation, _infer_input_shape(n.spec)) for n in nets]
+    arch = [(n.spec.layers, n.spec.activation, n.spec.input_shape) for n in nets]
     if any(a != arch[0] for a in arch):
         raise ValueError("nets trained together must share one architecture")
     n_nets = len(nets)
@@ -598,7 +589,7 @@ def train_many(nets: Sequence[TrainedNet], inputs: np.ndarray, targets: np.ndarr
     # first layer's column matrix is built once: for the call when the
     # nets share their inputs, else once per stack.
     first = nets[0].ops[0]
-    shared_cols = first.columns(x0) if _has_columns(first) and not per_net else None
+    shared_cols = first.columns(x0) if _weighted(first) and not per_net else None
     size = max(1, STACK_BYTES // _round_bytes(nets[0].spec, n, per_net))
     trained = []
     for lo in range(0, n_nets, size):
@@ -623,14 +614,14 @@ def _train_stack(nets: list[TrainedNet], x0: np.ndarray, targets: np.ndarray,
     # refills its buffer every round (see README, "Neural training":
     # fresh ones could re-fault every round); returning frees them all.
     cols = [None] * len(ops)
-    if _has_columns(ops[0]):
+    if _weighted(ops[0]):
         cols[0] = ops[0].columns(x0) if first_cols is None else first_cols
     losses, caches = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for round_no in range(1, rounds + 1):
             x = x0
             for i, (op, p) in enumerate(zip(ops, params)):
-                if _has_columns(op):
+                if _weighted(op):
                     if i > 0:
                         cols[i] = op.columns(x, cols[i])
                     x, cache = op.forward(p, x, cols[i])

@@ -74,6 +74,11 @@ def read_state_csv(handle) -> StateMatrix:
         raise ValueError("state matrix file needs date, mode and bucket columns")
     if not rows:
         raise ValueError("empty state matrix file")
+    known = {mode.value for mode in VolumeMode}
+    unknown = next((row[1] for row in rows if row[1] not in known), None)
+    if unknown is not None:
+        raise ValueError(f"mode {unknown!r} is not one of "
+                         + ", ".join(mode.value for mode in VolumeMode))
     modes = sorted({row[1] for row in rows})
     if len(modes) > 1:
         raise ValueError(f"state matrix rows mix modes {', '.join(modes)}")

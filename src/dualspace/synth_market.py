@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tape_io
-from .calendars import IndexSeries, month_index, trading_days
+from .calendars import IndexSeries, month_index, trading_days, weekdays_from
 
 
 # ── fixed generator settings ───────────────────────────────────────────
@@ -121,6 +121,9 @@ class MarketConfig:
             raise ValueError("n_traders must be >= 0")
         if self.n_days < 2:
             raise ValueError("n_days must be >= 2")
+        if self.n_days > weekdays_from(START_DATE):  # refused before any draw
+            raise ValueError(f"n_days must be at most {weekdays_from(START_DATE)}, the "
+                             f"weekdays from {START_DATE} through {dt.date.max}")
         if not 0.0 <= self.anchored_fraction <= 1.0:
             raise ValueError("anchored_fraction must lie in [0, 1]")
         if not 0.0 <= self.trades_per_day_mean < float("inf"):

@@ -308,7 +308,7 @@ def _reference_plan(spec):
     ("pool", layer) and ("flatten", channels-last sample shape)."""
     weighted = [i for i, layer in enumerate(spec.layers)
                 if type(layer).__name__ in ("Dense", "Conv2D")]
-    shape = spec.input_shape or (spec.layers[0].n_in,)
+    shape = spec.input_shape
     if len(shape) == 2:
         shape = shape + (1,)  # one channel, channels-last
     elif len(shape) == 3:
@@ -386,7 +386,7 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
     kinds = [kind for kind, _ in plan if kind != "act"]
     first_pool = spec.layers[1].size if kinds[:2] == ["conv", "pool"] else None
     params = [np.stack(arrs) for arrs in zip(*(weight_arrays(net) for net in nets))]
-    sample_ndim = len(spec.input_shape or (1,))
+    sample_ndim = len(spec.input_shape)
     x0 = np.asarray(inputs, dtype=float)
     n = x0.shape[-sample_ndim - 1]
     if sample_ndim == 2:
@@ -531,7 +531,7 @@ def _loss_and_kinks(ops, params, x0, targets):
     kinks = [cache for op, cache in zip(ops, caches)
              if isinstance(op, neural_kit._ActivationOp) and op.kind == "relu"]
     kinks += [cache[0] for op, cache in zip(ops, caches)
-              if isinstance(op, neural_kit._PoolOp)]
+              if isinstance(op, neural_kit.Pool)]
     return float(np.mean((x[:, 0] - targets) ** 2)), kinks
 
 

@@ -194,7 +194,7 @@ def test_criterion_08_gradient_checks():
             (neural_kit.Dense(5, int(widths[0])),
              neural_kit.Dense(int(widths[0]), int(widths[1])),
              neural_kit.Dense(int(widths[1]), 1)),
-            "tanh", seed=int(rng.integers(1_000_000)))
+            "tanh", seed=int(rng.integers(1_000_000)), input_shape=(5,))
         net = neural_kit.init_net(spec)
         x = rng.standard_normal((3, 5))
         y = rng.standard_normal(3)

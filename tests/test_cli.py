@@ -109,6 +109,26 @@ def test_fit_on_a_state_file_of_several_modes_is_a_data_error(capsys, tmp_path):
     assert captured.out == "" and not (tmp_path / "fit").exists()
 
 
+def test_fit_on_a_tape_names_its_first_value_that_is_not_a_mode(capsys, tape_dir, tmp_path):
+    assert cli.run(["fit", "--states", str(tape_dir / "t0.csv"),
+                    "--out-dir", str(tmp_path / "fit")]) == 2
+    captured = capsys.readouterr()
+    first_price = (tape_dir / "t0.csv").read_text().splitlines()[2].split(",")[1]
+    assert captured.err == (f"data error: bad state matrix: mode {first_price!r} is not one of "
+                            "buy, sell, imbalance\n")
+    assert captured.out == "" and not (tmp_path / "fit").exists()
+
+
+def test_eventstudy_refuses_a_period_length_below_one_before_reading_the_tape(capsys,
+                                                                             tmp_path):
+    code = cli.run(["eventstudy", "--tape", str(tmp_path / "absent.csv"),
+                    "--index", f"sentiment={tmp_path / 'absent.csv'}", "--period-length", "0",
+                    "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == "data error: period_length must be >= 1, got 0\n"
+    assert captured.out == ""
+
+
 def test_backcast_cnn_via_cli(capsys, tape_dir, tmp_path):
     for trader in ("t0", "t1"):
         run_ok(capsys, ["statespace", "--tape", str(tape_dir / f"{trader}.csv"),
@@ -628,8 +648,13 @@ BAD_OPTION_VALUES = {
                                     "--shock", "0:10:1:-1"],
     "synth-nan-volume-shock": ["synth", "--days", "30", "--traders", "1",
                                "--shock", "0:10:nan:1"],
+    # past 9999-12-31: refused before a day is drawn
+    "synth-days-past-the-calendar": ["synth", "--days", "3000000", "--traders", "0"],
     "pdo-demo-one-point": ["pdo-demo", "--points", "1"],
     "pdo-demo-negative-time": ["pdo-demo", "--time", "-1"],
+    # the squared grid points overflow; the variance overflows
+    "pdo-demo-squared-points-overflow": ["pdo-demo", "--points", "2", "--time", "1e308"],
+    "pdo-demo-variance-overflows": ["pdo-demo", "--diffusion", "1e300", "--time", "1e10"],
     # 7.1 PiB of float64, past a 47-bit address space: refused at once
     "pdo-demo-points-past-memory": ["pdo-demo", "--points", "1000000000000000"],
     "backcast-zero-runs": ["backcast", "--protocol", "cnn7", "--runs", "0",
@@ -657,6 +682,9 @@ BAD_OPTION_VALUES = {
     "eventstudy-no-prediction-window": ["eventstudy", "--tape", "{tapes}/t0.csv",
                                         "--index", "sentiment={tapes}/sentiment.csv",
                                         "--n-periods", "2"],
+    "eventstudy-negative-period-length": ["eventstudy", "--tape", "{tapes}/t0.csv",
+                                          "--index", "sentiment={tapes}/sentiment.csv",
+                                          "--period-length", "-5"],
     "backcast-unknown-activation": ["backcast", "--protocol", "cnn7", "--activation", "elu",
                                     "--train-residuals", "{residuals}/t0/residuals.csv",
                                     "--predict-residuals", "{residuals}/t1/residuals.csv",

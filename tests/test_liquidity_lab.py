@@ -127,6 +127,12 @@ def test_event_config_refuses_training_outside_the_study_or_no_window(periods, n
         [(0, 120)]
 
 
+@pytest.mark.parametrize("length", [0, -5])
+def test_event_config_refuses_a_period_length_below_one(length):
+    with pytest.raises(ValueError, match=f"period_length must be >= 1, got {length}"):
+        ll.EventStudyConfig(period_length=length)
+
+
 def test_event_config_needs_a_permutation():
     # with none, every window's Spearman p would read (1 + 0) / (1 + 0) = 1
     for n in (0, -5):

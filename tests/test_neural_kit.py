@@ -34,35 +34,46 @@ def test_init_is_deterministic():
 
 
 def test_dense_shapes():
-    net = nk.init_net(nk.NetSpec((nk.Dense(16, 1),), "tanh", 0))
+    net = nk.init_net(nk.NetSpec((nk.Dense(16, 1),), "tanh", 0, input_shape=(16,)))
     weights, bias = weight_arrays(net)
     assert weights.shape == (16, 1)
     assert bias.shape == (1,)
 
 
 def test_shape_mismatch_names_layer():
-    spec = nk.NetSpec((nk.Dense(16, 8), nk.Dense(4, 1)), "relu", 0)
+    spec = nk.NetSpec((nk.Dense(16, 8), nk.Dense(4, 1)), "relu", 0, input_shape=(16,))
     with pytest.raises(ValueError, match="layer 2"):
         nk.init_net(spec)
 
 
+def test_flatten_refuses_a_flat_input_by_name():
+    spec = nk.NetSpec((nk.Flatten(), nk.Dense(4, 1)), "linear", 0, input_shape=(4,))
+    with pytest.raises(ValueError, match=r"layer 1 \(Flatten\): expected image input"):
+        nk.init_net(spec)
+
+
+def test_a_net_spec_without_an_input_shape_is_refused():
+    with pytest.raises(TypeError, match="input_shape"):
+        nk.NetSpec((nk.Dense(4, 1),), "linear", 0)
+
+
 def test_output_must_be_scalar():
     with pytest.raises(ValueError, match="scalar"):
-        nk.init_net(nk.NetSpec((nk.Dense(4, 3),), "relu", 0))
+        nk.init_net(nk.NetSpec((nk.Dense(4, 3),), "relu", 0, input_shape=(4,)))
 
 
 def test_training_reduces_loss_on_linear_problem():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((60, 4))
     y = x @ np.array([1.0, -2.0, 0.5, 3.0])
-    net = nk.init_net(nk.NetSpec((nk.Dense(4, 1),), "linear", 1))
+    net = nk.init_net(nk.NetSpec((nk.Dense(4, 1),), "linear", 1, input_shape=(4,)))
     trained = nk.train_many([net], x, y, rounds=100, learning_rate=0.1)[0]
     assert trained.loss_curve[-1] < trained.loss_curve[0]
     assert len(trained.loss_curve) == 100
 
 
 def test_zero_rounds_rejected():
-    net = nk.init_net(nk.NetSpec((nk.Dense(2, 1),), "linear", 0))
+    net = nk.init_net(nk.NetSpec((nk.Dense(2, 1),), "linear", 0, input_shape=(2,)))
     with pytest.raises(ValueError, match="rounds"):
         nk.train_many([net], np.zeros((3, 2)), np.zeros(3), rounds=0, learning_rate=0.1)
 
@@ -70,7 +81,7 @@ def test_zero_rounds_rejected():
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0, 0.0])
 def test_learning_rate_that_is_not_finite_and_positive_is_refused(monkeypatch, rate):
     monkeypatch.setattr(nk, "_train_stack", None)  # refused before any stack trains
-    net = nk.init_net(nk.NetSpec((nk.Dense(2, 1),), "linear", 0))
+    net = nk.init_net(nk.NetSpec((nk.Dense(2, 1),), "linear", 0, input_shape=(2,)))
     with pytest.raises(ValueError, match="learning_rate"):
         nk.train_many([net], np.zeros((3, 2)), np.zeros(3), rounds=5, learning_rate=rate)
 
@@ -80,7 +91,7 @@ def test_planted_linear_map_recovered():
     x = rng.standard_normal((100, 16))
     w_true = rng.standard_normal(16)
     y = x @ w_true
-    net = nk.init_net(nk.NetSpec((nk.Dense(16, 1),), "linear", 2))
+    net = nk.init_net(nk.NetSpec((nk.Dense(16, 1),), "linear", 2, input_shape=(16,)))
     trained = nk.train_many([net], x, y, rounds=500, learning_rate=0.4)[0]
     w_closed, *_ = np.linalg.lstsq(np.column_stack([x, np.ones(100)]), y, rcond=None)
     got = weight_arrays(trained)[0][:, 0]
@@ -89,36 +100,36 @@ def test_planted_linear_map_recovered():
 
 
 def test_zero_weights_output_bias():
-    net = nk.init_net(nk.NetSpec((nk.Dense(3, 1),), "linear", 0))
+    net = nk.init_net(nk.NetSpec((nk.Dense(3, 1),), "linear", 0, input_shape=(3,)))
     weights, bias = weight_arrays(net)
     weights[:] = 0.0
     bias[:] = 1.25
-    assert nk.forward_batch(net, np.array([5.0, -2.0, 3.0]))[0] == pytest.approx(1.25)
+    assert nk.forward_batch(net, np.array([[5.0, -2.0, 3.0]]))[0] == pytest.approx(1.25)
 
 
 def test_identity_dense_passthrough():
-    net = nk.init_net(nk.NetSpec((nk.Dense(1, 1),), "linear", 0))
+    net = nk.init_net(nk.NetSpec((nk.Dense(1, 1),), "linear", 0, input_shape=(1,)))
     weights, bias = weight_arrays(net)
     weights[:] = 1.0
     bias[:] = 0.0
-    assert nk.forward_batch(net, np.array([0.73]))[0] == pytest.approx(0.73)
+    assert nk.forward_batch(net, np.array([[0.73]]))[0] == pytest.approx(0.73)
 
 
 def test_forward_batch_shape_check():
     net = nk.init_net(nk.shallow_spec())  # 4 inputs
-    for inputs in (np.zeros(5), np.zeros((3, 5))):
+    for inputs in (np.zeros(4), np.zeros(5), np.zeros((3, 5))):  # a batch only
         with pytest.raises(ValueError, match="shape"):
             nk.forward_batch(net, inputs)
 
 
 def test_dense_forward_matches_manual_oracle():
-    spec = nk.NetSpec((nk.Dense(6, 4), nk.Dense(4, 1)), "tanh", 9)
+    spec = nk.NetSpec((nk.Dense(6, 4), nk.Dense(4, 1)), "tanh", 9, input_shape=(6,))
     net = nk.init_net(spec)
     w1, b1, w2, b2 = weight_arrays(net)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(6)
     manual = float((np.tanh(x @ w1 + b1) @ w2 + b2)[0])
-    assert nk.forward_batch(net, x)[0] == pytest.approx(manual, abs=1e-12)
+    assert nk.forward_batch(net, x[None])[0] == pytest.approx(manual, abs=1e-12)
 
 
 def test_cnn_forward_matches_loop_oracle():
@@ -153,13 +164,13 @@ def test_cnn_forward_matches_loop_oracle():
     a = pool(a)
     a = np.maximum(a.reshape(-1) @ arrs[4] + arrs[5], 0.0)
     manual = float((a @ arrs[6] + arrs[7])[0])
-    assert nk.forward_batch(net, x)[0] == pytest.approx(manual, abs=1e-10)
+    assert nk.forward_batch(net, x[None])[0] == pytest.approx(manual, abs=1e-10)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "logit"])
 def test_grad_check_smooth_activations(activation):
     rng = np.random.default_rng(6)
-    spec = nk.NetSpec((nk.Dense(5, 7), nk.Dense(7, 1)), activation, 7)
+    spec = nk.NetSpec((nk.Dense(5, 7), nk.Dense(7, 1)), activation, 7, input_shape=(5,))
     net = nk.init_net(spec)
     x = rng.standard_normal((4, 5))
     y = rng.standard_normal(4)
@@ -168,7 +179,7 @@ def test_grad_check_smooth_activations(activation):
 
 def test_grad_check_relu_excluding_kinks():
     rng = np.random.default_rng(8)
-    spec = nk.NetSpec((nk.Dense(5, 7), nk.Dense(7, 1)), "relu", 8)
+    spec = nk.NetSpec((nk.Dense(5, 7), nk.Dense(7, 1)), "relu", 8, input_shape=(5,))
     net = nk.init_net(spec)
     x = rng.standard_normal((4, 5))
     y = rng.standard_normal(4)
@@ -187,7 +198,7 @@ def test_grad_check_small_cnn():
 
 
 def test_zero_net_zero_input_has_zero_gradients():
-    net = nk.init_net(nk.NetSpec((nk.Dense(3, 1),), "linear", 0))
+    net = nk.init_net(nk.NetSpec((nk.Dense(3, 1),), "linear", 0, input_shape=(3,)))
     for arr in weight_arrays(net):
         arr[:] = 0.0
     x = np.zeros((2, 3))
@@ -200,7 +211,7 @@ def test_zero_net_zero_input_has_zero_gradients():
 
 def test_divergence_aborts_with_round_number():
     rng = np.random.default_rng(11)
-    net = nk.init_net(nk.NetSpec((nk.Dense(4, 1),), "linear", 12))
+    net = nk.init_net(nk.NetSpec((nk.Dense(4, 1),), "linear", 12, input_shape=(4,)))
     x = rng.standard_normal((8, 4)) * 10
     y = rng.standard_normal(8)
     with pytest.raises(nk.TrainingDivergedError, match="round"):
@@ -231,7 +242,7 @@ def test_target_scaling_scales_linear_net_predictions():
     for c in (2.0, -3.0):
         nets = []
         for targets in (y, c * y):
-            net = nk.init_net(nk.NetSpec((nk.Dense(5, 1),), "linear", 1))
+            net = nk.init_net(nk.NetSpec((nk.Dense(5, 1),), "linear", 1, input_shape=(5,)))
             for arr in weight_arrays(net):
                 arr[:] = 0.0
             nets.append(nk.train_many([net], x, targets, rounds=120, learning_rate=0.05)[0])
@@ -250,7 +261,7 @@ def test_default_architectures_compose():
 def test_loss_curve_csv_export():
     import io
     rng = np.random.default_rng(20)
-    (net,) = nk.train_many([nk.init_net(nk.NetSpec((nk.Dense(3, 1),), "linear", 0))],
+    (net,) = nk.train_many([nk.init_net(nk.NetSpec((nk.Dense(3, 1),), "linear", 0, input_shape=(3,)))],
                            rng.standard_normal((8, 3)), rng.standard_normal(8),
                            rounds=5, learning_rate=0.05)
     buf = io.StringIO()
@@ -297,7 +308,7 @@ def test_train_many_matches_separate_training(make_spec, sample_shape):
 @pytest.mark.parametrize("spec", [nk.shallow_spec(n_inputs=4, seed=4), _small_cnn_spec(4)])
 def test_train_many_shared_inputs_equal_repeated_per_net_inputs(spec):
     rng = np.random.default_rng(31)
-    shape = nk._infer_input_shape(spec)
+    shape = spec.input_shape
     x = rng.standard_normal((10,) + shape)
     y = rng.standard_normal(10)
     nets = [nk.init_net(spec)] * 2
@@ -310,7 +321,7 @@ def test_train_many_shared_inputs_equal_repeated_per_net_inputs(spec):
 
 def test_train_many_diverging_member_raises_with_round():
     rng = np.random.default_rng(32)
-    nets = [nk.init_net(nk.NetSpec((nk.Dense(4, 1),), "linear", seed)) for seed in (1, 2)]
+    nets = [nk.init_net(nk.NetSpec((nk.Dense(4, 1),), "linear", seed, input_shape=(4,))) for seed in (1, 2)]
     x = rng.standard_normal((2, 8, 4))
     x[1] *= 1e3  # only the second net's inputs make its steps blow up
     y = rng.standard_normal((2, 8))
@@ -346,7 +357,7 @@ def test_pool_gradient_goes_to_first_max_on_ties():
                                   nk.Dense(1, 1)), "linear", 0, input_shape=(2, 2)))
     conv_weights, _ = net.params[0]
     conv_weights[:] = 1.0
-    _, caches = _forward_with_caches(net, np.array([[0.5, 2.0], [2.0, 2.0]]))
+    _, caches = _forward_with_caches(net, np.array([[[0.5, 2.0], [2.0, 2.0]]]))
     switches, _ = caches[2]
     assert switches.ravel().tolist() == [1]
     grad, d_params = net.ops[2].backward((), caches[2], np.ones((1, 1, 1, 1)))
@@ -421,9 +432,10 @@ def test_a_first_convolution_read_by_a_pool_writes_its_rows_in_tap_order():
     net = nk.init_net(nk.cnn7_spec(seed=3))
     conv, pool = net.ops[0], net.ops[2]
     assert (conv.pool, pool.tap_major) == ((2, 2), True)
+    assert (conv, pool) == net.spec.layers[:2]  # placement takes no part in equality
     assert (net.ops[3].pool, net.ops[5].tap_major) == (None, False)  # the second pair
     x = nk._as_batch(net, np.random.default_rng(49).standard_normal((3, 21, 16)))
-    plain_conv, plain_pool = nk._ConvOp(conv.kernel, input_grad=False), nk._PoolOp(pool.size)
+    plain_conv, plain_pool = nk.Conv2D(conv.kernel, conv.channels, input_grad=False), nk.Pool(pool.size)
 
     def image_order(a):  # (2, 2, 3, 8, 6, ...) in tap order -> (3, 16, 12, ...)
         a = a.reshape((2, 2, 3, 8, 6) + a.shape[-1:])
@@ -443,13 +455,13 @@ def test_a_first_convolution_read_by_a_pool_writes_its_rows_in_tap_order():
 
 def test_first_layer_columns_built_once_per_train_many_call(monkeypatch):
     builds = {False: 0, True: 0}  # keyed by the op's input_grad: False = first layer
-    columns = nk._ConvOp.columns
+    columns = nk.Conv2D.columns
 
     def counting(op, x, out=None):
         builds[op.input_grad] += 1
         return columns(op, x, out)
 
-    monkeypatch.setattr(nk._ConvOp, "columns", counting)
+    monkeypatch.setattr(nk.Conv2D, "columns", counting)
     rng = np.random.default_rng(41)
     nets = [nk.init_net(_small_cnn_spec(seed)) for seed in (1, 2, 3)]
     x = rng.standard_normal((6, 9, 9))
@@ -497,13 +509,13 @@ def test_grad_check_with_first_dense_returning_no_input_gradient(spec):
 
 
 def test_grad_check_reports_a_wrong_gradient(monkeypatch):
-    backward = nk._DenseOp.backward
+    backward = nk.Dense.backward
 
     def halved(op, params, x, grad):
         dx, (d_weights, d_bias) = backward(op, params, x, grad)
         return dx, (0.5 * d_weights, d_bias)
 
-    monkeypatch.setattr(nk._DenseOp, "backward", halved)
+    monkeypatch.setattr(nk.Dense, "backward", halved)
     rng = np.random.default_rng(44)
     net = nk.init_net(nk.deep10_spec(n_inputs=4, seed=6))
     assert grad_check(net, rng.standard_normal((5, 4)), rng.standard_normal(5),
@@ -530,7 +542,7 @@ def test_forward_batch_leaves_no_batch_cache_on_the_ops():
     images = np.random.default_rng(45).standard_normal((5, 21, 16))
     assert not _held_arrays(net)
     nk.forward_batch(net, images)
-    nk.forward_batch(net, images[0])
+    nk.forward_batch(net, images[:1])
     assert not _held_arrays(net)
 
 
@@ -550,7 +562,7 @@ def test_trained_nets_hold_only_their_parameters():
 
 def test_a_train_many_call_refills_one_column_buffer(monkeypatch):
     later_columns = []  # a later convolution's column matrix, round by round
-    columns = nk._ConvOp.columns
+    columns = nk.Conv2D.columns
 
     def recording(op, x, out=None):
         cols = columns(op, x, out)
@@ -558,7 +570,7 @@ def test_a_train_many_call_refills_one_column_buffer(monkeypatch):
             later_columns.append(cols)
         return cols
 
-    monkeypatch.setattr(nk._ConvOp, "columns", recording)
+    monkeypatch.setattr(nk.Conv2D, "columns", recording)
     rng = np.random.default_rng(45)
     nets = [nk.init_net(_small_cnn_spec(seed, "relu")) for seed in (1, 2)]
     nk.train_many(nets, rng.standard_normal((4, 9, 9)), rng.standard_normal(4),
@@ -623,14 +635,14 @@ def test_read_shape_walks_back_from_the_flatten():
 
 def test_convolutions_run_only_on_the_pixels_the_output_reads(monkeypatch):
     shapes = []  # (input_grad, column matrix shape): input_grad False = first layer
-    columns = nk._ConvOp.columns
+    columns = nk.Conv2D.columns
 
     def recording(op, x, out=None):
         cols = columns(op, x, out)
         shapes.append((op.input_grad, cols.shape))
         return cols
 
-    monkeypatch.setattr(nk._ConvOp, "columns", recording)
+    monkeypatch.setattr(nk.Conv2D, "columns", recording)
     rng = np.random.default_rng(52)
     n = 5
     images = rng.standard_normal((n, 21, 16))

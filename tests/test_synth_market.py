@@ -144,6 +144,17 @@ def test_negative_trader_count_is_refused():
         MarketConfig(n_traders=-1)
 
 
+def test_days_past_the_calendar_are_refused_at_its_last_weekday():
+    # 2,084,750 weekdays run from the start date through 9999-12-31, a Friday
+    MarketConfig(n_days=2_084_750)
+    with pytest.raises(ValueError, match="n_days must be at most 2084750"):
+        MarketConfig(n_days=2_084_751)
+    assert trading_days(dt.date(9999, 12, 27), 5)[-1] == dt.date.max  # no step past it
+    with pytest.raises(ValueError, match="run past 9999-12-31"):
+        trading_days(dt.date(9999, 12, 27), 6)
+    assert trading_days(dt.date(2009, 1, 3), 2) == [dt.date(2009, 1, 5), dt.date(2009, 1, 6)]
+
+
 def _concentrated(seed, spread):
     return MarketConfig(n_traders=1, seed=seed, spread=spread, anchor_max_offset=1.8,
                         anchor_buy_reach=0.7, anchor_sell_reach=1.2,
