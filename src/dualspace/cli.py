@@ -190,12 +190,17 @@ def _records_or_fail(path: str) -> tape_io.Tape:
     return records
 
 
-def _load_index(arg: str) -> calendars.IndexSeries:
+def _index_arg(arg: str) -> tuple[str, str]:
+    """The name and path of an index argument, `name=file.csv`."""
+    name, _, path = arg.partition("=")
+    if not name or not path:
+        raise UsageError("index arguments take the form name=file.csv")
+    return name, path
+
+
+def _load_index(name: str, path: str) -> calendars.IndexSeries:
     from . import calendars
 
-    name, _, path = arg.partition("=")
-    if not path:
-        raise UsageError("index arguments take the form name=file.csv")
     try:
         with open(path, encoding="utf-8") as handle:
             return calendars.read_index_csv(handle, name=name)
@@ -220,6 +225,12 @@ def _load_rows(path: str):
         raise DataError(f"bad rows file {path}: {exc}")
 
 
+def _check_seeds(flag: str, seeds) -> None:
+    """Refuses a negative seed by its option, before any input is read."""
+    if min(seeds) < 0:
+        raise UsageError(f"{flag} must be at least 0, got {min(seeds)}")
+
+
 def _activation(opts: dict) -> str:
     from . import neural_kit
 
@@ -234,6 +245,7 @@ def _cmd_synth(args) -> int:
     from . import calendars, synth_market
 
     opts = _resolve(args)
+    _check_seeds("--seed", [opts["seed"]])
     kwargs = {
         "n_traders": opts["traders"], "n_days": opts["days"], "seed": opts["seed"],
         "couplings": synth_market.Couplings(opts["g_sent"], opts["g_ret"], opts["g_yield"]),
@@ -377,11 +389,17 @@ def _cmd_backcast(args) -> int:
     if unread:
         flags = ", ".join("--" + key.replace("_", "-") for key in unread)
         raise UsageError(f"--protocol {protocol} does not read {flags}")
+    _check_seeds("--seed", [opts["seed"]])
     if protocol == "cnn7":  # the one protocol that reads them
         activation = _activation(opts)
         if opts["runs"] < 1:
             raise UsageError("--runs must be at least 1")
-    indexes = [_load_index(spec) for spec in args.index]
+    specs = [_index_arg(arg) for arg in args.index]
+    names = [name for name, _ in specs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise UsageError(f"--index names {', '.join(repeated)} more than once")
+    indexes = [_load_index(*spec) for spec in specs]
     if not indexes:
         raise UsageError("need at least one --index name=file.csv")
     if protocol in ("deep10", "cnn7"):
@@ -451,12 +469,13 @@ def _cmd_eventstudy(args) -> int:
         seeds = tuple(int(v) for v in opts["seeds"].split(","))
     except ValueError:
         raise UsageError("--training-periods takes 'a,b'; --seeds takes 'n,n,...'")
+    _check_seeds("--seeds", seeds)
     config = liquidity_lab.EventStudyConfig(
         period_length=opts["period_length"], n_periods=opts["n_periods"],
         training_periods=(lo, hi), n_permutations=opts["permutations"],
         rounds=opts["rounds"], learning_rate=opts["learning_rate"], activation=activation)
     records = _records_or_fail(args.tape)
-    index = _load_index(args.index)
+    index = _load_index(*_index_arg(args.index))
     cost = liquidity_lab.cost_series(bucket_panel.build_panels(records, panel_config))
     del records  # only the cost series lives on through training
     report = liquidity_lab.event_study(cost, index, config, seeds=seeds)

@@ -15,13 +15,14 @@ nets of one architecture in stacks along a leading model axis, as many
 per stack as a fixed memory budget allows.
 Convolutions run as im2col + matmul.  Both weighted layers, dense and
 conv, carry their bias as a last column of ones in their column matrix,
-so that a layer's forward pass and its weight and bias gradients are
-each one matrix product: a training round spends its time in BLAS, not
-in numpy loops over runs of 8-32 elements (a broadcast bias add and a
-column sum per dense layer).  For the same reason a net's first
-convolution, when a pool reads it, writes its output rows in that
-pool's tap order, so the pool reads and writes contiguous blocks
-instead of strided taps of a few channels.
+and their one parameter is the matrix `[W; b]` it multiplies, so that
+a layer's forward pass, its parameter gradient and its update are each
+one array operation: a training round spends its time in BLAS, not in
+numpy loops over runs of 8-32 elements or in rebuilding `[W; b]`.  For
+the same reason a ReLU runs after the max-pool that reads its layer
+(see `_ActivationOp`), and a net's first convolution, when a pool reads
+it, writes its output rows in that pool's tap order, so the pool reads
+and writes contiguous blocks instead of strided taps of a few channels.
 
 An image batch is cropped on entry to the rows and columns that the
 output reads (`_read_shape`): pools floor away odd edges, and valid
@@ -62,14 +63,15 @@ class TrainingDivergedError(ArithmeticError):
 # for a flat vector: `out_shape(shape, i)` checks the input of layer i
 # and returns its output shape, and `reads(read, shape)` returns the
 # extent (h, w) of its input that an output extent `read` reads.  A
-# weighted layer also draws its parameters, `init(rng, shape)`.
+# weighted layer also draws its parameter matrix, `init(rng, shape)`.
 #
 # As an op a layer holds no arrays: the net's parameters and the arrays
 # one pass caches for its backward pass are passed in and out.
-# `forward(params, x)` returns `(out, cache)`, and
-# `backward(params, cache, grad)` returns the input gradient (None for
-# a net's first layer, whose input gradient nothing reads) and a tuple
-# of parameter gradients in the order of `params`.
+# `forward(matrix, x)` returns `(out, cache)`, and
+# `backward(matrix, cache, grad)` returns the input gradient (None for
+# a net's first layer, whose input gradient nothing reads) and the
+# gradient of `matrix`.  An op without parameters takes None for
+# `matrix` and returns None for its gradient.
 #
 # Every op works on a batch with any number of leading axes: (n, ...)
 # for one net, (R, n, ...) for R nets trained together.  A single net's
@@ -91,10 +93,10 @@ def _image(layer, i: int, shape: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Dense:
-    """`x @ weights + bias` as one matrix product, as `Conv2D` does it:
-    the column matrix is `x` with a last column of ones, and the bias is
-    the last row of the weights.  So the bias gradient is the last row of
-    the weight-gradient product, with no broadcast add and no column sum
+    """`x @ W + b` as one matrix product, as `Conv2D` does it: the
+    column matrix is `x` with a last column of ones, and the parameter
+    is `[W; b]`, (n_in + 1, n_out).  So the bias gradient is the last row
+    of the one gradient product, with no broadcast add and no column sum
     over the samples."""
 
     n_in: int
@@ -115,8 +117,8 @@ class Dense:
 
     def init(self, rng, shape):
         bound = 1.0 / np.sqrt(self.n_in)
-        return (rng.uniform(-bound, bound, size=(self.n_in, self.n_out)),
-                np.zeros(self.n_out))
+        weights = rng.uniform(-bound, bound, size=(self.n_in, self.n_out))
+        return np.concatenate([weights, np.zeros((1, self.n_out))])
 
     def n_columns(self, shape):
         """The width of the column matrix: one input and a 1."""
@@ -129,23 +131,17 @@ class Dense:
         cols[..., -1] = 1.0
         return cols
 
-    def forward(self, params, x, cols=None):
+    def forward(self, matrix, x, cols=None):
         """`cols`, when given, is `self.columns(x)` built by the caller."""
-        weights, bias = params
         if cols is None:
             cols = self.columns(x)
-        return cols @ np.concatenate([weights, bias[..., None, :]], axis=-2), cols
+        return cols @ matrix, cols
 
-    def backward(self, params, cols, grad):
+    def backward(self, matrix, cols, grad):
         d_matrix = cols.swapaxes(-1, -2) @ grad  # (..., k + 1, o)
-        grads = (d_matrix[..., :-1, :], d_matrix[..., -1, :])
         if not self.input_grad:
-            return None, grads
-        return grad @ params[0].swapaxes(-1, -2), grads
-
-
-#: axes moving conv weights (..., o, c, kh, kw) to (..., kh, kw, c, o)
-_TO_COLUMN_ORDER = ((-4, -3, -2, -1), (-1, -2, -4, -3))
+            return None, d_matrix
+        return grad @ matrix[..., :-1, :].swapaxes(-1, -2), d_matrix
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,8 @@ class Conv2D:
     Simard 2006): each output pixel's (kh, kw, c) input patch is one row
     of a column matrix, so forward and the weight gradient are single
     matrix products.  A last column of ones carries the bias, which
-    saves a broadcast add and a reduction over the pixels.
+    saves a broadcast add and a reduction over the pixels.  The parameter
+    is `[W; b]`, (kh*kw*c + 1, o), its rows in a patch's order.
 
     With `pool`, the size of the pool that reads this layer's output,
     the rows come in that pool's tap order: tap (i, j), then image, then
@@ -184,8 +181,9 @@ class Conv2D:
     def init(self, rng, shape):
         kh, kw = self.kernel
         bound = 1.0 / np.sqrt(shape[0] * kh * kw)
-        return (rng.uniform(-bound, bound, size=(self.channels, shape[0], kh, kw)),
-                np.zeros(self.channels))
+        weights = rng.uniform(-bound, bound, size=(self.channels, shape[0], kh, kw))
+        rows = weights.transpose(2, 3, 1, 0).reshape(-1, self.channels)  # (kh, kw, c) rows
+        return np.concatenate([rows, np.zeros((1, self.channels))])
 
     def n_columns(self, shape):
         """The width of the column matrix: one input patch and a 1."""
@@ -210,39 +208,34 @@ class Conv2D:
         cols[..., :-1].reshape(patches.shape)[...] = patches
         return cols
 
-    def forward(self, params, x, cols=None):  # (..., n, h, w, c) -> (..., *pixels, o)
+    def forward(self, matrix, x, cols=None):  # (..., n, h, w, c) -> (..., *pixels, o)
         """`cols`, when given, is `self.columns(x)` built by the caller."""
-        weights, bias = params
         kh, kw = self.kernel
         n, h, w = x.shape[-4:-1]
         if cols is None:
             cols = self.columns(x)
-        # weights (..., o, c, kh, kw) -> (..., kh*kw*c + 1, o) with the bias row
-        w_cols = np.moveaxis(weights, *_TO_COLUMN_ORDER)
-        w_cols = w_cols.reshape(w_cols.shape[:-4] + (-1, w_cols.shape[-1]))
-        out = cols @ np.concatenate([w_cols, bias[..., None, :]], axis=-2)
+        out = cols @ matrix
         pixels = (n, h - kh + 1, w - kw + 1)  # the axes of the rows, in order
         if self.pool is not None:
             ph, pw = self.pool
             pixels = (ph * pw, n, pixels[1] // ph, pixels[2] // pw)
         return out.reshape(out.shape[:-2] + pixels + (-1,)), (cols, x.shape)
 
-    def backward(self, params, cache, grad):
+    def backward(self, matrix, cache, grad):
         cols, in_shape = cache
         kh, kw = self.kernel
         o = grad.shape[-1]
         lead = grad.ndim - (4 if self.pool is None else 5)  # model axes, if any
         g = grad.reshape(grad.shape[:lead] + (-1, o))
         d_matrix = cols.swapaxes(-1, -2) @ g  # (..., kh*kw*c + 1, o)
-        d_w = d_matrix[..., :-1, :].reshape(d_matrix.shape[:-2] + (kh, kw, -1, o))
-        grads = (np.moveaxis(d_w, *_TO_COLUMN_ORDER[::-1]), d_matrix[..., -1, :])
         if not self.input_grad:
-            return None, grads
+            return None, d_matrix
         # the column gradient one tap at a time, into one (..., n*oh*ow, c)
-        # buffer; each tap adds back into the input pixels it read
+        # buffer; each tap adds back into the input pixels it read.  The
+        # taps' weights are a contiguous copy: a strided view is slower.
         n, oh, ow = grad.shape[-4:-1]
-        w_taps = np.moveaxis(params[0], (-2, -1), (-4, -3))  # (..., kh, kw, o, c)
-        w_taps = w_taps.reshape(w_taps.shape[:-4] + (kh * kw,) + w_taps.shape[-2:])
+        w_taps = matrix[..., :-1, :].reshape(matrix.shape[:-2] + (kh * kw, -1, o))
+        w_taps = w_taps.swapaxes(-1, -2).copy()  # (..., kh*kw, o, c)
         d_tap = np.empty(g.shape[:-1] + w_taps.shape[-1:])
         d_pixels = d_tap.reshape(d_tap.shape[:-2] + (n, oh, ow, -1))
         dx = np.zeros(g.shape[:-2] + in_shape[-4:])
@@ -250,7 +243,7 @@ class Conv2D:
             for l in range(kw):
                 np.matmul(g, w_taps[..., k * kw + l, :, :], out=d_tap)
                 dx[..., k:k + oh, l:l + ow, :] += d_pixels
-        return dx, grads
+        return dx, d_matrix
 
 
 def _weighted(layer) -> bool:
@@ -289,7 +282,7 @@ class Pool:
         oh, ow = x.shape[-3] // ph, x.shape[-2] // pw
         return [x[..., i:oh * ph:ph, j:ow * pw:pw, :] for i in range(ph) for j in range(pw)]
 
-    def forward(self, params, x):
+    def forward(self, matrix, x):
         """The cache is the switches, the index of the first tap that
         holds each max, in the smallest integer type that fits (less
         memory held per round), and the input shape."""
@@ -304,7 +297,7 @@ class Pool:
             switches += before
         return out, (switches, x.shape)
 
-    def backward(self, params, cache, grad):
+    def backward(self, matrix, cache, grad):
         switches, in_shape = cache
         if self.tap_major:  # the taps cover the input: no zero fill
             dx = np.empty(grad.shape[:-4] + in_shape[-5:])
@@ -312,7 +305,7 @@ class Pool:
             dx = np.zeros(grad.shape[:-3] + in_shape[-3:])
         for k, tap in enumerate(self._taps(dx)):
             np.multiply(grad, switches == k, out=tap)
-        return dx, ()
+        return dx, None
 
 
 @dataclass(frozen=True)
@@ -325,31 +318,39 @@ class Flatten:
     def reads(self, read, shape):
         return shape[1:]  # all of its input
 
-    def forward(self, params, x):
+    def forward(self, matrix, x):
         sample_shape = x.shape[-3:]
         x = np.moveaxis(x, -1, -3)  # channels-last image -> (c, h, w)
         return x.reshape(x.shape[:-3] + (-1,)), sample_shape
 
-    def backward(self, params, sample_shape, grad):
+    def backward(self, matrix, sample_shape, grad):
         h, w, c = sample_shape
-        return np.moveaxis(grad.reshape(grad.shape[:-1] + (c, h, w)), -3, -1), ()
+        return np.moveaxis(grad.reshape(grad.shape[:-1] + (c, h, w)), -3, -1), None
 
 
 class _ActivationOp:
     """Elementwise activation, computed in place both ways.
 
-    An activation always follows a weighted layer, so its input is that
-    layer's fresh output, which no cache holds (both weighted layers
-    cache their columns); its incoming gradient is a fresh
-    array, or a view of one, made by the op after it.  Overwriting
-    either changes nothing that is read later.  The cache is the ReLU
-    sign pattern, or the tanh or logit output.
+    An activation always follows a weighted layer or the pool that reads
+    it, so its input is that op's fresh output, which no cache holds
+    (both weighted layers cache their columns, a pool its switches); its
+    incoming gradient is a fresh array, or a view of one, made by the op
+    after it.  Overwriting either changes nothing that is read later.
+    The cache is the ReLU sign pattern, or the tanh or logit output.
+
+    `init_net` puts a ReLU after the pool that reads its layer, on a
+    quarter of the values: max-pool and ReLU commute exactly.  Where a
+    window's max is positive, the first tap that holds it is the same
+    either way; where it is <= 0, every tap gets a zero gradient of the
+    same sign either way.  A tanh or logit stays before the pool: a
+    saturated tanh can map distinct inputs to one value, and the first
+    max would then be another tap.
     """
 
     def __init__(self, kind: str):
         self.kind = kind
 
-    def forward(self, params, x):
+    def forward(self, matrix, x):
         if self.kind == "relu":
             pattern = x > 0
             return np.maximum(x, 0.0, out=x), pattern
@@ -364,7 +365,7 @@ class _ActivationOp:
             return y, y
         return x, None
 
-    def backward(self, params, cache, grad):
+    def backward(self, matrix, cache, grad):
         if self.kind == "relu":
             grad *= cache
         elif self.kind == "tanh":
@@ -372,7 +373,7 @@ class _ActivationOp:
         elif self.kind == "logit":  # grad * y * (1 - y)
             grad *= cache
             grad *= 1.0 - cache
-        return grad, ()
+        return grad, None
 
 
 # ── nets ───────────────────────────────────────────────────────────────
@@ -426,8 +427,8 @@ def cnn7_spec(input_shape: tuple[int, int] = (21, 16), activation: str = "relu",
 @dataclass
 class TrainedNet:
     spec: NetSpec
-    ops: list                            # placed layers and activations; they hold no arrays
-    params: list[tuple[np.ndarray, ...]]  # one tuple per op, () for an op without
+    ops: list                        # placed layers and activations; they hold no arrays
+    params: list[np.ndarray | None]  # per op: a weighted layer's [W; b], else None
     loss_curve: list[float]
 
 
@@ -456,8 +457,10 @@ def init_net(spec: NetSpec) -> TrainedNet:
 
     Walks the layer chain validating that shapes compose; a mismatch
     reports the offending layer pair.  Places each layer in the net: a
-    first layer computes no input gradient, and a first convolution read
-    by a pool writes its output in that pool's tap order (see `Conv2D`).
+    first layer computes no input gradient, a first convolution read by
+    a pool writes its output in that pool's tap order (see `Conv2D`),
+    and every weighted layer but the last is followed by an activation,
+    a ReLU by the pool that reads it, if one does (see `_ActivationOp`).
     """
     rng = np.random.default_rng(spec.seed)
     layers = list(spec.layers)
@@ -465,14 +468,17 @@ def init_net(spec: NetSpec) -> TrainedNet:
         layers[0] = replace(layers[0], pool=layers[1].size)
         layers[1] = replace(layers[1], tap_major=True)
     last = max((i for i, layer in enumerate(layers) if _weighted(layer)), default=0)
+    relu = spec.activation == "relu"
+    activated = {i + (relu and isinstance(layers[i + 1], Pool))  # the layer it follows
+                 for i in range(last) if _weighted(layers[i])}
     ops: list = []
     params: list = []
     for i, _, shape, _ in _layer_shapes(spec):
         weighted = _weighted(layers[i])
-        params.append(layers[i].init(rng, shape) if weighted else ())
+        params.append(layers[i].init(rng, shape) if weighted else None)
         ops.append(replace(layers[i], input_grad=i > 0) if weighted else layers[i])
-        if weighted and i < last:
-            params.append(())
+        if i in activated:
+            params.append(None)
             ops.append(_ActivationOp(spec.activation))
     return TrainedNet(spec=spec, ops=ops, params=params, loss_curve=[])
 
@@ -608,7 +614,7 @@ def _train_stack(nets: list[TrainedNet], x0: np.ndarray, targets: np.ndarray,
     column matrix of a shared batch, or None."""
     ops = nets[0].ops
     n = targets.shape[-1]
-    params = [tuple(map(np.stack, zip(*column)))
+    params = [None if column[0] is None else np.stack(column)
               for column in zip(*(net.params for net in nets))]
     # Column matrices of this stack, by op.  A later weighted layer
     # refills its buffer every round (see README, "Neural training":
@@ -636,12 +642,12 @@ def _train_stack(nets: list[TrainedNet], x0: np.ndarray, targets: np.ndarray,
             # popping frees each cache once read, before the next round allocates
             grad = (2.0 * err / n)[..., None]
             for op, p in zip(reversed(ops), reversed(params)):
-                grad, d_params = op.backward(p, caches.pop(), grad)
-                for arr, d_arr in zip(p, d_params):
-                    arr -= learning_rate * d_arr
+                grad, d_matrix = op.backward(p, caches.pop(), grad)
+                if d_matrix is not None:
+                    p -= learning_rate * d_matrix
 
     curves = np.array(losses).T.tolist()
-    return [TrainedNet(net.spec, net.ops, [tuple(a[r].copy() for a in p) for p in params],
+    return [TrainedNet(net.spec, net.ops, [None if p is None else p[r].copy() for p in params],
                        net.loss_curve + curves[r])
             for r, net in enumerate(nets)]
 

@@ -298,8 +298,19 @@ T_CRIT_10PCT = {2: 2.919985580, 3: 2.353363435, 4: 2.131846786,
 
 
 def weight_arrays(net):
-    """A trained net's weight and bias arrays, in layer order."""
-    return [arr for p in net.params for arr in p]
+    """A net's weight and bias arrays, in layer order, in the plain
+    layout of `reference_train_many`: a dense W (n_in, n_out), a conv W
+    (o, c, kh, kw) and a bias (o,).  They are views of each weighted
+    op's `[W; b]` matrix, so writing to them writes to the net."""
+    arrays = []
+    for op, matrix in zip(net.ops, net.params):
+        if matrix is None:
+            continue
+        weights, bias = matrix[:-1], matrix[-1]
+        if isinstance(op, neural_kit.Conv2D):  # rows (kh, kw, c) -> (o, c, kh, kw)
+            weights = weights.reshape(op.kernel + (-1, bias.size)).transpose(3, 2, 0, 1)
+        arrays += [weights, bias]
+    return arrays
 
 
 def _reference_plan(spec):
@@ -544,7 +555,7 @@ def grad_check(net, inputs, targets, epsilon=1e-5):
     comparison is only meaningful away from them.  A difference within a
     central difference's rounding noise, ~eps * loss / epsilon, counts as 0.
     """
-    params = [tuple(arr.copy() for arr in p) for p in net.params]
+    params = [None if p is None else p.copy() for p in net.params]
     targets = np.asarray(targets, dtype=float).reshape(-1)
     x0 = neural_kit._as_batch(net, np.asarray(inputs, dtype=float))
 
@@ -554,12 +565,12 @@ def grad_check(net, inputs, targets, epsilon=1e-5):
     grad = (2.0 * err / err.size)[:, None]
     analytic = []
     for op, p in zip(reversed(net.ops), reversed(params)):
-        grad, d_params = op.backward(p, caches.pop(), grad)
-        analytic.insert(0, d_params)
+        grad, d_matrix = op.backward(p, caches.pop(), grad)
+        analytic.insert(0, d_matrix)
 
     worst = 0.0
-    for p, d_params in zip(params, analytic):
-        for arr, d_arr in zip(p, d_params):
+    for arr, d_arr in zip(params, analytic):
+        if arr is not None:
             flat = arr.reshape(-1)
             aflat = d_arr.reshape(-1)
             for idx in range(flat.size):

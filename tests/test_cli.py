@@ -689,6 +689,21 @@ BAD_OPTION_VALUES = {
                                     "--train-residuals", "{residuals}/t0/residuals.csv",
                                     "--predict-residuals", "{residuals}/t1/residuals.csv",
                                     "--index", "sentiment={tapes}/sentiment.csv"],
+    "backcast-repeated-index-name": ["backcast", "--protocol", "shallow",
+                                     "--train-residuals", "{residuals}/t0/residuals.csv",
+                                     "--index", "sentiment={tapes}/sentiment.csv",
+                                     "--index", "sentiment={tapes}/bond_yield.csv"],
+    # the name an artifact's column and the summary line carry
+    "backcast-index-without-a-name": ["backcast", "--protocol", "shallow",
+                                      "--train-residuals", "{residuals}/t0/residuals.csv",
+                                      "--index", "={tapes}/sentiment.csv"],
+    "synth-negative-seed": ["synth", "--seed", "-1", "--days", "5", "--traders", "1"],
+    "backcast-negative-seed": ["backcast", "--protocol", "cnn7", "--seed", "-1",
+                               "--train-residuals", "{residuals}/t0/residuals.csv",
+                               "--predict-residuals", "{residuals}/t1/residuals.csv",
+                               "--index", "sentiment={tapes}/sentiment.csv"],
+    "eventstudy-negative-seed": ["eventstudy", "--tape", "{tapes}/t0.csv",
+                                 "--index", "sentiment={tapes}/sentiment.csv", "--seeds=-1,2"],
 }
 
 
@@ -704,6 +719,35 @@ def test_bad_option_value_is_one_error_line(capsys, tape_dir, residual_dir, tmp_
     assert captured.err.startswith(("usage error:", "data error:"))
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--seed", "-1", "--days", "5", "--traders", "1"], "--seed must be at least 0, got -1"),
+    (["backcast", "--protocol", "shallow", "--seed", "-1", "--train-residuals", "{absent}",
+      "--index", "sentiment={absent}"], "--seed must be at least 0, got -1"),
+    (["eventstudy", "--tape", "{absent}", "--index", "sentiment={absent}", "--seeds=3,-2"],
+     "--seeds must be at least 0, got -2"),
+], ids=["synth", "backcast", "eventstudy"])
+def test_a_negative_seed_is_refused_by_name_before_any_input_is_read(capsys, tmp_path, argv,
+                                                                    message):
+    argv = [arg.format(absent=tmp_path / "absent.csv") for arg in argv]
+    code = cli.run(argv + ["--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == f"usage error: {message}\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+def test_a_repeated_index_name_is_refused_by_name_before_any_residual_is_read(capsys, tape_dir,
+                                                                              tmp_path):
+    code = cli.run(["backcast", "--protocol", "shallow",
+                    "--train-residuals", str(tmp_path / "absent.csv"),
+                    "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
+                    "--index", f"yield={tape_dir / 'bond_yield.csv'}",
+                    "--index", f"sentiment={tape_dir / 'bond_yield.csv'}",
+                    "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == "usage error: --index names sentiment more than once\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", [None, [5], {"n": 5}], ids=["null", "list", "object"])

@@ -18,10 +18,11 @@ def _forward_with_caches(net, inputs):
 
 
 def _backward(net, caches, grad):
-    """The input gradient and each op's parameter gradients."""
+    """The input gradient and each op's parameter gradient (None for an
+    op without parameters)."""
     d_params = []
-    for op, params in zip(reversed(net.ops), reversed(net.params)):
-        grad, d = op.backward(params, caches.pop(), grad)
+    for op, matrix in zip(reversed(net.ops), reversed(net.params)):
+        grad, d = op.backward(matrix, caches.pop(), grad)
         d_params.insert(0, d)
     return grad, d_params
 
@@ -204,9 +205,8 @@ def test_zero_net_zero_input_has_zero_gradients():
     x = np.zeros((2, 3))
     out, caches = _forward_with_caches(net, x)
     np.testing.assert_array_equal(out, 0.0)
-    _, [(d_weights, d_bias)] = _backward(net, caches, (2.0 * (out - 0.0) / 2)[:, None])
-    np.testing.assert_array_equal(d_weights, 0.0)
-    np.testing.assert_array_equal(d_bias, 0.0)
+    _, [d_matrix] = _backward(net, caches, (2.0 * (out - 0.0) / 2)[:, None])
+    np.testing.assert_array_equal(d_matrix, 0.0)  # the weights' rows and the bias row
 
 
 def test_divergence_aborts_with_round_number():
@@ -355,14 +355,14 @@ def test_grad_check_two_conv_cnn(activation):
 def test_pool_gradient_goes_to_first_max_on_ties():
     net = nk.init_net(nk.NetSpec((nk.Conv2D((1, 1), 1), nk.Pool((2, 2)), nk.Flatten(),
                                   nk.Dense(1, 1)), "linear", 0, input_shape=(2, 2)))
-    conv_weights, _ = net.params[0]
+    conv_weights, _, _, _ = weight_arrays(net)
     conv_weights[:] = 1.0
     _, caches = _forward_with_caches(net, np.array([[[0.5, 2.0], [2.0, 2.0]]]))
     switches, _ = caches[2]
     assert switches.ravel().tolist() == [1]
-    grad, d_params = net.ops[2].backward((), caches[2], np.ones((1, 1, 1, 1)))
+    grad, d_params = net.ops[2].backward(None, caches[2], np.ones((1, 1, 1, 1)))
     assert grad.reshape(2, 2).tolist() == [[0.0, 1.0], [0.0, 0.0]]
-    assert d_params == ()
+    assert d_params is None
 
 
 # ── round-invariant work ───────────────────────────────────────────────
@@ -402,6 +402,12 @@ def _assert_training_equals_the_plain_loop(arch, activation, per_net, n):
     lead = (2, n) if per_net else (n,)
     x = rng.standard_normal(lead + sample_shape)
     y = rng.standard_normal(lead)
+    _assert_equal_to_the_plain_loop(nets, x, y, per_net)
+
+
+def _assert_equal_to_the_plain_loop(nets, x, y, per_net):
+    """Two nets trained together, and the first alone, equal the plain
+    loop bit for bit."""
     runs = [(nk.train_many(nets, x, y, rounds=6, learning_rate=0.05),
              reference_train_many(nets, x, y, rounds=6, learning_rate=0.05))]
     x1, y1 = (x[0], y[0]) if per_net else (x, y)
@@ -415,6 +421,59 @@ def _assert_training_equals_the_plain_loop(arch, activation, per_net, n):
                 np.testing.assert_allclose(wa, wb, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("activation", nk.ACTIVATIONS)
+def test_a_relu_follows_the_pool_that_reads_its_layer(activation):
+    def placed(spec):
+        return [op.kind if isinstance(op, nk._ActivationOp) else type(op).__name__
+                for op in nk.init_net(spec).ops]
+
+    a = activation
+    if activation == "relu":  # after the pool, on a quarter of the values
+        cnn7 = ["Conv2D", "Pool", a, "Conv2D", "Pool", a, "Flatten", "Dense", a, "Dense"]
+        small = ["Conv2D", "Pool", a, "Conv2D", a, "Flatten", "Dense", a, "Dense"]
+    else:  # tanh, logit and linear stay on the convolution's output
+        cnn7 = ["Conv2D", a, "Pool", "Conv2D", a, "Pool", "Flatten", "Dense", a, "Dense"]
+        small = ["Conv2D", a, "Pool", "Conv2D", a, "Flatten", "Dense", a, "Dense"]
+    assert placed(nk.cnn7_spec(activation=activation)) == cnn7
+    assert placed(_small_cnn_spec(0, activation)) == small
+    assert placed(nk.deep10_spec()) == ["Dense", "relu"] * 9 + ["Dense"]
+
+
+def _tied_windows_net(seed):
+    """Two 1x1 convolutions, each read by a 2x2 pool, whose first maps
+    start as the input x and -x, and whose second maps start as the
+    first map a and -a, so that the pools see the input's ties."""
+    net = nk.init_net(nk.NetSpec((nk.Conv2D((1, 1), 2), nk.Pool((2, 2)), nk.Conv2D((1, 1), 2),
+                                  nk.Pool((2, 2)), nk.Flatten(), nk.Dense(2 * 2 * 2, 1)),
+                                 "relu", seed, input_shape=(8, 8)))
+    w1, b1, w2, b2, _, _ = weight_arrays(net)
+    w1[:, 0, 0, 0] = (1.0, -1.0)
+    w2[:] = 0.0
+    w2[:, 0, 0, 0] = (1.0, -1.0)
+    b1[:] = b2[:] = 0.0
+    return net
+
+
+@pytest.mark.parametrize("per_net", [False, True], ids=["shared", "per_net"])
+def test_a_relu_after_the_pool_trains_as_before_it_on_tied_windows(per_net):
+    """The plain loop runs the ReLU before each pool.  The images hold
+    pool windows whose four taps are all negative (or, in the second
+    pool, all zero after the first ReLU) and windows whose max two taps
+    share; all of them occur in both maps of each convolution."""
+    rng = np.random.default_rng(54)
+    x = rng.uniform(0.1, 1.0, (4, 8, 8)) * rng.choice([-1.0, 1.0], (4, 8, 8))
+    x[0, 0:2, 0:2] = [[-1.5, -0.25], [-0.75, -2.0]]  # all four taps negative
+    x[0, 0:2, 2:4] = [[0.5, 1.25], [1.25, -0.5]]  # taps 1 and 2 tie at the max
+    x[0, 2:4, 0:2] = [[1.25, 0.25], [0.5, 1.25]]  # taps 0 and 3; and 1.25 ties again
+    x[1, 0:4, 0:4] = -rng.uniform(0.1, 1.0, (4, 4))  # four windows of zeros after the ReLU
+    x[2, 4:6, 4:6] = [[0.5, 0.9], [0.9, 0.2]]  # all positive: all negative in -x
+    y = rng.standard_normal(4)
+    if per_net:
+        x, y = np.stack([x, x[::-1]]), np.stack([y, -y])
+    _assert_equal_to_the_plain_loop([_tied_windows_net(seed) for seed in (1, 2)], x, y,
+                                    per_net)
+
+
 def test_exact_training_does_not_follow_the_blas_kernel():
     """Training still equals the plain loop bit for bit under other BLAS
     kernels: both reduce over the same cropped images with the same
@@ -424,16 +483,21 @@ def test_exact_training_does_not_follow_the_blas_kernel():
         f"{__file__}::test_training_equals_plain_reference_loop_exactly",
         f"{__file__}::test_dense_training_on_a_long_batch_equals_the_plain_loop_exactly",
         f"{__file__}::test_per_net_inputs_give_the_same_nets_in_any_stacks",
+        f"{__file__}::test_a_relu_after_the_pool_trains_as_before_it_on_tied_windows",
         f"{study}::test_cnn_backcast_equals_the_plain_loop_on_the_read_crop",
         f"{study}::test_stack_size_never_changes_a_report")
 
 
+def _ops_of(net, kind):
+    return [op for op in net.ops if isinstance(op, kind)]
+
+
 def test_a_first_convolution_read_by_a_pool_writes_its_rows_in_tap_order():
     net = nk.init_net(nk.cnn7_spec(seed=3))
-    conv, pool = net.ops[0], net.ops[2]
+    (conv, second_conv), (pool, second_pool) = _ops_of(net, nk.Conv2D), _ops_of(net, nk.Pool)
     assert (conv.pool, pool.tap_major) == ((2, 2), True)
     assert (conv, pool) == net.spec.layers[:2]  # placement takes no part in equality
-    assert (net.ops[3].pool, net.ops[5].tap_major) == (None, False)  # the second pair
+    assert (second_conv.pool, second_pool.tap_major) == (None, False)
     x = nk._as_batch(net, np.random.default_rng(49).standard_normal((3, 21, 16)))
     plain_conv, plain_pool = nk.Conv2D(conv.kernel, conv.channels, input_grad=False), nk.Pool(pool.size)
 
@@ -443,14 +507,14 @@ def test_a_first_convolution_read_by_a_pool_writes_its_rows_in_tap_order():
 
     cols, plain_cols = conv.columns(x), plain_conv.columns(x)
     np.testing.assert_array_equal(image_order(cols), plain_cols.reshape(3, 16, 12, -1))
-    out, cache = pool.forward((), conv.forward(net.params[0], x, cols)[0])
+    out, cache = pool.forward(None, conv.forward(net.params[0], x, cols)[0])
     plain_out, plain_cache = plain_pool.forward(
-        (), plain_conv.forward(net.params[0], x, plain_cols)[0])
+        None, plain_conv.forward(net.params[0], x, plain_cols)[0])
     np.testing.assert_array_equal(cache[0], plain_cache[0])  # the switches
     np.testing.assert_allclose(out, plain_out, rtol=1e-14, atol=0)
     grad = np.random.default_rng(50).standard_normal(out.shape)
-    np.testing.assert_array_equal(image_order(pool.backward((), cache, grad)[0]),
-                                  plain_pool.backward((), plain_cache, grad)[0])
+    np.testing.assert_array_equal(image_order(pool.backward(None, cache, grad)[0]),
+                                  plain_pool.backward(None, plain_cache, grad)[0])
 
 
 def test_first_layer_columns_built_once_per_train_many_call(monkeypatch):
@@ -505,15 +569,16 @@ def test_grad_check_with_first_dense_returning_no_input_gradient(spec):
     out, caches = _forward_with_caches(net, x)
     grad, d_params = _backward(net, caches, (2.0 * (out - y) / y.size)[:, None])
     assert grad is None
-    assert [d.shape for d in d_params[0]] == [p.shape for p in net.params[0]]
+    assert d_params[0].shape == net.params[0].shape
 
 
 def test_grad_check_reports_a_wrong_gradient(monkeypatch):
     backward = nk.Dense.backward
 
-    def halved(op, params, x, grad):
-        dx, (d_weights, d_bias) = backward(op, params, x, grad)
-        return dx, (0.5 * d_weights, d_bias)
+    def halved(op, matrix, x, grad):
+        dx, d_matrix = backward(op, matrix, x, grad)
+        d_matrix[..., :-1, :] *= 0.5  # the weights' rows; the bias row is kept
+        return dx, d_matrix
 
     monkeypatch.setattr(nk.Dense, "backward", halved)
     rng = np.random.default_rng(44)
@@ -554,8 +619,8 @@ def test_trained_nets_hold_only_their_parameters():
                             learning_rate=0.05)
     assert not any(_held_arrays(net) for net in nets + trained)
     for net, start in zip(trained, nets, strict=True):
-        assert [[p.shape for p in params] for params in net.params] == \
-               [[p.shape for p in params] for params in start.params]
+        assert [None if p is None else p.shape for p in net.params] == \
+               [None if p is None else p.shape for p in start.params]
     grad_check(trained[0], images[:2], rng.standard_normal(2))
     assert not _held_arrays(trained[0])
 

@@ -8,7 +8,7 @@ from dualspace import residual_study as rs
 from dualspace.calendars import read_index_csv, trading_days, write_index_csv
 from dualspace.corrstats import corr_significance_threshold
 
-from oracles import T_CRIT_10PCT, reference_train_many
+from oracles import T_CRIT_10PCT, reference_train_many, weight_arrays
 
 
 def month_days(n_months):
@@ -261,10 +261,11 @@ def _reference_nets(nets, inputs, targets, rounds, learning_rate):
     trained = []
     for net, (weights, curve) in zip(nets, reference_train_many(nets, inputs, targets,
                                                                 rounds, learning_rate)):
-        arrays = iter(weights)
-        params = [tuple(next(arrays) for _ in p) for p in net.params]
+        params = [None if p is None else p.copy() for p in net.params]
         trained.append(rs.neural_kit.TrainedNet(net.spec, net.ops, params,
                                                 net.loss_curve + curve))
+        for view, arr in zip(weight_arrays(trained[-1]), weights, strict=True):
+            view[...] = arr  # each (W, b) pair into the net's [W; b]
     return trained
 
 
