@@ -195,6 +195,8 @@ def _index_arg(arg: str) -> tuple[str, str]:
     name, _, path = arg.partition("=")
     if not name or not path:
         raise UsageError("index arguments take the form name=file.csv")
+    if any(char in name for char in ",\r\n"):  # it heads a CSV column
+        raise UsageError(f"--index name {name!r} holds a comma or a line break")
     return name, path
 
 
@@ -226,9 +228,13 @@ def _load_rows(path: str):
 
 
 def _check_seeds(flag: str, seeds) -> None:
-    """Refuses a negative seed by its option, before any input is read."""
+    """Refuses a negative or a repeated seed by its option, before any
+    input is read."""
     if min(seeds) < 0:
         raise UsageError(f"{flag} must be at least 0, got {min(seeds)}")
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise UsageError(f"{flag} names {', '.join(map(str, repeated))} more than once")
 
 
 def _activation(opts: dict) -> str:
@@ -390,6 +396,12 @@ def _cmd_backcast(args) -> int:
         flags = ", ".join("--" + key.replace("_", "-") for key in unread)
         raise UsageError(f"--protocol {protocol} does not read {flags}")
     _check_seeds("--seed", [opts["seed"]])
+    if "rounds" in BACKCAST_FLAGS[protocol]:  # deep10 and cnn7 train
+        if opts["rounds"] < 1:
+            raise UsageError("--rounds must be at least 1")
+        if not (np.isfinite(opts["learning_rate"]) and opts["learning_rate"] > 0):
+            raise UsageError(f"--learning-rate must be finite and > 0, "
+                             f"got {opts['learning_rate']}")
     if protocol == "cnn7":  # the one protocol that reads them
         activation = _activation(opts)
         if opts["runs"] < 1:
@@ -474,8 +486,9 @@ def _cmd_eventstudy(args) -> int:
         period_length=opts["period_length"], n_periods=opts["n_periods"],
         training_periods=(lo, hi), n_permutations=opts["permutations"],
         rounds=opts["rounds"], learning_rate=opts["learning_rate"], activation=activation)
+    index_arg = _index_arg(args.index)
     records = _records_or_fail(args.tape)
-    index = _load_index(*_index_arg(args.index))
+    index = _load_index(*index_arg)
     cost = liquidity_lab.cost_series(bucket_panel.build_panels(records, panel_config))
     del records  # only the cost series lives on through training
     report = liquidity_lab.event_study(cost, index, config, seeds=seeds)

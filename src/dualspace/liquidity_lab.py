@@ -28,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import neural_kit
 from .bucket_panel import PanelSeries
 from .calendars import IndexSeries
 from .corrstats import fisher_z_pvalue, pearson, rankdata, spearman, standardize
-from .residual_study import monthly_windows
 from .table_csv import write_table_csv
 
 
@@ -84,6 +82,10 @@ class EventStudyConfig:
         before any training."""
         if self.period_length < 1:
             raise ValueError(f"period_length must be >= 1, got {self.period_length}")
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.n_permutations < 1:  # (1 + 0) / (1 + 0) would read as a p-value of 1
             raise ValueError("an event study needs at least one permutation")
         lo, hi = self.training_periods
@@ -144,8 +146,15 @@ def event_study(cost: CostSeries, index: IndexSeries,
     r_pearson, p_pearson, r_spearman, p_spearman (each None where NA)
     and degenerate.
     """
+    # only a study trains nets: a process that computes cost series alone
+    # never loads them
+    from . import neural_kit
+    from .residual_study import monthly_windows
+
     if not seeds:
         raise ValueError("seeds must not be empty")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds {list(seeds)} repeat a seed: each net would count twice")
     n_days_total = config.n_periods * config.period_length
     if len(cost.dates) + 1 < n_days_total:
         raise ValueError(f"lambda series covers {len(cost.dates) + 1} days, "

@@ -16,13 +16,20 @@ per stack as a fixed memory budget allows.
 Convolutions run as im2col + matmul.  Both weighted layers, dense and
 conv, carry their bias as a last column of ones in their column matrix,
 and their one parameter is the matrix `[W; b]` it multiplies, so that
-a layer's forward pass, its parameter gradient and its update are each
-one array operation: a training round spends its time in BLAS, not in
-numpy loops over runs of 8-32 elements or in rebuilding `[W; b]`.  For
-the same reason a ReLU runs after the max-pool that reads its layer
+a layer's forward pass and its parameter gradient are each one array
+operation: a training round spends its time in BLAS, not in numpy loops
+over runs of 8-32 elements or in rebuilding `[W; b]`.  A stack's
+matrices are views into one flat parameter vector and their gradients
+views into one flat gradient, which the gradient products write in
+place, so a round ends with one update of the whole stack instead of
+two ops per layer.  A dense layer's input gradient multiplies by a
+contiguous copy of Wᵀ, which BLAS runs faster than the strided view.
+For the same reason a ReLU runs after the max-pool that reads its layer
 (see `_ActivationOp`), and a net's first convolution, when a pool reads
 it, writes its output rows in that pool's tap order, so the pool reads
 and writes contiguous blocks instead of strided taps of a few channels.
+A pool's gradient is one broadcast multiply over all of its taps, not
+one compare-and-multiply pass per tap.
 
 An image batch is cropped on entry to the rows and columns that the
 output reads (`_read_shape`): pools floor away odd edges, and valid
@@ -35,6 +42,7 @@ gradient, so no result changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -70,7 +78,8 @@ class TrainingDivergedError(ArithmeticError):
 # `forward(matrix, x)` returns `(out, cache)`, and
 # `backward(matrix, cache, grad)` returns the input gradient (None for
 # a net's first layer, whose input gradient nothing reads) and the
-# gradient of `matrix`.  An op without parameters takes None for
+# gradient of `matrix`, written into `backward(..., d_matrix)` when a
+# weighted layer is given one.  An op without parameters takes None for
 # `matrix` and returns None for its gradient.
 #
 # Every op works on a batch with any number of leading axes: (n, ...)
@@ -137,11 +146,14 @@ class Dense:
             cols = self.columns(x)
         return cols @ matrix, cols
 
-    def backward(self, matrix, cols, grad):
-        d_matrix = cols.swapaxes(-1, -2) @ grad  # (..., k + 1, o)
+    def backward(self, matrix, cols, grad, d_matrix=None):
+        """`d_matrix`, when given, is where the parameter gradient goes.
+        The input gradient multiplies by a contiguous copy of Wᵀ: a
+        strided view is slower."""
+        d_matrix = np.matmul(cols.swapaxes(-1, -2), grad, out=d_matrix)  # (..., k + 1, o)
         if not self.input_grad:
             return None, d_matrix
-        return grad @ matrix[..., :-1, :].swapaxes(-1, -2), d_matrix
+        return grad @ matrix[..., :-1, :].swapaxes(-1, -2).copy(), d_matrix
 
 
 @dataclass(frozen=True)
@@ -221,13 +233,14 @@ class Conv2D:
             pixels = (ph * pw, n, pixels[1] // ph, pixels[2] // pw)
         return out.reshape(out.shape[:-2] + pixels + (-1,)), (cols, x.shape)
 
-    def backward(self, matrix, cache, grad):
+    def backward(self, matrix, cache, grad, d_matrix=None):
+        """`d_matrix`, when given, is where the parameter gradient goes."""
         cols, in_shape = cache
         kh, kw = self.kernel
         o = grad.shape[-1]
         lead = grad.ndim - (4 if self.pool is None else 5)  # model axes, if any
         g = grad.reshape(grad.shape[:lead] + (-1, o))
-        d_matrix = cols.swapaxes(-1, -2) @ g  # (..., kh*kw*c + 1, o)
+        d_matrix = np.matmul(cols.swapaxes(-1, -2), g, out=d_matrix)  # (..., kh*kw*c + 1, o)
         if not self.input_grad:
             return None, d_matrix
         # the column gradient one tap at a time, into one (..., n*oh*ow, c)
@@ -285,11 +298,16 @@ class Pool:
     def forward(self, matrix, x):
         """The cache is the switches, the index of the first tap that
         holds each max, in the smallest integer type that fits (less
-        memory held per round), and the input shape."""
+        memory held per round), and the input shape.  Tap-major, the max
+        is one reduction over the tap axis, which takes the taps in the
+        loop's order, so ties and signed zeros come out the same."""
         taps = self._taps(x)
-        out = taps[0].copy()
-        for tap in taps[1:]:
-            np.maximum(out, tap, out=out)
+        if self.tap_major:
+            out = np.maximum.reduce(x, axis=-5)
+        else:
+            out = taps[0].copy()
+            for tap in taps[1:]:
+                np.maximum(out, tap, out=out)
         before = taps[0] != out
         switches = before.astype(np.min_scalar_type(len(taps) - 1))
         for tap in taps[1:-1]:
@@ -298,13 +316,31 @@ class Pool:
         return out, (switches, x.shape)
 
     def backward(self, matrix, cache, grad):
+        """`grad * (switches == k)` for every tap k in one broadcast
+        multiply, into the taps of `dx`: tap-major they are all of it;
+        in image order they are the (oh, ph, ow, pw) window view, and
+        only the rows and columns no window covers are zero-filled.  The
+        comparison writes its 1.0s and 0.0s straight into `dx`, which the
+        multiply then scales in place: faster than a bool mask cast
+        inside the multiply, and the same products."""
         switches, in_shape = cache
-        if self.tap_major:  # the taps cover the input: no zero fill
+        ph, pw = self.size
+        taps = np.arange(ph * pw, dtype=switches.dtype)  # switches' type: no cast
+        if self.tap_major:  # (..., ph*pw, n, oh, ow, c)
             dx = np.empty(grad.shape[:-4] + in_shape[-5:])
-        else:
-            dx = np.zeros(grad.shape[:-3] + in_shape[-3:])
-        for k, tap in enumerate(self._taps(dx)):
-            np.multiply(grad, switches == k, out=tap)
+            np.equal(switches[..., None, :, :, :, :], taps.reshape(-1, 1, 1, 1, 1), out=dx,
+                     casting="unsafe")
+            np.multiply(dx, grad[..., None, :, :, :, :], out=dx)
+            return dx, None
+        oh, ow, c = grad.shape[-3:]
+        dx = np.empty(grad.shape[:-3] + in_shape[-3:])
+        windows = dx[..., :oh * ph, :ow * pw, :].reshape(grad.shape[:-3] + (oh, ph, ow, pw, c),
+                                                         copy=False)
+        np.equal(switches[..., None, :, None, :], taps.reshape(ph, 1, pw, 1), out=windows,
+                 casting="unsafe")
+        np.multiply(windows, grad[..., None, :, None, :], out=windows)
+        dx[..., oh * ph:, :, :] = 0.0
+        dx[..., :oh * ph, ow * pw:, :] = 0.0
         return dx, None
 
 
@@ -614,8 +650,16 @@ def _train_stack(nets: list[TrainedNet], x0: np.ndarray, targets: np.ndarray,
     column matrix of a shared batch, or None."""
     ops = nets[0].ops
     n = targets.shape[-1]
-    params = [None if column[0] is None else np.stack(column)
-              for column in zip(*(net.params for net in nets))]
+    # One flat parameter vector and one flat gradient for the stack: each
+    # weighted layer's stacked [W; b] and its gradient are contiguous
+    # views into them, so a round's update is one pass over each.
+    shapes = [None if p is None else (len(nets),) + p.shape for p in nets[0].params]
+    size = sum(math.prod(shape) for shape in shapes if shape is not None)
+    theta, d_theta = np.empty(size), np.empty(size)
+    params, grads = _views(theta, shapes), _views(d_theta, shapes)
+    for p, column in zip(params, zip(*(net.params for net in nets))):
+        if p is not None:
+            np.stack(column, out=p)
     # Column matrices of this stack, by op.  A later weighted layer
     # refills its buffer every round (see README, "Neural training":
     # fresh ones could re-fault every round); returning frees them all.
@@ -635,21 +679,38 @@ def _train_stack(nets: list[TrainedNet], x0: np.ndarray, targets: np.ndarray,
                     x, cache = op.forward(p, x)
                 caches.append(cache)
             err = x[..., 0] - targets  # (R, n)
-            loss = np.mean(err**2, axis=-1)
+            loss = np.add.reduce(err**2, axis=-1) / n  # np.mean's sum and division
             if not np.isfinite(loss).all():
                 raise TrainingDivergedError(f"non-finite loss at round {round_no}")
             losses.append(loss)
-            # popping frees each cache once read, before the next round allocates
+            # popping frees each cache once read, before the next round allocates;
+            # every input gradient reads the round's matrices before the update
             grad = (2.0 * err / n)[..., None]
-            for op, p in zip(reversed(ops), reversed(params)):
-                grad, d_matrix = op.backward(p, caches.pop(), grad)
-                if d_matrix is not None:
-                    p -= learning_rate * d_matrix
+            for op, p, d in zip(reversed(ops), reversed(params), reversed(grads)):
+                if d is None:
+                    grad = op.backward(p, caches.pop(), grad)[0]
+                else:
+                    grad = op.backward(p, caches.pop(), grad, d)[0]
+            np.multiply(learning_rate, d_theta, out=d_theta)
+            theta -= d_theta
 
     curves = np.array(losses).T.tolist()
     return [TrainedNet(net.spec, net.ops, [None if p is None else p[r].copy() for p in params],
                        net.loss_curve + curves[r])
             for r, net in enumerate(nets)]
+
+
+def _views(flat: np.ndarray, shapes: list) -> list[np.ndarray | None]:
+    """Consecutive views of `flat`, one per shape, None for None."""
+    views, start = [], 0
+    for shape in shapes:
+        if shape is None:
+            views.append(None)
+            continue
+        end = start + math.prod(shape)
+        views.append(flat[start:end].reshape(shape))
+        start = end
+    return views
 
 
 # ── serialization ──────────────────────────────────────────────────────

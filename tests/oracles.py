@@ -480,7 +480,7 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
                 p -= 2
                 d_matrix = keep.swapaxes(-1, -2) @ grad
                 grads[p], grads[p + 1] = d_matrix[..., :-1, :], d_matrix[..., -1, :]
-                grad = grad @ params[p].swapaxes(-1, -2)
+                grad = grad @ params[p].swapaxes(-1, -2).copy()
             elif kind == "conv":
                 p -= 2
                 (cols, in_shape), (kh, kw) = keep, what.kernel

@@ -279,6 +279,11 @@ def test_import_leaves_scipy_stats_unloaded(tape_dir, residual_dir, tmp_path):
                                          "synth_market", "pdo_kernel")}
     assert not _modules_after(["statespace", "--tape", str(tape_dir / "t0.csv"),
                                "--out-dir", str(tmp_path / "s")]) & (unused | heavy)
+    # the cost series alone trains no net, so it never loads them
+    loaded = _modules_after(["liquidity", "--tape", str(tape_dir / "t0.csv"),
+                             "--out-dir", str(tmp_path / "lq")])
+    assert "dualspace.liquidity_lab" in loaded
+    assert not loaded & (heavy | {"dualspace.neural_kit", "dualspace.residual_study"})
     # fit and backcast read artifacts only, so they never load the tape parser
     assert not _modules_after(["fit", "--states", str(tmp_path / "s" / "states_imbalance.csv"),
                                "--out-dir", str(tmp_path / "f")]) & (
@@ -704,6 +709,23 @@ BAD_OPTION_VALUES = {
                                "--index", "sentiment={tapes}/sentiment.csv"],
     "eventstudy-negative-seed": ["eventstudy", "--tape", "{tapes}/t0.csv",
                                  "--index", "sentiment={tapes}/sentiment.csv", "--seeds=-1,2"],
+    "eventstudy-repeated-seed": ["eventstudy", "--tape", "{tapes}/t0.csv",
+                                 "--index", "sentiment={tapes}/sentiment.csv", "--seeds", "1,1"],
+    # an index name heads a CSV column of the artifacts
+    "backcast-index-name-with-a-comma": ["backcast", "--protocol", "shallow",
+                                         "--train-residuals", "{residuals}/t0/residuals.csv",
+                                         "--index", "a,b={tapes}/sentiment.csv"],
+    "eventstudy-index-name-with-a-comma": ["eventstudy", "--tape", "{tapes}/t0.csv",
+                                           "--index", "a,b={tapes}/sentiment.csv"],
+    "backcast-zero-rounds": ["backcast", "--protocol", "deep10", "--rounds", "0",
+                             "--train-residuals", "{residuals}/t0/residuals.csv",
+                             "--predict-residuals", "{residuals}/t1/residuals.csv",
+                             "--index", "sentiment={tapes}/sentiment.csv"],
+    "eventstudy-zero-rounds": ["eventstudy", "--tape", "{tapes}/t0.csv",
+                               "--index", "sentiment={tapes}/sentiment.csv", "--rounds", "0"],
+    "eventstudy-nan-learning-rate": ["eventstudy", "--tape", "{tapes}/t0.csv",
+                                     "--index", "sentiment={tapes}/sentiment.csv",
+                                     "--learning-rate", "nan"],
 }
 
 
@@ -734,6 +756,41 @@ def test_a_negative_seed_is_refused_by_name_before_any_input_is_read(capsys, tmp
     code = cli.run(argv + ["--out-dir", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 1 and captured.err == f"usage error: {message}\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["backcast", "--protocol", "shallow", "--train-residuals", "{absent}",
+      "--index", "a,b={absent}"],
+     "usage error: --index name 'a,b' holds a comma or a line break"),
+    (["backcast", "--protocol", "shallow", "--train-residuals", "{absent}",
+      "--index", "a\nb={absent}"],
+     "usage error: --index name 'a\\nb' holds a comma or a line break"),
+    (["eventstudy", "--tape", "{absent}", "--index", "a,b={absent}"],
+     "usage error: --index name 'a,b' holds a comma or a line break"),
+    (["eventstudy", "--tape", "{absent}", "--index", "sentiment={absent}", "--seeds", "1,2,1"],
+     "usage error: --seeds names 1 more than once"),
+    (["backcast", "--protocol", "deep10", "--rounds", "0", "--train-residuals", "{absent}",
+      "--predict-residuals", "{absent}", "--index", "sentiment={absent}"],
+     "usage error: --rounds must be at least 1"),
+    (["backcast", "--protocol", "cnn7", "--learning-rate", "nan", "--train-residuals",
+      "{absent}", "--predict-residuals", "{absent}", "--index", "sentiment={absent}"],
+     "usage error: --learning-rate must be finite and > 0, got nan"),
+    (["eventstudy", "--tape", "{absent}", "--index", "sentiment={absent}", "--rounds", "0"],
+     "data error: rounds must be >= 1, got 0"),
+    (["eventstudy", "--tape", "{absent}", "--index", "sentiment={absent}",
+      "--learning-rate", "-0.5"],
+     "data error: learning_rate must be finite and > 0, got -0.5"),
+], ids=["backcast-index-comma", "backcast-index-newline", "eventstudy-index-comma",
+        "eventstudy-repeated-seed", "backcast-zero-rounds", "backcast-nan-learning-rate",
+        "eventstudy-zero-rounds", "eventstudy-negative-learning-rate"])
+def test_a_bad_option_is_refused_by_name_before_any_input_is_read(capsys, tmp_path, argv,
+                                                                 message):
+    argv = [arg.format(absent=tmp_path / "absent.csv") for arg in argv]
+    code = cli.run(argv + ["--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == (1 if message.startswith("usage") else 2)
+    assert captured.err == message + "\n"
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 

@@ -1,10 +1,15 @@
+import ast
 import datetime as dt
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from dualspace import liquidity_lab as ll
+from dualspace import neural_kit
 from dualspace.bucket_panel import BucketConfig, PanelSeries
 from dualspace.calendars import IndexSeries, month_index, trading_days
 
@@ -140,6 +145,17 @@ def test_event_config_needs_a_permutation():
             ll.EventStudyConfig(n_permutations=n)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"rounds": 0}, "rounds must be >= 1, got 0"),
+    ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
+    ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0, got inf"),
+    ({"learning_rate": 0.0}, "learning_rate must be finite and > 0, got 0.0"),
+], ids=["zero-rounds", "nan-rate", "inf-rate", "zero-rate"])
+def test_event_config_refuses_a_training_setting_that_cannot_train(setting, message):
+    with pytest.raises(ValueError, match=message):
+        ll.EventStudyConfig(**setting)
+
+
 def _flat_cost(n_days=480, value=1.0, jitter=None):
     dates = trading_days(dt.date(2009, 1, 5), n_days + 1)[1:]
     lam = np.full((n_days, NB), value)
@@ -176,15 +192,37 @@ def test_event_study_requires_full_coverage():
         ll.event_study(cost, index, seeds=(1,))
 
 
-def test_event_study_refuses_empty_seeds_before_training(monkeypatch):
+def _refuses_before_training(monkeypatch, seeds, message):
     cost = _flat_cost(jitter=0.3 * np.random.default_rng(3).standard_normal((480, NB)))
 
     def no_training(*args, **kwargs):
         raise AssertionError("trained a net")
 
-    monkeypatch.setattr(ll.neural_kit, "train_many", no_training)
-    with pytest.raises(ValueError, match="seeds must not be empty"):
-        ll.event_study(cost, _index_over(cost.dates), seeds=())
+    monkeypatch.setattr(neural_kit, "train_many", no_training)
+    with pytest.raises(ValueError, match=message):
+        ll.event_study(cost, _index_over(cost.dates), seeds=seeds)
+
+
+def test_event_study_refuses_empty_seeds_before_training(monkeypatch):
+    _refuses_before_training(monkeypatch, (), "seeds must not be empty")
+
+
+def test_event_study_refuses_repeated_seeds_before_training(monkeypatch):
+    # the study averages one net per listed seed: a repeat counts one net twice
+    _refuses_before_training(monkeypatch, (1, 2, 1), r"seeds \[1, 2, 1\] repeat a seed")
+
+
+def test_cost_series_alone_does_not_load_the_nets():
+    """Only `event_study` trains nets, so importing the module for its
+    cost series leaves `neural_kit` and `residual_study` unloaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ll.__file__)))
+    code = ("import sys, dualspace.liquidity_lab; "
+            "print(sorted(m for m in sys.modules if m.startswith('dualspace.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "dualspace.liquidity_lab" in loaded
+    assert not loaded & {"dualspace.neural_kit", "dualspace.residual_study"}
 
 
 def test_event_study_pvalues_in_range(small_market):

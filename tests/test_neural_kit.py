@@ -365,6 +365,67 @@ def test_pool_gradient_goes_to_first_max_on_ties():
     assert d_params is None
 
 
+def _pool_by_taps(pool, x, grad):
+    """A pool's max, switches and input gradient, one tap at a time."""
+    ph, pw = pool.size
+    dx = np.zeros(x.shape)
+    if pool.tap_major:
+        taps, d_taps = list(np.moveaxis(x, -5, 0)), list(np.moveaxis(dx, -5, 0))
+    else:
+        oh, ow = x.shape[-3] // ph, x.shape[-2] // pw
+        windows = [(slice(i, oh * ph, ph), slice(j, ow * pw, pw))
+                   for i in range(ph) for j in range(pw)]
+        taps = [x[..., rows, cols, :] for rows, cols in windows]
+        d_taps = [dx[..., rows, cols, :] for rows, cols in windows]
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    switches = np.full(out.shape, len(taps) - 1)
+    for k in reversed(range(len(taps) - 1)):
+        switches[taps[k] == out] = k
+    for k, d_tap in enumerate(d_taps):
+        d_tap[...] = grad * (switches == k)
+    return out, switches, dx
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("size", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("tap_major", [False, True], ids=["image_order", "tap_major"])
+def test_a_pool_equals_its_per_tap_loop_bit_for_bit(tap_major, size):
+    """Windows of signed zeros, ties and all-negative taps, with a model
+    axis; in image order the last row and column lie outside every
+    window.  Bits are compared, so that -0.0 and 0.0 differ."""
+    ph, pw = size
+    n, oh, ow, c = 3, 4, 3, 2
+    rng = np.random.default_rng(60)
+    values = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0])
+    windows = rng.choice(values, (2, n, oh, ph, ow, pw, c))
+    windows[0, 0, 0, :, 0, :, 0] = -0.0
+    windows[0, 0, 0, 0, 0, -1, 0] = 0.0  # +0 after and before -0 taps
+    windows[0, 0, 1, :, 0, :, 0] = 0.0
+    windows[0, 0, 1, -1, 0, 0, 0] = -0.0
+    windows[0, 0, 2, :, 0, :, 0] = -rng.uniform(0.5, 2.0, (ph, pw))  # all negative
+    windows[0, 0, 3, :, 0, :, 0] = 1.0  # every tap holds the max
+    if tap_major:  # (R, ph*pw, n, oh, ow, c)
+        x = np.moveaxis(windows, (3, 5), (1, 2)).reshape((2, ph * pw, n, oh, ow, c))
+    else:  # (R, n, h, w, c), one row and one column past the windows
+        x = rng.choice(values, (2, n, oh * ph + 1, ow * pw + 1, c))
+        x[:, :, :oh * ph, :ow * pw, :] = windows.reshape((2, n, oh * ph, ow * pw, c))
+    grad = rng.standard_normal((2, n, oh, ow, c))  # both signs: grad * 0.0 is ±0.0
+    pool = nk.Pool(size, tap_major=tap_major)
+    out, (switches, in_shape) = pool.forward(None, x.copy())
+    dx, d_matrix = pool.backward(None, (switches, in_shape), grad)
+    plain_out, plain_switches, plain_dx = _pool_by_taps(pool, x, grad)
+    np.testing.assert_array_equal(_bits(out), _bits(plain_out))
+    np.testing.assert_array_equal(switches, plain_switches)
+    np.testing.assert_array_equal(_bits(dx), _bits(plain_dx))
+    assert d_matrix is None and in_shape == x.shape
+    assert np.signbit(out[0, 0, 0, 0]).any() or np.signbit(out[0, 0, 1, 0]).any()
+
+
 # ── round-invariant work ───────────────────────────────────────────────
 
 _ORACLE_SPECS = {
@@ -484,6 +545,8 @@ def test_exact_training_does_not_follow_the_blas_kernel():
         f"{__file__}::test_dense_training_on_a_long_batch_equals_the_plain_loop_exactly",
         f"{__file__}::test_per_net_inputs_give_the_same_nets_in_any_stacks",
         f"{__file__}::test_a_relu_after_the_pool_trains_as_before_it_on_tied_windows",
+        f"{__file__}::test_trained_nets_own_their_arrays",
+        f"{__file__}::test_a_round_trains_on_one_parameter_vector_and_one_gradient",
         f"{study}::test_cnn_backcast_equals_the_plain_loop_on_the_read_crop",
         f"{study}::test_stack_size_never_changes_a_report")
 
@@ -623,6 +686,44 @@ def test_trained_nets_hold_only_their_parameters():
                [None if p is None else p.shape for p in start.params]
     grad_check(trained[0], images[:2], rng.standard_normal(2))
     assert not _held_arrays(trained[0])
+
+
+def test_trained_nets_own_their_arrays(monkeypatch):
+    """A stack trains on one flat parameter vector; every net that
+    `train_many` returns holds copies, never views of it."""
+    rng = np.random.default_rng(61)
+    for make_spec, x in [(_small_cnn_spec, rng.standard_normal((4, 9, 9))),
+                         (lambda seed: nk.deep10_spec(n_inputs=6, seed=seed),
+                          rng.standard_normal((4, 6)))]:
+        nets = [nk.init_net(make_spec(seed)) for seed in (1, 2, 3)]
+        for budget in (1, 1 << 62):  # one net per stack, and one stack
+            monkeypatch.setattr(nk, "STACK_BYTES", budget)
+            trained = nk.train_many(nets, x, rng.standard_normal(4), rounds=2,
+                                    learning_rate=0.05)
+            for net in trained:
+                assert all(p.base is None for p in net.params if p is not None)
+
+
+def test_a_round_trains_on_one_parameter_vector_and_one_gradient(monkeypatch):
+    """Each weighted layer's stacked [W; b] and its gradient are views of
+    one flat array each, laid back to back."""
+    seen = []  # (matrix, d_matrix) per weighted backward
+    for kind in (nk.Dense, nk.Conv2D):
+        def recording(op, matrix, cache, grad, d_matrix=None, backward=kind.backward):
+            seen.append((matrix, d_matrix))
+            return backward(op, matrix, cache, grad, d_matrix)
+        monkeypatch.setattr(kind, "backward", recording)
+    rng = np.random.default_rng(62)
+    nets = [nk.init_net(_small_cnn_spec(seed)) for seed in (1, 2)]
+    nk.train_many(nets, rng.standard_normal((4, 9, 9)), rng.standard_normal(4), rounds=1,
+                  learning_rate=0.05)
+    assert len(seen) == 4  # two convolutions and two dense layers, once each
+    for arrays in zip(*seen[::-1]):  # in layer order: the matrices, then their gradients
+        flat = arrays[0].base
+        assert flat.ndim == 1 and flat.size == sum(a.size for a in arrays)
+        assert all(a.base is flat and a.flags.c_contiguous for a in arrays)
+        offsets = [a.ctypes.data - flat.ctypes.data for a in arrays]
+        assert offsets == np.cumsum([0] + [a.nbytes for a in arrays[:-1]]).tolist()
 
 
 def test_a_train_many_call_refills_one_column_buffer(monkeypatch):
