@@ -110,8 +110,10 @@ BACKCAST_FLAGS = {
 SYNTH_SHAPE_KEYS = ("spread", "sentiment_ar", "anchor_max_offset", "anchor_buy_reach",
                     "anchor_sell_reach", "buy_width", "sell_width")
 
-_PANEL = {"delta": (float, 0.5), "buckets": (int, 16), "subcells": (int, 50),
-          "geometric_imbalance": (bool, False)}
+#: the panel options by their readers: the buckets every panel command,
+#: the sub-cell count the profiles (`panels --fine`, `statespace`)
+_BUCKETS = {"delta": (float, 0.5), "buckets": (int, 16)}
+_PROFILES = {**_BUCKETS, "subcells": (int, 50)}
 _TRAINING = {"rounds": (int, 150), "learning_rate": (float, 0.05),
              "activation": (str, "tanh")}
 
@@ -124,14 +126,15 @@ OPTIONS = {
               "trades_per_day": (float, None), "g_sent": (float, 0.0),
               "g_ret": (float, 0.0), "g_yield": (float, 0.0), "snr": (float, None),
               "shock": (str, None), **{key: (float, None) for key in SYNTH_SHAPE_KEYS}},
-    "panels": _PANEL,
-    "statespace": {"mode": (("buy", "sell", "imbalance"), "imbalance"), **_PANEL},
+    "panels": _PROFILES,
+    "statespace": {"mode": (("buy", "sell", "imbalance"), "imbalance"), **_PROFILES,
+                   "geometric_imbalance": (bool, False)},
     "backcast": {"protocol": (tuple(BACKCAST_FLAGS), "cnn7"), "runs": (int, 6),
                  **_TRAINING, "seed": (int, 1)},
-    "liquidity": _PANEL,
+    "liquidity": _BUCKETS,
     "eventstudy": {"period_length": (int, 60), "n_periods": (int, 8),
                    "training_periods": (str, "0,1"), "permutations": (int, 10_000),
-                   **_TRAINING, "seeds": (str, "1,2,3"), **_PANEL},
+                   **_TRAINING, "seeds": (str, "1,2,3"), **_BUCKETS},
     "pdo-demo": {"points": (int, 256), "sigma0": (float, 0.5), "diffusion": (float, 0.25),
                  "drift": (float, 0.0), "time": (float, 1.0)},
 }
@@ -245,6 +248,15 @@ def _activation(opts: dict) -> str:
     return opts["activation"]
 
 
+def _check_training(opts: dict) -> None:
+    """Refuses a bad --rounds or --learning-rate by its option, before
+    any input is read."""
+    if opts["rounds"] < 1:
+        raise UsageError("--rounds must be at least 1")
+    if not (np.isfinite(opts["learning_rate"]) and opts["learning_rate"] > 0):
+        raise UsageError(f"--learning-rate must be finite and > 0, got {opts['learning_rate']}")
+
+
 # ── subcommands ────────────────────────────────────────────────────────
 
 def _cmd_synth(args) -> int:
@@ -310,11 +322,12 @@ def _cmd_summarize(args) -> int:
 
 
 def _panel_config(opts) -> bucket_panel.BucketConfig:
+    """A panel option the command does not take keeps BucketConfig's default."""
     from . import bucket_panel
 
-    return bucket_panel.BucketConfig(
-        delta=opts["delta"], n_buckets=opts["buckets"], n_subcells=opts["subcells"],
-        geometric_imbalance=opts["geometric_imbalance"])
+    fields = {"delta": "delta", "buckets": "n_buckets", "subcells": "n_subcells",
+              "geometric_imbalance": "geometric_imbalance"}
+    return bucket_panel.BucketConfig(**{fields[key]: opts[key] for key in fields if key in opts})
 
 
 def _panels(path: str, opts) -> bucket_panel.PanelSeries:
@@ -346,6 +359,8 @@ def _cmd_statespace(args) -> int:
     from . import state_space
 
     opts = _resolve(args)
+    if opts["mode"] != "imbalance" and args.geometric_imbalance is not None:
+        raise UsageError(f"--mode {opts['mode']} does not read --geometric-imbalance")
     states = state_space.state_matrix(_panels(args.tape, opts),
                                       state_space.VolumeMode(opts["mode"]))
     outdir = _outdir(args)
@@ -397,11 +412,7 @@ def _cmd_backcast(args) -> int:
         raise UsageError(f"--protocol {protocol} does not read {flags}")
     _check_seeds("--seed", [opts["seed"]])
     if "rounds" in BACKCAST_FLAGS[protocol]:  # deep10 and cnn7 train
-        if opts["rounds"] < 1:
-            raise UsageError("--rounds must be at least 1")
-        if not (np.isfinite(opts["learning_rate"]) and opts["learning_rate"] > 0):
-            raise UsageError(f"--learning-rate must be finite and > 0, "
-                             f"got {opts['learning_rate']}")
+        _check_training(opts)
     if protocol == "cnn7":  # the one protocol that reads them
         activation = _activation(opts)
         if opts["runs"] < 1:
@@ -475,6 +486,7 @@ def _cmd_eventstudy(args) -> int:
 
     opts = _resolve(args)
     activation = _activation(opts)
+    _check_training(opts)
     panel_config = _panel_config(opts)
     try:
         lo, hi = (int(v) for v in opts["training_periods"].split(","))

@@ -4,14 +4,15 @@ Conventions used across the toolkit: a Pearson or Spearman correlation
 against a zero-variance series is reported as 0.0 instead of NaN, all
 correlations are clipped to [-1, 1] to absorb float round-off, and the
 Student-t half-width and critical |r| are two-sided at the 10% level
-(`LEVEL`).  Ranks are computed here with numpy (`rankdata`): importing
-scipy's statistics package for them alone costs about a second per
-process, more than the event study that uses them.  The normal tail and
-the Student-t quantile are closed forms on the standard library
-(`math.erfc`, `_t_quantile`) for the same reason: importing
-`scipy.special` for one scalar call added about 0.3 s and 15 MB of peak
-memory to each `backcast` and `eventstudy` process.  The tests hold
-both to scipy's.
+(`LEVEL`).  A Spearman correlation is `pearson` of the ranks, so it
+refuses what `rankdata` refuses: NaN or inf.  Ranks are computed here
+with numpy (`rankdata`): importing scipy's statistics package for them
+alone costs about a second per process, more than the event study that
+uses them.  The normal tail and the Student-t quantile are closed forms
+on the standard library (`math.erfc`, `_t_quantile`) for the same
+reason: importing `scipy.special` for one scalar call added about 0.3 s
+and 15 MB of peak memory to each `backcast` and `eventstudy` process.
+The tests hold both to scipy's.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ import math
 import numpy as np
 
 LEVEL = 0.10  # significance level of the two-sided tests
-
-
-def has_variance(x) -> bool:
-    x = np.asarray(x, dtype=float)
-    return bool(np.ptp(x) > 0.0)
 
 
 def pearson(x, y) -> float:
@@ -86,11 +82,10 @@ def rankdata(a, axis: int = -1) -> np.ndarray:
 
 
 def spearman(x, y) -> float:
-    """Spearman rank correlation with the same zero-variance convention."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (has_variance(x) and has_variance(y)):
-        return 0.0
+    """Spearman rank correlation: the Pearson correlation of the ranks.
+
+    A constant side has equal ranks, so it gets `pearson`'s 0.0; like
+    `rankdata`, it refuses NaN or inf with ValueError."""
     return pearson(rankdata(x), rankdata(y))
 
 

@@ -41,27 +41,11 @@ from .table_csv import read_table_csv, write_table_csv
 LSTSQ_RCOND = 1e-6
 
 
-@dataclass(frozen=True)
-class BetaMatrix:
-    values: np.ndarray  # (2n, 2n) real;  real/imaginary parts stacked
-
-    def __post_init__(self):
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
-            raise ValueError("beta matrix must be square with even size")
-        if not np.isfinite(v).all():
-            raise ValueError("beta matrix entries must be finite")
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-
 @dataclass
 class RegressionOutput:
     predictions: np.ndarray  # (T-1, n_buckets) real
     residuals: np.ndarray    # (T-1, n_buckets); dependent minus predicted
-    beta: BetaMatrix
+    beta: np.ndarray         # (2n, 2n) dual-space operator; real/imaginary parts stacked
     intercept: np.ndarray    # (2n,) dual-space intercept
     gram_rank: int
     dates: list[dt.date]
@@ -79,7 +63,8 @@ def fit_beta(states: StateMatrix) -> RegressionOutput:
 
     One `lstsq` in bucket space on the design [s 1, x_t], s = 1/sqrt(n),
     with relative singular-value cutoff 1e-6, whose coefficients are then
-    mapped to the dual space (see the module docstring).  An intercept
+    mapped to the dual space (see the module docstring): `beta` is B, a
+    plain (2n, 2n) array, and `intercept` alpha.  An intercept
     column is included: dropping it would leave residual means
     unconstrained and break the exact orthogonality between fitted values
     and residuals that the downstream variance diagnostics rely on.
@@ -103,7 +88,7 @@ def fit_beta(states: StateMatrix) -> RegressionOutput:
     return RegressionOutput(
         predictions=predictions,
         residuals=deps - predictions,
-        beta=BetaMatrix((w.T @ coef[1:] @ w / n).T),
+        beta=(w.T @ coef[1:] @ w / n).T,
         intercept=s * (coef[0] @ w),
         gram_rank=int(rank),
         dates=list(states.dates[1:]),
@@ -138,14 +123,13 @@ class BetaSimilarity(NamedTuple):
     row_corr: float
 
 
-def beta_similarity(a: BetaMatrix, b: BetaMatrix) -> BetaSimilarity:
+def beta_similarity(a: np.ndarray, b: np.ndarray) -> BetaSimilarity:
     """Mean per-column and per-row Pearson correlation of two operators.
 
     Vector pairs where either side is constant (the identically-zero
     rows forced by the stacking symmetry) are skipped.
     """
-    av, bv = a.values, b.values
-    if av.shape != bv.shape:
+    if a.shape != b.shape:
         raise ValueError("beta matrices must have equal shapes")
 
     def mean_corr(rows_a, rows_b):
@@ -154,7 +138,7 @@ def beta_similarity(a: BetaMatrix, b: BetaMatrix) -> BetaSimilarity:
                 if np.ptp(ra) > 0 and np.ptp(rb) > 0]
         return float(np.mean(vals)) if vals else 0.0
 
-    return BetaSimilarity(col_corr=mean_corr(av.T, bv.T), row_corr=mean_corr(av, bv))
+    return BetaSimilarity(col_corr=mean_corr(a.T, b.T), row_corr=mean_corr(a, b))
 
 
 def determination_matrix(outputs: list[RegressionOutput]) -> np.ndarray:
@@ -182,8 +166,8 @@ def determination_matrix(outputs: list[RegressionOutput]) -> np.ndarray:
 
 # ── artifact serialization ─────────────────────────────────────────────
 
-def write_beta_csv(beta: BetaMatrix, handle) -> None:
-    write_table_csv(handle, None, beta.values.tolist())
+def write_beta_csv(beta: np.ndarray, handle) -> None:
+    write_table_csv(handle, None, beta.tolist())
 
 
 def write_rows_csv(dates: list[dt.date], matrix: np.ndarray, handle) -> None:

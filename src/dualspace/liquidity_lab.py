@@ -30,7 +30,7 @@ import numpy as np
 
 from .bucket_panel import PanelSeries
 from .calendars import IndexSeries
-from .corrstats import fisher_z_pvalue, pearson, rankdata, spearman, standardize
+from .corrstats import fisher_z_pvalue, pearson, rankdata, rowwise_pearson, spearman, standardize
 from .table_csv import write_table_csv
 
 
@@ -222,14 +222,7 @@ def _subset_draw_pvalue(preds: np.ndarray, targets: np.ndarray, k: int,
     """P(|rho_s(random month subset) - ref| >= |observed - ref|)."""
     n = preds.size
     draws = np.argsort(rng.random((n_draws, n)), axis=1)[:, :k]
-    pr = rankdata(preds[draws], axis=1)
-    tr = rankdata(targets[draws], axis=1)
-    pr = pr - pr.mean(axis=1, keepdims=True)
-    tr = tr - tr.mean(axis=1, keepdims=True)
-    denom = np.sqrt((pr * pr).sum(axis=1) * (tr * tr).sum(axis=1))
-    ok = denom > 0
-    rho = np.zeros(n_draws)
-    rho[ok] = (pr * tr).sum(axis=1)[ok] / denom[ok]
+    rho = rowwise_pearson(rankdata(preds[draws], axis=1), rankdata(targets[draws], axis=1))
     exceed = np.abs(rho - reference) >= abs(observed - reference) - 1e-12
     return float((1 + exceed.sum()) / (1 + n_draws))
 

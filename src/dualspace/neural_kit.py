@@ -33,7 +33,8 @@ one compare-and-multiply pass per tap.
 
 An image batch is cropped on entry to the rows and columns that the
 output reads (`_read_shape`): pools floor away odd edges, and valid
-convolutions carry that loss back to the input.  cnn7 on 21x16 images
+convolutions carry that loss back to the input, so every pool input is
+a whole number of windows.  cnn7 on 21x16 images
 reads 18x14, so its two convolutions compute 192 and 24 pixels per
 image instead of 266 and 35, and on 23 monthly images it trains in
 stacks of 3 instead of 2.  The dropped pixels get exactly zero
@@ -272,7 +273,9 @@ class Pool:
     """Max-pool.  With `tap_major`, the input is a first convolution's
     output in pool-tap order, (..., ph*pw, n, oh, ow, c) (see `Conv2D`),
     so each tap is one contiguous block; else it is (..., n, h, w, c) and
-    each tap a strided view."""
+    each tap a strided view.  Either way the input is a whole number of
+    windows: the crop of `_as_batch` leaves no row or column that no
+    window reads."""
 
     size: tuple[int, int] = (2, 2)
     tap_major: bool = field(default=False, compare=False)
@@ -292,8 +295,7 @@ class Pool:
         ph, pw = self.size
         if self.tap_major:
             return [x[..., k, :, :, :, :] for k in range(ph * pw)]
-        oh, ow = x.shape[-3] // ph, x.shape[-2] // pw
-        return [x[..., i:oh * ph:ph, j:ow * pw:pw, :] for i in range(ph) for j in range(pw)]
+        return [x[..., i::ph, j::pw, :] for i in range(ph) for j in range(pw)]
 
     def forward(self, matrix, x):
         """The cache is the switches, the index of the first tap that
@@ -318,8 +320,7 @@ class Pool:
     def backward(self, matrix, cache, grad):
         """`grad * (switches == k)` for every tap k in one broadcast
         multiply, into the taps of `dx`: tap-major they are all of it;
-        in image order they are the (oh, ph, ow, pw) window view, and
-        only the rows and columns no window covers are zero-filled.  The
+        in image order they are its (oh, ph, ow, pw) window view.  The
         comparison writes its 1.0s and 0.0s straight into `dx`, which the
         multiply then scales in place: faster than a bool mask cast
         inside the multiply, and the same products."""
@@ -333,15 +334,11 @@ class Pool:
             np.multiply(dx, grad[..., None, :, :, :, :], out=dx)
             return dx, None
         oh, ow, c = grad.shape[-3:]
-        dx = np.empty(grad.shape[:-3] + in_shape[-3:])
-        windows = dx[..., :oh * ph, :ow * pw, :].reshape(grad.shape[:-3] + (oh, ph, ow, pw, c),
-                                                         copy=False)
+        windows = np.empty(grad.shape[:-3] + (oh, ph, ow, pw, c))
         np.equal(switches[..., None, :, None, :], taps.reshape(ph, 1, pw, 1), out=windows,
                  casting="unsafe")
         np.multiply(windows, grad[..., None, :, None, :], out=windows)
-        dx[..., oh * ph:, :, :] = 0.0
-        dx[..., :oh * ph, ow * pw:, :] = 0.0
-        return dx, None
+        return windows.reshape(grad.shape[:-3] + in_shape[-3:]), None
 
 
 @dataclass(frozen=True)

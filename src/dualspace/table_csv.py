@@ -33,11 +33,18 @@ def read_table_csv(handle) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _text(cell: str) -> str:
+    """`cell` as is: a comma or a line break in it would split its row."""
+    if "," in cell or "\r" in cell or "\n" in cell:
+        raise ValueError(f"CSV cell {cell!r} holds a comma or a line break")
+    return cell
+
+
 def _cell(value) -> str:
     if type(value) is float:  # the common cell
         return repr(value)
     if isinstance(value, str):
-        return value
+        return _text(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -49,9 +56,10 @@ def write_table_csv(handle, header: Optional[Sequence[str]], rows: Iterable) -> 
     `header=None` writes no header line.  Each row is an iterable of
     cells: a `str` is written as is, a Python or numpy integer as
     `str(int(x))`, and anything else as `repr(float(x))`, so a float cell
-    reads back bit for bit.
+    reads back bit for bit.  A header name or a `str` cell that holds a
+    comma, `\r` or `\n` is refused with ValueError: nothing is quoted.
     """
     if header is not None:
-        handle.write(",".join(header) + "\n")
+        handle.write(",".join(map(_text, header)) + "\n")
     for row in rows:
         handle.write(",".join(map(_cell, row)) + "\n")

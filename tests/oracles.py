@@ -16,7 +16,6 @@ from scipy.linalg import expm
 
 from dualspace import neural_kit, tape_io
 from dualspace.bucket_panel import imbalance_profile
-from dualspace.dual_regression import BetaMatrix
 from dualspace.corrstats import rowwise_pearson
 from dualspace.state_space import StateMatrix, VolumeMode
 
@@ -186,7 +185,7 @@ def dual_predictions(states, out):
     x = np.asarray(states.values, dtype=float)[:-1]
     n = x.shape[1]
     spectra = np.fft.fft(x, axis=1)
-    z = out.intercept + np.hstack([spectra.real, spectra.imag]) @ out.beta.values.T
+    z = out.intercept + np.hstack([spectra.real, spectra.imag]) @ out.beta.T
     return z[:, :n] + 1j * z[:, n:]
 
 
@@ -242,7 +241,7 @@ def matrix_exp(m):
 
 
 def _as_matrix(beta):
-    return beta.values if isinstance(beta, BetaMatrix) else np.asarray(beta, dtype=float)
+    return np.asarray(beta, dtype=float)
 
 
 def propagate_state(x0, beta, noise, n_steps, dt):

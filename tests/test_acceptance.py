@@ -97,7 +97,7 @@ def test_criterion_04_operator_recovery():
     q = random_rotation(42)
     states = planted_trajectory(q, seed=7, n_rows=200)
     fit = dr.fit_beta(states)
-    recovery_err = float(np.abs(fit.beta.values - induced_dual_operator(q)).max())
+    recovery_err = float(np.abs(fit.beta - induced_dual_operator(q)).max())
 
     wins = 0
     sims = []

@@ -464,17 +464,16 @@ SUBCOMMAND_FLAGS = {
              "--traders --trades-per-day",
     "ingest": "--out-dir --tape",
     "summarize": "--side --tape",
-    "panels": "--buckets --config --delta --fine --geometric-imbalance --out-dir --subcells "
-              "--tape",
+    "panels": "--buckets --config --delta --fine --out-dir --subcells --tape",
     "statespace": "--buckets --config --delta --geometric-imbalance --mode --out-dir "
                   "--subcells --tape",
     "fit": "--out-dir --states",
     "backcast": "--activation --config --index --learning-rate --out-dir --predict-residuals "
                 "--protocol --rounds --runs --seed --train-residuals",
-    "liquidity": "--buckets --config --delta --geometric-imbalance --out-dir --subcells --tape",
-    "eventstudy": "--activation --buckets --config --delta --geometric-imbalance --index "
-                  "--learning-rate --n-periods --out-dir --period-length --permutations "
-                  "--rounds --seeds --subcells --tape --training-periods",
+    "liquidity": "--buckets --config --delta --out-dir --tape",
+    "eventstudy": "--activation --buckets --config --delta --index --learning-rate --n-periods "
+                  "--out-dir --period-length --permutations --rounds --seeds --tape "
+                  "--training-periods",
     "pdo-demo": "--config --diffusion --drift --out-dir --points --sigma0 --time",
     "emit-plotdata": "--artifact --kind --out",
 }
@@ -497,6 +496,11 @@ COMMAND_LINES = {
     "fit": ["fit", "--states", "s.csv"],
     "emit-plotdata": ["emit-plotdata", "--artifact", "a.csv", "--kind", "series",
                       "--out", "o.csv"],
+    "panels": ["panels", "--tape", "t.csv"],
+    "liquidity": ["liquidity", "--tape", "t.csv"],
+    "eventstudy": ["eventstudy", "--tape", "t.csv", "--index", "sentiment=s.csv"],
+    "statespace-buy": ["statespace", "--tape", "t.csv", "--mode", "buy"],
+    "statespace-sell": ["statespace", "--tape", "t.csv", "--mode", "sell"],
 }
 
 
@@ -504,13 +508,64 @@ COMMAND_LINES = {
     *((command, "--config", "cfg.json") for command in ("ingest", "summarize", "fit",
                                                          "emit-plotdata")),
     *((command, "--out-dir", "d") for command in ("summarize", "emit-plotdata")),
+    # the panel options that cost series and bucket panels do not read
+    *((command, "--subcells", "10") for command in ("liquidity", "eventstudy")),
+    *((command, "--geometric-imbalance", None)
+      for command in ("panels", "liquidity", "eventstudy", "statespace-buy", "statespace-sell")),
 ])
 def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, command, flag, value):
-    assert cli.run(COMMAND_LINES[command] + [flag, value]) == 1
+    assert cli.run(COMMAND_LINES[command] + [flag] + [value] * (value is not None)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error:") and flag in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+#: per panel command: the arguments of a base run (cheap values for the
+#: event study's training and test), then each option the command takes
+#: with a value away from the base run's
+PANEL_COMMANDS = {
+    "panels": (["--fine"], {"delta": "0.4", "buckets": "12", "subcells": "20"}),
+    "statespace": ([], {"mode": "buy", "delta": "0.4", "buckets": "12", "subcells": "20",
+                        "geometric_imbalance": None}),
+    "liquidity": ([], {"delta": "0.4", "buckets": "12"}),
+    "eventstudy": (["--permutations", "20", "--rounds", "2", "--seeds", "1"],
+                   {"period_length": "50", "n_periods": "7", "training_periods": "1,2",
+                    "permutations": "30", "rounds": "3", "learning_rate": "0.1",
+                    "activation": "relu", "seeds": "2", "delta": "0.4", "buckets": "12"}),
+}
+
+
+def _artifacts(outdir) -> dict:
+    """Each artifact's content without its provenance."""
+    found = {}
+    for path in sorted(outdir.iterdir()):
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            del payload["provenance"]
+            found[path.name] = payload
+        else:
+            found[path.name] = [line for line in path.read_text().splitlines()
+                                if not line.startswith("# provenance:")]
+    return found
+
+
+@pytest.mark.parametrize("command", PANEL_COMMANDS)
+def test_every_option_of_a_panel_command_changes_an_artifact(capsys, tape_dir, tmp_path,
+                                                             command):
+    """An option no output reads is dead: it only moves the option hash."""
+    base, changed = PANEL_COMMANDS[command]
+    assert set(changed) == set(cli.OPTIONS[command])
+    argv = [command, "--tape", str(tape_dir / "t0.csv"), *base]
+    if command == "eventstudy":
+        argv += ["--index", f"sentiment={tape_dir / 'sentiment.csv'}"]
+    run_ok(capsys, argv + ["--out-dir", str(tmp_path / "base")])
+    want = _artifacts(tmp_path / "base")
+    for key, value in changed.items():
+        flag = "--" + key.replace("_", "-")
+        run_ok(capsys, argv + [flag] + [value] * (value is not None)
+               + ["--out-dir", str(tmp_path / key)])
+        assert _artifacts(tmp_path / key) != want, flag
 
 
 CONFIG_KINDS = [
@@ -777,10 +832,10 @@ def test_a_negative_seed_is_refused_by_name_before_any_input_is_read(capsys, tmp
       "{absent}", "--predict-residuals", "{absent}", "--index", "sentiment={absent}"],
      "usage error: --learning-rate must be finite and > 0, got nan"),
     (["eventstudy", "--tape", "{absent}", "--index", "sentiment={absent}", "--rounds", "0"],
-     "data error: rounds must be >= 1, got 0"),
+     "usage error: --rounds must be at least 1"),
     (["eventstudy", "--tape", "{absent}", "--index", "sentiment={absent}",
       "--learning-rate", "-0.5"],
-     "data error: learning_rate must be finite and > 0, got -0.5"),
+     "usage error: --learning-rate must be finite and > 0, got -0.5"),
 ], ids=["backcast-index-comma", "backcast-index-newline", "eventstudy-index-comma",
         "eventstudy-repeated-seed", "backcast-zero-rounds", "backcast-nan-learning-rate",
         "eventstudy-zero-rounds", "eventstudy-negative-learning-rate"])

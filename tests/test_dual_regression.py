@@ -24,7 +24,7 @@ def test_fit_recovers_planted_operator_exactly():
     states = planted_trajectory(q, seed=7, n_rows=200)
     out = dr.fit_beta(states)
     beta_true = induced_dual_operator(q)
-    assert np.abs(out.beta.values - beta_true).max() < 1e-8
+    assert np.abs(out.beta - beta_true).max() < 1e-8
     assert np.abs(out.residuals).max() < 1e-10
     assert np.abs(out.intercept).max() < 1e-10
 
@@ -59,7 +59,7 @@ def test_fit_matches_pinv_dual_oracle(request, case):
     states = ORACLE_CASES[case](request)
     beta, intercept, predictions, residuals, rank = pinv_dual_fit(states.values)
     out = dr.fit_beta(states)
-    assert np.abs(out.beta.values - beta).max() < 1e-10
+    assert np.abs(out.beta - beta).max() < 1e-10
     assert np.abs(out.intercept - intercept).max() < 1e-10
     assert np.abs(out.predictions - predictions).max() < 1e-10
     assert np.abs(out.residuals - residuals).max() < 1e-10
@@ -106,7 +106,7 @@ def test_fitted_operator_preserves_symmetry(coupled_outputs):
     p = symmetry_projector()
     # applying the fitted operator to anything lands in the real-sourced
     # subspace: its columns and the intercept live there
-    np.testing.assert_allclose(p @ out.beta.values, out.beta.values, atol=1e-9)
+    np.testing.assert_allclose(p @ out.beta, out.beta, atol=1e-9)
     np.testing.assert_allclose(p @ out.intercept, out.intercept, atol=1e-9)
 
 
@@ -155,15 +155,15 @@ def test_beta_similarity_self_and_negation():
     out = dr.fit_beta(random_states(11, 60))
     sim = dr.beta_similarity(out.beta, out.beta)
     assert sim == (1.0, 1.0)
-    neg = dr.BetaMatrix(-out.beta.values)
+    neg = -out.beta
     sim = dr.beta_similarity(out.beta, neg)
     assert sim.col_corr == pytest.approx(-1.0)
     assert sim.row_corr == pytest.approx(-1.0)
 
 
 def test_beta_similarity_shape_check():
-    a = dr.BetaMatrix(np.zeros((32, 32)))
-    b = dr.BetaMatrix(np.zeros((4, 4)))
+    a = np.zeros((32, 32))
+    b = np.zeros((4, 4))
     with pytest.raises(ValueError):
         dr.beta_similarity(a, b)
 
@@ -202,7 +202,7 @@ def test_beta_csv_round_trip():
     dr.write_beta_csv(out.beta, buf)
     buf.seek(0)
     first, rows = read_table_csv(buf)  # the beta file has no header row
-    np.testing.assert_array_equal(np.array([first, *rows], dtype=float), out.beta.values)
+    np.testing.assert_array_equal(np.array([first, *rows], dtype=float), out.beta)
 
 
 def test_rows_csv_round_trip():

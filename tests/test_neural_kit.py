@@ -396,8 +396,8 @@ def _bits(a):
 @pytest.mark.parametrize("tap_major", [False, True], ids=["image_order", "tap_major"])
 def test_a_pool_equals_its_per_tap_loop_bit_for_bit(tap_major, size):
     """Windows of signed zeros, ties and all-negative taps, with a model
-    axis; in image order the last row and column lie outside every
-    window.  Bits are compared, so that -0.0 and 0.0 differ."""
+    axis, on a whole number of windows, as `_as_batch` crops every pool
+    input.  Bits are compared, so that -0.0 and 0.0 differ."""
     ph, pw = size
     n, oh, ow, c = 3, 4, 3, 2
     rng = np.random.default_rng(60)
@@ -411,9 +411,8 @@ def test_a_pool_equals_its_per_tap_loop_bit_for_bit(tap_major, size):
     windows[0, 0, 3, :, 0, :, 0] = 1.0  # every tap holds the max
     if tap_major:  # (R, ph*pw, n, oh, ow, c)
         x = np.moveaxis(windows, (3, 5), (1, 2)).reshape((2, ph * pw, n, oh, ow, c))
-    else:  # (R, n, h, w, c), one row and one column past the windows
-        x = rng.choice(values, (2, n, oh * ph + 1, ow * pw + 1, c))
-        x[:, :, :oh * ph, :ow * pw, :] = windows.reshape((2, n, oh * ph, ow * pw, c))
+    else:  # (R, n, h, w, c)
+        x = windows.reshape((2, n, oh * ph, ow * pw, c))
     grad = rng.standard_normal((2, n, oh, ow, c))  # both signs: grad * 0.0 is ±0.0
     pool = nk.Pool(size, tap_major=tap_major)
     out, (switches, in_shape) = pool.forward(None, x.copy())
@@ -797,6 +796,30 @@ def test_read_shape_walks_back_from_the_flatten():
     assert nk._read_shape(dense) == (6,)
     x = np.random.default_rng(51).standard_normal((3, 6))
     np.testing.assert_array_equal(nk._as_batch(nk.init_net(dense), x), x)
+
+
+@pytest.mark.parametrize("spec", [
+    nk.cnn7_spec(), nk.cnn7_spec(input_shape=(12, 12)), nk.cnn7_spec(input_shape=(21, 15)),
+    _small_cnn_spec(0), _tied_windows_net(0).spec,
+    nk.NetSpec((nk.Conv2D((3, 3), 2), nk.Pool((2, 2)), nk.Flatten(), nk.Dense(2 * 3 * 3, 1)),
+               "tanh", 9, input_shape=(8, 8)),
+    nk.NetSpec((nk.Conv2D((1, 1), 1), nk.Pool((2, 2)), nk.Flatten(), nk.Dense(1, 1)),
+               "linear", 0, input_shape=(2, 2)),
+    nk.NetSpec((nk.Conv2D((3, 3), 2), nk.Pool((2, 2)), nk.Flatten(), nk.Dense(2 * 4 * 4, 1)),
+               "relu", 0, input_shape=(10, 10)),
+    nk.NetSpec((nk.Conv2D((3, 3), 2), nk.Pool((2, 2)), nk.Flatten(), nk.Dense(2 * 3 * 3, 1)),
+               "relu", 0, input_shape=(2, 9, 9)),
+], ids=["cnn7", "cnn7-12x12", "cnn7-21x15", "small_cnn", "tied_windows", "grad_check",
+        "ties", "even", "channels"])
+def test_the_read_crop_gives_every_pool_whole_windows(spec):
+    """`Pool` relies on it: no row or column of its input lies outside
+    every window."""
+    pools = 0
+    for _, layer, shape, _ in nk._layer_shapes(spec, nk._read_shape(spec)):
+        if isinstance(layer, nk.Pool):
+            pools += 1
+            assert shape[-2] % layer.size[0] == 0 and shape[-1] % layer.size[1] == 0
+    assert pools
 
 
 def test_convolutions_run_only_on_the_pixels_the_output_reads(monkeypatch):

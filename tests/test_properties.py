@@ -201,7 +201,7 @@ def test_fit_beta_invariants(states):
     live = [k for k in range(16) if k not in split.degenerate_buckets]
     np.testing.assert_allclose(split.predictor[live] + split.residual[live], 1.0, atol=1e-9)
     p = symmetry_projector()
-    np.testing.assert_allclose(p @ out.beta.values, out.beta.values, atol=1e-9)
+    np.testing.assert_allclose(p @ out.beta, out.beta, atol=1e-9)
     np.testing.assert_allclose(p @ out.intercept, out.intercept, atol=1e-9)
 
 
@@ -300,6 +300,17 @@ def test_rankdata_matches_scipy(case):
 def test_rankdata_refuses_non_finite_values(bad):
     with pytest.raises(ValueError, match="finite"):
         corrstats.rankdata(np.array([[1.0, bad], [0.0, 2.0]]), axis=0)
+
+
+def test_spearman_is_zero_on_a_constant_side_and_refuses_nan():
+    varied = [1.0, 2.0, 0.5, 2.0]
+    for constant in ([3.0] * 4, [-0.0, 0.0, -0.0, 0.0]):
+        for x, y in ((constant, varied), (varied, constant)):
+            r = corrstats.spearman(x, y)
+            assert r == 0.0 and not math.copysign(1.0, r) < 0
+    assert corrstats.spearman(varied, varied) == 1.0
+    with pytest.raises(ValueError, match="finite"):
+        corrstats.spearman([1.0, np.nan, 2.0], [1.0, 2.0, 3.0])
 
 
 #: relative tolerance of corrstats' closed-form normal tail and Student-t

@@ -244,6 +244,14 @@ def test_write_table_csv_cell_rule():
     assert headless.getvalue() == "1.5,2.0\n"
 
 
+@pytest.mark.parametrize("name", ["a,b", "a\rb", "a\nb"], ids=["comma", "cr", "lf"])
+def test_write_table_csv_refuses_a_cell_that_would_split_its_row(name):
+    """Nothing is quoted, so such a cell could not be read back."""
+    for header, rows in ((["row", name], [["run1", 0.5]]), (["row", "a"], [[name, 0.5]])):
+        with pytest.raises(ValueError, match="comma or a line break"):
+            table_csv.write_table_csv(io.StringIO(), header, rows)
+
+
 def test_write_table_csv_cell_types():
     buf = io.StringIO()
     table_csv.write_table_csv(buf, None, [
