@@ -195,7 +195,7 @@ def build_panels(tape: Tape, config: BucketConfig = BucketConfig()) -> PanelSeri
     vol_sum = np.bincount(slot, weights=vol, minlength=n_days * 2 * nb).reshape(n_days, 2, nb)
 
     vwap = np.where(vol_sum > 0, price_sum / np.where(vol_sum > 0, vol_sum, 1.0), 0.0)
-    return PanelSeries(config, days, ref, fine.sum(axis=3), vwap, fine,
+    return PanelSeries(config, days, ref, vol_sum, vwap, fine,
                        discarded_trades, discarded_volume, unknown_volume)
 
 

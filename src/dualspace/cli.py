@@ -359,8 +359,10 @@ def _cmd_statespace(args) -> int:
     from . import state_space
 
     opts = _resolve(args)
-    if opts["mode"] != "imbalance" and args.geometric_imbalance is not None:
-        raise UsageError(f"--mode {opts['mode']} does not read --geometric-imbalance")
+    if opts["mode"] != "imbalance":
+        if args.geometric_imbalance is not None:
+            raise UsageError(f"--mode {opts['mode']} does not read --geometric-imbalance")
+        del opts["geometric_imbalance"]  # nor does a config key enter the hash
     states = state_space.state_matrix(_panels(args.tape, opts),
                                       state_space.VolumeMode(opts["mode"]))
     outdir = _outdir(args)
@@ -482,12 +484,11 @@ def _cmd_liquidity(args) -> int:
 
 
 def _cmd_eventstudy(args) -> int:
-    from . import bucket_panel, liquidity_lab
+    from . import liquidity_lab
 
     opts = _resolve(args)
     activation = _activation(opts)
     _check_training(opts)
-    panel_config = _panel_config(opts)
     try:
         lo, hi = (int(v) for v in opts["training_periods"].split(","))
         seeds = tuple(int(v) for v in opts["seeds"].split(","))
@@ -499,10 +500,8 @@ def _cmd_eventstudy(args) -> int:
         training_periods=(lo, hi), n_permutations=opts["permutations"],
         rounds=opts["rounds"], learning_rate=opts["learning_rate"], activation=activation)
     index_arg = _index_arg(args.index)
-    records = _records_or_fail(args.tape)
+    cost = liquidity_lab.cost_series(_panels(args.tape, opts))
     index = _load_index(*index_arg)
-    cost = liquidity_lab.cost_series(bucket_panel.build_panels(records, panel_config))
-    del records  # only the cost series lives on through training
     report = liquidity_lab.event_study(cost, index, config, seeds=seeds)
     outdir = _outdir(args)
     prov = _provenance("eventstudy", opts)

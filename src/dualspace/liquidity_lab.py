@@ -13,12 +13,13 @@ reduces to spread times daily turnover.  The dynamic Amihud measure
     lambda[i] = |pi[i]| / ((buy_vol(t, i) + sell_vol(t-1, i)) / 2)
 
 is the roundtrip cost per share inside one bucket.  The event study
-splits the sample into 60-day periods, trains a CNN to read a monthly
-index from monthly lambda images on two adjacent training periods, and
-tests per 120-day prediction window whether that window's
-prediction-index correlation matches the full-sample correlation of
-the average-lambda series with the index (Fisher z for Pearson; a
-random month-subset draw for Spearman).
+splits the sample into 60-day periods, fits the residual backcast's
+cnn7 (`residual_study.cnn7_predictions`) to read a monthly index from
+monthly lambda images on two adjacent training periods, and tests per
+120-day prediction window whether that window's prediction-index
+correlation matches the full-sample correlation of the average-lambda
+series with the index (Fisher z for Pearson; a random month-subset
+draw for Spearman).
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def event_study(cost: CostSeries, index: IndexSeries,
     constant predictions, is reported NA.  The raw
     bucket-averaged lambda series' index correlation is kept as a
     diagnostic.  The lambda images are `monthly_windows` of 21 days by
-    16 buckets, of which cnn7 reads days 1-18 and buckets 1-14.
+    16 buckets, of which cnn7 reads days 1-18 and buckets 1-14.  The
+    prediction averages one net per seed, in seed order.
 
     Returns the dict `eventstudy.json` holds: index, seeds,
     reference_pearson, reference_spearman, avg_lambda_pearson and one
@@ -148,8 +150,7 @@ def event_study(cost: CostSeries, index: IndexSeries,
     """
     # only a study trains nets: a process that computes cost series alone
     # never loads them
-    from . import neural_kit
-    from .residual_study import monthly_windows
+    from .residual_study import cnn7_predictions, monthly_windows
 
     if not seeds:
         raise ValueError("seeds must not be empty")
@@ -174,17 +175,10 @@ def event_study(cost: CostSeries, index: IndexSeries,
     if len(train_ix) < 3:
         raise ValueError("training range covers fewer than 3 months")
 
-    x_all, x_mean, x_scale = standardize(all_windows.images[train_ix].ravel())
-    images = (all_windows.images - x_mean) / x_scale
     t_std, t_mean, t_scale = standardize(targets[train_ix])
-
-    nets = neural_kit.train_many(
-        [neural_kit.init_net(neural_kit.cnn7_spec(
-            input_shape=images.shape[1:], activation=config.activation, seed=seed))
-         for seed in seeds],
-        images[train_ix], t_std, rounds=config.rounds, learning_rate=config.learning_rate)
-    preds = sum(neural_kit.forward_batch(net, images) for net in nets)
-    preds = preds / len(seeds) * t_scale + t_mean
+    [runs] = cnn7_predictions(all_windows.images[train_ix], [t_std], all_windows.images, seeds,
+                              config.activation, config.rounds, config.learning_rate)
+    preds = sum(runs) / len(seeds) * t_scale + t_mean
 
     monthly_lambda = np.array([cost.lambda_avg[lo - 1:hi - 1].mean()
                                for lo, hi in zip(starts.tolist(), ends.tolist())])

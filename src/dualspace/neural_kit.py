@@ -12,7 +12,9 @@ Each layer kind is one frozen dataclass (`Dense`, `Conv2D`, `Pool`,
 forward and backward pass.  A net is its `NetSpec`, which always states
 the input shape.  There is one training loop, `train_many`: it trains R
 nets of one architecture in stacks along a leading model axis, as many
-per stack as a fixed memory budget allows.
+per stack as a fixed memory budget allows; each stack builds its first
+layer's column matrix once, as every round feeds it the same batch.
+Both cnn7 callers train through `residual_study.cnn7_predictions`.
 Convolutions run as im2col + matmul.  Both weighted layers, dense and
 conv, carry their bias as a last column of ones in their column matrix,
 and their one parameter is the matrix `[W; b]` it multiplies, so that
@@ -21,24 +23,22 @@ operation: a training round spends its time in BLAS, not in numpy loops
 over runs of 8-32 elements or in rebuilding `[W; b]`.  A stack's
 matrices are views into one flat parameter vector and their gradients
 views into one flat gradient, which the gradient products write in
-place, so a round ends with one update of the whole stack instead of
-two ops per layer.  A dense layer's input gradient multiplies by a
-contiguous copy of Wᵀ, which BLAS runs faster than the strided view.
+place, so a round ends with one update of the whole stack.  A dense
+layer's input gradient multiplies by a contiguous copy of Wᵀ, which
+BLAS runs faster than the strided view.
 For the same reason a ReLU runs after the max-pool that reads its layer
 (see `_ActivationOp`), and a net's first convolution, when a pool reads
 it, writes its output rows in that pool's tap order, so the pool reads
-and writes contiguous blocks instead of strided taps of a few channels.
-A pool's gradient is one broadcast multiply over all of its taps, not
-one compare-and-multiply pass per tap.
+and writes contiguous blocks, not strided taps of a few channels.
+A pool's gradient is one broadcast multiply over all of its taps.
 
 An image batch is cropped on entry to the rows and columns that the
 output reads (`_read_shape`): pools floor away odd edges, and valid
 convolutions carry that loss back to the input, so every pool input is
-a whole number of windows.  cnn7 on 21x16 images
-reads 18x14, so its two convolutions compute 192 and 24 pixels per
-image instead of 266 and 35, and on 23 monthly images it trains in
-stacks of 3 instead of 2.  The dropped pixels get exactly zero
-gradient, so no result changes.
+a whole number of windows.  cnn7 on 21x16 images reads 18x14, so its
+two convolutions compute 192 and 24 pixels per image, and its round
+arrays are small enough that 23 monthly images train in stacks of 3.
+The dropped pixels get exactly zero gradient, so no result changes.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ class TrainingDivergedError(ArithmeticError):
 # a net's first layer, whose input gradient nothing reads) and the
 # gradient of `matrix`, written into `backward(..., d_matrix)` when a
 # weighted layer is given one.  An op without parameters takes None for
-# `matrix` and returns None for its gradient.
+# `matrix` and `d_matrix`, ignores both and returns None for its
+# gradient, so a training round calls every op's `backward` alike.
 #
 # Every op works on a batch with any number of leading axes: (n, ...)
 # for one net, (R, n, ...) for R nets trained together.  A single net's
@@ -317,7 +318,7 @@ class Pool:
             switches += before
         return out, (switches, x.shape)
 
-    def backward(self, matrix, cache, grad):
+    def backward(self, matrix, cache, grad, d_matrix=None):
         """`grad * (switches == k)` for every tap k in one broadcast
         multiply, into the taps of `dx`: tap-major they are all of it;
         in image order they are its (oh, ph, ow, pw) window view.  The
@@ -356,7 +357,7 @@ class Flatten:
         x = np.moveaxis(x, -1, -3)  # channels-last image -> (c, h, w)
         return x.reshape(x.shape[:-3] + (-1,)), sample_shape
 
-    def backward(self, matrix, sample_shape, grad):
+    def backward(self, matrix, sample_shape, grad, d_matrix=None):
         h, w, c = sample_shape
         return np.moveaxis(grad.reshape(grad.shape[:-1] + (c, h, w)), -3, -1), None
 
@@ -398,7 +399,7 @@ class _ActivationOp:
             return y, y
         return x, None
 
-    def backward(self, matrix, cache, grad):
+    def backward(self, matrix, cache, grad, d_matrix=None):
         if self.kind == "relu":
             grad *= cache
         elif self.kind == "tanh":
@@ -575,8 +576,8 @@ def _round_bytes(spec: NetSpec, n: int, per_net: bool) -> int:
     output (as large as its input gradient) or a weighted layer's column
     matrix, one row per output pixel (one per sample for a dense layer)
     of its input patch and a 1.  A first layer's columns of inputs
-    shared by all nets are built once for the call, so they do not
-    count."""
+    shared by all nets do not count: one copy per stack serves all of
+    its nets."""
     largest = 0
     for i, layer, shape, out in _layer_shapes(spec, _read_shape(spec)):
         largest = max(largest, int(np.prod(out)))
@@ -624,27 +625,20 @@ def train_many(nets: Sequence[TrainedNet], inputs: np.ndarray, targets: np.ndarr
     elif targets.shape != (n_nets, n):
         raise ValueError("inputs and targets are not aligned")
 
-    # Every round feeds the first layer the same batch, so a weighted
-    # first layer's column matrix is built once: for the call when the
-    # nets share their inputs, else once per stack.
-    first = nets[0].ops[0]
-    shared_cols = first.columns(x0) if _weighted(first) and not per_net else None
     size = max(1, STACK_BYTES // _round_bytes(nets[0].spec, n, per_net))
     trained = []
     for lo in range(0, n_nets, size):
         stack = slice(lo, lo + size)
         trained += _train_stack(nets[stack], x0[stack] if per_net else x0,
                                 targets[stack] if targets.ndim == 2 else targets,
-                                shared_cols, rounds, learning_rate)
+                                rounds, learning_rate)
     return trained
 
 
 def _train_stack(nets: list[TrainedNet], x0: np.ndarray, targets: np.ndarray,
-                 first_cols: np.ndarray | None, rounds: int,
-                 learning_rate: float) -> list[TrainedNet]:
+                 rounds: int, learning_rate: float) -> list[TrainedNet]:
     """`train_many` on one stack: `x0` is the batch as `_as_batch` gives
-    it, `targets` (n,) or (R, n), and `first_cols` the first layer's
-    column matrix of a shared batch, or None."""
+    it, `targets` (n,) or (R, n)."""
     ops = nets[0].ops
     n = targets.shape[-1]
     # One flat parameter vector and one flat gradient for the stack: each
@@ -657,12 +651,14 @@ def _train_stack(nets: list[TrainedNet], x0: np.ndarray, targets: np.ndarray,
     for p, column in zip(params, zip(*(net.params for net in nets))):
         if p is not None:
             np.stack(column, out=p)
-    # Column matrices of this stack, by op.  A later weighted layer
-    # refills its buffer every round (see README, "Neural training":
-    # fresh ones could re-fault every round); returning frees them all.
+    # Column matrices of this stack, by op.  Every round feeds the first
+    # layer the same batch, so a weighted first layer's columns are built
+    # once; a later weighted layer refills its buffer every round (see
+    # README, "Neural training": fresh ones could re-fault every round).
+    # Returning frees them all.
     cols = [None] * len(ops)
     if _weighted(ops[0]):
-        cols[0] = ops[0].columns(x0) if first_cols is None else first_cols
+        cols[0] = ops[0].columns(x0)
     losses, caches = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for round_no in range(1, rounds + 1):
@@ -684,10 +680,7 @@ def _train_stack(nets: list[TrainedNet], x0: np.ndarray, targets: np.ndarray,
             # every input gradient reads the round's matrices before the update
             grad = (2.0 * err / n)[..., None]
             for op, p, d in zip(reversed(ops), reversed(params), reversed(grads)):
-                if d is None:
-                    grad = op.backward(p, caches.pop(), grad)[0]
-                else:
-                    grad = op.backward(p, caches.pop(), grad, d)[0]
+                grad = op.backward(p, caches.pop(), grad, d)[0]
             np.multiply(learning_rate, d_theta, out=d_theta)
             theta -= d_theta
 

@@ -23,7 +23,8 @@ their dates must be strictly increasing, so each month is one run of rows.
 
 Each protocol passes all of its nets, over every index and seed, to one
 `neural_kit.train_many` call, which trains them in memory-bounded
-stacks; a report does not depend on how the nets are stacked.
+stacks; a report does not depend on how the nets are stacked.  The
+liquidity event study runs cnn7's fit, `cnn7_predictions`, too.
 """
 
 from __future__ import annotations
@@ -300,43 +301,50 @@ def cnn_backcast(train_windows: MonthlyWindows, predict_windows: MonthlyWindows,
     Trains on one trader's images labeled with the month's index value,
     predicts from the other trader's images, and reports per-run
     correlations with their mean and Student-t 10% half-width.  The nets
-    of every (index, seed) pair go to one `train_many` call.
+    of every (index, seed) pair train in one `cnn7_predictions` call.
     """
     if not seeds:
         raise ValueError("seeds must not be empty")
     assert_role_separation(train_windows, predict_windows)
     if train_windows.months != predict_windows.months:
         raise ValueError("training and prediction windows cover different months")
-    shape = train_windows.images.shape[1:]
-
-    x_std, x_mean, x_scale = standardize(train_windows.images.ravel())
-    train_x = (train_windows.images - x_mean) / x_scale
-    pred_x = (predict_windows.images - x_mean) / x_scale
-
     targets, scaled = _scaled_targets(indexes, train_windows.months)
-    nets = [neural_kit.init_net(neural_kit.cnn7_spec(input_shape=shape, activation=activation,
-                                                     seed=run_seed))
-            for run_seed in seeds]
-    trained = neural_kit.train_many(
-        nets * len(indexes), train_x,
-        np.array([t_std for t_std, _, _ in scaled for _ in seeds]),
-        rounds=rounds, learning_rate=learning_rate)
-
+    predictions = cnn7_predictions(train_windows.images, [t_std for t_std, _, _ in scaled],
+                                   predict_windows.images, seeds, activation, rounds,
+                                   learning_rate)
     report = BackcastReport(
         protocol="cnn7", seeds=list(seeds),
         notes={"train_trader": train_windows.trader_id,
                "predict_trader": predict_windows.trader_id,
                "padded_months": train_windows.padded_months,
                "truncated_months": train_windows.truncated_months})
-    for k, (index, target, (_, t_mean, t_scale)) in enumerate(zip(indexes, targets, scaled)):
+    for index, target, (_, t_mean, t_scale), runs in zip(indexes, targets, scaled, predictions):
         run_corrs, flags = [], []
-        for net in trained[k * len(nets):(k + 1) * len(nets)]:
-            preds = neural_kit.forward_batch(net, pred_x) * t_scale + t_mean
-            r, flagged = _corr_or_flag(preds, target)
+        for preds in runs:
+            r, flagged = _corr_or_flag(preds * t_scale + t_mean, target)
             run_corrs.append(r)
             flags.append(flagged)
         report.results.append(_make_result(index.name, run_corrs, flags))
     return report
+
+
+def cnn7_predictions(train_images, targets, predict_images, seeds, activation: str,
+                     rounds: int, learning_rate: float) -> list[list[np.ndarray]]:
+    """cnn7 on monthly images: standardizes both image sets by the
+    training images, trains one net per (target, seed) in one
+    `train_many` call (`targets` holds one standardized array per
+    target), and returns per target each net's standardized predictions
+    on `predict_images`, in seed order."""
+    _, x_mean, x_scale = standardize(np.ravel(train_images))
+    nets = [neural_kit.init_net(neural_kit.cnn7_spec(
+        input_shape=train_images.shape[1:], activation=activation, seed=seed)) for seed in seeds]
+    trained = neural_kit.train_many(
+        nets * len(targets), (train_images - x_mean) / x_scale,
+        np.array([target for target in targets for _ in seeds]),
+        rounds=rounds, learning_rate=learning_rate)
+    predict_x = (predict_images - x_mean) / x_scale
+    predictions = [neural_kit.forward_batch(net, predict_x) for net in trained]
+    return [predictions[k * len(seeds):(k + 1) * len(seeds)] for k in range(len(targets))]
 
 
 def assert_role_separation(train_windows: MonthlyWindows,

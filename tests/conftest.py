@@ -15,17 +15,23 @@ COUPLED_CONFIG = synth_market.MarketConfig(
     couplings=synth_market.Couplings(g_sent=0.9))
 
 
+def skip_unless_blas_kernel_can_be_chosen():
+    """Skips where OpenBLAS's x86-64 kernels cannot be chosen at run
+    time through OPENBLAS_CORETYPE."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not an OpenBLAS that picks its kernel at run time")
+
+
 def rerun_under_other_blas_kernels(*tests):
     """Reruns the given tests (pytest node ids) in a child process with
     OpenBLAS held to its Prescott (SSE3) kernel, then to its Nehalem
     (SSE4.2) one, whose sums round differently from the kernels newer
     x86-64 machines pick; they must still pass.  Skips where those
     kernels cannot be chosen at run time."""
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        pytest.skip("OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
-        pytest.skip("numpy's BLAS is not an OpenBLAS that picks its kernel at run time")
+    skip_unless_blas_kernel_can_be_chosen()
     for kernel in ("Prescott", "Nehalem"):
         child = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],

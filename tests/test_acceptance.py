@@ -7,6 +7,10 @@ oracles; every tolerance is pinned here.
 import datetime as dt
 import filecmp
 import json
+import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -18,6 +22,7 @@ from dualspace import (bucket_panel, cli, dual_regression as dr, liquidity_lab,
 from dualspace.corrstats import pearson
 from dualspace.state_space import VolumeMode
 
+from conftest import skip_unless_blas_kernel_can_be_chosen
 from oracles import (attenuation, dual_predictions, grad_check, induced_dual_operator,
                      planted_trajectory, propagate_state, random_rotation,
                      random_states, symmetry_projector)
@@ -311,28 +316,33 @@ def test_criterion_11_pdo_oracle():
 
 # 12 ── end-to-end determinism ──────────────────────────────────────────
 
+def _pipeline(root) -> list[list[str]]:
+    """The criterion-12 command lines, writing under `root`."""
+    tapes = root / "tapes"
+    return [
+        ["synth", "--seed", "99", "--traders", "2", "--days", "485",
+         "--trades-per-day", "60", "--g-sent", "0.5", "--out-dir", str(tapes)],
+        ["statespace", "--tape", str(tapes / "t0.csv"), "--out-dir", str(root / "s0")],
+        ["statespace", "--tape", str(tapes / "t1.csv"), "--out-dir", str(root / "s1")],
+        ["fit", "--states", str(root / "s0" / "states_imbalance.csv"),
+         "--out-dir", str(root / "f0")],
+        ["fit", "--states", str(root / "s1" / "states_imbalance.csv"),
+         "--out-dir", str(root / "f1")],
+        ["backcast", "--protocol", "cnn7",
+         "--train-residuals", str(root / "f0" / "residuals.csv"),
+         "--predict-residuals", str(root / "f1" / "residuals.csv"),
+         "--index", f"sentiment={tapes / 'sentiment.csv'}",
+         "--runs", "2", "--rounds", "25", "--out-dir", str(root / "bc")],
+        ["eventstudy", "--tape", str(tapes / "t0.csv"),
+         "--index", f"sentiment={tapes / 'sentiment.csv'}",
+         "--permutations", "300", "--rounds", "25", "--seeds", "1,2",
+         "--out-dir", str(root / "es")],
+    ]
+
+
 def test_criterion_12_end_to_end_determinism(tmp_path, capsys):
     def pipeline(root):
-        tapes = root / "tapes"
-        for argv in (
-            ["synth", "--seed", "99", "--traders", "2", "--days", "485",
-             "--trades-per-day", "60", "--g-sent", "0.5", "--out-dir", str(tapes)],
-            ["statespace", "--tape", str(tapes / "t0.csv"), "--out-dir", str(root / "s0")],
-            ["statespace", "--tape", str(tapes / "t1.csv"), "--out-dir", str(root / "s1")],
-            ["fit", "--states", str(root / "s0" / "states_imbalance.csv"),
-             "--out-dir", str(root / "f0")],
-            ["fit", "--states", str(root / "s1" / "states_imbalance.csv"),
-             "--out-dir", str(root / "f1")],
-            ["backcast", "--protocol", "cnn7",
-             "--train-residuals", str(root / "f0" / "residuals.csv"),
-             "--predict-residuals", str(root / "f1" / "residuals.csv"),
-             "--index", f"sentiment={tapes / 'sentiment.csv'}",
-             "--runs", "2", "--rounds", "25", "--out-dir", str(root / "bc")],
-            ["eventstudy", "--tape", str(tapes / "t0.csv"),
-             "--index", f"sentiment={tapes / 'sentiment.csv'}",
-             "--permutations", "300", "--rounds", "25", "--seeds", "1,2",
-             "--out-dir", str(root / "es")],
-        ):
+        for argv in _pipeline(root):
             assert cli.run(argv) == 0
         capsys.readouterr()
 
@@ -349,3 +359,83 @@ def test_criterion_12_end_to_end_determinism(tmp_path, capsys):
             mismatches.append(rel)
     _report(12, "end-to-end-determinism", not mismatches,
             f"(byte-compared 13 artifacts{'; differs: ' + ', '.join(mismatches) if mismatches else ''})")
+
+
+#: runs a JSON list of command lines through `cli.run`, stopping at the
+#: first that does not exit 0
+_RUN_COMMANDS = """
+import json, sys
+from dualspace import cli
+for argv in json.loads(sys.argv[1]):
+    if cli.run(argv):
+        sys.exit(f"exit != 0: {argv}")
+"""
+
+#: the criterion-12 directories whose artifacts no BLAS kernel may move
+#: by a bit: the tapes and ground truth, and the state matrices
+_KERNEL_FREE = ("tapes", "s0", "s1")
+
+#: how far a number in the fit, backcast or event-study artifacts may
+#: move under another BLAS kernel; under Prescott they move by a few
+#: 1e-15 at most
+KERNEL_DRIFT = 1e-12
+
+
+def _cells(path, text: str):
+    """An artifact's cells as text: a CSV's fields by line, or a JSON
+    document with every number kept as written."""
+    if path.suffix == ".json":
+        return json.loads(text, parse_int=str, parse_float=str, parse_constant=str)
+    return [line.split(",") for line in text.splitlines()]
+
+
+def _drift(a, b) -> float:
+    """The largest absolute difference between the numbers of two
+    artifacts' cells; inf where they differ in anything else."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return max(map(_drift, a.values(), b.values()), default=0.0) \
+            if list(a) == list(b) else math.inf
+    if isinstance(a, list) and isinstance(b, list):
+        return max(map(_drift, a, b), default=0.0) if len(a) == len(b) else math.inf
+    if a == b:
+        return 0.0
+    try:
+        diff = abs(float(a) - float(b))
+    except (TypeError, ValueError):
+        return math.inf
+    return diff if diff == diff else math.inf  # NaN against a number
+
+
+def test_criterion_12_does_not_follow_the_blas_kernel(tmp_path, capsys):
+    """The criterion-12 pipeline, rerun in a child process with OpenBLAS
+    held to its Prescott kernel, writes the same files: the tapes,
+    ground truth and states byte-identical, every other artifact the
+    same but for numbers within KERNEL_DRIFT.  Skips where that kernel
+    cannot be chosen at run time."""
+    skip_unless_blas_kernel_can_be_chosen()
+    here, there = tmp_path / "default", tmp_path / "prescott"
+    for argv in _pipeline(here):
+        assert cli.run(argv) == 0
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    child = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(_pipeline(there))],
+                           env={**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+                                "PYTHONPATH": src},
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr[-3000:]
+    files = sorted(path.relative_to(here) for path in here.rglob("*") if path.is_file())
+    assert files == sorted(path.relative_to(there) for path in there.rglob("*")
+                           if path.is_file())
+    moved, drift = [], 0.0
+    for rel in files:
+        a, b = (here / rel).read_text(), (there / rel).read_text()
+        if rel.parts[0] in _KERNEL_FREE:
+            file_drift = 0.0 if a == b else math.inf
+        else:
+            file_drift = _drift(_cells(rel, a), _cells(rel, b))
+        if file_drift > KERNEL_DRIFT:
+            moved.append(str(rel))
+        drift = max(drift, file_drift)
+    _report(12, "blas-kernel-portability", not moved,
+            f"(compared {len(files)} artifacts under Prescott, largest drift {drift:.1e}"
+            f"{'; moved: ' + ', '.join(moved) if moved else ''})")

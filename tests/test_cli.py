@@ -402,19 +402,24 @@ def test_backcast_flag_the_protocol_does_not_read_is_a_usage_error(
     assert not (tmp_path / "bc").exists()
 
 
-def test_backcast_config_keys_the_protocol_does_not_read_stay_accepted(
-        capsys, tape_dir, residual_dir, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"runs": 9, "rounds": 1, "learning_rate": 5,
-                                  "activation": "relu"}))
-    argv = ["backcast", "--protocol", "shallow",
-            "--train-residuals", str(residual_dir / "t0" / "residuals.csv"),
-            "--index", f"sentiment={tape_dir / 'sentiment.csv'}"]
-    run_ok(capsys, argv + ["--config", str(config), "--out-dir", str(tmp_path / "bc")])
+@pytest.mark.parametrize("argv, config, artifact", [
+    (["backcast", "--protocol", "shallow", "--train-residuals", "{residuals}/t0/residuals.csv",
+      "--index", "sentiment={tapes}/sentiment.csv"],
+     {"runs": 9, "rounds": 1, "learning_rate": 5, "activation": "relu"},
+     "backcast_shallow.json"),
+    *((["statespace", "--tape", "{tapes}/t0.csv", "--mode", mode],
+       {"geometric_imbalance": True}, f"states_{mode}.csv") for mode in ("buy", "sell")),
+], ids=["backcast-shallow", "statespace-buy", "statespace-sell"])
+def test_config_keys_the_command_does_not_read_stay_accepted(
+        capsys, tape_dir, residual_dir, tmp_path, argv, config, artifact):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [arg.format(residuals=residual_dir, tapes=tape_dir) for arg in argv]
+    run_ok(capsys, argv + ["--config", str(path), "--out-dir", str(tmp_path / "config")])
     # nor do they enter the provenance hash
     run_ok(capsys, argv + ["--out-dir", str(tmp_path / "plain")])
-    assert filecmp.cmp(tmp_path / "plain" / "backcast_shallow.json",
-                       tmp_path / "bc" / "backcast_shallow.json", shallow=False)
+    assert filecmp.cmp(tmp_path / "plain" / artifact, tmp_path / "config" / artifact,
+                       shallow=False)
 
 
 @pytest.mark.parametrize("config", [{"activation": "elu"}, {"runs": 0}],

@@ -579,7 +579,7 @@ def test_a_first_convolution_read_by_a_pool_writes_its_rows_in_tap_order():
                                   plain_pool.backward(None, plain_cache, grad)[0])
 
 
-def test_first_layer_columns_built_once_per_train_many_call(monkeypatch):
+def test_first_layer_columns_built_once_per_stack(monkeypatch):
     builds = {False: 0, True: 0}  # keyed by the op's input_grad: False = first layer
     columns = nk.Conv2D.columns
 
@@ -595,6 +595,9 @@ def test_first_layer_columns_built_once_per_train_many_call(monkeypatch):
     assert builds == {False: 1, True: 7}
     nk.train_many(nets[:1], x, rng.standard_normal(6), rounds=4, learning_rate=0.05)
     assert builds == {False: 2, True: 11}
+    monkeypatch.setattr(nk, "STACK_BYTES", 1)  # one net per stack
+    nk.train_many(nets, x, rng.standard_normal(6), rounds=7, learning_rate=0.05)
+    assert builds == {False: 5, True: 32}
 
 
 def test_input_changed_in_place_gives_the_fresh_answer():

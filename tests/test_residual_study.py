@@ -4,8 +4,8 @@ import io
 import numpy as np
 import pytest
 
-from dualspace import residual_study as rs
-from dualspace.calendars import read_index_csv, trading_days, write_index_csv
+from dualspace import liquidity_lab as ll, residual_study as rs
+from dualspace.calendars import month_index, read_index_csv, trading_days, write_index_csv
 from dualspace.corrstats import corr_significance_threshold
 
 from oracles import T_CRIT_10PCT, reference_train_many, weight_arrays
@@ -302,8 +302,17 @@ def _three_indexes(months, seed):
             for name in ("a", "b", "c")]
 
 
+def _lambda_costs(seed):
+    """A cost series of random lambdas over the 480 days an event study reads."""
+    dates = trading_days(dt.date(2009, 1, 5), 480)
+    lam = np.abs(np.random.default_rng(seed).standard_normal((480, 16)))
+    flags = np.zeros(lam.shape, dtype=bool)
+    return ll.CostSeries(dates, lam.copy(), lam, lam.mean(axis=1), flags, flags)
+
+
 def _every_protocol():
-    """Each protocol's report, on three indexes of planted data."""
+    """Each protocol's report on three indexes of planted data, and an
+    event study's on random lambdas, as dicts."""
     dates, rows, _ = _planted_daily(23, 12)
     other_dates, other_rows, _ = _planted_daily(24, 12)
     moments = rs.monthly_moments(rows, dates)
@@ -311,7 +320,9 @@ def _every_protocol():
     wins_a, _ = _planted_windows(26, 12, "a")
     wins_b, _ = _planted_windows(27, 12, "b")
     cnn_indexes = _three_indexes(wins_a.months, 28)
-    return {
+    cost = _lambda_costs(29)
+    lambda_months, _ = month_index(cost.dates)
+    reports = {
         "shallow": rs.shallow_backcast(moments, indexes, seed=2),
         "deep10": rs.deep_backcast(rows, dates, other_rows, other_dates, indexes,
                                    seed=3, rounds=20),
@@ -319,13 +330,19 @@ def _every_protocol():
                                           seeds=(4, 5, 6), rounds=8)
            for act in ("relu", "tanh")},
     }
+    return {name: report.to_dict() for name, report in reports.items()} | {
+        # three stacks at a budget of 1 byte, one at the default
+        "eventstudy": ll.event_study(cost, _three_indexes(lambda_months, 30)[0],
+                                     ll.EventStudyConfig(n_permutations=50, rounds=8),
+                                     seeds=(1, 2, 3)),
+    }
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 62], ids=["one_net_per_stack", "unlimited"])
 def test_stack_size_never_changes_a_report(monkeypatch, budget):
-    default = {name: report.to_dict() for name, report in _every_protocol().items()}
+    default = _every_protocol()
     monkeypatch.setattr(rs.neural_kit, "STACK_BYTES", budget)
-    assert {name: report.to_dict() for name, report in _every_protocol().items()} == default
+    assert _every_protocol() == default
 
 
 def test_dispersion_matches_t_table():
