@@ -276,10 +276,11 @@ def _cmd_synth(args) -> int:
     config = synth_market.MarketConfig(**kwargs)
     if opts["shock"]:
         try:
-            start, end, vol, spread = (float(v) for v in opts["shock"].split(":"))
+            start, end, vol, spread = opts["shock"].split(":")
+            days, vol, spread = (int(start), int(end)), float(vol), float(spread)
         except ValueError:
             raise UsageError("--shock takes start:end:volume_mult:spread_mult")
-        config = synth_market.inject_shock(config, (int(start), int(end)), vol, spread)
+        config = synth_market.inject_shock(config, days, vol, spread)
     market = synth_market.gen_market(config)
     outdir = _outdir(args)
     prov = _provenance("synth", opts)
@@ -342,6 +343,10 @@ def _cmd_panels(args) -> int:
     from . import bucket_panel
 
     opts = _resolve(args)
+    if not args.fine:
+        if args.subcells is not None:
+            raise UsageError("panels without --fine does not read --subcells")
+        del opts["subcells"]  # nor does a config key enter the hash
     series = _panels(args.tape, opts)
     outdir = _outdir(args)
     prov = _provenance("panels", opts)

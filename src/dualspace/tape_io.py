@@ -3,7 +3,7 @@
 A tape is delimiter-separated text, one executed trade per row.  The
 delimiter is whichever of `DELIMITERS` (comma, tab, semicolon) occurs
 most often in the first 20 non-blank lines, comma if none does.  The
-first four columns are, in this order, Trddt (ISO date), Stkprc (price
+first four columns are, in this order, Trddt (YYYY-MM-DD), Stkprc (price
 in CNY), Parcha (order nature, B or S, sometimes missing) and Trdtims
 (number of shares); further columns are ignored.  Files start with one
 or more header rows (column names, units); anything before the first
@@ -22,15 +22,16 @@ time, which bounds the arrays and strings alive at once, and frees the
 text and each column's codes after their last use: about 13 MB traced
 on an oracle tape of 1.44e5 rows, whose `Tape` columns are 3.6 MB (one
 pass over all lines takes about 42 MB).  Line ends and field ends are
-byte comparisons, and each line's field count is one `searchsorted`
-over them.  A field of a regular line is keyed by at most two
-little-endian 7-byte words, the first with the field's length in its top
-byte; runs of equal keys are merged (a day's dates come in runs) and
-`np.unique` codes the rest, so each chunk decodes its distinct tokens
-once.  A line goes through the per-line string path instead when its
-field count differs from the first data row's, when it may be blank (the
-delimiter is white space and the line starts with white space or a
-non-ASCII byte), when a column's token is longer than 14 bytes.
+byte comparisons, each line's field count is one `searchsorted` over
+them, and a line's first four fields are read from them by index.  A
+field is keyed by at most two little-endian 7-byte words, the first
+with the field's length in its top byte (a field longer than 14 bytes
+is keyed by its row, so it is decoded on its own); runs of equal keys
+are merged (a day's dates come in runs) and `np.unique` codes the
+rest, so each chunk decodes its distinct tokens once.  A line is decoded as a whole only to tell a
+blank line from a short row: when it has fewer than four fields, or
+when the delimiter is white space and the line starts with white space
+or a non-ASCII byte.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import datetime as dt
 import enum
 import math
+import re
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -158,6 +160,7 @@ _REASONS = {_SHORT: "short row", _BAD_DATE: "malformed date",
            _NONPOSITIVE_VOLUME: "nonpositive volume",
            _HUGE_VOLUME: "volume out of range"}
 _MAX_VOLUME = int(np.iinfo(np.int64).max)
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # Body lines are read this many at a time, which bounds the arrays and
 # the token strings alive at once.
@@ -168,17 +171,23 @@ _CHUNK_LINES = 1 << 14
 _MAYBE_BLANK = np.array([c >= 0x80 or chr(c).isspace() for c in range(256)])
 
 # A token is keyed by at most two little-endian words of _WORD bytes,
-# the first with the token's length in its top byte; a longer token
-# sends its line to the per-line path.
+# the first with the token's length in its top byte; a longer token is
+# keyed by its row, under a top byte no length up to _WORD_CAP takes.
 _WORD = 7
 _WORD_CAP = 2 * _WORD
+_LONG_KEY = np.uint64(0xFF << 8 * _WORD)
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(_WORD + 1)], dtype=np.uint64)
 _PAD = 2 * (_WORD + 1)  # zero bytes after a chunk, which a key word may reach into
 
 
 def _parse_date(text: str) -> Optional[dt.date]:
+    """The date of a YYYY-MM-DD token, or None; `date.fromisoformat`
+    alone also takes forms such as 20090106 from Python 3.11 on."""
+    text = text.strip()
+    if not _DATE.fullmatch(text):
+        return None
     try:
-        return dt.date.fromisoformat(text.strip())
+        return dt.date.fromisoformat(text)
     except ValueError:
         return None
 
@@ -273,13 +282,13 @@ def parse_tape(stream: bytes | str) -> ParseResult:
     "\r\n" and a lone "\r".  Rows are sorted by date (stable within a
     day).  Every data row ends up either in `records` or in `errors`.
 
-    The body is read from its bytes, `_CHUNK_LINES` lines at a time:
-    lines with the first data row's field count are split and coded
-    together (`_code_lines`), other lines one at a time, and every
-    column's tokens are coded to their distinct values.  Each distinct
-    token is parsed once, with the same rules a single row would get.
-    The text and its line ends are released once the rejected rows'
-    text is taken, and the record columns are gathered one at a time.
+    The body is read from its bytes, `_CHUNK_LINES` lines at a time
+    (`_code_lines`): each line with four fields or more is coded from
+    its first four, and every column's tokens are coded to their
+    distinct values.  Each distinct token is parsed once, with the same
+    rules a single row would get.  The text and its line ends are
+    released once the rejected rows' text is taken, and the record
+    columns are gathered one at a time.
     """
     lines = _byte_lines(stream)
     del stream  # `lines` holds the text from here, so releasing it frees it
@@ -299,36 +308,12 @@ def parse_tape(stream: bytes | str) -> ParseResult:
     tables = (_TokenCodes(), _TokenCodes(), _TokenCodes(), _TokenCodes())
     codes: tuple[list[np.ndarray], ...] = ([], [], [], [])
     row_lines: list[np.ndarray] = []  # 0-based line index of every coded row
-    errors: list[RowError] = []
-
-    width = max(4, len(lines[start].split(delimiter))) if start < len(lines) else 4
-    maybe_blank = width == 1 or delimiter.isspace()  # such a line may also be blank
-    odd_lines = [np.zeros(0, dtype=np.int64)]
+    errors: list[RowError] = []  # the short rows, until the coded rows' are added
     for lo in range(start, len(lines), _CHUNK_LINES):
-        rows, odd = _code_lines(lines, lo, min(lo + _CHUNK_LINES, len(lines)),
-                                ord(delimiter), width, tables, codes, maybe_blank)
+        rows = _code_lines(lines, lo, min(lo + _CHUNK_LINES, len(lines)), delimiter,
+                           tables, codes, errors)
         row_lines.append(rows + lo)
-        odd_lines.append(odd + lo)
-
-    # the other lines (another field count, maybe blank, a long token), one at a time
-    n_data = sum(part.size for part in row_lines)
-    per_line = []
-    odd_tokens: tuple[list[str], ...] = ([], [], [], [])
-    for i in np.concatenate(odd_lines).tolist():
-        line = lines[i]
-        if not line.strip():
-            continue
-        n_data += 1
-        fields = line.split(delimiter)
-        if len(fields) < 4:
-            errors.append(RowError(i + 1, _REASONS[_SHORT], line))
-            continue
-        per_line.append(i)
-        for token, out in zip(fields, odd_tokens):
-            out.append(token)
-    for table, out, tokens in zip(tables, codes, odd_tokens):
-        out.append(table.code(tokens))
-    row_lines.append(np.array(per_line, dtype=np.int64))
+    n_data = sum(part.size for part in row_lines) + len(errors)
 
     date_codes, price_codes, side_codes, volume_codes = map(_joined, codes)
     row_lines = _joined(row_lines)
@@ -377,20 +362,22 @@ def _byte_lines(stream: bytes | str) -> _ByteLines:
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
     """The parts concatenated; the list is emptied, so they can be freed."""
-    joined = np.concatenate(parts)
+    joined = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     parts.clear()
     return joined
 
 
-def _code_lines(lines: _ByteLines, lo: int, hi: int, delimiter: int, width: int,
-                tables, codes, maybe_blank: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Code the regular lines among lines[lo:hi] from their bytes.
+def _code_lines(lines: _ByteLines, lo: int, hi: int, delimiter: str, tables, codes,
+                errors: list[RowError]) -> np.ndarray:
+    """Code the data lines among lines[lo:hi] from their bytes.
 
-    A line is regular when it has `width` fields, cannot be blank and
-    has no column token longer than `_WORD_CAP` bytes.  The codes of
-    each of the first four columns for the regular lines go to its list
-    in `codes`.  Returns the indices, from `lo`, of the regular lines
-    and of the others.
+    A line with four fields or more is coded from its first four: the
+    codes of each column go to its list in `codes`.  A line is decoded
+    on its own only to tell a blank line from a short row: when it has
+    fewer than four fields, or when the delimiter is white space and the
+    line starts with white space or a non-ASCII byte.  A blank line is
+    passed over and a short row goes to `errors`.  Returns the indices,
+    from `lo`, of the coded lines.
     """
     begin, end = lines.start(lo), int(lines.ends[hi - 1])
     lines.text(begin, end)  # a line end is a character boundary: check the UTF-8 here
@@ -401,33 +388,35 @@ def _code_lines(lines: _ByteLines, lo: int, hi: int, delimiter: int, width: int,
     size = int(ends[-1])
     starts = np.concatenate(([0], ends[:-1] + 1))
     # where fields end: every delimiter and line end
-    seps = np.append(np.flatnonzero((byte[:size] == delimiter) | (byte[:size] == 10)), size)
-    count = np.diff(np.searchsorted(seps, ends), prepend=-1)  # fields per line
-    regular = count == width
-    if maybe_blank:
-        regular &= (ends > starts) & ~_MAYBE_BLANK[byte[starts]]
-    rows = np.flatnonzero(regular)
-    # a regular line's field j runs from edges[j] to edges[j + 1] - 1: the
-    # line's start, then one past each field's end.  Built in C order so that
-    # each row is contiguous (np.vstack with the transposed fields gives
-    # Fortran order, and strided rows slowed the parse by ~15%)
-    edges = np.empty((width + 1, rows.size), dtype=np.int64)
-    edges[0] = starts[rows]
-    edges[1:] = seps[np.repeat(regular, count)].reshape(-1, width).T
+    seps = np.append(np.flatnonzero((byte[:size] == ord(delimiter)) | (byte[:size] == 10)),
+                     size)
+    last = np.searchsorted(seps, ends)  # the entry of each line's end in `seps`
+    count = np.diff(last, prepend=-1)  # fields per line
+    coded = count >= 4
+    check = ~coded & (ends > starts)  # an empty line is blank
+    if delimiter.isspace():
+        check |= coded & _MAYBE_BLANK[byte[starts]]
+    for i in np.flatnonzero(check).tolist():
+        line = lines[lo + i]
+        if not line.strip():
+            coded[i] = False
+        elif not coded[i]:
+            errors.append(RowError(lo + i + 1, _REASONS[_SHORT], line))
+    rows = np.flatnonzero(coded)
+    # field j of a coded line ends at seps[last[i - 1] + 1 + j].  Built in C
+    # order so that each row is contiguous (np.vstack with the transposed
+    # fields gives Fortran order, and strided rows slowed the parse by ~15%)
+    length = seps[(last - count + 1)[rows] + np.arange(4)[:, None]]  # each field's end
     del seps  # the chunk's largest array, not needed for the tokens
-    edges[1:] += 1
-    first = edges[:4]
-    length = edges[1:5] - first
-    length -= 1
-    long = (length > _WORD_CAP).any(axis=0)
-    if long.any():
-        regular[rows[long]] = False
-        rows, first, length = rows[~long], first[:, ~long], length[:, ~long]
+    first = np.empty_like(length)
+    first[0] = starts[rows]
+    first[1:] = length[:-1] + 1
+    length -= first
     # an 8-byte word at every byte offset
     words = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
     for table, out, at, n in zip(tables, codes, first, length):
         out.append(_token_codes(raw, words, at, n, table))
-    return rows, np.flatnonzero(~regular)
+    return rows
 
 
 def _token_codes(raw: bytearray, words: np.ndarray, first: np.ndarray, length: np.ndarray,
@@ -438,7 +427,10 @@ def _token_codes(raw: bytearray, words: np.ndarray, first: np.ndarray, length: n
     keys = [words[first] & _LOW_BYTES[np.minimum(length, _WORD)]
             | length.astype(np.uint64) << np.uint64(8 * _WORD)]
     if length.max() > _WORD:
-        keys.append(words[first + _WORD] & _LOW_BYTES[np.maximum(length - _WORD, 0)])
+        keys.append(words[first + _WORD] & _LOW_BYTES[np.clip(length - _WORD, 0, _WORD)])
+    # a longer token than the words hold gets a key of its own: it is decoded on its own
+    long = np.flatnonzero(length > _WORD_CAP)
+    keys[0][long] = _LONG_KEY | long.astype(np.uint64)
     # tokens come in runs (a day's dates): each run is coded once, at its head
     is_head = np.zeros(first.size, dtype=bool)
     is_head[0] = True

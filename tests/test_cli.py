@@ -409,7 +409,8 @@ def test_backcast_flag_the_protocol_does_not_read_is_a_usage_error(
      "backcast_shallow.json"),
     *((["statespace", "--tape", "{tapes}/t0.csv", "--mode", mode],
        {"geometric_imbalance": True}, f"states_{mode}.csv") for mode in ("buy", "sell")),
-], ids=["backcast-shallow", "statespace-buy", "statespace-sell"])
+    (["panels", "--tape", "{tapes}/t0.csv"], {"subcells": 20}, "panels.csv"),
+], ids=["backcast-shallow", "statespace-buy", "statespace-sell", "panels"])
 def test_config_keys_the_command_does_not_read_stay_accepted(
         capsys, tape_dir, residual_dir, tmp_path, argv, config, artifact):
     path = tmp_path / "config.json"
@@ -515,6 +516,7 @@ COMMAND_LINES = {
     *((command, "--out-dir", "d") for command in ("summarize", "emit-plotdata")),
     # the panel options that cost series and bucket panels do not read
     *((command, "--subcells", "10") for command in ("liquidity", "eventstudy")),
+    ("panels", "--subcells", "10"),  # read by --fine only
     *((command, "--geometric-imbalance", None)
       for command in ("panels", "liquidity", "eventstudy", "statespace-buy", "statespace-sell")),
 ])
@@ -841,9 +843,13 @@ def test_a_negative_seed_is_refused_by_name_before_any_input_is_read(capsys, tmp
     (["eventstudy", "--tape", "{absent}", "--index", "sentiment={absent}",
       "--learning-rate", "-0.5"],
      "usage error: --learning-rate must be finite and > 0, got -0.5"),
+    *((["synth", "--days", "5", "--traders", "1", "--shock", shock],
+      "usage error: --shock takes start:end:volume_mult:spread_mult")
+      for shock in ("2.7:10.9:0:1", "inf:5:1:1", "nan:5:1:1")),
 ], ids=["backcast-index-comma", "backcast-index-newline", "eventstudy-index-comma",
         "eventstudy-repeated-seed", "backcast-zero-rounds", "backcast-nan-learning-rate",
-        "eventstudy-zero-rounds", "eventstudy-negative-learning-rate"])
+        "eventstudy-zero-rounds", "eventstudy-negative-learning-rate",
+        "synth-fractional-shock-days", "synth-infinite-shock-day", "synth-nan-shock-day"])
 def test_a_bad_option_is_refused_by_name_before_any_input_is_read(capsys, tmp_path, argv,
                                                                  message):
     argv = [arg.format(absent=tmp_path / "absent.csv") for arg in argv]

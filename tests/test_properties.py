@@ -71,7 +71,8 @@ TAPE_TOKENS = ("2009-01-05", "2009-01-06", "2009-02-27", " 2009-01-07 ", "2009-1
                "12.5", "99999999999999999999", "\u0663", "B", "S", " b", "s ", "X",
                "\u0411", "", "Trddt", "CNY", "B\x1c", "\x85S", "12.5\u2028", "7\x0b",
                "\x0c", "2009-01-05\x1e", "\u2029", "\x1d", "\ud800")
-BLANKS = ("", " ", "\t", " \t ", "\u3000", "\xa0\u2003", "\x1c")
+# (the last two have four fields under a tab delimiter)
+BLANKS = ("", " ", "\t", " \t ", "\u3000", "\xa0\u2003", "\x1c", "\t\t\t", "\u3000\t \t\t\xa0")
 
 
 @st.composite

@@ -58,6 +58,8 @@ def test_error_rows_reported_with_line_numbers():
     text = ("Trddt,Stkprc,Parcha,Trdtims\n"
             "2009-08-06,10.05,S,425\n"
             "2009-13-01,10.0,B,10\n"     # bad date after data started
+            "20090106,10.0,B,10\n"       # ISO dates, but not YYYY-MM-DD
+            "2009-W02-3,10.0,B,10\n"
             "2009-08-07,-1.0,B,10\n"     # nonpositive price
             "2009-08-07,abc,B,10\n"      # malformed price
             "2009-08-07,9.9,B,0\n"       # nonpositive volume
@@ -65,9 +67,9 @@ def test_error_rows_reported_with_line_numbers():
     result = tape_io.parse_tape(text)
     assert len(result.records) == 1
     reasons = {err.line_no: err.reason for err in result.errors}
-    assert reasons == {3: "malformed date", 4: "nonpositive price",
-                       5: "malformed price", 6: "nonpositive volume",
-                       7: "short row"}
+    assert reasons == {3: "malformed date", 4: "malformed date", 5: "malformed date",
+                       6: "nonpositive price", 7: "malformed price",
+                       8: "nonpositive volume", 9: "short row"}
     # no record loss
     assert len(result.records) + len(result.errors) == result.n_data_rows
 
@@ -175,7 +177,7 @@ def test_non_finite_prices_have_their_own_reason(delim):
             ("2009-08-06", "inf", "S", "10"),
             ("2009-08-07", "-inf", "B", "10"),
             ("2009-08-07", "-1.5", "B", "10"),
-            ("2009-08-07", "NaN", "S", "10", "extra")]  # odd field count: per-line path
+            ("2009-08-07", "NaN", "S", "10", "extra")]  # a fifth field, not read
     text = "\n".join(delim.join(row) for row in rows)
     result = tape_io.parse_tape(text)
     reasons = {err.line_no: err.reason for err in result.errors}
@@ -190,7 +192,7 @@ def test_volume_beyond_int64_is_rejected():
     assert [(err.line_no, err.reason) for err in result.errors] == [(2, "volume out of range")]
 
 
-def test_fast_and_per_line_rows_merge_in_date_then_line_order():
+def test_rows_of_any_field_count_merge_in_date_then_line_order():
     text = ("2009-08-07,9.9,B,1\n"
             "2009-08-06,10.0,S,2,extra\n"   # another field count
             "2009-08-06,10.1,,3\n"
@@ -198,6 +200,28 @@ def test_fast_and_per_line_rows_merge_in_date_then_line_order():
     result = tape_io.parse_tape(text)
     # lines 2, 3, 1, 4: by date, then by line within a day
     assert [rec.volume for rec in result.records] == [2, 3, 1, 4]
+
+
+@pytest.mark.parametrize("price, first_row_extra", [
+    (lambda i: f"{5 + i / 7:.2f}", ",desk7"),
+    (lambda i: f"{10 + i * 1e-15:.15f}", ""),  # 18 bytes, the first 14 alike
+], ids=["extra-field", "long-price"])
+def test_a_line_is_decoded_whole_only_to_tell_blank_from_short(monkeypatch, price,
+                                                               first_row_extra):
+    """A fifth field on the first data row, or price tokens longer than
+    the key words hold, keeps the other lines on the byte path."""
+    rows = [f"2009-{1 + i // 100:02d}-{1 + i % 28:02d},{price(i)},B,{i + 1}"
+            for i in range(1000)]
+    rows[0] += first_row_extra
+    text = "Trddt,Stkprc,Parcha,Trdtims\n" + "\n".join(rows) + "\n"
+    decode = tape_io._ByteLines.__getitem__
+    decoded = []
+    monkeypatch.setattr(tape_io._ByteLines, "__getitem__",
+                        lambda lines, i: decoded.append(i) or decode(lines, i))
+    result = tape_io.parse_tape(text.encode())
+    assert len(decoded) < 50
+    assert len(result.records) == 1000
+    assert_same_parse(result, reference_parse_tape(text))
 
 
 def test_tape_is_a_sequence_of_records():
