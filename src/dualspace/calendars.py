@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table_csv import read_table_csv, write_table_csv
+from .table_csv import parse_number, read_table_csv, write_table_csv
 
 
 def _weekdays_before(ordinal: int) -> int:
@@ -91,4 +91,4 @@ def read_index_csv(handle, name: str = "") -> IndexSeries:
     if len(header) < 2:
         raise ValueError("index file needs month and value columns")
     return IndexSeries(name or "index", [row[0] for row in rows],
-                       np.array([float(row[1]) for row in rows]))
+                       np.array([parse_number(row[1]) for row in rows]))

@@ -40,7 +40,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .table_csv import read_table_csv, write_table_csv
+from .table_csv import dated_matrix, read_table_csv, write_dated_csv, write_table_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -203,14 +203,13 @@ def _index_arg(arg: str) -> tuple[str, str]:
     return name, path
 
 
-def _load_index(name: str, path: str) -> calendars.IndexSeries:
-    from . import calendars
-
+def _read(path: str, reader, what: str):
+    """`reader(handle)` of the file at `path`; its ValueError is a DataError."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return calendars.read_index_csv(handle, name=name)
+            return reader(handle)
     except ValueError as exc:
-        raise DataError(f"bad index file {path}: {exc}")
+        raise DataError(f"{what}: {exc}")
 
 
 def _tape_label(path: str) -> str:
@@ -220,14 +219,8 @@ def _tape_label(path: str) -> str:
     return "/".join(parts[-2:]) if len(parts) > 1 else parts[-1]
 
 
-def _load_rows(path: str):
-    from . import dual_regression
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return dual_regression.read_rows_csv(handle)
-    except ValueError as exc:
-        raise DataError(f"bad rows file {path}: {exc}")
+def _dated_rows(handle):
+    return dated_matrix(*read_table_csv(handle))  # a predictions or residuals file
 
 
 def _check_seeds(flag: str, seeds) -> None:
@@ -382,11 +375,7 @@ def _cmd_statespace(args) -> int:
 def _cmd_fit(args) -> int:
     from . import dual_regression, state_space
 
-    try:
-        with open(args.states, encoding="utf-8") as handle:
-            states = state_space.read_state_csv(handle)
-    except ValueError as exc:
-        raise DataError(f"bad state matrix: {exc}")
+    states = _read(args.states, state_space.read_state_csv, "bad state matrix")
     try:
         output = dual_regression.fit_beta(states)
         split = dual_regression.variance_split(output, states)
@@ -397,9 +386,9 @@ def _cmd_fit(args) -> int:
     _write_csv(os.path.join(outdir, "beta.csv"), prov,
                lambda h: dual_regression.write_beta_csv(output.beta, h))
     _write_csv(os.path.join(outdir, "predictions.csv"), prov,
-               lambda h: dual_regression.write_rows_csv(output.dates, output.predictions, h))
+               lambda h: write_dated_csv(h, output.dates, output.predictions))
     _write_csv(os.path.join(outdir, "residuals.csv"), prov,
-               lambda h: dual_regression.write_rows_csv(output.dates, output.residuals, h))
+               lambda h: write_dated_csv(h, output.dates, output.residuals))
     diagnostics = dual_regression.diagnostics(output, split)
     _write_json(os.path.join(outdir, "diagnostics.json"), prov, diagnostics)
     _summary("fit", rows=output.predictions.shape[0], gram_rank=diagnostics["gram_rank"],
@@ -408,7 +397,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_backcast(args) -> int:
-    from . import residual_study
+    from . import calendars, residual_study
 
     opts = _resolve(args)
     protocol = opts["protocol"]
@@ -429,7 +418,8 @@ def _cmd_backcast(args) -> int:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise UsageError(f"--index names {', '.join(repeated)} more than once")
-    indexes = [_load_index(*spec) for spec in specs]
+    indexes = [_read(path, lambda h: calendars.read_index_csv(h, name), f"bad index file {path}")
+               for name, path in specs]
     if not indexes:
         raise UsageError("need at least one --index name=file.csv")
     if protocol in ("deep10", "cnn7"):
@@ -438,17 +428,19 @@ def _cmd_backcast(args) -> int:
         # the informed/uninformed rule, by the trader labels cnn7 windows carry
         if _tape_label(args.train_residuals) == _tape_label(args.predict_residuals):
             raise DataError("training and prediction residuals come from the same trader")
-    train_dates, train_resid = _load_rows(args.train_residuals)
+    train_dates, train_resid = _read(args.train_residuals, _dated_rows,
+                                     f"bad rows file {args.train_residuals}")
+    if protocol != "shallow":
+        pred_dates, pred_resid = _read(args.predict_residuals, _dated_rows,
+                                       f"bad rows file {args.predict_residuals}")
     if protocol == "shallow":
         moments = residual_study.monthly_moments(train_resid, train_dates)
         report = residual_study.shallow_backcast(moments, indexes, seed=opts["seed"])
     elif protocol == "deep10":
-        pred_dates, pred_resid = _load_rows(args.predict_residuals)
         report = residual_study.deep_backcast(
             train_resid, train_dates, pred_resid, pred_dates, indexes,
             seed=opts["seed"], rounds=opts["rounds"], learning_rate=opts["learning_rate"])
     else:
-        pred_dates, pred_resid = _load_rows(args.predict_residuals)
         train_w = residual_study.monthly_windows(train_resid, train_dates,
                                                  trader_id=_tape_label(args.train_residuals))
         pred_w = residual_study.monthly_windows(pred_resid, pred_dates,
@@ -489,7 +481,7 @@ def _cmd_liquidity(args) -> int:
 
 
 def _cmd_eventstudy(args) -> int:
-    from . import liquidity_lab
+    from . import calendars, liquidity_lab
 
     opts = _resolve(args)
     activation = _activation(opts)
@@ -504,9 +496,9 @@ def _cmd_eventstudy(args) -> int:
         period_length=opts["period_length"], n_periods=opts["n_periods"],
         training_periods=(lo, hi), n_permutations=opts["permutations"],
         rounds=opts["rounds"], learning_rate=opts["learning_rate"], activation=activation)
-    index_arg = _index_arg(args.index)
+    name, path = _index_arg(args.index)
     cost = liquidity_lab.cost_series(_panels(args.tape, opts))
-    index = _load_index(*index_arg)
+    index = _read(path, lambda h: calendars.read_index_csv(h, name), f"bad index file {path}")
     report = liquidity_lab.event_study(cost, index, config, seeds=seeds)
     outdir = _outdir(args)
     prov = _provenance("eventstudy", opts)
@@ -556,27 +548,23 @@ def _cmd_pdo_demo(args) -> int:
 
 
 def _cmd_emit_plotdata(args) -> int:
-    try:
-        with open(args.artifact, encoding="utf-8") as handle:
-            if args.kind == "bars":
-                payload = json.load(handle)
-            else:
-                header, data = read_table_csv(handle)
-    except ValueError as exc:
-        raise DataError(f"bad artifact {args.artifact}: {exc}")
+    content = _read(args.artifact, json.load if args.kind == "bars" else read_table_csv,
+                    f"bad artifact {args.artifact}")
     if args.kind == "heatmap":
+        header, data = content
         value_cols = [i for i, name in enumerate(header) if re.fullmatch("b[0-9]+", name)]
         if not value_cols:
             raise DataError("heatmap artifact needs b0..bN value columns")
         columns = ["x", "y", "value"]
         rows = [[row[0], j, row[col]] for row in data for j, col in enumerate(value_cols)]
     elif args.kind == "series":
+        header, data = content
         if len(header) < 2:
             raise DataError("series artifact needs (date, value) columns")
         columns = ["date", "value"]
         rows = [row[:2] for row in data]
     else:
-        shares = payload.get("predictor_share") if isinstance(payload, dict) else None
+        shares = content.get("predictor_share") if isinstance(content, dict) else None
         if not isinstance(shares, list) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in shares):
             raise DataError("bars artifact must be a diagnostics JSON "

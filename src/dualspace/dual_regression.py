@@ -35,7 +35,7 @@ import numpy as np
 
 from .corrstats import pearson
 from .state_space import StateMatrix
-from .table_csv import read_table_csv, write_table_csv
+from .table_csv import write_table_csv
 
 #: Relative singular-value cutoff of the least-squares fit.
 LSTSQ_RCOND = 1e-6
@@ -168,28 +168,6 @@ def determination_matrix(outputs: list[RegressionOutput]) -> np.ndarray:
 
 def write_beta_csv(beta: np.ndarray, handle) -> None:
     write_table_csv(handle, None, beta.tolist())
-
-
-def write_rows_csv(dates: list[dt.date], matrix: np.ndarray, handle) -> None:
-    header = ["date"] + [f"b{k}" for k in range(matrix.shape[1])]
-    write_table_csv(handle, header, ([day.isoformat(), *row]
-                                     for day, row in zip(dates, matrix.tolist())))
-
-
-def read_rows_csv(handle) -> tuple[list[dt.date], np.ndarray]:
-    header, rows = read_table_csv(handle)
-    if len(header) < 2:
-        raise ValueError("rows file has no value columns")
-    if not rows:
-        raise ValueError("empty rows file")
-    dates = [dt.date.fromisoformat(row[0]) for row in rows]
-    if any(b <= a for a, b in zip(dates, dates[1:])):
-        raise ValueError("row dates must be strictly increasing")
-    values = np.array([[float(v) for v in row[1:]] for row in rows], dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        raise ValueError(f"row {dates[bad[0]]} holds a non-finite value")
-    return dates, values
 
 
 def diagnostics(output: RegressionOutput, split: VarianceSplit) -> dict:

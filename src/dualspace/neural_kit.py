@@ -49,8 +49,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .table_csv import write_table_csv
-
 ACTIVATIONS = ("relu", "tanh", "logit", "linear")
 
 
@@ -701,9 +699,3 @@ def _views(flat: np.ndarray, shapes: list) -> list[np.ndarray | None]:
         views.append(flat[start:end].reshape(shape))
         start = end
     return views
-
-
-# ── serialization ──────────────────────────────────────────────────────
-
-def write_loss_csv(net: TrainedNet, handle) -> None:
-    write_table_csv(handle, ["round", "mse"], enumerate(net.loss_curve, start=1))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bucket_panel import PanelSeries, imbalance_profile
 from .corrstats import rowwise_pearson
-from .table_csv import read_table_csv, write_table_csv
+from .table_csv import dated_matrix, read_table_csv, write_dated_csv
 
 
 class VolumeMode(enum.Enum):
@@ -63,9 +63,7 @@ def state_matrix(series: PanelSeries, mode: VolumeMode) -> StateMatrix:
 
 
 def write_state_csv(states: StateMatrix, handle) -> None:
-    header = ["date", "mode"] + [f"b{k}" for k in range(states.values.shape[1])]
-    write_table_csv(handle, header, ([day.isoformat(), states.mode.value, *row]
-                                     for day, row in zip(states.dates, states.values.tolist())))
+    write_dated_csv(handle, states.dates, states.values, mode=states.mode.value)
 
 
 def read_state_csv(handle) -> StateMatrix:
@@ -82,5 +80,5 @@ def read_state_csv(handle) -> StateMatrix:
     modes = sorted({row[1] for row in rows})
     if len(modes) > 1:
         raise ValueError(f"state matrix rows mix modes {', '.join(modes)}")
-    return StateMatrix(np.array([[float(v) for v in row[2:]] for row in rows], dtype=float),
-                       VolumeMode(modes[0]), [dt.date.fromisoformat(row[0]) for row in rows])
+    dates, values = dated_matrix(header, rows, labels=1)
+    return StateMatrix(values, VolumeMode(modes[0]), dates)

@@ -44,6 +44,7 @@ import numpy as np
 
 from . import tape_io
 from .calendars import IndexSeries, month_index, trading_days, weekdays_from
+from .corrstats import standardize
 
 
 # ── fixed generator settings ───────────────────────────────────────────
@@ -204,8 +205,7 @@ def gen_indexes(config: MarketConfig, months: list[str],
     n = len(months)
     sentiment = _ar1(rng, n, config.sentiment_ar)
     own_return = _ar1(rng, n, RETURN_AR)
-    sent_std = (sentiment - sentiment.mean()) / (sentiment.std() or 1.0)
-    stock_return = RETURN_ON_SENTIMENT * sent_std + own_return
+    stock_return = RETURN_ON_SENTIMENT * standardize(sentiment)[0] + own_return
     # The yield series is decorrelated from the other two in-sample:
     # "uncoupled" must hold for the emitted months, not just in
     # expectation, or short-sample spurious correlation would leak
@@ -269,11 +269,6 @@ def _anchor_cdf(weights: np.ndarray, reach_key: str) -> np.ndarray:
     cdf = p.cumsum(axis=0)
     cdf /= cdf[-1]
     return np.ascontiguousarray(cdf.T)
-
-
-def _standardized(series: IndexSeries) -> np.ndarray:
-    v = series.values
-    return (v - v.mean()) / (v.std() or 1.0)
 
 
 def _draw_tape(rng: np.random.Generator, streams: _MarketStreams, config: MarketConfig,
@@ -370,9 +365,9 @@ def gen_market(config: MarketConfig = MarketConfig()) -> SynthMarket:
     indexes = gen_indexes(config, months, index_seed)
 
     g = config.couplings
-    tilt_m = (g.g_sent * _standardized(indexes["sentiment"])
-              + g.g_ret * _standardized(indexes["stock_return"])
-              + g.g_yield * _standardized(indexes["bond_yield"]))
+    tilt_m = (g.g_sent * standardize(indexes["sentiment"].values)[0]
+              + g.g_ret * standardize(indexes["stock_return"].values)[0]
+              + g.g_yield * standardize(indexes["bond_yield"].values)[0])
     daily_tilt = np.clip(tilt_m[month_ix], -0.9, 0.9)
     p_buy = np.clip(0.5 + 0.5 * daily_tilt, 0.05, 0.95)
 

@@ -5,9 +5,11 @@ delimiter is whichever of `DELIMITERS` (comma, tab, semicolon) occurs
 most often in the first 20 non-blank lines, comma if none does.  The
 first four columns are, in this order, Trddt (YYYY-MM-DD), Stkprc (price
 in CNY), Parcha (order nature, B or S, sometimes missing) and Trdtims
-(number of shares); further columns are ignored.  Files start with one
-or more header rows (column names, units); anything before the first
-row whose date field parses is treated as header material.  Rows with a missing or unrecognized side
+(number of shares); further columns are ignored.  Dates and numbers
+follow `table_csv.parse_date` and `table_csv.parse_number`: ASCII
+only, no `_`.  Files start with one or more header rows (column names,
+units); anything before the first row whose date field parses is
+treated as header material.  Rows with a missing or unrecognized side
 flag are kept with side=Unknown; malformed rows are reported per line,
 never silently dropped.
 
@@ -39,7 +41,6 @@ from __future__ import annotations
 import datetime as dt
 import enum
 import math
-import re
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -47,6 +48,8 @@ from itertools import islice
 from typing import Iterable, Optional
 
 import numpy as np
+
+from .table_csv import parse_date, parse_number
 
 DELIMITERS = (",", "\t", ";")
 UNKNOWN_SIDE_FLAG_THRESHOLD = 0.10
@@ -160,7 +163,6 @@ _REASONS = {_SHORT: "short row", _BAD_DATE: "malformed date",
            _NONPOSITIVE_VOLUME: "nonpositive volume",
            _HUGE_VOLUME: "volume out of range"}
 _MAX_VOLUME = int(np.iinfo(np.int64).max)
-_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # Body lines are read this many at a time, which bounds the arrays and
 # the token strings alive at once.
@@ -181,13 +183,8 @@ _PAD = 2 * (_WORD + 1)  # zero bytes after a chunk, which a key word may reach i
 
 
 def _parse_date(text: str) -> Optional[dt.date]:
-    """The date of a YYYY-MM-DD token, or None; `date.fromisoformat`
-    alone also takes forms such as 20090106 from Python 3.11 on."""
-    text = text.strip()
-    if not _DATE.fullmatch(text):
-        return None
     try:
-        return dt.date.fromisoformat(text)
+        return parse_date(text.strip())  # the date of a token, or None
     except ValueError:
         return None
 
@@ -195,7 +192,7 @@ def _parse_date(text: str) -> Optional[dt.date]:
 def _parse_price(text: str) -> tuple[float, int]:
     """(price, 0), or (nan, rejection reason)."""
     try:
-        price = float(text)
+        price = parse_number(text)
     except ValueError:
         return math.nan, _BAD_PRICE
     if not math.isfinite(price):
@@ -208,7 +205,7 @@ def _parse_price(text: str) -> tuple[float, int]:
 def _parse_volume(text: str) -> tuple[int, int]:
     """(volume, 0), or (0, rejection reason)."""
     try:
-        volume = int(text.strip())
+        volume = parse_number(text, int)
     except ValueError:
         return 0, _BAD_VOLUME
     if volume <= 0:

@@ -1,4 +1,5 @@
 import argparse
+import datetime as dt
 import filecmp
 import json
 import os
@@ -301,7 +302,7 @@ def test_import_leaves_scipy_stats_unloaded(tape_dir, residual_dir, tmp_path):
     assert not loaded & heavy
     assert {m for m in loaded if m.startswith("dualspace")} == {
         "dualspace", "dualspace.cli", "dualspace.table_csv", "dualspace.tape_io",
-        "dualspace.calendars", "dualspace.synth_market"}
+        "dualspace.calendars", "dualspace.corrstats", "dualspace.synth_market"}
 
 
 def test_exit_codes(capsys, tape_dir, tmp_path):
@@ -1013,11 +1014,11 @@ def _first_row_last(path, out):
 
 def _first_cell(path, out, value, column=1):
     """Copy a CSV artifact with the given column of its first data row
-    replaced by `value`."""
+    replaced by `value`, or by `value(cell)` if it is a function."""
     lines = path.read_text().splitlines(keepends=True)
     head = 1 + next(i for i, line in enumerate(lines) if not line.startswith("#"))
     fields = lines[head].split(",")
-    fields[column] = value
+    fields[column] = value(fields[column]) if callable(value) else value
     lines[head] = ",".join(fields)
     out.parent.mkdir(exist_ok=True)
     out.write_text("".join(lines))
@@ -1037,7 +1038,24 @@ MALFORMED_ARTIFACTS = {
     "backcast-cnn7-nan-predict-residual": "backcast",
     "backcast-cnn7-nan-train-residual": "backcast",
     "backcast-shallow-nan-train-residual": "backcast",
+    # a date in another ISO 8601 form, or a number that is not ASCII digits
+    "fit-compact-date-state": "fit",
+    "fit-week-date-state": "fit",
+    "fit-underscore-state": "fit",
+    "fit-arabic-indic-state": "fit",
+    "backcast-shallow-compact-date-train-residual": "backcast",
+    "backcast-shallow-week-date-train-residual": "backcast",
+    "backcast-shallow-underscore-train-residual": "backcast",
+    "backcast-shallow-arabic-indic-train-residual": "backcast",
 }
+
+#: what a case writes over its artifact's first value, or first date
+#: (the `-date` words): `date.fromisoformat` takes both date forms from
+#: Python 3.11 on, `float` both numbers
+BAD_CELLS = {"nan": "nan", "inf": "inf", "underscore": "1_0.5", "arabic-indic": "\u0663",
+             "compact-date": lambda day: day.replace("-", ""),
+             "week-date": lambda day: "{}-W{:02d}-{}".format(
+                 *dt.date.fromisoformat(day).isocalendar())}
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_ARTIFACTS))
@@ -1047,18 +1065,22 @@ def test_malformed_artifact_is_one_data_error_line(tape_dir, residual_dir, tmp_p
     residuals = residual_dir / "t0" / "residuals.csv"
     predict = residual_dir / "t1" / "residuals.csv"
     states = residual_dir / "t0" / "states_imbalance.csv"
+    word = next((word for word in BAD_CELLS if f"-{word}-" in case), None)
+    # a date is column 0; a value follows the date, and a state's mode
+    column = 0 if word and word.endswith("-date") else 2 if case.startswith("fit") else 1
     if case.endswith("one-column-index"):
         index = tmp_path / "sentiment.csv"
         index.write_text("month\n2009-01\n2009-02\n")
     elif case == "backcast-residual-rows-out-of-order":
         residuals = _first_row_last(residuals, tmp_path / "residuals.csv")
     elif case.endswith("predict-residual"):
-        value = "inf" if "-inf-" in case else "nan"
-        predict = _first_cell(predict, tmp_path / "t1" / "residuals.csv", value)
+        predict = _first_cell(predict, tmp_path / "t1" / "residuals.csv", BAD_CELLS[word],
+                              column)
     elif case.endswith("train-residual"):
-        residuals = _first_cell(residuals, tmp_path / "t0" / "residuals.csv", "nan")
-    elif case == "fit-nan-state":  # the first bucket value, after date and mode
-        states = _first_cell(states, tmp_path / "states.csv", "nan", column=2)
+        residuals = _first_cell(residuals, tmp_path / "t0" / "residuals.csv",
+                                BAD_CELLS[word], column)
+    elif word:  # a state file
+        states = _first_cell(states, tmp_path / "states.csv", BAD_CELLS[word], column)
     else:
         states = _first_row_last(states, tmp_path / "states.csv")
     protocol = next((p for p in ("cnn7", "shallow") if f"-{p}-" in case), "deep10")

@@ -5,7 +5,7 @@ import pytest
 
 from dualspace import dual_regression as dr
 from dualspace.corrstats import pearson
-from dualspace.table_csv import read_table_csv
+from dualspace.table_csv import dated_matrix, read_table_csv, write_dated_csv
 
 from oracles import (dual_predictions, induced_dual_operator, pinv_dual_fit,
                      planted_trajectory, random_rotation, random_states,
@@ -208,9 +208,9 @@ def test_beta_csv_round_trip():
 def test_rows_csv_round_trip():
     out = dr.fit_beta(random_states(15, 40))
     buf = io.StringIO()
-    dr.write_rows_csv(out.dates, out.residuals, buf)
+    write_dated_csv(buf, out.dates, out.residuals)
     buf.seek(0)
-    dates, values = dr.read_rows_csv(buf)
+    dates, values = dated_matrix(*read_table_csv(buf))
     assert dates == out.dates
     np.testing.assert_array_equal(values, out.residuals)
 

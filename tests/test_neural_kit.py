@@ -258,20 +258,6 @@ def test_default_architectures_compose():
         nk.init_net(spec)  # shape walk succeeds
 
 
-def test_loss_curve_csv_export():
-    import io
-    rng = np.random.default_rng(20)
-    (net,) = nk.train_many([nk.init_net(nk.NetSpec((nk.Dense(3, 1),), "linear", 0, input_shape=(3,)))],
-                           rng.standard_normal((8, 3)), rng.standard_normal(8),
-                           rounds=5, learning_rate=0.05)
-    buf = io.StringIO()
-    nk.write_loss_csv(net, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "round,mse"
-    assert len(lines) == 6
-    assert float(lines[1].split(",")[1]) == net.loss_curve[0]
-
-
 # ── stacked training ───────────────────────────────────────────────────
 
 def _small_cnn_spec(seed, activation="relu"):

@@ -379,6 +379,12 @@ def test_index_csv_round_trip():
     np.testing.assert_array_equal(back.values, idx.values)
 
 
+@pytest.mark.parametrize("value", ["1_0.5", "\u0663"])
+def test_index_csv_refuses_a_number_that_is_not_ascii_digits(value):
+    with pytest.raises(ValueError, match="malformed number"):
+        read_index_csv(io.StringIO(f"month,value\n2009-01,{value}\n"))
+
+
 def test_report_csv_layout():
     report = rs.BackcastReport(protocol="cnn7")
     report.results.append(rs._make_result("sentiment", [0.9, 0.8], [False, False]))

@@ -63,13 +63,20 @@ def test_error_rows_reported_with_line_numbers():
             "2009-08-07,-1.0,B,10\n"     # nonpositive price
             "2009-08-07,abc,B,10\n"      # malformed price
             "2009-08-07,9.9,B,0\n"       # nonpositive volume
-            "2009-08-07,9.9,B\n")        # short row
+            "2009-08-07,9.9,B\n"         # short row
+            "2009-08-07,1_0.5,B,10\n"    # Python number literals, not ASCII digits
+            "2009-08-07,\u0663,B,10\n"
+            "2009-08-07,9.9,B,1_0.5\n"
+            "2009-08-07,9.9,B,1_000\n"
+            "2009-08-07,9.9,B,\u0663\n")
     result = tape_io.parse_tape(text)
     assert len(result.records) == 1
     reasons = {err.line_no: err.reason for err in result.errors}
     assert reasons == {3: "malformed date", 4: "malformed date", 5: "malformed date",
                        6: "nonpositive price", 7: "malformed price",
-                       8: "nonpositive volume", 9: "short row"}
+                       8: "nonpositive volume", 9: "short row",
+                       10: "malformed price", 11: "malformed price",
+                       12: "malformed volume", 13: "malformed volume", 14: "malformed volume"}
     # no record loss
     assert len(result.records) + len(result.errors) == result.n_data_rows
 
