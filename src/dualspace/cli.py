@@ -212,11 +212,12 @@ def _read(path: str, reader, what: str):
         raise DataError(f"{what}: {exc}")
 
 
-def _tape_label(path: str) -> str:
-    """Short provenance label for a residual file: stable across runs
-    into different output roots (no absolute paths in artifacts)."""
-    parts = os.path.normpath(path).split(os.sep)
-    return "/".join(parts[-2:]) if len(parts) > 1 else parts[-1]
+def _tape_labels(*paths: str) -> list[str]:
+    """Provenance labels of residual files: each one's path below their
+    common directory, so no absolute path enters an artifact."""
+    paths = [os.path.abspath(path) for path in paths]
+    common = os.path.commonpath([os.path.dirname(path) for path in paths])
+    return [os.path.relpath(path, common).replace(os.sep, "/") for path in paths]
 
 
 def _dated_rows(handle):
@@ -425,8 +426,10 @@ def _cmd_backcast(args) -> int:
     if protocol in ("deep10", "cnn7"):
         if not args.predict_residuals:
             raise UsageError(f"--protocol {protocol} needs --predict-residuals")
-        # the informed/uninformed rule, by the trader labels cnn7 windows carry
-        if _tape_label(args.train_residuals) == _tape_label(args.predict_residuals):
+        # the informed/uninformed rule, a link to the other file included; a
+        # missing file is left to its read
+        paths = args.train_residuals, args.predict_residuals
+        if all(map(os.path.exists, paths)) and os.path.samefile(*paths):
             raise DataError("training and prediction residuals come from the same trader")
     train_dates, train_resid = _read(args.train_residuals, _dated_rows,
                                      f"bad rows file {args.train_residuals}")
@@ -441,10 +444,9 @@ def _cmd_backcast(args) -> int:
             train_resid, train_dates, pred_resid, pred_dates, indexes,
             seed=opts["seed"], rounds=opts["rounds"], learning_rate=opts["learning_rate"])
     else:
-        train_w = residual_study.monthly_windows(train_resid, train_dates,
-                                                 trader_id=_tape_label(args.train_residuals))
-        pred_w = residual_study.monthly_windows(pred_resid, pred_dates,
-                                                trader_id=_tape_label(args.predict_residuals))
+        train_label, pred_label = _tape_labels(args.train_residuals, args.predict_residuals)
+        train_w = residual_study.monthly_windows(train_resid, train_dates, trader_id=train_label)
+        pred_w = residual_study.monthly_windows(pred_resid, pred_dates, trader_id=pred_label)
         seeds = [opts["seed"] + i for i in range(opts["runs"])]
         report = residual_study.cnn_backcast(
             train_w, pred_w, indexes, activation=activation, seeds=seeds,

@@ -140,7 +140,8 @@ def event_study(cost: CostSeries, index: IndexSeries,
     bucket-averaged lambda series' index correlation is kept as a
     diagnostic.  The lambda images are `monthly_windows` of 21 days by
     16 buckets, of which cnn7 reads days 1-18 and buckets 1-14.  The
-    prediction averages one net per seed, in seed order.
+    prediction averages one net per seed, in seed order; `cnn7_predictions`
+    refuses empty or repeated seeds before any training.
 
     Returns the dict `eventstudy.json` holds: index, seeds,
     reference_pearson, reference_spearman, avg_lambda_pearson and one
@@ -152,10 +153,6 @@ def event_study(cost: CostSeries, index: IndexSeries,
     # never loads them
     from .residual_study import cnn7_predictions, monthly_windows
 
-    if not seeds:
-        raise ValueError("seeds must not be empty")
-    if len(set(seeds)) < len(seeds):
-        raise ValueError(f"seeds {list(seeds)} repeat a seed: each net would count twice")
     n_days_total = config.n_periods * config.period_length
     if len(cost.dates) + 1 < n_days_total:
         raise ValueError(f"lambda series covers {len(cost.dates) + 1} days, "

@@ -24,7 +24,9 @@ their dates must be strictly increasing, so each month is one run of rows.
 Each protocol passes all of its nets, over every index and seed, to one
 `neural_kit.train_many` call, which trains them in memory-bounded
 stacks; a report does not depend on how the nets are stacked.  The
-liquidity event study runs cnn7's fit, `cnn7_predictions`, too.
+liquidity event study runs cnn7's fit, `cnn7_predictions`, too, and
+shares its seed rule: at least one seed, none repeated.  Every
+protocol reports each index through `_index_result`.
 """
 
 from __future__ import annotations
@@ -191,23 +193,19 @@ def _scaled_targets(indexes: list[IndexSeries], months: list[str]):
     return targets, [standardize(t) for t in targets]
 
 
-def _corr_or_flag(pred: np.ndarray, actual: np.ndarray) -> tuple[float, bool]:
-    if np.ptp(pred) == 0.0 or np.ptp(actual) == 0.0:
-        return 0.0, True
-    return pearson(pred, actual), False
-
-
-def _make_result(name: str, correlations: list[float], flags: list[bool],
-                 insample: float | None = None) -> IndexBackcast:
-    mean = float(np.mean(correlations))
-    return IndexBackcast(
-        index_name=name,
-        run_correlations=[float(r) for r in correlations],
-        mean_correlation=mean,
-        dispersion=student_halfwidth(correlations),
-        undefined=all(flags),
-        insample_correlation=insample,
-    )
+def _index_result(index: IndexSeries, target: np.ndarray, scaled, runs) -> IndexBackcast:
+    """The result of one index: each run of standardized predictions,
+    mapped back by the target's `standardize` triple `scaled`, is
+    correlated with `target`; a run is 0 and flagged where either side
+    is constant, and the result is undefined when every run is."""
+    _, t_mean, t_scale = scaled
+    correlations, flags = [], []
+    for run in runs:
+        pred = run * t_scale + t_mean
+        flags.append(np.ptp(pred) == 0.0 or np.ptp(target) == 0.0)
+        correlations.append(0.0 if flags[-1] else pearson(pred, target))
+    return IndexBackcast(index.name, correlations, float(np.mean(correlations)),
+                         student_halfwidth(correlations), all(flags))
 
 
 def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries],
@@ -232,12 +230,10 @@ def shallow_backcast(moments: MonthlyMoments, indexes: list[IndexSeries],
         np.array([t_std[train_ix] for t_std, _, _ in scaled]).reshape(-1, n - 1),
         rounds=SHALLOW_ROUNDS, learning_rate=DEFAULT_LEARNING_RATE)
     report = BackcastReport(protocol="shallow", seeds=[seed])
-    for k, (index, (_, t_mean, t_scale)) in enumerate(zip(indexes, scaled)):
+    for k, (index, target, triple) in enumerate(zip(indexes, targets, scaled)):
         preds = np.array([neural_kit.forward_batch(net, feats_std[hold:hold + 1])[0]
                           for hold, net in enumerate(trained[k * n:(k + 1) * n])])
-        preds = preds * t_scale + t_mean
-        r, flagged = _corr_or_flag(preds, targets[k])
-        report.results.append(_make_result(index.name, [r], [flagged]))
+        report.results.append(_index_result(index, target, triple, [preds]))
     return report
 
 
@@ -256,8 +252,8 @@ def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
 
     The residuals come as bare arrays, which carry no trader id, so this
     function cannot check that the two roles come from different tapes
-    as `cnn_backcast` does.  The CLI enforces that rule before the call,
-    by the residual files' `_tape_label`s.
+    as `cnn_backcast` does.  The CLI enforces that rule before the call:
+    it refuses one residual file given for both roles.
     """
     months, train_runs = _month_runs(train_dates)
     predict_months, predict_runs = _month_runs(predict_dates)
@@ -280,14 +276,14 @@ def deep_backcast(train_residuals: np.ndarray, train_dates: list[dt.date],
                                     day_targets, rounds=rounds, learning_rate=learning_rate)
 
     report = BackcastReport(protocol="deep10", seeds=[seed])
-    for index, target, (_, t_mean, t_scale), net in zip(indexes, targets, scaled, trained):
+    for index, target, triple, net in zip(indexes, targets, scaled, trained):
         insample = neural_kit.forward_batch(net, scale_input(train_x[holdout_ix]))
-        r_in, _ = _corr_or_flag(insample * t_scale + t_mean, target)
-
         daily = neural_kit.forward_batch(net, scale_input(pred_x))
         monthly = np.array([daily[run].mean() for run in predict_runs])
-        r, flagged = _corr_or_flag(monthly * t_scale + t_mean, target)
-        report.results.append(_make_result(index.name, [r], [flagged], insample=r_in))
+        result = _index_result(index, target, triple, [monthly])
+        result.insample_correlation = _index_result(index, target, triple,
+                                                    [insample]).mean_correlation
+        report.results.append(result)
     return report
 
 
@@ -303,8 +299,6 @@ def cnn_backcast(train_windows: MonthlyWindows, predict_windows: MonthlyWindows,
     correlations with their mean and Student-t 10% half-width.  The nets
     of every (index, seed) pair train in one `cnn7_predictions` call.
     """
-    if not seeds:
-        raise ValueError("seeds must not be empty")
     assert_role_separation(train_windows, predict_windows)
     if train_windows.months != predict_windows.months:
         raise ValueError("training and prediction windows cover different months")
@@ -312,20 +306,13 @@ def cnn_backcast(train_windows: MonthlyWindows, predict_windows: MonthlyWindows,
     predictions = cnn7_predictions(train_windows.images, [t_std for t_std, _, _ in scaled],
                                    predict_windows.images, seeds, activation, rounds,
                                    learning_rate)
-    report = BackcastReport(
+    return BackcastReport(
         protocol="cnn7", seeds=list(seeds),
+        results=[_index_result(*result) for result in zip(indexes, targets, scaled, predictions)],
         notes={"train_trader": train_windows.trader_id,
                "predict_trader": predict_windows.trader_id,
                "padded_months": train_windows.padded_months,
                "truncated_months": train_windows.truncated_months})
-    for index, target, (_, t_mean, t_scale), runs in zip(indexes, targets, scaled, predictions):
-        run_corrs, flags = [], []
-        for preds in runs:
-            r, flagged = _corr_or_flag(preds * t_scale + t_mean, target)
-            run_corrs.append(r)
-            flags.append(flagged)
-        report.results.append(_make_result(index.name, run_corrs, flags))
-    return report
 
 
 def cnn7_predictions(train_images, targets, predict_images, seeds, activation: str,
@@ -334,7 +321,12 @@ def cnn7_predictions(train_images, targets, predict_images, seeds, activation: s
     training images, trains one net per (target, seed) in one
     `train_many` call (`targets` holds one standardized array per
     target), and returns per target each net's standardized predictions
-    on `predict_images`, in seed order."""
+    on `predict_images`, in seed order.  `seeds` must be non-empty with
+    no seed repeated: each run is a distinct net."""
+    if not seeds:
+        raise ValueError("seeds must not be empty")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds {list(seeds)} repeat a seed: each net would count twice")
     _, x_mean, x_scale = standardize(np.ravel(train_images))
     nets = [neural_kit.init_net(neural_kit.cnn7_spec(
         input_shape=train_images.shape[1:], activation=activation, seed=seed)) for seed in seeds]

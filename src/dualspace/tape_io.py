@@ -5,13 +5,15 @@ delimiter is whichever of `DELIMITERS` (comma, tab, semicolon) occurs
 most often in the first 20 non-blank lines, comma if none does.  The
 first four columns are, in this order, Trddt (YYYY-MM-DD), Stkprc (price
 in CNY), Parcha (order nature, B or S, sometimes missing) and Trdtims
-(number of shares); further columns are ignored.  Dates and numbers
-follow `table_csv.parse_date` and `table_csv.parse_number`: ASCII
-only, no `_`.  Files start with one or more header rows (column names,
-units); anything before the first row whose date field parses is
-treated as header material.  Rows with a missing or unrecognized side
-flag are kept with side=Unknown; malformed rows are reported per line,
-never silently dropped.
+(number of shares); further columns are ignored.  Every token is
+read as ASCII, with Python's white space around it stripped: dates
+follow `table_csv.parse_date` and numbers `table_csv.parse_number`
+(no `_`), and a date or a number that holds a non-ASCII character is
+malformed, a side flag unknown.  Files start with one or more header
+rows (column names, units); anything before the first row whose date
+field parses is treated as header material.  Rows with a missing or
+unrecognized side flag are kept with side=Unknown; malformed rows are
+reported per line, never silently dropped.
 
 In memory a tape is a `Tape`, built from parallel numpy columns, one
 entry per trade, that every stage from synthesis through parsing to the
@@ -183,8 +185,8 @@ _PAD = 2 * (_WORD + 1)  # zero bytes after a chunk, which a key word may reach i
 
 
 def _parse_date(text: str) -> Optional[dt.date]:
-    try:
-        return parse_date(text.strip())  # the date of a token, or None
+    try:  # the date of an ASCII token, or None
+        return parse_date(text.strip()) if text.isascii() else None
     except ValueError:
         return None
 
@@ -225,7 +227,7 @@ def _detect_delimiter(lines: list[str]) -> str:
 
 
 def _parse_side(text: str) -> Side:
-    flag = text.strip().upper()
+    flag = text.strip().upper() if text.isascii() else ""  # "ſ".upper() is "S"
     if flag == "B":
         return Side.BUY
     if flag == "S":

@@ -4,6 +4,7 @@ import filecmp
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -365,16 +366,36 @@ def test_backcast_two_file_protocol_without_predict_residuals(
 def test_backcast_deep10_same_residual_file_is_a_data_error(
         capsys, tape_dir, residual_dir, tmp_path):
     residuals = str(residual_dir / "t0" / "residuals.csv")
-    code = cli.run(["backcast", "--protocol", "deep10",
-                    "--train-residuals", residuals, "--predict-residuals", residuals,
+    link = tmp_path / "t1" / "residuals.csv"  # another path, the same trader's file
+    os.makedirs(link.parent)
+    os.symlink(residuals, link)
+    for predict in (residuals, str(link)):
+        code = cli.run(["backcast", "--protocol", "deep10",
+                        "--train-residuals", residuals, "--predict-residuals", predict,
+                        "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
+                        "--rounds", "1", "--out-dir", str(tmp_path / "bc")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error:")
+        assert "same trader" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "bc").exists()
+
+
+def test_backcast_cnn_labels_each_file_below_their_common_directory(
+        capsys, tape_dir, residual_dir, tmp_path):
+    # two traders' files whose last two path components agree
+    for trader in ("t0", "t1"):
+        os.makedirs(tmp_path / trader / "fit")
+        shutil.copy(residual_dir / trader / "residuals.csv", tmp_path / trader / "fit")
+    run_ok(capsys, ["backcast", "--protocol", "cnn7",
+                    "--train-residuals", str(tmp_path / "t0" / "fit" / "residuals.csv"),
+                    "--predict-residuals", str(tmp_path / "t1" / "fit" / "residuals.csv"),
                     "--index", f"sentiment={tape_dir / 'sentiment.csv'}",
-                    "--rounds", "1", "--out-dir", str(tmp_path / "bc")])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("data error:")
-    assert "same trader" in captured.err
-    assert captured.out == ""
-    assert not (tmp_path / "bc").exists()
+                    "--runs", "2", "--rounds", "1", "--out-dir", str(tmp_path / "bc")])
+    notes = json.loads((tmp_path / "bc" / "backcast_cnn7.json").read_text())["notes"]
+    assert notes["train_trader"] == "t0/fit/residuals.csv"
+    assert notes["predict_trader"] == "t1/fit/residuals.csv"
 
 
 @pytest.mark.parametrize("protocol, flag", [

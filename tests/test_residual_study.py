@@ -284,7 +284,12 @@ def test_cnn_backcast_equals_the_plain_loop_on_the_read_crop(monkeypatch, activa
     assert got == run()
 
 
-def test_cnn_backcast_refuses_empty_seeds_before_training(monkeypatch):
+@pytest.mark.parametrize("seeds, message", [
+    ((), "seeds must not be empty"),
+    # two runs of one net would report a dispersion of 0
+    ((3, 3), r"seeds \[3, 3\] repeat a seed"),
+], ids=["empty", "repeated"])
+def test_cnn_backcast_refuses_bad_seeds_before_training(monkeypatch, seeds, message):
     wins_a, z = _planted_windows(17, 6, "a")
     wins_b, _ = _planted_windows(18, 6, "b")
 
@@ -292,8 +297,8 @@ def test_cnn_backcast_refuses_empty_seeds_before_training(monkeypatch):
         raise AssertionError("trained a net")
 
     monkeypatch.setattr(rs.neural_kit, "train_many", no_training)
-    with pytest.raises(ValueError, match="seeds must not be empty"):
-        rs.cnn_backcast(wins_a, wins_b, [_index_for(wins_a.months, z)], seeds=())
+    with pytest.raises(ValueError, match=message):
+        rs.cnn_backcast(wins_a, wins_b, [_index_for(wins_a.months, z)], seeds=seeds)
 
 
 def _three_indexes(months, seed):
@@ -345,9 +350,19 @@ def test_stack_size_never_changes_a_report(monkeypatch, budget):
     assert _every_protocol() == default
 
 
+def _result_of_runs(name, correlations):
+    """`_index_result` of one standardized run per entry of
+    `correlations`, planted to correlate with the index by that much."""
+    index = np.array([1.0, 1.0, -1.0, -1.0])  # zero mean, unit spread
+    other = np.array([1.0, -1.0, 1.0, -1.0])  # orthogonal to it, as long
+    runs = [r * index + np.sqrt(1.0 - r * r) * other for r in correlations]
+    series = rs.IndexSeries(name, ["2009-01", "2009-02", "2009-03", "2009-04"], index)
+    return rs._index_result(series, index, (index, 0.0, 1.0), runs)
+
+
 def test_dispersion_matches_t_table():
     values = [0.9756, 0.9527, 0.9545, 0.9684, 0.9727, 0.9697]
-    got = rs._make_result("x", values, [False] * 6).dispersion
+    got = _result_of_runs("x", values).dispersion
     arr = np.asarray(values)
     expected = T_CRIT_10PCT[5] * arr.std(ddof=1) / np.sqrt(6)
     assert got == pytest.approx(expected, abs=1e-9)
@@ -387,8 +402,8 @@ def test_index_csv_refuses_a_number_that_is_not_ascii_digits(value):
 
 def test_report_csv_layout():
     report = rs.BackcastReport(protocol="cnn7")
-    report.results.append(rs._make_result("sentiment", [0.9, 0.8], [False, False]))
-    report.results.append(rs._make_result("bond", [0.1, -0.2], [False, False]))
+    report.results.append(_result_of_runs("sentiment", [0.9, 0.8]))
+    report.results.append(_result_of_runs("bond", [0.1, -0.2]))
     buf = io.StringIO()
     rs.write_report_csv(report, buf)
     lines = buf.getvalue().strip().splitlines()

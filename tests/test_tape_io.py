@@ -43,6 +43,13 @@ def test_missing_side_flag_becomes_unknown():
     assert result.records == tape_of([TapeRecord(dt.date(2009, 8, 7), 9.90, Side.UNKNOWN, 708)])
 
 
+@pytest.mark.parametrize("flag", ["\u017f", "\xa0B"], ids=["long-s", "nbsp"])
+def test_a_non_ascii_side_flag_is_unknown(flag):
+    # "\u017f".upper() is "S", and str.strip() drops "\xa0"
+    result = tape_io.parse_tape(f"2009-08-07,9.90,{flag},708")
+    assert result.records == tape_of([TapeRecord(dt.date(2009, 8, 7), 9.90, Side.UNKNOWN, 708)])
+
+
 @pytest.mark.parametrize("delim", ["\t", ";"])
 def test_delimiter_autodetect(delim):
     text = "\n".join(delim.join(row) for row in
@@ -68,7 +75,8 @@ def test_error_rows_reported_with_line_numbers():
             "2009-08-07,\u0663,B,10\n"
             "2009-08-07,9.9,B,1_0.5\n"
             "2009-08-07,9.9,B,1_000\n"
-            "2009-08-07,9.9,B,\u0663\n")
+            "2009-08-07,9.9,B,\u0663\n"
+            "\xa02009-08-07,9.9,B,10\n")   # a date token holding a non-ASCII space
     result = tape_io.parse_tape(text)
     assert len(result.records) == 1
     reasons = {err.line_no: err.reason for err in result.errors}
@@ -76,7 +84,8 @@ def test_error_rows_reported_with_line_numbers():
                        6: "nonpositive price", 7: "malformed price",
                        8: "nonpositive volume", 9: "short row",
                        10: "malformed price", 11: "malformed price",
-                       12: "malformed volume", 13: "malformed volume", 14: "malformed volume"}
+                       12: "malformed volume", 13: "malformed volume", 14: "malformed volume",
+                       15: "malformed date"}
     # no record loss
     assert len(result.records) + len(result.errors) == result.n_data_rows
 
