@@ -362,6 +362,9 @@ def _cmd_statespace(args) -> int:
         if args.geometric_imbalance is not None:
             raise UsageError(f"--mode {opts['mode']} does not read --geometric-imbalance")
         del opts["geometric_imbalance"]  # nor does a config key enter the hash
+    if opts["subcells"] < 2:
+        raise UsageError("statespace needs --subcells of at least 2 to correlate profiles, "
+                         f"got {opts['subcells']}")
     states = state_space.state_matrix(_panels(args.tape, opts),
                                       state_space.VolumeMode(opts["mode"]))
     outdir = _outdir(args)

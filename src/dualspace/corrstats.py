@@ -25,20 +25,15 @@ LEVEL = 0.10  # significance level of the two-sided tests
 
 
 def pearson(x, y) -> float:
-    """Pearson correlation; 0.0 when either side is constant."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = np.sqrt(xc @ xc)
-    sy = np.sqrt(yc @ yc)
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float(np.clip((xc @ yc) / (sx * sy), -1.0, 1.0))
+    """Pearson correlation; 0.0 when either side is constant.  It is
+    `rowwise_pearson` of one row, so every correlation shares one formula."""
+    return float(rowwise_pearson(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))[0])
 
 
 def rowwise_pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pearson correlation of a[i] with b[i] for every row i."""
+    """Pearson correlation of a[i] with b[i] for every row i; 0.0 where
+    either row is constant, whose centered values are equal but not
+    always 0 (a mean of three 0.1s is not 0.1)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ac = a - a.mean(axis=1, keepdims=True)
@@ -48,7 +43,7 @@ def rowwise_pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     num = (ac * bc).sum(axis=1)
     denom = sa * sb
     out = np.zeros(a.shape[0])
-    ok = denom > 0.0
+    ok = (denom > 0.0) & (np.ptp(a, axis=1) > 0.0) & (np.ptp(b, axis=1) > 0.0)
     out[ok] = np.clip(num[ok] / denom[ok], -1.0, 1.0)
     return out
 

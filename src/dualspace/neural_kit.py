@@ -27,10 +27,11 @@ place, so a round ends with one update of the whole stack.  A dense
 layer's input gradient multiplies by a contiguous copy of Wᵀ, which
 BLAS runs faster than the strided view.
 For the same reason a ReLU runs after the max-pool that reads its layer
-(see `_ActivationOp`), and a net's first convolution, when a pool reads
-it, writes its output rows in that pool's tap order, so the pool reads
-and writes contiguous blocks, not strided taps of a few channels.
-A pool's gradient is one broadcast multiply over all of its taps.
+(see `_ActivationOp`), and every convolution that a pool reads writes
+its output rows in that pool's tap order, so the pool reads and writes
+contiguous blocks, not strided taps of a few channels; a pool reads
+nothing else.  A pool's gradient is one broadcast multiply over all of
+its taps.
 
 An image batch is cropped on entry to the rows and columns that the
 output reads (`_read_shape`): pools floor away odd edges, and valid
@@ -166,14 +167,12 @@ class Conv2D:
     is `[W; b]`, (kh*kw*c + 1, o), its rows in a patch's order.
 
     With `pool`, the size of the pool that reads this layer's output,
-    the rows come in that pool's tap order: tap (i, j), then image, then
-    pooled row, then pooled column.  The output is then ph*pw contiguous
-    blocks, one per tap, and the pool reads and writes whole blocks
-    instead of strided taps of a few channels.  `init_net` asks this of
-    a net's first layer only: later convolutions fold their column
-    gradient back into the input in image order, which a first layer
-    never computes.  The crop of `_as_batch` makes the output a whole
-    number of pool windows."""
+    which `init_net` sets on every convolution a pool reads, the rows
+    come in that pool's tap order: tap (i, j), then image, then pooled
+    row, then pooled column.  The output is then ph*pw contiguous blocks,
+    one per tap, and the pool reads and writes whole blocks instead of
+    strided taps of a few channels.  The crop of `_as_batch` makes the
+    output a whole number of pool windows."""
 
     kernel: tuple[int, int]
     channels: int
@@ -220,33 +219,42 @@ class Conv2D:
         cols[..., :-1].reshape(patches.shape)[...] = patches
         return cols
 
+    def _pixels(self, in_shape):
+        """The axes of the output rows, in order: (n, oh, ow), or with
+        `pool` (ph*pw, n, oh/ph, ow/pw)."""
+        kh, kw = self.kernel
+        n, h, w = in_shape[-4:-1]
+        if self.pool is None:
+            return (n, h - kh + 1, w - kw + 1)
+        ph, pw = self.pool
+        return (ph * pw, n, (h - kh + 1) // ph, (w - kw + 1) // pw)
+
     def forward(self, matrix, x, cols=None):  # (..., n, h, w, c) -> (..., *pixels, o)
         """`cols`, when given, is `self.columns(x)` built by the caller."""
-        kh, kw = self.kernel
-        n, h, w = x.shape[-4:-1]
         if cols is None:
             cols = self.columns(x)
         out = cols @ matrix
-        pixels = (n, h - kh + 1, w - kw + 1)  # the axes of the rows, in order
-        if self.pool is not None:
-            ph, pw = self.pool
-            pixels = (ph * pw, n, pixels[1] // ph, pixels[2] // pw)
-        return out.reshape(out.shape[:-2] + pixels + (-1,)), (cols, x.shape)
+        return out.reshape(out.shape[:-2] + self._pixels(x.shape) + (-1,)), (cols, x.shape)
 
     def backward(self, matrix, cache, grad, d_matrix=None):
         """`d_matrix`, when given, is where the parameter gradient goes."""
         cols, in_shape = cache
         kh, kw = self.kernel
         o = grad.shape[-1]
-        lead = grad.ndim - (4 if self.pool is None else 5)  # model axes, if any
-        g = grad.reshape(grad.shape[:lead] + (-1, o))
+        lead = grad.shape[:-1 - len(self._pixels(in_shape))]  # model axes, if any
+        g = grad.reshape(lead + (-1, o))
         d_matrix = np.matmul(cols.swapaxes(-1, -2), g, out=d_matrix)  # (..., kh*kw*c + 1, o)
         if not self.input_grad:
             return None, d_matrix
+        n, h, w = in_shape[-4:-1]
+        oh, ow = h - kh + 1, w - kw + 1
+        if self.pool is not None:  # tap order back to image order, once
+            ph, pw = self.pool
+            g = grad.reshape(lead + (ph, pw, n, oh // ph, ow // pw, o))
+            g = np.moveaxis(g, (-6, -5), (-4, -2)).reshape(lead + (-1, o))
         # the column gradient one tap at a time, into one (..., n*oh*ow, c)
         # buffer; each tap adds back into the input pixels it read.  The
         # taps' weights are a contiguous copy: a strided view is slower.
-        n, oh, ow = grad.shape[-4:-1]
         w_taps = matrix[..., :-1, :].reshape(matrix.shape[:-2] + (kh * kw, -1, o))
         w_taps = w_taps.swapaxes(-1, -2).copy()  # (..., kh*kw, o, c)
         d_tap = np.empty(g.shape[:-1] + w_taps.shape[-1:])
@@ -269,15 +277,12 @@ def _weighted(layer) -> bool:
 
 @dataclass(frozen=True)
 class Pool:
-    """Max-pool.  With `tap_major`, the input is a first convolution's
-    output in pool-tap order, (..., ph*pw, n, oh, ow, c) (see `Conv2D`),
-    so each tap is one contiguous block; else it is (..., n, h, w, c) and
-    each tap a strided view.  Either way the input is a whole number of
-    windows: the crop of `_as_batch` leaves no row or column that no
-    window reads."""
+    """Max-pool of the convolution before it, whose output comes in this
+    pool's tap order, (..., ph*pw, n, oh, ow, c) (see `Conv2D`), so each
+    tap is one contiguous block.  The crop of `_as_batch` leaves no row
+    or column of that output that no window reads."""
 
     size: tuple[int, int] = (2, 2)
-    tap_major: bool = field(default=False, compare=False)
 
     def out_shape(self, shape, i):
         c, h, w = _image(self, i, shape)
@@ -289,26 +294,14 @@ class Pool:
     def reads(self, read, shape):
         return (read[0] * self.size[0], read[1] * self.size[1])
 
-    def _taps(self, x):
-        """Views, one per window position in row-major order."""
-        ph, pw = self.size
-        if self.tap_major:
-            return [x[..., k, :, :, :, :] for k in range(ph * pw)]
-        return [x[..., i::ph, j::pw, :] for i in range(ph) for j in range(pw)]
-
     def forward(self, matrix, x):
-        """The cache is the switches, the index of the first tap that
-        holds each max, in the smallest integer type that fits (less
-        memory held per round), and the input shape.  Tap-major, the max
-        is one reduction over the tap axis, which takes the taps in the
-        loop's order, so ties and signed zeros come out the same."""
-        taps = self._taps(x)
-        if self.tap_major:
-            out = np.maximum.reduce(x, axis=-5)
-        else:
-            out = taps[0].copy()
-            for tap in taps[1:]:
-                np.maximum(out, tap, out=out)
+        """The max is one reduction over the tap axis, which takes the
+        taps in order, so ties and signed zeros come out as a per-tap loop
+        gives them.  The cache is the switches, the index of the first tap
+        that holds each max, in the smallest integer type that fits (less
+        memory held per round), and the input shape."""
+        out = np.maximum.reduce(x, axis=-5)
+        taps = np.moveaxis(x, -5, 0)
         before = taps[0] != out
         switches = before.astype(np.min_scalar_type(len(taps) - 1))
         for tap in taps[1:-1]:
@@ -318,26 +311,17 @@ class Pool:
 
     def backward(self, matrix, cache, grad, d_matrix=None):
         """`grad * (switches == k)` for every tap k in one broadcast
-        multiply, into the taps of `dx`: tap-major they are all of it;
-        in image order they are its (oh, ph, ow, pw) window view.  The
-        comparison writes its 1.0s and 0.0s straight into `dx`, which the
-        multiply then scales in place: faster than a bool mask cast
-        inside the multiply, and the same products."""
+        multiply, into `dx`.  The comparison writes its 1.0s and 0.0s
+        straight into `dx`, which the multiply then scales in place:
+        faster than a bool mask cast inside the multiply, and the same
+        products."""
         switches, in_shape = cache
-        ph, pw = self.size
-        taps = np.arange(ph * pw, dtype=switches.dtype)  # switches' type: no cast
-        if self.tap_major:  # (..., ph*pw, n, oh, ow, c)
-            dx = np.empty(grad.shape[:-4] + in_shape[-5:])
-            np.equal(switches[..., None, :, :, :, :], taps.reshape(-1, 1, 1, 1, 1), out=dx,
-                     casting="unsafe")
-            np.multiply(dx, grad[..., None, :, :, :, :], out=dx)
-            return dx, None
-        oh, ow, c = grad.shape[-3:]
-        windows = np.empty(grad.shape[:-3] + (oh, ph, ow, pw, c))
-        np.equal(switches[..., None, :, None, :], taps.reshape(ph, 1, pw, 1), out=windows,
+        taps = np.arange(math.prod(self.size), dtype=switches.dtype)  # switches' type: no cast
+        dx = np.empty(grad.shape[:-4] + in_shape[-5:])
+        np.equal(switches[..., None, :, :, :, :], taps.reshape(-1, 1, 1, 1, 1), out=dx,
                  casting="unsafe")
-        np.multiply(windows, grad[..., None, :, None, :], out=windows)
-        return windows.reshape(grad.shape[:-3] + in_shape[-3:]), None
+        np.multiply(dx, grad[..., None, :, :, :, :], out=dx)
+        return dx, None
 
 
 @dataclass(frozen=True)
@@ -422,6 +406,10 @@ class NetSpec:
             raise ValueError("net needs at least one layer")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        for i, layer in enumerate(self.layers):
+            if isinstance(layer, Pool) and not (i and isinstance(self.layers[i - 1], Conv2D)):
+                raise ValueError(f"{_where(layer, i)} reads no convolution: a pool reads "
+                                 "the output of the Conv2D before it")
 
 
 def shallow_spec(n_inputs: int = 4, seed: int = 0) -> NetSpec:
@@ -489,16 +477,16 @@ def init_net(spec: NetSpec) -> TrainedNet:
 
     Walks the layer chain validating that shapes compose; a mismatch
     reports the offending layer pair.  Places each layer in the net: a
-    first layer computes no input gradient, a first convolution read by
-    a pool writes its output in that pool's tap order (see `Conv2D`),
+    first layer computes no input gradient, a convolution writes its
+    output in the tap order of the pool that reads it (see `Conv2D`),
     and every weighted layer but the last is followed by an activation,
     a ReLU by the pool that reads it, if one does (see `_ActivationOp`).
     """
     rng = np.random.default_rng(spec.seed)
     layers = list(spec.layers)
-    if len(layers) > 1 and isinstance(layers[0], Conv2D) and isinstance(layers[1], Pool):
-        layers[0] = replace(layers[0], pool=layers[1].size)
-        layers[1] = replace(layers[1], tap_major=True)
+    for i, layer in enumerate(spec.layers):
+        if isinstance(layer, Pool):  # `NetSpec` has checked that a Conv2D comes before it
+            layers[i - 1] = replace(layers[i - 1], pool=layer.size)
     last = max((i for i, layer in enumerate(layers) if _weighted(layer)), default=0)
     relu = spec.activation == "relu"
     activated = {i + (relu and isinstance(layers[i + 1], Pool))  # the layer it follows

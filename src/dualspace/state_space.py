@@ -55,6 +55,8 @@ def state_matrix(series: PanelSeries, mode: VolumeMode) -> StateMatrix:
     if len(series) < 2:
         raise ValueError("need at least 2 days of panels")
     ns, rows = series.fine.shape[-1], []
+    if ns < 2:
+        raise ValueError(f"need at least 2 sub-cells per bucket to correlate profiles, got {ns}")
     for lo in range(0, len(series) - 1, _PAIRS_PER_PASS):
         fine = series.fine[lo:lo + _PAIRS_PER_PASS + 1]
         prof = _profiles(fine[:, 0], fine[:, 1], mode, series.config.geometric_imbalance)

@@ -362,7 +362,7 @@ def _read_extent(plan):
     return read
 
 
-def _to_taps(rows, pixels, pool):
+def to_taps(rows, pixels, pool):
     """Rows (..., n*oh*ow, k) in image order, (n, oh, ow), reordered to
     the taps of a (ph, pw) pool: (ph, pw, n, oh/ph, ow/pw)."""
     (n, oh, ow), (ph, pw) = pixels, pool
@@ -370,8 +370,8 @@ def _to_taps(rows, pixels, pool):
     return np.moveaxis(split, (-4, -2), (-6, -5)).reshape(rows.shape)
 
 
-def _from_taps(rows, pixels, pool):
-    """`_to_taps` undone."""
+def from_taps(rows, pixels, pool):
+    """`to_taps` undone."""
     (n, oh, ow), (ph, pw) = pixels, pool
     split = rows.reshape(rows.shape[:-2] + (ph, pw, n, oh // ph, ow // pw, rows.shape[-1]))
     return np.moveaxis(split, (-6, -5), (-4, -2)).reshape(rows.shape)
@@ -386,15 +386,19 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
     the crop makes each weight-gradient product the same length as
     `neural_kit.train_many`'s.  Same arithmetic, in the same order, as
     `neural_kit.train_many`, whose products are these: a dense layer
-    multiplies `[x | 1]` by `[W; b]`, and a first convolution read by a
-    pool takes its column rows in that pool's tap order, in its forward
-    product and in its weight gradient (`_to_taps`); everything else
+    multiplies `[x | 1]` by `[W; b]`, and a convolution read by a pool
+    takes its column rows in that pool's tap order, in its forward
+    product and in its weight gradient (`to_taps`); everything else
     runs in the plain image order.  Returns one (weight arrays, loss
     curve) pair per net."""
     spec = nets[0].spec
     plan = _reference_plan(spec)
-    kinds = [kind for kind, _ in plan if kind != "act"]
-    first_pool = spec.layers[1].size if kinds[:2] == ["conv", "pool"] else None
+    # the size of the pool that reads each convolution, by the index of its
+    # weights in `params`
+    kinds = [type(layer).__name__ for layer in spec.layers] + [None]
+    weighted = [i for i, kind in enumerate(kinds) if kind in ("Dense", "Conv2D")]
+    pool_of = {2 * j: spec.layers[i + 1].size for j, i in enumerate(weighted)
+               if kinds[i + 1] == "Pool"}
     params = [np.stack(arrs) for arrs in zip(*(weight_arrays(net) for net in nets))]
     sample_ndim = len(spec.input_shape)
     x0 = np.asarray(inputs, dtype=float)
@@ -429,14 +433,14 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
                 cols[..., :-1].reshape(cols.shape[:-1] + (kh, kw, c))[...] = \
                     np.moveaxis(windows, -3, -1)
                 cols = cols.reshape(x.shape[:-4] + (n_img * oh * ow, -1))
-                if p == 0 and first_pool:
-                    cols = _to_taps(cols, (n_img, oh, ow), first_pool)
+                if p in pool_of:
+                    cols = to_taps(cols, (n_img, oh, ow), pool_of[p])
                 saved.append((cols, x.shape))
                 w = np.moveaxis(params[p], *to_cols)
                 w = w.reshape(w.shape[:-4] + (-1, w.shape[-1]))
                 out = cols @ np.concatenate([w, params[p + 1][..., None, :]], axis=-2)
-                if p == 0 and first_pool:
-                    out = _from_taps(out, (n_img, oh, ow), first_pool)
+                if p in pool_of:
+                    out = from_taps(out, (n_img, oh, ow), pool_of[p])
                 x = out.reshape(out.shape[:-2] + (n_img, oh, ow, -1))
                 p += 2
             elif kind == "pool":
@@ -485,7 +489,7 @@ def reference_train_many(nets, inputs, targets, rounds, learning_rate):
                 (cols, in_shape), (kh, kw) = keep, what.kernel
                 n_img, oh, ow, o = grad.shape[-4:]
                 g = grad.reshape(grad.shape[:-4] + (-1, o))
-                g_rows = _to_taps(g, (n_img, oh, ow), first_pool) if p == 0 and first_pool else g
+                g_rows = to_taps(g, (n_img, oh, ow), pool_of[p]) if p in pool_of else g
                 d_matrix = cols.swapaxes(-1, -2) @ g_rows
                 grads[p + 1] = d_matrix[..., -1, :]
                 d_w = d_matrix[..., :-1, :].reshape(d_matrix.shape[:-2] + (kh, kw, -1, o))

@@ -76,6 +76,16 @@ def test_panels_and_statespace_artifacts(capsys, tape_dir, tmp_path):
     assert states.values.shape == (484, 16)
 
 
+def test_panels_export_one_cell_profiles(capsys, tape_dir, tmp_path):
+    """Only `statespace` needs two sub-cells to correlate: `panels --fine`
+    exports profiles of any width."""
+    run_ok(capsys, ["panels", "--tape", str(tape_dir / "t0.csv"), "--fine", "--subcells", "1",
+                    "--out-dir", str(tmp_path)])
+    with open(tmp_path / "panels_fine.csv") as handle:
+        header, _ = read_table_csv(handle)
+    assert header == ["date", "side", "bucket", "c0"]
+
+
 def test_fit_on_planted_states_reports_tiny_residual(capsys, tmp_path):
     states = planted_trajectory(random_rotation(3), seed=5, n_rows=200)
     path = tmp_path / "states.csv"
@@ -868,10 +878,13 @@ def test_a_negative_seed_is_refused_by_name_before_any_input_is_read(capsys, tmp
     *((["synth", "--days", "5", "--traders", "1", "--shock", shock],
       "usage error: --shock takes start:end:volume_mult:spread_mult")
       for shock in ("2.7:10.9:0:1", "inf:5:1:1", "nan:5:1:1")),
+    (["statespace", "--tape", "{absent}", "--subcells", "1"],
+     "usage error: statespace needs --subcells of at least 2 to correlate profiles, got 1"),
 ], ids=["backcast-index-comma", "backcast-index-newline", "eventstudy-index-comma",
         "eventstudy-repeated-seed", "backcast-zero-rounds", "backcast-nan-learning-rate",
         "eventstudy-zero-rounds", "eventstudy-negative-learning-rate",
-        "synth-fractional-shock-days", "synth-infinite-shock-day", "synth-nan-shock-day"])
+        "synth-fractional-shock-days", "synth-infinite-shock-day", "synth-nan-shock-day",
+        "statespace-one-subcell"])
 def test_a_bad_option_is_refused_by_name_before_any_input_is_read(capsys, tmp_path, argv,
                                                                  message):
     argv = [arg.format(absent=tmp_path / "absent.csv") for arg in argv]

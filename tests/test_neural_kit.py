@@ -7,7 +7,8 @@ import pytest
 
 from conftest import rerun_under_other_blas_kernels
 from dualspace import neural_kit as nk
-from oracles import forward_cached, grad_check, reference_train_many, weight_arrays
+from oracles import (forward_cached, from_taps, grad_check, reference_train_many, to_taps,
+                     weight_arrays)
 
 
 def _forward_with_caches(net, inputs):
@@ -351,18 +352,10 @@ def test_pool_gradient_goes_to_first_max_on_ties():
     assert d_params is None
 
 
-def _pool_by_taps(pool, x, grad):
+def _pool_by_taps(x, grad):
     """A pool's max, switches and input gradient, one tap at a time."""
-    ph, pw = pool.size
     dx = np.zeros(x.shape)
-    if pool.tap_major:
-        taps, d_taps = list(np.moveaxis(x, -5, 0)), list(np.moveaxis(dx, -5, 0))
-    else:
-        oh, ow = x.shape[-3] // ph, x.shape[-2] // pw
-        windows = [(slice(i, oh * ph, ph), slice(j, ow * pw, pw))
-                   for i in range(ph) for j in range(pw)]
-        taps = [x[..., rows, cols, :] for rows, cols in windows]
-        d_taps = [dx[..., rows, cols, :] for rows, cols in windows]
+    taps, d_taps = list(np.moveaxis(x, -5, 0)), list(np.moveaxis(dx, -5, 0))
     out = taps[0].copy()
     for tap in taps[1:]:
         np.maximum(out, tap, out=out)
@@ -379,8 +372,7 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("size", [(2, 2), (3, 2)])
-@pytest.mark.parametrize("tap_major", [False, True], ids=["image_order", "tap_major"])
-def test_a_pool_equals_its_per_tap_loop_bit_for_bit(tap_major, size):
+def test_a_pool_equals_its_per_tap_loop_bit_for_bit(size):
     """Windows of signed zeros, ties and all-negative taps, with a model
     axis, on a whole number of windows, as `_as_batch` crops every pool
     input.  Bits are compared, so that -0.0 and 0.0 differ."""
@@ -395,15 +387,12 @@ def test_a_pool_equals_its_per_tap_loop_bit_for_bit(tap_major, size):
     windows[0, 0, 1, -1, 0, 0, 0] = -0.0
     windows[0, 0, 2, :, 0, :, 0] = -rng.uniform(0.5, 2.0, (ph, pw))  # all negative
     windows[0, 0, 3, :, 0, :, 0] = 1.0  # every tap holds the max
-    if tap_major:  # (R, ph*pw, n, oh, ow, c)
-        x = np.moveaxis(windows, (3, 5), (1, 2)).reshape((2, ph * pw, n, oh, ow, c))
-    else:  # (R, n, h, w, c)
-        x = windows.reshape((2, n, oh * ph, ow * pw, c))
+    x = np.moveaxis(windows, (3, 5), (1, 2)).reshape((2, ph * pw, n, oh, ow, c))  # tap order
     grad = rng.standard_normal((2, n, oh, ow, c))  # both signs: grad * 0.0 is ±0.0
-    pool = nk.Pool(size, tap_major=tap_major)
+    pool = nk.Pool(size)
     out, (switches, in_shape) = pool.forward(None, x.copy())
     dx, d_matrix = pool.backward(None, (switches, in_shape), grad)
-    plain_out, plain_switches, plain_dx = _pool_by_taps(pool, x, grad)
+    plain_out, plain_switches, plain_dx = _pool_by_taps(x, grad)
     np.testing.assert_array_equal(_bits(out), _bits(plain_out))
     np.testing.assert_array_equal(switches, plain_switches)
     np.testing.assert_array_equal(_bits(dx), _bits(plain_dx))
@@ -541,28 +530,43 @@ def _ops_of(net, kind):
 
 
 def test_a_first_convolution_read_by_a_pool_writes_its_rows_in_tap_order():
+    """So does every convolution a pool reads: cnn7's second one too,
+    which turns its tap-ordered gradient back into image order for its
+    input gradient."""
     net = nk.init_net(nk.cnn7_spec(seed=3))
-    (conv, second_conv), (pool, second_pool) = _ops_of(net, nk.Conv2D), _ops_of(net, nk.Pool)
-    assert (conv.pool, pool.tap_major) == ((2, 2), True)
+    (conv, second_conv), (pool, _) = _ops_of(net, nk.Conv2D), _ops_of(net, nk.Pool)
+    assert conv.pool == second_conv.pool == (2, 2)
     assert (conv, pool) == net.spec.layers[:2]  # placement takes no part in equality
-    assert (second_conv.pool, second_pool.tap_major) == (None, False)
-    x = nk._as_batch(net, np.random.default_rng(49).standard_normal((3, 21, 16)))
-    plain_conv, plain_pool = nk.Conv2D(conv.kernel, conv.channels, input_grad=False), nk.Pool(pool.size)
-
-    def image_order(a):  # (2, 2, 3, 8, 6, ...) in tap order -> (3, 16, 12, ...)
-        a = a.reshape((2, 2, 3, 8, 6) + a.shape[-1:])
-        return np.moveaxis(a, (0, 1), (2, 4)).reshape((3, 16, 12) + a.shape[-1:])
-
+    rng = np.random.default_rng(49)
+    x = nk._as_batch(net, rng.standard_normal((3, 21, 16)))
+    plain_conv = nk.Conv2D(conv.kernel, conv.channels, input_grad=False)
     cols, plain_cols = conv.columns(x), plain_conv.columns(x)
-    np.testing.assert_array_equal(image_order(cols), plain_cols.reshape(3, 16, 12, -1))
-    out, cache = pool.forward(None, conv.forward(net.params[0], x, cols)[0])
-    plain_out, plain_cache = plain_pool.forward(
-        None, plain_conv.forward(net.params[0], x, plain_cols)[0])
-    np.testing.assert_array_equal(cache[0], plain_cache[0])  # the switches
-    np.testing.assert_allclose(out, plain_out, rtol=1e-14, atol=0)
-    grad = np.random.default_rng(50).standard_normal(out.shape)
-    np.testing.assert_array_equal(image_order(pool.backward(None, cache, grad)[0]),
-                                  plain_pool.backward(None, plain_cache, grad)[0])
+    np.testing.assert_array_equal(from_taps(cols, (3, 16, 12), (2, 2)), plain_cols)
+    out = conv.forward(net.params[0], x, cols)[0]
+    plain_out = plain_conv.forward(net.params[0], x, plain_cols)[0]
+    assert out.shape == (4, 3, 8, 6, 8)
+    np.testing.assert_allclose(from_taps(out.reshape(-1, 8), (3, 16, 12), (2, 2)),
+                               plain_out.reshape(-1, 8), rtol=1e-14, atol=0)
+
+    matrix = net.params[net.ops.index(second_conv)]
+    plain_second = nk.Conv2D(second_conv.kernel, second_conv.channels)
+    y = rng.standard_normal((3, 8, 6, 8))
+    _, cache = second_conv.forward(matrix, y)
+    _, plain_cache = plain_second.forward(matrix, y)
+    grad = rng.standard_normal((3, 6, 4, 16))
+    tap_grad = to_taps(grad.reshape(-1, 16), (3, 6, 4), (2, 2)).reshape(4, 3, 3, 2, 16)
+    dx, d_matrix = second_conv.backward(matrix, cache, tap_grad)
+    plain_dx, plain_d_matrix = plain_second.backward(matrix, plain_cache, grad)
+    np.testing.assert_array_equal(dx, plain_dx)
+    np.testing.assert_allclose(d_matrix, plain_d_matrix, rtol=1e-13, atol=1e-15)
+
+
+def test_a_pool_that_reads_no_convolution_is_refused():
+    for layers in [(nk.Pool((2, 2)), nk.Flatten(), nk.Dense(4, 1)),
+                   (nk.Conv2D((1, 1), 1), nk.Pool((2, 2)), nk.Pool((2, 2)), nk.Flatten(),
+                    nk.Dense(1, 1))]:
+        with pytest.raises(ValueError, match="reads no convolution"):
+            nk.NetSpec(layers, "relu", 0, input_shape=(4, 4))
 
 
 def test_first_layer_columns_built_once_per_stack(monkeypatch):

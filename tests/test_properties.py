@@ -4,8 +4,8 @@ the bucket panels' volume conservation, the whole-array
 state space and trading cost against their per-day loops, state entries
 in [-1, 1], the dual regression's reconstruction, P+F=1 and symmetry
 invariants, the CLI contract on arbitrary files and flag values, and
-average ranks, the normal tail and the Student-t quantile against
-scipy's."""
+average ranks, Pearson correlation, the normal tail and the Student-t
+quantile against scipy's."""
 
 import contextlib
 import datetime as dt
@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -312,6 +313,42 @@ def test_spearman_is_zero_on_a_constant_side_and_refuses_nan():
     assert corrstats.spearman(varied, varied) == 1.0
     with pytest.raises(ValueError, match="finite"):
         corrstats.spearman([1.0, np.nan, 2.0], [1.0, 2.0, 3.0])
+
+
+#: how far `pearson` may lie from scipy's `pearsonr`: both center by the
+#: same mean, so only the last few roundings differ
+PEARSON_ATOL = 1e-12
+
+
+@st.composite
+def pearson_pairs(draw):
+    """Two series of one length, of small integers (heavy ties) or of
+    reals of magnitude 0 or 1e-3 to 1e6, so that no centered square under-
+    or overflows; one side is sometimes constant."""
+    n = draw(st.integers(2, 30))
+    reals = st.floats(1e-3, 1e6) | st.floats(-1e6, -1e-3) | st.just(0.0)
+    values = draw(st.sampled_from([st.integers(-3, 3).map(float), reals]))
+    pair = [draw(arrays(np.float64, n, elements=values)) for _ in range(2)]
+    constant = draw(st.sampled_from([None, 0, 1]))
+    if constant is not None:
+        pair[constant][:] = draw(values)
+    return tuple(pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pearson_pairs())
+@example((np.full(3, 0.1), np.array([1.0, 2.0, 4.0])))  # a mean of 0.1s is not 0.1
+def test_pearson_matches_scipy_and_is_zero_on_a_constant_side(pair):
+    x, y = pair
+    r = corrstats.pearson(x, y)
+    assert -1.0 <= r <= 1.0
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+        assert r == 0.0 and not math.copysign(1.0, r) < 0
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", stats.NearConstantInputWarning)
+        expected = stats.pearsonr(x, y).statistic
+    assert abs(r - expected) <= PEARSON_ATOL
 
 
 #: relative tolerance of corrstats' closed-form normal tail and Student-t

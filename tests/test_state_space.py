@@ -63,6 +63,13 @@ def test_config_mismatch_raises():
                     np.zeros(2, dtype=np.int64), np.zeros(2), np.zeros(2))
 
 
+def test_a_one_cell_profile_is_refused():
+    fine = np.ones((2, 2, 16, 1))
+    series = series_of(*fine, config=BucketConfig(n_subcells=1))
+    with pytest.raises(ValueError, match="at least 2 sub-cells"):
+        state_matrix(series, VolumeMode.IMBALANCE)
+
+
 def test_state_matrix_shapes():
     rng = np.random.default_rng(3)
     series = series_of(*rng.uniform(0, 9, (2, 2, 16, 50)))
